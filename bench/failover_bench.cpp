@@ -31,6 +31,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -283,6 +284,7 @@ int run(int argc, char** argv) {
                "publish hot-path delta with the update stream off vs on, and "
                "kill->promote->first-redelivery latency with unacked deliveries "
                "retained across the failover\",\n"
+               "  \"hardware_concurrency\": %u,\n"
                "  \"publishes\": %zu,\n"
                "  \"publish_path\": {\n"
                "    \"off\": { \"p50_us\": %.2f, \"p99_us\": %.2f, "
@@ -303,7 +305,7 @@ int run(int argc, char** argv) {
                "    \"first_redelivery_p99_us\": %.2f\n"
                "  }\n"
                "}\n",
-               publishes, off_p50, percentile_us(off.op_ns, 0.99),
+               std::thread::hardware_concurrency(), publishes, off_p50, percentile_us(off.op_ns, 0.99),
                static_cast<double>(publishes) / off.seconds, on_p50,
                percentile_us(on.op_ns, 0.99),
                static_cast<double>(publishes) / on.seconds,

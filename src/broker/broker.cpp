@@ -115,6 +115,10 @@ void Broker::on_disconnect(ConnId conn) {
     if (link != links_.end() && link->second.conn == conn) {
       link->second.conn = kInvalidConn;  // session survives; forwards queue up
       ++stats_.link_flaps;
+      // One line per state change; the forwards that queue behind it are
+      // counted (forwards_queued_link_down), never logged one by one.
+      GRYPHON_WARN("broker") << "broker " << core_.self() << ": link to " << state.peer
+                             << " is down; forwards queue for replay";
     }
   } else if (state.kind == ConnKind::kReplica) {
     // Replication sessions survive the drop the same way link sessions do:
@@ -356,7 +360,9 @@ void Broker::handle_subscribe(ConnId conn, const wire::SubscribeReq& req) {
       static_cast<std::int64_t>((static_cast<std::uint64_t>(core_.self().value) << 40) |
                                 next_sub_counter_++)};
   const std::size_t count_before = core_.subscription_count(req.space);
-  core_.add_subscription(req.space, id, subscription, core_.self());
+  // Deferred: the snapshot is published at the next process_event barrier,
+  // before any event this broker handles after the SubscribeAck below.
+  core_.add_subscription(req.space, id, subscription, core_.self(), SnapshotPolicy::kDefer);
   auto& client = clients_.at(it->second.client_name);
   client->subscriptions.push_back(id);
   local_sub_client_[id] = it->second.client_name;
@@ -382,7 +388,7 @@ void Broker::handle_unsubscribe(ConnId conn, const wire::Unsubscribe& req) {
   const std::size_t count_before =
       space_it == local_sub_space_.end() ? 0 : core_.subscription_count(space_it->second);
   const SpaceId space = space_it == local_sub_space_.end() ? SpaceId{0} : space_it->second;
-  if (!core_.remove_subscription(req.id)) return;
+  if (!core_.remove_subscription(req.id, SnapshotPolicy::kDefer)) return;
   --stats_.subscriptions_active;
   record_tombstone(req.id);
   auto& client = clients_.at(it->second.client_name);
@@ -439,7 +445,7 @@ void Broker::handle_sub_propagate(ConnId conn, const wire::SubPropagate& prop) {
   const Subscription subscription =
       decode_subscription(core_.schema(prop.space), prop.subscription);
   const std::size_t count_before = core_.subscription_count(prop.space);
-  core_.add_subscription(prop.space, prop.id, subscription, prop.owner);
+  core_.add_subscription(prop.space, prop.id, subscription, prop.owner, SnapshotPolicy::kDefer);
   ++stats_.subscriptions_active;
   replicate({.kind = replication::UpdateKind::kSubAdd,
              .id = prop.id,
@@ -456,7 +462,7 @@ void Broker::handle_unsub_propagate(ConnId conn, const wire::UnsubPropagate& pro
   const auto space = core_.space_of(prop.id);
   if (!space.has_value()) return;  // already gone: stop the flood
   const std::size_t count_before = core_.subscription_count(*space);
-  if (!core_.remove_subscription(prop.id)) return;
+  if (!core_.remove_subscription(prop.id, SnapshotPolicy::kDefer)) return;
   --stats_.subscriptions_active;
   const auto named = local_sub_client_.find(prop.id);
   if (named != local_sub_client_.end()) {
@@ -562,6 +568,13 @@ void Broker::send_broker_ack(LinkSession& session) {
 
 void Broker::process_event(SpaceId space, const std::vector<std::uint8_t>& encoded,
                            BrokerId tree_root) {
+  // The publish barrier: every control-plane mutation is deferred, and the
+  // churn accumulated since the last event is compiled here, once, before
+  // this event is staged. Under mutex_, so every change this broker has
+  // acknowledged is in the snapshot; the store happens-before the queue
+  // push below, so a worker pinning after the pop sees it too.
+  core_.control_plane().assert_serialized();  // serialized by mutex_
+  core_.publish_space(space);
   if (workers_.empty()) {
     // Deterministic mode: a one-event batch through the same batch-first
     // dispatch path the workers use, applied and flushed inline.
@@ -658,10 +671,9 @@ void Broker::apply_decision(SpaceId space, const std::vector<std::uint8_t>& enco
     LinkSession& session = links_[peer];
     if (session.dead) {
       // The supervisor gave this link up: degrade gracefully rather than
-      // queue forever.
+      // queue forever. Counted, not logged: mark_link_dead logged the
+      // state change once.
       ++stats_.forwards_dropped_dead_link;
-      GRYPHON_WARN("broker") << "broker " << core_.self() << ": link to " << peer
-                             << " is dead; dropping forward";
       continue;
     }
     // Log first, send second: the log is the source of truth the session
@@ -676,8 +688,8 @@ void Broker::apply_decision(SpaceId space, const std::vector<std::uint8_t>& enco
                .seq = seq,
                .payload = encoded});
     if (session.conn == kInvalidConn) {
-      GRYPHON_WARN("broker") << "broker " << core_.self() << ": link to " << peer
-                             << " is down; forward " << seq << " queued for replay";
+      // Kept in out_log for replay; on_disconnect logged the state change.
+      ++stats_.forwards_queued_link_down;
       continue;
     }
     queue_link_frame(session, wire::encode(wire::EventForward{tree_root, space, encoded,
@@ -1062,9 +1074,11 @@ void Broker::apply_update(const replication::Update& update) {
   switch (update.kind) {
     case replication::UpdateKind::kSubAdd: {
       if (!core_.has_space(update.space) || core_.has_subscription(update.id)) break;
+      // Deferred like every other mutation: a standby dispatches nothing,
+      // so its first compile happens at promotion.
       core_.add_subscription(update.space, update.id,
                              decode_subscription(core_.schema(update.space), update.payload),
-                             update.owner);
+                             update.owner, SnapshotPolicy::kDefer);
       ++stats_.subscriptions_active;
       if (update.owner == core_.self()) {
         // Track the primary's id counter (we shadow its identity), so ids
@@ -1084,7 +1098,7 @@ void Broker::apply_update(const replication::Update& update) {
       break;
     }
     case replication::UpdateKind::kSubRemove: {
-      if (!core_.remove_subscription(update.id)) break;
+      if (!core_.remove_subscription(update.id, SnapshotPolicy::kDefer)) break;
       --stats_.subscriptions_active;
       const auto named = local_sub_client_.find(update.id);
       if (named != local_sub_client_.end()) {
@@ -1226,9 +1240,7 @@ void Broker::install_snapshot(const replication::SnapshotImage& image) {
       local_sub_space_[sub.id] = sub.space;
     }
   }
-  for (std::size_t s = 0; s < core_.space_count(); ++s) {
-    core_.publish_space(SpaceId{static_cast<SpaceId::rep_type>(s)});
-  }
+  // No publish here: the restored registry compiles once, at promotion.
   for (const SubscriptionId id : image.tombstones) record_tombstone(id);
   for (const replication::LinkImage& link : image.links) {
     LinkSession& session = links_[link.peer];
@@ -1251,9 +1263,13 @@ void Broker::install_snapshot(const replication::SnapshotImage& image) {
 }
 
 void Broker::promote_locked() {
+  core_.control_plane().assert_serialized();  // serialized by mutex_
   if (!standby_) return;
   standby_ = false;
   ++stats_.promotions;
+  // Everything replicated while shadowing was deferred: publish it in one
+  // compile per space before the promoted broker can stage an event.
+  core_.publish_all();
   // The dead primary may have assigned sequences past everything it
   // replicated. Skip a gap no real assignment could have crossed, so
   // nothing numbered after promotion can collide with something a peer or

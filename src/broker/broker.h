@@ -137,6 +137,9 @@ class Broker : public TransportHandler {
   [[nodiscard]] BrokerId self() const { return core_.self(); }
   /// Direct core access; safe only when no transport thread can be
   /// delivering frames (deterministic pumped transports, or quiesced TCP).
+  /// Subscription changes reach the core's published snapshot only when
+  /// the broker next stages an event, so its data-plane reads
+  /// (match_all, dispatch) may lag the registry until then.
   [[nodiscard]] const BrokerCore& core() const { return core_; }
   /// Thread-safe subscription count (for polling from other threads).
   [[nodiscard]] std::size_t subscription_count() const EXCLUDES(mutex_) {
@@ -221,6 +224,7 @@ class Broker : public TransportHandler {
     std::uint64_t link_flaps{0};             // broker-link disconnects observed
     std::uint64_t frames_rejected{0};        // malformed frames dropped
     std::uint64_t forwards_dropped_dead_link{0};  // forwards lost to a dead link
+    std::uint64_t forwards_queued_link_down{0};   // forwards logged while the link was down
     // Replication counters (docs/fault-tolerance.md § Replication).
     std::uint64_t repl_updates_sent{0};      // StateUpdate frames streamed to the standby
     std::uint64_t repl_snapshots_sent{0};    // full StateSnapshot images sent

@@ -137,7 +137,8 @@ void BrokerCore::publish_snapshot(SpaceId touched) {
           .count());
   snapshot_.store(std::move(next));
   sp.force_full = false;
-  sp.dirty = false;
+  sp.trees_dirty = false;
+  sp.covering_dirty = false;  // sources_of carried the covering sidecar too
   stats_.segments_compiled += compile.segments_compiled;
   stats_.segments_reused += compile.segments_reused;
   if (compile.segments_reused > 0) {
@@ -157,14 +158,9 @@ void BrokerCore::publish_snapshot(SpaceId touched) {
 void BrokerCore::publish_covering_only(SpaceId touched) {
   const auto i = static_cast<std::size_t>(touched.value);
   Space& sp = spaces_[i];
-  // Deferred tree churn must not ride out behind a table-sharing publish:
-  // flush it the slow way so the snapshot stays self-consistent.
-  if (sp.dirty || sp.force_full) {
-    publish_snapshot(touched);
-    return;
-  }
   const auto current = snapshot_.load();
   snapshot_.store(builder_->next_snapshot_covering_only(*current, i, sp.covering->snapshot()));
+  sp.covering_dirty = false;
   ++stats_.covering_only_publishes;
 }
 
@@ -241,16 +237,13 @@ void BrokerCore::add_subscription(SpaceId space, SubscriptionId id,
     throw;
   }
   ++space_counts_[static_cast<std::size_t>(space.value)];
-  if (!covering_only) maybe_grow_segments(space);
-  if (policy == SnapshotPolicy::kDefer) {
-    sp.dirty = true;
-    return;
-  }
   if (covering_only) {
-    publish_covering_only(space);
+    sp.covering_dirty = true;
   } else {
-    publish_snapshot(space);
+    sp.trees_dirty = true;
+    maybe_grow_segments(space);
   }
+  if (policy == SnapshotPolicy::kPublish) publish_space(space);
 }
 
 bool BrokerCore::remove_subscription(SubscriptionId id, SnapshotPolicy policy) {
@@ -277,22 +270,30 @@ bool BrokerCore::remove_subscription(SubscriptionId id, SnapshotPolicy policy) {
   }
   registry_.erase(it);
   --space_counts_[static_cast<std::size_t>(reg.space.value)];
-  if (policy == SnapshotPolicy::kDefer) {
-    sp.dirty = true;
-    return true;
-  }
   if (covering_only) {
-    publish_covering_only(reg.space);
+    sp.covering_dirty = true;
   } else {
-    publish_snapshot(reg.space);
+    sp.trees_dirty = true;
   }
+  if (policy == SnapshotPolicy::kPublish) publish_space(reg.space);
   return true;
 }
 
 void BrokerCore::publish_space(SpaceId space) {
   const Space& sp = space_at(space);
-  if (!sp.dirty && !sp.force_full) return;
-  publish_snapshot(space);
+  if (sp.trees_dirty || sp.force_full) {
+    // Tree churn must not ride out behind a table-sharing publish: compile,
+    // which carries any pending covering change along.
+    publish_snapshot(space);
+  } else if (sp.covering_dirty) {
+    publish_covering_only(space);
+  }
+}
+
+void BrokerCore::publish_all() {
+  for (std::size_t s = 0; s < spaces_.size(); ++s) {
+    publish_space(SpaceId{static_cast<SpaceId::rep_type>(s)});
+  }
 }
 
 std::size_t BrokerCore::frontier_count(SpaceId space) const {

@@ -18,12 +18,13 @@
 // has_subscription / for_each_subscription) must be externally serialized —
 // the owning Broker's mutex does this. The data plane (dispatch, match_all)
 // never blocks beyond a pointer copy and is safe to call from any number of
-// threads concurrently with the control plane: each control-plane change
-// compiles the touched trees into a fresh immutable CoreSnapshot published
-// through the SnapshotSlot, and a dispatch pins one snapshot for the
-// duration of the event (see core_snapshot.h). Dispatch and match_all run
-// on the compiled flat kernel (matching/compiled_pst.h); the mutable trees
-// are writer-only.
+// threads concurrently with the control plane: control-plane changes are
+// compiled into a fresh immutable CoreSnapshot published through the
+// SnapshotSlot — per change, or once per burst when the caller defers with
+// SnapshotPolicy::kDefer and publishes before the next read — and a
+// dispatch pins one snapshot for the duration of the event (see
+// core_snapshot.h). Dispatch and match_all run on the compiled flat kernel
+// (matching/compiled_pst.h); the mutable trees are writer-only.
 //
 // The contract is machine-checked: control-plane methods carry
 // REQUIRES(control_plane_) on a ControlPlaneCapability, so a Clang build
@@ -95,7 +96,8 @@ struct ControlPlaneStats {
 
 /// Whether a control-plane mutation publishes a fresh snapshot before
 /// returning (the default) or defers publication until publish_space() —
-/// the bulk-load shape: pay one compile for a million subscribes.
+/// the bulk-load shape: pay one compile for a million subscribes. Broker
+/// defers every mutation and publishes just before it stages an event.
 enum class SnapshotPolicy : std::uint8_t { kPublish = 0, kDefer = 1 };
 
 /// A zero-cost capability standing for "the BrokerCore control plane is
@@ -162,9 +164,13 @@ class BrokerCore {
   bool remove_subscription(SubscriptionId id,
                            SnapshotPolicy policy = SnapshotPolicy::kPublish)
       REQUIRES(control_plane_);
-  /// Publishes any churn deferred with SnapshotPolicy::kDefer for `space`.
-  /// No-op when nothing is pending.
+  /// Publishes any churn deferred with SnapshotPolicy::kDefer for `space`:
+  /// an O(1) covering-only publish when the pending churn only parked or
+  /// unparked subscriptions, a (delta) compile otherwise. No-op when
+  /// nothing is pending, so callers may invoke it before every read.
   void publish_space(SpaceId space) REQUIRES(control_plane_);
+  /// publish_space over every space.
+  void publish_all() REQUIRES(control_plane_);
   [[nodiscard]] bool has_subscription(SubscriptionId id) const REQUIRES(control_plane_) {
     return registry_.contains(id);
   }
@@ -260,7 +266,11 @@ class BrokerCore {
     /// until growth (see ControlPlaneOptions::delta_segment_target).
     std::vector<std::unique_ptr<PstMatcher>> segments;
     std::unique_ptr<CoveringIndex> covering;  // null when covering off
-    bool dirty{false};       // churn deferred with SnapshotPolicy::kDefer
+    // Unpublished churn. A burst that only parked or unparked covered
+    // subscriptions publishes in O(1) (the compiled tables are shared);
+    // anything that touched a frontier slice pays a delta compile.
+    bool trees_dirty{false};
+    bool covering_dirty{false};
     bool force_full{false};  // slices rebuilt since last publish: no reuse
   };
   struct Registered {

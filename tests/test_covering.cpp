@@ -20,6 +20,7 @@
 #include "broker/inproc_transport.h"
 #include "common/rng.h"
 #include "matching/covering_index.h"
+#include "matching/naive_matcher.h"
 #include "topology/builders.h"
 #include "workload/generators.h"
 
@@ -455,6 +456,68 @@ TEST_F(CoveringDifferentialTest, DeferredPublicationIsInvisibleUntilPublishSpace
   const std::uint64_t published = deferred.snapshot_version();
   deferred.publish_space(kSpace0);
   EXPECT_EQ(deferred.snapshot_version(), published);
+}
+
+TEST_F(CoveringDifferentialTest, DeferredParkedOnlyBurstPublishesCoveringOnly) {
+  // Deferral keeps the O(1) covering-only publish: a burst that only parks
+  // or unparks subscriptions touches no compiled tree, so publish_space
+  // shares the compiled tables instead of compiling. One tree mutation in
+  // the burst makes it compile.
+  BrokerCore core(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), 1, {});
+  core.control_plane().assert_serialized();
+  const BrokerId remote{0};
+  const Subscription everything(schema_, std::vector<T>(4, T::dont_care()));
+  core.add_subscription(kSpace0, SubscriptionId{0}, everything, remote);
+  const ControlPlaneStats before = core.control_plane_stats();
+
+  Rng rng(8080);
+  SubscriptionGenerator gen(schema_, SubscriptionWorkloadConfig{0.9, 0.7, 1.0});
+  NaiveMatcher oracle;
+  oracle.add(SubscriptionId{0}, everything);
+  constexpr std::int64_t kBurst = 50;
+  for (std::int64_t i = 1; i <= kBurst; ++i) {
+    const Subscription s = gen.generate(rng);
+    core.add_subscription(kSpace0, SubscriptionId{i}, s, remote, SnapshotPolicy::kDefer);
+    oracle.add(SubscriptionId{i}, s);
+  }
+  ASSERT_EQ(core.covered_count(kSpace0), static_cast<std::size_t>(kBurst));
+  core.publish_space(kSpace0);
+  ControlPlaneStats after = core.control_plane_stats();
+  EXPECT_EQ(after.compile_publishes, before.compile_publishes);
+  EXPECT_EQ(after.covering_only_publishes, before.covering_only_publishes + 1);
+
+  // The table-sharing publish still carries the whole burst.
+  EventGenerator events(schema_);
+  for (int e = 0; e < 20; ++e) {
+    const Event event = events.generate(rng);
+    std::vector<SubscriptionId> got = core.match_all(kSpace0, event);
+    std::vector<SubscriptionId> want = oracle.match(event).ids;
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want);
+  }
+
+  // Parked removals defer the same way.
+  for (std::int64_t i = 1; i <= 10; ++i) {
+    ASSERT_TRUE(core.remove_subscription(SubscriptionId{i}, SnapshotPolicy::kDefer));
+  }
+  core.publish_space(kSpace0);
+  after = core.control_plane_stats();
+  EXPECT_EQ(after.compile_publishes, before.compile_publishes);
+  EXPECT_EQ(after.covering_only_publishes, before.covering_only_publishes + 2);
+
+  // A frontier add (another owner) beside a parked one: one compile, which
+  // also carries the parked change.
+  core.add_subscription(kSpace0, SubscriptionId{100}, everything, BrokerId{2},
+                        SnapshotPolicy::kDefer);
+  core.add_subscription(kSpace0, SubscriptionId{101}, gen.generate(rng), remote,
+                        SnapshotPolicy::kDefer);
+  core.publish_space(kSpace0);
+  after = core.control_plane_stats();
+  EXPECT_EQ(after.compile_publishes, before.compile_publishes + 1);
+  EXPECT_EQ(after.covering_only_publishes, before.covering_only_publishes + 2);
+  const std::vector<SubscriptionId> matched = core.match_all(kSpace0, events.generate(rng));
+  EXPECT_NE(std::find(matched.begin(), matched.end(), SubscriptionId{100}), matched.end());
 }
 
 TEST_F(CoveringDifferentialTest, SelfOwnedSubscriptionsNeverPark) {

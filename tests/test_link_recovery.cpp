@@ -88,6 +88,7 @@ TEST(LinkRecovery, ForwardsQueuedWhileDownReplayOnReconnect) {
   bed.net.pump();
   EXPECT_TRUE(sub.take_deliveries().empty());
   EXPECT_EQ(bed.brokers[0]->stats().events_forwarded, 0u);
+  EXPECT_EQ(bed.brokers[0]->stats().forwards_queued_link_down, 3u);
 
   bed.connect_link();  // handshake replays the queued forwards
   const auto deliveries = sub.take_deliveries();

@@ -471,6 +471,62 @@ TEST(ReplicationTest, PromotedStandbyRetainsUnackedRedelivery) {
   EXPECT_EQ(static_cast<int>(replayed[0].event.value(2).as_int()), 7);
 }
 
+TEST(ReplicationTest, StandbyDefersCompilesUntilPromotion) {
+  // A standby dispatches nothing, so every replicated subscription change —
+  // snapshot restore and streamed kSubAdd/kSubRemove alike — is deferred
+  // and compiled once, at promotion.
+  ReplicationBed bed(/*arm_primary_log=*/false);
+  Client& early = bed.add_client("early", "primary0");
+  early.subscribe(0, "volume > 0");  // reaches the standby in the snapshot
+  bed.net.pump();
+  bed.attach_standby();
+  Client& late = bed.add_client("late", "primary0");
+  late.subscribe(0, "volume > 10");  // streamed as kSubAdd
+  const std::uint64_t removed = late.subscribe(0, "volume < 5");
+  Client& far_sub = bed.add_client("far_sub", "broker1");
+  far_sub.subscribe(0, "volume > 5");  // a remote replica, streamed too
+  bed.net.pump();
+  ASSERT_TRUE(late.subscription_id(removed).has_value());
+  late.unsubscribe(*late.subscription_id(removed));  // streamed as kSubRemove
+  bed.net.pump();
+
+  EXPECT_EQ(bed.standby->subscription_count(), 3u);
+  EXPECT_EQ(bed.standby->subscription_count(), bed.primary->subscription_count());
+  EXPECT_GT(bed.standby->stats().repl_updates_applied, 0u);
+  EXPECT_EQ(bed.standby->stats().control_plane.compile_publishes, 0u);
+
+  // The primary dies; promotion compiles the deferred registry once.
+  bed.net.drop("primary0", bed.link_conn);
+  bed.net.drop("standby0", bed.repl_conn);
+  bed.net.pump();
+  bed.standby->promote();
+  EXPECT_EQ(bed.standby->stats().control_plane.compile_publishes, 1u);
+
+  // Every replicated subscription is live at the promoted broker, and the
+  // removed one stays gone.
+  early.bind(bed.net.connect("early", "standby0"));
+  late.bind(bed.net.connect("late", "standby0"));
+  bed.neighbor->attach_broker_link(bed.net.connect("broker1", "standby0"), BrokerId{0});
+  bed.net.pump();
+  Client& pub = bed.add_client("pub", "standby0");
+  pub.publish(0, bed.make_event(3));   // early only ("volume < 5" was removed)
+  pub.publish(0, bed.make_event(20));  // early, late and far_sub
+  bed.net.pump();
+  bed.clock += 300;  // drive the link timers across the failover gap
+  bed.standby->tick_links(bed.clock);
+  bed.neighbor->tick_links(bed.clock);
+  bed.net.pump();
+
+  EXPECT_EQ(early.take_deliveries().size(), 2u);
+  const auto late_got = late.take_deliveries();
+  ASSERT_EQ(late_got.size(), 1u);
+  EXPECT_EQ(late_got[0].event.value(2).as_int(), 20);
+  const auto far_got = far_sub.take_deliveries();
+  ASSERT_EQ(far_got.size(), 1u);
+  EXPECT_EQ(far_got[0].event.value(2).as_int(), 20);
+  EXPECT_EQ(bed.standby->stats().control_plane.compile_publishes, 1u);
+}
+
 TEST(ReplicationTest, PromotedStandbyResumesLinkSessionAcrossGap) {
   ReplicationBed bed;
   bed.attach_standby();

@@ -240,12 +240,14 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.matching_steps));
     std::printf(
         "brokerd: link health (retransmits=%llu duplicates_dropped=%llu link_flaps=%llu "
-        "frames_rejected=%llu forwards_dropped_dead_link=%llu)\n",
+        "frames_rejected=%llu forwards_dropped_dead_link=%llu "
+        "forwards_queued_link_down=%llu)\n",
         static_cast<unsigned long long>(stats.retransmits),
         static_cast<unsigned long long>(stats.duplicates_dropped),
         static_cast<unsigned long long>(stats.link_flaps),
         static_cast<unsigned long long>(stats.frames_rejected),
-        static_cast<unsigned long long>(stats.forwards_dropped_dead_link));
+        static_cast<unsigned long long>(stats.forwards_dropped_dead_link),
+        static_cast<unsigned long long>(stats.forwards_queued_link_down));
     std::printf(
         "brokerd: replication (repl_updates_sent=%llu repl_snapshots_sent=%llu "
         "repl_updates_applied=%llu repl_snapshots_applied=%llu promotions=%llu "
