@@ -198,7 +198,10 @@ void PstMatcher::match_into(const Event& event, std::vector<SubscriptionId>& out
   const Pst* tree = tree_for_event(event, scratch.factoring_key());
   if (factoring_ && stats != nullptr) ++stats->nodes_visited;  // the index probe
   if (tree == nullptr) return;
-  if (options_.compiled_kernel) {
+  // FrozenPsg collapses star chains structurally, so the compiled kernel
+  // reproduces the mutable walk's step counts only under trivial-test
+  // elimination.
+  if (options_.compiled_kernel && options_.tree.trivial_test_elimination) {
     if (const auto kernel = compiled_for(*tree)) {
       kernel->match(event, out, scratch, stats);
       return;

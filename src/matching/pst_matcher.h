@@ -65,7 +65,9 @@ struct PstMatcherOptions {
   /// How many leading attributes of the order are factored (0 = none).
   std::size_t factoring_levels{0};
   /// Match through the compiled flat kernel (CompiledPst) once a bucket
-  /// tree has proven stable — see PstMatcher::kCompileThreshold. Off means
+  /// tree has proven stable — see PstMatcher::kCompileThreshold. Applies
+  /// only with tree.trivial_test_elimination on (the compiled kernel always
+  /// collapses star chains, so it would change the step count). Off means
   /// every match walks the mutable tree directly (the pre-compilation
   /// behaviour; benchmarks compare the two).
   bool compiled_kernel{true};

@@ -7,27 +7,46 @@
 namespace gryphon {
 
 AnnotatedPst::AnnotatedPst(const Pst& tree, std::size_t link_count, SubscriptionLinkFn link_of)
-    : tree_(&tree), link_count_(link_count), link_of_(std::move(link_of)) {
-  if (!link_of_) throw std::invalid_argument("AnnotatedPst: null link function");
-  if (link_count_ == 0) throw std::invalid_argument("AnnotatedPst: zero links");
+    : AnnotatedPst(tree, link_count, std::move(link_of), Deferred{}) {
   rebuild();
 }
 
-TritVector AnnotatedPst::compute_leaf(Pst::NodeId node) const {
-  TritVector v(link_count_, Trit::No);
-  for (const SubscriptionId sub : tree_->subscribers(node)) {
-    const LinkIndex link = link_of_(sub);
-    if (!link.valid() || static_cast<std::size_t>(link.value) >= link_count_) {
-      throw std::logic_error("AnnotatedPst: subscription resolved to a bad link");
-    }
-    v.set(link, Trit::Yes);
-  }
-  return v;
+AnnotatedPst::AnnotatedPst(const Pst& tree, std::size_t link_count, SubscriptionLinkFn link_of,
+                           Deferred)
+    : tree_(&tree), link_count_(link_count), link_of_(std::move(link_of)) {
+  if (!link_of_) throw std::invalid_argument("AnnotatedPst: null link function");
+  if (link_count_ == 0) throw std::invalid_argument("AnnotatedPst: zero links");
 }
 
-TritVector AnnotatedPst::compute_interior(Pst::NodeId node) const {
-  const auto eq = tree_->eq_children(node);
-  const auto other = tree_->other_children(node);
+std::vector<AnnotatedPst> AnnotatedPst::build_all(const Pst& tree,
+                                                  std::span<const LinkMap> maps) {
+  std::vector<AnnotatedPst> out;
+  out.reserve(maps.size());
+  for (const LinkMap& map : maps) {
+    out.push_back(AnnotatedPst(tree, map.link_count, map.link_of, Deferred{}));
+  }
+  rebuild_all(tree, out);
+  return out;
+}
+
+MutableTritSpan AnnotatedPst::row(Pst::NodeId node) {
+  return MutableTritSpan(flat_.data() + static_cast<std::size_t>(node) * link_count_,
+                         link_count_);
+}
+
+void AnnotatedPst::compute_into(Pst::NodeId node, MutableTritSpan out,
+                                bool covers_domain) const {
+  if (tree_->is_leaf(node)) {
+    std::fill(out.begin(), out.end(), Trit::No);
+    for (const SubscriptionId sub : tree_->subscribers(node)) {
+      const LinkIndex link = link_of_(sub);
+      if (!link.valid() || static_cast<std::size_t>(link.value) >= link_count_) {
+        throw std::logic_error("AnnotatedPst: subscription resolved to a bad link");
+      }
+      out[static_cast<std::size_t>(link.value)] = Trit::Yes;
+    }
+    return;
+  }
 
   // Alternative-combine the non-star branches, including the implicit
   // all-No alternative for event values with no branch. The implicit
@@ -43,44 +62,32 @@ TritVector AnnotatedPst::compute_interior(Pst::NodeId node) const {
   // can then only arise from the `*` branch's Parallel combine. Overlapping
   // branches firing simultaneously never break soundness: Yes still means
   // "some subscriber on this link must match", No still means "none can".
-  TritVector alt;
   bool first = true;
-  if (!tree_->eq_children_cover_domain(node)) {
-    alt = TritVector(link_count_, Trit::No);
+  if (!covers_domain) {
+    std::fill(out.begin(), out.end(), Trit::No);
     first = false;
   }
   const auto fold = [&](Pst::NodeId child) {
+    const TritSpan child_row = annotation(child);
     if (first) {
-      alt = TritVector(link_count_, Trit::No);
-      alt.parallel_with(annotation(child));  // copy via identity (P with all-No)
+      std::copy(child_row.begin(), child_row.end(), out.begin());
       first = false;
     } else {
-      alt.alternative_with(annotation(child));
+      alternative_with(out, child_row);
     }
   };
-  for (const auto& [value, child] : eq) {
+  for (const auto& [value, child] : tree_->eq_children(node)) {
     (void)value;
     fold(child);
   }
-  for (const auto& [test, child] : other) {
+  for (const auto& [test, child] : tree_->other_children(node)) {
     (void)test;
     fold(child);
   }
-  if (first) alt = TritVector(link_count_, Trit::No);  // no branches at all
+  if (first) std::fill(out.begin(), out.end(), Trit::No);  // no branches at all
 
   const Pst::NodeId star = tree_->star_child(node);
-  if (star != Pst::kNoNode) alt.parallel_with(annotation(star));
-  return alt;
-}
-
-TritVector AnnotatedPst::compute(Pst::NodeId node) const {
-  return tree_->is_leaf(node) ? compute_leaf(node) : compute_interior(node);
-}
-
-void AnnotatedPst::store(Pst::NodeId node, const TritVector& v) {
-  std::copy(v.span().begin(), v.span().end(),
-            flat_.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(node) *
-                                                        link_count_));
+  if (star != Pst::kNoNode) parallel_with(out, annotation(star));
 }
 
 void AnnotatedPst::ensure_capacity() {
@@ -89,48 +96,47 @@ void AnnotatedPst::ensure_capacity() {
   }
 }
 
-void AnnotatedPst::recompute_subtree(Pst::NodeId node) {
-  // Iterative post-order to survive deep trees.
-  struct Frame {
-    Pst::NodeId node;
-    bool expanded;
-  };
-  std::vector<Frame> stack{{node, false}};
-  while (!stack.empty()) {
-    // Copy: pushes below may reallocate the stack and invalidate references.
-    const Frame top = stack.back();
-    if (top.expanded || tree_->is_leaf(top.node)) {
-      store(top.node, compute(top.node));
-      stack.pop_back();
-      continue;
-    }
-    stack.back().expanded = true;
-    for (const auto& [value, child] : tree_->eq_children(top.node)) {
-      (void)value;
-      stack.push_back({child, false});
-    }
-    for (const auto& [test, child] : tree_->other_children(top.node)) {
-      (void)test;
-      stack.push_back({child, false});
-    }
-    if (tree_->star_child(top.node) != Pst::kNoNode) {
-      stack.push_back({tree_->star_child(top.node), false});
-    }
-  }
-}
+void AnnotatedPst::rebuild() { rebuild_all(*tree_, std::span<AnnotatedPst>(this, 1)); }
 
-void AnnotatedPst::rebuild() {
-  flat_.assign(tree_->node_slot_count() * link_count_, Trit::No);
-  recompute_subtree(tree_->root());
-  epoch_ = tree_->epoch();
+void AnnotatedPst::rebuild_all(const Pst& tree, std::span<AnnotatedPst> annotations) {
+  // One forward pass over a children-before-parents order (the reverse of
+  // a preorder), each row computed in place from its children's final rows.
+  std::vector<Pst::NodeId> stack{tree.root()};
+  std::vector<Pst::NodeId> preorder;
+  preorder.reserve(tree.live_node_count());
+  while (!stack.empty()) {
+    const Pst::NodeId n = stack.back();
+    stack.pop_back();
+    preorder.push_back(n);
+    if (tree.is_leaf(n)) continue;
+    for (const auto& [value, child] : tree.eq_children(n)) {
+      (void)value;
+      stack.push_back(child);
+    }
+    for (const auto& [test, child] : tree.other_children(n)) {
+      (void)test;
+      stack.push_back(child);
+    }
+    if (tree.star_child(n) != Pst::kNoNode) stack.push_back(tree.star_child(n));
+  }
+  for (AnnotatedPst& a : annotations) {
+    a.flat_.assign(tree.node_slot_count() * a.link_count_, Trit::No);
+  }
+  for (auto it = preorder.rbegin(); it != preorder.rend(); ++it) {
+    const bool covers = tree.eq_children_cover_domain(*it);
+    for (AnnotatedPst& a : annotations) a.compute_into(*it, a.row(*it), covers);
+  }
+  for (AnnotatedPst& a : annotations) a.epoch_ = tree.epoch();
 }
 
 void AnnotatedPst::recompute_spine(Pst::NodeId from) {
+  std::vector<Trit> fresh(link_count_);
   Pst::NodeId node = from;
   while (node != Pst::kNoNode) {
-    const TritVector fresh = compute(node);
-    if (fresh.equals(annotation(node))) break;  // no change propagates upward
-    store(node, fresh);
+    compute_into(node, fresh, tree_->eq_children_cover_domain(node));
+    const TritSpan stored = annotation(node);
+    if (std::equal(fresh.begin(), fresh.end(), stored.begin())) break;  // no change upward
+    std::copy(fresh.begin(), fresh.end(), row(node).begin());
     node = tree_->parent(node);
   }
   epoch_ = tree_->epoch();
@@ -144,8 +150,10 @@ void AnnotatedPst::apply(const Pst::Mutation& mutation) {
   // contains a Yes or Maybe once any subscriber is reachable below it, so
   // an all-No fresh slot can't accidentally match), and the early exit of
   // recompute_spine is sound.
-  const TritVector zero(link_count_, Trit::No);
-  for (const Pst::NodeId freed : mutation.freed) store(freed, zero);
+  for (const Pst::NodeId freed : mutation.freed) {
+    const MutableTritSpan r = row(freed);
+    std::fill(r.begin(), r.end(), Trit::No);
+  }
   const Pst::NodeId start = mutation.leaf != Pst::kNoNode ? mutation.leaf : mutation.start;
   if (start == Pst::kNoNode) {
     epoch_ = tree_->epoch();

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -46,6 +47,16 @@ class AnnotatedPst {
   /// of this object and be consistent across rebuilds.
   AnnotatedPst(const Pst& tree, std::size_t link_count, SubscriptionLinkFn link_of);
 
+  /// One annotation's parameters, for build_all().
+  struct LinkMap {
+    std::size_t link_count{0};
+    SubscriptionLinkFn link_of;
+  };
+  /// Builds one annotation per link map over `tree` in a single forward
+  /// pass: the traversal and every node's structural reads are shared, so
+  /// annotating one tree for many brokers costs little more than the rows.
+  static std::vector<AnnotatedPst> build_all(const Pst& tree, std::span<const LinkMap> maps);
+
   [[nodiscard]] const Pst& tree() const { return *tree_; }
   [[nodiscard]] std::size_t link_count() const { return link_count_; }
 
@@ -54,7 +65,8 @@ class AnnotatedPst {
     return TritSpan(flat_.data() + static_cast<std::size_t>(node) * link_count_, link_count_);
   }
 
-  /// Recomputes everything from the current tree state.
+  /// Recomputes everything from the current tree state in one forward pass
+  /// (children before parents).
   void rebuild();
 
   /// Incremental update after Pst::add / Pst::remove. Must be called with
@@ -69,13 +81,19 @@ class AnnotatedPst {
   void check_consistency() const;
 
  private:
-  [[nodiscard]] TritVector compute_leaf(Pst::NodeId node) const;
-  [[nodiscard]] TritVector compute_interior(Pst::NodeId node) const;
-  [[nodiscard]] TritVector compute(Pst::NodeId node) const;
-  void store(Pst::NodeId node, const TritVector& v);
+  struct Deferred {};
+  /// Validates the parameters without computing any row.
+  AnnotatedPst(const Pst& tree, std::size_t link_count, SubscriptionLinkFn link_of, Deferred);
+  /// Recomputes every row of several annotations of one tree.
+  static void rebuild_all(const Pst& tree, std::span<AnnotatedPst> annotations);
+
+  [[nodiscard]] MutableTritSpan row(Pst::NodeId node);
+  /// Writes the annotation of `node`, derived from its children's stored
+  /// rows, into `out` (which must not be a child's row). `covers_domain` is
+  /// the node's Pst::eq_children_cover_domain.
+  void compute_into(Pst::NodeId node, MutableTritSpan out, bool covers_domain) const;
   void ensure_capacity();
   void recompute_spine(Pst::NodeId from);
-  void recompute_subtree(Pst::NodeId node);
 
   const Pst* tree_;
   std::size_t link_count_;

@@ -42,64 +42,54 @@ CompiledAnnotation::CompiledAnnotation(const CompiledPst& kernel, std::size_t li
     if (!link_of) throw std::invalid_argument("CompiledAnnotation: null link function");
     Trit* const base = rows_.data() + g * node_count_ * link_count_;
     const auto row_of = [&](CompiledPst::NodeId n) {
-      return TritSpan(base + static_cast<std::size_t>(n) * link_count_, link_count_);
-    };
-    const auto store = [&](CompiledPst::NodeId n, const TritVector& v) {
-      std::copy(v.span().begin(), v.span().end(),
-                base + static_cast<std::size_t>(n) * link_count_);
+      return MutableTritSpan(base + static_cast<std::size_t>(n) * link_count_, link_count_);
     };
 
-    // One forward pass over the bottom-up order computes every row with its
-    // children's rows already final.
+    // One forward pass over the bottom-up order computes every row in
+    // place, with its children's rows already final. Rows start all-No.
     for (const CompiledPst::NodeId n : kernel.bottom_up_order()) {
+      const MutableTritSpan out = row_of(n);
       if (kernel.is_leaf(n)) {
-        TritVector v(link_count_, Trit::No);
         for (const SubscriptionId sub : kernel.subscribers(n)) {
           const LinkIndex link = link_of(sub);
           if (!link.valid() || static_cast<std::size_t>(link.value) >= link_count_) {
             throw std::logic_error("CompiledAnnotation: subscription resolved to a bad link");
           }
-          v.set(link, Trit::Yes);
+          out[static_cast<std::size_t>(link.value)] = Trit::Yes;
         }
-        store(n, v);
         continue;
       }
       // Alternative-combine the non-star branches, seeded with the implicit
-      // all-No alternative unless the equality branches cover the whole
-      // finite domain (flag precomputed at kernel compile time; same
-      // soundness argument as AnnotatedPst / AnnotatedPsg).
-      TritVector alt;
-      bool first = true;
-      if (!kernel.covers_domain(n)) {
-        alt = TritVector(link_count_, Trit::No);
-        first = false;
-      }
+      // all-No alternative (the row as it starts) unless the equality
+      // branches cover the whole finite domain (flag precomputed at kernel
+      // compile time; same soundness argument as AnnotatedPst).
+      bool first = kernel.covers_domain(n);
       const auto fold = [&](CompiledPst::NodeId child) {
+        const MutableTritSpan child_row = row_of(child);
         if (first) {
-          alt = TritVector(link_count_, Trit::No);
-          alt.parallel_with(row_of(child));  // copy via identity (P with all-No)
+          std::copy(child_row.begin(), child_row.end(), out.begin());
           first = false;
         } else {
-          alt.alternative_with(row_of(child));
+          alternative_with(out, child_row);
         }
       };
       for (const CompiledPst::NodeId child : kernel.eq_targets(n)) fold(child);
       for (const CompiledPst::NodeId child : kernel.other_targets(n)) fold(child);
-      if (first) alt = TritVector(link_count_, Trit::No);  // no branches at all
+      // No branches at all leaves the row all-No.
       const CompiledPst::NodeId star = kernel.star_child(n);
-      if (star != CompiledPst::kNoNode) alt.parallel_with(row_of(star));
-      store(n, alt);
+      if (star != CompiledPst::kNoNode) parallel_with(out, row_of(star));
     }
   }
 }
 
 namespace {
 
-// The Section 3.3 search over the compiled kernel. Control flow mirrors
-// psg_dispatch's DispatchSearch exactly (the differential test depends on
-// bit-identical results); the differences are purely representational —
-// equality tests consume the pre-resolved key vector, and annotation rows /
-// branch tables come from flat arenas.
+// The Section 3.3 search over the compiled kernel. Without local
+// enumeration, control flow mirrors link_match's Search exactly (the
+// differential tests depend on bit-identical masks and step counts); the
+// differences are representational — star-only chains are already gone
+// from the kernel, equality tests consume the pre-resolved key vector, and
+// annotation rows / branch tables come from flat arenas.
 class CompiledDispatchSearch {
  public:
   CompiledDispatchSearch(const CompiledAnnotation& annotated, std::size_t group,

@@ -1,9 +1,11 @@
 // Frozen trit annotations over the compiled PST kernel, plus the compiled
-// dispatch search — the data-plane form of the Section 3.3 link matching.
+// dispatch search — the data-plane form of the Section 3.3 link matching,
+// shared by the broker (BrokerCore::dispatch) and the simulator's
+// ContentRoutingNetwork.
 //
-// AnnotatedPsg (psg_annotation.h) annotates a FrozenPsg; it remains the
-// reference implementation and the differential-test oracle. This layer
-// produces the same annotation rows laid out for the dispatch walk:
+// AnnotatedPst (annotated_pst.h) annotates the mutable Pst incrementally;
+// it routes churning trees and is the differential-test reference. This
+// layer produces the same annotation rows laid out for the dispatch walk:
 //
 //  * all rows of all spanning-tree groups live in one flat arena indexed
 //    [group][node][link], so the mask-refinement search for one group walks
@@ -11,10 +13,10 @@
 //    ids — the annotation of a node sits a multiply-add away from its
 //    branch tables;
 //  * the locally-owned subscriber ids of every leaf are precomputed into a
-//    contiguous arena (per-leaf slices), replacing the vector-per-node
-//    layout of AnnotatedPsg.
+//    contiguous arena (per-leaf slices), so local enumeration needs no
+//    per-subscriber link lookup at dispatch time.
 //
-// Annotation semantics are identical to AnnotatedPsg (paper Section 3.1):
+// Annotation semantics are identical to AnnotatedPst (paper Section 3.1):
 // leaves get Yes at the link of each subscriber, interiors fold value
 // branches with Alternative Combine — seeded with the implicit all-No
 // alternative unless the node's equality branches cover the attribute's
@@ -103,10 +105,11 @@ inline constexpr std::size_t kDispatchCallerSlots = 2;
 
 /// The link-matching search of Section 3.3 over the compiled kernel,
 /// simultaneously enumerating local matches when `local_out` is non-null.
-/// Behaviour is bit-identical to psg_dispatch() over the equivalent
-/// AnnotatedPsg: same refined mask, same local-match set, same step count —
-/// the differential churn test in tests/test_compiled_pst.cpp holds the two
-/// implementations to that.
+/// The refined mask is bit-identical to link_match() over the equivalent
+/// AnnotatedPst, and so is the step count when `local_out` is null (local
+/// enumeration searches below fully refined masks); the local-match set is
+/// every matching subscription on the local link. The differential churn
+/// test in tests/test_compiled_pst.cpp holds the kernel to those references.
 ///
 /// The event is resolved to interned equality keys once (into
 /// `scratch.value_keys()`), not per node. Thread-safe: concurrent calls

@@ -1,6 +1,8 @@
 #include "routing/link_matcher.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 namespace gryphon {
 
@@ -13,9 +15,14 @@ class Search {
         tree_(annotated.tree()),
         event_(event),
         tte_(tree_.options().trivial_test_elimination),
-        delayed_star_(tree_.options().delayed_star) {}
+        delayed_star_(tree_.options().delayed_star),
+        width_(annotated.link_count()),
+        level_masks_((tree_.level_count() + 1) * width_) {}
 
-  TritVector run(Pst::NodeId node, TritVector mask) {
+  /// Refines `mask` in place. A subsearch from recursion depth d works on
+  /// the d-th row of one per-search buffer, so a search allocates once,
+  /// not once per subsearch.
+  void run(Pst::NodeId node, MutableTritSpan mask, std::size_t depth) {
     // Trivial-test elimination: a star-only node's annotation equals its
     // star child's, so the chain refines nothing and performs no test.
     if (tte_) {
@@ -24,14 +31,14 @@ class Search {
     ++steps_;
 
     // Step 2: refinement against this node's annotation.
-    mask.refine_with(annotated_.annotation(node));
-    if (!mask.has_maybe()) return mask;
+    refine_with(mask, annotated_.annotation(node));
+    if (!has_maybe(mask)) return;
 
     if (tree_.is_leaf(node)) {
       // A leaf annotation holds only Yes/No, so refinement above cannot
       // leave a Maybe; defensive for robustness.
-      mask.maybes_to_no();
-      return mask;
+      maybes_to_no(mask);
+      return;
     }
 
     // Step 3: perform the test, subsearch each selected child.
@@ -39,32 +46,33 @@ class Search {
     const Value& v = event_.value(attr);
 
     const auto subsearch = [&](Pst::NodeId child) {
-      const TritVector result = run(child, mask);
-      mask.promote_yes_from(result);
+      const MutableTritSpan child_mask(level_masks_.data() + depth * width_, width_);
+      std::copy(mask.begin(), mask.end(), child_mask.begin());
+      run(child, child_mask, depth + 1);
+      promote_yes_from(mask, child_mask);
     };
 
     const Pst::NodeId star = tree_.star_child(node);
     if (!delayed_star_ && star != Pst::kNoNode) subsearch(star);
 
-    if (mask.has_maybe()) {
+    if (has_maybe(mask)) {
       for (const auto& [test, child] : tree_.other_children(node)) {
         if (test.accepts(v)) {
           subsearch(child);
-          if (!mask.has_maybe()) break;
+          if (!has_maybe(mask)) break;
         }
       }
     }
-    if (mask.has_maybe()) {
+    if (has_maybe(mask)) {
       const auto eq = tree_.eq_children(node);
       const auto it = std::lower_bound(
           eq.begin(), eq.end(), v,
           [](const auto& entry, const Value& key) { return entry.first < key; });
       if (it != eq.end() && it->first == v) subsearch(it->second);
     }
-    if (delayed_star_ && star != Pst::kNoNode && mask.has_maybe()) subsearch(star);
+    if (delayed_star_ && star != Pst::kNoNode && has_maybe(mask)) subsearch(star);
 
-    mask.maybes_to_no();
-    return mask;
+    maybes_to_no(mask);
   }
 
   [[nodiscard]] std::uint64_t steps() const { return steps_; }
@@ -80,6 +88,8 @@ class Search {
   const Event& event_;
   bool tte_;
   bool delayed_star_;
+  std::size_t width_;
+  std::vector<Trit> level_masks_;  // one row per recursion depth
   std::uint64_t steps_{0};
 };
 
@@ -100,7 +110,8 @@ LinkMatchResult link_match(const AnnotatedPst& annotated, const Event& event,
     return result;
   }
   Search search(annotated, event);
-  result.mask = search.run(annotated.tree().root(), initialization_mask);
+  result.mask = initialization_mask;
+  search.run(annotated.tree().root(), result.mask.mutable_span(), 0);
   result.steps = search.steps();
   return result;
 }

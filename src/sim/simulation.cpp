@@ -240,6 +240,9 @@ void build_control_plane(SimInstance& inst) {
     for (const SimSubscription& sub : inst.subscriptions) {
       inst.crn->subscribe(sub.id, sub.subscription, sub.subscriber);
     }
+    // Only link matching routes through the CRN: compile every tree now,
+    // so the cost lands in construction, not in the first run.
+    if (spec.protocol == Protocol::kLinkMatching) inst.crn->compile_all();
   } else {
     inst.routing = std::make_unique<RoutingTable>(net);
     for (const BrokerId root : roots) {

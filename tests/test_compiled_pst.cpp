@@ -3,7 +3,10 @@
 // exactly the match sets of the mutable Pst (and of brute-force predicate
 // evaluation — the oracle idiom of test_concurrent_matching.cpp), and
 // compiled_dispatch must produce bit-identical link-matching decisions to
-// the psg_dispatch reference. Plus direct coverage of the representational
+// two references: link_match over an AnnotatedPst (the refined mask, and
+// the step count when no local enumeration is asked for) and a naive
+// matcher filtered to the local link (the local-match set). Plus direct
+// coverage of the representational
 // edges: string interning, the -0.0/+0.0 double key, and the precompiled
 // eq_children_cover_domain flag.
 #include <gtest/gtest.h>
@@ -15,10 +18,12 @@
 
 #include "common/rng.h"
 #include "matching/compiled_pst.h"
+#include "matching/naive_matcher.h"
 #include "matching/pst.h"
 #include "matching/pst_matcher.h"
+#include "routing/annotated_pst.h"
 #include "routing/compiled_annotation.h"
-#include "routing/psg_annotation.h"
+#include "routing/link_matcher.h"
 #include "workload/generators.h"
 
 namespace gryphon {
@@ -129,13 +134,12 @@ TEST_P(CompiledPstChurn, MatchSetsIdenticalToMutableTreeAndOracle) {
   }
 }
 
-TEST_P(CompiledPstChurn, DispatchDecisionsIdenticalToPsgDispatch) {
+TEST_P(CompiledPstChurn, DispatchDecisionsIdenticalToLinkMatch) {
   const SchemaPtr schema = mixed_schema();
   const Pst::Options options{.trivial_test_elimination = true, .delayed_star = GetParam()};
   Pst tree(schema, {0, 1, 2, 3}, options);
   std::map<SubscriptionId, Subscription> live;
   Rng rng(2203);
-  MatchScratch ref_scratch;
   MatchScratch compiled_scratch;
   std::int64_t next_id = 0;
 
@@ -153,26 +157,32 @@ TEST_P(CompiledPstChurn, DispatchDecisionsIdenticalToPsgDispatch) {
         const auto o = owner_of(id);
         return LinkIndex{o == local.value ? o : static_cast<LinkIndex::rep_type>((o + 1) % 3)};
       }};
+  std::vector<AnnotatedPst> reference_ann;
+  for (const auto& fn : group_fns) reference_ann.emplace_back(tree, kLinks, fn);
 
   for (int round = 0; round < 20; ++round) {
     for (std::uint64_t i = 0, n = 4 + rng.below(16); i < n; ++i) {
       const SubscriptionId id{next_id++};
       live.emplace(id, random_subscription(schema, rng));
-      tree.add(id, live.at(id));
+      const Pst::Mutation mutation = tree.add(id, live.at(id));
+      for (AnnotatedPst& ann : reference_ann) ann.apply(mutation);
     }
     while (!live.empty() && rng.below(3) != 0) {
       auto it = live.begin();
       std::advance(it, static_cast<std::ptrdiff_t>(rng.below(live.size())));
-      ASSERT_TRUE(tree.remove(it->first, it->second).has_value());
+      const auto mutation = tree.remove(it->first, it->second);
+      ASSERT_TRUE(mutation.has_value());
+      for (AnnotatedPst& ann : reference_ann) ann.apply(*mutation);
       live.erase(it);
     }
+    NaiveMatcher local_oracle;
+    for (const auto& [id, sub] : live) {
+      if (owner_of(id) == local.value) local_oracle.add(id, sub);
+    }
 
-    const FrozenPsg frozen(tree);
-    const CompiledPst compiled(frozen);
+    const CompiledPst compiled{FrozenPsg(tree)};
     const CompiledAnnotation compiled_ann(
         compiled, kLinks, std::span<const SubscriptionLinkFn>(group_fns), local);
-    std::vector<AnnotatedPsg> reference_ann;
-    for (const auto& fn : group_fns) reference_ann.emplace_back(frozen, kLinks, fn, local);
 
     for (int probe = 0; probe < 30; ++probe) {
       const Event e = random_event(schema, rng);
@@ -180,17 +190,23 @@ TEST_P(CompiledPstChurn, DispatchDecisionsIdenticalToPsgDispatch) {
       for (std::size_t l = 0; l < kLinks; ++l) {
         init.set(l, static_cast<Trit>(rng.below(3)));
       }
+      std::vector<SubscriptionId> want_local;
+      local_oracle.match_into(e, want_local);
       for (std::size_t g = 0; g < group_fns.size(); ++g) {
-        std::vector<SubscriptionId> ref_local;
-        const PsgDispatchResult expected =
-            psg_dispatch(reference_ann[g], e, init, ref_scratch, &ref_local);
+        const LinkMatchResult expected = link_match(reference_ann[g], e, init);
+        const CompiledDispatchResult routed =
+            compiled_dispatch(compiled_ann, g, e, init, compiled_scratch, nullptr);
+        ASSERT_TRUE(routed.mask.equals(expected.mask.span()))
+            << "mask " << routed.mask.to_string() << " != " << expected.mask.to_string();
+        ASSERT_EQ(routed.steps, expected.steps);
+        // Local enumeration searches further, so only the mask and the
+        // local set are comparable.
         std::vector<SubscriptionId> got_local;
         const CompiledDispatchResult got =
             compiled_dispatch(compiled_ann, g, e, init, compiled_scratch, &got_local);
         ASSERT_TRUE(got.mask.equals(expected.mask.span()))
             << "mask " << got.mask.to_string() << " != " << expected.mask.to_string();
-        ASSERT_EQ(got.steps, expected.steps);
-        ASSERT_EQ(sorted(got_local), sorted(ref_local));
+        ASSERT_EQ(sorted(got_local), sorted(want_local));
       }
     }
   }
@@ -247,6 +263,28 @@ TEST(CompiledPst, MatcherCompiledKernelAgreesAcrossHysteresisAndEpochs) {
       plain.match_into(e, b);
       ASSERT_EQ(sorted(a), sorted(b));
     }
+  }
+}
+
+TEST(CompiledPst, MatcherStepCountStableWithoutTrivialTestElimination) {
+  // The compiled kernel collapses star chains structurally, so it may only
+  // stand in for the mutable walk when the tree applies trivial-test
+  // elimination too; otherwise the step count would change once a bucket
+  // compiles (after kCompileThreshold matches).
+  const auto schema = make_synthetic_schema(5, 3);
+  PstMatcherOptions options;
+  options.tree.trivial_test_elimination = false;
+  PstMatcher matcher(schema, options);
+  Rng rng(77);
+  SubscriptionGenerator gen(schema, SubscriptionWorkloadConfig{0.9, 0.5, 1.0});
+  for (std::int64_t i = 0; i < 50; ++i) matcher.add(SubscriptionId{i}, gen.generate(rng));
+  const Event e = EventGenerator(schema).generate(rng);
+
+  const MatchResult first = matcher.match(e);
+  for (unsigned call = 1; call < 3 * PstMatcher::kCompileThreshold; ++call) {
+    const MatchResult again = matcher.match(e);
+    ASSERT_EQ(again.stats.nodes_visited, first.stats.nodes_visited) << "call " << call;
+    ASSERT_EQ(sorted(again.ids), sorted(first.ids)) << "call " << call;
   }
 }
 

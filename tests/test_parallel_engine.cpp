@@ -1,7 +1,8 @@
 // Thread-sanitizer target for the parallel simulation engine: a multi-worker
 // run over Figure 6 exercising the barrier protocol, cross-partition
-// inboxes, and the shared aggregate control plane. Lives in the
-// concurrency-labeled binary so the tools/ci.sh tsan leg picks it up.
+// inboxes, the shared aggregate control plane, and the exact plane's lazy
+// compile from engine threads. Lives in the concurrency-labeled binary so
+// the tools/ci.sh tsan leg picks it up.
 #include <gtest/gtest.h>
 
 #include "sim/simulation.h"
@@ -21,6 +22,31 @@ TEST(ParallelEngine, WorkersRaceFreeAndDeterministic) {
   const SimResult parallel = simulate(spec);
   EXPECT_TRUE(same_outcome(serial, parallel));
   EXPECT_EQ(parallel.missing_deliveries, 0u);
+}
+
+TEST(ParallelEngine, BucketTreesCreatedMidRunCompileOnEngineThreads) {
+  // Factoring splits the subscriptions into 9 bucket trees. With this few
+  // subscriptions, churn creates buckets during the run; the first event
+  // that reaches one makes an engine thread compile it while the other
+  // workers route, and churn switches trees already read to incremental
+  // annotations at round boundaries. The parallel run goes first, on a
+  // fresh instance, so those compiles happen on its workers.
+  SimSpec spec;
+  spec.seed = 33;
+  spec.topology.kind = TopologyKind::kFigure6;
+  spec.attributes = 6;
+  spec.values_per_attribute = 3;
+  spec.matcher.factoring_levels = 2;
+  spec.workload.subscriptions = 20;
+  spec.workload.events = 60;
+  spec.workload.rate_eps = 60.0;
+  spec.workload.churn_rate_eps = 80.0;
+  spec.engine.threads = 3;
+  const SimResult parallel = simulate(spec);
+  spec.engine.threads = 1;
+  const SimResult serial = simulate(spec);
+  EXPECT_GT(parallel.churn_subscribes, 0u);
+  EXPECT_TRUE(same_outcome(serial, parallel));
 }
 
 TEST(ParallelEngine, SharedAggregatePlaneIsReadOnlyAcrossWorkers) {
