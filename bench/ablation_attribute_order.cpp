@@ -49,6 +49,7 @@ void run() {
     for (std::size_t i = 0; i < subs.size(); ++i) {
       matcher.add(SubscriptionId{static_cast<std::int64_t>(i)}, subs[i]);
     }
+    matcher.freeze();
     std::vector<SubscriptionId> out;
     MatchStats stats;
     bench::Stopwatch watch;

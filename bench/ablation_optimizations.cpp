@@ -44,6 +44,7 @@ void factoring_sweep(const Workload& workload) {
     for (std::size_t i = 0; i < workload.subs.size(); ++i) {
       matcher.add(SubscriptionId{static_cast<std::int64_t>(i)}, workload.subs[i]);
     }
+    matcher.freeze();
     std::vector<SubscriptionId> out;
     MatchStats stats;
     bench::Stopwatch watch;

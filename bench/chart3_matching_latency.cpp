@@ -40,6 +40,7 @@ void run() {
       naive.add(SubscriptionId{static_cast<std::int64_t>(added)}, s);
       ++added;
     }
+    pst.freeze();
     std::vector<SubscriptionId> out;
     MatchStats stats;
     bench::Stopwatch pst_watch;

@@ -43,6 +43,7 @@ void BM_PstMatch(benchmark::State& state) {
   for (std::size_t i = 0; i < fixture.subs.size(); ++i) {
     matcher.add(SubscriptionId{static_cast<std::int64_t>(i)}, fixture.subs[i]);
   }
+  matcher.freeze();
   std::vector<SubscriptionId> out;
   std::size_t i = 0;
   for (auto _ : state) {
@@ -55,27 +56,20 @@ void BM_PstMatch(benchmark::State& state) {
 BENCHMARK(BM_PstMatch)->Arg(1000)->Arg(10000)->Arg(25000);
 
 // The compiled-vs-mutable kernel pair: identical chart3-style workload and
-// matcher configuration, differing only in PstMatcherOptions::compiled_kernel.
-// The perf-smoke CI leg (tools/ci.sh perf) runs exactly these two.
-void run_kernel_match(benchmark::State& state, bool compiled_kernel) {
+// matcher configuration, one matcher frozen (PstMatcher::freeze) and one
+// left on the mutable walk. The perf-smoke CI leg (tools/ci.sh perf) runs
+// exactly these two.
+void run_kernel_match(benchmark::State& state, bool frozen) {
   Fixture fixture(static_cast<std::size_t>(state.range(0)));
   PstMatcherOptions options;
   options.factoring_levels = 2;
-  options.compiled_kernel = compiled_kernel;
   PstMatcher matcher(fixture.schema, options);
   for (std::size_t i = 0; i < fixture.subs.size(); ++i) {
     matcher.add(SubscriptionId{static_cast<std::int64_t>(i)}, fixture.subs[i]);
   }
+  if (frozen) matcher.freeze();
   MatchScratch scratch;
   std::vector<SubscriptionId> out;
-  // Warm-up past the compile hysteresis so every bucket the event pool
-  // touches runs on its steady-state kernel before timing starts.
-  for (unsigned pass = 0; pass <= PstMatcher::kCompileThreshold; ++pass) {
-    for (const Event& e : fixture.events) {
-      out.clear();
-      matcher.match_into(e, out, scratch);
-    }
-  }
   std::size_t i = 0;
   for (auto _ : state) {
     out.clear();

@@ -130,13 +130,13 @@ void BrokerCore::publish_snapshot(SpaceId touched) {
   const auto current = snapshot_.load();
   CompileStats compile;
   const auto t0 = std::chrono::steady_clock::now();
-  auto next = builder_->next_snapshot(*current, i, sources_of(sp), &compile, !sp.force_full);
+  for (const auto& matcher : sp.segments) matcher->freeze();
+  auto next = builder_->next_snapshot(*current, i, sources_of(sp), &compile);
   const auto elapsed_us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
                                                             t0)
           .count());
   snapshot_.store(std::move(next));
-  sp.force_full = false;
   sp.trees_dirty = false;
   sp.covering_dirty = false;  // sources_of carried the covering sidecar too
   stats_.segments_compiled += compile.segments_compiled;
@@ -172,10 +172,8 @@ void BrokerCore::maybe_grow_segments(SpaceId space) {
   for (const auto& matcher : sp.segments) frontier += matcher->subscription_count();
   if (frontier <= sp.segments.size() * control_options_.delta_segment_target) return;
 
-  // Double the slice count and redistribute. The old matchers (and their
-  // Pst trees) are destroyed, so every source-pointer reuse key in the
-  // published snapshot goes stale — force the next publish to compile from
-  // scratch rather than risk an address-reuse collision.
+  // Double the slice count and redistribute. The new matchers carry no
+  // kernels yet, so the next publish compiles every slice from scratch.
   const std::size_t next_count =
       std::min(control_options_.max_delta_segments, sp.segments.size() * 2);
   std::vector<std::unique_ptr<PstMatcher>> next;
@@ -197,7 +195,6 @@ void BrokerCore::maybe_grow_segments(SpaceId space) {
     next[segment_of(id, next_count)]->add(id, *subscription);
   }
   sp.segments = std::move(next);
-  sp.force_full = true;
 }
 
 void BrokerCore::add_subscription(SpaceId space, SubscriptionId id,
@@ -281,7 +278,7 @@ bool BrokerCore::remove_subscription(SubscriptionId id, SnapshotPolicy policy) {
 
 void BrokerCore::publish_space(SpaceId space) {
   const Space& sp = space_at(space);
-  if (sp.trees_dirty || sp.force_full) {
+  if (sp.trees_dirty) {
     // Tree churn must not ride out behind a table-sharing publish: compile,
     // which carries any pending covering change along.
     publish_snapshot(space);

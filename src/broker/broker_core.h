@@ -271,7 +271,6 @@ class BrokerCore {
     // anything that touched a frontier slice pays a delta compile.
     bool trees_dirty{false};
     bool covering_dirty{false};
-    bool force_full{false};  // slices rebuilt since last publish: no reuse
   };
   struct Registered {
     SpaceId space;
@@ -295,7 +294,7 @@ class BrokerCore {
   void publish_covering_only(SpaceId touched) REQUIRES(control_plane_);
   /// Doubles the space's slice count when the frontier outgrows
   /// delta_segment_target per slice, redistributing every frontier
-  /// subscription (forces the next publish to compile from scratch).
+  /// subscription (the next publish compiles every slice from scratch).
   void maybe_grow_segments(SpaceId space) REQUIRES(control_plane_);
   /// Matches one event against an already-pinned snapshot and fills `out`.
   /// The shared hot path under both dispatch shapes; data-plane pure.

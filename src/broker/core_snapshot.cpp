@@ -1,17 +1,14 @@
 #include "broker/core_snapshot.h"
 
+#include <stdexcept>
+
 namespace gryphon {
 
-std::shared_ptr<const CompiledSegment> SnapshotBuilder::freeze_segment(const Pst& tree) const {
+std::shared_ptr<const CompiledSegment> SnapshotBuilder::annotate_segment(
+    std::shared_ptr<const CompiledPst> kernel, std::size_t subscriptions) const {
   auto segment = std::make_shared<CompiledSegment>();
-  segment->source = &tree;
-  segment->epoch = tree.epoch();
-  segment->subscriptions = tree.subscription_count();
-  // Compile: Pst -> FrozenPsg (structural optimization) -> CompiledPst
-  // (flat kernel). The intermediate graph is discarded — readers only ever
-  // see the compiled form.
-  const FrozenPsg graph(tree);
-  segment->kernel = std::make_unique<const CompiledPst>(graph);
+  segment->subscriptions = subscriptions;
+  segment->kernel = std::move(kernel);
   segment->annotations = std::make_unique<const CompiledAnnotation>(
       *segment->kernel, link_count_, std::span<const SubscriptionLinkFn>(group_link_fns_),
       local_link_);
@@ -39,27 +36,26 @@ std::shared_ptr<const FrozenSpace> SnapshotBuilder::freeze(const SpaceSources& s
   // keeps snapshots small after heavy unsubscribe churn.
   struct Contribution {
     std::size_t segment;
-    const Pst* tree;
+    std::size_t subscriptions;
+    std::shared_ptr<const CompiledPst> kernel;
   };
   std::unordered_map<FactoringIndex::Key, std::vector<Contribution>, FactoringIndex::KeyHash>
       by_key;
   std::vector<Contribution> single;
   for (std::size_t j = 0; j < seg_count; ++j) {
-    sources.segments[j]->for_each_bucket([&](const FactoringIndex::Key* key, const Pst& tree) {
+    sources.segments[j]->for_each_bucket([&](const FactoringIndex::Key* key, const Pst& tree,
+                                             std::shared_ptr<const CompiledPst> kernel) {
       if (tree.subscription_count() == 0) return;
-      if (key == nullptr) {
-        single.push_back({j, &tree});
-      } else {
-        by_key[*key].push_back({j, &tree});
-      }
+      if (kernel == nullptr) throw std::logic_error("SnapshotBuilder: segment not frozen");
+      auto& into = key == nullptr ? single : by_key[*key];
+      into.push_back({j, tree.subscription_count(), std::move(kernel)});
     });
   }
 
-  // Reuse: same source tree, no mutations since it was frozen. Tree
-  // objects are never freed while their matcher lives (the caller passes
-  // reuse_previous=false across slice rebuilds), so pointer identity plus
-  // the mutation epoch is a sound key. A bucket whose every live segment
-  // is reusable keeps its FrozenBucket object outright.
+  // Reuse: the segment was annotated against the very kernel its tree
+  // still carries (`previous` keeps old kernels alive, so a new one cannot
+  // reuse an old address). A bucket whose every live segment is reusable
+  // keeps its FrozenBucket object outright.
   const auto build_bucket = [&](const std::vector<Contribution>& contributions,
                                 const std::shared_ptr<const FrozenBucket>& old)
       -> std::shared_ptr<const FrozenBucket> {
@@ -72,8 +68,7 @@ std::shared_ptr<const FrozenSpace> SnapshotBuilder::freeze(const SpaceSources& s
       for (const Contribution& c : contributions) {
         if (!reusable) break;
         const auto& segment = old->segments[c.segment];
-        reusable = segment != nullptr && segment->source == c.tree &&
-                   segment->epoch == c.tree->epoch();
+        reusable = segment != nullptr && segment->kernel == c.kernel;
       }
       if (reusable) {
         if (stats != nullptr) stats->segments_reused += contributions.size();
@@ -86,13 +81,13 @@ std::shared_ptr<const FrozenSpace> SnapshotBuilder::freeze(const SpaceSources& s
       std::shared_ptr<const CompiledSegment> segment;
       if (old != nullptr && c.segment < old->segments.size()) {
         const auto& prev = old->segments[c.segment];
-        if (prev != nullptr && prev->source == c.tree && prev->epoch == c.tree->epoch()) {
+        if (prev != nullptr && prev->kernel == c.kernel) {
           segment = prev;
           if (stats != nullptr) ++stats->segments_reused;
         }
       }
       if (segment == nullptr) {
-        segment = freeze_segment(*c.tree);
+        segment = annotate_segment(c.kernel, c.subscriptions);
         if (stats != nullptr) ++stats->segments_compiled;
       }
       bucket->subscriptions += segment->subscriptions;
@@ -139,12 +134,11 @@ std::shared_ptr<const CoreSnapshot> SnapshotBuilder::initial_snapshot(
 
 std::shared_ptr<const CoreSnapshot> SnapshotBuilder::next_snapshot(
     const CoreSnapshot& current, std::size_t touched, const SpaceSources& sources,
-    CompileStats* stats, bool reuse_previous) const {
+    CompileStats* stats) const {
   auto next = std::make_shared<CoreSnapshot>();
   next->version = current.version + 1;
   next->spaces = current.spaces;  // untouched spaces carry over wholesale
-  next->spaces[touched] =
-      freeze(sources, reuse_previous ? current.spaces[touched].get() : nullptr, stats);
+  next->spaces[touched] = freeze(sources, current.spaces[touched].get(), stats);
   return next;
 }
 

@@ -14,12 +14,12 @@
 //                -> CompiledSegment (per delta segment)
 //                -> CompiledPst + CompiledAnnotation (all groups).
 //
-// Freezing *compiles* a tree: the mutable Pst is snapshotted into a
-// FrozenPsg (star-chain collapse, hash-consing), flattened into a
-// CompiledPst — the struct-of-arrays kernel with interned u64 equality
-// keys — and annotated with the flat per-group trit rows of
-// CompiledAnnotation. The intermediate FrozenPsg is discarded; readers only
-// ever touch the compiled form.
+// Freezing *compiles* a tree: PstMatcher::freeze() snapshots the mutable
+// Pst into a FrozenPsg (star-chain collapse, hash-consing) and flattens it
+// into a CompiledPst — the struct-of-arrays kernel with interned u64
+// equality keys — which the builder shares and annotates with the flat
+// per-group trit rows of CompiledAnnotation. The intermediate FrozenPsg is
+// discarded; readers only ever touch the compiled form.
 //
 // Sharding: a factored space's buckets are partitioned into `shard_count`
 // independently matchable shards by hashing the factoring key
@@ -33,8 +33,8 @@
 // (broker_core.h). A bucket therefore holds up to one CompiledSegment per
 // slice, and a churn event recompiles only the slices whose trees actually
 // mutated — every other CompiledSegment is carried into the next snapshot
-// byte-for-byte (shared_ptr), identified by its stable Pst pointer plus the
-// tree's mutation epoch. Dispatch walks a bucket's segments in slice order
+// byte-for-byte (shared_ptr), identified by the kernel PstMatcher::freeze()
+// left on its tree. Dispatch walks a bucket's segments in slice order
 // and unions their refined masks (Parallel Combine), which is exact because
 // the slices partition the frontier. A whole unchanged space still carries
 // over wholesale, and a bucket whose every segment is reusable keeps its
@@ -68,15 +68,12 @@
 namespace gryphon {
 
 /// One delta segment of one factoring bucket, frozen and compiled: the flat
-/// match kernel of the segment's tree and its trit annotations for every
-/// spanning-tree group of the owning broker. `source` + `epoch` identify
-/// the tree state this was compiled from; they are used only as a reuse
-/// key, never dereferenced by readers.
+/// match kernel PstMatcher::freeze() compiled for the segment's tree (also
+/// the reuse key) and its trit annotations for every spanning-tree group
+/// of the owning broker.
 struct CompiledSegment {
-  const Pst* source{nullptr};
-  std::uint64_t epoch{0};
   std::size_t subscriptions{0};
-  std::unique_ptr<const CompiledPst> kernel;
+  std::shared_ptr<const CompiledPst> kernel;
   std::unique_ptr<const CompiledAnnotation> annotations;
 };
 
@@ -251,9 +248,9 @@ class SnapshotBuilder {
 
   /// The mutable sources of one space at freeze time.
   struct SpaceSources {
-    /// The frontier slices, indexed by segment id; at least one, all
-    /// sharing one schema/options shape. Segment 0's factoring index is
-    /// the space's event-key authority.
+    /// The frontier slices, indexed by segment id, each frozen; at least
+    /// one, all sharing one schema/options shape. Segment 0's factoring
+    /// index is the space's event-key authority.
     std::vector<const PstMatcher*> segments;
     /// The parked-subscription view to publish alongside; null when
     /// covering is off.
@@ -261,8 +258,9 @@ class SnapshotBuilder {
   };
 
   /// Freezes the current state of `sources`, reusing compiled segments
-  /// from `previous` (may be null) whose source tree epoch is unchanged.
-  /// `stats` (may be null) accumulates compile/reuse counts.
+  /// from `previous` (may be null) whose kernel the source tree still
+  /// carries. `stats` (may be null) accumulates compile/reuse counts.
+  /// Throws std::logic_error on a non-empty tree without a kernel.
   [[nodiscard]] std::shared_ptr<const FrozenSpace> freeze(const SpaceSources& sources,
                                                           const FrozenSpace* previous,
                                                           CompileStats* stats) const;
@@ -272,12 +270,10 @@ class SnapshotBuilder {
       const std::vector<SpaceSources>& spaces) const;
 
   /// The successor of `current`: space `touched` is re-frozen (reusing its
-  /// unchanged segments unless `reuse_previous` is false — segment-count
-  /// growth rebuilds the slices, invalidating every source-pointer reuse
-  /// key), every other space carries over wholesale.
+  /// unchanged segments), every other space carries over wholesale.
   [[nodiscard]] std::shared_ptr<const CoreSnapshot> next_snapshot(
       const CoreSnapshot& current, std::size_t touched, const SpaceSources& sources,
-      CompileStats* stats, bool reuse_previous = true) const;
+      CompileStats* stats) const;
 
   /// The successor of `current` when only space `touched`'s covering state
   /// changed (a subscription parked or unparked, no tree mutated): the new
@@ -288,7 +284,8 @@ class SnapshotBuilder {
       std::shared_ptr<const CoveringSnapshot> covering) const;
 
  private:
-  [[nodiscard]] std::shared_ptr<const CompiledSegment> freeze_segment(const Pst& tree) const;
+  [[nodiscard]] std::shared_ptr<const CompiledSegment> annotate_segment(
+      std::shared_ptr<const CompiledPst> kernel, std::size_t subscriptions) const;
 
   std::size_t link_count_;
   LinkIndex local_link_;

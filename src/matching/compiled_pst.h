@@ -4,9 +4,9 @@
 // A FrozenPsg is already immutable and hash-consed, but it is still a
 // pointer-chasing arena: every node owns three std::vectors, and every
 // equality branch compares full `Value` variants (heap strings included)
-// through std::lower_bound. CompiledPst flattens a FrozenPsg once — at
-// snapshot publication, or lazily behind PstMatcher — into a
-// struct-of-arrays layout built for the data-plane walk:
+// through std::lower_bound. CompiledPst flattens a FrozenPsg once — in
+// PstMatcher::freeze(), which the snapshot engine and the routing network
+// share — into a struct-of-arrays layout built for the data-plane walk:
 //
 //  * nodes live in one contiguous array (32 bytes each) in DFS first-visit
 //    order; branch tables, leaf subscriber lists, and general (range /

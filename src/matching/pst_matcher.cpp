@@ -84,12 +84,12 @@ PstMatcher::PstMatcher(SchemaPtr schema, PstMatcherOptions options)
                            order.end());
   } else {
     residual_order_ = order;
-    single_tree_ = make_tree();
+    single_ = make_tree();
   }
 }
 
-std::unique_ptr<Pst> PstMatcher::make_tree() const {
-  return std::make_unique<Pst>(schema_, residual_order_, options_.tree);
+PstMatcher::Tree PstMatcher::make_tree() const {
+  return Tree{std::make_unique<Pst>(schema_, residual_order_, options_.tree), nullptr};
 }
 
 const Subscription* PstMatcher::find_subscription(SubscriptionId id) const {
@@ -104,8 +104,9 @@ PstMatcher::TouchedTrees PstMatcher::add_with_result(SubscriptionId id,
     throw std::invalid_argument("PstMatcher::add: schema arity mismatch");
   }
   TouchedTrees touched;
-  if (single_tree_) {
-    touched.push_back({single_tree_.get(), single_tree_->add(id, subscription), false});
+  if (single_.pst) {
+    touched.push_back({single_.pst.get(), single_.pst->add(id, subscription), false});
+    single_.kernel.reset();
   } else {
     for (const auto& key : factoring_->subscription_keys(subscription)) {
       auto it = buckets_.find(key);
@@ -114,7 +115,8 @@ PstMatcher::TouchedTrees PstMatcher::add_with_result(SubscriptionId id,
         it = buckets_.emplace(key, make_tree()).first;
         created = true;
       }
-      touched.push_back({it->second.get(), it->second->add(id, subscription), created});
+      touched.push_back({it->second.pst.get(), it->second.pst->add(id, subscription), created});
+      it->second.kernel.reset();
     }
   }
   registry_.emplace(id, subscription);
@@ -126,16 +128,18 @@ PstMatcher::TouchedTrees PstMatcher::remove_with_result(SubscriptionId id) {
   if (it == registry_.end()) return {};
   const Subscription& subscription = it->second;
   TouchedTrees touched;
-  if (single_tree_) {
-    if (auto mutation = single_tree_->remove(id, subscription)) {
-      touched.push_back({single_tree_.get(), *mutation, false});
+  if (single_.pst) {
+    if (auto mutation = single_.pst->remove(id, subscription)) {
+      touched.push_back({single_.pst.get(), *mutation, false});
+      single_.kernel.reset();
     }
   } else {
     for (const auto& key : factoring_->subscription_keys(subscription)) {
       const auto bucket = buckets_.find(key);
       if (bucket == buckets_.end()) continue;
-      if (auto mutation = bucket->second->remove(id, subscription)) {
-        touched.push_back({bucket->second.get(), *mutation, false});
+      if (auto mutation = bucket->second.pst->remove(id, subscription)) {
+        touched.push_back({bucket->second.pst.get(), *mutation, false});
+        bucket->second.kernel.reset();
       }
       // Empty bucket trees are kept: callers hold per-tree annotation state
       // keyed by tree identity, and buckets are typically reused.
@@ -155,37 +159,36 @@ bool PstMatcher::remove(SubscriptionId id) {
   return true;
 }
 
+const PstMatcher::Tree* PstMatcher::find_tree(const Event& event,
+                                              FactoringIndex::Key& key) const {
+  if (single_.pst) return &single_;
+  factoring_->event_key_into(event, key);
+  const auto it = buckets_.find(key);
+  return it == buckets_.end() ? nullptr : &it->second;
+}
+
 const Pst* PstMatcher::tree_for_event(const Event& event) const {
-  if (single_tree_) return single_tree_.get();
-  const auto it = buckets_.find(factoring_->event_key(event));
-  return it == buckets_.end() ? nullptr : it->second.get();
+  FactoringIndex::Key key;
+  return tree_for_event(event, key);
 }
 
 const Pst* PstMatcher::tree_for_event(const Event& event,
                                       FactoringIndex::Key& scratch_key) const {
-  if (single_tree_) return single_tree_.get();
-  factoring_->event_key_into(event, scratch_key);
-  const auto it = buckets_.find(scratch_key);
-  return it == buckets_.end() ? nullptr : it->second.get();
+  const Tree* tree = find_tree(event, scratch_key);
+  return tree == nullptr ? nullptr : tree->pst.get();
 }
 
-Pst* PstMatcher::tree_for_event(const Event& event) {
-  return const_cast<Pst*>(std::as_const(*this).tree_for_event(event));
-}
-
-std::shared_ptr<const CompiledPst> PstMatcher::compiled_for(const Pst& tree) const {
-  MutexLock lock(compile_mutex_);
-  CompiledEntry& entry = compiled_[&tree];
-  const std::uint64_t epoch = tree.epoch();
-  if (entry.kernel && entry.epoch == epoch) return entry.kernel;
-  if (entry.epoch != epoch) {
-    entry.epoch = epoch;
-    entry.stable_matches = 0;
-    entry.kernel.reset();
+void PstMatcher::freeze() {
+  const auto freeze_tree = [](Tree& tree) {
+    if (tree.kernel == nullptr && tree.pst->subscription_count() > 0) {
+      tree.kernel = std::make_shared<const CompiledPst>(FrozenPsg(*tree.pst));
+    }
+  };
+  if (single_.pst) {
+    freeze_tree(single_);
+    return;
   }
-  if (++entry.stable_matches < kCompileThreshold) return nullptr;
-  entry.kernel = std::make_shared<const CompiledPst>(FrozenPsg(tree));
-  return entry.kernel;
+  for (auto& [key, tree] : buckets_) freeze_tree(tree);
 }
 
 void PstMatcher::match_into(const Event& event, std::vector<SubscriptionId>& out,
@@ -195,19 +198,17 @@ void PstMatcher::match_into(const Event& event, std::vector<SubscriptionId>& out
 
 void PstMatcher::match_into(const Event& event, std::vector<SubscriptionId>& out,
                             MatchScratch& scratch, MatchStats* stats) const {
-  const Pst* tree = tree_for_event(event, scratch.factoring_key());
+  const Tree* tree = find_tree(event, scratch.factoring_key());
   if (factoring_ && stats != nullptr) ++stats->nodes_visited;  // the index probe
   if (tree == nullptr) return;
-  // FrozenPsg collapses star chains structurally, so the compiled kernel
+  // FrozenPsg collapses star chains structurally, so the frozen kernel
   // reproduces the mutable walk's step counts only under trivial-test
   // elimination.
-  if (options_.compiled_kernel && options_.tree.trivial_test_elimination) {
-    if (const auto kernel = compiled_for(*tree)) {
-      kernel->match(event, out, scratch, stats);
-      return;
-    }
+  if (tree->kernel != nullptr && options_.tree.trivial_test_elimination) {
+    tree->kernel->match(event, out, scratch, stats);
+    return;
   }
-  tree->match(event, out, stats);
+  tree->pst->match(event, out, stats);
 }
 
 MatchResult PstMatcher::match(const Event& event) const {

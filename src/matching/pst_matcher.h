@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/mutex.h"
 #include "matching/compiled_pst.h"
 #include "matching/match_scratch.h"
 #include "matching/matcher.h"
@@ -64,13 +63,6 @@ struct PstMatcherOptions {
   std::vector<std::size_t> attribute_order;
   /// How many leading attributes of the order are factored (0 = none).
   std::size_t factoring_levels{0};
-  /// Match through the compiled flat kernel (CompiledPst) once a bucket
-  /// tree has proven stable — see PstMatcher::kCompileThreshold. Applies
-  /// only with tree.trivial_test_elimination on (the compiled kernel always
-  /// collapses star chains, so it would change the step count). Off means
-  /// every match walks the mutable tree directly (the pre-compilation
-  /// behaviour; benchmarks compare the two).
-  bool compiled_kernel{true};
   Pst::Options tree;
 };
 
@@ -88,14 +80,14 @@ class PstMatcher : public Matcher {
   void match_into(const Event& event, std::vector<SubscriptionId>& out, MatchScratch& scratch,
                   MatchStats* stats = nullptr) const;
 
-  /// A bucket tree is compiled lazily, after this many consecutive matches
-  /// at an unchanged mutation epoch: interleaved add/match traffic keeps
-  /// walking the mutable tree (compiling per mutation would be O(tree) per
-  /// op), while phased workloads — bulk subscribe, then dispatch — pay one
-  /// compile and stay on the flat kernel. The snapshot engine
-  /// (broker/core_snapshot.h) does not use this hysteresis: it compiles
-  /// eagerly at publication, where the rebuild is already batched.
-  static constexpr unsigned kCompileThreshold = 4;
+  /// Compiles every non-empty tree changed since the last freeze() into
+  /// its flat kernel (Pst -> FrozenPsg -> CompiledPst), kept beside the
+  /// tree until the tree changes again. A writer operation like add(): it
+  /// must not overlap a match. match() runs a tree on its kernel under
+  /// trivial-test elimination (the kernel always collapses star chains, so
+  /// it would otherwise change the step count) and walks it otherwise.
+  void freeze();
+
   [[nodiscard]] std::size_t subscription_count() const override { return registry_.size(); }
 
   [[nodiscard]] const SchemaPtr& schema() const { return schema_; }
@@ -124,65 +116,48 @@ class PstMatcher : public Matcher {
   [[nodiscard]] const Pst* tree_for_event(const Event& event) const;
   [[nodiscard]] const Pst* tree_for_event(const Event& event,
                                           FactoringIndex::Key& scratch_key) const;
-  [[nodiscard]] Pst* tree_for_event(const Event& event);
-
-  /// Invokes `fn(Pst&)` for every live tree (the single tree when factoring
-  /// is off, each bucket tree otherwise).
-  template <typename Fn>
-  void for_each_tree(Fn&& fn) {
-    if (single_tree_) {
-      fn(*single_tree_);
-      return;
-    }
-    for (auto& [key, tree] : buckets_) fn(*tree);
-  }
 
   [[nodiscard]] std::size_t tree_count() const {
-    return single_tree_ ? 1 : buckets_.size();
+    return single_.pst ? 1 : buckets_.size();
   }
 
-  /// Invokes `fn(const FactoringIndex::Key*, const Pst&)` for every live
-  /// tree. The key pointer is null for the single (unfactored) tree.
+  /// Invokes `fn(const FactoringIndex::Key*, const Pst&, kernel)` for every
+  /// live tree. The key pointer is null for the single (unfactored) tree;
+  /// `kernel` (std::shared_ptr<const CompiledPst>) is null unless freeze()
+  /// compiled the tree in its current state.
   template <typename Fn>
   void for_each_bucket(Fn&& fn) const {
-    if (single_tree_) {
-      fn(static_cast<const FactoringIndex::Key*>(nullptr), *single_tree_);
+    if (single_.pst) {
+      fn(static_cast<const FactoringIndex::Key*>(nullptr), *single_.pst, single_.kernel);
       return;
     }
-    for (const auto& [key, tree] : buckets_) fn(&key, *tree);
+    for (const auto& [key, tree] : buckets_) fn(&key, *tree.pst, tree.kernel);
   }
 
   /// The factoring index, or nullptr when factoring is off.
   [[nodiscard]] const FactoringIndex* factoring() const { return factoring_.get(); }
 
  private:
-  /// Per-tree compile state. Bucket Pst objects are never freed while the
-  /// matcher lives (see remove_with_result), so the tree pointer is a
-  /// stable key; the mutation epoch invalidates stale kernels.
-  struct CompiledEntry {
-    std::uint64_t epoch{0};
-    unsigned stable_matches{0};
+  /// One PST and its kernel: set by freeze(), dropped by every mutation
+  /// of the tree. Trees are never freed while the matcher lives (see
+  /// remove_with_result), so `pst` is a stable identity for callers.
+  struct Tree {
+    std::unique_ptr<Pst> pst;
     std::shared_ptr<const CompiledPst> kernel;
   };
 
-  [[nodiscard]] std::unique_ptr<Pst> make_tree() const;
-  /// The compiled kernel for `tree` at its current epoch, or nullptr while
-  /// the hysteresis counter is still warming up. Thread-compatible with
-  /// concurrent const matching: the cache is guarded by compile_mutex_, and
-  /// a returned kernel stays valid (shared_ptr) even if a concurrent epoch
-  /// bump replaces the cache entry.
-  [[nodiscard]] std::shared_ptr<const CompiledPst> compiled_for(const Pst& tree) const;
+  [[nodiscard]] Tree make_tree() const;
+  /// The tree an event maps to (nullptr when its bucket does not exist);
+  /// computes the factoring key into `key`.
+  [[nodiscard]] const Tree* find_tree(const Event& event, FactoringIndex::Key& key) const;
 
   SchemaPtr schema_;
   PstMatcherOptions options_;
   std::vector<std::size_t> residual_order_;  // attribute order minus factored prefix
   std::unique_ptr<FactoringIndex> factoring_;  // null when factoring off
-  std::unique_ptr<Pst> single_tree_;           // used when factoring off
-  std::unordered_map<FactoringIndex::Key, std::unique_ptr<Pst>, FactoringIndex::KeyHash>
-      buckets_;
+  Tree single_;                                // pst set only when factoring off
+  std::unordered_map<FactoringIndex::Key, Tree, FactoringIndex::KeyHash> buckets_;
   std::unordered_map<SubscriptionId, Subscription> registry_;
-  mutable Mutex compile_mutex_;
-  mutable std::unordered_map<const Pst*, CompiledEntry> compiled_ GUARDED_BY(compile_mutex_);
 };
 
 }  // namespace gryphon

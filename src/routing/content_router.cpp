@@ -171,7 +171,7 @@ ContentRoutingNetwork::RouteResult ContentRoutingNetwork::route(BrokerId broker,
   }
 
   const CompiledTree* compiled = tree_state.compiled.load(std::memory_order_acquire);
-  if (compiled == nullptr) compiled = &compile(*tree, tree_state);
+  if (compiled == nullptr) compiled = &compile(*tree, tree_state, nullptr);
   if (compiled->epoch != tree->epoch()) {
     throw std::logic_error("ContentRoutingNetwork::route: compiled tree is stale");
   }
@@ -187,17 +187,18 @@ ContentRoutingNetwork::RouteResult ContentRoutingNetwork::route(BrokerId broker,
 }
 
 const ContentRoutingNetwork::CompiledTree& ContentRoutingNetwork::compile(
-    const Pst& tree, const TreeState& state) const {
+    const Pst& tree, const TreeState& state, std::shared_ptr<const CompiledPst> kernel) const {
   MutexLock lock(compile_mutex_);
   // Another thread may have compiled it while this one waited.
   if (const CompiledTree* done = state.compiled.load(std::memory_order_acquire)) return *done;
-  auto compiled = std::make_unique<CompiledTree>(tree);
+  if (kernel == nullptr) kernel = std::make_shared<const CompiledPst>(FrozenPsg(tree));
+  auto compiled = std::make_unique<CompiledTree>(CompiledTree{tree.epoch(), std::move(kernel), {}});
   compiled->annotations.reserve(broker_states_.size());
   std::vector<SubscriptionLinkFn> link_fns;
   for (const BrokerState& broker : broker_states_) {
     link_fns.clear();
     for (const auto& group : broker.groups) link_fns.push_back(group->link_of);
-    compiled->annotations.emplace_back(compiled->kernel, broker.link_count,
+    compiled->annotations.emplace_back(*compiled->kernel, broker.link_count,
                                        std::span<const SubscriptionLinkFn>(link_fns),
                                        LinkIndex{});
   }
@@ -206,13 +207,23 @@ const ContentRoutingNetwork::CompiledTree& ContentRoutingNetwork::compile(
   return *state.owned;
 }
 
-void ContentRoutingNetwork::compile_all() const {
-  for (const auto& [tree, state] : tree_states_) {
-    if (!state.incremental && state.compiled.load(std::memory_order_acquire) == nullptr &&
-        tree->subscription_count() > 0) {
-      compile(*tree, state);
+void ContentRoutingNetwork::compile_all() {
+  // Without trivial-test elimination every tree is incremental.
+  if (!matcher_->options().tree.trivial_test_elimination) return;
+  matcher_->freeze();
+  matcher_->for_each_bucket([&](const FactoringIndex::Key*, const Pst& tree,
+                                std::shared_ptr<const CompiledPst> kernel) {
+    const TreeState& state = tree_states_.at(&tree);
+    if (kernel != nullptr && !state.incremental &&
+        state.compiled.load(std::memory_order_acquire) == nullptr) {
+      compile(tree, state, std::move(kernel));
     }
-  }
+  });
+}
+
+const CompiledPst* ContentRoutingNetwork::routing_kernel(const Pst& tree) const {
+  const CompiledTree* compiled = tree_states_.at(&tree).compiled.load(std::memory_order_acquire);
+  return compiled == nullptr ? nullptr : compiled->kernel.get();
 }
 
 ContentRoutingNetwork::KernelCounts ContentRoutingNetwork::kernel_counts() const {

@@ -23,7 +23,8 @@
 //     plus one CompiledAnnotation per broker holding that broker's
 //     spanning-tree groups — and searched with compiled_dispatch_into, the
 //     broker's allocation-free kernel. subscribe() only marks the tree;
-//     a burst of subscriptions costs one compile;
+//     a burst of subscriptions costs one compile (compile_all() pays it
+//     up front, sharing the matcher's frozen kernel);
 //   * incremental once churning: a tree mutated after it has been read
 //     switches, for good, to per-group AnnotatedPsts maintained spine by
 //     spine on every subscribe/unsubscribe and searched with link_match.
@@ -38,8 +39,9 @@
 // Concurrency: any number of threads may call route() concurrently (each
 // searches with its own thread-local MatchScratch); subscribe() and
 // unsubscribe() must not overlap route(). A steady-state route() takes no
-// lock — one acquire load of the tree's compiled form. The first read of a changed tree compiles it under
-// a mutex and publishes the result with a release store.
+// lock — one acquire load of the tree's compiled form. The first read of
+// a changed tree compiles it under a mutex and publishes the result with a
+// release store.
 #pragma once
 
 #include <atomic>
@@ -105,10 +107,12 @@ class ContentRoutingNetwork {
   [[nodiscard]] RouteResult route(BrokerId broker, const Event& event,
                                   BrokerId tree_root) const;
 
-  /// Compiles every tree that is neither compiled nor churning, so the
-  /// next route() over it pays no compile. The simulator calls it at the
-  /// end of construction.
-  void compile_all() const;
+  /// Freezes the shared matcher and compiles every tree that is neither
+  /// compiled nor churning around the kernel the freeze left on it, so
+  /// route() and match() share one compile per tree. The simulator calls
+  /// it at the end of construction. Like subscribe(), must not overlap
+  /// route().
+  void compile_all();
 
   /// How many trees each kernel currently serves (observability and test
   /// hook).
@@ -118,6 +122,9 @@ class ContentRoutingNetwork {
     std::size_t pending{0};      ///< changed since created, not yet read
   };
   [[nodiscard]] KernelCounts kernel_counts() const;
+
+  /// Test hook: the kernel route() searches `tree` with (null if none).
+  [[nodiscard]] const CompiledPst* routing_kernel(const Pst& tree) const;
 
   /// Centralized matching (Section 2): the full destination list, as the
   /// match-first baseline would compute at the publisher's broker.
@@ -156,9 +163,8 @@ class ContentRoutingNetwork {
   /// A tree's compiled form: one kernel shared by every broker, plus each
   /// broker's annotation rows (one row block per group).
   struct CompiledTree {
-    explicit CompiledTree(const Pst& tree) : epoch(tree.epoch()), kernel(FrozenPsg(tree)) {}
     std::uint64_t epoch;
-    CompiledPst kernel;
+    std::shared_ptr<const CompiledPst> kernel;
     std::vector<CompiledAnnotation> annotations;  // by broker
   };
   struct TreeState {
@@ -171,7 +177,9 @@ class ContentRoutingNetwork {
   };
 
   void apply_touched(const PstMatcher::TouchedTrees& touched);
-  const CompiledTree& compile(const Pst& tree, const TreeState& state) const;
+  /// Publishes `tree`'s compiled form around `kernel` (null: compile here).
+  const CompiledTree& compile(const Pst& tree, const TreeState& state,
+                              std::shared_ptr<const CompiledPst> kernel) const;
 
   const BrokerNetwork* network_;
   SchemaPtr schema_;

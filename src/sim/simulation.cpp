@@ -461,6 +461,14 @@ std::unique_ptr<SimInstance> build_instance(SimSpec spec) {
   }
   build_control_plane(*inst);
   build_churn(*inst, perms);
+  // Static runs match the aggregate and per-broker matchers on frozen
+  // kernels; churn would stale every kernel they read. The CRN's matcher is
+  // frozen by compile_all() under link matching; the other protocols match
+  // it only in the oracle precompute, where walking beats compiling.
+  if (!inst->churn_enabled) {
+    if (inst->shared_matcher) inst->shared_matcher->freeze();
+    for (const auto& matcher : inst->local_matchers) matcher->freeze();
+  }
   build_oracle_and_precompute(*inst);
   return inst;
 }

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -217,31 +218,71 @@ INSTANTIATE_TEST_SUITE_P(StarOrders, CompiledPstChurn, ::testing::Bool(),
                            return info.param ? "delayed_star" : "eager_star";
                          });
 
-TEST(CompiledPst, MatcherCompiledKernelAgreesAcrossHysteresisAndEpochs) {
-  // PstMatcher-level differential with factoring: the compiled matcher must
-  // agree with a mutable-kernel twin through warm-up (the hysteresis
-  // window), after compilation kicks in, and after mutations invalidate
-  // compiled entries.
+// Every bucket's frozen kernel and the epoch of its tree, keyed by tree.
+struct BucketKernel {
+  std::uint64_t epoch;
+  std::size_t subscriptions;
+  std::shared_ptr<const CompiledPst> kernel;
+};
+std::map<const Pst*, BucketKernel> bucket_kernels(const PstMatcher& matcher) {
+  std::map<const Pst*, BucketKernel> out;
+  matcher.for_each_bucket([&](const FactoringIndex::Key*, const Pst& tree,
+                              std::shared_ptr<const CompiledPst> kernel) {
+    out.emplace(&tree, BucketKernel{tree.epoch(), tree.subscription_count(), std::move(kernel)});
+  });
+  return out;
+}
+
+TEST(CompiledPst, MatcherFrozenKernelAgreesAcrossFreezesAndMutations) {
+  // PstMatcher-level differential with factoring: freeze -> mutate ->
+  // match -> freeze. The frozen matcher must agree with an unfrozen twin
+  // (mutable walk throughout, same step counts) and with NaiveMatcher both
+  // right after a freeze and after mutations that left its kernels stale;
+  // freeze() must recompile exactly the trees that changed.
   const auto schema = make_synthetic_schema(6, 4);
-  PstMatcherOptions compiled_opts;
-  compiled_opts.factoring_levels = 2;
-  PstMatcherOptions mutable_opts = compiled_opts;
-  mutable_opts.compiled_kernel = false;
-  PstMatcher compiled(schema, compiled_opts);
-  PstMatcher plain(schema, mutable_opts);
+  PstMatcherOptions options;
+  options.factoring_levels = 2;
+  PstMatcher frozen(schema, options);
+  PstMatcher plain(schema, options);
+  NaiveMatcher naive;
 
   Rng rng(909);
   SubscriptionGenerator gen(schema, SubscriptionWorkloadConfig{0.9, 0.85, 1.0});
   EventGenerator events(schema);
   std::int64_t next_id = 0;
   std::vector<SubscriptionId> ids;
+  const auto add = [&](SubscriptionId id, const Subscription& sub) {
+    frozen.add(id, sub);
+    plain.add(id, sub);
+    naive.add(id, sub);
+  };
+  const auto remove = [&](SubscriptionId id) {
+    ASSERT_TRUE(frozen.remove(id));
+    ASSERT_TRUE(plain.remove(id));
+    ASSERT_TRUE(naive.remove(id));
+  };
+  const auto probe = [&](const char* phase, int round) {
+    for (int i = 0; i < 12; ++i) {
+      const Event e = events.generate(rng);
+      std::vector<SubscriptionId> a;
+      MatchStats a_stats;
+      frozen.match_into(e, a, &a_stats);
+      std::vector<SubscriptionId> b;
+      MatchStats b_stats;
+      plain.match_into(e, b, &b_stats);
+      std::vector<SubscriptionId> c;
+      naive.match_into(e, c);
+      ASSERT_EQ(sorted(a), sorted(b)) << phase << " round " << round;
+      ASSERT_EQ(sorted(a), sorted(c)) << phase << " round " << round;
+      ASSERT_EQ(a_stats.nodes_visited, b_stats.nodes_visited) << phase << " round " << round;
+    }
+  };
 
+  std::size_t kept = 0;  // kernels a second freeze left in place
   for (int round = 0; round < 10; ++round) {
     for (int i = 0; i < 40; ++i) {
       const SubscriptionId id{next_id++};
-      const Subscription sub = gen.generate(rng);
-      compiled.add(id, sub);
-      plain.add(id, sub);
+      add(id, gen.generate(rng));
       ids.push_back(id);
     }
     for (int i = 0; i < 10 && !ids.empty(); ++i) {
@@ -249,28 +290,59 @@ TEST(CompiledPst, MatcherCompiledKernelAgreesAcrossHysteresisAndEpochs) {
       const SubscriptionId id = ids[pick];
       ids[pick] = ids.back();
       ids.pop_back();
-      ASSERT_TRUE(compiled.remove(id));
-      ASSERT_TRUE(plain.remove(id));
+      remove(id);
     }
-    // More probes than kCompileThreshold so per-bucket compilation
-    // triggers mid-loop: early probes run the mutable walk, later ones the
-    // kernel, and all must agree.
-    for (unsigned probe = 0; probe < 3 * PstMatcher::kCompileThreshold; ++probe) {
-      const Event e = events.generate(rng);
-      std::vector<SubscriptionId> a;
-      compiled.match_into(e, a);
-      std::vector<SubscriptionId> b;
-      plain.match_into(e, b);
-      ASSERT_EQ(sorted(a), sorted(b));
+    frozen.freeze();
+    const std::map<const Pst*, BucketKernel> first = bucket_kernels(frozen);
+    for (const auto& [tree, now] : first) {
+      // Empty trees carry no kernel; every other tree a current one.
+      (void)tree;
+      ASSERT_EQ(now.kernel == nullptr, now.subscriptions == 0) << "round " << round;
     }
+    probe("frozen", round);
+
+    // One more subscription, then a second freeze: exactly the trees it
+    // landed in get a new kernel.
+    const SubscriptionId extra{next_id++};
+    add(extra, gen.generate(rng));
+    ids.push_back(extra);
+    frozen.freeze();
+    for (const auto& [tree, now] : bucket_kernels(frozen)) {
+      const auto old = first.find(tree);
+      if (old == first.end() || old->second.kernel == nullptr) continue;
+      ASSERT_NE(now.kernel, nullptr) << "round " << round;
+      ASSERT_EQ(now.kernel == old->second.kernel, now.epoch == old->second.epoch)
+          << "round " << round;
+      if (now.kernel == old->second.kernel) ++kept;
+    }
+    probe("refrozen", round);
+
+    // Mutate after the freeze: a catch-all lands in every bucket and
+    // leaves every kernel stale, so only a mutable walk can report it.
+    const SubscriptionId catch_all{next_id++};
+    add(catch_all, Subscription(schema, std::vector<AttributeTest>(
+                                            schema->attribute_count(),
+                                            AttributeTest::dont_care())));
+    for (const auto& [tree, stale] : bucket_kernels(frozen)) {
+      (void)tree;
+      ASSERT_EQ(stale.kernel, nullptr) << "round " << round;
+    }
+    probe("stale", round);
+    const Event e = events.generate(rng);
+    std::vector<SubscriptionId> matched;
+    frozen.match_into(e, matched);
+    ASSERT_NE(std::find(matched.begin(), matched.end(), catch_all), matched.end())
+        << "round " << round;
+    remove(catch_all);
   }
+  EXPECT_GT(kept, 0u);
 }
 
 TEST(CompiledPst, MatcherStepCountStableWithoutTrivialTestElimination) {
   // The compiled kernel collapses star chains structurally, so it may only
   // stand in for the mutable walk when the tree applies trivial-test
-  // elimination too; otherwise the step count would change once a bucket
-  // compiles (after kCompileThreshold matches).
+  // elimination too; otherwise the step count would change once the
+  // matcher is frozen.
   const auto schema = make_synthetic_schema(5, 3);
   PstMatcherOptions options;
   options.tree.trivial_test_elimination = false;
@@ -281,7 +353,8 @@ TEST(CompiledPst, MatcherStepCountStableWithoutTrivialTestElimination) {
   const Event e = EventGenerator(schema).generate(rng);
 
   const MatchResult first = matcher.match(e);
-  for (unsigned call = 1; call < 3 * PstMatcher::kCompileThreshold; ++call) {
+  matcher.freeze();
+  for (unsigned call = 1; call < 4; ++call) {
     const MatchResult again = matcher.match(e);
     ASSERT_EQ(again.stats.nodes_visited, first.stats.nodes_visited) << "call " << call;
     ASSERT_EQ(sorted(again.ids), sorted(first.ids)) << "call " << call;

@@ -6,6 +6,7 @@
 // This file is the primary ThreadSanitizer target (see tools/ci.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -18,6 +19,8 @@
 #include "broker/client.h"
 #include "broker/inproc_transport.h"
 #include "common/rng.h"
+#include "matching/naive_matcher.h"
+#include "matching/pst_matcher.h"
 #include "topology/builders.h"
 #include "workload/generators.h"
 
@@ -430,6 +433,60 @@ TEST(ConcurrentMatching, BrokerDrainsQueueOnDestruction) {
     broker.flush();  // flush on an idle pipeline returns immediately
   }
   SUCCEED();
+}
+
+// A frozen PstMatcher is shared by reader threads with no lock: four
+// threads match the same factored matcher (each on its own scratch, and
+// through the thread-local default) and must agree with NaiveMatcher.
+TEST(ConcurrentMatching, FrozenPstMatcherMatchesFromManyThreads) {
+  const auto schema = make_synthetic_schema(6, 4);
+  PstMatcherOptions options;
+  options.factoring_levels = 2;
+  PstMatcher matcher(schema, options);
+  NaiveMatcher naive;
+  Rng rng(4242);
+  SubscriptionGenerator gen(schema, SubscriptionWorkloadConfig{0.9, 0.85, 1.0});
+  for (std::int64_t i = 0; i < 400; ++i) {
+    const Subscription sub = gen.generate(rng);
+    matcher.add(SubscriptionId{i}, sub);
+    naive.add(SubscriptionId{i}, sub);
+  }
+  matcher.freeze();
+
+  EventGenerator events(schema);
+  std::vector<Event> probes;
+  std::vector<std::vector<SubscriptionId>> expected;
+  for (int i = 0; i < 200; ++i) {
+    probes.push_back(events.generate(rng));
+    std::vector<SubscriptionId> ids;
+    naive.match_into(probes.back(), ids);
+    std::sort(ids.begin(), ids.end());
+    expected.push_back(std::move(ids));
+  }
+
+  constexpr int kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      MatchScratch scratch;
+      std::vector<SubscriptionId> out;
+      for (int pass = 0; pass < 5; ++pass) {
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+          out.clear();
+          if ((i + static_cast<std::size_t>(t)) % 2 == 0) {
+            matcher.match_into(probes[i], out, scratch);
+          } else {
+            matcher.match_into(probes[i], out);
+          }
+          std::sort(out.begin(), out.end());
+          if (out != expected[i]) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -160,6 +160,29 @@ TEST_P(RoutingProperty, RoutesMatchLinkMatchInEveryTreeState) {
   }
   EXPECT_EQ(crn.kernel_counts().compiled, 0u);
   EXPECT_EQ(crn.kernel_counts().incremental, 0u);
+
+  // A twin compiled up front, as the simulator builds it: compile_all()
+  // routes every tree on the very kernel its freeze() left in the shared
+  // matcher, so each tree is compiled once for both route() and match().
+  {
+    ContentRoutingNetwork twin(network.net, network.schema, network.roots, options);
+    for (std::size_t i = 0; i < n_subs; ++i) {
+      const SubscriptionId id{static_cast<std::int64_t>(i)};
+      twin.subscribe(id, *crn.matcher().find_subscription(id), crn.destination_of(id));
+    }
+    twin.compile_all();
+    std::size_t shared = 0;
+    twin.matcher().for_each_bucket([&](const FactoringIndex::Key*, const Pst& tree,
+                                       std::shared_ptr<const CompiledPst> kernel) {
+      EXPECT_EQ(twin.routing_kernel(tree), kernel.get());
+      if (kernel != nullptr) ++shared;
+    });
+    EXPECT_GT(shared, 0u);
+    EXPECT_EQ(twin.kernel_counts().compiled, shared);
+    Rng twin_rng(params.seed + 1000);
+    expect_routes_match_reference(twin, network.roots, twin_rng, 4, "compile_all");
+  }
+
   // Route: the trees read are compiled. Factored networks read only a few
   // buckets, so others stay unread into the churn below.
   expect_routes_match_reference(crn, network.roots, rng,

@@ -797,7 +797,7 @@ class _Parser:
         if terminator == "=" and self._kind(k + 1) == "id" and self._t(k + 2) == "(":
             init_call = self._t(k + 1)
         elif terminator == "=":
-            # `auto x = compiled_for(...)` / `auto x = ns::call(...)`: find
+            # `auto x = make_kernel(...)` / `auto x = ns::call(...)`: find
             # the last identifier before the first `(` of the initializer.
             # Member-access initializers (`auto it = map_.find(...)`) are
             # skipped: the callee is almost always a std container method

@@ -103,7 +103,8 @@ BASE_CONFIG = {
         ],
         "reachability_roots": [
             "BrokerCore::dispatch", "BrokerCore::dispatch_pinned",
-            "BrokerCore::match_all",
+            "BrokerCore::match_all", "PstMatcher::match",
+            "PstMatcher::match_into",
         ],
         "allowed_locking": [],
         "forbidden_calls": [
@@ -295,6 +296,28 @@ class PlanesTest(AnalyzeFixtureTest):
         self.assertIn("mutex acquisition in data-plane reachable code",
                       result.stderr)
         self.assertIn("BrokerCore::dispatch -> BrokerCore::lookup",
+                      result.stderr)
+
+    def test_mutex_reachable_from_standalone_matcher_rejected(self):
+        # A lazily compiled kernel cache behind the matcher's const match
+        # path must be caught: kernels are built by freeze(), not on read.
+        result = self.run_tree({
+            "src/matching/pst_matcher.cpp": (
+                "void PstMatcher::match(int event) const { (void)event; }\n"
+                "void PstMatcher::match_into(int event, int out) const {\n"
+                "  kernel_for(event);\n"
+                "  (void)out;\n"
+                "}\n"
+                "int PstMatcher::kernel_for(int event) const {\n"
+                "  MutexLock lock(cache_mutex_);\n"
+                "  return event;\n"
+                "}\n"
+            ),
+        })
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("mutex acquisition in data-plane reachable code",
+                      result.stderr)
+        self.assertIn("PstMatcher::match_into -> PstMatcher::kernel_for",
                       result.stderr)
 
 
