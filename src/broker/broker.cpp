@@ -339,7 +339,7 @@ void Broker::replay_forwards_to(LinkSession& session, const wire::HelloBroker& h
                                                       session.out_log.last_seq()}));
   }
   // One coalesced flush for the baseline + replay suffix.
-  flush_link_egress();
+  flush_egress();
   session.last_send = now();
   session.last_resend = now();
 }
@@ -504,13 +504,19 @@ void Broker::handle_event_forward(ConnId conn, const wire::EventForward& fwd) {
     return;
   }
   session.in_seq = fwd.seq;
-  send_broker_ack(session);
   replicate({.kind = replication::UpdateKind::kLinkInSeq,
              .peer = it->second.peer,
              .seq = session.in_seq,
              .epoch = session.in_epoch});
-  if (!core_.has_space(fwd.space)) return;
+  if (!core_.has_space(fwd.space)) {
+    send_broker_ack(session);  // never queued: nothing else would ack it
+    return;
+  }
   ++stats_.events_relayed;
+  // Acked cumulatively by the next flush_egress: the end of the running
+  // dispatch batch (synchronous mode: this event's own apply), so one ack
+  // answers every forward a batch absorbed and none waits longer than that.
+  session.ack_due = true;
   process_event(fwd.space, fwd.event, fwd.tree_root);
 }
 
@@ -560,9 +566,11 @@ void Broker::handle_link_heartbeat(ConnId conn, const wire::LinkHeartbeat& hb) {
 }
 
 void Broker::send_broker_ack(LinkSession& session) {
+  session.ack_due = false;
   if (session.conn == kInvalidConn) return;
   transport_->send(session.conn,
                    wire::encode(wire::BrokerAck{session.in_epoch, session.in_seq}));
+  ++stats_.link_acks_sent;
   session.last_send = now();
 }
 
@@ -583,7 +591,7 @@ void Broker::process_event(SpaceId space, const std::vector<std::uint8_t>& encod
     sync_batch_.add(space, event, tree_root);
     const std::span<const BrokerCore::Decision> decisions = core_.dispatch(sync_batch_);
     apply_decision(space, encoded, tree_root, decisions[0]);
-    flush_link_egress();
+    flush_egress();
     return;
   }
   {
@@ -653,7 +661,7 @@ void Broker::worker_loop() {
         const PendingEvent& item = items[staged[j]];
         apply_decision(item.space, item.encoded, item.tree_root, decisions[j]);
       }
-      flush_link_egress();
+      flush_egress();
     }
     {
       MutexLock qlock(queue_mutex_);
@@ -718,9 +726,17 @@ void Broker::queue_link_frame(LinkSession& session, std::vector<std::uint8_t> fr
   session.last_send = now();
 }
 
-void Broker::flush_link_egress() {
+void Broker::flush_egress() {
   for (auto& [peer, session] : links_) {
     (void)peer;
+    if (session.ack_due) {
+      session.ack_due = false;
+      if (session.conn != kInvalidConn) {
+        queue_link_frame(session,
+                         wire::encode(wire::BrokerAck{session.in_epoch, session.in_seq}));
+        ++stats_.link_acks_sent;
+      }
+    }
     if (session.egress.empty()) continue;
     // A disconnect cannot race us here (on_disconnect needs mutex_), and a
     // dead/downed link never has staged egress — frames are only queued on
@@ -728,6 +744,11 @@ void Broker::flush_link_egress() {
     transport_->send_batch(session.conn, std::move(session.egress));
     session.egress.clear();
   }
+  for (ClientRecord* client : egress_clients_) {
+    transport_->send_batch(client->conn, std::move(client->egress));
+    client->egress.clear();
+  }
+  egress_clients_.clear();
 }
 
 void Broker::deliver_to_client(const std::string& name, ClientRecord& client, SpaceId space,
@@ -740,8 +761,10 @@ void Broker::deliver_to_client(const std::string& name, ClientRecord& client, Sp
              .seq = seq,
              .payload = client.log.back().event});
   if (client.conn != kInvalidConn) {
-    transport_->send(client.conn,
-                     wire::encode(wire::Deliver{seq, space, client.log.back().event}));
+    // Staged like link frames: flush_egress sends the hold's deliveries to
+    // this client as one batch.
+    if (client.egress.empty()) egress_clients_.push_back(&client);
+    client.egress.push_back(wire::encode(wire::Deliver{seq, space, client.log.back().event}));
   }
 }
 
@@ -880,7 +903,7 @@ void Broker::tick_links(Ticks now_ticks) {
       session.last_send = now_ticks;
     }
   }
-  flush_link_egress();
+  flush_egress();
   // The replication session is ticked with the same go-back-N machinery:
   // unacked updates are re-streamed when the standby's ack stalls, and an
   // idle stream carries heartbeats so the standby's deadman timer (brokerd's

@@ -31,11 +31,13 @@
 // drains events in batches (up to Options::match_batch_max per wakeup):
 // each batch is decoded outside all locks, dispatched against one pinned
 // core snapshot (events grouped by serving shard), and applied under a
-// single broker-mutex hold whose link frames coalesce into one
-// send_batch flush per neighbor. Matching — the expensive part — then
-// runs in parallel with frame handling and with other matches. Events may
-// be applied out of arrival order across publishers; per-client delivery
-// sequence numbers remain monotonic. flush() quiesces the pipeline.
+// single broker-mutex hold whose frames coalesce into one send_batch flush
+// per neighbor and per local client. The in-order forwards a link received
+// since the last flush are answered by one cumulative BrokerAck in that
+// flush, so a peer's ack waits at most one batch. Matching — the expensive
+// part — then runs in parallel with frame handling and with other matches.
+// Events may be applied out of arrival order across publishers; per-client
+// delivery sequence numbers remain monotonic. flush() quiesces the pipeline.
 #pragma once
 
 #include <chrono>
@@ -232,6 +234,7 @@ class Broker : public TransportHandler {
     std::uint64_t repl_snapshots_applied{0}; // snapshots installed by this standby
     std::uint64_t promotions{0};             // standby -> primary takeovers
     std::uint64_t failover_seq_rebases{0};   // logs gap-rebased at promotion
+    std::uint64_t link_acks_sent{0};         // BrokerAck frames sent to neighbor brokers
     /// Control-plane churn counters (covering + delta compilation), read
     /// from the core at stats() time.
     ControlPlaneStats control_plane{};
@@ -252,6 +255,9 @@ class Broker : public TransportHandler {
     ConnId conn{kInvalidConn};  // kInvalidConn while offline
     EventLog log;
     std::vector<SubscriptionId> subscriptions;
+    /// Deliver frames staged by deliver_to_client for the next flush_egress:
+    /// one batch's deliveries reach the transport as one send_batch.
+    std::vector<std::vector<std::uint8_t>> egress;
   };
   /// Per-neighbor link session. Outlives any one connection: the forward
   /// log, sequence counters, and inbound dedup state persist across drops
@@ -265,8 +271,11 @@ class Broker : public TransportHandler {
     Ticks last_recv{0};         // last inbound frame (idle detection)
     std::uint64_t in_epoch{0};  // peer epoch the inbound counter refers to
     std::uint64_t in_seq{0};    // highest forward seq consumed from the peer
+    /// An in-order forward was consumed and queued for dispatch since the
+    /// last ack: the next flush_egress stages one cumulative BrokerAck.
+    bool ack_due{false};
     /// Frames staged for the next coalesced flush (queue_link_frame /
-    /// flush_link_egress): a batch of forwards or a retransmit window
+    /// flush_egress): a batch of forwards or a retransmit window
     /// reaches the transport as one send_batch instead of per-frame sends.
     std::vector<std::vector<std::uint8_t>> egress;
   };
@@ -330,14 +339,18 @@ class Broker : public TransportHandler {
       REQUIRES(mutex_);
   void worker_loop() EXCLUDES(mutex_, queue_mutex_);
   /// Stages a link frame on the session's egress buffer. The frames queued
-  /// during one mutex_ hold MUST be flushed by flush_link_egress() before
-  /// the hold ends, or they would interleave out of order with direct
-  /// sends from later holds.
+  /// during one mutex_ hold MUST be flushed by flush_egress() before the
+  /// hold ends, or they would interleave out of order with direct sends
+  /// from later holds. The same holds for Deliver frames staged on a
+  /// ClientRecord by deliver_to_client.
   void queue_link_frame(LinkSession& session, std::vector<std::uint8_t> frame)
       REQUIRES(mutex_);
-  /// Hands every session's staged egress to the transport as one
-  /// send_batch per neighbor (the coalesced writev-style flush).
-  void flush_link_egress() REQUIRES(mutex_);
+  /// Stages the cumulative BrokerAck of every link with ack_due, then hands
+  /// every session's and every touched client's staged frames to the
+  /// transport as one send_batch each (the coalesced writev-style flush).
+  void flush_egress() REQUIRES(mutex_);
+  /// Logs the delivery and stages its Deliver frame on the client's egress
+  /// (flushed by flush_egress within the same hold).
   void deliver_to_client(const std::string& name, ClientRecord& client, SpaceId space,
                          std::vector<std::uint8_t> encoded) REQUIRES(mutex_);
   void sync_subscriptions_to(ConnId conn) REQUIRES(mutex_);
@@ -345,6 +358,8 @@ class Broker : public TransportHandler {
   /// its ack state from the peer's handshake report.
   void replay_forwards_to(LinkSession& session, const wire::HelloBroker& hello)
       REQUIRES(mutex_);
+  /// Sends the cumulative BrokerAck at once (duplicates, gaps, rebases,
+  /// unknown spaces); clears ack_due, since the ack covers it.
   void send_broker_ack(LinkSession& session) REQUIRES(mutex_);
   void record_tombstone(SubscriptionId id) REQUIRES(mutex_);
   /// Broadcasts a quench update to every connected client when a space
@@ -370,6 +385,9 @@ class Broker : public TransportHandler {
   std::unordered_map<SubscriptionId, std::string> local_sub_client_ GUARDED_BY(mutex_);
   std::unordered_map<SubscriptionId, SpaceId> local_sub_space_ GUARDED_BY(mutex_);
   std::unordered_map<BrokerId, LinkSession> links_ GUARDED_BY(mutex_);
+  /// Clients with staged Deliver frames in the current hold (flush_egress
+  /// drains it; records are never erased while they have staged frames).
+  std::vector<ClientRecord*> egress_clients_ GUARDED_BY(mutex_);
   std::unordered_set<SubscriptionId> tombstones_ GUARDED_BY(mutex_);
   std::deque<SubscriptionId> tombstone_fifo_ GUARDED_BY(mutex_);
   std::uint64_t next_sub_counter_ GUARDED_BY(mutex_){1};

@@ -6,7 +6,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 #include "common/logging.h"
@@ -15,14 +17,13 @@ namespace gryphon {
 
 namespace {
 
-bool read_exact(int fd, std::uint8_t* buffer, std::size_t size) {
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::recv(fd, buffer + got, size - got, 0);
-    if (n <= 0) return false;
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
+// Senders gather adjacent queued packets into one socket write up to this
+// many bytes.
+constexpr std::size_t kGatherBytes = 64u * 1024;
+
+std::uint32_t read_u32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 bool write_all(int fd, const std::uint8_t* buffer, std::size_t size) {
@@ -110,7 +111,8 @@ ConnId TcpTransport::register_fd(int fd) {
   const ConnId id = next_conn_++;
   auto conn = std::make_unique<Conn>();
   conn->fd = fd;
-  conn->reader = std::thread([this, id, fd] { reader_loop(id, fd); });
+  Conn& raw = *conn;
+  conn->reader = std::thread([this, id, &raw] { reader_loop(id, raw); });
   conns_.emplace(id, std::move(conn));
   return id;
 }
@@ -138,22 +140,47 @@ void TcpTransport::accept_loop(int listen_fd) {
   }
 }
 
-void TcpTransport::reader_loop(ConnId id, int fd) {
-  std::vector<std::uint8_t> frame;
+void TcpTransport::reader_loop(ConnId id, Conn& conn) {
+  const int fd = conn.fd;
+  // Not value-initialized: a page is touched only once a read reaches it.
+  std::size_t capacity = kReadBufferBytes;
+  auto buffer = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+  std::size_t end = 0;  // bytes [0, end) are received but not yet handed out
   while (true) {
-    std::uint8_t header[4];
-    if (!read_exact(fd, header, sizeof(header))) break;
-    const std::uint32_t size = static_cast<std::uint32_t>(header[0]) |
-                               (static_cast<std::uint32_t>(header[1]) << 8) |
-                               (static_cast<std::uint32_t>(header[2]) << 16) |
-                               (static_cast<std::uint32_t>(header[3]) << 24);
-    if (size == 0 || size > options_.max_frame_bytes) {
-      GRYPHON_WARN("tcp") << "conn " << id << ": bad frame size " << size;
-      break;
+    const ssize_t n = ::recv(fd, buffer.get() + end, capacity - end, 0);
+    if (n <= 0) break;
+    end += static_cast<std::size_t>(n);
+    // Hand every complete frame to the handler, straight out of the buffer.
+    std::size_t begin = 0;
+    std::uint32_t size = 0;  // size prefix of the partial frame at `begin`, if known
+    bool bad = false;
+    while (end - begin >= 4 && !conn.closed) {
+      size = read_u32(buffer.get() + begin);
+      if (size == 0 || size > options_.max_frame_bytes) {
+        GRYPHON_WARN("tcp") << "conn " << id << ": bad frame size " << size;
+        bad = true;
+        break;
+      }
+      if (end - begin - 4 < size) break;  // partial frame: wait for the rest
+      handler_->on_frame(id, std::span<const std::uint8_t>(buffer.get() + begin + 4, size));
+      begin += 4 + static_cast<std::size_t>(size);
+      size = 0;
     }
-    frame.resize(size);
-    if (!read_exact(fd, frame.data(), size)) break;
-    handler_->on_frame(id, frame);
+    if (bad || conn.closed) break;
+    // Keep the partial tail at the front. A frame larger than the default
+    // buffer gets a buffer exactly its size; once it is handed out (the
+    // tail is then empty or a new frame) the buffer returns to the default.
+    const std::size_t tail = end - begin;
+    if (begin != 0 && tail != 0) std::memmove(buffer.get(), buffer.get() + begin, tail);
+    end = tail;
+    const std::size_t want = std::max(kReadBufferBytes, std::size_t{4} + size);
+    if (capacity != want) {
+      auto resized = std::make_unique_for_overwrite<std::uint8_t[]>(want);
+      std::memcpy(resized.get(), buffer.get(), tail);
+      buffer = std::move(resized);
+      capacity = want;
+      conn.read_buffer_bytes = want;
+    }
   }
   bool notify;
   {
@@ -168,28 +195,40 @@ void TcpTransport::reader_loop(ConnId id, int fd) {
   if (notify) handler_->on_disconnect(id);
 }
 
+std::size_t TcpTransport::read_buffer_bytes(ConnId conn) const {
+  MutexLock lock(mutex_);
+  const auto it = conns_.find(conn);
+  return it == conns_.end() ? 0 : it->second->read_buffer_bytes.load();
+}
+
+bool TcpTransport::mark_dirty(ConnId id, Conn& conn) {
+  if (conn.draining) return false;  // its sender re-checks the queue before letting go
+  conn.draining = true;
+  dirty_.push_back(id);
+  return true;
+}
+
 void TcpTransport::send(ConnId conn, std::vector<std::uint8_t> frame) {
   std::vector<std::uint8_t> packet = frame_packet(frame);
+  bool wake;
   {
     MutexLock lock(mutex_);
     const auto it = conns_.find(conn);
     if (it == conns_.end() || it->second->closed) return;  // silent drop, by contract
     it->second->outgoing.push_back(std::move(packet));
-    if (!it->second->draining) {
-      it->second->draining = true;
-      dirty_.push_back(conn);
-    }
+    wake = mark_dirty(conn, *it->second);
   }
-  send_cv_.notify_one();
+  if (wake) send_cv_.notify_one();
 }
 
 void TcpTransport::send_batch(ConnId conn, std::vector<std::vector<std::uint8_t>> frames) {
   if (frames.empty()) return;
-  // Frame the packets outside the lock, enqueue them all under one lock
-  // hold, and wake one sender for the whole flush.
+  // Frame the packets outside the lock and enqueue them all under one lock
+  // hold.
   std::vector<std::vector<std::uint8_t>> packets;
   packets.reserve(frames.size());
   for (const std::vector<std::uint8_t>& frame : frames) packets.push_back(frame_packet(frame));
+  bool wake;
   {
     MutexLock lock(mutex_);
     const auto it = conns_.find(conn);
@@ -197,12 +236,9 @@ void TcpTransport::send_batch(ConnId conn, std::vector<std::vector<std::uint8_t>
     for (std::vector<std::uint8_t>& packet : packets) {
       it->second->outgoing.push_back(std::move(packet));
     }
-    if (!it->second->draining) {
-      it->second->draining = true;
-      dirty_.push_back(conn);
-    }
+    wake = mark_dirty(conn, *it->second);
   }
-  send_cv_.notify_one();
+  if (wake) send_cv_.notify_one();
 }
 
 void TcpTransport::sender_loop() {
@@ -217,7 +253,7 @@ void TcpTransport::sender_loop() {
     Conn& conn = *it->second;
     // Drain this connection's queue; `draining` keeps other senders off it
     // so frame order is preserved. Adjacent queued packets are gathered
-    // into one buffer (up to coalesce_bytes) so a batch flush reaches the
+    // into one buffer (up to kGatherBytes) so a batch flush reaches the
     // socket as a single write instead of one syscall per frame — every
     // packet already carries its own length prefix, so the receiver's
     // framing is unaffected by how writes are grouped.
@@ -227,7 +263,7 @@ void TcpTransport::sender_loop() {
       gather.swap(conn.outgoing.front());
       conn.outgoing.pop_front();
       while (!conn.outgoing.empty() &&
-             gather.size() + conn.outgoing.front().size() <= options_.coalesce_bytes) {
+             gather.size() + conn.outgoing.front().size() <= kGatherBytes) {
         const std::vector<std::uint8_t>& next = conn.outgoing.front();
         gather.insert(gather.end(), next.begin(), next.end());
         conn.outgoing.pop_front();

@@ -4,12 +4,15 @@
 // other brokers in the network." Sends are asynchronous: implementations
 // enqueue the frame and return immediately (the TCP transport drains the
 // per-connection queues with a pool of sending threads, exactly as the
-// paper describes).
+// paper describes, waking a sender only when a connection's queue goes
+// from idle to dirty).
 //
 // Two implementations:
 //  * InProcTransport — deterministic in-process message passing for tests
 //    and examples (frames pumped explicitly);
-//  * TcpTransport    — real TCP/IP with length-prefixed frames.
+//  * TcpTransport    — real TCP/IP with length-prefixed frames and buffered
+//    framing: one recv() can carry many frames, each handed to on_frame as
+//    a span into the connection's receive buffer.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +32,8 @@ class TransportHandler {
   virtual ~TransportHandler() = default;
   /// A new inbound connection was accepted.
   virtual void on_connect(ConnId conn) = 0;
-  /// One whole frame arrived.
+  /// One whole frame arrived. `frame` is valid only for the duration of
+  /// the call (the TCP transport points it into its receive buffer).
   virtual void on_frame(ConnId conn, std::span<const std::uint8_t> frame) = 0;
   /// The connection is gone (peer close or failure). `conn` is dead.
   virtual void on_disconnect(ConnId conn) = 0;

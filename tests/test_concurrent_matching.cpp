@@ -19,6 +19,7 @@
 #include "broker/client.h"
 #include "broker/inproc_transport.h"
 #include "common/rng.h"
+#include "event/codec.h"
 #include "matching/naive_matcher.h"
 #include "matching/pst_matcher.h"
 #include "topology/builders.h"
@@ -433,6 +434,100 @@ TEST(ConcurrentMatching, BrokerDrainsQueueOnDestruction) {
     broker.flush();  // flush on an idle pipeline returns immediately
   }
   SUCCEED();
+}
+
+// The pipeline answers a link's in-order forwards with cumulative BrokerAcks
+// staged per dispatch batch, and sends a client one batch of Delivers per
+// apply hold. The peer broker is a raw endpoint that records its acks.
+// Forwards the pipeline never queues (unknown space), duplicates and gaps
+// are re-acked at once, without waiting for a batch.
+TEST(ConcurrentMatching, BrokerCoalescesAcksAndDeliveriesPerBatch) {
+  const SchemaPtr schema =
+      make_schema("trades", {Attribute{"issue", AttributeType::kString, {}},
+                             Attribute{"price", AttributeType::kDouble, {}},
+                             Attribute{"volume", AttributeType::kInt, {}}});
+  const BrokerNetwork topo = make_line(2, 10, 0, 1);
+  InProcNetwork net;
+  Broker::Options options;
+  options.match_threads = 1;
+  options.session_epoch = 100;
+  auto* endpoint = net.create_endpoint("broker0");
+  Broker broker(BrokerId{0}, topo, {schema}, *endpoint, options);
+  endpoint->set_handler(&broker);
+
+  struct Peer : TransportHandler {
+    std::vector<std::uint64_t> acks;  // pumped on the test thread
+    void on_connect(ConnId) override {}
+    void on_frame(ConnId, std::span<const std::uint8_t> frame) override {
+      if (wire::peek_type(frame) == wire::FrameType::kBrokerAck) {
+        acks.push_back(wire::decode_broker_ack(frame).seq);
+      }
+    }
+    void on_disconnect(ConnId) override {}
+  };
+  Peer peer;
+  auto* peer_endpoint = net.create_endpoint("broker1");
+  peer_endpoint->set_handler(&peer);
+
+  auto* sub_endpoint = net.create_endpoint("sub");
+  Client sub("sub", *sub_endpoint, {schema});
+  sub_endpoint->set_handler(&sub);
+  sub.bind(net.connect("sub", "broker0"));
+  net.pump();
+  sub.subscribe(0, "volume >= 0");
+  net.pump();
+  broker.flush();
+
+  constexpr std::uint64_t kEpoch = 7;
+  const ConnId link = net.connect("broker1", "broker0");
+  peer_endpoint->send(link, wire::encode(wire::HelloBroker{BrokerId{1}, kEpoch, 0, 0}));
+  net.pump();
+  const auto forward = [&](std::uint16_t space, std::uint64_t seq) {
+    const Event event(schema, {Value("IBM"), Value(1.0), Value(static_cast<int>(seq))});
+    peer_endpoint->send(link, wire::encode(wire::EventForward{BrokerId{1}, SpaceId{space},
+                                                              encode_event(event), kEpoch,
+                                                              seq}));
+  };
+
+  constexpr std::uint64_t kForwards = 200;
+  for (std::uint64_t seq = 1; seq <= kForwards; ++seq) forward(0, seq);
+  net.pump();  // the forwards reach the broker and queue for its worker
+  broker.flush();
+  net.pump();  // acks reach the peer, deliveries the client
+  ASSERT_GE(peer.acks.size(), 1u);
+  EXPECT_LE(peer.acks.size(), kForwards);
+  EXPECT_TRUE(std::is_sorted(peer.acks.begin(), peer.acks.end()));
+  EXPECT_EQ(peer.acks.back(), kForwards);
+  EXPECT_EQ(broker.stats().link_acks_sent, peer.acks.size());
+
+  const auto delivered = sub.take_deliveries();
+  ASSERT_EQ(delivered.size(), kForwards);
+  std::uint64_t last_seq = 0;
+  std::set<std::int64_t> volumes;
+  for (const auto& d : delivered) {
+    EXPECT_GT(d.seq, last_seq);  // strictly increasing: no duplicates
+    last_seq = d.seq;
+    volumes.insert(d.event.value(2).as_int());
+  }
+  EXPECT_EQ(volumes.size(), kForwards);  // every forward exactly once
+
+  // Each of these is answered by one ack as soon as it is handled: pump
+  // alone, no flush, delivers it.
+  const auto acked_at_once = [&](std::uint16_t space, std::uint64_t seq) {
+    const std::size_t before = peer.acks.size();
+    forward(space, seq);
+    net.pump();
+    return peer.acks.size() == before + 1 ? peer.acks.back() : 0;
+  };
+  EXPECT_EQ(acked_at_once(9, kForwards + 1), kForwards + 1);  // unknown space
+  EXPECT_EQ(acked_at_once(0, kForwards), kForwards + 1);      // duplicate
+  EXPECT_EQ(acked_at_once(0, kForwards + 3), kForwards + 1);  // gap
+  broker.flush();
+  net.pump();
+  EXPECT_TRUE(sub.take_deliveries().empty());
+  const auto stats = broker.stats();
+  EXPECT_EQ(stats.duplicates_dropped, 1u);
+  EXPECT_EQ(stats.link_acks_sent, peer.acks.size());
 }
 
 // A frozen PstMatcher is shared by reader threads with no lock: four

@@ -8,10 +8,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <mutex>
+#include <string>
+#include <vector>
 
 #include "broker/broker.h"
 #include "broker/client.h"
@@ -197,68 +200,206 @@ TEST(TcpBroker, ManyFramesPreserveOrder) {
 }
 
 
-TEST(TcpTransport, GarbageFrameSizeDropsConnection) {
-  // A peer announcing an absurd frame length is protocol corruption: the
-  // transport must drop the connection rather than try to allocate it.
-  struct Recorder : TransportHandler {
-    std::atomic<int> connects{0};
-    std::atomic<int> disconnects{0};
-    void on_connect(ConnId) override { ++connects; }
-    void on_frame(ConnId, std::span<const std::uint8_t>) override {}
-    void on_disconnect(ConnId) override { ++disconnects; }
-  };
-  Recorder recorder;
-  TcpTransport server(recorder);
-  const std::uint16_t port = server.listen(0);
+/// Records, in order, what a TcpTransport hands its handler. Called on the
+/// transport's threads and read from the test thread, so under a lock.
+struct FrameRecorder : TransportHandler {
+  std::mutex mutex;
+  ConnId conn{kInvalidConn};
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::string order;  // 'f' per frame, 'd' per disconnect
 
+  void on_connect(ConnId c) override {
+    std::lock_guard<std::mutex> lock(mutex);
+    conn = c;
+  }
+  void on_frame(ConnId, std::span<const std::uint8_t> frame) override {
+    std::lock_guard<std::mutex> lock(mutex);
+    frames.emplace_back(frame.begin(), frame.end());
+    order.push_back('f');
+  }
+  void on_disconnect(ConnId) override {
+    std::lock_guard<std::mutex> lock(mutex);
+    order.push_back('d');
+  }
+  /// Polls until `done(*this)` holds (under the lock) or ~5 s pass.
+  template <typename Pred>
+  bool wait_for(Pred done) {
+    for (int i = 0; i < 1000; ++i) {
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (done(*this)) return true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return false;
+  }
+};
+
+/// A raw loopback socket dialed to `port`: the framing tests write
+/// hand-made byte streams into a transport's reader through it.
+int dial_raw(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  for (int i = 0; i < 200 && recorder.connects.load() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
   }
-  ASSERT_EQ(recorder.connects.load(), 1);
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
 
-  const std::uint8_t huge[4] = {0xFF, 0xFF, 0xFF, 0x7F};  // ~2 GiB frame
-  ASSERT_EQ(::send(fd, huge, sizeof(huge), 0), 4);
-  for (int i = 0; i < 200 && recorder.disconnects.load() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+bool write_raw(int fd, const std::vector<std::uint8_t>& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
   }
-  EXPECT_EQ(recorder.disconnects.load(), 1);
+  return true;
+}
+
+/// Appends `frame` to `stream` behind its u32 little-endian size prefix.
+void append_packet(std::vector<std::uint8_t>& stream, const std::vector<std::uint8_t>& frame) {
+  const auto size = static_cast<std::uint32_t>(frame.size());
+  for (int shift = 0; shift < 32; shift += 8) {
+    stream.push_back(static_cast<std::uint8_t>(size >> shift));
+  }
+  stream.insert(stream.end(), frame.begin(), frame.end());
+}
+
+std::vector<std::uint8_t> pattern(std::size_t size, std::size_t salt) {
+  std::vector<std::uint8_t> bytes(size);
+  for (std::size_t i = 0; i < size; ++i) bytes[i] = static_cast<std::uint8_t>(i * 7 + salt);
+  return bytes;
+}
+
+TEST(TcpTransport, GarbageFrameSizeDropsConnection) {
+  // A peer announcing an absurd frame length is protocol corruption: the
+  // transport must drop the connection rather than try to allocate it.
+  FrameRecorder recorder;
+  TcpTransport server(recorder);
+  const int fd = dial_raw(server.listen(0));
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(recorder.wait_for([](const FrameRecorder& r) { return r.conn != kInvalidConn; }));
+
+  ASSERT_TRUE(write_raw(fd, {0xFF, 0xFF, 0xFF, 0x7F}));  // ~2 GiB frame
+  EXPECT_TRUE(recorder.wait_for([](const FrameRecorder& r) { return !r.order.empty(); }));
+  EXPECT_EQ(recorder.order, "d");
   ::close(fd);
   server.shutdown();
 }
 
 TEST(TcpTransport, ZeroLengthFrameDropsConnection) {
-  struct Recorder : TransportHandler {
-    std::atomic<int> disconnects{0};
-    void on_connect(ConnId) override {}
-    void on_frame(ConnId, std::span<const std::uint8_t>) override {}
-    void on_disconnect(ConnId) override { ++disconnects; }
-  };
-  Recorder recorder;
+  FrameRecorder recorder;
   TcpTransport server(recorder);
-  const std::uint16_t port = server.listen(0);
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = dial_raw(server.listen(0));
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  const std::uint8_t zero[4] = {0, 0, 0, 0};
-  ASSERT_EQ(::send(fd, zero, sizeof(zero), 0), 4);
-  for (int i = 0; i < 200 && recorder.disconnects.load() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(recorder.disconnects.load(), 1);
+  ASSERT_TRUE(write_raw(fd, {0, 0, 0, 0}));
+  EXPECT_TRUE(recorder.wait_for([](const FrameRecorder& r) { return !r.order.empty(); }));
+  EXPECT_EQ(recorder.order, "d");
   ::close(fd);
   server.shutdown();
+}
+
+TEST(TcpTransport, FrameWrittenByteAtATimeIsReassembled) {
+  FrameRecorder recorder;
+  TcpTransport server(recorder);
+  const int fd = dial_raw(server.listen(0));
+  ASSERT_GE(fd, 0);
+  const std::vector<std::uint8_t> frame = pattern(40, 1);
+  std::vector<std::uint8_t> stream;
+  append_packet(stream, frame);
+  for (const std::uint8_t byte : stream) {
+    ASSERT_TRUE(write_raw(fd, {byte}));
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  ASSERT_TRUE(recorder.wait_for([](const FrameRecorder& r) { return !r.frames.empty(); }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // nothing else may follow
+  std::lock_guard<std::mutex> lock(recorder.mutex);
+  EXPECT_EQ(recorder.order, "f");
+  EXPECT_EQ(recorder.frames[0], frame);
+  ::close(fd);
+}
+
+TEST(TcpTransport, ThousandFramesInOneWriteArriveInOrder) {
+  FrameRecorder recorder;
+  TcpTransport server(recorder);
+  const int fd = dial_raw(server.listen(0));
+  ASSERT_GE(fd, 0);
+  constexpr std::size_t kFrames = 1000;
+  std::vector<std::vector<std::uint8_t>> sent;
+  std::vector<std::uint8_t> stream;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    sent.push_back(pattern(1 + i % 97, i));
+    append_packet(stream, sent.back());
+  }
+  ASSERT_TRUE(write_raw(fd, stream));
+  ASSERT_TRUE(
+      recorder.wait_for([](const FrameRecorder& r) { return r.frames.size() >= kFrames; }));
+  std::lock_guard<std::mutex> lock(recorder.mutex);
+  EXPECT_EQ(recorder.frames, sent);
+  EXPECT_EQ(recorder.order, std::string(kFrames, 'f'));
+  ::close(fd);
+}
+
+TEST(TcpTransport, OversizedFrameGrowsReadBufferThenShrinksBack) {
+  FrameRecorder recorder;
+  TcpTransport server(recorder);
+  const int fd = dial_raw(server.listen(0));
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(recorder.wait_for([](const FrameRecorder& r) { return r.conn != kInvalidConn; }));
+  const ConnId conn = recorder.conn;
+  EXPECT_EQ(server.read_buffer_bytes(conn), TcpTransport::kReadBufferBytes);
+
+  constexpr std::size_t kBig = 1u << 20;
+  const std::vector<std::uint8_t> big = pattern(kBig, 3);
+  std::vector<std::uint8_t> stream;
+  append_packet(stream, big);
+  const std::size_t half = stream.size() / 2;
+  // First half: the reader has seen the size prefix and sized its buffer
+  // for the whole frame.
+  ASSERT_TRUE(write_raw(fd, std::vector<std::uint8_t>(stream.begin(), stream.begin() + half)));
+  bool grown = false;
+  for (int i = 0; i < 1000 && !grown; ++i) {
+    grown = server.read_buffer_bytes(conn) == kBig + 4;
+    if (!grown) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(grown);
+  // Second half, then a small frame: once that is handed out the buffer
+  // must be back at the default size.
+  const std::vector<std::uint8_t> small = pattern(16, 9);
+  std::vector<std::uint8_t> rest(stream.begin() + half, stream.end());
+  append_packet(rest, small);
+  ASSERT_TRUE(write_raw(fd, rest));
+  ASSERT_TRUE(recorder.wait_for([](const FrameRecorder& r) { return r.frames.size() >= 2; }));
+  EXPECT_EQ(server.read_buffer_bytes(conn), TcpTransport::kReadBufferBytes);
+  std::lock_guard<std::mutex> lock(recorder.mutex);
+  EXPECT_EQ(recorder.order, "ff");
+  EXPECT_EQ(recorder.frames[0], big);
+  EXPECT_EQ(recorder.frames[1], small);
+  ::close(fd);
+}
+
+TEST(TcpTransport, ValidFrameThenBadPrefixDeliversThenDisconnects) {
+  FrameRecorder recorder;
+  TcpTransport server(recorder);
+  const int fd = dial_raw(server.listen(0));
+  ASSERT_GE(fd, 0);
+  const std::vector<std::uint8_t> frame = pattern(10, 5);
+  std::vector<std::uint8_t> stream;
+  append_packet(stream, frame);
+  stream.insert(stream.end(), {0xFF, 0xFF, 0xFF, 0x7F});  // bad size, same write
+  ASSERT_TRUE(write_raw(fd, stream));
+  ASSERT_TRUE(recorder.wait_for([](const FrameRecorder& r) { return r.order.size() >= 2; }));
+  std::lock_guard<std::mutex> lock(recorder.mutex);
+  EXPECT_EQ(recorder.order, "fd");
+  EXPECT_EQ(recorder.frames[0], frame);
+  ::close(fd);
 }
 
 TEST(TcpBroker, MalformedPublishPayloadGetsErrorFrame) {
