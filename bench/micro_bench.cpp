@@ -7,10 +7,15 @@
 #include "common/rng.h"
 #include "event/codec.h"
 #include "matching/attribute_order.h"
+#include "matching/compiled_pst.h"
 #include "matching/naive_matcher.h"
 #include "matching/pst_matcher.h"
 #include "routing/annotated_pst.h"
+#include "routing/compiled_annotation.h"
 #include "routing/link_matcher.h"
+#include "topology/builders.h"
+#include "topology/routing_table.h"
+#include "topology/spanning_tree.h"
 #include "workload/generators.h"
 
 namespace gryphon {
@@ -116,6 +121,89 @@ void BM_LinkMatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_LinkMatch)->Arg(1000)->Arg(10000);
+
+// One Figure 6 broker's link-matching work: region 0's root broker routing
+// the events of publisher P1 (a region-0 leaf) down P1's spanning tree,
+// with every subscription owned by a random subscribing client. The pair
+// below runs the same search on the same annotation — once on the compiled
+// bit-plane kernel the broker and the simulator use, once on the byte-form
+// AnnotatedPst reference — and reports steps_per_event over one pass of the
+// event set, which must be equal across the pair. The perf-smoke
+// CI leg (tools/ci.sh perf) runs both.
+struct Figure6BrokerFixture {
+  Figure6Topology topo = make_figure6();
+  RoutingTable routing{topo.network};
+  SpanningTree tree{topo.network, routing, topo.publisher_brokers.front()};
+  BrokerId broker = topo.roots.front();
+  std::size_t links = topo.network.ports(broker).size();
+  SchemaPtr schema = make_synthetic_schema(10, 5);
+  Pst pst{schema, identity_order(schema), Pst::Options{.trivial_test_elimination = true}};
+  std::vector<ClientId> owner;
+  std::vector<Event> events;
+  TritVector init{links, Trit::No};
+  SubscriptionLinkFn link_of = [this](SubscriptionId id) {
+    return tree.tree_next_hop_to_client(broker, owner[static_cast<std::size_t>(id.value)]);
+  };
+  std::unique_ptr<AnnotatedPst> annotated;
+  std::unique_ptr<CompiledPst> kernel;
+  std::unique_ptr<CompiledAnnotation> compiled;
+
+  explicit Figure6BrokerFixture(std::size_t n_subs) {
+    Rng rng(6);
+    SubscriptionGenerator gen(schema, SubscriptionWorkloadConfig{0.98, 0.85, 1.0});
+    for (std::size_t i = 0; i < n_subs; ++i) {
+      owner.push_back(topo.subscribers[rng.below(topo.subscribers.size())]);
+      pst.add(SubscriptionId{static_cast<std::int64_t>(i)}, gen.generate(rng));
+    }
+    EventGenerator ev_gen(schema);
+    for (int i = 0; i < 512; ++i) events.push_back(ev_gen.generate(rng));
+    for (std::size_t l = 0; l < links; ++l) {
+      const LinkIndex link{static_cast<LinkIndex::rep_type>(l)};
+      if (tree.downstream_client_count(broker, link) > 0) init.set(link, Trit::Maybe);
+    }
+    annotated = std::make_unique<AnnotatedPst>(pst, links, link_of);
+    kernel = std::make_unique<CompiledPst>(FrozenPsg(pst));
+    compiled = std::make_unique<CompiledAnnotation>(
+        *kernel, links, std::span<const SubscriptionLinkFn>(&link_of, 1), LinkIndex{});
+  }
+};
+
+void BM_LinkDispatchCompiled(benchmark::State& state) {
+  const Figure6BrokerFixture f(static_cast<std::size_t>(state.range(0)));
+  const std::vector<TritWord> init = packed::pack(f.init.span());
+  std::vector<TritWord> mask(init.size());
+  MatchScratch scratch;
+  const auto route = [&](const Event& e) {
+    return compiled_dispatch_into(*f.compiled, 0, e, init, scratch, nullptr, mask);
+  };
+  std::uint64_t steps = 0;
+  for (const Event& e : f.events) steps += route(e);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(route(f.events[i++ % f.events.size()]));
+    benchmark::DoNotOptimize(mask.data());
+  }
+  state.counters["steps_per_event"] =
+      static_cast<double>(steps) / static_cast<double>(f.events.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LinkDispatchCompiled)->Arg(10000);
+
+void BM_LinkMatchReference(benchmark::State& state) {
+  const Figure6BrokerFixture f(static_cast<std::size_t>(state.range(0)));
+  std::uint64_t steps = 0;
+  for (const Event& e : f.events) steps += link_match(*f.annotated, e, f.init).steps;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const LinkMatchResult result =
+        link_match(*f.annotated, f.events[i++ % f.events.size()], f.init);
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["steps_per_event"] =
+      static_cast<double>(steps) / static_cast<double>(f.events.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LinkMatchReference)->Arg(10000);
 
 void BM_Subscribe(benchmark::State& state) {
   Fixture fixture(4096);

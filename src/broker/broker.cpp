@@ -9,6 +9,10 @@ namespace gryphon {
 
 namespace {
 
+// Unsubscribe tombstones retained (FIFO eviction); they stop a reconnect
+// re-flood from resurrecting a removed subscription.
+constexpr std::size_t kUnsubTombstoneCap = 4096;
+
 // A fresh epoch per process: a restarted broker must never be confused with
 // its previous incarnation, or peers would misapply old sequence state to
 // the new session. Wall-clock nanoseconds mixed with the broker id is
@@ -787,11 +791,10 @@ void Broker::propagate_unsubscription(const wire::UnsubPropagate& prop, ConnId e
 }
 
 void Broker::record_tombstone(SubscriptionId id) {
-  if (options_.unsub_tombstone_cap == 0) return;
   if (!tombstones_.insert(id).second) return;
   replicate({.kind = replication::UpdateKind::kTombstone, .id = id});
   tombstone_fifo_.push_back(id);
-  while (tombstone_fifo_.size() > options_.unsub_tombstone_cap) {
+  while (tombstone_fifo_.size() > kUnsubTombstoneCap) {
     tombstones_.erase(tombstone_fifo_.front());
     tombstone_fifo_.pop_front();
   }

@@ -93,9 +93,6 @@ class Broker : public TransportHandler {
     Ticks link_retransmit_timeout{ticks_from_millis(50)};
     /// tick_links() sends a heartbeat on links idle (outbound) this long.
     Ticks link_heartbeat_interval{ticks_from_millis(500)};
-    /// Unsubscribe tombstones retained (FIFO eviction); they stop a
-    /// reconnect re-flood from resurrecting a removed subscription.
-    std::size_t unsub_tombstone_cap{4096};
     // Replication (docs/fault-tolerance.md § Replication).
     /// Come up as a hot standby: refuse client/broker traffic, apply the
     /// primary's state stream (attach_replication_link), and serve only

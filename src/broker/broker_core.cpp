@@ -78,7 +78,7 @@ BrokerCore::BrokerCore(BrokerId self, const BrokerNetwork& topology,
       if (tree->parent(peer) == self_) mask.set(pi, Trit::Maybe);
     }
     mask.set(local_link_, Trit::Maybe);
-    init_masks_.emplace(root, std::move(mask));
+    init_masks_.emplace(root, packed::pack(mask.span()));
   }
 
   spaces_.reserve(spaces.size());
@@ -344,22 +344,23 @@ void BrokerCore::dispatch_pinned(const CoreSnapshot& snapshot, SpaceId space, co
   // partition the frontier and a link is forwarded iff some frontier
   // subscription behind it matches.
   const std::size_t group = group_index_of_root_.at(tree_root);
-  const TritVector& init_mask = init_masks_.at(tree_root);
-  // Per-segment masks accumulate in the scratch's caller byte slots (see
+  const std::vector<TritWord>& init_mask = init_masks_.at(tree_root);
+  const std::size_t words = init_mask.size() / 2;
+  // Per-segment masks accumulate in the scratch's caller word slots (see
   // kDispatchCallerSlots in routing/compiled_annotation.h) instead of
-  // TritVector temporaries, so a warm dispatch allocates nothing.
-  const MutableTritSpan acc = dispatch_mask_slot(scratch, 0, init_mask.size());
-  const MutableTritSpan seg = dispatch_mask_slot(scratch, 1, init_mask.size());
+  // temporaries, so a warm dispatch allocates nothing.
+  const MutablePackedTritSpan acc = dispatch_mask_slot(scratch, 0, link_count_);
+  const MutablePackedTritSpan seg = dispatch_mask_slot(scratch, 1, link_count_);
   bool first = true;
   for (const auto& segment : bucket->segments) {
     if (segment == nullptr) continue;
-    const MutableTritSpan dst = first ? acc : seg;
-    out.steps += compiled_dispatch_into(*segment->annotations, group, event, init_mask.span(),
-                                        scratch, &out.local_matches, dst);
+    const MutablePackedTritSpan dst = first ? acc : seg;
+    out.steps += compiled_dispatch_into(*segment->annotations, group, event, init_mask, scratch,
+                                        &out.local_matches, dst);
     if (first) {
       first = false;
     } else {
-      parallel_with(acc, seg);
+      packed::parallel_with(acc.data(), seg.data(), words);
     }
   }
   if (first) return;  // no live segments
@@ -369,14 +370,13 @@ void BrokerCore::dispatch_pinned(const CoreSnapshot& snapshot, SpaceId space, co
   // already complete, and remote parked children cannot change the mask —
   // their same-owner coverer is live in the frontier behind the same links.
   out.deliver_locally = !out.local_matches.empty();
-  for (std::size_t l = 0; l < acc.size(); ++l) {
-    if (acc[l] != Trit::Yes) continue;
-    if (LinkIndex{static_cast<LinkIndex::rep_type>(l)} != local_link_) {
-      // gryphon-analyze: allow(alloc): forward staging reuses the
-      // Decision's capacity once the batch is warm.
-      out.forward.push_back(neighbors_[l]);
-    }
-  }
+  const auto local = static_cast<std::size_t>(local_link_.value);
+  packed::for_each_yes(acc, [&](std::size_t l) {
+    if (l == local) return;
+    // gryphon-analyze: allow(alloc): forward staging reuses the
+    // Decision's capacity once the batch is warm.
+    out.forward.push_back(neighbors_[l]);
+  });
 }
 
 std::span<const BrokerCore::Decision> BrokerCore::dispatch(DispatchBatch& batch) const {

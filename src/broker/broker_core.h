@@ -313,7 +313,7 @@ class BrokerCore {
   // owner mapping only).
   std::vector<std::unique_ptr<Group>> groups_;
   std::unordered_map<BrokerId, std::size_t> group_index_of_root_;
-  std::unordered_map<BrokerId, TritVector> init_masks_;
+  std::unordered_map<BrokerId, std::vector<TritWord>> init_masks_;  // packed
   mutable ControlPlaneCapability control_plane_;
   std::unordered_map<SubscriptionId, Registered> registry_ GUARDED_BY(control_plane_);
   std::vector<std::size_t> space_counts_ GUARDED_BY(control_plane_);

@@ -15,7 +15,7 @@
 //
 // The scratch also owns the other per-dispatch buffers the compiled kernel
 // needs — the resolved equality-key vector, the factoring key, the DFS
-// node stack, and the dispatch search's per-level trit masks — so a warm
+// node stack, and the dispatch search's per-level packed trit masks — so a warm
 // dispatch performs no heap allocation at all (enforced by gryphon-analyze
 // rule 3 over everything reachable from BrokerCore::dispatch).
 #pragma once
@@ -63,18 +63,20 @@ class MatchScratch {
   /// Reusable DFS stack for the compiled kernel's iterative walk.
   [[nodiscard]] std::vector<std::int32_t>& node_stack() { return node_stack_; }
 
-  /// Indexed reusable byte buffers — the compiled dispatch search keeps one
-  /// trit mask per recursion level here (slot layout defined in
-  /// routing/compiled_annotation.h), so a warm dispatch never allocates.
-  /// Growing the slot table moves the inner vectors but never their heap
-  /// blocks, so spans taken over a slot's data survive later claims.
-  [[nodiscard]] std::vector<std::uint8_t>& byte_slot(std::size_t slot) {
-    if (slot >= byte_slots_.size()) {
+  /// Indexed reusable word buffers — the compiled dispatch search keeps
+  /// its callers' accumulators and, for masks wider than one word per
+  /// plane, one packed trit mask per recursion level here (slot layout
+  /// defined in routing/compiled_annotation.h), so a warm dispatch never
+  /// allocates. Growing the slot table moves the inner vectors but never
+  /// their heap blocks, so spans taken over a slot's data survive later
+  /// claims.
+  [[nodiscard]] std::vector<std::uint64_t>& word_slot(std::size_t slot) {
+    if (slot >= word_slots_.size()) {
       // gryphon-analyze: allow(alloc): cold-path arena growth, bounded by
       // the deepest kernel level order; warm dispatches reuse every slot.
-      byte_slots_.resize(slot + 1);
+      word_slots_.resize(slot + 1);
     }
-    return byte_slots_[slot];
+    return word_slots_[slot];
   }
 
  private:
@@ -83,7 +85,7 @@ class MatchScratch {
   std::vector<std::uint64_t> value_keys_;
   std::vector<Value> factoring_key_;
   std::vector<std::int32_t> node_stack_;
-  std::vector<std::vector<std::uint8_t>> byte_slots_;
+  std::vector<std::vector<std::uint64_t>> word_slots_;
 };
 
 /// The calling thread's lazily-created scratch, for convenience overloads

@@ -1,7 +1,9 @@
 #include "routing/compiled_annotation.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <type_traits>
 
 #include "event/event.h"
 
@@ -12,12 +14,13 @@ CompiledAnnotation::CompiledAnnotation(const CompiledPst& kernel, std::size_t li
                                        LinkIndex local_link)
     : kernel_(&kernel),
       link_count_(link_count),
+      words_(trit_words(link_count)),
       group_count_(group_link_fns.size()),
       node_count_(kernel.node_count()),
       local_link_(local_link) {
   if (link_count_ == 0) throw std::invalid_argument("CompiledAnnotation: zero links");
   if (group_count_ == 0) throw std::invalid_argument("CompiledAnnotation: zero groups");
-  rows_.assign(group_count_ * node_count_ * link_count_, Trit::No);
+  planes_.assign(group_count_ * node_count_ * 2 * words_, 0);
   local_slices_.assign(node_count_, {0, 0});
 
   // The shared local-subscriber arena: the local-link column never depends
@@ -37,25 +40,24 @@ CompiledAnnotation::CompiledAnnotation(const CompiledPst& kernel, std::size_t li
     }
   }
 
+  const std::size_t row_words = 2 * words_;
   for (std::size_t g = 0; g < group_count_; ++g) {
     const SubscriptionLinkFn& link_of = group_link_fns[g];
     if (!link_of) throw std::invalid_argument("CompiledAnnotation: null link function");
-    Trit* const base = rows_.data() + g * node_count_ * link_count_;
-    const auto row_of = [&](CompiledPst::NodeId n) {
-      return MutableTritSpan(base + static_cast<std::size_t>(n) * link_count_, link_count_);
-    };
+    const auto row_of = [&](CompiledPst::NodeId n) { return planes_.data() + row_offset(g, n); };
 
     // One forward pass over the bottom-up order computes every row in
     // place, with its children's rows already final. Rows start all-No.
     for (const CompiledPst::NodeId n : kernel.bottom_up_order()) {
-      const MutableTritSpan out = row_of(n);
+      TritWord* const out = row_of(n);
       if (kernel.is_leaf(n)) {
         for (const SubscriptionId sub : kernel.subscribers(n)) {
           const LinkIndex link = link_of(sub);
           if (!link.valid() || static_cast<std::size_t>(link.value) >= link_count_) {
             throw std::logic_error("CompiledAnnotation: subscription resolved to a bad link");
           }
-          out[static_cast<std::size_t>(link.value)] = Trit::Yes;
+          const auto l = static_cast<std::size_t>(link.value);
+          out[l / kTritWordBits] |= TritWord{1} << (l % kTritWordBits);  // Yes plane
         }
         continue;
       }
@@ -65,33 +67,55 @@ CompiledAnnotation::CompiledAnnotation(const CompiledPst& kernel, std::size_t li
       // compile time; same soundness argument as AnnotatedPst).
       bool first = kernel.covers_domain(n);
       const auto fold = [&](CompiledPst::NodeId child) {
-        const MutableTritSpan child_row = row_of(child);
+        const TritWord* const child_row = row_of(child);
         if (first) {
-          std::copy(child_row.begin(), child_row.end(), out.begin());
+          std::copy_n(child_row, row_words, out);
           first = false;
         } else {
-          alternative_with(out, child_row);
+          packed::alternative_with(out, child_row, words_);
         }
       };
       for (const CompiledPst::NodeId child : kernel.eq_targets(n)) fold(child);
       for (const CompiledPst::NodeId child : kernel.other_targets(n)) fold(child);
       // No branches at all leaves the row all-No.
       const CompiledPst::NodeId star = kernel.star_child(n);
-      if (star != CompiledPst::kNoNode) parallel_with(out, row_of(star));
+      if (star != CompiledPst::kNoNode) packed::parallel_with(out, row_of(star), words_);
     }
   }
 }
 
 namespace {
 
+// The search's mask at a fixed plane width: a value the recursion passes
+// and returns, so at W = 1 the two plane words travel in registers.
+template <std::size_t kWords>
+struct FixedMask {
+  std::array<TritWord, 2 * kWords> planes;
+  [[nodiscard]] TritWord* data() { return planes.data(); }
+  [[nodiscard]] const TritWord* data() const { return planes.data(); }
+};
+
+// The search's mask at a run-time plane width: a handle to the mask's
+// storage — the caller's output for the root, a per-level scratch word
+// slot below it.
+struct SlotMask {
+  TritWord* planes;
+  [[nodiscard]] TritWord* data() const { return planes; }
+};
+
 // The Section 3.3 search over the compiled kernel. Without local
 // enumeration, control flow mirrors link_match's Search exactly (the
 // differential tests depend on bit-identical masks and step counts); the
 // differences are representational — star-only chains are already gone
-// from the kernel, equality tests consume the pre-resolved key vector, and
-// annotation rows / branch tables come from flat arenas.
+// from the kernel, equality tests consume the pre-resolved key vector,
+// annotation rows / branch tables come from flat arenas, and masks are bit
+// planes. kWords fixes the plane width at compile time; 0 reads it from
+// the annotation.
+template <std::size_t kWords>
 class CompiledDispatchSearch {
  public:
+  using Mask = std::conditional_t<kWords == 0, SlotMask, FixedMask<kWords>>;
+
   CompiledDispatchSearch(const CompiledAnnotation& annotated, std::size_t group,
                          const Event& event, const std::uint64_t* keys, MatchScratch& scratch,
                          std::vector<SubscriptionId>* local_out)
@@ -102,17 +126,40 @@ class CompiledDispatchSearch {
         keys_(keys),
         scratch_(scratch),
         local_out_(local_out),
-        local_(annotated.local_link()),
-        delayed_star_(kernel_.delayed_star()) {}
+        words_(annotated.words()),
+        delayed_star_(kernel_.delayed_star()) {
+    const LinkIndex local = annotated.local_link();
+    if (local_out != nullptr && local.valid()) {
+      const auto l = static_cast<std::size_t>(local.value);
+      local_word_ = l / kTritWordBits;
+      local_bit_ = TritWord{1} << (l % kTritWordBits);
+    }
+  }
 
-  /// Refines `mask` in place. Each recursion level copies the current mask
-  /// into its own scratch byte slot instead of a TritVector temporary, so
-  /// the search performs no per-event heap allocation (slot spans survive
-  /// deeper claims; see dispatch_mask_slot).
-  void run(CompiledPst::NodeId node, MutableTritSpan mask, std::size_t depth) {
+  /// Refines `mask` in place from the kernel root; returns the step count.
+  std::uint64_t refine_from_root(MutablePackedTritSpan mask) {
+    if constexpr (kWords != 0) {
+      Mask root;
+      std::copy_n(mask.data(), root.planes.size(), root.data());
+      const Mask refined = run(kernel_.root(), root, 0);
+      std::copy_n(refined.data(), root.planes.size(), mask.data());
+    } else {
+      run(kernel_.root(), Mask{mask.data()}, 0);
+    }
+    return steps_;
+  }
+
+ private:
+  /// Refines `mask` below `node` and returns it. Each subsearch gets its
+  /// own copy of the current mask — by value at a fixed width, in the
+  /// level's scratch word slot otherwise — so the search performs no
+  /// per-event heap allocation (slot spans survive deeper claims; see
+  /// dispatch_mask_slot).
+  Mask run(CompiledPst::NodeId node, Mask mask, std::size_t depth) {
     ++steps_;
+    const std::size_t words = width();
     // Step 2: refinement against this node's annotation.
-    refine_with(mask, annotated_.annotation(group_, node));
+    packed::refine_with(mask.data(), annotated_.annotation(group_, node).data(), words);
     // Stamping marks "local matches at or below this node are collected by
     // this call" — sound on the DAG because the leaf union below a shared
     // node is path-independent.
@@ -126,20 +173,19 @@ class CompiledDispatchSearch {
         // Decision's capacity once the batch is warm.
         local_out_->insert(local_out_->end(), subs.begin(), subs.end());
       }
-      maybes_to_no(mask);
-      return;
+      packed::maybes_to_no(mask.data(), words);
+      return mask;
     }
-    if (!has_maybe(mask) && !local_here) return;  // nothing left to decide below
+    if (!packed::has_maybe(mask.data(), words) && !local_here) {
+      return mask;  // nothing left to decide below
+    }
 
     // Step 3: perform the test, subsearch each selected child that can
     // still contribute — a Maybe to resolve, or uncollected local matches.
     const auto subsearch = [&](CompiledPst::NodeId child) {
-      if (!has_maybe(mask) && !(local_here && wants_local(child))) return;
-      const MutableTritSpan child_mask =
-          dispatch_mask_slot(scratch_, kDispatchCallerSlots + depth, mask.size());
-      std::copy(mask.begin(), mask.end(), child_mask.begin());
-      run(child, child_mask, depth + 1);
-      promote_yes_from(mask, child_mask);
+      if (!packed::has_maybe(mask.data(), words) && !(local_here && wants_local(child))) return;
+      const Mask result = run(child, child_copy(mask, depth), depth + 1);
+      packed::promote_yes_from(mask.data(), result.data(), words);
     };
 
     const CompiledPst::NodeId star = kernel_.star_child(node);
@@ -157,17 +203,31 @@ class CompiledDispatchSearch {
     if (eq != CompiledPst::kNoNode) subsearch(eq);
     if (delayed_star_ && star != CompiledPst::kNoNode) subsearch(star);
 
-    maybes_to_no(mask);
+    packed::maybes_to_no(mask.data(), words);
+    return mask;
   }
 
-  [[nodiscard]] std::uint64_t steps() const { return steps_; }
+  [[nodiscard]] std::size_t width() const { return kWords != 0 ? kWords : words_; }
 
- private:
+  /// The mask a subsearch of a node at `depth` starts from.
+  Mask child_copy(const Mask& mask, std::size_t depth) {
+    if constexpr (kWords != 0) {
+      return mask;
+    } else {
+      const MutablePackedTritSpan slot =
+          dispatch_mask_slot(scratch_, kDispatchCallerSlots + depth, annotated_.link_count());
+      std::copy_n(mask.data(), slot.size(), slot.data());
+      return SlotMask{slot.data()};
+    }
+  }
+
+  /// One bit test: the node's local-link trit is not No, and its local
+  /// matches are not yet collected. Always false without local enumeration
+  /// (local_bit_ stays 0).
   [[nodiscard]] bool wants_local(CompiledPst::NodeId node) const {
-    return local_out_ != nullptr && local_.valid() &&
-           !scratch_.visited(static_cast<std::size_t>(node)) &&
-           annotated_.annotation(group_, node)[static_cast<std::size_t>(local_.value)] !=
-               Trit::No;
+    const TritWord* const row = annotated_.annotation(group_, node).data();
+    return ((row[local_word_] | row[width() + local_word_]) & local_bit_) != 0 &&
+           !scratch_.visited(static_cast<std::size_t>(node));
   }
 
   const CompiledAnnotation& annotated_;
@@ -177,29 +237,35 @@ class CompiledDispatchSearch {
   const std::uint64_t* keys_;
   MatchScratch& scratch_;
   std::vector<SubscriptionId>* local_out_;
-  LinkIndex local_;
+  std::size_t words_;
+  std::size_t local_word_{0};
+  TritWord local_bit_{0};
   bool delayed_star_;
   std::uint64_t steps_{0};
 };
 
 }  // namespace
 
-MutableTritSpan dispatch_mask_slot(MatchScratch& scratch, std::size_t slot, std::size_t width) {
-  static_assert(sizeof(Trit) == sizeof(std::uint8_t) && alignof(Trit) == alignof(std::uint8_t));
-  std::vector<std::uint8_t>& raw = scratch.byte_slot(slot);
+MutablePackedTritSpan dispatch_mask_slot(MatchScratch& scratch, std::size_t slot,
+                                         std::size_t width) {
+  std::vector<std::uint64_t>& raw = scratch.word_slot(slot);
   // gryphon-analyze: allow(alloc): cold-path slot growth; the resize is a
   // no-op once the slot has seen this mask width.
-  raw.resize(width);
-  return MutableTritSpan(reinterpret_cast<Trit*>(raw.data()), width);
+  raw.resize(2 * trit_words(width));
+  return MutablePackedTritSpan(raw.data(), raw.size());
 }
 
 std::uint64_t compiled_dispatch_into(const CompiledAnnotation& annotated, std::size_t group,
-                                     const Event& event, TritSpan initialization_mask,
+                                     const Event& event, PackedTritSpan initialization_mask,
                                      MatchScratch& scratch,
                                      std::vector<SubscriptionId>* local_out,
-                                     MutableTritSpan out_mask) {
-  if (initialization_mask.size() != annotated.link_count() ||
-      out_mask.size() != annotated.link_count()) {
+                                     MutablePackedTritSpan out_mask) {
+  const std::size_t words = annotated.words();
+  // Bits at or past link_count would name links the annotation lacks.
+  const std::size_t tail = annotated.link_count() % kTritWordBits;
+  const TritWord past_width = tail == 0 ? 0 : ~TritWord{0} << tail;
+  if (initialization_mask.size() != 2 * words || out_mask.size() != 2 * words ||
+      ((initialization_mask[words - 1] | initialization_mask[2 * words - 1]) & past_width) != 0) {
     throw std::invalid_argument("compiled_dispatch: mask width != link count");
   }
   if (group >= annotated.group_count()) {
@@ -208,17 +274,22 @@ std::uint64_t compiled_dispatch_into(const CompiledAnnotation& annotated, std::s
   const CompiledPst& kernel = annotated.kernel();
   std::copy(initialization_mask.begin(), initialization_mask.end(), out_mask.begin());
   if (kernel.subscription_count() == 0 || kernel.root() < 0) {
-    maybes_to_no(out_mask);  // nothing downstream can match
+    packed::maybes_to_no(out_mask.data(), words);  // nothing downstream can match
     return 0;
   }
   const bool want_local = local_out != nullptr && annotated.local_link().valid();
-  if (!has_maybe(out_mask) && !want_local) return 0;  // already final, and no local work
+  if (!packed::has_maybe(out_mask.data(), words) && !want_local) {
+    return 0;  // already final, and no local work
+  }
   kernel.resolve(event, scratch.value_keys());
   scratch.begin(kernel.node_count());
-  CompiledDispatchSearch search(annotated, group, event, scratch.value_keys().data(), scratch,
-                                local_out);
-  search.run(kernel.root(), out_mask, 0);
-  return search.steps();
+  const std::uint64_t* keys = scratch.value_keys().data();
+  if (words == 1) {
+    CompiledDispatchSearch<1> search(annotated, group, event, keys, scratch, local_out);
+    return search.refine_from_root(out_mask);
+  }
+  CompiledDispatchSearch<0> search(annotated, group, event, keys, scratch, local_out);
+  return search.refine_from_root(out_mask);
 }
 
 CompiledDispatchResult compiled_dispatch(const CompiledAnnotation& annotated, std::size_t group,
@@ -226,10 +297,14 @@ CompiledDispatchResult compiled_dispatch(const CompiledAnnotation& annotated, st
                                          const TritVector& initialization_mask,
                                          MatchScratch& scratch,
                                          std::vector<SubscriptionId>* local_out) {
+  if (initialization_mask.size() != annotated.link_count()) {
+    throw std::invalid_argument("compiled_dispatch: mask width != link count");
+  }
+  const std::vector<TritWord> init = packed::pack(initialization_mask.span());
+  std::vector<TritWord> out(init.size());
   CompiledDispatchResult result;
-  result.mask = TritVector(annotated.link_count());
-  result.steps = compiled_dispatch_into(annotated, group, event, initialization_mask.span(),
-                                        scratch, local_out, result.mask.mutable_span());
+  result.steps = compiled_dispatch_into(annotated, group, event, init, scratch, local_out, out);
+  result.mask = packed::unpack(out, annotated.link_count());
   return result;
 }
 

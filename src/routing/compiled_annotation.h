@@ -7,11 +7,15 @@
 // it routes churning trees and is the differential-test reference. This
 // layer produces the same annotation rows laid out for the dispatch walk:
 //
-//  * all rows of all spanning-tree groups live in one flat arena indexed
-//    [group][node][link], so the mask-refinement search for one group walks
-//    a single contiguous region whose row offsets are the compiled node
-//    ids — the annotation of a node sits a multiply-add away from its
-//    branch tables;
+//  * rows are bit planes (routing/trit.h, "Bit-plane form"): a row is W =
+//    trit_words(link_count) Yes words followed by W Maybe words, so the
+//    search's refine and promote steps are two word operations per 64
+//    links instead of one byte compare per link;
+//  * all rows of all spanning-tree groups live in one flat word arena
+//    indexed [group][node][plane][word], so the mask-refinement search for
+//    one group walks a single contiguous region whose row offsets are the
+//    compiled node ids — the annotation of a node sits a multiply-add away
+//    from its branch tables;
 //  * the locally-owned subscriber ids of every leaf are precomputed into a
 //    contiguous arena (per-leaf slices), so local enumeration needs no
 //    per-subscriber link lookup at dispatch time.
@@ -21,8 +25,8 @@
 // branches with Alternative Combine — seeded with the implicit all-No
 // alternative unless the node's equality branches cover the attribute's
 // finite domain (a flag precomputed by CompiledPst) — and merge the `*`
-// branch with Parallel Combine. Rows are computed in one forward pass over
-// CompiledPst::bottom_up_order().
+// branch with Parallel Combine (both in their packed word form). Rows are
+// computed in one forward pass over CompiledPst::bottom_up_order().
 //
 // A CompiledAnnotation is deeply immutable after construction; any number
 // of threads may run compiled_dispatch() concurrently, each with its own
@@ -53,14 +57,14 @@ class CompiledAnnotation {
 
   [[nodiscard]] const CompiledPst& kernel() const { return *kernel_; }
   [[nodiscard]] std::size_t link_count() const { return link_count_; }
+  /// Words per plane: a row or mask is 2 * words() words.
+  [[nodiscard]] std::size_t words() const { return words_; }
   [[nodiscard]] std::size_t group_count() const { return group_count_; }
   [[nodiscard]] LinkIndex local_link() const { return local_link_; }
 
-  /// The annotation row of a node under one spanning-tree group.
-  [[nodiscard]] TritSpan annotation(std::size_t group, CompiledPst::NodeId node) const {
-    return TritSpan(
-        rows_.data() + (group * node_count_ + static_cast<std::size_t>(node)) * link_count_,
-        link_count_);
+  /// The packed annotation row of a node under one spanning-tree group.
+  [[nodiscard]] PackedTritSpan annotation(std::size_t group, CompiledPst::NodeId node) const {
+    return PackedTritSpan(planes_.data() + row_offset(group, node), 2 * words_);
   }
 
   /// The subscriber ids at leaf `node` owned by the local link (empty for
@@ -72,12 +76,17 @@ class CompiledAnnotation {
   }
 
  private:
+  [[nodiscard]] std::size_t row_offset(std::size_t group, CompiledPst::NodeId node) const {
+    return (group * node_count_ + static_cast<std::size_t>(node)) * 2 * words_;
+  }
+
   const CompiledPst* kernel_;
   std::size_t link_count_;
+  std::size_t words_;
   std::size_t group_count_;
   std::size_t node_count_;
   LinkIndex local_link_;
-  std::vector<Trit> rows_;  // [group][node][link]
+  std::vector<TritWord> planes_;  // [group][node][plane][word]
   std::vector<SubscriptionId> local_subs_;  // leaf slices
   std::vector<std::pair<std::uint32_t, std::uint32_t>> local_slices_;  // begin, count
 };
@@ -90,18 +99,20 @@ struct CompiledDispatchResult {
   std::uint64_t steps{0};
 };
 
-/// Scratch byte-slot layout for the allocation-free dispatch path
-/// (MatchScratch::byte_slot): slots [0, kDispatchCallerSlots) belong to the
-/// caller — BrokerCore::dispatch_pinned's per-segment accumulator pair —
-/// and compiled_dispatch_into claims slot kDispatchCallerSlots + depth for
-/// the search level at `depth`.
+/// Scratch word-slot layout for the allocation-free dispatch path
+/// (MatchScratch::word_slot): slots [0, kDispatchCallerSlots) belong to the
+/// caller — BrokerCore::dispatch_pinned's per-segment accumulator pair, or
+/// ContentRoutingNetwork's output mask — and compiled_dispatch_into claims
+/// slot kDispatchCallerSlots + depth for the search level at `depth` when
+/// a plane is wider than one word (one-word masks are passed by value).
 inline constexpr std::size_t kDispatchCallerSlots = 2;
 
-/// A trit mask over scratch byte slot `slot`, sized to `width`. The
-/// returned span stays valid across later slot claims: growing the slot
-/// table moves the inner buffers' handles, never their heap blocks.
-[[nodiscard]] MutableTritSpan dispatch_mask_slot(MatchScratch& scratch, std::size_t slot,
-                                                 std::size_t width);
+/// A packed trit mask over scratch word slot `slot`, sized for `width`
+/// trits (2 * trit_words(width) words; contents unspecified). The returned
+/// span stays valid across later slot claims: growing the slot table moves
+/// the inner buffers' handles, never their heap blocks.
+[[nodiscard]] MutablePackedTritSpan dispatch_mask_slot(MatchScratch& scratch, std::size_t slot,
+                                                       std::size_t width);
 
 /// The link-matching search of Section 3.3 over the compiled kernel,
 /// simultaneously enumerating local matches when `local_out` is non-null.
@@ -115,18 +126,20 @@ inline constexpr std::size_t kDispatchCallerSlots = 2;
 /// `scratch.value_keys()`), not per node. Thread-safe: concurrent calls
 /// with distinct scratches share only the immutable annotation.
 ///
-/// This form writes the refined mask into `out_mask` (width == link_count)
-/// and returns the step count. A warm scratch allocates nothing; a cold one
-/// grows the per-level mask arena once.
+/// This form takes a packed initialization mask and writes the packed
+/// refined mask into `out_mask` (both 2 * annotated.words() words, with no
+/// bit set at or past link_count), and returns the step count. A warm
+/// scratch allocates nothing; a cold one grows the per-level mask arena
+/// once.
 std::uint64_t compiled_dispatch_into(const CompiledAnnotation& annotated, std::size_t group,
-                                     const Event& event, TritSpan initialization_mask,
+                                     const Event& event, PackedTritSpan initialization_mask,
                                      MatchScratch& scratch,
                                      std::vector<SubscriptionId>* local_out,
-                                     MutableTritSpan out_mask);
+                                     MutablePackedTritSpan out_mask);
 
-/// Convenience wrapper over compiled_dispatch_into returning the mask by
-/// value — the differential-test and oracle entry point; the dispatch hot
-/// path calls the _into form to stay allocation-free.
+/// Convenience wrapper over compiled_dispatch_into taking and returning
+/// byte-form masks — the differential-test and oracle entry point; the
+/// dispatch hot path calls the _into form to stay allocation-free.
 CompiledDispatchResult compiled_dispatch(const CompiledAnnotation& annotated, std::size_t group,
                                          const Event& event,
                                          const TritVector& initialization_mask,

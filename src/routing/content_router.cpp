@@ -57,6 +57,7 @@ ContentRoutingNetwork::ContentRoutingNetwork(const BrokerNetwork& network, Schem
           view.init_mask.set(pi, Trit::Maybe);
         }
       }
+      view.packed_init_mask = packed::pack(view.init_mask.span());
     }
   }
 }
@@ -142,6 +143,15 @@ ClientId ContentRoutingNetwork::destination_of(SubscriptionId id) const {
 ContentRoutingNetwork::RouteResult ContentRoutingNetwork::route(BrokerId broker,
                                                                 const Event& event,
                                                                 BrokerId tree_root) const {
+  RouteResult result;
+  result.steps = route_into(broker, event, tree_root, result.links);
+  return result;
+}
+
+std::uint64_t ContentRoutingNetwork::route_into(BrokerId broker, const Event& event,
+                                                BrokerId tree_root,
+                                                std::vector<LinkIndex>& links) const {
+  links.clear();
   MatchScratch& scratch = thread_match_scratch();
   const auto b = static_cast<std::size_t>(broker.value);
   const BrokerState& state = broker_states_.at(b);
@@ -150,12 +160,12 @@ ContentRoutingNetwork::RouteResult ContentRoutingNetwork::route(BrokerId broker,
     throw std::invalid_argument("ContentRoutingNetwork::route: unknown tree root");
   }
   const RootView& view = view_it->second;
-  RouteResult result;
+  std::uint64_t steps = 0;
   const Pst* tree = matcher_->tree_for_event(event, scratch.factoring_key());
-  if (matcher_->options().factoring_levels > 0) ++result.steps;  // bucket index probe
+  if (matcher_->options().factoring_levels > 0) ++steps;  // bucket index probe
   // No tree, or a tree with no subscriptions: no subscription anywhere can
   // match this event.
-  if (tree == nullptr || tree->subscription_count() == 0) return result;
+  if (tree == nullptr || tree->subscription_count() == 0) return steps;
 
   const TreeState& tree_state = tree_states_.at(tree);
   if (tree_state.incremental) {
@@ -165,9 +175,8 @@ ContentRoutingNetwork::RouteResult ContentRoutingNetwork::route(BrokerId broker,
       throw std::logic_error("ContentRoutingNetwork::route: missing annotation for tree");
     }
     const LinkMatchResult lm = link_match(*ann_it->second, event, view.init_mask);
-    result.links = lm.mask.yes_links();
-    result.steps += lm.steps;
-    return result;
+    links = lm.mask.yes_links();
+    return steps + lm.steps;
   }
 
   const CompiledTree* compiled = tree_state.compiled.load(std::memory_order_acquire);
@@ -175,15 +184,13 @@ ContentRoutingNetwork::RouteResult ContentRoutingNetwork::route(BrokerId broker,
   if (compiled->epoch != tree->epoch()) {
     throw std::logic_error("ContentRoutingNetwork::route: compiled tree is stale");
   }
-  const MutableTritSpan mask = dispatch_mask_slot(scratch, 0, state.link_count);
-  result.steps += compiled_dispatch_into(compiled->annotations[b], view.group, event,
-                                         view.init_mask.span(), scratch, nullptr, mask);
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i] == Trit::Yes) {
-      result.links.push_back(LinkIndex{static_cast<LinkIndex::rep_type>(i)});
-    }
-  }
-  return result;
+  const MutablePackedTritSpan mask = dispatch_mask_slot(scratch, 0, state.link_count);
+  steps += compiled_dispatch_into(compiled->annotations[b], view.group, event,
+                                  view.packed_init_mask, scratch, nullptr, mask);
+  packed::for_each_yes(mask, [&](std::size_t i) {
+    links.push_back(LinkIndex{static_cast<LinkIndex::rep_type>(i)});
+  });
+  return steps;
 }
 
 const ContentRoutingNetwork::CompiledTree& ContentRoutingNetwork::compile(

@@ -14,7 +14,8 @@
 //
 // route(broker, event, tree_root) performs the mask-refinement search of
 // Section 3.3 and returns the links (broker links and local client links)
-// the event must be forwarded on.
+// the event must be forwarded on; route_into() writes them into a
+// caller-owned buffer instead, so a per-hop caller allocates nothing.
 //
 // Each PST (the single tree, or one per factoring bucket) is routed by one
 // of two kernels, chosen from how the tree is used:
@@ -107,6 +108,12 @@ class ContentRoutingNetwork {
   [[nodiscard]] RouteResult route(BrokerId broker, const Event& event,
                                   BrokerId tree_root) const;
 
+  /// route() into a caller-owned buffer: clears `links`, appends the Yes
+  /// ports in increasing order and returns the matching steps. On compiled
+  /// trees a warm buffer makes the hop allocation-free.
+  std::uint64_t route_into(BrokerId broker, const Event& event, BrokerId tree_root,
+                           std::vector<LinkIndex>& links) const;
+
   /// Freezes the shared matcher and compiles every tree that is neither
   /// compiled nor churning around the kernel the freeze left on it, so
   /// route() and match() share one compile per tree. The simulator calls
@@ -153,7 +160,8 @@ class ContentRoutingNetwork {
   /// A broker's view of one spanning tree.
   struct RootView {
     std::size_t group{0};  // index into BrokerState::groups
-    TritVector init_mask;
+    TritVector init_mask;  // byte form, for link_match on churning trees
+    std::vector<TritWord> packed_init_mask;  // the same mask, for the compiled kernel
   };
   struct BrokerState {
     std::size_t link_count{0};

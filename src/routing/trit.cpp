@@ -103,4 +103,31 @@ std::string TritVector::to_string() const {
   return s;
 }
 
+namespace packed {
+
+std::vector<TritWord> pack(TritSpan trits) {
+  const std::size_t words = trit_words(trits.size());
+  std::vector<TritWord> out(2 * words, 0);
+  for (std::size_t i = 0; i < trits.size(); ++i) {
+    const TritWord bit = TritWord{1} << (i % kTritWordBits);
+    if (trits[i] == Trit::Yes) out[i / kTritWordBits] |= bit;
+    if (trits[i] == Trit::Maybe) out[words + i / kTritWordBits] |= bit;
+  }
+  return out;
+}
+
+TritVector unpack(PackedTritSpan mask, std::size_t width) {
+  const std::size_t words = trit_words(width);
+  if (mask.size() != 2 * words) throw std::invalid_argument("packed::unpack: size mismatch");
+  TritVector out(width, Trit::No);
+  for (std::size_t i = 0; i < width; ++i) {
+    const TritWord bit = TritWord{1} << (i % kTritWordBits);
+    if ((mask[i / kTritWordBits] & bit) != 0) out.set(i, Trit::Yes);
+    if ((mask[words + i / kTritWordBits] & bit) != 0) out.set(i, Trit::Maybe);
+  }
+  return out;
+}
+
+}  // namespace packed
+
 }  // namespace gryphon

@@ -12,8 +12,17 @@
 //   Parallel Combine — merges the value-branch result with the `*` branch
 //     (both searched in parallel): the most liberal result wins, i.e.
 //     P = max under the order No < Maybe < Yes.
+//
+// Two representations. TritVector (and AnnotatedPst / link_match, which
+// route churning trees and serve as the differential reference) stores one
+// byte per link. The compiled dispatch search (routing/compiled_annotation.h)
+// stores bit planes: a packed vector of width n is W = trit_words(n) Yes
+// words followed by W Maybe words, so every mask operation is a few word
+// operations per 64 links (the `packed` namespace below).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -25,12 +34,11 @@ namespace gryphon {
 
 enum class Trit : std::uint8_t { No = 0, Maybe = 1, Yes = 2 };
 
-/// Read-only view over a stored trit vector (annotations are stored flat,
-/// one row per PST node, to keep per-node overhead at one byte per link).
+/// Read-only view over a stored byte-form trit vector (AnnotatedPst rows).
 using TritSpan = std::span<const Trit>;
 
-/// Mutable view over a trit row owned elsewhere — the dispatch search's
-/// per-level scratch masks (routing/compiled_annotation.cpp).
+/// Mutable view over a byte-form trit row owned elsewhere — link_match's
+/// per-level masks (routing/link_matcher.cpp).
 using MutableTritSpan = std::span<Trit>;
 
 constexpr Trit alternative_combine(Trit a, Trit b) noexcept {
@@ -43,10 +51,10 @@ constexpr char to_char(Trit t) noexcept {
   return t == Trit::Yes ? 'Y' : (t == Trit::No ? 'N' : 'M');
 }
 
-/// Span forms of the mask operations, shared by TritVector and the
-/// allocation-free dispatch search, which keeps its masks in reusable
-/// scratch buffers instead of TritVector temporaries. Size mismatches
-/// throw std::invalid_argument, matching the TritVector methods.
+/// Span forms of the byte-form mask operations, shared by TritVector and
+/// link_match, which keeps its per-level masks in one reusable buffer
+/// instead of TritVector temporaries. Size mismatches throw
+/// std::invalid_argument, matching the TritVector methods.
 void alternative_with(MutableTritSpan mask, TritSpan other);
 void parallel_with(MutableTritSpan mask, TritSpan other);
 /// Mask refinement (Section 3.3, step 2): every Maybe in `mask` is replaced
@@ -120,5 +128,101 @@ class TritVector {
  private:
   std::vector<Trit> trits_;
 };
+
+// ---------------------------------------------------------------------------
+// Bit-plane form.
+//
+// A packed mask of width n is 2W words, W = trit_words(n): words [0, W) are
+// the Yes plane, words [W, 2W) the Maybe plane. A link set in neither plane
+// is No; no link is set in both, and bits at or past n are clear in both.
+// Per word, with y/m the planes of the mask being updated:
+//   Alternative Combine:  y = y & o.y;    m = m | o.m | (y ^ o.y)
+//   Parallel Combine:     y = y | o.y;    m = (m | o.m) & ~y
+//   refine (step 2):      y |= m & a.y;   m &= a.m
+//   promote (step 3):     p = m & s.y;    y |= p;  m &= ~p
+//   maybes-to-no:         m = 0
+// The kernels take raw word pointers and the plane width W, and are inline,
+// so a search instantiated at a fixed W folds each loop to straight-line
+// word operations.
+
+using TritWord = std::uint64_t;
+inline constexpr std::size_t kTritWordBits = 64;
+
+/// Words per plane for a vector of `width` trits.
+[[nodiscard]] constexpr std::size_t trit_words(std::size_t width) noexcept {
+  return (width + kTritWordBits - 1) / kTritWordBits;
+}
+
+/// A packed mask (2W words: Yes plane, then Maybe plane).
+using PackedTritSpan = std::span<const TritWord>;
+using MutablePackedTritSpan = std::span<TritWord>;
+
+namespace packed {
+
+/// mask = Alternative(mask, other), trit by trit.
+inline void alternative_with(TritWord* mask, const TritWord* other, std::size_t words) noexcept {
+  for (std::size_t w = 0; w < words; ++w) {
+    const TritWord differ = mask[w] ^ other[w];
+    mask[w] &= other[w];
+    mask[words + w] |= other[words + w] | differ;
+  }
+}
+
+/// mask = Parallel(mask, other), trit by trit.
+inline void parallel_with(TritWord* mask, const TritWord* other, std::size_t words) noexcept {
+  for (std::size_t w = 0; w < words; ++w) {
+    mask[w] |= other[w];
+    mask[words + w] = (mask[words + w] | other[words + w]) & ~mask[w];
+  }
+}
+
+/// Section 3.3 step 2: every Maybe in `mask` takes the annotation's trit.
+inline void refine_with(TritWord* mask, const TritWord* annotation, std::size_t words) noexcept {
+  for (std::size_t w = 0; w < words; ++w) {
+    mask[w] |= mask[words + w] & annotation[w];
+    mask[words + w] &= annotation[words + w];
+  }
+}
+
+/// Step 3: every Maybe in `mask` with a Yes in the subsearch result
+/// becomes Yes.
+inline void promote_yes_from(TritWord* mask, const TritWord* subsearch_result,
+                             std::size_t words) noexcept {
+  for (std::size_t w = 0; w < words; ++w) {
+    const TritWord promoted = mask[words + w] & subsearch_result[w];
+    mask[w] |= promoted;
+    mask[words + w] &= ~promoted;
+  }
+}
+
+/// Step 3 epilogue: remaining Maybes become No.
+inline void maybes_to_no(TritWord* mask, std::size_t words) noexcept {
+  std::fill_n(mask + words, words, TritWord{0});
+}
+
+[[nodiscard]] inline bool has_maybe(const TritWord* mask, std::size_t words) noexcept {
+  for (std::size_t w = 0; w < words; ++w) {
+    if (mask[words + w] != 0) return true;
+  }
+  return false;
+}
+
+/// Calls `fn(i)` for every Yes position i of `mask`, in increasing order.
+template <class Fn>
+void for_each_yes(PackedTritSpan mask, Fn&& fn) {
+  const std::size_t words = mask.size() / 2;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (TritWord bits = mask[w]; bits != 0; bits &= bits - 1) {
+      fn(w * kTritWordBits + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+  }
+}
+
+/// The packed form of a byte-form vector (2 * trit_words(size) words).
+[[nodiscard]] std::vector<TritWord> pack(TritSpan trits);
+/// The first `width` trits of a packed mask, in byte form.
+[[nodiscard]] TritVector unpack(PackedTritSpan mask, std::size_t width);
+
+}  // namespace packed
 
 }  // namespace gryphon

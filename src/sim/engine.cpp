@@ -34,6 +34,22 @@ struct PartitionStats {
   std::uint64_t duplicate_link_copies{0};
 };
 
+// One arrival's outcome. Each partition keeps one and clears it per
+// arrival, so the vectors' capacity is reused across hops.
+struct Decision {
+  std::uint64_t steps{0};
+  double extra_cost{0.0};
+  std::vector<std::pair<LinkIndex, SimMessage>> forwards;
+  std::vector<ClientId> local;
+
+  void clear() {
+    steps = 0;
+    extra_cost = 0.0;
+    forwards.clear();
+    local.clear();
+  }
+};
+
 struct Partition {
   std::size_t begin{0};
   std::size_t end{0};  // broker id range [begin, end)
@@ -42,6 +58,8 @@ struct Partition {
   Ticks local_min{kNoPending};
   PartitionStats stats;
   std::exception_ptr error;
+  Decision decision;                   // reused by every arrival
+  std::vector<LinkIndex> route_links;  // ContentRoutingNetwork::route_into output
 
   Mutex inbox_mutex;
   std::vector<Arrival> inbox GUARDED_BY(inbox_mutex);
@@ -52,13 +70,6 @@ struct RoundPlan {
   bool done{false};
   bool aborted{false};
   Ticks abort_time{0};
-};
-
-struct Decision {
-  std::uint64_t steps{0};
-  double extra_cost{0.0};
-  std::vector<std::pair<LinkIndex, SimMessage>> forwards;
-  std::vector<ClientId> local;
 };
 
 class EngineRun {
@@ -252,10 +263,9 @@ void EngineRun::decide(Partition& part, BrokerId broker, SimMessage& msg, Decisi
   switch (inst_.spec.protocol) {
     case Protocol::kLinkMatching: {
       if (!inst_.aggregate) {
-        const auto route = inst_.crn->route(broker, event, msg.tree_root);
-        d.steps = route.steps;
+        d.steps = inst_.crn->route_into(broker, event, msg.tree_root, part.route_links);
         const auto& ports = inst_.topo.network.ports(broker);
-        for (const LinkIndex link : route.links) {
+        for (const LinkIndex link : part.route_links) {
           const auto& port = ports[static_cast<std::size_t>(link.value)];
           if (port.kind == BrokerNetwork::PortKind::kClient) {
             d.local.push_back(port.peer_client);
@@ -347,7 +357,6 @@ void EngineRun::decide(Partition& part, BrokerId broker, SimMessage& msg, Decisi
       break;
     }
   }
-  (void)part;
 }
 
 void EngineRun::process(Partition& part, Arrival arrival) {
@@ -359,7 +368,8 @@ void EngineRun::process(Partition& part, Arrival arrival) {
   SimMessage msg = std::move(arrival.message);
   ++msg.hops;
 
-  Decision d;
+  Decision& d = part.decision;
+  d.clear();
   decide(part, arrival.broker, msg, d);
 
   const CostSpec& costs = inst_.spec.costs;

@@ -208,5 +208,59 @@ TEST_F(BrokerCoreTest, OwnerLookupAndValidation) {
                std::invalid_argument);  // bad owner
 }
 
+TEST(BrokerCoreWide, DeltaSegmentUnionAcrossTwoWordPlanes) {
+  // The hub of a 70-broker star has 70 links (69 spokes + the pseudo-local
+  // link), so its packed masks span two words per plane. A tiny delta
+  // segment target splits the frontier into several live segments, whose
+  // refined masks dispatch() unions with the packed Parallel Combine. The
+  // forward set must be exactly the spokes (other than the publishing
+  // one) owning a matching subscription, and the local set the hub-owned
+  // matches.
+  const SchemaPtr schema = make_synthetic_schema(4, 3);
+  const BrokerNetwork star = make_star(70, 10, 0, 1);
+  ControlPlaneOptions control;
+  control.covering = false;
+  control.delta_segment_target = 16;
+  control.max_delta_segments = 8;
+  BrokerCore hub(BrokerId{0}, star, {schema}, PstMatcherOptions(), 1, control);
+
+  Rng rng(64);
+  SubscriptionGenerator gen(schema, SubscriptionWorkloadConfig{0.9, 0.85, 1.0});
+  for (std::int64_t i = 0; i < 300; ++i) {
+    // Spoke s sits on hub link s - 1 and the local link is 69: a quarter
+    // of the owners are the hub, a quarter straddle the word boundary
+    // (spokes 63-69, links 62-68), the rest are uniform.
+    const std::uint64_t roll = rng.below(4);
+    const BrokerId owner{static_cast<BrokerId::rep_type>(
+        roll == 0 ? 0 : (roll == 1 ? 63 + rng.below(7) : rng.below(70)))};
+    hub.add_subscription(kSpace0, SubscriptionId{i}, gen.generate(rng), owner);
+  }
+  hub.control_plane().assert_serialized();
+  ASSERT_GT(hub.segment_count(kSpace0), 1u) << "the frontier never split";
+
+  EventGenerator events(schema);
+  for (int i = 0; i < 80; ++i) {
+    const Event e = events.generate(rng);
+    for (const BrokerId root : {BrokerId{0}, BrokerId{3}, BrokerId{66}}) {
+      std::set<BrokerId> want_forward;
+      std::set<SubscriptionId> want_local;
+      for (const SubscriptionId id : hub.match_all(kSpace0, e)) {
+        const BrokerId owner = hub.owner_of(id);
+        if (owner == hub.self()) {
+          want_local.insert(id);
+        } else if (owner != root) {
+          want_forward.insert(owner);
+        }
+      }
+      const auto d = dispatch1(hub, kSpace0, e, root);
+      EXPECT_EQ(std::set<BrokerId>(d.forward.begin(), d.forward.end()), want_forward);
+      EXPECT_EQ(d.forward.size(), want_forward.size()) << "a spoke forwarded twice";
+      EXPECT_EQ(std::set<SubscriptionId>(d.local_matches.begin(), d.local_matches.end()),
+                want_local);
+      EXPECT_EQ(d.deliver_locally, !want_local.empty());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gryphon

@@ -5,9 +5,10 @@
 // compiled_dispatch must produce bit-identical link-matching decisions to
 // two references: link_match over an AnnotatedPst (the refined mask, and
 // the step count when no local enumeration is asked for) and a naive
-// matcher filtered to the local link (the local-match set). Plus direct
-// coverage of the representational
-// edges: string interning, the -0.0/+0.0 double key, and the precompiled
+// matcher filtered to the local link (the local-match set), at 4 links
+// under churn and at link counts on both sides of each 64-link plane-word
+// boundary. Plus direct coverage of the representational edges: string
+// interning, the -0.0/+0.0 double key, and the precompiled
 // eq_children_cover_domain flag.
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -217,6 +219,119 @@ INSTANTIATE_TEST_SUITE_P(StarOrders, CompiledPstChurn, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "delayed_star" : "eager_star";
                          });
+
+// Plane-width boundaries: the packed dispatch must agree with link_match
+// (mask and steps) and with a filtered naive matcher (local set) at link
+// counts on both sides of each 64-link word boundary, with the local link
+// set (the last link) and unset.
+class CompiledDispatchWidth
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
+
+TEST_P(CompiledDispatchWidth, MaskStepsAndLocalsIdenticalToLinkMatch) {
+  const std::size_t links = std::get<0>(GetParam());
+  const bool with_local = std::get<1>(GetParam());
+  const SchemaPtr schema = mixed_schema();
+  Pst tree(schema, {0, 1, 2, 3}, Pst::Options{.trivial_test_elimination = true});
+  std::map<SubscriptionId, Subscription> live;
+  Rng rng(5101 + links);
+  MatchScratch scratch;
+  const LinkIndex local =
+      with_local ? LinkIndex{static_cast<LinkIndex::rep_type>(links - 1)} : LinkIndex{};
+  // Spread owners over every link; the second group rotates the remote
+  // links and keeps the local link, as BrokerCore's groups do.
+  const auto owner_link = [links](SubscriptionId id) {
+    return LinkIndex{static_cast<LinkIndex::rep_type>((id.value * 37) % links)};
+  };
+  const std::size_t remote = with_local ? links - 1 : links;
+  const std::vector<SubscriptionLinkFn> group_fns{
+      owner_link, [&, remote](SubscriptionId id) {
+        const LinkIndex l = owner_link(id);
+        return l == local ? l
+                          : LinkIndex{static_cast<LinkIndex::rep_type>((l.value + 1) % remote)};
+      }};
+  std::int64_t next_id = 0;
+
+  for (int round = 0; round < 8; ++round) {
+    for (std::uint64_t i = 0, n = 10 + rng.below(30); i < n; ++i) {
+      const SubscriptionId id{next_id++};
+      live.emplace(id, random_subscription(schema, rng));
+      tree.add(id, live.at(id));
+    }
+    while (!live.empty() && rng.below(4) != 0) {
+      auto it = live.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.below(live.size())));
+      ASSERT_TRUE(tree.remove(it->first, it->second).has_value());
+      live.erase(it);
+    }
+    NaiveMatcher local_oracle;
+    for (const auto& [id, sub] : live) {
+      if (local.valid() && owner_link(id) == local) local_oracle.add(id, sub);
+    }
+    std::vector<AnnotatedPst> reference;
+    for (const auto& fn : group_fns) reference.emplace_back(tree, links, fn);
+    const CompiledPst compiled{FrozenPsg(tree)};
+    const CompiledAnnotation annotated(compiled, links,
+                                       std::span<const SubscriptionLinkFn>(group_fns), local);
+    ASSERT_EQ(annotated.words(), (links + 63) / 64);
+
+    for (int probe = 0; probe < 25; ++probe) {
+      const Event e = random_event(schema, rng);
+      TritVector init(links, Trit::No);
+      for (std::size_t l = 0; l < links; ++l) init.set(l, static_cast<Trit>(rng.below(3)));
+      std::vector<SubscriptionId> want_local;
+      local_oracle.match_into(e, want_local);
+      for (std::size_t g = 0; g < group_fns.size(); ++g) {
+        const LinkMatchResult expected = link_match(reference[g], e, init);
+        const CompiledDispatchResult routed =
+            compiled_dispatch(annotated, g, e, init, scratch, nullptr);
+        ASSERT_EQ(routed.mask, expected.mask)
+            << routed.mask.to_string() << " != " << expected.mask.to_string();
+        ASSERT_EQ(routed.steps, expected.steps);
+        std::vector<SubscriptionId> got_local;
+        const CompiledDispatchResult with_locals =
+            compiled_dispatch(annotated, g, e, init, scratch, &got_local);
+        ASSERT_EQ(with_locals.mask, expected.mask);
+        ASSERT_EQ(sorted(got_local), sorted(want_local));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PlaneWidths, CompiledDispatchWidth,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 63, 64, 65, 128, 130),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return "links" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_local" : "_no_local");
+    });
+
+TEST(CompiledDispatch, PackedEntryRejectsBadWidthAndGroup) {
+  const SchemaPtr schema = mixed_schema();
+  Pst tree(schema, {0, 1, 2, 3}, Pst::Options{.trivial_test_elimination = true});
+  Rng rng(3);
+  tree.add(SubscriptionId{0}, random_subscription(schema, rng));
+  const CompiledPst compiled{FrozenPsg(tree)};
+  const std::vector<SubscriptionLinkFn> fns{[](SubscriptionId) { return LinkIndex{0}; }};
+  const CompiledAnnotation annotated(compiled, 3, std::span<const SubscriptionLinkFn>(fns),
+                                     LinkIndex{});
+  MatchScratch scratch;
+  const Event e = random_event(schema, rng);
+  std::vector<TritWord> out(2);
+  // Two words per plane for a one-word annotation.
+  EXPECT_THROW(compiled_dispatch_into(annotated, 0, e, std::vector<TritWord>(4), scratch,
+                                      nullptr, out),
+               std::invalid_argument);
+  // A Maybe on link 3 of a 3-link annotation.
+  EXPECT_THROW(compiled_dispatch_into(annotated, 0, e, std::vector<TritWord>{0, 0b1000},
+                                      scratch, nullptr, out),
+               std::invalid_argument);
+  EXPECT_THROW(compiled_dispatch_into(annotated, 1, e, std::vector<TritWord>{0, 0b111}, scratch,
+                                      nullptr, out),
+               std::invalid_argument);
+  EXPECT_THROW(compiled_dispatch(annotated, 0, e, TritVector(4, Trit::Maybe), scratch, nullptr),
+               std::invalid_argument);
+}
 
 // Every bucket's frozen kernel and the epoch of its tree, keyed by tree.
 struct BucketKernel {

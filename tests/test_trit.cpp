@@ -1,7 +1,10 @@
-// The trit algebra of paper Figure 4, verified cell by cell.
+// The trit algebra of paper Figure 4, verified cell by cell, and the
+// bit-plane form checked against the byte form on random vectors.
 #include "routing/trit.h"
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace gryphon {
 namespace {
@@ -121,6 +124,70 @@ TEST(TritVector, FillAndEquality) {
   EXPECT_EQ(v, TritVector::from_string("NNNN"));
   EXPECT_NE(v, TritVector::from_string("NNNY"));
   EXPECT_TRUE(v.equals(TritVector::from_string("NNNN").span()));
+}
+
+TEST(PackedTrits, PackUnpackRoundTripAndLayout) {
+  const auto v = TritVector::from_string("YMNY");
+  const std::vector<TritWord> p = packed::pack(v.span());
+  ASSERT_EQ(p.size(), 2u);
+  EXPECT_EQ(p[0], 0b1001u);  // Yes plane
+  EXPECT_EQ(p[1], 0b0010u);  // Maybe plane
+  EXPECT_EQ(packed::unpack(p, v.size()), v);
+  EXPECT_EQ(trit_words(0), 0u);
+  EXPECT_EQ(trit_words(64), 1u);
+  EXPECT_EQ(trit_words(65), 2u);
+  EXPECT_THROW((void)packed::unpack(p, 65), std::invalid_argument);
+}
+
+// Seeded property test: every packed operation equals the per-trit
+// TritVector operation, at widths on both sides of each word boundary.
+TEST(PackedTrits, OperationsEqualByteFormAtEveryWidth) {
+  Rng rng(17);
+  const auto random_vector = [&](std::size_t width) {
+    TritVector v(width);
+    for (std::size_t i = 0; i < width; ++i) v.set(i, static_cast<Trit>(rng.below(3)));
+    return v;
+  };
+  for (const std::size_t width : {1, 2, 63, 64, 65, 128, 130}) {
+    const std::size_t words = trit_words(width);
+    for (int trial = 0; trial < 200; ++trial) {
+      const TritVector a = random_vector(width);
+      const TritVector b = random_vector(width);
+      const std::vector<TritWord> pb = packed::pack(b.span());
+      const auto check = [&](const char* op, void (TritVector::*byte_op)(TritSpan),
+                             void (*word_op)(TritWord*, const TritWord*, std::size_t)) {
+        TritVector want = a;
+        (want.*byte_op)(b.span());
+        std::vector<TritWord> got = packed::pack(a.span());
+        word_op(got.data(), pb.data(), words);
+        ASSERT_EQ(packed::unpack(got, width), want)
+            << op << " width " << width << ": " << a.to_string() << " with " << b.to_string();
+        ASSERT_EQ(got, packed::pack(want.span())) << op << ": padding bits or both planes set";
+      };
+      check("alternative", &TritVector::alternative_with, &packed::alternative_with);
+      check("parallel", &TritVector::parallel_with, &packed::parallel_with);
+      check("refine", &TritVector::refine_with, &packed::refine_with);
+
+      TritVector promoted = a;
+      promoted.promote_yes_from(b);
+      std::vector<TritWord> got = packed::pack(a.span());
+      packed::promote_yes_from(got.data(), pb.data(), words);
+      ASSERT_EQ(packed::unpack(got, width), promoted) << "promote width " << width;
+
+      TritVector no_maybes = a;
+      no_maybes.maybes_to_no();
+      got = packed::pack(a.span());
+      EXPECT_EQ(packed::has_maybe(got.data(), words), a.has_maybe());
+      packed::maybes_to_no(got.data(), words);
+      ASSERT_EQ(packed::unpack(got, width), no_maybes) << "maybes_to_no width " << width;
+
+      std::vector<LinkIndex> yes;
+      packed::for_each_yes(pb, [&](std::size_t i) {
+        yes.push_back(LinkIndex{static_cast<LinkIndex::rep_type>(i)});
+      });
+      ASSERT_EQ(yes, b.yes_links());
+    }
+  }
 }
 
 }  // namespace

@@ -21,7 +21,8 @@
 # The TSan leg runs the tests labeled `concurrency` (the snapshot /
 # worker-pipeline races are what TSan is here to catch); the ASan, UBSan
 # and release legs run everything. The perf leg reuses the release build to
-# run micro_bench on the compiled-vs-mutable kernel pair plus the
+# run micro_bench on the compiled-vs-mutable matching pair and the
+# compiled-vs-reference link-matching pair, plus the
 # standalone compiled_pst_bench, leaving BENCH_micro_kernels.json and
 # BENCH_compiled_pst.json at the repo root as uploadable artifacts. The
 # analyze leg runs tools/analyze (plane purity, lock order, hot-path
@@ -170,9 +171,9 @@ PY
   fi
 
   if [[ "$leg" == perf ]]; then
-    echo "=== [perf] kernel smoke: micro_bench compiled vs mutable ==="
+    echo "=== [perf] kernel smoke: micro_bench compiled vs reference kernels ==="
     "$dir/bench/micro_bench" \
-      --benchmark_filter='PstMatch(Compiled|Mutable)' \
+      --benchmark_filter='PstMatch(Compiled|Mutable)|Link(DispatchCompiled|MatchReference)' \
       --benchmark_min_time=0.2 \
       --benchmark_out=BENCH_micro_kernels.json \
       --benchmark_out_format=json
