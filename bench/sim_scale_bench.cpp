@@ -6,8 +6,8 @@
 // protocols at every point. Each point reports serial and parallel engine
 // wall clocks from the SAME materialized instance (one control-plane
 // build), the serial-vs-parallel equivalence verdict (same_outcome over
-// every deterministic SimResult field), and the oracle-sampling fraction
-// actually used.
+// every deterministic SimResult field), the oracle-sampling fraction
+// actually used, and each run's engine rounds, lookahead and partition load.
 //
 // Honesty gate: the parallel speedup is only asserted meaningful when the
 // host has >= 4 hardware threads; on smaller hosts the JSON carries
@@ -63,15 +63,32 @@ SweepPoint run_point(const std::string& name, SimSpec spec, std::size_t parallel
     row.parallel = sim.run_with_threads(parallel_threads);
     row.equivalent = same_outcome(row.serial, row.parallel);
     std::printf(
-        "  %-14s %-14s serial %7.2fs  parallel(%zu) %7.2fs  speedup %5.2fx  %s\n",
+        "  %-14s %-14s serial %7.2fs  parallel(%zu) %7.2fs  speedup %5.2fx  rounds %llu  "
+        "load %.2f  %s\n",
         name.c_str(), to_string(protocol), row.serial.wall_seconds, parallel_threads,
         row.parallel.wall_seconds,
         row.parallel.wall_seconds > 0 ? row.serial.wall_seconds / row.parallel.wall_seconds
                                       : 0.0,
-        row.equivalent ? "identical" : "MISMATCH");
+        static_cast<unsigned long long>(row.parallel.engine_rounds),
+        row.parallel.engine_partition_load, row.equivalent ? "identical" : "MISMATCH");
     point.rows.push_back(std::move(row));
   }
   return point;
+}
+
+// Rounds, lookahead and partition balance of one engine run: with them a
+// row separates "fewer rounds / smaller heaps" from "more threads".
+void write_engine_provenance(FILE* f, const char* run, const SimResult& r) {
+  std::fprintf(f, "          \"%s_engine_rounds\": %llu,\n", run,
+               static_cast<unsigned long long>(r.engine_rounds));
+  if (r.engine_lookahead_ticks > 0) {
+    std::fprintf(f, "          \"%s_engine_lookahead_ticks\": %lld,\n", run,
+                 static_cast<long long>(r.engine_lookahead_ticks));
+  } else {
+    std::fprintf(f, "          \"%s_engine_lookahead_ticks\": null,\n", run);
+  }
+  std::fprintf(f, "          \"%s_engine_partition_load\": %.3f,\n", run,
+               r.engine_partition_load);
 }
 
 void write_json(const char* path, const std::vector<SweepPoint>& points, bool ci_mode,
@@ -130,6 +147,8 @@ void write_json(const char* path, const std::vector<SweepPoint>& points, bool ci
                    row.parallel.wall_seconds > 0
                        ? s.wall_seconds / row.parallel.wall_seconds
                        : 0.0);
+      write_engine_provenance(f, "serial", s);
+      write_engine_provenance(f, "parallel", row.parallel);
       std::fprintf(f, "          \"serial_parallel_identical\": %s,\n",
                    row.equivalent ? "true" : "false");
       std::fprintf(f, "          \"events_published\": %zu,\n", s.events_published);

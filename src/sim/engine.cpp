@@ -1,7 +1,6 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <barrier>
 #include <chrono>
 #include <exception>
 #include <limits>
@@ -14,6 +13,8 @@
 #include "common/mutex.h"
 #include "sim/broker_server.h"
 #include "sim/event_queue.h"
+#include "sim/partitioning.h"
+#include "sim/round_barrier.h"
 
 namespace gryphon {
 namespace {
@@ -51,11 +52,10 @@ struct Decision {
 };
 
 struct Partition {
-  std::size_t begin{0};
-  std::size_t end{0};  // broker id range [begin, end)
   EventQueue queue;
-  std::vector<BrokerServer> servers;  // indexed by broker - begin
+  std::vector<BrokerServer> servers;  // indexed by PartitionPlan::local_index
   Ticks local_min{kNoPending};
+  std::uint64_t arrivals{0};
   PartitionStats stats;
   std::exception_ptr error;
   Decision decision;                   // reused by every arrival
@@ -96,36 +96,31 @@ class EngineRun {
   SimInstance& inst_;
   const std::vector<PublishRecord>& schedule_;
   std::vector<std::unique_ptr<Partition>> partitions_;
-  std::vector<std::uint32_t> part_of_;
+  const PartitionPlan* layout_{nullptr};
   Ticks last_publish_{0};
   Ticks deadline_{0};
-  Ticks lookahead_{kNoPending};
   RoundPlan plan_;
+  std::uint64_t rounds_{0};
   std::size_t churn_next_{0};
   std::uint64_t churn_subscribes_{0};
   std::uint64_t churn_unsubscribes_{0};
 };
 
 void EngineRun::setup_partitions() {
-  const std::size_t brokers = inst_.topo.network.broker_count();
-  const std::size_t want = std::max<std::size_t>(1, inst_.spec.engine.threads);
-  const std::size_t count = std::min(want, brokers);
+  layout_ = &inst_.partition_plan(inst_.spec.engine.threads);
   partitions_.clear();
-  part_of_.assign(brokers, 0);
   const double ticks_per_second = 1e6 / kMicrosPerTick;
   const double bg_rate_per_tick =
       inst_.spec.costs.background_rate_per_broker / ticks_per_second;
   const Ticks bg_cost = std::max<Ticks>(
       1, static_cast<Ticks>(inst_.spec.costs.background_cost_ticks + 0.5));
   const std::uint64_t bg_seed = sim_stream_seed(inst_.spec.seed, SimStream::kBackground);
-  for (std::size_t p = 0; p < count; ++p) {
+  for (const std::vector<std::uint32_t>& members : layout_->members) {
     auto part = std::make_unique<Partition>();
-    part->begin = brokers * p / count;
-    part->end = brokers * (p + 1) / count;
-    part->servers.resize(part->end - part->begin);
-    for (std::size_t b = part->begin; b < part->end; ++b) {
-      part_of_[b] = static_cast<std::uint32_t>(p);
-      BrokerServer& server = part->servers[b - part->begin];
+    part->servers.resize(members.size());
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const std::uint32_t b = members[i];
+      BrokerServer& server = part->servers[i];
       server.set_overload_threshold(inst_.spec.limits.overload_backlog_threshold);
       if (inst_.spec.costs.background_rate_per_broker > 0) {
         std::uint64_t mix = bg_seed ^ (0x9e3779b97f4a7c15ULL * (b + 1));
@@ -134,19 +129,6 @@ void EngineRun::setup_partitions() {
       }
     }
     partitions_.push_back(std::move(part));
-  }
-
-  // Conservative lookahead: the smallest delay of any link that crosses a
-  // partition boundary (kNoPending when nothing crosses, i.e. one
-  // partition — the horizon is then bounded by deadline/churn only).
-  lookahead_ = kNoPending;
-  for (std::size_t b = 0; b < brokers; ++b) {
-    const BrokerId broker{static_cast<BrokerId::rep_type>(b)};
-    for (const auto& port : inst_.topo.network.ports(broker)) {
-      if (port.kind != BrokerNetwork::PortKind::kBroker) continue;
-      const auto peer = static_cast<std::size_t>(port.peer_broker.value);
-      if (part_of_[b] != part_of_[peer]) lookahead_ = std::min(lookahead_, port.delay);
-    }
   }
 }
 
@@ -161,7 +143,7 @@ void EngineRun::inject_schedule() {
     msg.tree_root = record.broker;
     msg.publish_time = record.time;
     Arrival arrival{EventKey{record.time, 0, i}, record.broker, std::move(msg)};
-    partitions_[part_of_[static_cast<std::size_t>(record.broker.value)]]->queue.push(
+    partitions_[layout_->part_of[static_cast<std::size_t>(record.broker.value)]]->queue.push(
         std::move(arrival));
   }
 }
@@ -189,13 +171,18 @@ void EngineRun::plan_round() {
     plan_.abort_time = global_min;
     return;
   }
-  Ticks horizon = lookahead_ >= kNoPending - global_min ? kNoPending - 1
-                                                        : global_min + lookahead_;
+  // Conservative lookahead: the smallest delay of any link crossing a
+  // partition boundary (unbounded with one partition — the horizon is then
+  // bounded by deadline/churn only).
+  const Ticks lookahead = layout_->lookahead;
+  Ticks horizon = lookahead >= kNoPending - global_min ? kNoPending - 1
+                                                       : global_min + lookahead;
   horizon = std::min(horizon, deadline_);
   if (churn_next_ < inst_.churn.size()) {
     horizon = std::min(horizon, inst_.churn[churn_next_].time - 1);
   }
   plan_.horizon = horizon;
+  ++rounds_;
 }
 
 void EngineRun::drain_and_report(Partition& part) {
@@ -361,8 +348,9 @@ void EngineRun::decide(Partition& part, BrokerId broker, SimMessage& msg, Decisi
 
 void EngineRun::process(Partition& part, Arrival arrival) {
   const auto b = static_cast<std::size_t>(arrival.broker.value);
-  BrokerServer& server = part.servers[b - part.begin];
+  BrokerServer& server = part.servers[layout_->local_index[b]];
   const Ticks now = arrival.key.time;
+  ++part.arrivals;
   server.admit(now);
 
   SimMessage msg = std::move(arrival.message);
@@ -393,7 +381,8 @@ void EngineRun::process(Partition& part, Arrival arrival) {
     const Ticks at = inst_.channels[b][static_cast<std::size_t>(link.value)].deliver_at(done);
     Arrival out{EventKey{at, static_cast<std::uint32_t>(b) + 1, server.next_emit_sequence()},
                 port.peer_broker, std::move(fwd)};
-    const std::uint32_t target = part_of_[static_cast<std::size_t>(port.peer_broker.value)];
+    const std::uint32_t target =
+        layout_->part_of[static_cast<std::size_t>(port.peer_broker.value)];
     Partition& dest = *partitions_[target];
     if (&dest == &part) {
       part.queue.push(std::move(out));
@@ -512,6 +501,21 @@ void EngineRun::finalize(SimResult& result) {
   }
   result.churn_subscribes = churn_subscribes_;
   result.churn_unsubscribes = churn_unsubscribes_;
+
+  result.engine_rounds = rounds_;
+  result.engine_lookahead_ticks =
+      layout_->lookahead == PartitionPlan::kUnbounded ? 0 : layout_->lookahead;
+  std::uint64_t arrivals = 0;
+  std::uint64_t busiest = 0;
+  for (const auto& part : partitions_) {
+    arrivals += part->arrivals;
+    busiest = std::max(busiest, part->arrivals);
+  }
+  if (arrivals > 0) {
+    result.engine_partition_load = static_cast<double>(busiest) *
+                                   static_cast<double>(partitions_.size()) /
+                                   static_cast<double>(arrivals);
+  }
 }
 
 SimResult EngineRun::run() {
@@ -561,10 +565,11 @@ SimResult EngineRun::run() {
     }
   } else {
     bool plan_phase = true;
-    std::barrier sync(static_cast<std::ptrdiff_t>(count), [this, &plan_phase]() noexcept {
+    auto completion = [this, &plan_phase]() noexcept {
       if (plan_phase) plan_round();
       plan_phase = !plan_phase;
-    });
+    };
+    RoundBarrier<decltype(completion)> sync(count, wait_mode_for(count), completion);
     std::vector<std::thread> workers;
     workers.reserve(count);
     for (std::size_t p = 0; p < count; ++p) {

@@ -11,6 +11,7 @@
 #include "matching/pst_matcher.h"
 #include "routing/content_router.h"
 #include "sim/link_channel.h"
+#include "sim/partitioning.h"
 #include "sim/sim_spec.h"
 #include "sim/simulation.h"
 #include "topology/routing_table.h"
@@ -102,6 +103,12 @@ struct SimInstance {
   void rollback_churn();
 
   std::vector<ChurnOp> rollback_log;
+
+  /// The engine's broker partitioning for `threads` workers, computed on
+  /// first use and reused by every later run.
+  const PartitionPlan& partition_plan(std::size_t threads);
+
+  std::map<std::size_t, PartitionPlan> partition_plans;  // keyed by threads
 };
 
 }  // namespace gryphon

@@ -524,6 +524,14 @@ void SimInstance::rollback_churn() {
   rollback_log.clear();
 }
 
+const PartitionPlan& SimInstance::partition_plan(std::size_t threads) {
+  auto it = partition_plans.find(threads);
+  if (it == partition_plans.end()) {
+    it = partition_plans.emplace(threads, plan_partitions(topo.network, threads)).first;
+  }
+  return it->second;
+}
+
 bool same_outcome(const SimResult& a, const SimResult& b) {
   return a.protocol == b.protocol && a.events_published == b.events_published &&
          a.deliveries == b.deliveries && a.duplicate_deliveries == b.duplicate_deliveries &&

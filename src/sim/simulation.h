@@ -94,6 +94,15 @@ struct SimResult {
   std::uint64_t churn_subscribes{0};
   std::uint64_t churn_unsubscribes{0};
   std::uint64_t link_outages{0};
+  /// Conservative rounds the engine ran (each one ends at two barriers when
+  /// parallel).
+  std::uint64_t engine_rounds{0};
+  /// The rounds' lookahead: smallest delay of a link crossing partitions
+  /// (0 with one partition, where nothing crosses).
+  Ticks engine_lookahead_ticks{0};
+  /// Arrivals at the busiest partition over the mean per partition (1.0 =
+  /// perfectly balanced; 0.0 when nothing arrived).
+  double engine_partition_load{0.0};
 };
 
 /// True when two runs agree on every deterministic output — everything

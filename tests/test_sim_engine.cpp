@@ -179,6 +179,68 @@ TEST(EngineScaleTopologies, ExactDeliveryOnGeneratedTopologies) {
   check(wan);
 }
 
+TEST(EngineScaleTopologies, ClusteredPartitionsIdenticalUnderChurnAndFaults) {
+  // Clustered partitions put brokers in partitions by link delay, not id.
+  // With churn and link outages on, 2 and 3 threads must still reproduce
+  // the serial run on every scale family.
+  const auto check = [](SimSpec spec) {
+    spec.workload.subscriptions = 200;
+    spec.workload.events = 40;
+    spec.workload.rate_eps = 50.0;
+    spec.workload.churn_rate_eps = 100.0;
+    spec.workload.link_mtbf_seconds = 0.4;
+    spec.workload.link_mttr_seconds = 0.2;
+    spec.limits.drain_limit = ticks_from_seconds(120);
+    const SimResult serial = simulate(spec);
+    EXPECT_GT(serial.churn_subscribes + serial.churn_unsubscribes, 0u)
+        << to_string(spec.topology.kind);
+    EXPECT_GT(serial.link_outages, 0u) << to_string(spec.topology.kind);
+    for (const std::size_t threads : {2u, 3u}) {
+      spec.engine.threads = threads;
+      EXPECT_TRUE(same_outcome(serial, simulate(spec)))
+          << to_string(spec.topology.kind) << " threads " << threads;
+    }
+  };
+
+  SimSpec fat_tree;
+  fat_tree.seed = 41;
+  fat_tree.topology.kind = TopologyKind::kFatTree;
+  fat_tree.topology.fat_tree.pods = 4;
+  check(fat_tree);
+
+  SimSpec waxman;
+  waxman.seed = 42;
+  waxman.topology.kind = TopologyKind::kWaxman;
+  waxman.topology.waxman.brokers = 30;
+  check(waxman);
+
+  SimSpec wan;
+  wan.seed = 43;
+  wan.topology.kind = TopologyKind::kWan;
+  wan.topology.wan.regions = 3;
+  wan.topology.wan.brokers_per_region = 8;
+  check(wan);
+}
+
+TEST(EngineResult, RoundProvenanceReportsPartitioning) {
+  Simulation sim(figure6_spec(13));
+  const SimResult serial = sim.run_with_threads(1);
+  const SimResult parallel = sim.run_with_threads(2);
+  EXPECT_TRUE(same_outcome(serial, parallel));
+  EXPECT_GE(serial.engine_rounds, 1u);
+  EXPECT_EQ(serial.engine_lookahead_ticks, 0);  // one partition: nothing crosses
+  EXPECT_DOUBLE_EQ(serial.engine_partition_load, 1.0);
+  // Two clustered partitions keep every 10 ms mid-leaf link inside.
+  EXPECT_GE(parallel.engine_lookahead_ticks, ticks_from_millis(25.0));
+  EXPECT_GT(parallel.engine_rounds, serial.engine_rounds);
+  EXPECT_GE(parallel.engine_partition_load, 1.0);
+  EXPECT_LE(parallel.engine_partition_load, 2.0);
+  // The plan is cached per thread count, so a repeat run matches.
+  const SimResult again = sim.run_with_threads(2);
+  EXPECT_EQ(again.engine_rounds, parallel.engine_rounds);
+  EXPECT_EQ(again.engine_lookahead_ticks, parallel.engine_lookahead_ticks);
+}
+
 TEST(EngineResult, WallClockAndProvenancePopulated) {
   const SimResult result = simulate(figure6_spec(12));
   EXPECT_GT(result.wall_seconds, 0.0);

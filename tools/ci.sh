@@ -310,10 +310,12 @@ PY
     # scaling_valid:true, which the bench grants only on hosts with >= 4
     # hardware threads; elsewhere the JSON records the reason instead.
     echo "=== [sim-scale] sim_scale_bench reduced sweep ==="
-    "$dir/bench/sim_scale_bench" --ci --out BENCH_sim_scale.json
-    python3 - <<'PY'
+    # The reduced sweep goes next to the build, not over the committed
+    # full-campaign BENCH_sim_scale.json.
+    "$dir/bench/sim_scale_bench" --ci --out "$dir/BENCH_sim_scale_ci.json"
+    python3 - "$dir/BENCH_sim_scale_ci.json" <<'PY'
 import json, sys
-data = json.load(open("BENCH_sim_scale.json"))
+data = json.load(open(sys.argv[1]))
 rows = [(p["name"], r) for p in data["points"] for r in p["protocols"]]
 bad_eq = [(n, r["protocol"]) for n, r in rows if not r["serial_parallel_identical"]]
 bad_oracle = [(n, r["protocol"]) for n, r in rows
@@ -339,7 +341,7 @@ if lm["speedup"] < 2.0:
           f"{lm['speedup']:.2f}x", file=sys.stderr)
     sys.exit(1)
 PY
-    echo "sim-scale artifact: BENCH_sim_scale.json"
+    echo "sim-scale artifact: $dir/BENCH_sim_scale_ci.json"
     return
   fi
 
