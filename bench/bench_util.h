@@ -1,6 +1,9 @@
 // Shared helpers for the chart-reproduction benchmark harnesses.
 #pragma once
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -36,6 +39,26 @@ inline SimSpec paper_spec(std::size_t attributes, std::size_t values, double dec
   spec.workload.events = n_events;
   spec.workload.subscription_config = SubscriptionWorkloadConfig{0.98, decay, 1.0};
   return spec;
+}
+
+/// Resident set size of this process now, in MiB (0 when unreadable).
+inline double current_rss_mb() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0.0;
+  unsigned long long total = 0;
+  unsigned long long resident = 0;
+  const int read = std::fscanf(f, "%llu %llu", &total, &resident);
+  std::fclose(f);
+  if (read != 2) return 0.0;
+  return static_cast<double>(resident) * static_cast<double>(sysconf(_SC_PAGESIZE)) /
+         (1024.0 * 1024.0);
+}
+
+/// Peak resident set size of this process so far, in MiB.
+inline double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB on Linux
 }
 
 inline void print_header(const std::string& title) {

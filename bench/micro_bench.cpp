@@ -162,9 +162,20 @@ struct Figure6BrokerFixture {
       if (tree.downstream_client_count(broker, link) > 0) init.set(link, Trit::Maybe);
     }
     annotated = std::make_unique<AnnotatedPst>(pst, links, link_of);
-    kernel = std::make_unique<CompiledPst>(FrozenPsg(pst));
-    compiled = std::make_unique<CompiledAnnotation>(
-        *kernel, links, std::span<const SubscriptionLinkFn>(&link_of, 1), LinkIndex{});
+    kernel = std::make_unique<CompiledPst>(pst);
+    // Flat tables: each kernel subscriber's owning client, and the link
+    // toward every client.
+    std::vector<std::uint32_t> owners;
+    for (const SubscriptionId id : kernel->subscriber_arena()) {
+      owners.push_back(static_cast<std::uint32_t>(owner[static_cast<std::size_t>(id.value)].value));
+    }
+    std::vector<std::vector<LinkIndex>> client_links(1);
+    for (std::size_t c = 0; c < topo.network.client_count(); ++c) {
+      client_links[0].push_back(
+          tree.tree_next_hop_to_client(broker, ClientId{static_cast<ClientId::rep_type>(c)}));
+    }
+    compiled = std::make_unique<CompiledAnnotation>(*kernel, links, owners, client_links,
+                                                    LinkIndex{});
   }
 };
 

@@ -8,6 +8,10 @@
 // build), the serial-vs-parallel equivalence verdict (same_outcome over
 // every deterministic SimResult field), the oracle-sampling fraction
 // actually used, and each run's engine rounds, lookahead and partition load.
+// A point's workload is generated once, by the first protocol's build, and
+// handed on to the other two as a ScriptedWorkload; each build runs on the
+// parallel thread count, and each row reports its build time and the RSS
+// after it.
 //
 // Honesty gate: the parallel speedup is only asserted meaningful when the
 // host has >= 4 hardware threads; on smaller hosts the JSON carries
@@ -17,9 +21,12 @@
 //   $ ./sim_scale_bench [--ci] [--out PATH]
 //
 // --ci runs the reduced sweep (~200 brokers) used by the tools/ci.sh
-// sim-scale leg; the full sweep is the published campaign.
+// sim-scale leg, with five serial/parallel run pairs per row (the row's
+// walls and speedup are the pairs' medians); the full sweep is the
+// published campaign, one pair per row.
 #include "bench_util.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -34,7 +41,18 @@ struct ProtocolRow {
   SimResult parallel;
   bool equivalent{false};
   double build_seconds{0.0};
+  double build_rss_mb{0.0};  // resident set right after the build
+  /// Per serial/parallel run pair on the one instance; the row's wall
+  /// clocks and speedup are the medians over the pairs.
+  std::vector<double> serial_walls, parallel_walls, pair_speedups;
+  double serial_wall{0.0}, parallel_wall{0.0}, speedup{0.0};
 };
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n == 0 ? 0.0 : n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
 
 struct SweepPoint {
   std::string name;
@@ -44,33 +62,54 @@ struct SweepPoint {
   std::size_t clients{0};
 };
 
-SweepPoint run_point(const std::string& name, SimSpec spec, std::size_t parallel_threads) {
+SweepPoint run_point(const std::string& name, SimSpec spec, std::size_t parallel_threads,
+                     std::size_t pairs) {
   SweepPoint point;
   point.name = name;
   point.spec = spec;
+  spec.engine.threads = parallel_threads;  // construction threads; runs pick their own
+  // The first build generates the workload; each build hands it on.
+  ScriptedWorkload workload;
   for (const Protocol protocol :
        {Protocol::kLinkMatching, Protocol::kFlooding, Protocol::kMatchFirst}) {
     ProtocolRow row;
     row.protocol = protocol;
     SimSpec run_spec = spec;
     run_spec.protocol = protocol;
+    run_spec.workload.scripted = std::move(workload);
     bench::Stopwatch build_watch;
     Simulation sim(std::move(run_spec));
     row.build_seconds = build_watch.seconds();
+    row.build_rss_mb = bench::current_rss_mb();
     point.brokers = sim.network().broker_count();
     point.clients = sim.network().client_count();
-    row.serial = sim.run_with_threads(1);
-    row.parallel = sim.run_with_threads(parallel_threads);
-    row.equivalent = same_outcome(row.serial, row.parallel);
+    row.equivalent = true;
+    for (std::size_t pair = 0; pair < pairs; ++pair) {
+      SimResult serial = sim.run_with_threads(1);
+      SimResult parallel = sim.run_with_threads(parallel_threads);
+      row.serial_walls.push_back(serial.wall_seconds);
+      row.parallel_walls.push_back(parallel.wall_seconds);
+      row.pair_speedups.push_back(
+          parallel.wall_seconds > 0 ? serial.wall_seconds / parallel.wall_seconds : 0.0);
+      // Every run must reproduce the first serial run.
+      const SimResult& reference = pair == 0 ? serial : row.serial;
+      row.equivalent &= same_outcome(reference, serial) && same_outcome(reference, parallel);
+      if (pair == 0) {
+        row.serial = std::move(serial);
+        row.parallel = std::move(parallel);
+      }
+    }
+    row.serial_wall = median(row.serial_walls);
+    row.parallel_wall = median(row.parallel_walls);
+    row.speedup = median(row.pair_speedups);
     std::printf(
-        "  %-14s %-14s serial %7.2fs  parallel(%zu) %7.2fs  speedup %5.2fx  rounds %llu  "
-        "load %.2f  %s\n",
-        name.c_str(), to_string(protocol), row.serial.wall_seconds, parallel_threads,
-        row.parallel.wall_seconds,
-        row.parallel.wall_seconds > 0 ? row.serial.wall_seconds / row.parallel.wall_seconds
-                                      : 0.0,
+        "  %-14s %-14s build %6.2fs  serial %7.2fs  parallel(%zu) %7.2fs  speedup %5.2fx  "
+        "rounds %llu  load %.2f  %s\n",
+        name.c_str(), to_string(protocol), row.build_seconds, row.serial_wall,
+        parallel_threads, row.parallel_wall, row.speedup,
         static_cast<unsigned long long>(row.parallel.engine_rounds),
         row.parallel.engine_partition_load, row.equivalent ? "identical" : "MISMATCH");
+    workload = std::move(sim).release_workload();
     point.rows.push_back(std::move(row));
   }
   return point;
@@ -92,7 +131,8 @@ void write_engine_provenance(FILE* f, const char* run, const SimResult& r) {
 }
 
 void write_json(const char* path, const std::vector<SweepPoint>& points, bool ci_mode,
-                std::size_t parallel_threads, unsigned hw, bool scaling_valid) {
+                std::size_t parallel_threads, std::size_t pairs, unsigned hw,
+                bool scaling_valid) {
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "sim_scale_bench: cannot open %s\n", path);
@@ -107,7 +147,9 @@ void write_json(const char* path, const std::vector<SweepPoint>& points, bool ci
   std::fprintf(f, "  \"mode\": \"%s\",\n", ci_mode ? "ci" : "full");
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
   std::fprintf(f, "  \"parallel_threads\": %zu,\n", parallel_threads);
+  std::fprintf(f, "  \"run_pairs\": %zu,\n", pairs);
   std::fprintf(f, "  \"scaling_valid\": %s,\n", scaling_valid ? "true" : "false");
+  std::fprintf(f, "  \"peak_rss_mb\": %.1f,\n", bench::peak_rss_mb());
   if (scaling_valid) {
     std::fprintf(f, "  \"scaling_reason\": \"host has >= 4 hardware threads\",\n");
   } else {
@@ -140,13 +182,15 @@ void write_json(const char* path, const std::vector<SweepPoint>& points, bool ci
       std::fprintf(f, "          \"control_plane\": \"%s\",\n", s.control_plane);
       std::fprintf(f, "          \"steps_exact\": %s,\n", s.steps_exact ? "true" : "false");
       std::fprintf(f, "          \"build_seconds\": %.3f,\n", row.build_seconds);
-      std::fprintf(f, "          \"serial_wall_seconds\": %.4f,\n", s.wall_seconds);
-      std::fprintf(f, "          \"parallel_wall_seconds\": %.4f,\n",
-                   row.parallel.wall_seconds);
-      std::fprintf(f, "          \"speedup\": %.3f,\n",
-                   row.parallel.wall_seconds > 0
-                       ? s.wall_seconds / row.parallel.wall_seconds
-                       : 0.0);
+      std::fprintf(f, "          \"build_rss_mb\": %.1f,\n", row.build_rss_mb);
+      std::fprintf(f, "          \"serial_wall_seconds\": %.4f,\n", row.serial_wall);
+      std::fprintf(f, "          \"parallel_wall_seconds\": %.4f,\n", row.parallel_wall);
+      std::fprintf(f, "          \"speedup\": %.3f,\n", row.speedup);
+      std::fprintf(f, "          \"pair_speedups\": [");
+      for (std::size_t i = 0; i < row.pair_speedups.size(); ++i) {
+        std::fprintf(f, "%s%.3f", i == 0 ? "" : ", ", row.pair_speedups[i]);
+      }
+      std::fprintf(f, "],\n");
       write_engine_provenance(f, "serial", s);
       write_engine_provenance(f, "parallel", row.parallel);
       std::fprintf(f, "          \"serial_parallel_identical\": %s,\n",
@@ -196,6 +240,9 @@ int run(bool ci_mode, const char* out_path) {
   const bool scaling_valid = hw >= 4;
   const std::size_t parallel_threads =
       scaling_valid ? std::min<std::size_t>(hw, 8) : 2;
+  // The reduced sweep's runs take milliseconds, so one serial/parallel pair
+  // is noise-bound; its speedup gate reads the median of five pairs.
+  const std::size_t pairs = ci_mode ? 5 : 1;
   bench::print_header(ci_mode ? "sim-scale campaign (reduced CI sweep)"
                               : "sim-scale campaign (full sweep)");
   std::printf("hardware threads: %u, parallel engine threads: %zu%s\n\n", hw,
@@ -209,7 +256,7 @@ int run(bool ci_mode, const char* out_path) {
     // aggregate-plane WAN point of ~200 brokers.
     SimSpec fig6 = bench::paper_spec(10, 5, 0.85, 2000, 200, /*seed=*/501);
     fig6.workload.rate_eps = 100.0;
-    points.push_back(run_point("fig6-39", fig6, parallel_threads));
+    points.push_back(run_point("fig6-39", fig6, parallel_threads, pairs));
 
     SimSpec wan;
     wan.seed = 502;
@@ -219,11 +266,11 @@ int run(bool ci_mode, const char* out_path) {
     wan.workload.subscriptions = 20000;
     wan.workload.events = 200;
     wan.workload.rate_eps = 100.0;
-    points.push_back(run_point("wan-200", wan, parallel_threads));
+    points.push_back(run_point("wan-200", wan, parallel_threads, pairs));
   } else {
     SimSpec fig6 = bench::paper_spec(10, 5, 0.85, 10000, 2000, /*seed=*/601);
     fig6.workload.rate_eps = 200.0;
-    points.push_back(run_point("fig6-39", fig6, parallel_threads));
+    points.push_back(run_point("fig6-39", fig6, parallel_threads, pairs));
 
     // Figure 6 with the in-sim dynamics on: subscription churn plus link
     // down/up. Verification is off under churn (publish-time oracle), so
@@ -233,7 +280,7 @@ int run(bool ci_mode, const char* out_path) {
     dynamics.workload.churn_rate_eps = 100.0;
     dynamics.workload.link_mtbf_seconds = 3.0;
     dynamics.workload.link_mttr_seconds = 0.5;
-    points.push_back(run_point("fig6-dynamics", dynamics, parallel_threads));
+    points.push_back(run_point("fig6-dynamics", dynamics, parallel_threads, pairs));
 
     SimSpec fat_tree;
     fat_tree.seed = 603;
@@ -242,7 +289,7 @@ int run(bool ci_mode, const char* out_path) {
     fat_tree.workload.subscriptions = 50000;
     fat_tree.workload.events = 1000;
     fat_tree.workload.rate_eps = 200.0;
-    points.push_back(run_point("fattree-180", fat_tree, parallel_threads));
+    points.push_back(run_point("fattree-180", fat_tree, parallel_threads, pairs));
 
     SimSpec waxman;
     waxman.seed = 604;
@@ -251,7 +298,7 @@ int run(bool ci_mode, const char* out_path) {
     waxman.workload.subscriptions = 200000;
     waxman.workload.events = 500;
     waxman.workload.rate_eps = 100.0;
-    points.push_back(run_point("waxman-500", waxman, parallel_threads));
+    points.push_back(run_point("waxman-500", waxman, parallel_threads, pairs));
 
     // The headline point: 1000 brokers, 10,000 clients, 1M subscriptions.
     SimSpec wan;
@@ -262,7 +309,7 @@ int run(bool ci_mode, const char* out_path) {
     wan.workload.subscriptions = 1000000;
     wan.workload.events = 500;
     wan.workload.rate_eps = 100.0;
-    points.push_back(run_point("wan-1000", wan, parallel_threads));
+    points.push_back(run_point("wan-1000", wan, parallel_threads, pairs));
   }
 
   bool all_equivalent = true;
@@ -279,7 +326,7 @@ int run(bool ci_mode, const char* out_path) {
               all_equivalent ? "all serial/parallel runs identical" : "MISMATCH",
               all_clean ? "no missing/spurious/duplicate deliveries" : "VIOLATIONS");
 
-  write_json(out_path, points, ci_mode, parallel_threads, hw, scaling_valid);
+  write_json(out_path, points, ci_mode, parallel_threads, pairs, hw, scaling_valid);
   return all_equivalent && all_clean ? 0 : 1;
 }
 

@@ -41,8 +41,10 @@ BrokerCore::BrokerCore(BrokerId self, const BrokerNetwork& topology,
     trees_.emplace(root, std::make_unique<SpanningTree>(topology, routing_, root));
   }
 
-  // Deduplicate spanning trees by their owner-broker -> link map at self.
+  // Deduplicate spanning trees by their owner-broker -> link map at self;
+  // each distinct map is one group's link table for the snapshot builder.
   std::map<std::vector<LinkIndex::rep_type>, std::size_t> by_signature;
+  std::vector<std::vector<LinkIndex>> group_links;
   const std::size_t n = topology.broker_count();
   for (const auto& [root, tree] : trees_) {
     std::vector<LinkIndex::rep_type> signature;
@@ -52,21 +54,11 @@ BrokerCore::BrokerCore(BrokerId self, const BrokerNetwork& topology,
       signature.push_back(dest == self_ ? local_link_.value
                                         : tree->tree_next_hop(self_, dest).value);
     }
-    const auto [it, inserted] = by_signature.emplace(signature, groups_.size());
+    const auto [it, inserted] = by_signature.emplace(signature, group_links.size());
     if (inserted) {
-      auto owned = std::make_unique<Group>();
-      owned->representative = tree.get();
-      const SpanningTree* rep = tree.get();
-      const LinkIndex local_link = local_link_;
-      owned->link_of = [this, rep, local_link](SubscriptionId id) {
-        // Group link functions run only inside snapshot freezing, which the
-        // control plane serializes; the lambda re-states that for the
-        // analysis (lambdas do not inherit the caller's capability set).
-        control_plane_.assert_serialized();
-        const BrokerId owner = owner_of(id);
-        return owner == self_ ? local_link : rep->tree_next_hop(self_, owner);
-      };
-      groups_.push_back(std::move(owned));
+      std::vector<LinkIndex>& links = group_links.emplace_back();
+      links.reserve(n);
+      for (const LinkIndex::rep_type link : signature) links.push_back(LinkIndex{link});
     }
     group_index_of_root_.emplace(root, it->second);
 
@@ -94,11 +86,16 @@ BrokerCore::BrokerCore(BrokerId self, const BrokerNetwork& topology,
   }
   space_counts_.assign(spaces_.size(), 0);
 
-  std::vector<SubscriptionLinkFn> link_fns;
-  link_fns.reserve(groups_.size());
-  for (const auto& group : groups_) link_fns.push_back(group->link_of);
-  builder_ = std::make_unique<SnapshotBuilder>(link_count_, local_link_, std::move(link_fns),
-                                               data_plane_shards);
+  // The owner function runs only inside snapshot freezing, which the
+  // control plane serializes; the lambda re-states that for the analysis
+  // (lambdas do not inherit the caller's capability set).
+  builder_ = std::make_unique<SnapshotBuilder>(
+      link_count_, local_link_,
+      [this](SubscriptionId id) {
+        control_plane_.assert_serialized();
+        return static_cast<std::uint32_t>(owner_of(id).value);
+      },
+      std::move(group_links), data_plane_shards);
 
   // Publish the initial (all-empty) snapshot.
   std::vector<SnapshotBuilder::SpaceSources> sources;

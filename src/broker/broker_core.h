@@ -256,10 +256,6 @@ class BrokerCore {
   }
 
  private:
-  struct Group {
-    const SpanningTree* representative{nullptr};
-    SubscriptionLinkFn link_of;
-  };
   struct Space {
     SchemaPtr schema;
     /// Frontier slices, indexed by segment_of(id); writer-only. One slice
@@ -309,9 +305,8 @@ class BrokerCore {
   std::size_t link_count_{0};  // broker ports + 1 pseudo-local
   LinkIndex local_link_;
   std::vector<Space> spaces_;
-  // Groups and masks are shared across spaces (they depend on topology and
-  // owner mapping only).
-  std::vector<std::unique_ptr<Group>> groups_;
+  // Groups (their link tables live in builder_) and masks are shared across
+  // spaces (they depend on topology and owner mapping only).
   std::unordered_map<BrokerId, std::size_t> group_index_of_root_;
   std::unordered_map<BrokerId, std::vector<TritWord>> init_masks_;  // packed
   mutable ControlPlaneCapability control_plane_;

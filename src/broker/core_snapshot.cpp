@@ -9,9 +9,14 @@ std::shared_ptr<const CompiledSegment> SnapshotBuilder::annotate_segment(
   auto segment = std::make_shared<CompiledSegment>();
   segment->subscriptions = subscriptions;
   segment->kernel = std::move(kernel);
+  // Each subscriber's owner, resolved once for every group.
+  std::vector<std::uint32_t> owners;
+  owners.reserve(segment->kernel->subscriber_arena().size());
+  for (const SubscriptionId id : segment->kernel->subscriber_arena()) {
+    owners.push_back(owner_of_(id));
+  }
   segment->annotations = std::make_unique<const CompiledAnnotation>(
-      *segment->kernel, link_count_, std::span<const SubscriptionLinkFn>(group_link_fns_),
-      local_link_);
+      *segment->kernel, link_count_, owners, group_links_, local_link_);
   return segment;
 }
 

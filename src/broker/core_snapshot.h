@@ -14,12 +14,11 @@
 //                -> CompiledSegment (per delta segment)
 //                -> CompiledPst + CompiledAnnotation (all groups).
 //
-// Freezing *compiles* a tree: PstMatcher::freeze() snapshots the mutable
-// Pst into a FrozenPsg (star-chain collapse, hash-consing) and flattens it
-// into a CompiledPst — the struct-of-arrays kernel with interned u64
-// equality keys — which the builder shares and annotates with the flat
-// per-group trit rows of CompiledAnnotation. The intermediate FrozenPsg is
-// discarded; readers only ever touch the compiled form.
+// Freezing *compiles* a tree: PstMatcher::freeze() compiles the mutable
+// Pst in one pass into a CompiledPst — the struct-of-arrays kernel with
+// star-only chains collapsed and interned u64 equality keys — which the
+// builder shares and annotates with the flat per-group trit rows of
+// CompiledAnnotation. Readers only ever touch the compiled form.
 //
 // Sharding: a factored space's buckets are partitioned into `shard_count`
 // independently matchable shards by hashing the factoring key
@@ -54,6 +53,7 @@
 // MatchScratch).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -236,12 +236,18 @@ struct CompileStats {
 /// pipeline below.
 class SnapshotBuilder {
  public:
-  SnapshotBuilder(std::size_t link_count, LinkIndex local_link,
-                  std::vector<SubscriptionLinkFn> group_link_fns,
-                  std::size_t shard_count = 1)
+  /// Resolves a subscription to its owner: the index its group link
+  /// tables are keyed by.
+  using OwnerFn = std::function<std::uint32_t(SubscriptionId)>;
+
+  /// `group_links[g][owner]` is the link an owner's subscriptions take
+  /// under spanning-tree group g (CompiledAnnotation's flat tables).
+  SnapshotBuilder(std::size_t link_count, LinkIndex local_link, OwnerFn owner_of,
+                  std::vector<std::vector<LinkIndex>> group_links, std::size_t shard_count = 1)
       : link_count_(link_count),
         local_link_(local_link),
-        group_link_fns_(std::move(group_link_fns)),
+        owner_of_(std::move(owner_of)),
+        group_links_(std::move(group_links)),
         router_(shard_count) {}
 
   [[nodiscard]] std::size_t shard_count() const { return router_.shard_count(); }
@@ -289,7 +295,8 @@ class SnapshotBuilder {
 
   std::size_t link_count_;
   LinkIndex local_link_;
-  std::vector<SubscriptionLinkFn> group_link_fns_;
+  OwnerFn owner_of_;
+  std::vector<std::vector<LinkIndex>> group_links_;
   ShardRouter router_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <stdexcept>
 
 #include "event/event.h"
@@ -30,78 +29,104 @@ std::uint64_t encode_bool(bool v) { return v ? 1 : 0; }
 
 }  // namespace
 
-CompiledPst::CompiledPst(const FrozenPsg& graph)
-    : schema_(graph.schema()),
-      order_(graph.order()),
-      delayed_star_(graph.options().delayed_star),
-      subscription_count_(graph.subscription_count()) {
+CompiledPst::CompiledPst(const Pst& tree)
+    : schema_(tree.schema()),
+      order_(tree.order()),
+      delayed_star_(tree.options().delayed_star),
+      subscription_count_(tree.subscription_count()) {
   level_types_.reserve(order_.size());
   for (const std::size_t attr : order_) level_types_.push_back(schema_->attribute(attr).type);
 
-  if (subscription_count_ == 0 || graph.root() < 0) return;
+  if (subscription_count_ == 0) return;
 
-  // Pass 1: intern every string equality operand. Ids are assigned in
-  // lexicographic order so the later key transform is monotone and each
-  // node's (already Value-sorted) equality slice stays sorted by key.
-  std::vector<const std::string*> strings;
-  for (FrozenPsg::NodeId n = 0; n < static_cast<FrozenPsg::NodeId>(graph.node_count()); ++n) {
-    for (const auto& [value, child] : graph.eq_children(n)) {
-      if (value.is_string()) strings.push_back(&value.as_string());
+  // Pass 1 (string-typed levels only): intern every string equality
+  // operand. Ids are assigned in lexicographic order so the key transform
+  // is monotone and each node's Value-sorted equality slice stays sorted
+  // by key.
+  if (std::find(level_types_.begin(), level_types_.end(), AttributeType::kString) !=
+      level_types_.end()) {
+    std::vector<const std::string*> strings;
+    std::vector<Pst::NodeId> stack{tree.root()};
+    while (!stack.empty()) {
+      const Pst::NodeId n = stack.back();
+      stack.pop_back();
+      if (tree.is_leaf(n)) continue;
+      for (const auto& [value, child] : tree.eq_children(n)) {
+        if (value.is_string()) strings.push_back(&value.as_string());
+        stack.push_back(child);
+      }
+      for (const auto& [test, child] : tree.other_children(n)) stack.push_back(child);
+      if (tree.star_child(n) != Pst::kNoNode) stack.push_back(tree.star_child(n));
     }
+    std::sort(strings.begin(), strings.end(),
+              [](const std::string* a, const std::string* b) { return *a < *b; });
+    strings.erase(std::unique(strings.begin(), strings.end(),
+                              [](const std::string* a, const std::string* b) { return *a == *b; }),
+                  strings.end());
+    pool_.reserve(strings.size());
+    for (std::size_t i = 0; i < strings.size(); ++i) pool_.emplace(*strings[i], i);
   }
-  std::sort(strings.begin(), strings.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  strings.erase(std::unique(strings.begin(), strings.end(),
-                            [](const std::string* a, const std::string* b) { return *a == *b; }),
-                strings.end());
-  pool_.reserve(strings.size());
-  for (std::size_t i = 0; i < strings.size(); ++i) pool_.emplace(*strings[i], i);
 
-  // Pass 2: flatten in DFS first-visit (preorder) order. Shared DAG nodes
-  // are converted once and reused. Branch/leaf slices are appended after a
-  // node's children return, so each slice is contiguous in its arena.
-  nodes_.reserve(graph.node_count());
-  std::vector<NodeId> new_id(graph.node_count(), kNoNode);
-  const std::function<NodeId(FrozenPsg::NodeId)> convert = [&](FrozenPsg::NodeId old) -> NodeId {
-    if (new_id[static_cast<std::size_t>(old)] != kNoNode) {
-      return new_id[static_cast<std::size_t>(old)];
+  // Pass 2: one DFS (equality, general, then `*` branches) assigns ids in
+  // first-visit order and appends each node to bottom_up_ once its
+  // children are done. Star-only chains are skipped: the parent's edge
+  // points straight at the first node that tests anything. Branch and leaf
+  // slices are appended after a node's children return, so each slice is
+  // contiguous in its arena. Recursion depth is bounded by the level count.
+  nodes_.reserve(tree.live_node_count());
+  bottom_up_.reserve(tree.live_node_count());
+  subs_.reserve(subscription_count_);
+  std::vector<NodeId> pending;
+  std::vector<std::pair<std::uint64_t, NodeId>> eq;
+  const auto convert = [&](const auto& self, Pst::NodeId n) -> NodeId {
+    while (!tree.is_leaf(n) && tree.eq_children(n).empty() && tree.other_children(n).empty() &&
+           tree.star_child(n) != Pst::kNoNode) {
+      n = tree.star_child(n);
     }
     const NodeId id = static_cast<NodeId>(nodes_.size());
     nodes_.emplace_back();
-    new_id[static_cast<std::size_t>(old)] = id;
-    nodes_[static_cast<std::size_t>(id)].level = static_cast<std::uint16_t>(graph.level(old));
+    nodes_[static_cast<std::size_t>(id)].level = static_cast<std::uint16_t>(tree.level(n));
 
-    if (graph.is_leaf(old)) {
-      const auto subs = graph.subscribers(old);
+    if (tree.is_leaf(n)) {
+      const auto subs = tree.subscribers(n);
       Node& node = nodes_[static_cast<std::size_t>(id)];
       node.flags = kLeafFlag;
       node.subs_begin = static_cast<std::uint32_t>(subs_.size());
       node.subs_count = static_cast<std::uint32_t>(subs.size());
       subs_.insert(subs_.end(), subs.begin(), subs.end());
+      std::sort(subs_.begin() + node.subs_begin, subs_.end());
+      bottom_up_.push_back(id);
       return id;
     }
 
-    // Children first (their arena slices land before this node's).
-    std::vector<std::pair<std::uint64_t, NodeId>> eq;
-    eq.reserve(graph.eq_children(old).size());
-    for (const auto& [value, child] : graph.eq_children(old)) {
-      eq.emplace_back(key_of(value), convert(child));
+    // Children first (their arena slices land before this node's). Child
+    // ids wait on the shared `pending` stack; deeper frames leave it as
+    // they found it.
+    const std::size_t first_child = pending.size();
+    for (const auto& [value, child] : tree.eq_children(n)) {
+      const NodeId c = self(self, child);
+      pending.push_back(c);
     }
-    // Monotone encodings keep the Value-sorted input key-sorted already;
-    // sort anyway so the binary-search invariant never depends on it.
-    std::sort(eq.begin(), eq.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<std::pair<const AttributeTest*, NodeId>> other;
-    other.reserve(graph.other_children(old).size());
-    for (const auto& [test, child] : graph.other_children(old)) {
-      other.emplace_back(&test, convert(child));
+    for (const auto& [test, child] : tree.other_children(n)) {
+      const NodeId c = self(self, child);
+      pending.push_back(c);
     }
     const NodeId star =
-        graph.star_child(old) >= 0 ? convert(graph.star_child(old)) : kNoNode;
+        tree.star_child(n) != Pst::kNoNode ? self(self, tree.star_child(n)) : kNoNode;
+
+    // Monotone encodings keep the Value-sorted input key-sorted already;
+    // sort anyway so the binary-search invariant never depends on it.
+    const auto eq_children = tree.eq_children(n);
+    eq.clear();
+    for (std::size_t i = 0; i < eq_children.size(); ++i) {
+      eq.emplace_back(key_of(eq_children[i].first), pending[first_child + i]);
+    }
+    std::sort(eq.begin(), eq.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
 
     Node& node = nodes_[static_cast<std::size_t>(id)];
     node.star = star;
-    if (graph.eq_children_cover_domain(old)) node.flags |= kCoversDomainFlag;
+    if (tree.eq_children_cover_domain(n)) node.flags |= kCoversDomainFlag;
     node.eq_begin = static_cast<std::uint32_t>(eq_keys_.size());
     node.eq_count = static_cast<std::uint32_t>(eq.size());
     for (const auto& [key, child] : eq) {
@@ -109,25 +134,19 @@ CompiledPst::CompiledPst(const FrozenPsg& graph)
       eq_targets_.push_back(child);
     }
     node.other_begin = static_cast<std::uint32_t>(other_tests_.size());
-    node.other_count = static_cast<std::uint32_t>(other.size());
-    for (const auto& [test, child] : other) {
-      other_tests_.push_back(*test);
-      other_targets_.push_back(child);
+    node.other_count = static_cast<std::uint32_t>(tree.other_children(n).size());
+    std::size_t next = first_child + eq_children.size();
+    for (const auto& [test, child] : tree.other_children(n)) {
+      other_tests_.push_back(test);
+      other_targets_.push_back(pending[next++]);
     }
+    pending.resize(first_child);
+    bottom_up_.push_back(id);
     return id;
   };
-  root_ = convert(graph.root());
-
-  // Every FrozenPsg node is reachable from its root, so ascending old ids
-  // (children strictly smaller than parents) map onto a full bottom-up
-  // order of the compiled ids.
-  bottom_up_.reserve(nodes_.size());
-  for (std::size_t old = 0; old < graph.node_count(); ++old) {
-    if (new_id[old] != kNoNode) bottom_up_.push_back(new_id[old]);
-  }
-  if (bottom_up_.size() != nodes_.size()) {
-    throw std::logic_error("CompiledPst: source graph has unreachable nodes");
-  }
+  root_ = convert(convert, tree.root());
+  nodes_.shrink_to_fit();
+  bottom_up_.shrink_to_fit();
 }
 
 std::uint64_t CompiledPst::key_of(const Value& v) const {
@@ -200,8 +219,8 @@ void CompiledPst::match(const Event& event, std::vector<SubscriptionId>& out,
   while (!stack.empty()) {
     const NodeId n = stack.back();
     stack.pop_back();
-    // Memoization: a shared DAG node reached along a second path contributes
-    // nothing new (leaf subscriber sets are unioned).
+    // The kernel is a tree, so every node is reached at most once; the
+    // stamp check is a guard, never a skip.
     if (!scratch.visit(static_cast<std::size_t>(n))) continue;
     if (stats != nullptr) ++stats->nodes_visited;
 

@@ -1,34 +1,42 @@
 // Compiled flat parallel search trees: the immutable, cache-friendly match
 // kernel behind the snapshot engine.
 //
-// A FrozenPsg is already immutable and hash-consed, but it is still a
-// pointer-chasing arena: every node owns three std::vectors, and every
-// equality branch compares full `Value` variants (heap strings included)
-// through std::lower_bound. CompiledPst flattens a FrozenPsg once — in
-// PstMatcher::freeze(), which the snapshot engine and the routing network
-// share — into a struct-of-arrays layout built for the data-plane walk:
+// The mutable Pst is a pointer-chasing arena: every node owns three
+// std::vectors, and every equality branch compares full `Value` variants
+// (heap strings included). CompiledPst compiles a Pst in one depth-first
+// pass — in PstMatcher::freeze(), which the snapshot engine and the routing
+// network share — into a struct-of-arrays layout built for the data-plane
+// walk:
 //
+//  * star-only chains are collapsed structurally (trivial-test elimination
+//    applied to the structure, not at match time): an edge may jump several
+//    levels, and each surviving node stores the level it actually tests.
+//    Under the paper's workloads — most trailing attributes don't-care —
+//    this removes the majority of nodes;
 //  * nodes live in one contiguous array (32 bytes each) in DFS first-visit
-//    order; branch tables, leaf subscriber lists, and general (range /
-//    not-equals) tests live in parallel arenas addressed by [begin, count)
-//    slices, so a match touches a handful of dense arrays instead of a
-//    vector-per-node heap walk;
+//    order; branch tables, leaf subscriber lists (sorted), and general
+//    (range / not-equals) tests live in parallel arenas addressed by
+//    [begin, count) slices, so a match touches a handful of dense arrays
+//    instead of a vector-per-node heap walk;
 //  * every equality operand is lowered to a u64 key: integers, doubles, and
 //    bools via order-preserving bit tricks, strings by interning into a
 //    per-tree pool. resolve() lowers an event to its key vector once per
 //    dispatch, so an equality test is a u64 compare instead of a Value
 //    variant comparison — branchless binary search for wide fan-out, a
 //    linear scan for narrow nodes;
-//  * star-only chains were already collapsed structurally by the FrozenPsg
-//    (trivial-test elimination), and eq_children_cover_domain is
-//    precomputed into a per-node flag, so the walk does no structural
-//    analysis at match time.
+//  * eq_children_cover_domain is precomputed into a per-node flag, so the
+//    walk does no structural analysis at match time.
+//
+// The kernel stays a tree, not the DAG the paper notes (Section 2.1) an
+// optimized search tree may become: each subscription id lives at exactly
+// one leaf, so no two subgraphs holding subscribers are isomorphic and
+// merging them finds nothing (0 merged nodes on every perfbench workload).
 //
 // The mutable Pst remains the write-side source of truth. A CompiledPst is
 // deeply immutable after construction: any number of threads may match
 // against one instance concurrently, each with its own MatchScratch
-// (memoization stamps, resolved-key buffer, DFS stack). The routing layer
-// lays its frozen trit-annotation rows out against these node ids — see
+// (visit stamps, resolved-key buffer, DFS stack). The routing layer lays
+// its frozen trit-annotation rows out against these node ids — see
 // routing/compiled_annotation.h.
 #pragma once
 
@@ -39,7 +47,7 @@
 #include <vector>
 
 #include "matching/match_scratch.h"
-#include "matching/psg.h"
+#include "matching/pst.h"
 
 namespace gryphon {
 
@@ -54,8 +62,9 @@ class CompiledPst {
   /// against it.
   static constexpr std::uint64_t kUnknownKey = ~std::uint64_t{0};
 
-  /// Compiles a frozen snapshot. `graph` may be destroyed afterwards.
-  explicit CompiledPst(const FrozenPsg& graph);
+  /// Compiles a snapshot of `tree`, which may be mutated or destroyed
+  /// afterwards.
+  explicit CompiledPst(const Pst& tree);
 
   /// Lowers the event's tested attributes to equality keys, one per level
   /// of order(). Called once per dispatch; `keys` is a reusable scratch
@@ -76,7 +85,7 @@ class CompiledPst {
   [[nodiscard]] bool is_leaf(NodeId n) const {
     return (nodes_[static_cast<std::size_t>(n)].flags & kLeafFlag) != 0;
   }
-  /// Precomputed FrozenPsg::eq_children_cover_domain of the source node.
+  /// Precomputed Pst::eq_children_cover_domain of the source node.
   [[nodiscard]] bool covers_domain(NodeId n) const {
     return (nodes_[static_cast<std::size_t>(n)].flags & kCoversDomainFlag) != 0;
   }
@@ -103,6 +112,13 @@ class CompiledPst {
     const Node& node = nodes_[static_cast<std::size_t>(n)];
     return {subs_.data() + node.subs_begin, node.subs_count};
   }
+  /// Every leaf's subscriber slice, back to back: subscribers(n) is the
+  /// slice at subscribers_begin(n). Callers resolve per-subscriber facts
+  /// once into an array parallel to this arena.
+  [[nodiscard]] std::span<const SubscriptionId> subscriber_arena() const { return subs_; }
+  [[nodiscard]] std::size_t subscribers_begin(NodeId n) const {
+    return nodes_[static_cast<std::size_t>(n)].subs_begin;
+  }
 
   /// The equality child selected by a resolved key, or kNoNode. Branchless
   /// binary search on wide nodes, linear scan on narrow ones.
@@ -110,9 +126,9 @@ class CompiledPst {
     return eq_child(nodes_[static_cast<std::size_t>(n)], key);
   }
 
-  /// Node ids ordered children-before-parents (inherited from the source
-  /// FrozenPsg's bottom-up id contract). One forward pass over this order
-  /// computes any bottom-up node property — the annotation builder uses it.
+  /// Node ids ordered children-before-parents (the post-order of the
+  /// compiling DFS). One forward pass over this order computes any
+  /// bottom-up node property — the annotation builder uses it.
   [[nodiscard]] std::span<const NodeId> bottom_up_order() const { return bottom_up_; }
 
   /// The compile-time key of a value (strings must be in the intern pool,

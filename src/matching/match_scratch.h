@@ -1,17 +1,16 @@
 // Per-thread scratch state for matching against frozen (immutable) search
 // structures.
 //
-// A FrozenPsg memoizes node visits per event so a DAG node shared between
-// several paths is expanded at most once. The memoization stamps used to
-// live inside the graph as `mutable` members, which made even const matching
-// single-threaded. They now live here: each matching thread owns one
-// MatchScratch and passes it down through FrozenPsg / BrokerCore::dispatch,
-// so any number of threads can match against one shared snapshot
-// concurrently with zero synchronization.
+// The compiled kernel (CompiledPst) keeps per-event node visit stamps. They
+// live here rather than inside the kernel as `mutable` members, which would
+// make even const matching single-threaded: each matching thread owns one
+// MatchScratch and passes it down through CompiledPst::match /
+// BrokerCore::dispatch, so any number of threads can match against one
+// shared snapshot concurrently with zero synchronization.
 //
-// One MatchScratch may be reused across different graphs and events: stamps
-// are versioned, so "visited" marks from a previous match (or a previous
-// graph) can never leak into the current one.
+// One MatchScratch may be reused across different kernels and events:
+// stamps are versioned, so "visited" marks from a previous match (or a
+// previous kernel) can never leak into the current one.
 //
 // The scratch also owns the other per-dispatch buffers the compiled kernel
 // needs — the resolved equality-key vector, the factoring key, the DFS

@@ -181,7 +181,7 @@ const Pst* PstMatcher::tree_for_event(const Event& event,
 void PstMatcher::freeze() {
   const auto freeze_tree = [](Tree& tree) {
     if (tree.kernel == nullptr && tree.pst->subscription_count() > 0) {
-      tree.kernel = std::make_shared<const CompiledPst>(FrozenPsg(*tree.pst));
+      tree.kernel = std::make_shared<const CompiledPst>(*tree.pst);
     }
   };
   if (single_.pst) {
@@ -201,7 +201,7 @@ void PstMatcher::match_into(const Event& event, std::vector<SubscriptionId>& out
   const Tree* tree = find_tree(event, scratch.factoring_key());
   if (factoring_ && stats != nullptr) ++stats->nodes_visited;  // the index probe
   if (tree == nullptr) return;
-  // FrozenPsg collapses star chains structurally, so the frozen kernel
+  // CompiledPst collapses star chains structurally, so the frozen kernel
   // reproduces the mutable walk's step counts only under trivial-test
   // elimination.
   if (tree->kernel != nullptr && options_.tree.trivial_test_elimination) {

@@ -81,7 +81,7 @@ class PstMatcher : public Matcher {
                   MatchStats* stats = nullptr) const;
 
   /// Compiles every non-empty tree changed since the last freeze() into
-  /// its flat kernel (Pst -> FrozenPsg -> CompiledPst), kept beside the
+  /// its flat kernel (Pst -> CompiledPst, one pass), kept beside the
   /// tree until the tree changes again. A writer operation like add(): it
   /// must not overlap a match. match() runs a tree on its kernel under
   /// trivial-test elimination (the kernel always collapses star chains, so

@@ -10,31 +10,43 @@
 namespace gryphon {
 
 CompiledAnnotation::CompiledAnnotation(const CompiledPst& kernel, std::size_t link_count,
-                                       std::span<const SubscriptionLinkFn> group_link_fns,
+                                       std::span<const std::uint32_t> owners,
+                                       std::span<const std::vector<LinkIndex>> group_links,
                                        LinkIndex local_link)
     : kernel_(&kernel),
       link_count_(link_count),
       words_(trit_words(link_count)),
-      group_count_(group_link_fns.size()),
+      group_count_(group_links.size()),
       node_count_(kernel.node_count()),
       local_link_(local_link) {
   if (link_count_ == 0) throw std::invalid_argument("CompiledAnnotation: zero links");
   if (group_count_ == 0) throw std::invalid_argument("CompiledAnnotation: zero groups");
+  if (owners.size() != kernel.subscriber_arena().size()) {
+    throw std::invalid_argument("CompiledAnnotation: owners do not match the kernel");
+  }
+  const std::uint32_t owner_bound =
+      owners.empty() ? 0 : *std::max_element(owners.begin(), owners.end()) + 1;
+  for (const std::vector<LinkIndex>& table : group_links) {
+    if (table.size() < owner_bound) {
+      throw std::invalid_argument("CompiledAnnotation: link table misses an owner");
+    }
+  }
   planes_.assign(group_count_ * node_count_ * 2 * words_, 0);
   local_slices_.assign(node_count_, {0, 0});
 
   // The shared local-subscriber arena: the local-link column never depends
-  // on the spanning tree (every group maps owner == self to local_link), so
-  // any group's link function identifies the local subscribers.
+  // on the spanning tree (every group maps the local owner to local_link),
+  // so any group's table identifies the local subscribers.
   if (local_link_.valid()) {
-    const SubscriptionLinkFn& link_of = group_link_fns.front();
-    if (!link_of) throw std::invalid_argument("CompiledAnnotation: null link function");
+    const std::vector<LinkIndex>& links = group_links.front();
     for (std::size_t i = 0; i < node_count_; ++i) {
       const auto n = static_cast<CompiledPst::NodeId>(i);
       if (!kernel.is_leaf(n)) continue;
       const auto begin = static_cast<std::uint32_t>(local_subs_.size());
-      for (const SubscriptionId sub : kernel.subscribers(n)) {
-        if (link_of(sub) == local_link_) local_subs_.push_back(sub);
+      const std::size_t first = kernel.subscribers_begin(n);
+      const auto subs = kernel.subscribers(n);
+      for (std::size_t k = 0; k < subs.size(); ++k) {
+        if (links[owners[first + k]] == local_link_) local_subs_.push_back(subs[k]);
       }
       local_slices_[i] = {begin, static_cast<std::uint32_t>(local_subs_.size()) - begin};
     }
@@ -42,8 +54,7 @@ CompiledAnnotation::CompiledAnnotation(const CompiledPst& kernel, std::size_t li
 
   const std::size_t row_words = 2 * words_;
   for (std::size_t g = 0; g < group_count_; ++g) {
-    const SubscriptionLinkFn& link_of = group_link_fns[g];
-    if (!link_of) throw std::invalid_argument("CompiledAnnotation: null link function");
+    const LinkIndex* const links = group_links[g].data();
     const auto row_of = [&](CompiledPst::NodeId n) { return planes_.data() + row_offset(g, n); };
 
     // One forward pass over the bottom-up order computes every row in
@@ -51,8 +62,10 @@ CompiledAnnotation::CompiledAnnotation(const CompiledPst& kernel, std::size_t li
     for (const CompiledPst::NodeId n : kernel.bottom_up_order()) {
       TritWord* const out = row_of(n);
       if (kernel.is_leaf(n)) {
-        for (const SubscriptionId sub : kernel.subscribers(n)) {
-          const LinkIndex link = link_of(sub);
+        const std::size_t first = kernel.subscribers_begin(n);
+        const std::size_t last = first + kernel.subscribers(n).size();
+        for (std::size_t k = first; k < last; ++k) {
+          const LinkIndex link = links[owners[k]];
           if (!link.valid() || static_cast<std::size_t>(link.value) >= link_count_) {
             throw std::logic_error("CompiledAnnotation: subscription resolved to a bad link");
           }
@@ -161,8 +174,7 @@ class CompiledDispatchSearch {
     // Step 2: refinement against this node's annotation.
     packed::refine_with(mask.data(), annotated_.annotation(group_, node).data(), words);
     // Stamping marks "local matches at or below this node are collected by
-    // this call" — sound on the DAG because the leaf union below a shared
-    // node is path-independent.
+    // this call".
     const bool local_here = wants_local(node);
     if (local_here) scratch_.visit(static_cast<std::size_t>(node));
 

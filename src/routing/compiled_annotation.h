@@ -18,7 +18,11 @@
 //    from its branch tables;
 //  * the locally-owned subscriber ids of every leaf are precomputed into a
 //    contiguous arena (per-leaf slices), so local enumeration needs no
-//    per-subscriber link lookup at dispatch time.
+//    per-subscriber link lookup at dispatch time;
+//  * construction reads flat link tables: the caller resolves each kernel
+//    subscriber's owner once into an array parallel to the kernel's
+//    subscriber arena, and each group maps owners to links through a dense
+//    table, so a leaf row costs two array loads per (subscriber, group).
 //
 // Annotation semantics are identical to AnnotatedPst (paper Section 3.1):
 // leaves get Yes at the link of each subscriber, interiors fold value
@@ -39,7 +43,6 @@
 #include "common/ids.h"
 #include "matching/compiled_pst.h"
 #include "matching/match_scratch.h"
-#include "routing/annotated_pst.h"  // SubscriptionLinkFn
 #include "routing/trit.h"
 
 namespace gryphon {
@@ -47,13 +50,16 @@ namespace gryphon {
 class CompiledAnnotation {
  public:
   /// Builds annotation rows for every spanning-tree group over `kernel`,
-  /// which must outlive this object. `group_link_fns[g]` resolves a
-  /// subscription to its link under group g; all groups must agree on the
-  /// local link (they map owner == self to `local_link`), which is what
-  /// makes the shared local-subscriber arena sound. Pass an invalid
+  /// which must outlive this object. `owners[i]` is the owner of
+  /// kernel.subscriber_arena()[i] — a broker or client index, whatever the
+  /// caller's tables are keyed by — and `group_links[g][o]` is the link
+  /// owner o's subscriptions take under group g. All groups must agree on
+  /// the local link (they map the local owner to `local_link`), which is
+  /// what makes the shared local-subscriber arena sound. Pass an invalid
   /// `local_link` when local enumeration is never wanted.
   CompiledAnnotation(const CompiledPst& kernel, std::size_t link_count,
-                     std::span<const SubscriptionLinkFn> group_link_fns, LinkIndex local_link);
+                     std::span<const std::uint32_t> owners,
+                     std::span<const std::vector<LinkIndex>> group_links, LinkIndex local_link);
 
   [[nodiscard]] const CompiledPst& kernel() const { return *kernel_; }
   [[nodiscard]] std::size_t link_count() const { return link_count_; }

@@ -1,7 +1,10 @@
 #include "routing/content_router.h"
 
+#include <optional>
 #include <stdexcept>
 #include <string>
+
+#include "common/parallel_for.h"
 
 namespace gryphon {
 
@@ -40,6 +43,7 @@ ContentRoutingNetwork::ContentRoutingNetwork(const BrokerNetwork& network, Schem
       if (created) {
         auto group = std::make_unique<Group>();
         const SpanningTree* rep = tree.get();
+        group->representative = rep;
         group->link_of = [this, rep, broker](SubscriptionId id) {
           return rep->tree_next_hop_to_client(broker, destinations_.at(id));
         };
@@ -71,7 +75,7 @@ const SpanningTree& ContentRoutingNetwork::spanning_tree(BrokerId root) const {
 }
 
 void ContentRoutingNetwork::apply_touched(const PstMatcher::TouchedTrees& touched) {
-  // FrozenPsg collapses star chains structurally, so the compiled kernel's
+  // CompiledPst collapses star chains structurally, so the compiled kernel's
   // step counts equal link_match's only under trivial-test elimination.
   const bool compilable = matcher_->options().tree.trivial_test_elimination;
   for (const auto& t : touched) {
@@ -180,7 +184,7 @@ std::uint64_t ContentRoutingNetwork::route_into(BrokerId broker, const Event& ev
   }
 
   const CompiledTree* compiled = tree_state.compiled.load(std::memory_order_acquire);
-  if (compiled == nullptr) compiled = &compile(*tree, tree_state, nullptr);
+  if (compiled == nullptr) compiled = &compile(*tree, tree_state, nullptr, 1);
   if (compiled->epoch != tree->epoch()) {
     throw std::logic_error("ContentRoutingNetwork::route: compiled tree is stale");
   }
@@ -193,28 +197,56 @@ std::uint64_t ContentRoutingNetwork::route_into(BrokerId broker, const Event& ev
   return steps;
 }
 
+const std::vector<std::vector<LinkIndex>>& ContentRoutingNetwork::client_links(
+    std::size_t b) const {
+  const BrokerState& state = broker_states_[b];
+  if (state.client_links.empty()) {
+    const BrokerId broker{static_cast<BrokerId::rep_type>(b)};
+    const std::size_t clients = network_->client_count();
+    state.client_links.resize(state.groups.size());
+    for (std::size_t g = 0; g < state.groups.size(); ++g) {
+      std::vector<LinkIndex>& links = state.client_links[g];
+      links.reserve(clients);
+      for (std::size_t c = 0; c < clients; ++c) {
+        links.push_back(state.groups[g]->representative->tree_next_hop_to_client(
+            broker, ClientId{static_cast<ClientId::rep_type>(c)}));
+      }
+    }
+  }
+  return state.client_links;
+}
+
 const ContentRoutingNetwork::CompiledTree& ContentRoutingNetwork::compile(
-    const Pst& tree, const TreeState& state, std::shared_ptr<const CompiledPst> kernel) const {
+    const Pst& tree, const TreeState& state, std::shared_ptr<const CompiledPst> kernel,
+    std::size_t threads) const {
   MutexLock lock(compile_mutex_);
   // Another thread may have compiled it while this one waited.
   if (const CompiledTree* done = state.compiled.load(std::memory_order_acquire)) return *done;
-  if (kernel == nullptr) kernel = std::make_shared<const CompiledPst>(FrozenPsg(tree));
+  if (kernel == nullptr) kernel = std::make_shared<const CompiledPst>(tree);
   auto compiled = std::make_unique<CompiledTree>(CompiledTree{tree.epoch(), std::move(kernel), {}});
-  compiled->annotations.reserve(broker_states_.size());
-  std::vector<SubscriptionLinkFn> link_fns;
-  for (const BrokerState& broker : broker_states_) {
-    link_fns.clear();
-    for (const auto& group : broker.groups) link_fns.push_back(group->link_of);
-    compiled->annotations.emplace_back(*compiled->kernel, broker.link_count,
-                                       std::span<const SubscriptionLinkFn>(link_fns),
-                                       LinkIndex{});
+  // Each subscriber's destination client, once for every broker.
+  const auto arena = compiled->kernel->subscriber_arena();
+  std::vector<std::uint32_t> owners;
+  owners.reserve(arena.size());
+  for (const SubscriptionId id : arena) {
+    owners.push_back(static_cast<std::uint32_t>(destinations_.at(id).value));
+  }
+  // Brokers' annotations are independent; each task writes its own slot.
+  std::vector<std::optional<CompiledAnnotation>> built(broker_states_.size());
+  parallel_for(threads, broker_states_.size(), [&](std::size_t b) {
+    built[b].emplace(*compiled->kernel, broker_states_[b].link_count, owners, client_links(b),
+                     LinkIndex{});
+  });
+  compiled->annotations.reserve(built.size());
+  for (std::optional<CompiledAnnotation>& annotation : built) {
+    compiled->annotations.push_back(std::move(*annotation));
   }
   state.owned = std::move(compiled);
   state.compiled.store(state.owned.get(), std::memory_order_release);
   return *state.owned;
 }
 
-void ContentRoutingNetwork::compile_all() {
+void ContentRoutingNetwork::compile_all(std::size_t threads) {
   // Without trivial-test elimination every tree is incremental.
   if (!matcher_->options().tree.trivial_test_elimination) return;
   matcher_->freeze();
@@ -223,7 +255,7 @@ void ContentRoutingNetwork::compile_all() {
     const TreeState& state = tree_states_.at(&tree);
     if (kernel != nullptr && !state.incremental &&
         state.compiled.load(std::memory_order_acquire) == nullptr) {
-      compile(tree, state, std::move(kernel));
+      compile(tree, state, std::move(kernel), threads);
     }
   });
 }

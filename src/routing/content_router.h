@@ -25,7 +25,10 @@
 //     spanning-tree groups — and searched with compiled_dispatch_into, the
 //     broker's allocation-free kernel. subscribe() only marks the tree;
 //     a burst of subscriptions costs one compile (compile_all() pays it
-//     up front, sharing the matcher's frozen kernel);
+//     up front, sharing the matcher's frozen kernel and building the
+//     brokers' annotations on several threads). A compile resolves each
+//     kernel subscriber's destination client once; every broker's rows
+//     then read dense client -> link tables, one per group;
 //   * incremental once churning: a tree mutated after it has been read
 //     switches, for good, to per-group AnnotatedPsts maintained spine by
 //     spine on every subscribe/unsubscribe and searched with link_match.
@@ -116,10 +119,12 @@ class ContentRoutingNetwork {
 
   /// Freezes the shared matcher and compiles every tree that is neither
   /// compiled nor churning around the kernel the freeze left on it, so
-  /// route() and match() share one compile per tree. The simulator calls
+  /// route() and match() share one compile per tree. The brokers'
+  /// annotations are built on up to `threads` threads (1: on the caller
+  /// only); the result does not depend on the count. The simulator calls
   /// it at the end of construction. Like subscribe(), must not overlap
   /// route().
-  void compile_all();
+  void compile_all(std::size_t threads = 1);
 
   /// How many trees each kernel currently serves (observability and test
   /// hook).
@@ -153,6 +158,8 @@ class ContentRoutingNetwork {
 
  private:
   struct Group {
+    /// The spanning tree whose destination -> link map the group shares.
+    const SpanningTree* representative{nullptr};
     SubscriptionLinkFn link_of;
     /// Incremental annotations, for churning trees only.
     std::unordered_map<const Pst*, std::unique_ptr<AnnotatedPst>> annotations;
@@ -167,6 +174,11 @@ class ContentRoutingNetwork {
     std::size_t link_count{0};
     std::vector<std::unique_ptr<Group>> groups;
     std::unordered_map<BrokerId, RootView> roots;
+    /// [group][client]: the link toward each client under each group, for
+    /// the compiled annotation. Empty until the broker's first compile,
+    /// which fills it under compile_mutex_ (each broker's slot from one
+    /// thread).
+    mutable std::vector<std::vector<LinkIndex>> client_links;
   };
   /// A tree's compiled form: one kernel shared by every broker, plus each
   /// broker's annotation rows (one row block per group).
@@ -185,9 +197,14 @@ class ContentRoutingNetwork {
   };
 
   void apply_touched(const PstMatcher::TouchedTrees& touched);
-  /// Publishes `tree`'s compiled form around `kernel` (null: compile here).
+  /// Publishes `tree`'s compiled form around `kernel` (null: compile here),
+  /// building the brokers' annotations on up to `threads` threads.
   const CompiledTree& compile(const Pst& tree, const TreeState& state,
-                              std::shared_ptr<const CompiledPst> kernel) const;
+                              std::shared_ptr<const CompiledPst> kernel,
+                              std::size_t threads) const;
+  /// The client -> link table of every group of broker `b`, built on the
+  /// broker's first compile.
+  const std::vector<std::vector<LinkIndex>>& client_links(std::size_t b) const;
 
   const BrokerNetwork* network_;
   SchemaPtr schema_;

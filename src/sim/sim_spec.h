@@ -191,9 +191,12 @@ enum class ControlPlaneMode : std::uint8_t {
 };
 
 struct EngineSpec {
-  /// Worker threads for the event loop. 1 = serial. Results are identical
-  /// across thread counts (conservative synchronization, deterministic
-  /// event ordering); only wall_seconds changes.
+  /// Worker threads for the event loop, and for the independent pieces of
+  /// construction (per-broker annotations and matchers, the oracle's
+  /// per-event matches). 1 = serial. Results are identical across thread
+  /// counts (conservative synchronization, deterministic event ordering,
+  /// construction pieces writing disjoint slots); only wall_seconds
+  /// changes.
   std::size_t threads{1};
   ControlPlaneMode control_plane{ControlPlaneMode::kAuto};
   /// kAuto switches to kAggregate beyond either threshold.

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/parallel_for.h"
 #include "common/zipf.h"
 #include "sim/engine.h"
 #include "sim/sim_instance.h"
@@ -169,11 +170,14 @@ void build_publishers(SimInstance& inst) {
   }
 }
 
+// The instance owns its spec, so scripted pieces move into it: nothing
+// reads spec.workload.scripted after construction.
 void build_subscriptions(SimInstance& inst,
                          const std::vector<std::vector<std::uint32_t>>& perms) {
-  const WorkloadSpec& w = inst.spec.workload;
+  WorkloadSpec& w = inst.spec.workload;
   if (!w.scripted.subscriptions.empty()) {
-    inst.subscriptions = w.scripted.subscriptions;
+    inst.subscriptions = std::move(w.scripted.subscriptions);
+    w.scripted.subscriptions.clear();
     return;
   }
   if (w.subscriptions == 0) return;
@@ -193,9 +197,10 @@ void build_subscriptions(SimInstance& inst,
 }
 
 void build_events(SimInstance& inst, const std::vector<std::vector<std::uint32_t>>& perms) {
-  const WorkloadSpec& w = inst.spec.workload;
+  WorkloadSpec& w = inst.spec.workload;
   if (!w.scripted.events.empty()) {
-    inst.events = w.scripted.events;
+    inst.events = std::move(w.scripted.events);
+    w.scripted.events.clear();
     return;
   }
   if (w.events == 0) return;
@@ -235,38 +240,62 @@ void build_control_plane(SimInstance& inst) {
   roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
   if (roots.empty() && net.broker_count() > 0) roots.push_back(BrokerId{0});
 
+  // Static runs match the aggregate and per-broker matchers on frozen
+  // kernels; churn would stale every kernel they read.
+  const bool freeze = !inst.churn_enabled;
   if (!inst.aggregate) {
     inst.crn = std::make_unique<ContentRoutingNetwork>(net, inst.schema, roots, spec.matcher);
-    for (const SimSubscription& sub : inst.subscriptions) {
-      inst.crn->subscribe(sub.id, sub.subscription, sub.subscriber);
-    }
-    // Only link matching routes through the CRN: compile every tree now,
-    // so the cost lands in construction, not in the first run.
-    if (spec.protocol == Protocol::kLinkMatching) inst.crn->compile_all();
   } else {
     inst.routing = std::make_unique<RoutingTable>(net);
     for (const BrokerId root : roots) {
       inst.trees.emplace(root, std::make_unique<SpanningTree>(net, *inst.routing, root));
     }
     inst.shared_matcher = std::make_unique<PstMatcher>(inst.schema, spec.matcher);
-    for (const SimSubscription& sub : inst.subscriptions) {
-      inst.shared_matcher->add(sub.id, sub.subscription);
-      inst.destinations[sub.id] = sub.subscriber;
-    }
   }
 
   const bool need_local = spec.protocol == Protocol::kFlooding ||
                           (spec.protocol == Protocol::kLinkMatching && inst.aggregate);
+  // Each local matcher's subscriptions, in subscription order.
+  std::vector<std::vector<std::uint32_t>> local_subs;
   if (need_local) {
-    inst.local_matchers.reserve(net.broker_count());
-    for (std::size_t b = 0; b < net.broker_count(); ++b) {
-      inst.local_matchers.push_back(std::make_unique<PstMatcher>(inst.schema, spec.matcher));
+    local_subs.resize(net.broker_count());
+    for (std::size_t i = 0; i < inst.subscriptions.size(); ++i) {
+      const BrokerId home = net.client_home(inst.subscriptions[i].subscriber);
+      local_subs[static_cast<std::size_t>(home.value)].push_back(static_cast<std::uint32_t>(i));
     }
-    for (const SimSubscription& sub : inst.subscriptions) {
-      const BrokerId home = net.client_home(sub.subscriber);
-      inst.local_matchers[static_cast<std::size_t>(home.value)]->add(sub.id,
-                                                                     sub.subscription);
+    inst.local_matchers.resize(net.broker_count());
+  }
+
+  // Item 0 builds the shared control plane; item 1 + b builds broker b's
+  // local matcher. Every item writes its own structures only.
+  parallel_for(spec.engine.threads, 1 + local_subs.size(), [&](std::size_t item) {
+    if (item == 0) {
+      if (inst.crn) {
+        for (const SimSubscription& sub : inst.subscriptions) {
+          inst.crn->subscribe(sub.id, sub.subscription, sub.subscriber);
+        }
+        return;
+      }
+      for (const SimSubscription& sub : inst.subscriptions) {
+        inst.shared_matcher->add(sub.id, sub.subscription);
+        inst.destinations[sub.id] = sub.subscriber;
+      }
+      if (freeze) inst.shared_matcher->freeze();
+      return;
     }
+    auto matcher = std::make_unique<PstMatcher>(inst.schema, spec.matcher);
+    for (const std::uint32_t i : local_subs[item - 1]) {
+      matcher->add(inst.subscriptions[i].id, inst.subscriptions[i].subscription);
+    }
+    if (freeze) matcher->freeze();
+    inst.local_matchers[item - 1] = std::move(matcher);
+  });
+  // Only link matching routes through the CRN: compile every tree now, so
+  // the cost lands in construction, not in the first run. The CRN's
+  // matcher is otherwise matched only in the oracle precompute, where
+  // walking beats compiling.
+  if (inst.crn && spec.protocol == Protocol::kLinkMatching) {
+    inst.crn->compile_all(spec.engine.threads);
   }
 
   // Per-tree acceleration: child ports for every broker, plus DFS pre/post
@@ -393,16 +422,19 @@ void build_oracle_and_precompute(SimInstance& inst) {
   if (!need_all && fraction <= 0.0) return;
   inst.event_match_steps.assign(count, 0);
   inst.event_dests.resize(count);
+  // Aggregate link matching: per event, the matched homes of each tree in
+  // tree_aux order.
+  using Homes = std::shared_ptr<const std::vector<std::uint32_t>>;
+  std::vector<std::vector<Homes>> event_homes(lm_aggregate ? count : 0);
 
-  std::vector<SubscriptionId> matched;
-  for (std::size_t e = 0; e < count; ++e) {
+  // Events are independent; each writes its own slots.
+  parallel_for(spec.engine.threads, count, [&](std::size_t e) {
     const bool selected = !inst.oracle_selected.empty() && inst.oracle_selected[e] != 0;
-    if (!need_all && !selected) continue;
-    matched.clear();
+    if (!need_all && !selected) return;
+    std::vector<SubscriptionId> matched;
     MatchStats stats;
     inst.matcher().match_into(inst.events[e], matched, &stats);
     inst.event_match_steps[e] = stats.nodes_visited;
-    if (selected) inst.centralized_steps += stats.nodes_visited;
 
     std::vector<ClientId>& dests = inst.event_dests[e];
     dests.reserve(matched.size());
@@ -411,6 +443,7 @@ void build_oracle_and_precompute(SimInstance& inst) {
     dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
 
     if (lm_aggregate) {
+      event_homes[e].reserve(inst.tree_aux.size());
       for (const auto& [root, aux] : inst.tree_aux) {
         auto homes = std::make_shared<std::vector<std::uint32_t>>();
         homes->reserve(dests.size());
@@ -420,9 +453,20 @@ void build_oracle_and_precompute(SimInstance& inst) {
         }
         std::sort(homes->begin(), homes->end());
         homes->erase(std::unique(homes->begin(), homes->end()), homes->end());
-        inst.event_homes.emplace(
-            std::make_pair(static_cast<std::uint32_t>(e), root.value), std::move(homes));
+        event_homes[e].push_back(std::move(homes));
       }
+    }
+  });
+
+  for (std::size_t e = 0; e < count; ++e) {
+    if (!inst.oracle_selected.empty() && inst.oracle_selected[e] != 0) {
+      inst.centralized_steps += inst.event_match_steps[e];
+    }
+    if (event_homes.empty() || event_homes[e].empty()) continue;
+    auto homes = event_homes[e].begin();
+    for (const auto& entry : inst.tree_aux) {
+      inst.event_homes.emplace(
+          std::make_pair(static_cast<std::uint32_t>(e), entry.first.value), std::move(*homes++));
     }
   }
 }
@@ -450,7 +494,8 @@ std::unique_ptr<SimInstance> build_instance(SimSpec spec) {
   build_events(*inst, perms);
   inst->base_schedule = s.workload.scripted.schedule.empty()
                             ? make_schedule(*inst, s.workload.rate_eps, 0)
-                            : s.workload.scripted.schedule;
+                            : std::move(s.workload.scripted.schedule);
+  s.workload.scripted.schedule.clear();
   for (const PublishRecord& record : inst->base_schedule) {
     if (record.event_index >= inst->events.size() ||
         !record.broker.valid() ||
@@ -459,16 +504,10 @@ std::unique_ptr<SimInstance> build_instance(SimSpec spec) {
       throw std::invalid_argument("simulation: scripted schedule is out of range");
     }
   }
-  build_control_plane(*inst);
+  // Churn is scripted first: whether it is on decides whether the control
+  // plane freezes its matchers.
   build_churn(*inst, perms);
-  // Static runs match the aggregate and per-broker matchers on frozen
-  // kernels; churn would stale every kernel they read. The CRN's matcher is
-  // frozen by compile_all() under link matching; the other protocols match
-  // it only in the oracle precompute, where walking beats compiling.
-  if (!inst->churn_enabled) {
-    if (inst->shared_matcher) inst->shared_matcher->freeze();
-    for (const auto& matcher : inst->local_matchers) matcher->freeze();
-  }
+  build_control_plane(*inst);
   build_oracle_and_precompute(*inst);
   return inst;
 }
@@ -589,6 +628,14 @@ const std::vector<PublishRecord>& Simulation::schedule() const {
 const std::vector<BrokerId>& Simulation::publishers() const { return inst_->publishers; }
 const std::vector<Event>& Simulation::events() const { return inst_->events; }
 std::size_t Simulation::subscription_count() const { return inst_->subscriptions.size(); }
+
+ScriptedWorkload Simulation::release_workload() && {
+  ScriptedWorkload workload;
+  workload.subscriptions = std::move(inst_->subscriptions);
+  workload.events = std::move(inst_->events);
+  inst_.reset();
+  return workload;
+}
 
 SimResult simulate(const SimSpec& spec) { return Simulation(spec).run(); }
 

@@ -143,6 +143,12 @@ class Simulation {
   [[nodiscard]] const std::vector<Event>& events() const;
   [[nodiscard]] std::size_t subscription_count() const;
 
+  /// Consumes the simulation and hands back its subscriptions and events
+  /// (the schedule is left empty: it is rebuilt from the seed). Passed as
+  /// the next spec's `workload.scripted`, they build an instance on the
+  /// same workload without generating or copying it again.
+  [[nodiscard]] ScriptedWorkload release_workload() &&;
+
  private:
   std::unique_ptr<SimInstance> inst_;
 };

@@ -9,7 +9,9 @@
 // under churn and at link counts on both sides of each 64-link plane-word
 // boundary. Plus direct coverage of the representational edges: string
 // interning, the -0.0/+0.0 double key, and the precompiled
-// eq_children_cover_domain flag.
+// eq_children_cover_domain flag; and, in the FrozenPsg suite, the
+// snapshot's structural contract: star-chain collapse, match sets equal to
+// the live tree's, and equal steps under trivial-test elimination.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "matching/attribute_order.h"
 #include "matching/compiled_pst.h"
 #include "matching/naive_matcher.h"
 #include "matching/pst.h"
@@ -95,6 +98,25 @@ Event random_event(const SchemaPtr& schema, Rng& rng) {
   return Event(schema, std::move(values));
 }
 
+// CompiledAnnotation's flat tables from per-group link functions: every
+// subscriber is its own owner (ids are small and dense), and group g's
+// table maps owner i to group_fns[g](SubscriptionId{i}).
+CompiledAnnotation annotate(const CompiledPst& kernel, std::size_t links,
+                            const std::vector<SubscriptionLinkFn>& group_fns, LinkIndex local) {
+  std::vector<std::uint32_t> owners;
+  for (const SubscriptionId id : kernel.subscriber_arena()) {
+    owners.push_back(static_cast<std::uint32_t>(id.value));
+  }
+  const std::uint32_t bound =
+      owners.empty() ? 0 : *std::max_element(owners.begin(), owners.end()) + 1;
+  std::vector<std::vector<LinkIndex>> tables;
+  for (const SubscriptionLinkFn& fn : group_fns) {
+    std::vector<LinkIndex>& table = tables.emplace_back();
+    for (std::uint32_t i = 0; i < bound; ++i) table.push_back(fn(SubscriptionId{i}));
+  }
+  return CompiledAnnotation(kernel, links, owners, tables, local);
+}
+
 class CompiledPstChurn : public ::testing::TestWithParam<bool> {};
 
 TEST_P(CompiledPstChurn, MatchSetsIdenticalToMutableTreeAndOracle) {
@@ -119,8 +141,7 @@ TEST_P(CompiledPstChurn, MatchSetsIdenticalToMutableTreeAndOracle) {
       live.erase(it);
     }
 
-    const FrozenPsg frozen(tree);
-    const CompiledPst compiled(frozen);
+    const CompiledPst compiled(tree);
     for (int probe = 0; probe < 40; ++probe) {
       const Event e = random_event(schema, rng);
       std::vector<SubscriptionId> from_tree;
@@ -183,9 +204,8 @@ TEST_P(CompiledPstChurn, DispatchDecisionsIdenticalToLinkMatch) {
       if (owner_of(id) == local.value) local_oracle.add(id, sub);
     }
 
-    const CompiledPst compiled{FrozenPsg(tree)};
-    const CompiledAnnotation compiled_ann(
-        compiled, kLinks, std::span<const SubscriptionLinkFn>(group_fns), local);
+    const CompiledPst compiled(tree);
+    const CompiledAnnotation compiled_ann = annotate(compiled, kLinks, group_fns, local);
 
     for (int probe = 0; probe < 30; ++probe) {
       const Event e = random_event(schema, rng);
@@ -269,9 +289,8 @@ TEST_P(CompiledDispatchWidth, MaskStepsAndLocalsIdenticalToLinkMatch) {
     }
     std::vector<AnnotatedPst> reference;
     for (const auto& fn : group_fns) reference.emplace_back(tree, links, fn);
-    const CompiledPst compiled{FrozenPsg(tree)};
-    const CompiledAnnotation annotated(compiled, links,
-                                       std::span<const SubscriptionLinkFn>(group_fns), local);
+    const CompiledPst compiled(tree);
+    const CompiledAnnotation annotated = annotate(compiled, links, group_fns, local);
     ASSERT_EQ(annotated.words(), (links + 63) / 64);
 
     for (int probe = 0; probe < 25; ++probe) {
@@ -311,10 +330,9 @@ TEST(CompiledDispatch, PackedEntryRejectsBadWidthAndGroup) {
   Pst tree(schema, {0, 1, 2, 3}, Pst::Options{.trivial_test_elimination = true});
   Rng rng(3);
   tree.add(SubscriptionId{0}, random_subscription(schema, rng));
-  const CompiledPst compiled{FrozenPsg(tree)};
-  const std::vector<SubscriptionLinkFn> fns{[](SubscriptionId) { return LinkIndex{0}; }};
-  const CompiledAnnotation annotated(compiled, 3, std::span<const SubscriptionLinkFn>(fns),
-                                     LinkIndex{});
+  const CompiledPst compiled(tree);
+  const CompiledAnnotation annotated =
+      annotate(compiled, 3, {[](SubscriptionId) { return LinkIndex{0}; }}, LinkIndex{});
   MatchScratch scratch;
   const Event e = random_event(schema, rng);
   std::vector<TritWord> out(2);
@@ -485,7 +503,7 @@ TEST(CompiledPst, StringInterningEdgeCases) {
   tree.add(SubscriptionId{3}, Subscription(schema, {AttributeTest::equals(Value("alp"))}));
   tree.add(SubscriptionId{4}, Subscription(schema, {AttributeTest::dont_care()}));
 
-  const CompiledPst compiled{FrozenPsg(tree)};
+  const CompiledPst compiled(tree);
   // Distinct operands intern distinctly; the empty string is a real key.
   EXPECT_EQ(compiled.string_pool_size(), 3u);
   EXPECT_NE(compiled.key_of(Value("")), CompiledPst::kUnknownKey);
@@ -514,7 +532,7 @@ TEST(CompiledPst, DoubleKeysNormalizeNegativeZeroAndPreserveOrder) {
   tree.add(SubscriptionId{2}, Subscription(schema, {AttributeTest::equals(Value(-1.5))}));
   tree.add(SubscriptionId{3}, Subscription(schema, {AttributeTest::equals(Value(2.5))}));
 
-  const CompiledPst compiled{FrozenPsg(tree)};
+  const CompiledPst compiled(tree);
   // Value treats -0.0 == 0.0; the bit-level key must agree.
   EXPECT_EQ(compiled.key_of(Value(-0.0)), compiled.key_of(Value(0.0)));
   // The encoding preserves the numeric order.
@@ -539,33 +557,39 @@ TEST(CompiledPst, CoversDomainFlagMatchesFrozenGraph) {
     if (v < 2) partial.add(SubscriptionId{id++}, sub);
   }
 
-  const CompiledPst covered{FrozenPsg(full)};
+  const CompiledPst covered(full);
   EXPECT_TRUE(covered.covers_domain(covered.root()));
-  const CompiledPst uncovered{FrozenPsg(partial)};
+  const CompiledPst uncovered(partial);
   EXPECT_FALSE(uncovered.covers_domain(uncovered.root()));
 
   // And in the general randomized case, every compiled node carries exactly
-  // the flag of its frozen source node (the per-node flag count and the
-  // per-level distribution must agree; node ids differ between the two
-  // representations, so compare the multiset of (level, flag) pairs).
+  // the flag of its source Pst node. A reference walk of the live tree —
+  // star-only chains skipped, children in the kernel's DFS order (equality,
+  // general, `*`) — lists the surviving source nodes in compiled id order.
   Rng rng(5150);
   const SchemaPtr mixed = mixed_schema();
   Pst tree(mixed, {0, 1, 2, 3});
   for (std::int64_t i = 0; i < 120; ++i) tree.add(SubscriptionId{i}, random_subscription(mixed, rng));
-  const FrozenPsg frozen(tree);
-  const CompiledPst compiled(frozen);
-  ASSERT_EQ(compiled.node_count(), frozen.node_count());
+  const CompiledPst compiled(tree);
   std::vector<std::pair<int, bool>> expected;
-  for (FrozenPsg::NodeId n = 0; n < static_cast<FrozenPsg::NodeId>(frozen.node_count()); ++n) {
-    expected.emplace_back(frozen.level(n), frozen.eq_children_cover_domain(n));
-  }
+  const auto walk = [&](const auto& self, Pst::NodeId n) -> void {
+    while (!tree.is_leaf(n) && tree.eq_children(n).empty() && tree.other_children(n).empty() &&
+           tree.star_child(n) != Pst::kNoNode) {
+      n = tree.star_child(n);
+    }
+    expected.emplace_back(tree.level(n), tree.eq_children_cover_domain(n));
+    if (tree.is_leaf(n)) return;
+    for (const auto& [value, child] : tree.eq_children(n)) self(self, child);
+    for (const auto& [test, child] : tree.other_children(n)) self(self, child);
+    if (tree.star_child(n) != Pst::kNoNode) self(self, tree.star_child(n));
+  };
+  walk(walk, tree.root());
+  ASSERT_LT(expected.size(), tree.live_node_count());
   std::vector<std::pair<int, bool>> got;
   for (std::size_t n = 0; n < compiled.node_count(); ++n) {
     const auto id32 = static_cast<CompiledPst::NodeId>(n);
     got.emplace_back(compiled.level(id32), compiled.covers_domain(id32));
   }
-  std::sort(expected.begin(), expected.end());
-  std::sort(got.begin(), got.end());
   EXPECT_EQ(got, expected);
 }
 
@@ -576,7 +600,7 @@ TEST(CompiledPst, BottomUpOrderVisitsChildrenFirst) {
   for (std::int64_t i = 0; i < 80; ++i) {
     tree.add(SubscriptionId{i}, random_subscription(schema, rng));
   }
-  const CompiledPst compiled{FrozenPsg(tree)};
+  const CompiledPst compiled(tree);
   std::vector<char> seen(compiled.node_count(), 0);
   std::size_t visited = 0;
   for (const CompiledPst::NodeId n : compiled.bottom_up_order()) {
@@ -592,6 +616,155 @@ TEST(CompiledPst, BottomUpOrderVisitsChildrenFirst) {
   }
   EXPECT_EQ(visited, compiled.node_count());
   EXPECT_TRUE(seen[static_cast<std::size_t>(compiled.root())]);
+}
+
+// The frozen snapshot's structural contract, on CompiledPst compiled
+// straight from a Pst. The suite is named for the frozen parallel-search
+// snapshot, which keeps its test ids stable.
+
+Subscription sub_eq(const SchemaPtr& schema, std::vector<int> values) {
+  std::vector<AttributeTest> tests;
+  for (const int v : values) {
+    tests.push_back(v < 0 ? AttributeTest::dont_care() : AttributeTest::equals(Value(v)));
+  }
+  return Subscription(schema, std::move(tests));
+}
+
+Event ev(const SchemaPtr& schema, std::vector<int> values) {
+  std::vector<Value> v;
+  for (const int x : values) v.emplace_back(x);
+  return Event(schema, std::move(v));
+}
+
+std::vector<SubscriptionId> sorted_match(const CompiledPst& kernel, const Event& e,
+                                         MatchStats* stats = nullptr) {
+  std::vector<SubscriptionId> out;
+  kernel.match(e, out, thread_match_scratch(), stats);
+  return sorted(std::move(out));
+}
+
+TEST(FrozenPsg, EmptyTreeMatchesNothing) {
+  const auto schema = make_synthetic_schema(3, 3);
+  Pst tree(schema, identity_order(schema));
+  const CompiledPst kernel(tree);
+  EXPECT_TRUE(sorted_match(kernel, ev(schema, {0, 0, 0})).empty());
+  EXPECT_EQ(kernel.subscription_count(), 0u);
+}
+
+TEST(FrozenPsg, StarChainsCollapse) {
+  // Two subscriptions differing only at the first attribute, each ending
+  // in a chain of don't-cares: the chains vanish from the kernel.
+  const auto schema = make_synthetic_schema(4, 3);
+  Pst tree(schema, identity_order(schema));
+  tree.add(SubscriptionId{1}, sub_eq(schema, {0, 2, -1, -1}));
+  tree.add(SubscriptionId{2}, sub_eq(schema, {1, 2, -1, -1}));
+  const CompiledPst kernel(tree);
+  EXPECT_EQ(kernel.subscription_count(), 2u);
+  EXPECT_LT(kernel.node_count(), tree.live_node_count());
+}
+
+TEST(FrozenPsg, IdenticalLeavesNeverCarryDifferentIds) {
+  // Every id lives at exactly one tree leaf, so no match can report
+  // duplicates.
+  const auto schema = make_synthetic_schema(3, 3);
+  Pst tree(schema, identity_order(schema));
+  for (int a = 0; a < 3; ++a) {
+    tree.add(SubscriptionId{a}, sub_eq(schema, {a, 1, -1}));
+  }
+  const CompiledPst kernel(tree);
+  const auto got = sorted_match(kernel, ev(schema, {2, 1, 0}));
+  EXPECT_EQ(got, (std::vector<SubscriptionId>{SubscriptionId{2}}));
+}
+
+TEST(FrozenPsg, EquivalentToTreeOnRandomWorkloads) {
+  const auto schema = make_synthetic_schema(8, 4);
+  Rng rng(2027);
+  SubscriptionGenerator gen(schema, SubscriptionWorkloadConfig{0.9, 0.8, 1.0});
+  Pst tree(schema, identity_order(schema));
+  std::vector<Subscription> subs;
+  for (std::int64_t i = 0; i < 3000; ++i) {
+    subs.push_back(gen.generate(rng));
+    tree.add(SubscriptionId{i}, subs.back());
+  }
+  // Removals leave free-listed slots and pruned spines behind.
+  for (std::int64_t i = 0; i < 3000; i += 3) {
+    ASSERT_TRUE(tree.remove(SubscriptionId{i}, subs[static_cast<std::size_t>(i)]).has_value());
+  }
+  const CompiledPst kernel(tree);
+  EXPECT_EQ(kernel.subscription_count(), 2000u);
+  EXPECT_LE(kernel.node_count(), tree.live_node_count());
+
+  EventGenerator events(schema);
+  std::vector<SubscriptionId> tree_out;
+  for (int i = 0; i < 200; ++i) {
+    const Event e = events.generate(rng);
+    tree_out.clear();
+    tree.match(e, tree_out);
+    std::sort(tree_out.begin(), tree_out.end());
+    const auto kernel_out = sorted_match(kernel, e);
+    ASSERT_EQ(kernel_out, tree_out) << "event " << e.to_text();
+    EXPECT_TRUE(std::adjacent_find(kernel_out.begin(), kernel_out.end()) == kernel_out.end());
+  }
+}
+
+TEST(FrozenPsg, StepsEqualTreeUnderTrivialTestElimination) {
+  const auto schema = make_synthetic_schema(10, 3);
+  Rng rng(11);
+  SubscriptionGenerator gen(schema, SubscriptionWorkloadConfig{0.95, 0.85, 1.0});
+  Pst tree(schema, identity_order(schema), Pst::Options{.trivial_test_elimination = true});
+  for (std::int64_t i = 0; i < 5000; ++i) tree.add(SubscriptionId{i}, gen.generate(rng));
+  const CompiledPst kernel(tree);
+
+  EventGenerator events(schema);
+  MatchStats tree_stats, kernel_stats;
+  std::vector<SubscriptionId> scratch;
+  for (int i = 0; i < 300; ++i) {
+    const Event e = events.generate(rng);
+    scratch.clear();
+    tree.match(e, scratch, &tree_stats);
+    scratch.clear();
+    kernel.match(e, scratch, thread_match_scratch(), &kernel_stats);
+  }
+  EXPECT_EQ(kernel_stats.nodes_visited, tree_stats.nodes_visited);
+  EXPECT_LT(kernel.node_count(), tree.live_node_count());
+}
+
+TEST(FrozenPsg, RangeBranchesSupported) {
+  const auto schema = make_synthetic_schema(3, 4);
+  Pst tree(schema, identity_order(schema));
+  std::vector<AttributeTest> tests(3);
+  tests[0] = AttributeTest::between(Value(1), Value(2));
+  tree.add(SubscriptionId{9}, Subscription(schema, tests));
+  const CompiledPst kernel(tree);
+  EXPECT_EQ(sorted_match(kernel, ev(schema, {1, 0, 0})),
+            (std::vector<SubscriptionId>{SubscriptionId{9}}));
+  EXPECT_TRUE(sorted_match(kernel, ev(schema, {3, 0, 0})).empty());
+}
+
+TEST(FrozenPsg, SnapshotIsImmutableUnderSourceMutation) {
+  const auto schema = make_synthetic_schema(3, 3);
+  Pst tree(schema, identity_order(schema));
+  tree.add(SubscriptionId{1}, sub_eq(schema, {0, -1, -1}));
+  const CompiledPst kernel(tree);
+  tree.add(SubscriptionId{2}, sub_eq(schema, {0, -1, -1}));
+  tree.remove(SubscriptionId{1}, sub_eq(schema, {0, -1, -1}));
+  // The snapshot still answers from its own state.
+  EXPECT_EQ(sorted_match(kernel, ev(schema, {0, 0, 0})),
+            (std::vector<SubscriptionId>{SubscriptionId{1}}));
+}
+
+TEST(FrozenPsg, ManyMatchesExerciseStampReuse) {
+  const auto schema = make_synthetic_schema(4, 2);
+  Pst tree(schema, identity_order(schema));
+  tree.add(SubscriptionId{1}, sub_eq(schema, {-1, -1, -1, -1}));
+  const CompiledPst kernel(tree);
+  MatchScratch scratch;
+  std::vector<SubscriptionId> out;
+  for (int i = 0; i < 10000; ++i) {
+    out.clear();
+    kernel.match(ev(schema, {i % 2, 0, 1, 0}), out, scratch);
+    ASSERT_EQ(out.size(), 1u);
+  }
 }
 
 }  // namespace

@@ -332,9 +332,12 @@ print(f"[sim-scale] {len(rows)} (point, protocol) runs: serial/parallel identica
 if not data["scaling_valid"]:
     print(f"[sim-scale] speedup claim skipped: {data['scaling_reason']}")
     sys.exit(0)
+# The gate reads the median over the row's serial/parallel run pairs on
+# one built instance (5 in --ci mode): a single 5-9 ms pair is noise-bound.
 wan = next(p for p in data["points"] if p["name"].startswith("wan"))
 lm = next(r for r in wan["protocols"] if r["protocol"] == "link-matching")
-print(f"[sim-scale] {wan['name']} link-matching: {lm['speedup']:.2f}x with "
+print(f"[sim-scale] {wan['name']} link-matching: median {lm['speedup']:.2f}x over "
+      f"{data['run_pairs']} pairs {lm['pair_speedups']} with "
       f"{data['parallel_threads']} threads")
 if lm["speedup"] < 2.0:
     print(f"[sim-scale] FAIL: expected >= 2.0x parallel speedup, got "
