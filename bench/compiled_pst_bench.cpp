@@ -117,6 +117,9 @@ int main(int argc, char** argv) {
   std::printf("%10s %14.1f %16.1f\n", "compiled", comp.ns_per_event, comp.steps_per_event);
   std::printf("speedup: %.2fx   compile cost: %.2f ms (%zu buckets, %.1f KiB flat)\n",
               speedup, compile_ms, tree_count, static_cast<double>(compiled_bytes) / 1024.0);
+  std::printf("matcher: registry %.1f KiB, trees %.1f KiB\n",
+              static_cast<double>(compile_probe.registry_bytes()) / 1024.0,
+              static_cast<double>(compile_probe.tree_bytes()) / 1024.0);
 
   std::FILE* out = std::fopen("BENCH_compiled_pst.json", "w");
   if (out == nullptr) {
@@ -134,6 +137,8 @@ int main(int argc, char** argv) {
                "  \"buckets\": %zu,\n"
                "  \"compile_ms_all_buckets\": %.3f,\n"
                "  \"compiled_kernel_bytes\": %zu,\n"
+               "  \"matcher_registry_bytes\": %zu,\n"
+               "  \"matcher_tree_bytes\": %zu,\n"
                "  \"mutable_ns_per_event\": %.1f,\n"
                "  \"compiled_ns_per_event\": %.1f,\n"
                "  \"mutable_steps_per_event\": %.1f,\n"
@@ -141,7 +146,8 @@ int main(int argc, char** argv) {
                "  \"matches_checksum\": %llu,\n"
                "  \"speedup\": %.3f\n}\n",
                std::thread::hardware_concurrency(), n_subs, n_events, passes, tree_count,
-               compile_ms, compiled_bytes, mut.ns_per_event, comp.ns_per_event, mut.steps_per_event,
+               compile_ms, compiled_bytes, compile_probe.registry_bytes(),
+               compile_probe.tree_bytes(), mut.ns_per_event, comp.ns_per_event, mut.steps_per_event,
                comp.steps_per_event, static_cast<unsigned long long>(comp.checksum), speedup);
   std::fclose(out);
   std::printf("wrote BENCH_compiled_pst.json\n");

@@ -81,6 +81,9 @@ void run_kernel_match(benchmark::State& state, bool frozen) {
     matcher.match_into(fixture.events[i++ % fixture.events.size()], out, scratch);
     benchmark::DoNotOptimize(out);
   }
+  // What the matcher holds: registry and trees, plus the frozen kernels.
+  state.counters["matcher_bytes"] = static_cast<double>(matcher.memory_bytes());
+  state.counters["kernel_bytes"] = static_cast<double>(matcher.kernel_bytes());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 void BM_PstMatchCompiled(benchmark::State& state) { run_kernel_match(state, true); }
@@ -196,6 +199,8 @@ void BM_LinkDispatchCompiled(benchmark::State& state) {
   }
   state.counters["steps_per_event"] =
       static_cast<double>(steps) / static_cast<double>(f.events.size());
+  state.counters["kernel_bytes"] = static_cast<double>(f.kernel->memory_bytes());
+  state.counters["annotation_bytes"] = static_cast<double>(f.compiled->memory_bytes());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_LinkDispatchCompiled)->Arg(10000);

@@ -10,8 +10,12 @@
 // actually used, and each run's engine rounds, lookahead and partition load.
 // A point's workload is generated once, by the first protocol's build, and
 // handed on to the other two as a ScriptedWorkload; each build runs on the
-// parallel thread count, and each row reports its build time and the RSS
-// after it.
+// parallel thread count, and each row reports its build time, the RSS
+// after it, and what the built instance accounts for of that RSS, by
+// component (Simulation::memory: subscriptions, trees, kernels,
+// annotations). The gap between the two is everything else the process
+// holds: the events and schedule, channels, the previous protocol's freed
+// heap that malloc keeps, and allocator overhead.
 //
 // Honesty gate: the parallel speedup is only asserted meaningful when the
 // host has >= 4 hardware threads; on smaller hosts the JSON carries
@@ -42,6 +46,7 @@ struct ProtocolRow {
   bool equivalent{false};
   double build_seconds{0.0};
   double build_rss_mb{0.0};  // resident set right after the build
+  SimMemory memory;          // the built instance's accounted bytes
   /// Per serial/parallel run pair on the one instance; the row's wall
   /// clocks and speedup are the medians over the pairs.
   std::vector<double> serial_walls, parallel_walls, pair_speedups;
@@ -81,6 +86,7 @@ SweepPoint run_point(const std::string& name, SimSpec spec, std::size_t parallel
     Simulation sim(std::move(run_spec));
     row.build_seconds = build_watch.seconds();
     row.build_rss_mb = bench::current_rss_mb();
+    row.memory = sim.memory();
     point.brokers = sim.network().broker_count();
     point.clients = sim.network().client_count();
     row.equivalent = true;
@@ -109,6 +115,15 @@ SweepPoint run_point(const std::string& name, SimSpec spec, std::size_t parallel
         parallel_threads, row.parallel_wall, row.speedup,
         static_cast<unsigned long long>(row.parallel.engine_rounds),
         row.parallel.engine_partition_load, row.equivalent ? "identical" : "MISMATCH");
+    const auto mb = [](std::size_t bytes) {
+      return static_cast<double>(bytes) / (1024.0 * 1024.0);
+    };
+    std::printf(
+        "  %-14s %-14s rss %7.1f MB  accounted %7.1f MB: subscriptions %.1f  trees %.1f  "
+        "kernels %.1f  annotations %.1f\n",
+        name.c_str(), to_string(protocol), row.build_rss_mb, mb(row.memory.total()),
+        mb(row.memory.subscriptions), mb(row.memory.trees), mb(row.memory.kernels),
+        mb(row.memory.annotations));
     workload = std::move(sim).release_workload();
     point.rows.push_back(std::move(row));
   }
@@ -183,6 +198,13 @@ void write_json(const char* path, const std::vector<SweepPoint>& points, bool ci
       std::fprintf(f, "          \"steps_exact\": %s,\n", s.steps_exact ? "true" : "false");
       std::fprintf(f, "          \"build_seconds\": %.3f,\n", row.build_seconds);
       std::fprintf(f, "          \"build_rss_mb\": %.1f,\n", row.build_rss_mb);
+      const SimMemory& m = row.memory;
+      std::fprintf(f,
+                   "          \"memory_bytes\": {\"subscriptions\": %zu, \"trees\": %zu, "
+                   "\"kernels\": %zu, \"annotations\": %zu, \"total\": %zu},\n",
+                   m.subscriptions, m.trees, m.kernels, m.annotations, m.total());
+      std::fprintf(f, "          \"rss_unaccounted_mb\": %.1f,\n",
+                   row.build_rss_mb - static_cast<double>(m.total()) / (1024.0 * 1024.0));
       std::fprintf(f, "          \"serial_wall_seconds\": %.4f,\n", row.serial_wall);
       std::fprintf(f, "          \"parallel_wall_seconds\": %.4f,\n", row.parallel_wall);
       std::fprintf(f, "          \"speedup\": %.3f,\n", row.speedup);

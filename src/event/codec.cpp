@@ -71,23 +71,23 @@ void Encoder::put_event(const Event& e) {
 }
 
 void Encoder::put_test(const AttributeTest& t) {
-  put_u8(static_cast<std::uint8_t>(t.kind));
-  switch (t.kind) {
+  put_u8(static_cast<std::uint8_t>(t.kind()));
+  switch (t.kind()) {
     case TestKind::kDontCare:
       break;
     case TestKind::kEquals:
     case TestKind::kNotEquals:
-      put_value(t.operand);
+      put_value(t.operand());
       break;
     case TestKind::kRange: {
       std::uint8_t flags = 0;
-      if (t.lo) flags |= 1;
-      if (t.hi) flags |= 2;
-      if (t.lo_inclusive) flags |= 4;
-      if (t.hi_inclusive) flags |= 8;
+      if (t.lo()) flags |= 1;
+      if (t.hi()) flags |= 2;
+      if (t.lo_inclusive()) flags |= 4;
+      if (t.hi_inclusive()) flags |= 8;
       put_u8(flags);
-      if (t.lo) put_value(*t.lo);
-      if (t.hi) put_value(*t.hi);
+      if (t.lo()) put_value(*t.lo());
+      if (t.hi()) put_value(*t.hi());
       break;
     }
   }
@@ -172,27 +172,26 @@ Event Decoder::get_event(const SchemaPtr& schema) {
 }
 
 AttributeTest Decoder::get_test() {
-  AttributeTest t;
   const auto kind = get_u8();
   if (kind > static_cast<std::uint8_t>(TestKind::kRange)) throw CodecError("bad test kind");
-  t.kind = static_cast<TestKind>(kind);
-  switch (t.kind) {
+  switch (static_cast<TestKind>(kind)) {
     case TestKind::kDontCare:
       break;
     case TestKind::kEquals:
+      return AttributeTest::equals(get_value());
     case TestKind::kNotEquals:
-      t.operand = get_value();
-      break;
+      return AttributeTest::not_equals(get_value());
     case TestKind::kRange: {
       const std::uint8_t flags = get_u8();
-      t.lo_inclusive = (flags & 4) != 0;
-      t.hi_inclusive = (flags & 8) != 0;
-      if (flags & 1) t.lo = get_value();
-      if (flags & 2) t.hi = get_value();
-      break;
+      std::optional<Value> lo;
+      std::optional<Value> hi;
+      if (flags & 1) lo = get_value();
+      if (flags & 2) hi = get_value();
+      return AttributeTest::range(std::move(lo), std::move(hi), (flags & 4) != 0,
+                                  (flags & 8) != 0);
     }
   }
-  return t;
+  return AttributeTest::dont_care();
 }
 
 Subscription Decoder::get_subscription(const SchemaPtr& schema) {

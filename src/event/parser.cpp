@@ -180,12 +180,7 @@ struct TestBuilder {
     if (eq) {
       if (ne || lo || hi) {
         // Equality composed with bounds: verify consistency, reduce to equality.
-        AttributeTest range;
-        range.kind = TestKind::kRange;
-        range.lo = lo;
-        range.hi = hi;
-        range.lo_inclusive = lo_inclusive;
-        range.hi_inclusive = hi_inclusive;
+        const AttributeTest range = AttributeTest::range(lo, hi, lo_inclusive, hi_inclusive);
         if ((lo || hi) && !range.accepts(*eq)) {
           throw std::invalid_argument("contradictory tests on '" + attr + "'");
         }
@@ -202,18 +197,12 @@ struct TestBuilder {
       }
       return AttributeTest::not_equals(*ne);
     }
-    AttributeTest t;
-    t.kind = TestKind::kRange;
-    t.lo = lo;
-    t.hi = hi;
-    t.lo_inclusive = lo_inclusive;
-    t.hi_inclusive = hi_inclusive;
-    if (t.lo && t.hi) {
-      if (*t.hi < *t.lo || (*t.hi == *t.lo && !(t.lo_inclusive && t.hi_inclusive))) {
+    if (lo && hi) {
+      if (*hi < *lo || (*hi == *lo && !(lo_inclusive && hi_inclusive))) {
         throw std::invalid_argument("empty range on '" + attr + "'");
       }
     }
-    return t;
+    return AttributeTest::range(lo, hi, lo_inclusive, hi_inclusive);
   }
 };
 

@@ -7,58 +7,54 @@ namespace gryphon {
 
 AttributeTest AttributeTest::equals(Value v) {
   AttributeTest t;
-  t.kind = TestKind::kEquals;
-  t.operand = std::move(v);
+  t.kind_ = TestKind::kEquals;
+  t.operand_ = std::move(v);
   return t;
 }
 
 AttributeTest AttributeTest::not_equals(Value v) {
   AttributeTest t;
-  t.kind = TestKind::kNotEquals;
-  t.operand = std::move(v);
+  t.kind_ = TestKind::kNotEquals;
+  t.operand_ = std::move(v);
   return t;
 }
 
 AttributeTest AttributeTest::less_than(Value v, bool inclusive) {
-  AttributeTest t;
-  t.kind = TestKind::kRange;
-  t.hi = std::move(v);
-  t.hi_inclusive = inclusive;
-  return t;
+  return range(std::nullopt, std::move(v), true, inclusive);
 }
 
 AttributeTest AttributeTest::greater_than(Value v, bool inclusive) {
-  AttributeTest t;
-  t.kind = TestKind::kRange;
-  t.lo = std::move(v);
-  t.lo_inclusive = inclusive;
-  return t;
+  return range(std::move(v), std::nullopt, inclusive, true);
 }
 
 AttributeTest AttributeTest::between(Value lo, Value hi, bool lo_inclusive, bool hi_inclusive) {
+  return range(std::move(lo), std::move(hi), lo_inclusive, hi_inclusive);
+}
+
+AttributeTest AttributeTest::range(std::optional<Value> lo, std::optional<Value> hi,
+                                   bool lo_inclusive, bool hi_inclusive) {
   AttributeTest t;
-  t.kind = TestKind::kRange;
-  t.lo = std::move(lo);
-  t.hi = std::move(hi);
-  t.lo_inclusive = lo_inclusive;
-  t.hi_inclusive = hi_inclusive;
+  t.kind_ = TestKind::kRange;
+  if (lo || hi) t.bounds_ = std::make_shared<const Bounds>(Bounds{std::move(lo), std::move(hi)});
+  t.lo_inclusive_ = lo_inclusive;
+  t.hi_inclusive_ = hi_inclusive;
   return t;
 }
 
 bool AttributeTest::accepts(const Value& v) const {
-  switch (kind) {
+  switch (kind_) {
     case TestKind::kDontCare:
       return true;
     case TestKind::kEquals:
-      return v == operand;
+      return v == operand_;
     case TestKind::kNotEquals:
-      return v != operand;
+      return v != operand_;
     case TestKind::kRange: {
-      if (lo) {
-        if (lo_inclusive ? v < *lo : v <= *lo) return false;
+      if (const Value* lo = this->lo()) {
+        if (lo_inclusive_ ? v < *lo : v <= *lo) return false;
       }
-      if (hi) {
-        if (hi_inclusive ? v > *hi : v >= *hi) return false;
+      if (const Value* hi = this->hi()) {
+        if (hi_inclusive_ ? v > *hi : v >= *hi) return false;
       }
       return true;
     }
@@ -66,48 +62,68 @@ bool AttributeTest::accepts(const Value& v) const {
   return false;
 }
 
+namespace {
+// Two optional bounds are equal when both are open or both hold equal values.
+bool same_bound(const Value* a, const Value* b) {
+  return a == nullptr ? b == nullptr : b != nullptr && *a == *b;
+}
+}  // namespace
+
 bool operator==(const AttributeTest& a, const AttributeTest& b) {
-  if (a.kind != b.kind) return false;
-  switch (a.kind) {
+  if (a.kind_ != b.kind_) return false;
+  switch (a.kind_) {
     case TestKind::kDontCare: return true;
     case TestKind::kEquals:
-    case TestKind::kNotEquals: return a.operand == b.operand;
+    case TestKind::kNotEquals: return a.operand_ == b.operand_;
     case TestKind::kRange:
       // Inclusivity of an absent bound is meaningless; ignore it.
-      return a.lo == b.lo && a.hi == b.hi &&
-             (!a.lo.has_value() || a.lo_inclusive == b.lo_inclusive) &&
-             (!a.hi.has_value() || a.hi_inclusive == b.hi_inclusive);
+      return same_bound(a.lo(), b.lo()) && same_bound(a.hi(), b.hi()) &&
+             (a.lo() == nullptr || a.lo_inclusive_ == b.lo_inclusive_) &&
+             (a.hi() == nullptr || a.hi_inclusive_ == b.hi_inclusive_);
   }
   return false;
 }
 
 std::string AttributeTest::to_text(const std::string& attribute_name) const {
   std::ostringstream os;
-  switch (kind) {
+  switch (kind_) {
     case TestKind::kDontCare:
       os << attribute_name << " = *";
       break;
     case TestKind::kEquals:
-      os << attribute_name << " = " << operand.to_text();
+      os << attribute_name << " = " << operand_.to_text();
       break;
     case TestKind::kNotEquals:
-      os << attribute_name << " != " << operand.to_text();
+      os << attribute_name << " != " << operand_.to_text();
       break;
-    case TestKind::kRange:
+    case TestKind::kRange: {
       // Emit the conjunction form so the output re-parses (see parser.h).
+      const Value* lo = this->lo();
+      const Value* hi = this->hi();
       if (lo && hi) {
-        os << attribute_name << (lo_inclusive ? " >= " : " > ") << lo->to_text() << " & "
-           << attribute_name << (hi_inclusive ? " <= " : " < ") << hi->to_text();
+        os << attribute_name << (lo_inclusive_ ? " >= " : " > ") << lo->to_text() << " & "
+           << attribute_name << (hi_inclusive_ ? " <= " : " < ") << hi->to_text();
       } else if (lo) {
-        os << attribute_name << (lo_inclusive ? " >= " : " > ") << lo->to_text();
+        os << attribute_name << (lo_inclusive_ ? " >= " : " > ") << lo->to_text();
       } else if (hi) {
-        os << attribute_name << (hi_inclusive ? " <= " : " < ") << hi->to_text();
+        os << attribute_name << (hi_inclusive_ ? " <= " : " < ") << hi->to_text();
       } else {
         os << attribute_name << " = *";
       }
       break;
+    }
   }
   return os.str();
+}
+
+std::size_t AttributeTest::heap_bytes() const {
+  std::size_t bytes = operand_.heap_bytes();
+  if (bounds_ != nullptr) {
+    bytes += sizeof(Bounds);
+    if (bounds_->lo) bytes += bounds_->lo->heap_bytes();
+    if (bounds_->hi) bytes += bounds_->hi->heap_bytes();
+  }
+  return bytes;
 }
 
 namespace {
@@ -119,28 +135,28 @@ void validate_test(const EventSchema& schema, std::size_t index, const Attribute
                                   " has wrong type for attribute '" + attr.name + "'");
     }
   };
-  switch (test.kind) {
+  switch (test.kind()) {
     case TestKind::kDontCare:
       break;
     case TestKind::kEquals:
     case TestKind::kNotEquals:
-      check(test.operand);
-      if (attr.has_finite_domain() && !schema.accepts(index, test.operand)) {
-        throw std::invalid_argument("Subscription: operand " + test.operand.to_text() +
+      check(test.operand());
+      if (attr.has_finite_domain() && !schema.accepts(index, test.operand())) {
+        throw std::invalid_argument("Subscription: operand " + test.operand().to_text() +
                                     " outside the domain of '" + attr.name + "'");
       }
       break;
     case TestKind::kRange:
-      if (!test.lo && !test.hi) {
+      if (!test.lo() && !test.hi()) {
         throw std::invalid_argument("Subscription: unbounded range test on '" + attr.name + "'");
       }
       if (attr.type == AttributeType::kBool) {
         throw std::invalid_argument("Subscription: range test on bool attribute '" + attr.name +
                                     "'");
       }
-      if (test.lo) check(*test.lo);
-      if (test.hi) check(*test.hi);
-      if (test.lo && test.hi && *test.hi < *test.lo) {
+      if (test.lo()) check(*test.lo());
+      if (test.hi()) check(*test.hi());
+      if (test.lo() && test.hi() && *test.hi() < *test.lo()) {
         throw std::invalid_argument("Subscription: empty range on '" + attr.name + "'");
       }
       break;
@@ -180,9 +196,15 @@ bool Subscription::matches(const Event& event) const {
 
 bool Subscription::equality_only() const {
   for (const AttributeTest& t : tests_) {
-    if (t.kind != TestKind::kDontCare && t.kind != TestKind::kEquals) return false;
+    if (t.kind() != TestKind::kDontCare && t.kind() != TestKind::kEquals) return false;
   }
   return true;
+}
+
+std::size_t Subscription::memory_bytes() const {
+  std::size_t bytes = sizeof(Subscription) + tests_.capacity() * sizeof(AttributeTest);
+  for (const AttributeTest& t : tests_) bytes += t.heap_bytes();
+  return bytes;
 }
 
 std::string Subscription::to_text() const {

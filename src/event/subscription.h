@@ -8,6 +8,7 @@
 #pragma once
 
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,13 +29,22 @@ enum class TestKind : std::uint8_t {
 };
 
 /// One per-attribute test. For kRange, missing bounds are open (unbounded).
-struct AttributeTest {
-  TestKind kind{TestKind::kDontCare};
-  Value operand;                 // for kEquals / kNotEquals
-  std::optional<Value> lo;       // for kRange
-  std::optional<Value> hi;       // for kRange
-  bool lo_inclusive{true};
-  bool hi_inclusive{true};
+///
+/// Layout: a subscription holds one test per schema attribute, and the
+/// simulator keeps several copies of every subscription (the instance's
+/// script, the shared matcher's registry, the per-broker matchers'
+/// registries), so the size of this struct multiplies into most of a large
+/// instance's resident memory. The paper's workloads (Section 4.1) use only
+/// equality and don't-care tests, so the layout is sized for them: the one
+/// operand an equality or not-equals test needs is inline, and the two
+/// optional range bounds live out of line in a shared immutable block that
+/// only range tests allocate (copies share it). Equality, not-equals and
+/// don't-care tests therefore cost sizeof(AttributeTest) bytes and no heap
+/// block; the static_assert below keeps that at one cache line.
+class AttributeTest {
+ public:
+  /// The don't-care test.
+  AttributeTest() = default;
 
   static AttributeTest dont_care() { return {}; }
   static AttributeTest equals(Value v);
@@ -43,8 +53,27 @@ struct AttributeTest {
   static AttributeTest greater_than(Value v, bool inclusive = false);
   static AttributeTest between(Value lo, Value hi, bool lo_inclusive = true,
                                bool hi_inclusive = true);
+  /// The general range test: either bound may be absent (open). The
+  /// inclusivity flags are kept as given even for an absent bound, so the
+  /// codec's wire form round-trips exactly. A range with no bound at all
+  /// can be built, and Subscription rejects it.
+  static AttributeTest range(std::optional<Value> lo, std::optional<Value> hi,
+                             bool lo_inclusive = true, bool hi_inclusive = true);
 
-  [[nodiscard]] bool is_dont_care() const { return kind == TestKind::kDontCare; }
+  [[nodiscard]] TestKind kind() const { return kind_; }
+  [[nodiscard]] bool is_dont_care() const { return kind_ == TestKind::kDontCare; }
+  /// The operand of a kEquals / kNotEquals test (unset otherwise).
+  [[nodiscard]] const Value& operand() const { return operand_; }
+  /// The range bounds of a kRange test; null when open (and for every
+  /// other kind).
+  [[nodiscard]] const Value* lo() const {
+    return bounds_ != nullptr && bounds_->lo ? &*bounds_->lo : nullptr;
+  }
+  [[nodiscard]] const Value* hi() const {
+    return bounds_ != nullptr && bounds_->hi ? &*bounds_->hi : nullptr;
+  }
+  [[nodiscard]] bool lo_inclusive() const { return lo_inclusive_; }
+  [[nodiscard]] bool hi_inclusive() const { return hi_inclusive_; }
 
   /// Evaluates the test against a concrete value.
   [[nodiscard]] bool accepts(const Value& v) const;
@@ -53,7 +82,25 @@ struct AttributeTest {
   friend bool operator==(const AttributeTest& a, const AttributeTest& b);
 
   [[nodiscard]] std::string to_text(const std::string& attribute_name) const;
+
+  /// Heap bytes this test owns beyond sizeof(AttributeTest): the operand's
+  /// string buffer, and the range block (counted in full by every sharer).
+  [[nodiscard]] std::size_t heap_bytes() const;
+
+ private:
+  struct Bounds {
+    std::optional<Value> lo;
+    std::optional<Value> hi;
+  };
+
+  Value operand_;                        // kEquals / kNotEquals
+  std::shared_ptr<const Bounds> bounds_;  // kRange with a bound; else null
+  TestKind kind_{TestKind::kDontCare};
+  bool lo_inclusive_{true};
+  bool hi_inclusive_{true};
 };
+
+static_assert(sizeof(AttributeTest) <= 64, "AttributeTest must stay within one cache line");
 
 /// An immutable conjunction of per-attribute tests over a schema.
 class Subscription {
@@ -81,6 +128,10 @@ class Subscription {
 
   /// Rendering such as (issue = "IBM" & price < 120).
   [[nodiscard]] std::string to_text() const;
+
+  /// Bytes this subscription occupies: the object, its test array and
+  /// every test's heap blocks (the schema is shared and not counted).
+  [[nodiscard]] std::size_t memory_bytes() const;
 
   friend bool operator==(const Subscription& a, const Subscription& b) {
     return a.schema_ == b.schema_ && a.tests_ == b.tests_;

@@ -43,6 +43,12 @@ std::size_t Value::hash() const noexcept {
   return h ^ (tag * 0x9e3779b97f4a7c15ULL);
 }
 
+std::size_t Value::heap_bytes() const {
+  if (!is_string()) return 0;
+  const std::size_t capacity = as_string().capacity();
+  return capacity > std::string().capacity() ? capacity + 1 : 0;
+}
+
 std::string Value::to_text() const {
   std::ostringstream os;
   if (is_int()) {

@@ -64,6 +64,10 @@ class Value {
   /// Rendering for logs, examples, and predicate round-tripping.
   [[nodiscard]] std::string to_text() const;
 
+  /// Heap bytes owned beyond sizeof(Value): a string's buffer when it
+  /// outgrows the small-string storage, else 0.
+  [[nodiscard]] std::size_t heap_bytes() const;
+
  private:
   std::variant<std::monostate, std::int64_t, double, std::string, bool> data_;
 };

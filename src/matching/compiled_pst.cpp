@@ -211,7 +211,6 @@ void CompiledPst::match(const Event& event, std::vector<SubscriptionId>& out,
   if (subscription_count_ == 0 || root_ == kNoNode) return;
   resolve(event, scratch.value_keys());
   const std::uint64_t* keys = scratch.value_keys().data();
-  scratch.begin(nodes_.size());
 
   std::vector<std::int32_t>& stack = scratch.node_stack();
   stack.clear();
@@ -219,9 +218,8 @@ void CompiledPst::match(const Event& event, std::vector<SubscriptionId>& out,
   while (!stack.empty()) {
     const NodeId n = stack.back();
     stack.pop_back();
-    // The kernel is a tree, so every node is reached at most once; the
-    // stamp check is a guard, never a skip.
-    if (!scratch.visit(static_cast<std::size_t>(n))) continue;
+    // The kernel is a tree: every node is reached at most once, so the
+    // walk needs no visited marks.
     if (stats != nullptr) ++stats->nodes_visited;
 
     const Node& node = nodes_[static_cast<std::size_t>(n)];
@@ -255,6 +253,7 @@ std::size_t CompiledPst::memory_bytes() const {
   total += eq_keys_.capacity() * sizeof(std::uint64_t);
   total += eq_targets_.capacity() * sizeof(NodeId);
   total += other_tests_.capacity() * sizeof(AttributeTest);
+  for (const AttributeTest& test : other_tests_) total += test.heap_bytes();
   total += other_targets_.capacity() * sizeof(NodeId);
   total += subs_.capacity() * sizeof(SubscriptionId);
   total += bottom_up_.capacity() * sizeof(NodeId);

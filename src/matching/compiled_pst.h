@@ -35,7 +35,7 @@
 // The mutable Pst remains the write-side source of truth. A CompiledPst is
 // deeply immutable after construction: any number of threads may match
 // against one instance concurrently, each with its own MatchScratch
-// (visit stamps, resolved-key buffer, DFS stack). The routing layer lays
+// (resolved-key buffer, DFS stack). The routing layer lays
 // its frozen trit-annotation rows out against these node ids — see
 // routing/compiled_annotation.h.
 #pragma once

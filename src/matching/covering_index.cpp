@@ -11,8 +11,8 @@ namespace {
 
 /// A range with both bounds absent accepts every value of the attribute.
 bool accepts_all(const AttributeTest& t) {
-  return t.kind == TestKind::kDontCare ||
-         (t.kind == TestKind::kRange && !t.lo.has_value() && !t.hi.has_value());
+  return t.kind() == TestKind::kDontCare ||
+         (t.kind() == TestKind::kRange && t.lo() == nullptr && t.hi() == nullptr);
 }
 
 }  // namespace
@@ -25,35 +25,38 @@ CoveringIndex::CoveringIndex(SchemaPtr schema, BrokerId local)
 
 bool CoveringIndex::test_covers(const AttributeTest& a, const AttributeTest& b) {
   if (accepts_all(a)) return true;
-  switch (b.kind) {
+  switch (b.kind()) {
     case TestKind::kDontCare:
       return false;  // b accepts everything, a does not
     case TestKind::kEquals:
       // b accepts exactly one value; containment is a's acceptance of it.
-      return a.accepts(b.operand);
+      return a.accepts(b.operand());
     case TestKind::kNotEquals:
       // b rejects exactly one value, so only the same co-set contains it.
-      return a.kind == TestKind::kNotEquals && a.operand == b.operand;
-    case TestKind::kRange:
-      if (a.kind == TestKind::kEquals) {
+      return a.kind() == TestKind::kNotEquals && a.operand() == b.operand();
+    case TestKind::kRange: {
+      if (a.kind() == TestKind::kEquals) {
         // Only the degenerate closed range [v, v] fits inside {v}.
-        return b.lo.has_value() && b.hi.has_value() && *b.lo == a.operand &&
-               *b.hi == a.operand && b.lo_inclusive && b.hi_inclusive;
+        return b.lo() != nullptr && b.hi() != nullptr && *b.lo() == a.operand() &&
+               *b.hi() == a.operand() && b.lo_inclusive() && b.hi_inclusive();
       }
-      if (a.kind == TestKind::kNotEquals) {
-        return !b.accepts(a.operand);  // the interval misses a's one hole
+      if (a.kind() == TestKind::kNotEquals) {
+        return !b.accepts(a.operand());  // the interval misses a's one hole
       }
       // Range in range: each present bound of a must pin b at least as
       // tightly on that side.
-      if (a.lo.has_value()) {
-        if (!b.lo.has_value() || *b.lo < *a.lo) return false;
-        if (*b.lo == *a.lo && b.lo_inclusive && !a.lo_inclusive) return false;
+      if (const Value* a_lo = a.lo()) {
+        const Value* b_lo = b.lo();
+        if (b_lo == nullptr || *b_lo < *a_lo) return false;
+        if (*b_lo == *a_lo && b.lo_inclusive() && !a.lo_inclusive()) return false;
       }
-      if (a.hi.has_value()) {
-        if (!b.hi.has_value() || *b.hi > *a.hi) return false;
-        if (*b.hi == *a.hi && b.hi_inclusive && !a.hi_inclusive) return false;
+      if (const Value* a_hi = a.hi()) {
+        const Value* b_hi = b.hi();
+        if (b_hi == nullptr || *b_hi > *a_hi) return false;
+        if (*b_hi == *a_hi && b.hi_inclusive() && !a.hi_inclusive()) return false;
       }
       return true;
+    }
   }
   return false;
 }
@@ -78,7 +81,7 @@ std::optional<std::pair<std::size_t, Value>> CoveringIndex::anchor_of(
     const Subscription& subscription) {
   const auto& tests = subscription.tests();
   for (std::size_t i = 0; i < tests.size(); ++i) {
-    if (tests[i].kind == TestKind::kEquals) return std::make_pair(i, tests[i].operand);
+    if (tests[i].kind() == TestKind::kEquals) return std::make_pair(i, tests[i].operand());
   }
   return std::nullopt;
 }
@@ -92,8 +95,8 @@ SubscriptionId CoveringIndex::find_coverer(const Subscription& subscription,
   // test) are few in equality-heavy workloads and are scanned directly.
   const auto& tests = subscription.tests();
   for (std::size_t i = 0; i < tests.size(); ++i) {
-    if (tests[i].kind != TestKind::kEquals) continue;
-    const auto it = anchored_.find(AnchorKey{owner, i, tests[i].operand});
+    if (tests[i].kind() != TestKind::kEquals) continue;
+    const auto it = anchored_.find(AnchorKey{owner, i, tests[i].operand()});
     if (it == anchored_.end()) continue;
     for (const SubscriptionId candidate : it->second) {
       if (covers(*frontier_.at(candidate).subscription, subscription)) return candidate;
@@ -202,8 +205,8 @@ CoveringIndex::AddResult CoveringIndex::add(SubscriptionId id,
   };
   const auto& tests = subscription.tests();
   for (std::size_t i = 0; i < tests.size(); ++i) {
-    if (tests[i].kind != TestKind::kEquals) continue;
-    const auto it = anchored_.find(AnchorKey{owner, i, tests[i].operand});
+    if (tests[i].kind() != TestKind::kEquals) continue;
+    const auto it = anchored_.find(AnchorKey{owner, i, tests[i].operand()});
     if (it == anchored_.end()) continue;
     for (const SubscriptionId candidate : it->second) consider(candidate);
   }

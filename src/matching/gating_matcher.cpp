@@ -22,8 +22,8 @@ void GatingMatcher::add(SubscriptionId id, const Subscription& subscription) {
   // Choose the gating test: first equality wins, then first non-*.
   for (std::size_t i = 0; i < subscription.tests().size(); ++i) {
     const AttributeTest& t = subscription.test(i);
-    if (t.kind == TestKind::kEquals) {
-      eq_gates_[EqKey{i, t.operand}].push_back(id);
+    if (t.kind() == TestKind::kEquals) {
+      eq_gates_[EqKey{i, t.operand()}].push_back(id);
       registry_.emplace(id, subscription);
       return;
     }
@@ -47,8 +47,8 @@ bool GatingMatcher::remove(SubscriptionId id) {
   bool gated = false;
   for (std::size_t i = 0; i < sub.tests().size() && !gated; ++i) {
     const AttributeTest& t = sub.test(i);
-    if (t.kind == TestKind::kEquals) {
-      const auto gate = eq_gates_.find(EqKey{i, t.operand});
+    if (t.kind() == TestKind::kEquals) {
+      const auto gate = eq_gates_.find(EqKey{i, t.operand()});
       if (gate != eq_gates_.end()) {
         erase_id(gate->second, id);
         if (gate->second.empty()) eq_gates_.erase(gate);

@@ -1,25 +1,23 @@
 // Per-thread scratch state for matching against frozen (immutable) search
 // structures.
 //
-// The compiled kernel (CompiledPst) keeps per-event node visit stamps. They
-// live here rather than inside the kernel as `mutable` members, which would
-// make even const matching single-threaded: each matching thread owns one
-// MatchScratch and passes it down through CompiledPst::match /
-// BrokerCore::dispatch, so any number of threads can match against one
-// shared snapshot concurrently with zero synchronization.
+// A match over the compiled kernel (CompiledPst) needs a few per-event
+// buffers. They live here rather than inside the kernel as `mutable`
+// members, which would make even const matching single-threaded: each
+// matching thread owns one MatchScratch and passes it down through
+// CompiledPst::match / BrokerCore::dispatch, so any number of threads can
+// match against one shared snapshot concurrently with zero
+// synchronization. One MatchScratch may be reused across different
+// kernels and events.
 //
-// One MatchScratch may be reused across different kernels and events:
-// stamps are versioned, so "visited" marks from a previous match (or a
-// previous kernel) can never leak into the current one.
-//
-// The scratch also owns the other per-dispatch buffers the compiled kernel
-// needs — the resolved equality-key vector, the factoring key, the DFS
-// node stack, and the dispatch search's per-level packed trit masks — so a warm
-// dispatch performs no heap allocation at all (enforced by gryphon-analyze
-// rule 3 over everything reachable from BrokerCore::dispatch).
+// The buffers are the resolved equality-key vector, the factoring key, the
+// DFS node stack, and the dispatch search's per-level packed trit masks, so
+// a warm dispatch performs no heap allocation at all (enforced by
+// gryphon-analyze rule 3 over everything reachable from
+// BrokerCore::dispatch). There are no per-node visit marks: the kernel is a
+// tree, so no search reaches a node twice.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -29,29 +27,6 @@ namespace gryphon {
 
 class MatchScratch {
  public:
-  /// Starts a new match over a structure with `node_count` nodes. After this
-  /// call every node reads as unvisited.
-  void begin(std::size_t node_count) {
-    // gryphon-analyze: allow(alloc): stamp array grows to the largest graph
-    // seen, then every later begin() reuses it.
-    if (stamps_.size() < node_count) stamps_.resize(node_count, 0);
-    if (++current_ == 0) {  // stamp wrapped: reset the whole array once
-      std::fill(stamps_.begin(), stamps_.end(), 0);
-      current_ = 1;
-    }
-  }
-
-  /// Marks `node` visited; returns true when it was NOT yet visited in the
-  /// current match (i.e. the caller should expand it).
-  bool visit(std::size_t node) {
-    if (stamps_[node] == current_) return false;
-    stamps_[node] = current_;
-    return true;
-  }
-
-  /// True when `node` was already visited in the current match.
-  [[nodiscard]] bool visited(std::size_t node) const { return stamps_[node] == current_; }
-
   /// Resolved per-level equality keys (CompiledPst::resolve output).
   [[nodiscard]] std::vector<std::uint64_t>& value_keys() { return value_keys_; }
 
@@ -79,8 +54,6 @@ class MatchScratch {
   }
 
  private:
-  std::vector<std::uint32_t> stamps_;
-  std::uint32_t current_{0};
   std::vector<std::uint64_t> value_keys_;
   std::vector<Value> factoring_key_;
   std::vector<std::int32_t> node_stack_;

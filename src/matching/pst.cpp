@@ -80,16 +80,16 @@ Pst::Mutation Pst::add(SubscriptionId id, const Subscription& subscription) {
       } else {
         child = node.star;
       }
-    } else if (test.kind == TestKind::kEquals) {
-      child = find_eq_child(n, test.operand);
+    } else if (test.kind() == TestKind::kEquals) {
+      child = find_eq_child(n, test.operand());
       if (child == kNoNode) {
         child = new_node(n, child_level);
         auto& eq = nodes_[n].eq;
-        const auto it = std::lower_bound(eq.begin(), eq.end(), test.operand,
+        const auto it = std::lower_bound(eq.begin(), eq.end(), test.operand(),
                                          [](const auto& entry, const Value& key) {
                                            return entry.first < key;
                                          });
-        eq.insert(it, {test.operand, child});
+        eq.insert(it, {test.operand(), child});
       }
     } else {
       for (const auto& [branch_test, branch_child] : node.other) {
@@ -123,8 +123,8 @@ std::optional<Pst::Mutation> Pst::remove(SubscriptionId id, const Subscription& 
     NodeId child = kNoNode;
     if (test.is_dont_care()) {
       child = node.star;
-    } else if (test.kind == TestKind::kEquals) {
-      child = find_eq_child(n, test.operand);
+    } else if (test.kind() == TestKind::kEquals) {
+      child = find_eq_child(n, test.operand());
     } else {
       for (const auto& [branch_test, branch_child] : node.other) {
         if (branch_test == test) {
@@ -271,6 +271,20 @@ void Pst::check_invariants() const {
   if (subs_found != subscription_count_) {
     throw std::logic_error("Pst invariant: subscription count mismatch");
   }
+}
+
+std::size_t Pst::memory_bytes() const {
+  std::size_t total = sizeof(*this) + nodes_.capacity() * sizeof(Node) +
+                      free_list_.capacity() * sizeof(NodeId) +
+                      order_.capacity() * sizeof(std::size_t);
+  for (const Node& node : nodes_) {
+    total += node.eq.capacity() * sizeof(node.eq.front());
+    for (const auto& [value, child] : node.eq) total += value.heap_bytes();
+    total += node.other.capacity() * sizeof(node.other.front());
+    for (const auto& [test, child] : node.other) total += test.heap_bytes();
+    total += node.subs.capacity() * sizeof(SubscriptionId);
+  }
+  return total;
 }
 
 }  // namespace gryphon

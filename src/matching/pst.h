@@ -118,6 +118,10 @@ class Pst {
   /// Incremented on every mutation; cheap staleness check for annotations.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
+  /// Bytes the tree occupies: its node arena, every node's branch and
+  /// payload vectors (by capacity) and the heap blocks of their values.
+  [[nodiscard]] std::size_t memory_bytes() const;
+
   /// Invariant checker used by tests: parent/child coherence, sorted
   /// equality branches, correct skip pointers, leaves exactly at the last
   /// level. Throws std::logic_error with a description on violation.

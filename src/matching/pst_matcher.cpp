@@ -217,4 +217,30 @@ MatchResult PstMatcher::match(const Event& event) const {
   return result;
 }
 
+std::size_t PstMatcher::registry_bytes() const {
+  // One hash node per entry (next pointer + value) and the bucket array.
+  std::size_t total = registry_.bucket_count() * sizeof(void*);
+  for (const auto& [id, subscription] : registry_) {
+    total += sizeof(void*) + sizeof(id) + subscription.memory_bytes();
+  }
+  return total;
+}
+
+std::size_t PstMatcher::tree_bytes() const {
+  std::size_t total = 0;
+  for_each_bucket([&](const FactoringIndex::Key* key, const Pst& tree, const auto&) {
+    if (key != nullptr) total += key->capacity() * sizeof(Value);
+    total += tree.memory_bytes();
+  });
+  return total;
+}
+
+std::size_t PstMatcher::kernel_bytes() const {
+  std::size_t total = 0;
+  for_each_bucket([&](const FactoringIndex::Key*, const Pst&, const auto& kernel) {
+    if (kernel != nullptr) total += kernel->memory_bytes();
+  });
+  return total;
+}
+
 }  // namespace gryphon

@@ -134,6 +134,20 @@ class PstMatcher : public Matcher {
     for (const auto& [key, tree] : buckets_) fn(&key, *tree.pst, tree.kernel);
   }
 
+  // --- memory accounting (bytes, from the structures' own sizes; the
+  // allocator's per-block overhead is not included) ---
+
+  /// The subscription registry: hash-table nodes and buckets, and every
+  /// registered Subscription's test array.
+  [[nodiscard]] std::size_t registry_bytes() const;
+  /// Every live tree (Pst::memory_bytes).
+  [[nodiscard]] std::size_t tree_bytes() const;
+  /// Every kernel freeze() left on a tree. Kept apart from memory_bytes():
+  /// a kernel is shared (the routing network searches the same one).
+  [[nodiscard]] std::size_t kernel_bytes() const;
+  /// What the matcher itself holds: registry_bytes() + tree_bytes().
+  [[nodiscard]] std::size_t memory_bytes() const { return registry_bytes() + tree_bytes(); }
+
   /// The factoring index, or nullptr when factoring is off.
   [[nodiscard]] const FactoringIndex* factoring() const { return factoring_.get(); }
 

@@ -31,13 +31,11 @@ CompiledAnnotation::CompiledAnnotation(const CompiledPst& kernel, std::size_t li
       throw std::invalid_argument("CompiledAnnotation: link table misses an owner");
     }
   }
-  planes_.assign(group_count_ * node_count_ * 2 * words_, 0);
-  local_slices_.assign(node_count_, {0, 0});
-
   // The shared local-subscriber arena: the local-link column never depends
   // on the spanning tree (every group maps the local owner to local_link),
   // so any group's table identifies the local subscribers.
   if (local_link_.valid()) {
+    local_slices_.assign(node_count_, {0, 0});
     const std::vector<LinkIndex>& links = group_links.front();
     for (std::size_t i = 0; i < node_count_; ++i) {
       const auto n = static_cast<CompiledPst::NodeId>(i);
@@ -52,15 +50,33 @@ CompiledAnnotation::CompiledAnnotation(const CompiledPst& kernel, std::size_t li
     }
   }
 
+  if (link_count_ <= 8) {
+    build_rows<std::uint8_t>(owners, group_links);
+  } else if (link_count_ <= 16) {
+    build_rows<std::uint16_t>(owners, group_links);
+  } else if (link_count_ <= 32) {
+    build_rows<std::uint32_t>(owners, group_links);
+  } else {
+    build_rows<TritWord>(owners, group_links);
+  }
+}
+
+template <class Plane>
+void CompiledAnnotation::build_rows(std::span<const std::uint32_t> owners,
+                                    std::span<const std::vector<LinkIndex>> group_links) {
+  constexpr std::size_t kPlaneBits = 8 * sizeof(Plane);
+  const CompiledPst& kernel = *kernel_;
+  std::vector<Plane>& planes =
+      planes_.emplace<std::vector<Plane>>(group_count_ * node_count_ * 2 * words_, Plane{0});
   const std::size_t row_words = 2 * words_;
   for (std::size_t g = 0; g < group_count_; ++g) {
     const LinkIndex* const links = group_links[g].data();
-    const auto row_of = [&](CompiledPst::NodeId n) { return planes_.data() + row_offset(g, n); };
+    const auto row_of = [&](CompiledPst::NodeId n) { return planes.data() + row_offset(g, n); };
 
     // One forward pass over the bottom-up order computes every row in
     // place, with its children's rows already final. Rows start all-No.
     for (const CompiledPst::NodeId n : kernel.bottom_up_order()) {
-      TritWord* const out = row_of(n);
+      Plane* const out = row_of(n);
       if (kernel.is_leaf(n)) {
         const std::size_t first = kernel.subscribers_begin(n);
         const std::size_t last = first + kernel.subscribers(n).size();
@@ -70,7 +86,7 @@ CompiledAnnotation::CompiledAnnotation(const CompiledPst& kernel, std::size_t li
             throw std::logic_error("CompiledAnnotation: subscription resolved to a bad link");
           }
           const auto l = static_cast<std::size_t>(link.value);
-          out[l / kTritWordBits] |= TritWord{1} << (l % kTritWordBits);  // Yes plane
+          out[l / kPlaneBits] |= static_cast<Plane>(Plane{1} << (l % kPlaneBits));  // Yes plane
         }
         continue;
       }
@@ -80,7 +96,7 @@ CompiledAnnotation::CompiledAnnotation(const CompiledPst& kernel, std::size_t li
       // compile time; same soundness argument as AnnotatedPst).
       bool first = kernel.covers_domain(n);
       const auto fold = [&](CompiledPst::NodeId child) {
-        const TritWord* const child_row = row_of(child);
+        const Plane* const child_row = row_of(child);
         if (first) {
           std::copy_n(child_row, row_words, out);
           first = false;
@@ -95,6 +111,19 @@ CompiledAnnotation::CompiledAnnotation(const CompiledPst& kernel, std::size_t li
       if (star != CompiledPst::kNoNode) packed::parallel_with(out, row_of(star), words_);
     }
   }
+}
+
+std::size_t CompiledAnnotation::plane_bytes() const {
+  // Indexed like planes_'s alternatives.
+  static constexpr std::array<std::size_t, 4> kBytes{1, 2, 4, 8};
+  return kBytes[planes_.index()];
+}
+
+std::size_t CompiledAnnotation::memory_bytes() const {
+  const std::size_t row_bytes = std::visit(
+      [](const auto& planes) { return planes.capacity() * sizeof(planes.front()); }, planes_);
+  return sizeof(*this) + row_bytes + local_subs_.capacity() * sizeof(SubscriptionId) +
+         local_slices_.capacity() * sizeof(local_slices_.front());
 }
 
 namespace {
@@ -123,18 +152,25 @@ struct SlotMask {
 // from the kernel, equality tests consume the pre-resolved key vector,
 // annotation rows / branch tables come from flat arenas, and masks are bit
 // planes. kWords fixes the plane width at compile time; 0 reads it from
-// the annotation.
-template <std::size_t kWords>
+// the annotation. Plane is the stored row word (CompiledAnnotation's "Row
+// width"); a narrow row is widened into TritWords as it is read.
+//
+// The kernel is a tree, so the search reaches each node at most once and
+// local matches need no "already collected" marks: a node's local
+// subscribers are collected by the one call that visits it.
+template <std::size_t kWords, class Plane>
 class CompiledDispatchSearch {
  public:
   using Mask = std::conditional_t<kWords == 0, SlotMask, FixedMask<kWords>>;
+  static_assert(std::is_same_v<Plane, TritWord> || kWords == 1,
+                "narrow planes hold one-word rows only");
 
   CompiledDispatchSearch(const CompiledAnnotation& annotated, std::size_t group,
                          const Event& event, const std::uint64_t* keys, MatchScratch& scratch,
                          std::vector<SubscriptionId>* local_out)
       : annotated_(annotated),
         kernel_(annotated.kernel()),
-        group_(group),
+        rows_(annotated.planes<Plane>() + annotated.row_offset(group, 0)),
         event_(event),
         keys_(keys),
         scratch_(scratch),
@@ -172,11 +208,14 @@ class CompiledDispatchSearch {
     ++steps_;
     const std::size_t words = width();
     // Step 2: refinement against this node's annotation.
-    packed::refine_with(mask.data(), annotated_.annotation(group_, node).data(), words);
-    // Stamping marks "local matches at or below this node are collected by
-    // this call".
+    if constexpr (std::is_same_v<Plane, TritWord>) {
+      packed::refine_with(mask.data(), row(node), words);
+    } else {
+      const std::array<TritWord, 2> wide{row(node)[0], row(node)[1]};
+      packed::refine_with(mask.data(), wide.data(), 1);
+    }
+    // Local matches at or below this node are collected by this call.
     const bool local_here = wants_local(node);
-    if (local_here) scratch_.visit(static_cast<std::size_t>(node));
 
     if (kernel_.is_leaf(node)) {
       if (local_here) {
@@ -193,7 +232,7 @@ class CompiledDispatchSearch {
     }
 
     // Step 3: perform the test, subsearch each selected child that can
-    // still contribute — a Maybe to resolve, or uncollected local matches.
+    // still contribute — a Maybe to resolve, or local matches to collect.
     const auto subsearch = [&](CompiledPst::NodeId child) {
       if (!packed::has_maybe(mask.data(), words) && !(local_here && wants_local(child))) return;
       const Mask result = run(child, child_copy(mask, depth), depth + 1);
@@ -221,6 +260,11 @@ class CompiledDispatchSearch {
 
   [[nodiscard]] std::size_t width() const { return kWords != 0 ? kWords : words_; }
 
+  /// The stored annotation row of `node` (2 * width() Plane words).
+  [[nodiscard]] const Plane* row(CompiledPst::NodeId node) const {
+    return rows_ + static_cast<std::size_t>(node) * 2 * width();
+  }
+
   /// The mask a subsearch of a node at `depth` starts from.
   Mask child_copy(const Mask& mask, std::size_t depth) {
     if constexpr (kWords != 0) {
@@ -233,18 +277,16 @@ class CompiledDispatchSearch {
     }
   }
 
-  /// One bit test: the node's local-link trit is not No, and its local
-  /// matches are not yet collected. Always false without local enumeration
-  /// (local_bit_ stays 0).
+  /// One bit test: the node's local-link trit is not No. Always false
+  /// without local enumeration (local_bit_ stays 0).
   [[nodiscard]] bool wants_local(CompiledPst::NodeId node) const {
-    const TritWord* const row = annotated_.annotation(group_, node).data();
-    return ((row[local_word_] | row[width() + local_word_]) & local_bit_) != 0 &&
-           !scratch_.visited(static_cast<std::size_t>(node));
+    const Plane* const r = row(node);
+    return ((TritWord{r[local_word_]} | TritWord{r[width() + local_word_]}) & local_bit_) != 0;
   }
 
   const CompiledAnnotation& annotated_;
   const CompiledPst& kernel_;
-  std::size_t group_;
+  const Plane* rows_;  // the group's rows, indexed by node
   const Event& event_;
   const std::uint64_t* keys_;
   MatchScratch& scratch_;
@@ -255,6 +297,15 @@ class CompiledDispatchSearch {
   bool delayed_star_;
   std::uint64_t steps_{0};
 };
+
+template <std::size_t kWords, class Plane>
+std::uint64_t run_search(const CompiledAnnotation& annotated, std::size_t group,
+                         const Event& event, const std::uint64_t* keys, MatchScratch& scratch,
+                         std::vector<SubscriptionId>* local_out, MutablePackedTritSpan out_mask) {
+  CompiledDispatchSearch<kWords, Plane> search(annotated, group, event, keys, scratch,
+                                               local_out);
+  return search.refine_from_root(out_mask);
+}
 
 }  // namespace
 
@@ -294,14 +345,26 @@ std::uint64_t compiled_dispatch_into(const CompiledAnnotation& annotated, std::s
     return 0;  // already final, and no local work
   }
   kernel.resolve(event, scratch.value_keys());
-  scratch.begin(kernel.node_count());
   const std::uint64_t* keys = scratch.value_keys().data();
-  if (words == 1) {
-    CompiledDispatchSearch<1> search(annotated, group, event, keys, scratch, local_out);
-    return search.refine_from_root(out_mask);
+  // One instantiation per stored row width; rows wider than 64 links take
+  // the run-time-width search.
+  switch (annotated.plane_bytes()) {
+    case 1:
+      return run_search<1, std::uint8_t>(annotated, group, event, keys, scratch, local_out,
+                                         out_mask);
+    case 2:
+      return run_search<1, std::uint16_t>(annotated, group, event, keys, scratch, local_out,
+                                          out_mask);
+    case 4:
+      return run_search<1, std::uint32_t>(annotated, group, event, keys, scratch, local_out,
+                                          out_mask);
+    default:
+      break;
   }
-  CompiledDispatchSearch<0> search(annotated, group, event, keys, scratch, local_out);
-  return search.refine_from_root(out_mask);
+  if (words == 1) {
+    return run_search<1, TritWord>(annotated, group, event, keys, scratch, local_out, out_mask);
+  }
+  return run_search<0, TritWord>(annotated, group, event, keys, scratch, local_out, out_mask);
 }
 
 CompiledDispatchResult compiled_dispatch(const CompiledAnnotation& annotated, std::size_t group,

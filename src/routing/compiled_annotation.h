@@ -11,6 +11,9 @@
 //    trit_words(link_count) Yes words followed by W Maybe words, so the
 //    search's refine and promote steps are two word operations per 64
 //    links instead of one byte compare per link;
+//  * rows are right-sized (see "Row width" below): a broker with at most
+//    64 links stores each plane in the narrowest unsigned word that holds
+//    its link count;
 //  * all rows of all spanning-tree groups live in one flat word arena
 //    indexed [group][node][plane][word], so the mask-refinement search for
 //    one group walks a single contiguous region whose row offsets are the
@@ -18,7 +21,9 @@
 //    from its branch tables;
 //  * the locally-owned subscriber ids of every leaf are precomputed into a
 //    contiguous arena (per-leaf slices), so local enumeration needs no
-//    per-subscriber link lookup at dispatch time;
+//    per-subscriber link lookup at dispatch time. An annotation built
+//    without a local link (the simulator's ContentRoutingNetwork: its
+//    clients are ordinary links) holds no slice table at all;
 //  * construction reads flat link tables: the caller resolves each kernel
 //    subscriber's owner once into an array parallel to the kernel's
 //    subscriber arena, and each group maps owners to links through a dense
@@ -32,12 +37,26 @@
 // branch with Parallel Combine (both in their packed word form). Rows are
 // computed in one forward pass over CompiledPst::bottom_up_order().
 //
+// Row width. The annotation arena is the largest structure a compiled
+// tree carries besides the kernel itself: one row per (group, node), and
+// the simulator holds one annotation per broker. Real brokers have few
+// links — 5 to 14 on the paper's Figure 6 network — so a 64-bit plane word
+// would be mostly padding. When a row fits one word (link_count <= 64),
+// each plane is stored in the narrowest of u8, u16, u32 and u64 that holds
+// link_count bits; wider rows keep W 64-bit words per plane. The width
+// follows from the link count alone and is not an option. It changes
+// storage only: the search widens a stored row into its 64-bit mask
+// registers before refining, so masks, TritWord and the multi-word path
+// are unchanged, and so is every refined mask and step count.
+//
 // A CompiledAnnotation is deeply immutable after construction; any number
 // of threads may run compiled_dispatch() concurrently, each with its own
 // MatchScratch.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "common/ids.h"
@@ -63,28 +82,42 @@ class CompiledAnnotation {
 
   [[nodiscard]] const CompiledPst& kernel() const { return *kernel_; }
   [[nodiscard]] std::size_t link_count() const { return link_count_; }
-  /// Words per plane: a row or mask is 2 * words() words.
+  /// 64-bit words per plane of a mask: a mask is 2 * words() TritWords.
   [[nodiscard]] std::size_t words() const { return words_; }
   [[nodiscard]] std::size_t group_count() const { return group_count_; }
   [[nodiscard]] LinkIndex local_link() const { return local_link_; }
 
-  /// The packed annotation row of a node under one spanning-tree group.
-  [[nodiscard]] PackedTritSpan annotation(std::size_t group, CompiledPst::NodeId node) const {
-    return PackedTritSpan(planes_.data() + row_offset(group, node), 2 * words_);
+  /// Bytes per stored plane word: 1, 2, 4 or 8 (see "Row width").
+  [[nodiscard]] std::size_t plane_bytes() const;
+
+  /// The stored rows when planes are `Plane` words (precondition:
+  /// sizeof(Plane) == plane_bytes()). The row of `node` under `group` is
+  /// the 2 * words() words at row_offset(group, node).
+  template <class Plane>
+  [[nodiscard]] const Plane* planes() const {
+    return std::get<std::vector<Plane>>(planes_).data();
+  }
+  [[nodiscard]] std::size_t row_offset(std::size_t group, CompiledPst::NodeId node) const {
+    return (group * node_count_ + static_cast<std::size_t>(node)) * 2 * words_;
   }
 
   /// The subscriber ids at leaf `node` owned by the local link (empty for
   /// interior nodes and when no local link was configured).
   [[nodiscard]] std::span<const SubscriptionId> local_subscribers(
       CompiledPst::NodeId node) const {
+    if (local_slices_.empty()) return {};
     const auto& slice = local_slices_[static_cast<std::size_t>(node)];
     return {local_subs_.data() + slice.first, slice.second};
   }
 
+  /// Bytes this annotation occupies: the object, its row arena and its
+  /// local-subscriber tables (the kernel is shared and not counted).
+  [[nodiscard]] std::size_t memory_bytes() const;
+
  private:
-  [[nodiscard]] std::size_t row_offset(std::size_t group, CompiledPst::NodeId node) const {
-    return (group * node_count_ + static_cast<std::size_t>(node)) * 2 * words_;
-  }
+  template <class Plane>
+  void build_rows(std::span<const std::uint32_t> owners,
+                  std::span<const std::vector<LinkIndex>> group_links);
 
   const CompiledPst* kernel_;
   std::size_t link_count_;
@@ -92,9 +125,13 @@ class CompiledAnnotation {
   std::size_t group_count_;
   std::size_t node_count_;
   LinkIndex local_link_;
-  std::vector<TritWord> planes_;  // [group][node][plane][word]
+  // [group][node][plane][word], in the plane type "Row width" picks.
+  std::variant<std::vector<std::uint8_t>, std::vector<std::uint16_t>,
+               std::vector<std::uint32_t>, std::vector<TritWord>>
+      planes_;
   std::vector<SubscriptionId> local_subs_;  // leaf slices
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> local_slices_;  // begin, count
+  // begin, count per node; empty without a local link.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> local_slices_;
 };
 
 /// The outcome of one compiled dispatch search.

@@ -265,6 +265,13 @@ const CompiledPst* ContentRoutingNetwork::routing_kernel(const Pst& tree) const 
   return compiled == nullptr ? nullptr : compiled->kernel.get();
 }
 
+const CompiledAnnotation* ContentRoutingNetwork::routing_annotation(const Pst& tree,
+                                                                    BrokerId broker) const {
+  const CompiledTree* compiled = tree_states_.at(&tree).compiled.load(std::memory_order_acquire);
+  return compiled == nullptr ? nullptr
+                             : &compiled->annotations.at(static_cast<std::size_t>(broker.value));
+}
+
 ContentRoutingNetwork::KernelCounts ContentRoutingNetwork::kernel_counts() const {
   KernelCounts counts;
   for (const auto& entry : tree_states_) {
@@ -278,6 +285,18 @@ ContentRoutingNetwork::KernelCounts ContentRoutingNetwork::kernel_counts() const
     }
   }
   return counts;
+}
+
+std::size_t ContentRoutingNetwork::annotation_bytes() const {
+  std::size_t total = 0;
+  for (const auto& entry : tree_states_) {
+    const CompiledTree* compiled = entry.second.compiled.load(std::memory_order_acquire);
+    if (compiled == nullptr) continue;
+    for (const CompiledAnnotation& annotation : compiled->annotations) {
+      total += annotation.memory_bytes();
+    }
+  }
+  return total;
 }
 
 std::vector<SubscriptionId> ContentRoutingNetwork::match(const Event& event,

@@ -135,8 +135,17 @@ class ContentRoutingNetwork {
   };
   [[nodiscard]] KernelCounts kernel_counts() const;
 
+  /// Bytes of every published compiled tree's annotations
+  /// (CompiledAnnotation::memory_bytes, all brokers). The kernels are the
+  /// matcher's (PstMatcher::kernel_bytes) and not counted here.
+  [[nodiscard]] std::size_t annotation_bytes() const;
+
   /// Test hook: the kernel route() searches `tree` with (null if none).
   [[nodiscard]] const CompiledPst* routing_kernel(const Pst& tree) const;
+  /// Test hook: `broker`'s annotation rows for `tree` (null unless the
+  /// tree is compiled).
+  [[nodiscard]] const CompiledAnnotation* routing_annotation(const Pst& tree,
+                                                             BrokerId broker) const;
 
   /// Centralized matching (Section 2): the full destination list, as the
   /// match-first baseline would compute at the publisher's broker.

@@ -159,20 +159,24 @@ using MutablePackedTritSpan = std::span<TritWord>;
 
 namespace packed {
 
-/// mask = Alternative(mask, other), trit by trit.
-inline void alternative_with(TritWord* mask, const TritWord* other, std::size_t words) noexcept {
+/// mask = Alternative(mask, other), trit by trit. The two combines take
+/// any unsigned word type: masks are TritWord, and CompiledAnnotation also
+/// folds its narrow stored rows (8-, 16- and 32-bit planes) with them.
+template <class Word>
+inline void alternative_with(Word* mask, const Word* other, std::size_t words) noexcept {
   for (std::size_t w = 0; w < words; ++w) {
-    const TritWord differ = mask[w] ^ other[w];
+    const auto differ = static_cast<Word>(mask[w] ^ other[w]);
     mask[w] &= other[w];
-    mask[words + w] |= other[words + w] | differ;
+    mask[words + w] |= static_cast<Word>(other[words + w] | differ);
   }
 }
 
 /// mask = Parallel(mask, other), trit by trit.
-inline void parallel_with(TritWord* mask, const TritWord* other, std::size_t words) noexcept {
+template <class Word>
+inline void parallel_with(Word* mask, const Word* other, std::size_t words) noexcept {
   for (std::size_t w = 0; w < words; ++w) {
     mask[w] |= other[w];
-    mask[words + w] = (mask[words + w] | other[words + w]) & ~mask[w];
+    mask[words + w] = static_cast<Word>((mask[words + w] | other[words + w]) & ~mask[w]);
   }
 }
 

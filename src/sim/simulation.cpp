@@ -629,6 +629,23 @@ const std::vector<BrokerId>& Simulation::publishers() const { return inst_->publ
 const std::vector<Event>& Simulation::events() const { return inst_->events; }
 std::size_t Simulation::subscription_count() const { return inst_->subscriptions.size(); }
 
+SimMemory Simulation::memory() const {
+  SimMemory memory;
+  memory.subscriptions = inst_->subscriptions.capacity() * sizeof(SimSubscription);
+  for (const SimSubscription& sub : inst_->subscriptions) {
+    memory.subscriptions += sub.subscription.memory_bytes() - sizeof(Subscription);
+  }
+  const auto add_matcher = [&](const PstMatcher& matcher) {
+    memory.subscriptions += matcher.registry_bytes();
+    memory.trees += matcher.tree_bytes();
+    memory.kernels += matcher.kernel_bytes();
+  };
+  add_matcher(inst_->matcher());
+  for (const auto& local : inst_->local_matchers) add_matcher(*local);
+  if (inst_->crn) memory.annotations = inst_->crn->annotation_bytes();
+  return memory;
+}
+
 ScriptedWorkload Simulation::release_workload() && {
   ScriptedWorkload workload;
   workload.subscriptions = std::move(inst_->subscriptions);

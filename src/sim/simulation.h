@@ -110,6 +110,26 @@ struct SimResult {
 /// gate compares with this.
 bool same_outcome(const SimResult& a, const SimResult& b);
 
+/// Bytes a built instance holds, by component. Accounted from the
+/// structures' own sizes (vector capacities, hash nodes, heap blocks of
+/// values); the allocator's per-block overhead and heap it keeps after a
+/// free are not, so total() reads below the process's resident set.
+struct SimMemory {
+  /// Every copy of every subscription: the instance's list and each
+  /// matcher's registry (shared and per-broker).
+  std::size_t subscriptions{0};
+  /// Mutable PSTs: the shared matcher's and the per-broker matchers'.
+  std::size_t trees{0};
+  /// Compiled kernels (CompiledPst) those matchers' freeze() left.
+  std::size_t kernels{0};
+  /// The routing network's per-broker annotation rows (exact plane).
+  std::size_t annotations{0};
+
+  [[nodiscard]] std::size_t total() const {
+    return subscriptions + trees + kernels + annotations;
+  }
+};
+
 struct SimInstance;
 
 /// A materialized simulation: topology, workload, and control plane built
@@ -142,6 +162,8 @@ class Simulation {
   [[nodiscard]] const std::vector<BrokerId>& publishers() const;
   [[nodiscard]] const std::vector<Event>& events() const;
   [[nodiscard]] std::size_t subscription_count() const;
+  /// What the built instance holds, by component (see SimMemory).
+  [[nodiscard]] SimMemory memory() const;
 
   /// Consumes the simulation and hands back its subscriptions and events
   /// (the schedule is left empty: it is rebuilt from the seed). Passed as

@@ -242,8 +242,9 @@ INSTANTIATE_TEST_SUITE_P(StarOrders, CompiledPstChurn, ::testing::Bool(),
 
 // Plane-width boundaries: the packed dispatch must agree with link_match
 // (mask and steps) and with a filtered naive matcher (local set) at link
-// counts on both sides of each 64-link word boundary, with the local link
-// set (the last link) and unset.
+// counts on both sides of each stored row width (8-, 16-, 32- and 64-bit
+// planes, then multi-word rows) and of each 64-link word boundary, with
+// the local link set (the last link) and unset.
 class CompiledDispatchWidth
     : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
 
@@ -292,6 +293,18 @@ TEST_P(CompiledDispatchWidth, MaskStepsAndLocalsIdenticalToLinkMatch) {
     const CompiledPst compiled(tree);
     const CompiledAnnotation annotated = annotate(compiled, links, group_fns, local);
     ASSERT_EQ(annotated.words(), (links + 63) / 64);
+    const std::size_t plane_bytes = links <= 8 ? 1 : links <= 16 ? 2 : links <= 32 ? 4 : 8;
+    ASSERT_EQ(annotated.plane_bytes(), plane_bytes);
+    // The row arena holds two planes of words() plane words per (group,
+    // node); without a local link there is nothing else (no local-slice
+    // table).
+    const std::size_t row_bytes =
+        group_fns.size() * compiled.node_count() * 2 * annotated.words() * plane_bytes;
+    if (with_local) {
+      ASSERT_GT(annotated.memory_bytes(), sizeof(CompiledAnnotation) + row_bytes);
+    } else {
+      ASSERT_EQ(annotated.memory_bytes(), sizeof(CompiledAnnotation) + row_bytes);
+    }
 
     for (int probe = 0; probe < 25; ++probe) {
       const Event e = random_event(schema, rng);
@@ -318,7 +331,8 @@ TEST_P(CompiledDispatchWidth, MaskStepsAndLocalsIdenticalToLinkMatch) {
 
 INSTANTIATE_TEST_SUITE_P(
     PlaneWidths, CompiledDispatchWidth,
-    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 63, 64, 65, 128, 130),
+    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 8, 9, 16, 17, 32, 33, 63, 64, 65,
+                                                      128, 130),
                        ::testing::Bool()),
     [](const auto& info) {
       return "links" + std::to_string(std::get<0>(info.param)) +

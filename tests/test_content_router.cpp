@@ -319,5 +319,42 @@ TEST(ContentRouterMixedTypes, RandomizedMixedPredicatesStayExact) {
   crn.check_consistency();
 }
 
+// Clients are ordinary links of the routing network, so its annotations
+// are built without a local link: no broker's rows carry a local-slice
+// table, local enumeration finds nothing, and the rows are stored in the
+// narrowest plane word that holds the broker's link count.
+TEST_F(ContentRouterLineTest, CompiledAnnotationsHoldNoLocalSliceTable) {
+  Rng rng(7);
+  SubscriptionGenerator gen(schema_, SubscriptionWorkloadConfig{0.9, 0.85, 1.0});
+  for (std::int64_t i = 0; i < 40; ++i) {
+    crn_.subscribe(SubscriptionId{i}, gen.generate(rng),
+                   ClientId{static_cast<ClientId::rep_type>(rng.below(net_.client_count()))});
+  }
+  crn_.compile_all();
+  std::size_t compiled_trees = 0;
+  std::size_t bytes = 0;
+  crn_.matcher().for_each_bucket([&](const FactoringIndex::Key*, const Pst& tree, const auto&) {
+    ++compiled_trees;
+    for (std::size_t b = 0; b < net_.broker_count(); ++b) {
+      const BrokerId broker{static_cast<BrokerId::rep_type>(b)};
+      const CompiledAnnotation* annotation = crn_.routing_annotation(tree, broker);
+      ASSERT_NE(annotation, nullptr);
+      EXPECT_FALSE(annotation->local_link().valid());
+      EXPECT_EQ(annotation->link_count(), net_.ports(broker).size());
+      EXPECT_EQ(annotation->plane_bytes(), 1U);  // <= 8 links per broker
+      // The row arena (two one-byte planes per group and node) is all the
+      // annotation holds.
+      const std::size_t rows = annotation->group_count() * annotation->kernel().node_count();
+      EXPECT_EQ(annotation->memory_bytes(), sizeof(CompiledAnnotation) + rows * 2);
+      for (std::size_t n = 0; n < annotation->kernel().node_count(); ++n) {
+        EXPECT_TRUE(annotation->local_subscribers(static_cast<CompiledPst::NodeId>(n)).empty());
+      }
+      bytes += annotation->memory_bytes();
+    }
+  });
+  EXPECT_EQ(compiled_trees, 1U);
+  EXPECT_EQ(crn_.annotation_bytes(), bytes);
+}
+
 }  // namespace
 }  // namespace gryphon

@@ -47,8 +47,7 @@ TEST(TestCovers, TruthTable) {
   EXPECT_TRUE(CoveringIndex::test_covers(T::dont_care(), T::dont_care()));
   EXPECT_TRUE(CoveringIndex::test_covers(T::dont_care(), T::equals(iv(1))));
   EXPECT_TRUE(CoveringIndex::test_covers(T::dont_care(), T::between(iv(1), iv(5))));
-  T unbounded;
-  unbounded.kind = TestKind::kRange;  // no bounds: accepts every value
+  const T unbounded = T::range(std::nullopt, std::nullopt);  // no bounds: accepts every value
   EXPECT_TRUE(CoveringIndex::test_covers(unbounded, T::dont_care()));
   // Nothing narrower covers don't-care.
   EXPECT_FALSE(CoveringIndex::test_covers(T::equals(iv(1)), T::dont_care()));

@@ -175,5 +175,30 @@ TEST(GatingMatcher, RangeGateFallsBackToScanList) {
   EXPECT_EQ(matcher.subscription_count(), 0u);
 }
 
+// Memory accounting: the registry counts at least each subscription's
+// object and test array, the trees and kernels are non-empty once built,
+// and removing every subscription gives the registry's and the trees'
+// per-subscription bytes back.
+TEST(PstMatcherMemory, AccountsRegistryTreesAndKernels) {
+  const auto schema = make_synthetic_schema(10, 5);
+  Rng rng(11);
+  SubscriptionGenerator gen(schema, SubscriptionWorkloadConfig{0.9, 0.85, 1.0});
+  PstMatcher pst(schema);
+  const std::size_t empty_registry = pst.registry_bytes();
+  constexpr std::int64_t kSubs = 500;
+  for (std::int64_t i = 0; i < kSubs; ++i) pst.add(SubscriptionId{i}, gen.generate(rng));
+  const std::size_t per_subscription = sizeof(Subscription) + 10 * sizeof(AttributeTest);
+  EXPECT_GE(pst.registry_bytes(), kSubs * per_subscription);
+  EXPECT_GT(pst.tree_bytes(), 0u);
+  EXPECT_EQ(pst.memory_bytes(), pst.registry_bytes() + pst.tree_bytes());
+  EXPECT_EQ(pst.kernel_bytes(), 0u);  // nothing frozen yet
+  pst.freeze();
+  EXPECT_GT(pst.kernel_bytes(), 0u);
+  const std::size_t full_trees = pst.tree_bytes();
+  for (std::int64_t i = 0; i < kSubs; ++i) ASSERT_TRUE(pst.remove(SubscriptionId{i}));
+  EXPECT_LT(pst.registry_bytes(), empty_registry + kSubs * per_subscription / 10);
+  EXPECT_LE(pst.tree_bytes(), full_trees);
+}
+
 }  // namespace
 }  // namespace gryphon

@@ -60,13 +60,13 @@ TEST(Parser, IntervalFolding) {
   const auto schema = stock_schema();
   const auto sub = parse_subscription(schema, "price > 100 & price <= 120");
   const auto& test = sub.test(1);
-  EXPECT_EQ(test.kind, TestKind::kRange);
-  ASSERT_TRUE(test.lo.has_value());
-  ASSERT_TRUE(test.hi.has_value());
-  EXPECT_DOUBLE_EQ(test.lo->as_double(), 100.0);
-  EXPECT_DOUBLE_EQ(test.hi->as_double(), 120.0);
-  EXPECT_FALSE(test.lo_inclusive);
-  EXPECT_TRUE(test.hi_inclusive);
+  EXPECT_EQ(test.kind(), TestKind::kRange);
+  ASSERT_NE(test.lo(), nullptr);
+  ASSERT_NE(test.hi(), nullptr);
+  EXPECT_DOUBLE_EQ(test.lo()->as_double(), 100.0);
+  EXPECT_DOUBLE_EQ(test.hi()->as_double(), 120.0);
+  EXPECT_FALSE(test.lo_inclusive());
+  EXPECT_TRUE(test.hi_inclusive());
   EXPECT_TRUE(sub.matches(trade(schema, "A", 120.0, 0)));
   EXPECT_FALSE(sub.matches(trade(schema, "A", 100.0, 0)));
 }
@@ -93,7 +93,7 @@ TEST(Parser, ContradictoryEqualityThrows) {
 TEST(Parser, EqualityConsistentWithBoundsReduces) {
   const auto schema = stock_schema();
   const auto sub = parse_subscription(schema, "volume = 5 & volume < 10");
-  EXPECT_EQ(sub.test(2).kind, TestKind::kEquals);
+  EXPECT_EQ(sub.test(2).kind(), TestKind::kEquals);
   EXPECT_TRUE(sub.matches(trade(schema, "A", 0.0, 5)));
 }
 

@@ -178,5 +178,28 @@ TEST(SimDetails, PartialScheduleVerifiesOnlyPublishedEvents) {
   EXPECT_EQ(result.spurious_deliveries, 0u);
 }
 
+// Memory accounting by component: link matching on the exact plane holds
+// the instance's list and the routing network's matcher (two copies of the
+// subscriptions), its trees and kernels, and per-broker annotation rows;
+// flooding adds per-broker matchers (a third copy) and no annotations.
+TEST(SimDetails, MemoryAccountsEveryComponent) {
+  SimSpec lm = small_spec(100.0);
+  lm.protocol = Protocol::kLinkMatching;
+  const SimMemory link_matching = Simulation(lm).memory();
+  EXPECT_GE(link_matching.subscriptions, 2 * 30 * 4 * sizeof(AttributeTest));
+  EXPECT_GT(link_matching.trees, 0u);
+  EXPECT_GT(link_matching.kernels, 0u);
+  EXPECT_GT(link_matching.annotations, 0u);
+  EXPECT_EQ(link_matching.total(), link_matching.subscriptions + link_matching.trees +
+                                       link_matching.kernels + link_matching.annotations);
+
+  SimSpec flooding = small_spec(100.0);
+  flooding.protocol = Protocol::kFlooding;
+  const SimMemory flood = Simulation(flooding).memory();
+  EXPECT_EQ(flood.annotations, 0u);
+  EXPECT_GT(flood.subscriptions, link_matching.subscriptions);
+  EXPECT_GT(flood.trees, link_matching.trees);
+}
+
 }  // namespace
 }  // namespace gryphon

@@ -45,8 +45,8 @@ TEST(SubscriptionGenerator, ValuesAreZipfSkewed) {
   std::vector<int> counts(5, 0);
   for (int i = 0; i < 20000; ++i) {
     const auto s = gen.generate(rng);
-    ASSERT_EQ(s.test(0).kind, TestKind::kEquals);
-    ++counts[static_cast<std::size_t>(s.test(0).operand.as_int())];
+    ASSERT_EQ(s.test(0).kind(), TestKind::kEquals);
+    ++counts[static_cast<std::size_t>(s.test(0).operand().as_int())];
   }
   EXPECT_GT(counts[0], counts[1]);
   EXPECT_GT(counts[1], counts[2]);
@@ -61,7 +61,7 @@ TEST(SubscriptionGenerator, LocalityPermutationShiftsHotValue) {
   std::vector<int> counts(5, 0);
   for (int i = 0; i < 20000; ++i) {
     const auto s = gen.generate(rng, &perm1);
-    ++counts[static_cast<std::size_t>(s.test(0).operand.as_int())];
+    ++counts[static_cast<std::size_t>(s.test(0).operand().as_int())];
   }
   // The hottest value is perm1[0], not 0.
   const auto hottest = static_cast<std::size_t>(

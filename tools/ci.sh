@@ -329,6 +329,16 @@ if bad_eq or bad_oracle:
     sys.exit(1)
 print(f"[sim-scale] {len(rows)} (point, protocol) runs: serial/parallel identical, "
       f"oracle clean")
+# Memory after each build: the resident set, and what the instance
+# accounts for of it by component (informational; no bound).
+mib = 1024.0 * 1024.0
+for n, r in rows:
+    m = r["memory_bytes"]
+    print(f"[sim-scale] {n}/{r['protocol']}: rss {r['build_rss_mb']:.1f} MB, accounted "
+          f"{m['total'] / mib:.1f} MB (subscriptions {m['subscriptions'] / mib:.1f}, "
+          f"trees {m['trees'] / mib:.1f}, kernels {m['kernels'] / mib:.1f}, "
+          f"annotations {m['annotations'] / mib:.1f}), unaccounted "
+          f"{r['rss_unaccounted_mb']:.1f} MB")
 if not data["scaling_valid"]:
     print(f"[sim-scale] speedup claim skipped: {data['scaling_reason']}")
     sys.exit(0)
@@ -346,6 +356,22 @@ if lm["speedup"] < 2.0:
 PY
     echo "sim-scale artifact: $dir/BENCH_sim_scale_ci.json"
     return
+  fi
+
+  if [[ "$leg" == asan || "$leg" == ubsan ]]; then
+    # The kernel differentials must be in the suite these legs run: the
+    # compiled dispatch at every stored row width (8/16/32/64-bit planes
+    # and multi-word rows), the CRN's annotations without a local-slice
+    # table, and the AttributeTest layout round trips.
+    local pattern listed
+    for pattern in 'PlaneWidths/CompiledDispatchWidth.*links(8|9|16|17|32|33)_' \
+                   'CompiledAnnotationsHoldNoLocalSliceTable' 'AttributeTestLayout'; do
+      listed="$(ctest --test-dir "$dir" -N -R "$pattern")"
+      if ! grep -q 'Test *#' <<<"$listed"; then
+        echo "ci.sh: [$leg] no test matches '$pattern'" >&2
+        exit 1
+      fi
+    done
   fi
 
   echo "=== [$leg] test ==="
