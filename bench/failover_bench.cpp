@@ -98,7 +98,6 @@ struct FailoverBed {
     Broker::Options opts;
     opts.link_retransmit_timeout = 50;
     opts.link_heartbeat_interval = 200;
-    opts.repl_retransmit_timeout = 50;
     opts.clock = [this] { return clock.load(std::memory_order_relaxed); };
     return opts;
   }

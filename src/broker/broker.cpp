@@ -9,6 +9,9 @@ namespace gryphon {
 
 namespace {
 
+using Frame = ReliableStream::Frame;
+using Cursor = ReliableStream::Receiver::Cursor;
+
 // Unsubscribe tombstones retained (FIFO eviction); they stop a reconnect
 // re-flood from resurrecting a removed subscription.
 constexpr std::size_t kUnsubTombstoneCap = 4096;
@@ -67,22 +70,26 @@ void Broker::flush() {
 
 void Broker::attach_broker_link(ConnId conn, BrokerId peer) {
   MutexLock lock(mutex_);
+  send_link_hello(conn, bind_link(conn, peer));
+}
+
+Broker::LinkSession& Broker::bind_link(ConnId conn, BrokerId peer) {
   conns_[conn] = ConnState{ConnKind::kBroker, {}, peer};
   LinkSession& session = links_[peer];
   session.conn = conn;
   if (session.dead) {
-    session.dead = false;  // an explicit attach always revives the link
+    session.dead = false;  // an explicit attach or the peer's hello revives it
     replicate({.kind = replication::UpdateKind::kLinkDead, .peer = peer, .dead = false});
   }
   session.last_recv = now();
-  transport_->send(conn, wire::encode(wire::HelloBroker{core_.self(), session_epoch_,
-                                                        session.in_epoch, session.in_seq}));
-  session.last_send = now();
-  sync_subscriptions_to(conn);
+  return session;
 }
 
-void Broker::sync_subscriptions_to(ConnId conn) {
+void Broker::send_link_hello(ConnId conn, LinkSession& session) {
   core_.control_plane().assert_serialized();  // serialized by mutex_
+  transport_->send(conn, wire::encode(wire::HelloBroker{core_.self(), session_epoch_,
+                                                        session.in.epoch(), session.in.seq()}));
+  session.out.sent(now());
   // State synchronization on link (re-)establishment: replay every known
   // subscription replica to the peer. The receiver deduplicates by id and
   // answers tombstoned ids with an UnsubPropagate, so resending after a
@@ -128,7 +135,7 @@ void Broker::on_disconnect(ConnId conn) {
     // Replication sessions survive the drop the same way link sessions do:
     // the primary's update log keeps accumulating and the standby's next
     // ReplHello resumes (or re-snapshots) from its applied cursor.
-    if (replica_.conn == conn) replica_.conn = kInvalidConn;
+    if (replica_conn_ == conn) replica_conn_ = kInvalidConn;
     if (repl_conn_ == conn) repl_conn_ = kInvalidConn;
   }
 }
@@ -247,18 +254,45 @@ void Broker::on_frame(ConnId conn, std::span<const std::uint8_t> frame) {
 }
 
 void Broker::handle_hello_client(ConnId conn, const wire::HelloClient& hello) {
-  auto& record = clients_[hello.name];
-  if (!record) record = std::make_unique<ClientRecord>();
-  record->conn = conn;
+  ClientRecord& record = client_record(hello.name);
+  record.conn = conn;
   conns_[conn] = ConnState{ConnKind::kClient, hello.name, BrokerId{}};
-  transport_->send(conn, wire::encode(wire::HelloAck{record->log.acked_seq(),
-                                                     record->log.truncated_through()}));
+  transport_->send(conn, wire::encode(wire::HelloAck{record.out.log().acked_seq(),
+                                                     record.out.log().truncated_through()}));
   send_quench_state(conn);
-  // Replay everything the client has not seen (transient-failure recovery).
-  const std::uint64_t after = std::max(hello.last_seq, record->log.acked_seq());
-  for (const EventLog::Entry* entry : record->log.unacknowledged(after)) {
-    transport_->send(conn, wire::encode(wire::Deliver{entry->seq, entry->space, entry->event}));
+  // Replay everything the client has not seen (transient-failure recovery)
+  // as one batch. A client has no floor frame: HelloAck::truncated_through
+  // already told it what is gone.
+  record.out.replay(hello.last_seq, now(), [&](const Frame& frame) {
+    if (frame.entry == nullptr) return;
+    const EventLog::Entry& entry = *frame.entry;
+    record.egress.push_back(wire::encode(wire::Deliver{entry.seq, entry.space, entry.event}));
+  });
+  if (!record.egress.empty()) {
+    egress_clients_.push_back(&record);
+    flush_egress();
   }
+}
+
+Broker::ClientRecord& Broker::client_record(const std::string& name) {
+  std::unique_ptr<ClientRecord>& record = clients_[name];
+  if (!record) record = std::make_unique<ClientRecord>();
+  return *record;
+}
+
+void Broker::track_local_sub(const std::string& client, SubscriptionId id, SpaceId space) {
+  client_record(client).subscriptions.push_back(id);
+  local_sub_client_[id] = client;
+  local_sub_space_[id] = space;
+}
+
+void Broker::forget_local_sub(SubscriptionId id) {
+  const auto named = local_sub_client_.find(id);
+  if (named == local_sub_client_.end()) return;
+  auto& subs = clients_.at(named->second)->subscriptions;
+  subs.erase(std::remove(subs.begin(), subs.end(), id), subs.end());
+  local_sub_client_.erase(named);
+  local_sub_space_.erase(id);
 }
 
 void Broker::handle_hello_broker(ConnId conn, const wire::HelloBroker& hello) {
@@ -268,84 +302,28 @@ void Broker::handle_hello_broker(ConnId conn, const wire::HelloBroker& hello) {
   const auto existing = conns_.find(conn);
   const bool responder =
       existing == conns_.end() || existing->second.kind != ConnKind::kBroker;
-  conns_[conn] = ConnState{ConnKind::kBroker, {}, hello.broker};
-  LinkSession& session = links_[hello.broker];
-  session.conn = conn;
-  if (session.dead) {
-    session.dead = false;  // the peer reached us: the link is back
-    replicate({.kind = replication::UpdateKind::kLinkDead, .peer = hello.broker, .dead = false});
-  }
-  session.last_recv = now();
-  if (hello.epoch != session.in_epoch) {
-    // New peer incarnation: its forward numbering restarted.
-    session.in_epoch = hello.epoch;
-    session.in_seq = 0;
-    replicate({.kind = replication::UpdateKind::kLinkInSeq,
-               .peer = hello.broker,
-               .seq = 0,
-               .epoch = session.in_epoch});
-  }
-  if (responder) {
-    transport_->send(conn, wire::encode(wire::HelloBroker{core_.self(), session_epoch_,
-                                                          session.in_epoch, session.in_seq}));
-    session.last_send = now();
-    sync_subscriptions_to(conn);
-  }
-  replay_forwards_to(session, hello);
-}
-
-void Broker::replay_forwards_to(LinkSession& session, const wire::HelloBroker& hello) {
-  std::uint64_t after = session.out_log.acked_seq();
+  LinkSession& session = bind_link(conn, hello.broker);
+  const Cursor before = session.in.cursor();
+  session.in.adopt(hello.epoch);  // a new epoch: the peer's numbering restarted
+  replicate_link_cursor(hello.broker, session, before);
+  if (responder) send_link_hello(conn, session);
+  // When the peer's counters refer to this session its report is a
+  // cumulative ack (acks lost in the disconnect are recovered here).
+  std::uint64_t peer_seen = 0;
   if (hello.peer_epoch_seen == session_epoch_) {
-    // The peer's counters refer to this session: treat its report as a
-    // cumulative ack (acks lost in the disconnect are recovered here).
-    session.out_log.acknowledge(hello.peer_last_seq);
-    after = std::max(after, hello.peer_last_seq);
-  }
-  if (session.out_log.truncated_through() > after) {
-    GRYPHON_WARN("broker") << "broker " << core_.self() << ": link to " << hello.broker
-                           << " replay window truncated: forwards (" << after << ", "
-                           << session.out_log.truncated_through() << "] are gone";
-  }
-  // The lowest sequence the replay below can still produce. A peer whose
-  // inbound counter sits under this would wait forever for frames that no
-  // longer exist — either because retention GC truncated them, or because
-  // the peer restarted (fresh counters) while our numbering kept going.
-  // Declare the baseline first so the receiver rebases before the replay
-  // arrives (handle_link_heartbeat does the rebase).
-  const std::uint64_t baseline = std::max(after, session.out_log.truncated_through());
-  const std::uint64_t peer_known =
-      hello.peer_epoch_seen == session_epoch_ ? hello.peer_last_seq : 0;
-  if (baseline > peer_known) {
-    queue_link_frame(session, wire::encode(wire::LinkHeartbeat{session_epoch_, baseline}));
-  }
-  // As in tick_links: a failover rebase leaves sequence gaps nothing can
-  // fill, so each one is bridged with a heartbeat floor — mid-replay if the
-  // gap sits between retained entries, and after the replay if it sits at
-  // the tail (last_seq was advanced past the final retained entry). The
-  // receiver consumes the retained forwards first, then rebases across the
-  // gap, so fresh post-promotion forwards flow without a go-back-N stall.
-  std::uint64_t expected = baseline;
-  for (const EventLog::Entry* entry : session.out_log.unacknowledged(baseline)) {
-    if (entry->seq > expected + 1) {
-      queue_link_frame(session,
-                       wire::encode(wire::LinkHeartbeat{session_epoch_, entry->seq - 1}));
+    peer_seen = hello.peer_last_seq;
+    if (accept_ack(session.out, peer_seen, "link handshake")) {
+      replicate(
+          {.kind = replication::UpdateKind::kLinkAck, .peer = hello.broker, .seq = peer_seen});
     }
-    queue_link_frame(session,
-                     wire::encode(wire::EventForward{entry->origin, entry->space, entry->event,
-                                                     session_epoch_, entry->seq}));
-    ++stats_.retransmits;
-    expected = entry->seq;
   }
-  if (session.out_log.last_seq() > expected) {
-    queue_link_frame(session,
-                     wire::encode(wire::LinkHeartbeat{session_epoch_,
-                                                      session.out_log.last_seq()}));
-  }
-  // One coalesced flush for the baseline + replay suffix.
+  // Baseline floor, then the peer-unseen window or a trailing floor across
+  // a failover gap, as one coalesced flush. (Retention GC logged any
+  // truncation the baseline declares when it happened.)
+  stats_.retransmits += session.out.replay(peer_seen, now(), [&](const Frame& frame) {
+    queue_link_frame(session, link_frame(frame));
+  });
   flush_egress();
-  session.last_send = now();
-  session.last_resend = now();
 }
 
 void Broker::handle_subscribe(ConnId conn, const wire::SubscribeReq& req) {
@@ -367,10 +345,7 @@ void Broker::handle_subscribe(ConnId conn, const wire::SubscribeReq& req) {
   // Deferred: the snapshot is published at the next process_event barrier,
   // before any event this broker handles after the SubscribeAck below.
   core_.add_subscription(req.space, id, subscription, core_.self(), SnapshotPolicy::kDefer);
-  auto& client = clients_.at(it->second.client_name);
-  client->subscriptions.push_back(id);
-  local_sub_client_[id] = it->second.client_name;
-  local_sub_space_[id] = req.space;
+  track_local_sub(it->second.client_name, id, req.space);
   ++stats_.subscriptions_active;
   transport_->send(conn, wire::encode(wire::SubscribeAck{req.token, id}));
   replicate({.kind = replication::UpdateKind::kSubAdd,
@@ -379,8 +354,9 @@ void Broker::handle_subscribe(ConnId conn, const wire::SubscribeReq& req) {
              .client = it->second.client_name,
              .space = req.space,
              .payload = req.subscription});
-  propagate_subscription(
-      wire::SubPropagate{id, core_.self(), req.space, req.subscription}, kInvalidConn);
+  broadcast_to_links(
+      wire::encode(wire::SubPropagate{id, core_.self(), req.space, req.subscription}),
+      kInvalidConn);
   maybe_broadcast_quench(req.space, count_before);
 }
 
@@ -395,13 +371,9 @@ void Broker::handle_unsubscribe(ConnId conn, const wire::Unsubscribe& req) {
   if (!core_.remove_subscription(req.id, SnapshotPolicy::kDefer)) return;
   --stats_.subscriptions_active;
   record_tombstone(req.id);
-  auto& client = clients_.at(it->second.client_name);
-  auto& subs = client->subscriptions;
-  subs.erase(std::remove(subs.begin(), subs.end(), req.id), subs.end());
-  local_sub_client_.erase(req.id);
-  local_sub_space_.erase(req.id);
+  forget_local_sub(req.id);
   replicate({.kind = replication::UpdateKind::kSubRemove, .id = req.id});
-  propagate_unsubscription(wire::UnsubPropagate{req.id}, kInvalidConn);
+  broadcast_to_links(wire::encode(wire::UnsubPropagate{req.id}), kInvalidConn);
   maybe_broadcast_quench(space, count_before);
 }
 
@@ -430,7 +402,7 @@ void Broker::handle_publish(ConnId conn, const wire::Publish& publish) {
 void Broker::handle_ack(ConnId conn, const wire::Ack& ack) {
   const auto it = conns_.find(conn);
   if (it == conns_.end() || it->second.kind != ConnKind::kClient) return;
-  clients_.at(it->second.client_name)->log.acknowledge(ack.seq);
+  if (!accept_ack(clients_.at(it->second.client_name)->out, ack.seq, "client ack")) return;
   replicate({.kind = replication::UpdateKind::kClientAck,
              .client = it->second.client_name,
              .seq = ack.seq});
@@ -456,7 +428,7 @@ void Broker::handle_sub_propagate(ConnId conn, const wire::SubPropagate& prop) {
              .owner = prop.owner,
              .space = prop.space,
              .payload = prop.subscription});
-  propagate_subscription(prop, conn);
+  broadcast_to_links(wire::encode(prop), conn);
   maybe_broadcast_quench(prop.space, count_before);
 }
 
@@ -468,15 +440,9 @@ void Broker::handle_unsub_propagate(ConnId conn, const wire::UnsubPropagate& pro
   const std::size_t count_before = core_.subscription_count(*space);
   if (!core_.remove_subscription(prop.id, SnapshotPolicy::kDefer)) return;
   --stats_.subscriptions_active;
-  const auto named = local_sub_client_.find(prop.id);
-  if (named != local_sub_client_.end()) {
-    auto& subs = clients_.at(named->second)->subscriptions;
-    subs.erase(std::remove(subs.begin(), subs.end(), prop.id), subs.end());
-    local_sub_client_.erase(prop.id);
-    local_sub_space_.erase(prop.id);
-  }
+  forget_local_sub(prop.id);
   replicate({.kind = replication::UpdateKind::kSubRemove, .id = prop.id});
-  propagate_unsubscription(prop, conn);
+  broadcast_to_links(wire::encode(prop), conn);
   maybe_broadcast_quench(*space, count_before);
 }
 
@@ -484,43 +450,22 @@ void Broker::handle_event_forward(ConnId conn, const wire::EventForward& fwd) {
   const auto it = conns_.find(conn);
   if (it == conns_.end() || it->second.kind != ConnKind::kBroker) return;
   LinkSession& session = links_[it->second.peer];
-  if (fwd.epoch != session.in_epoch) {
-    // The peer restarted mid-stream (no hello seen yet): adopt its new
-    // numbering from scratch.
-    session.in_epoch = fwd.epoch;
-    session.in_seq = 0;
-    replicate({.kind = replication::UpdateKind::kLinkInSeq,
-               .peer = it->second.peer,
-               .seq = 0,
-               .epoch = session.in_epoch});
-  }
-  if (fwd.seq <= session.in_seq) {
-    // Retransmission of something already consumed (our ack was lost or
-    // late). Re-ack so the sender's window advances.
-    ++stats_.duplicates_dropped;
+  const Cursor before = session.in.cursor();
+  const ReliableStream::Receiver::Verdict verdict = session.in.classify(fwd.epoch, fwd.seq);
+  if (verdict == ReliableStream::Receiver::Verdict::kInOrder) session.in.advance();
+  replicate_link_cursor(it->second.peer, session, before);
+  if (verdict != ReliableStream::Receiver::Verdict::kInOrder || !core_.has_space(fwd.space)) {
+    // A duplicate (our ack was lost or late), a gap (go-back-N: the sender
+    // retransmits the rest), or a forward never queued for dispatch: re-ack
+    // at once so the sender's window advances.
+    if (verdict == ReliableStream::Receiver::Verdict::kDuplicate) ++stats_.duplicates_dropped;
     send_broker_ack(session);
-    return;
-  }
-  if (fwd.seq != session.in_seq + 1) {
-    // A gap: frames in between were lost or reordered. Go-back-N — drop
-    // and re-ack the last in-order seq; the sender retransmits the rest.
-    send_broker_ack(session);
-    return;
-  }
-  session.in_seq = fwd.seq;
-  replicate({.kind = replication::UpdateKind::kLinkInSeq,
-             .peer = it->second.peer,
-             .seq = session.in_seq,
-             .epoch = session.in_epoch});
-  if (!core_.has_space(fwd.space)) {
-    send_broker_ack(session);  // never queued: nothing else would ack it
     return;
   }
   ++stats_.events_relayed;
   // Acked cumulatively by the next flush_egress: the end of the running
   // dispatch batch (synchronous mode: this event's own apply), so one ack
   // answers every forward a batch absorbed and none waits longer than that.
-  session.ack_due = true;
   process_event(fwd.space, fwd.event, fwd.tree_root);
 }
 
@@ -530,13 +475,8 @@ void Broker::handle_broker_ack(ConnId conn, const wire::BrokerAck& ack) {
   const auto link = links_.find(it->second.peer);
   if (link == links_.end()) return;
   if (ack.epoch != session_epoch_) return;  // ack for a previous incarnation
-  LinkSession& session = link->second;
-  if (ack.seq > session.out_log.acked_seq()) {
-    session.out_log.acknowledge(ack.seq);
-    session.last_resend = now();  // progress: restart the go-back-N timer
-    replicate({.kind = replication::UpdateKind::kLinkAck,
-               .peer = it->second.peer,
-               .seq = ack.seq});
+  if (accept_ack(link->second.out, ack.seq, "broker ack")) {
+    replicate({.kind = replication::UpdateKind::kLinkAck, .peer = it->second.peer, .seq = ack.seq});
   }
 }
 
@@ -544,38 +484,43 @@ void Broker::handle_link_heartbeat(ConnId conn, const wire::LinkHeartbeat& hb) {
   const auto it = conns_.find(conn);
   if (it == conns_.end() || it->second.kind != ConnKind::kBroker) return;
   LinkSession& session = links_[it->second.peer];
-  const std::uint64_t epoch_before = session.in_epoch;
-  const std::uint64_t seq_before = session.in_seq;
-  if (hb.epoch != session.in_epoch) {
-    session.in_epoch = hb.epoch;
-    session.in_seq = 0;
-  }
-  if (hb.truncated_through > session.in_seq) {
+  const Cursor before = session.in.cursor();
+  if (session.in.rebase(hb.epoch, hb.truncated_through)) {
     // The peer can no longer produce anything at or below this baseline
     // (retention GC truncated it, or our counters are fresh while its
     // numbering kept going). Waiting would stall the link forever: rebase
     // and resume from there.
     GRYPHON_INFO("broker") << "broker " << core_.self() << ": rebasing link from "
                            << it->second.peer << " to seq " << hb.truncated_through
-                           << " (was " << session.in_seq << ")";
-    session.in_seq = hb.truncated_through;
+                           << " (was " << before.seq << ")";
     send_broker_ack(session);
   }
-  if (session.in_epoch != epoch_before || session.in_seq != seq_before) {
-    replicate({.kind = replication::UpdateKind::kLinkInSeq,
-               .peer = it->second.peer,
-               .seq = session.in_seq,
-               .epoch = session.in_epoch});
+  replicate_link_cursor(it->second.peer, session, before);
+}
+
+void Broker::replicate_link_cursor(BrokerId peer, const LinkSession& session, Cursor before) {
+  if (session.in.cursor() == before) return;
+  replicate({.kind = replication::UpdateKind::kLinkInSeq,
+             .peer = peer,
+             .seq = session.in.seq(),
+             .epoch = session.in.epoch()});
+}
+
+bool Broker::accept_ack(ReliableStream::Sender& out, std::uint64_t seq, const char* what) {
+  const ReliableStream::Sender::AckResult result = out.ack(seq, now());
+  if (result == ReliableStream::Sender::AckResult::kRefused) {
+    throw CodecError(std::string(what) + " " + std::to_string(seq) +
+                     " is above the last sequence sent");
   }
+  return result == ReliableStream::Sender::AckResult::kAdvanced;
 }
 
 void Broker::send_broker_ack(LinkSession& session) {
-  session.ack_due = false;
+  const std::uint64_t seq = session.in.ack();
   if (session.conn == kInvalidConn) return;
-  transport_->send(session.conn,
-                   wire::encode(wire::BrokerAck{session.in_epoch, session.in_seq}));
+  transport_->send(session.conn, wire::encode(wire::BrokerAck{session.in.epoch(), seq}));
   ++stats_.link_acks_sent;
-  session.last_send = now();
+  session.out.sent(now());
 }
 
 void Broker::process_event(SpaceId space, const std::vector<std::uint8_t>& encoded,
@@ -690,9 +635,7 @@ void Broker::apply_decision(SpaceId space, const std::vector<std::uint8_t>& enco
     }
     // Log first, send second: the log is the source of truth the session
     // replays or retransmits from, whether or not the link is up right now.
-    const bool was_idle = session.out_log.empty();
-    const std::uint64_t seq = session.out_log.append(space, encoded, now(), tree_root);
-    if (was_idle) session.last_resend = now();  // window opened: arm the timer
+    const std::uint64_t seq = session.out.append(space, encoded, now(), tree_root);
     replicate({.kind = replication::UpdateKind::kLinkForward,
                .peer = peer,
                .origin = tree_root,
@@ -700,12 +643,11 @@ void Broker::apply_decision(SpaceId space, const std::vector<std::uint8_t>& enco
                .seq = seq,
                .payload = encoded});
     if (session.conn == kInvalidConn) {
-      // Kept in out_log for replay; on_disconnect logged the state change.
+      // Kept in the log for replay; on_disconnect logged the state change.
       ++stats_.forwards_queued_link_down;
       continue;
     }
-    queue_link_frame(session, wire::encode(wire::EventForward{tree_root, space, encoded,
-                                                              session_epoch_, seq}));
+    queue_link_frame(session, link_frame({&session.out.log().back(), 0}));
     ++stats_.events_forwarded;
   }
 
@@ -727,17 +669,23 @@ void Broker::apply_decision(SpaceId space, const std::vector<std::uint8_t>& enco
 
 void Broker::queue_link_frame(LinkSession& session, std::vector<std::uint8_t> frame) {
   session.egress.push_back(std::move(frame));
-  session.last_send = now();
+  session.out.sent(now());
 }
 
+std::vector<std::uint8_t> Broker::link_frame(const Frame& frame) const {
+  if (frame.entry == nullptr) return wire::encode(wire::LinkHeartbeat{session_epoch_, frame.floor});
+  const EventLog::Entry& entry = *frame.entry;
+  return wire::encode(
+      wire::EventForward{entry.origin, entry.space, entry.event, session_epoch_, entry.seq});
+}
+
+
 void Broker::flush_egress() {
-  for (auto& [peer, session] : links_) {
-    (void)peer;
-    if (session.ack_due) {
-      session.ack_due = false;
+  for ([[maybe_unused]] auto& [peer, session] : links_) {
+    if (session.in.ack_due()) {
+      const std::uint64_t seq = session.in.ack();
       if (session.conn != kInvalidConn) {
-        queue_link_frame(session,
-                         wire::encode(wire::BrokerAck{session.in_epoch, session.in_seq}));
+        queue_link_frame(session, wire::encode(wire::BrokerAck{session.in.epoch(), seq}));
         ++stats_.link_acks_sent;
       }
     }
@@ -757,35 +705,26 @@ void Broker::flush_egress() {
 
 void Broker::deliver_to_client(const std::string& name, ClientRecord& client, SpaceId space,
                                std::vector<std::uint8_t> encoded) {
-  const std::uint64_t seq = client.log.append(space, std::move(encoded), now());
+  const std::uint64_t seq = client.out.append(space, std::move(encoded), now());
   ++stats_.events_delivered;
   replicate({.kind = replication::UpdateKind::kClientDeliver,
              .client = name,
              .space = space,
              .seq = seq,
-             .payload = client.log.back().event});
+             .payload = client.out.log().back().event});
   if (client.conn != kInvalidConn) {
     // Staged like link frames: flush_egress sends the hold's deliveries to
     // this client as one batch.
     if (client.egress.empty()) egress_clients_.push_back(&client);
-    client.egress.push_back(wire::encode(wire::Deliver{seq, space, client.log.back().event}));
+    client.egress.push_back(
+        wire::encode(wire::Deliver{seq, space, client.out.log().back().event}));
   }
 }
 
-void Broker::propagate_subscription(const wire::SubPropagate& prop, ConnId except) {
-  for (auto& [peer, session] : links_) {
-    (void)peer;
+void Broker::broadcast_to_links(const std::vector<std::uint8_t>& frame, ConnId except) {
+  for ([[maybe_unused]] const auto& [peer, session] : links_) {
     if (session.conn != kInvalidConn && session.conn != except) {
-      transport_->send(session.conn, wire::encode(prop));
-    }
-  }
-}
-
-void Broker::propagate_unsubscription(const wire::UnsubPropagate& prop, ConnId except) {
-  for (auto& [peer, session] : links_) {
-    (void)peer;
-    if (session.conn != kInvalidConn && session.conn != except) {
-      transport_->send(session.conn, wire::encode(prop));
+      transport_->send(session.conn, frame);
     }
   }
 }
@@ -830,106 +769,51 @@ std::size_t Broker::collect_garbage() {
   MutexLock lock(mutex_);
   std::size_t collected = 0;
   const Ticks t = now();
+  // Each truncation is mirrored so the standby's log never outgrows ours.
   for (auto& [name, client] : clients_) {
-    const std::size_t dropped = client->log.collect(t, options_.log_retention);
-    collected += dropped;
-    if (dropped > 0) {
-      // Mirror the truncation so the standby's log never outgrows ours.
-      // Everything below the surviving front entry is gone here (dropped by
-      // this collection or retired by an earlier ack).
-      const auto unacked = client->log.unacknowledged();
-      const std::uint64_t drop_through =
-          unacked.empty() ? client->log.last_seq() : unacked.front()->seq - 1;
-      replicate({.kind = replication::UpdateKind::kClientTruncate,
-                 .client = name,
-                 .seq = drop_through,
-                 .truncated_through = client->log.truncated_through()});
-    }
+    const ReliableStream::Sender::Collected gc = client->out.collect(t, options_.log_retention);
+    collected += gc.dropped;
+    if (gc.dropped == 0) continue;
+    replicate({.kind = replication::UpdateKind::kClientTruncate,
+               .client = name,
+               .seq = gc.drop_through,
+               .truncated_through = client->out.log().truncated_through()});
   }
   for (auto& [peer, session] : links_) {
-    const std::uint64_t before = session.out_log.truncated_through();
-    const std::size_t dropped = session.out_log.collect(t, options_.log_retention);
-    collected += dropped;
-    if (dropped > 0) {
-      const auto unacked = session.out_log.unacknowledged();
-      const std::uint64_t drop_through =
-          unacked.empty() ? session.out_log.last_seq() : unacked.front()->seq - 1;
-      replicate({.kind = replication::UpdateKind::kLinkTruncate,
-                 .peer = peer,
-                 .seq = drop_through,
-                 .truncated_through = session.out_log.truncated_through()});
-    }
-    if (session.out_log.truncated_through() > before) {
-      GRYPHON_WARN("broker") << "broker " << core_.self() << ": retention GC truncated link "
-                             << peer << " replay window through "
-                             << session.out_log.truncated_through();
-    }
+    const ReliableStream::Sender::Collected gc = session.out.collect(t, options_.log_retention);
+    collected += gc.dropped;
+    if (gc.dropped == 0) continue;
+    replicate({.kind = replication::UpdateKind::kLinkTruncate,
+               .peer = peer,
+               .seq = gc.drop_through,
+               .truncated_through = session.out.log().truncated_through()});
+    GRYPHON_WARN("broker") << "broker " << core_.self() << ": retention GC truncated link "
+                           << peer << " replay window through "
+                           << session.out.log().truncated_through();
   }
   return collected;
 }
 
 void Broker::tick_links(Ticks now_ticks) {
   MutexLock lock(mutex_);
-  for (auto& [peer, session] : links_) {
-    (void)peer;
+  // Every stream runs the same timers: the unacked window goes again once
+  // its ack stalls past the retransmit timeout, and an idle stream carries
+  // heartbeats — for links the peer's liveness and floor signal, for the
+  // replication stream the standby's deadman timer (brokerd's
+  // promote-on-silence loop), so it only fires when the primary is gone.
+  for ([[maybe_unused]] auto& [peer, session] : links_) {
     if (session.conn == kInvalidConn || session.dead) continue;
-    const auto unacked = session.out_log.unacknowledged();
-    if (!unacked.empty() &&
-        now_ticks - session.last_resend >= options_.link_retransmit_timeout) {
-      // Go-back-N: the whole unacked window goes again, staged and then
-      // flushed below as one coalesced write per neighbor. The window can
-      // contain a sequence gap nothing will ever fill — the synthetic
-      // failover rebase (Options::failover_seq_gap) skips a range the dead
-      // primary may have used. Announce each such gap as a heartbeat floor
-      // first, or the receiver would wait forever for frames that never
-      // existed while rejecting everything above them.
-      std::uint64_t expected = session.out_log.acked_seq();
-      for (const EventLog::Entry* entry : unacked) {
-        if (entry->seq > expected + 1) {
-          queue_link_frame(session, wire::encode(wire::LinkHeartbeat{session_epoch_,
-                                                                     entry->seq - 1}));
-        }
-        queue_link_frame(session,
-                         wire::encode(wire::EventForward{entry->origin, entry->space,
-                                                         entry->event, session_epoch_,
-                                                         entry->seq}));
-        ++stats_.retransmits;
-        expected = entry->seq;
-      }
-      session.last_resend = now_ticks;
-      session.last_send = now_ticks;
-    }
-    if (now_ticks - session.last_send >= options_.link_heartbeat_interval) {
-      queue_link_frame(session,
-                       wire::encode(wire::LinkHeartbeat{
-                           session_epoch_, session.out_log.truncated_through()}));
-      session.last_send = now_ticks;
-    }
+    stats_.retransmits += session.out.tick(
+        now_ticks, options_.link_retransmit_timeout, options_.link_heartbeat_interval,
+        [&](const Frame& frame) { queue_link_frame(session, link_frame(frame)); });
   }
   flush_egress();
-  // The replication session is ticked with the same go-back-N machinery:
-  // unacked updates are re-streamed when the standby's ack stalls, and an
-  // idle stream carries heartbeats so the standby's deadman timer (brokerd's
-  // promote-on-silence loop) only fires when the primary is actually gone.
-  if (replica_.conn != kInvalidConn) {
-    const auto unacked = replica_.log.unacknowledged();
-    if (!unacked.empty() &&
-        now_ticks - replica_.last_resend >= options_.repl_retransmit_timeout) {
-      std::vector<std::vector<std::uint8_t>> frames;
-      frames.reserve(unacked.size());
-      for (const EventLog::Entry* entry : unacked) {
-        frames.push_back(wire::encode(wire::StateUpdate{entry->seq, entry->event}));
-        ++stats_.repl_updates_sent;
-      }
-      transport_->send_batch(replica_.conn, std::move(frames));
-      replica_.last_resend = now_ticks;
-      replica_.last_send = now_ticks;
-    }
-    if (now_ticks - replica_.last_send >= options_.link_heartbeat_interval) {
-      transport_->send(replica_.conn, wire::encode(wire::LinkHeartbeat{session_epoch_, 0}));
-      replica_.last_send = now_ticks;
-    }
-  }
+  if (replica_conn_ == kInvalidConn) return;
+  std::vector<std::vector<std::uint8_t>> frames;
+  stats_.repl_updates_sent += replica_.tick(
+      now_ticks, options_.link_retransmit_timeout, options_.link_heartbeat_interval,
+      [&](const Frame& frame) { frames.push_back(repl_frame(frame)); });
+  if (!frames.empty()) transport_->send_batch(replica_conn_, std::move(frames));
 }
 
 bool Broker::link_up(BrokerId peer) const {
@@ -964,7 +848,7 @@ void Broker::mark_link_dead(BrokerId peer) {
     conn = session.conn;
     session.conn = kInvalidConn;
     session.dead = true;
-    const std::size_t lost = session.out_log.drop_all();
+    const std::size_t lost = session.out.drop_all();
     stats_.forwards_dropped_dead_link += lost;
     replicate({.kind = replication::UpdateKind::kLinkDead, .peer = peer, .dead = true});
     GRYPHON_WARN("broker") << "broker " << core_.self() << ": declaring link to " << peer
@@ -977,23 +861,36 @@ void Broker::mark_link_dead(BrokerId peer) {
 
 void Broker::replicate(const replication::Update& update) {
   if (!repl_enabled_ || standby_) return;
-  const bool was_idle = replica_.log.empty();
   const std::uint64_t seq =
-      replica_.log.append(SpaceId{0}, replication::encode_update(update), now());
-  if (was_idle) replica_.last_resend = now();  // window opened: arm the timer
-  if (replica_.log.size() > options_.repl_log_window) {
+      replica_.append(SpaceId{0}, replication::encode_update(update), now());
+  if (replica_.log().size() > options_.repl_log_window) {
     // Overflow: shed the oldest retained updates. A standby that has not
     // applied past the new floor can no longer resume from the log — its
     // next ack (or hello) below the floor triggers a full snapshot instead.
     const std::uint64_t drop_through = seq - options_.repl_log_window;
-    replica_.log.truncate_to(drop_through, drop_through);
+    replica_.log().truncate_to(drop_through, drop_through);
   }
-  if (replica_.conn != kInvalidConn) {
-    transport_->send(replica_.conn,
-                     wire::encode(wire::StateUpdate{seq, replica_.log.back().event}));
-    replica_.last_send = now();
+  if (replica_conn_ != kInvalidConn) {
+    transport_->send(replica_conn_, repl_frame({&replica_.log().back(), 0}));
+    replica_.sent(now());
     ++stats_.repl_updates_sent;
   }
+}
+
+std::vector<std::uint8_t> Broker::repl_frame(const Frame& frame) const {
+  // The standby reads a floor only as liveness: it never skips updates, a
+  // gap it cannot fill is answered with a snapshot.
+  if (frame.entry == nullptr) return wire::encode(wire::LinkHeartbeat{session_epoch_, frame.floor});
+  return wire::encode(wire::StateUpdate{frame.entry->seq, frame.entry->event});
+}
+
+void Broker::send_repl_snapshot(ConnId conn) {
+  transport_->send(conn, wire::encode(wire::StateSnapshot{
+                             replica_.log().last_seq(),
+                             replication::encode_snapshot(build_snapshot_image())}));
+  replica_.ack(replica_.log().last_seq(), now());
+  replica_.sent(now());
+  ++stats_.repl_snapshots_sent;
 }
 
 void Broker::handle_repl_hello(ConnId conn, const wire::ReplHello& hello) {
@@ -1001,7 +898,7 @@ void Broker::handle_repl_hello(ConnId conn, const wire::ReplHello& hello) {
     throw CodecError("replication hello addressed to a different primary");
   }
   conns_[conn] = ConnState{ConnKind::kReplica, {}, BrokerId{}};
-  replica_.conn = conn;
+  replica_conn_ = conn;
   // The update log only covers history since replication was enabled; a log
   // armed just now (Options::replicate unset) misses everything before this
   // hello, so the resume path is only sound once the first snapshot (which
@@ -1013,85 +910,54 @@ void Broker::handle_repl_hello(ConnId conn, const wire::ReplHello& hello) {
   const bool log_covers_history = repl_enabled_;
   repl_enabled_ = true;
   const std::uint64_t resume_floor =
-      std::max(replica_.log.acked_seq(), replica_.log.truncated_through());
-  const bool resumable = log_covers_history && hello.applied_seq > 0 &&
-                         hello.applied_seq >= resume_floor &&
-                         hello.applied_seq <= replica_.log.last_seq();
-  if (resumable) {
-    // The standby already holds everything through applied_seq: ship only
-    // the missing suffix.
-    replica_.log.acknowledge(hello.applied_seq);
-    std::vector<std::vector<std::uint8_t>> frames;
-    for (const EventLog::Entry* entry : replica_.log.unacknowledged()) {
-      frames.push_back(wire::encode(wire::StateUpdate{entry->seq, entry->event}));
-      ++stats_.repl_updates_sent;
-    }
-    if (!frames.empty()) transport_->send_batch(conn, std::move(frames));
-  } else {
+      std::max(replica_.log().acked_seq(), replica_.log().truncated_through());
+  if (!log_covers_history || hello.applied_seq == 0 || hello.applied_seq < resume_floor ||
+      hello.applied_seq > replica_.log().last_seq()) {
     // Fresh standby, or one from before the retained window: re-baseline
-    // with a full state image. Everything retained in the log is subsumed.
-    transport_->send(conn, wire::encode(wire::StateSnapshot{
-                               replica_.log.last_seq(),
-                               replication::encode_snapshot(build_snapshot_image())}));
-    replica_.log.acknowledge(replica_.log.last_seq());
-    ++stats_.repl_snapshots_sent;
+    // with a full state image.
+    send_repl_snapshot(conn);
+    return;
   }
-  replica_.last_send = now();
-  replica_.last_resend = now();
+  // The standby already holds everything through applied_seq: ship only
+  // the missing suffix.
+  replica_.ack(hello.applied_seq, now());
+  std::vector<std::vector<std::uint8_t>> frames;
+  stats_.repl_updates_sent += replica_.replay(
+      hello.applied_seq, now(), [&](const Frame& frame) { frames.push_back(repl_frame(frame)); });
+  if (!frames.empty()) transport_->send_batch(conn, std::move(frames));
 }
 
 void Broker::handle_repl_ack(ConnId conn, const wire::ReplAck& ack) {
-  if (conn != replica_.conn) return;
-  if (ack.seq < replica_.log.truncated_through()) {
+  if (conn != replica_conn_) return;
+  if (ack.seq < replica_.log().truncated_through()) {
     // The standby fell behind the retained update window (overflow shed the
     // entries it still needs): re-baseline with a fresh snapshot — the Clone
     // pattern's catch-up path.
-    transport_->send(conn, wire::encode(wire::StateSnapshot{
-                               replica_.log.last_seq(),
-                               replication::encode_snapshot(build_snapshot_image())}));
-    replica_.log.acknowledge(replica_.log.last_seq());
-    ++stats_.repl_snapshots_sent;
-    replica_.last_send = now();
-    replica_.last_resend = now();
+    send_repl_snapshot(conn);
     return;
   }
-  if (ack.seq > replica_.log.acked_seq()) {
-    replica_.log.acknowledge(ack.seq);
-    replica_.last_resend = now();  // progress: restart the go-back-N timer
-  }
+  accept_ack(replica_, ack.seq, "replication ack");
 }
 
 void Broker::handle_state_snapshot(ConnId conn, const wire::StateSnapshot& snap) {
   if (!standby_ || conn != repl_conn_) return;
   install_snapshot(replication::decode_snapshot(snap.state));
-  repl_applied_seq_ = snap.through_seq;
+  repl_in_.restore({0, snap.through_seq});
   ++stats_.repl_snapshots_applied;
-  send_repl_ack(conn);
+  transport_->send(conn, wire::encode(wire::ReplAck{repl_in_.ack()}));
 }
 
 void Broker::handle_state_update(ConnId conn, const wire::StateUpdate& update) {
   if (!standby_ || conn != repl_conn_) return;
-  if (update.seq <= repl_applied_seq_) {
-    // Retransmission of an update already applied: re-ack so the primary's
-    // window advances.
-    send_repl_ack(conn);
-    return;
+  // Strictly in order; a duplicate or a gap is re-acked (go-back-N, exactly
+  // as on broker links): the primary re-streams the suffix, or re-baselines
+  // with a snapshot if the missing updates were shed from its window.
+  if (repl_in_.classify(0, update.seq) == ReliableStream::Receiver::Verdict::kInOrder) {
+    apply_update(replication::decode_update(update.update));
+    repl_in_.advance();
+    ++stats_.repl_updates_applied;
   }
-  if (update.seq != repl_applied_seq_ + 1) {
-    // A gap: go-back-N, exactly as on broker links. Re-ack the cursor; the
-    // primary re-streams the suffix (or re-baselines with a snapshot if the
-    // missing updates were shed from its window).
-    send_repl_ack(conn);
-    return;
-  }
-  apply_update(replication::decode_update(update.update));
-  repl_applied_seq_ = update.seq;
-  ++stats_.repl_updates_applied;
-  send_repl_ack(conn);
-}
-
-void Broker::send_repl_ack(ConnId conn) {
-  transport_->send(conn, wire::encode(wire::ReplAck{repl_applied_seq_}));
+  transport_->send(conn, wire::encode(wire::ReplAck{repl_in_.ack()}));
 }
 
 void Broker::apply_update(const replication::Update& update) {
@@ -1114,68 +980,50 @@ void Broker::apply_update(const replication::Update& update) {
             static_cast<std::uint64_t>(update.id.value) & ((std::uint64_t{1} << 40) - 1);
         next_sub_counter_ = std::max(next_sub_counter_, counter + 1);
       }
-      if (!update.client.empty()) {
-        auto& record = clients_[update.client];
-        if (!record) record = std::make_unique<ClientRecord>();
-        record->subscriptions.push_back(update.id);
-        local_sub_client_[update.id] = update.client;
-        local_sub_space_[update.id] = update.space;
-      }
+      if (!update.client.empty()) track_local_sub(update.client, update.id, update.space);
       break;
     }
-    case replication::UpdateKind::kSubRemove: {
+    case replication::UpdateKind::kSubRemove:
       if (!core_.remove_subscription(update.id, SnapshotPolicy::kDefer)) break;
       --stats_.subscriptions_active;
-      const auto named = local_sub_client_.find(update.id);
-      if (named != local_sub_client_.end()) {
-        auto& subs = clients_.at(named->second)->subscriptions;
-        subs.erase(std::remove(subs.begin(), subs.end(), update.id), subs.end());
-        local_sub_client_.erase(update.id);
-        local_sub_space_.erase(update.id);
-      }
+      forget_local_sub(update.id);
       break;
-    }
     case replication::UpdateKind::kTombstone:
       record_tombstone(update.id);
       break;
-    case replication::UpdateKind::kClientDeliver: {
-      auto& record = clients_[update.client];
-      if (!record) record = std::make_unique<ClientRecord>();
-      record->log.append_at(update.seq, update.space, update.payload, t);
+    case replication::UpdateKind::kClientDeliver:
+      client_record(update.client).out.log().append_at(update.seq, update.space,
+                                                       update.payload, t);
       break;
-    }
     case replication::UpdateKind::kClientAck: {
       const auto it = clients_.find(update.client);
-      if (it != clients_.end()) it->second->log.acknowledge(update.seq);
+      if (it != clients_.end()) it->second->out.log().acknowledge(update.seq);
       break;
     }
     case replication::UpdateKind::kClientTruncate: {
       const auto it = clients_.find(update.client);
       if (it != clients_.end()) {
-        it->second->log.truncate_to(update.seq, update.truncated_through);
+        it->second->out.log().truncate_to(update.seq, update.truncated_through);
       }
       break;
     }
     case replication::UpdateKind::kLinkForward:
-      links_[update.peer].out_log.append_at(update.seq, update.space, update.payload, t,
-                                            update.origin);
+      links_[update.peer].out.log().append_at(update.seq, update.space, update.payload, t,
+                                              update.origin);
       break;
     case replication::UpdateKind::kLinkAck:
-      links_[update.peer].out_log.acknowledge(update.seq);
+      links_[update.peer].out.log().acknowledge(update.seq);
       break;
     case replication::UpdateKind::kLinkTruncate:
-      links_[update.peer].out_log.truncate_to(update.seq, update.truncated_through);
+      links_[update.peer].out.log().truncate_to(update.seq, update.truncated_through);
       break;
-    case replication::UpdateKind::kLinkInSeq: {
-      LinkSession& session = links_[update.peer];
-      session.in_epoch = update.epoch;
-      session.in_seq = update.seq;
+    case replication::UpdateKind::kLinkInSeq:
+      links_[update.peer].in.restore({update.epoch, update.seq});
       break;
-    }
     case replication::UpdateKind::kLinkDead: {
       LinkSession& session = links_[update.peer];
       session.dead = update.dead;
-      if (update.dead) session.out_log.drop_all();
+      if (update.dead) session.out.drop_all();
       break;
     }
   }
@@ -1202,25 +1050,15 @@ replication::SnapshotImage Broker::build_snapshot_image() {
     replication::LinkImage link;
     link.peer = peer;
     link.dead = session.dead;
-    link.in_epoch = session.in_epoch;
-    link.in_seq = session.in_seq;
-    link.out_log.next_seq = session.out_log.last_seq() + 1;
-    link.out_log.acked = session.out_log.acked_seq();
-    link.out_log.truncated_through = session.out_log.truncated_through();
-    for (const EventLog::Entry* entry : session.out_log.unacknowledged()) {
-      link.out_log.entries.push_back(*entry);
-    }
+    link.in_epoch = session.in.epoch();
+    link.in_seq = session.in.seq();
+    link.out_log = session.out.image();
     image.links.push_back(std::move(link));
   }
   for (const auto& [name, client] : clients_) {
     replication::ClientImage ci;
     ci.name = name;
-    ci.log.next_seq = client->log.last_seq() + 1;
-    ci.log.acked = client->log.acked_seq();
-    ci.log.truncated_through = client->log.truncated_through();
-    for (const EventLog::Entry* entry : client->log.unacknowledged()) {
-      ci.log.entries.push_back(*entry);
-    }
+    ci.log = client->out.image();
     image.clients.push_back(std::move(ci));
   }
   return image;
@@ -1258,33 +1096,18 @@ void Broker::install_snapshot(const replication::SnapshotImage& image) {
                            decode_subscription(core_.schema(sub.space), sub.subscription),
                            sub.owner, SnapshotPolicy::kDefer);
     ++stats_.subscriptions_active;
-    if (!sub.client.empty()) {
-      auto& record = clients_[sub.client];
-      if (!record) record = std::make_unique<ClientRecord>();
-      record->subscriptions.push_back(sub.id);
-      local_sub_client_[sub.id] = sub.client;
-      local_sub_space_[sub.id] = sub.space;
-    }
+    if (!sub.client.empty()) track_local_sub(sub.client, sub.id, sub.space);
   }
   // No publish here: the restored registry compiles once, at promotion.
   for (const SubscriptionId id : image.tombstones) record_tombstone(id);
   for (const replication::LinkImage& link : image.links) {
     LinkSession& session = links_[link.peer];
     session.dead = link.dead;
-    session.in_epoch = link.in_epoch;
-    session.in_seq = link.in_seq;
-    std::deque<EventLog::Entry> entries = link.out_log.entries;
-    for (EventLog::Entry& entry : entries) entry.logged_at = t;  // re-stamp
-    session.out_log.restore(link.out_log.next_seq, link.out_log.acked,
-                            link.out_log.truncated_through, std::move(entries));
+    session.in.restore({link.in_epoch, link.in_seq});
+    session.out.restore(link.out_log, t);
   }
   for (const replication::ClientImage& ci : image.clients) {
-    auto& record = clients_[ci.name];
-    if (!record) record = std::make_unique<ClientRecord>();
-    std::deque<EventLog::Entry> entries = ci.log.entries;
-    for (EventLog::Entry& entry : entries) entry.logged_at = t;  // re-stamp
-    record->log.restore(ci.log.next_seq, ci.log.acked, ci.log.truncated_through,
-                        std::move(entries));
+    client_record(ci.name).out.restore(ci.log, t);
   }
 }
 
@@ -1302,20 +1125,13 @@ void Broker::promote_locked() {
   // client already consumed. Link peers cross the gap via the heartbeat
   // floor rule; clients see it reported as an honest truncation bound.
   const std::uint64_t gap = options_.failover_seq_gap;
-  for (auto& [peer, session] : links_) {
-    (void)peer;
-    session.out_log.advance_next_seq(gap);
-    ++stats_.failover_seq_rebases;
-  }
-  for (auto& [name, client] : clients_) {
-    (void)name;
-    client->log.rebase_for_failover(gap);
-    ++stats_.failover_seq_rebases;
-  }
+  for (auto& link : links_) link.second.out.rebase(gap, /*report_loss=*/false);
+  for (auto& client : clients_) client.second->out.rebase(gap, /*report_loss=*/true);
+  stats_.failover_seq_rebases += links_.size() + clients_.size();
   next_sub_counter_ += gap;
   repl_conn_ = kInvalidConn;
   GRYPHON_INFO("broker") << "broker " << core_.self() << ": standby promoted to primary ("
-                         << repl_applied_seq_ << " updates applied, epoch "
+                         << repl_in_.seq() << " updates applied, epoch "
                          << session_epoch_ << ")";
 }
 
@@ -1343,7 +1159,7 @@ void Broker::attach_replication_link(ConnId conn) {
   repl_conn_ = conn;
   repl_last_recv_ = now();
   repl_attached_ = true;
-  transport_->send(conn, wire::encode(wire::ReplHello{core_.self(), repl_applied_seq_}));
+  transport_->send(conn, wire::encode(wire::ReplHello{core_.self(), repl_in_.seq()}));
 }
 
 std::optional<Ticks> Broker::replication_last_activity() const {
@@ -1354,7 +1170,7 @@ std::optional<Ticks> Broker::replication_last_activity() const {
 
 std::uint64_t Broker::replication_applied_seq() const {
   MutexLock lock(mutex_);
-  return repl_applied_seq_;
+  return repl_in_.seq();
 }
 
 Broker::Stats Broker::stats() const {
@@ -1368,7 +1184,7 @@ Broker::Stats Broker::stats() const {
 std::uint64_t Broker::client_log_size(const std::string& name) const {
   MutexLock lock(mutex_);
   const auto it = clients_.find(name);
-  return it == clients_.end() ? 0 : it->second->log.size();
+  return it == clients_.end() ? 0 : it->second->out.log().size();
 }
 
 }  // namespace gryphon

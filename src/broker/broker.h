@@ -13,16 +13,20 @@
 // deduplication; published events are multicast hop-by-hop with the link
 // matching protocol (the publisher's broker is the spanning-tree root).
 //
-// Broker links are robust to transient failures, symmetrically with the
-// client plane (docs/fault-tolerance.md): each broker<->broker link carries
-// a *session* — forwards are sequenced per neighbor under a per-process
-// epoch, logged until the peer's cumulative BrokerAck, retransmitted
-// go-back-N when acks stall (tick_links), deduplicated and re-ordered at the
-// receiver, and replayed after a reconnect handshake that also reconciles
-// the subscription replica set (id-deduplicated re-flood, with unsubscribe
-// tombstones so a stale replica cannot resurrect a removed subscription).
-// Malformed frames never take the broker down: they are counted, logged,
-// and the offending connection is dropped.
+// Every reliable stream the broker runs — per-client delivery logs, the
+// per-neighbor link sessions, and the replication stream to a hot standby —
+// is one ReliableStream (broker/reliable_stream.h): a Sender that logs,
+// retires on cumulative acks, retransmits go-back-N when acks stall
+// (tick_links; links and the replication stream share
+// Options::link_retransmit_timeout) and replays after a reconnect
+// handshake, and a Receiver that deduplicates and re-orders. The broker owns the mutex, the frame handlers and the wire:
+// it encodes what the stream asks to send into its frame types. Link
+// forwards are sequenced per neighbor under a per-process epoch, and a link
+// handshake also reconciles the subscription replica set (id-deduplicated
+// re-flood, with unsubscribe tombstones so a stale replica cannot resurrect
+// a removed subscription). Malformed frames never take the broker down:
+// they are counted, logged, and the offending connection is dropped; an ack
+// above the last sequence its stream sent is malformed too.
 //
 // Event pipeline: with Options::match_threads == 0 every event is matched
 // and applied synchronously inside the frame handler (deterministic — the
@@ -54,7 +58,7 @@
 #include <vector>
 
 #include "broker/broker_core.h"
-#include "broker/event_log.h"
+#include "broker/reliable_stream.h"
 #include "broker/replication.h"
 #include "broker/transport.h"
 #include "broker/wire.h"
@@ -88,8 +92,8 @@ class Broker : public TransportHandler {
     /// peers never misapply old sequence state; tests pin it for
     /// determinism.
     std::uint64_t session_epoch{0};
-    /// Go-back-N: unacked forwards older than this are retransmitted by
-    /// tick_links().
+    /// Go-back-N: unacked frames older than this are retransmitted by
+    /// tick_links(), on broker links and the replication stream alike.
     Ticks link_retransmit_timeout{ticks_from_millis(50)};
     /// tick_links() sends a heartbeat on links idle (outbound) this long.
     Ticks link_heartbeat_interval{ticks_from_millis(500)};
@@ -109,9 +113,6 @@ class Broker : public TransportHandler {
     /// window gets a full StateSnapshot instead of an update replay, and
     /// the log never holds more than this many unacknowledged updates.
     std::size_t repl_log_window{4096};
-    /// Go-back-N retransmit timeout for the replication session (the same
-    /// machinery as broker links).
-    Ticks repl_retransmit_timeout{ticks_from_millis(50)};
     /// Sequence-space gap a promoted standby inserts into every client
     /// delivery log and link forward log (and the subscription-id
     /// counter): the dead primary may have assigned up to this many
@@ -250,7 +251,7 @@ class Broker : public TransportHandler {
   };
   struct ClientRecord {
     ConnId conn{kInvalidConn};  // kInvalidConn while offline
-    EventLog log;
+    ReliableStream::Sender out;  // the delivery log
     std::vector<SubscriptionId> subscriptions;
     /// Deliver frames staged by deliver_to_client for the next flush_egress:
     /// one batch's deliveries reach the transport as one send_batch.
@@ -262,15 +263,11 @@ class Broker : public TransportHandler {
   struct LinkSession {
     ConnId conn{kInvalidConn};  // kInvalidConn while the link is down
     bool dead{false};           // supervisor gave up; forwards are dropped
-    EventLog out_log;           // sequenced forwards awaiting the peer's ack
-    Ticks last_send{0};         // last outbound frame (heartbeat scheduling)
-    Ticks last_resend{0};       // last (re)transmission of the unacked window
+    ReliableStream::Sender out;   // sequenced forwards awaiting the peer's ack
+    /// Forwards consumed from the peer. An in-order forward makes an ack
+    /// due: the next flush_egress stages one cumulative BrokerAck.
+    ReliableStream::Receiver in;
     Ticks last_recv{0};         // last inbound frame (idle detection)
-    std::uint64_t in_epoch{0};  // peer epoch the inbound counter refers to
-    std::uint64_t in_seq{0};    // highest forward seq consumed from the peer
-    /// An in-order forward was consumed and queued for dispatch since the
-    /// last ack: the next flush_egress stages one cumulative BrokerAck.
-    bool ack_due{false};
     /// Frames staged for the next coalesced flush (queue_link_frame /
     /// flush_egress): a batch of forwards or a retransmit window
     /// reaches the transport as one send_batch instead of per-frame sends.
@@ -280,15 +277,6 @@ class Broker : public TransportHandler {
     SpaceId space;
     std::vector<std::uint8_t> encoded;
     BrokerId tree_root;
-  };
-  /// Primary-side replication session: the sequenced update stream to the
-  /// hot standby, retransmitted go-back-N exactly like a link session
-  /// (each log entry's event bytes hold one encoded replication::Update).
-  struct ReplicaSession {
-    ConnId conn{kInvalidConn};  // kInvalidConn while no standby is attached
-    EventLog log;
-    Ticks last_send{0};
-    Ticks last_resend{0};
   };
 
   [[nodiscard]] Ticks now() const;
@@ -320,7 +308,12 @@ class Broker : public TransportHandler {
   [[nodiscard]] replication::SnapshotImage build_snapshot_image() REQUIRES(mutex_);
   /// Standby side: replaces all durable state with the image.
   void install_snapshot(const replication::SnapshotImage& image) REQUIRES(mutex_);
-  void send_repl_ack(ConnId conn) REQUIRES(mutex_);
+  /// Re-baselines the standby with a full StateSnapshot; the image subsumes
+  /// everything the update log retained.
+  void send_repl_snapshot(ConnId conn) REQUIRES(mutex_);
+  /// The wire frame for one replication-stream frame (StateUpdate, or a
+  /// LinkHeartbeat for a floor).
+  [[nodiscard]] std::vector<std::uint8_t> repl_frame(const ReliableStream::Frame& frame) const;
   /// promote() body; also invoked by a kPromote frame inside the handler.
   void promote_locked() REQUIRES(mutex_);
 
@@ -346,15 +339,34 @@ class Broker : public TransportHandler {
   /// every session's and every touched client's staged frames to the
   /// transport as one send_batch each (the coalesced writev-style flush).
   void flush_egress() REQUIRES(mutex_);
+  /// The wire frame for one link-stream frame (EventForward, or a
+  /// LinkHeartbeat for a floor).
+  [[nodiscard]] std::vector<std::uint8_t> link_frame(const ReliableStream::Frame& frame) const;
+  /// Applies a cumulative ack to a sender; true if it retired entries.
+  /// Throws CodecError (the malformed-frame path) for an ack above the last
+  /// sequence the stream sent.
+  bool accept_ack(ReliableStream::Sender& out, std::uint64_t seq, const char* what)
+      REQUIRES(mutex_);
+  /// Streams a moved link receive cursor to the standby.
+  void replicate_link_cursor(BrokerId peer, const LinkSession& session,
+                             ReliableStream::Receiver::Cursor before) REQUIRES(mutex_);
   /// Logs the delivery and stages its Deliver frame on the client's egress
   /// (flushed by flush_egress within the same hold).
   void deliver_to_client(const std::string& name, ClientRecord& client, SpaceId space,
                          std::vector<std::uint8_t> encoded) REQUIRES(mutex_);
-  void sync_subscriptions_to(ConnId conn) REQUIRES(mutex_);
-  /// Replays the peer-unseen suffix of the link's forward log and updates
-  /// its ack state from the peer's handshake report.
-  void replay_forwards_to(LinkSession& session, const wire::HelloBroker& hello)
+  /// Binds a broker connection to the peer's link session (reviving a
+  /// dead link) and refreshes its activity clock.
+  LinkSession& bind_link(ConnId conn, BrokerId peer) REQUIRES(mutex_);
+  /// Sends the link handshake (our epoch, plus the receive cursor the peer
+  /// resumes from) and the subscription replica set.
+  void send_link_hello(ConnId conn, LinkSession& session) REQUIRES(mutex_);
+  /// The named client's record, created on first use.
+  ClientRecord& client_record(const std::string& name) REQUIRES(mutex_);
+  /// Records / forgets a local client's subscription (registry bookkeeping
+  /// beside the core).
+  void track_local_sub(const std::string& client, SubscriptionId id, SpaceId space)
       REQUIRES(mutex_);
+  void forget_local_sub(SubscriptionId id) REQUIRES(mutex_);
   /// Sends the cumulative BrokerAck at once (duplicates, gaps, rebases,
   /// unknown spaces); clears ack_due, since the ack covers it.
   void send_broker_ack(LinkSession& session) REQUIRES(mutex_);
@@ -364,8 +376,9 @@ class Broker : public TransportHandler {
   /// quenching, paper Section 5).
   void maybe_broadcast_quench(SpaceId space, std::size_t count_before) REQUIRES(mutex_);
   void send_quench_state(ConnId conn) REQUIRES(mutex_);
-  void propagate_subscription(const wire::SubPropagate& prop, ConnId except) REQUIRES(mutex_);
-  void propagate_unsubscription(const wire::UnsubPropagate& prop, ConnId except)
+  /// Sends one already-encoded frame to every connected neighbor but
+  /// `except` (subscription and unsubscription flooding).
+  void broadcast_to_links(const std::vector<std::uint8_t>& frame, ConnId except)
       REQUIRES(mutex_);
   void send_error(ConnId conn, std::uint64_t token, std::string message);
 
@@ -393,9 +406,14 @@ class Broker : public TransportHandler {
   // snapshot (identity takeover includes the epoch).
   bool standby_ GUARDED_BY(mutex_){false};
   bool repl_enabled_ GUARDED_BY(mutex_){false};    // primary: log mutations
-  ReplicaSession replica_ GUARDED_BY(mutex_);      // primary -> standby stream
+  /// Primary -> standby update stream (each entry's event bytes hold one
+  /// encoded replication::Update), and the standby's connection to it.
+  ReliableStream::Sender replica_ GUARDED_BY(mutex_);
+  ConnId replica_conn_ GUARDED_BY(mutex_){kInvalidConn};
   ConnId repl_conn_ GUARDED_BY(mutex_){kInvalidConn};  // standby: link to primary
-  std::uint64_t repl_applied_seq_ GUARDED_BY(mutex_){0};  // standby cursor
+  /// Standby cursor over the update stream. The stream has one epoch: a
+  /// primary that loses it re-baselines with a snapshot.
+  ReliableStream::Receiver repl_in_ GUARDED_BY(mutex_);
   Ticks repl_last_recv_ GUARDED_BY(mutex_){0};     // standby: primary liveness
   bool repl_attached_ GUARDED_BY(mutex_){false};   // standby: ever attached
   Stats stats_ GUARDED_BY(mutex_);

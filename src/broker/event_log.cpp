@@ -1,5 +1,7 @@
 #include "broker/event_log.h"
 
+#include <algorithm>
+
 namespace gryphon {
 
 std::uint64_t EventLog::append(SpaceId space, std::vector<std::uint8_t> event, Ticks now,
@@ -40,18 +42,12 @@ void EventLog::acknowledge(std::uint64_t seq) {
   while (!entries_.empty() && entries_.front().seq <= acked_) entries_.pop_front();
 }
 
-std::vector<const EventLog::Entry*> EventLog::unacknowledged(std::uint64_t after) const {
-  std::vector<const Entry*> out;
-  for (const Entry& entry : entries_) {
-    if (entry.seq > after) out.push_back(&entry);
-  }
-  return out;
-}
-
 std::size_t EventLog::collect(Ticks now, Ticks retention) {
   std::size_t collected = 0;
   while (!entries_.empty() && entries_.front().logged_at + retention < now) {
-    if (entries_.front().seq > acked_) truncated_through_ = entries_.front().seq;
+    if (entries_.front().seq > acked_) {
+      truncated_through_ = std::max(truncated_through_, entries_.front().seq);
+    }
     entries_.pop_front();
     ++collected;
   }
@@ -62,7 +58,7 @@ std::size_t EventLog::drop_all() {
   std::size_t lost = 0;
   for (const Entry& entry : entries_) {
     if (entry.seq > acked_) {
-      truncated_through_ = entry.seq;
+      truncated_through_ = std::max(truncated_through_, entry.seq);
       ++lost;
     }
   }

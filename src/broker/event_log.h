@@ -11,10 +11,12 @@
 // garbage collected, as are entries older than a retention horizon (the
 // periodic collector), bounding memory when a consumer never returns.
 //
-// One class serves both replay planes: the client protocol logs Deliver
-// frames per client, and the broker protocol logs EventForward frames per
+// One class serves every replay plane, as the log inside a ReliableStream
+// sender (broker/reliable_stream.h): the client protocol logs Deliver
+// frames per client, the broker protocol logs EventForward frames per
 // neighbor broker (each entry then also records the spanning-tree origin the
-// forward was multicast under, so a replay reconstructs the original frame).
+// forward was multicast under, so a replay reconstructs the original frame),
+// and the replication stream logs encoded state updates.
 //
 // When the retention collector drops entries that were never acknowledged,
 // the loss is recorded: truncated_through() is the highest sequence number
@@ -84,11 +86,11 @@ class EventLog {
   /// Cumulative acknowledgement: entries with seq <= acked are collected.
   void acknowledge(std::uint64_t seq);
 
-  /// Entries the consumer has not acknowledged, with seq > after.
-  [[nodiscard]] std::vector<const Entry*> unacknowledged(std::uint64_t after = 0) const;
-
   /// The most recently appended entry. Precondition: !empty().
   [[nodiscard]] const Entry& back() const { return entries_.back(); }
+  /// Every retained entry, oldest first: the unacknowledged suffix (acked
+  /// entries are collected at once).
+  [[nodiscard]] const std::deque<Entry>& entries() const { return entries_; }
 
   /// The periodic garbage collector: drops entries logged before
   /// `now - retention`, even if unacknowledged. Returns how many died.
@@ -101,7 +103,7 @@ class EventLog {
   std::size_t drop_all();
 
   /// Highest sequence number ever lost while unacknowledged (0 when replay
-  /// has never been truncated). A consumer resuming from seq < this value
+  /// has never been truncated); it never decreases. A consumer resuming from seq < this value
   /// has a hole in its replay window: [its seq + 1, truncated_through()].
   [[nodiscard]] std::uint64_t truncated_through() const { return truncated_through_; }
 

@@ -121,7 +121,6 @@ struct ChaosBed {
     opts.standby = true;
     opts.link_retransmit_timeout = 50;
     opts.link_heartbeat_interval = 200;
-    opts.repl_retransmit_timeout = 50;
     opts.match_threads = match_threads;
     opts.clock = [this] { return clock.load(std::memory_order_relaxed); };
     standby = std::make_unique<Broker>(BrokerId{b}, topo, std::vector<SchemaPtr>{schema},

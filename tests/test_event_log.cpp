@@ -15,16 +15,15 @@ TEST(EventLog, SequencesStartAtOne) {
   EXPECT_EQ(log.size(), 2u);
 }
 
-TEST(EventLog, UnacknowledgedReturnsSuffix) {
+TEST(EventLog, EntriesAreTheUnacknowledgedSuffix) {
   EventLog log;
   for (std::uint8_t i = 1; i <= 5; ++i) log.append(SpaceId{0}, payload(i), i);
-  const auto all = log.unacknowledged();
-  ASSERT_EQ(all.size(), 5u);
-  EXPECT_EQ(all.front()->seq, 1u);
-  const auto after3 = log.unacknowledged(3);
-  ASSERT_EQ(after3.size(), 2u);
-  EXPECT_EQ(after3.front()->seq, 4u);
-  EXPECT_EQ(after3.front()->event, payload(4));
+  ASSERT_EQ(log.entries().size(), 5u);
+  EXPECT_EQ(log.entries().front().seq, 1u);
+  log.acknowledge(3);
+  ASSERT_EQ(log.entries().size(), 2u);
+  EXPECT_EQ(log.entries().front().seq, 4u);
+  EXPECT_EQ(log.entries().front().event, payload(4));
 }
 
 TEST(EventLog, CumulativeAckCollects) {
@@ -56,7 +55,7 @@ TEST(EventLog, GarbageCollectorDropsOldEntries) {
   // Retention 500 at time 1000: entries logged before 500 die.
   EXPECT_EQ(log.collect(1000, 500), 2u);
   EXPECT_EQ(log.size(), 1u);
-  EXPECT_EQ(log.unacknowledged().front()->seq, 3u);
+  EXPECT_EQ(log.entries().front().seq, 3u);
 }
 
 TEST(EventLog, CollectorKeepsFreshEntries) {
@@ -69,7 +68,7 @@ TEST(EventLog, CollectorKeepsFreshEntries) {
 TEST(EventLog, SpaceTagPreserved) {
   EventLog log;
   log.append(SpaceId{7}, payload(1), 1);
-  EXPECT_EQ(log.unacknowledged().front()->space, SpaceId{7});
+  EXPECT_EQ(log.entries().front().space, SpaceId{7});
 }
 
 TEST(EventLog, CollectorRecordsTruncatedReplayWindow) {
@@ -127,10 +126,10 @@ TEST(EventLog, OriginTagPreservedForLinkLogs) {
   EventLog log;
   log.append(SpaceId{1}, payload(1), 1, BrokerId{7});
   log.append(SpaceId{1}, payload(2), 2);  // client logs leave it invalid
-  const auto entries = log.unacknowledged();
+  const auto& entries = log.entries();
   ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0]->origin, BrokerId{7});
-  EXPECT_FALSE(entries[1]->origin.valid());
+  EXPECT_EQ(entries[0].origin, BrokerId{7});
+  EXPECT_FALSE(entries[1].origin.valid());
 }
 
 TEST(EventLog, ReplayAfterReconnectScenario) {
@@ -140,10 +139,10 @@ TEST(EventLog, ReplayAfterReconnectScenario) {
   for (std::uint8_t i = 1; i <= 2; ++i) log.append(SpaceId{0}, payload(i), i);
   log.acknowledge(2);
   for (std::uint8_t i = 3; i <= 5; ++i) log.append(SpaceId{0}, payload(i), i);
-  const auto replay = log.unacknowledged(2);
+  const auto& replay = log.entries();
   ASSERT_EQ(replay.size(), 3u);
-  EXPECT_EQ(replay[0]->seq, 3u);
-  EXPECT_EQ(replay[2]->seq, 5u);
+  EXPECT_EQ(replay[0].seq, 3u);
+  EXPECT_EQ(replay[2].seq, 5u);
 }
 
 }  // namespace

@@ -126,7 +126,6 @@ int main(int argc, char** argv) {
     options.standby = config.standby();
     options.replicate = config.replica_listen_port >= 0;
     options.repl_log_window = config.repl_window;
-    options.repl_retransmit_timeout = ticks_from_millis(config.link_rto_ms);
     Relay relay;
     TcpTransport transport(relay);
     Broker broker(BrokerId{config.id}, topology, config.schemas, transport, options);

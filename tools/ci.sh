@@ -11,7 +11,7 @@
 #   tools/ci.sh release     # just the release leg
 #   tools/ci.sh tsan        # just the ThreadSanitizer leg
 #   tools/ci.sh asan ubsan  # any subset, in order
-#   tools/ci.sh chaos       # fault-injection sweep over extra seeds
+#   tools/ci.sh chaos       # fault-injection + ReliableStream sweep, extra seeds
 #   tools/ci.sh failover    # broker-kill/promote sweep under ASan + bench gate
 #   tools/ci.sh scaling     # mt_throughput sharded-dispatch scaling check
 #   tools/ci.sh churn       # covering/delta control-plane churn check
@@ -129,10 +129,14 @@ run_leg() {
     # run while staying reproducible from the log.
     # Run the binary directly: ctest pins --gtest_filter to the test names
     # discovered at build time, which would silently skip the env seed's
-    # instantiations.
+    # instantiations. The ReliableStream property test (lossy channel,
+    # reconnects, restarts, retention, failover) takes the same extra seed.
     for seed in 11 42 20260806; do
       echo "=== [chaos] fault-injection suite, extra seed $seed ==="
       GRYPHON_CHAOS_SEED="$seed" "$dir/tests/chaos_tests"
+      echo "=== [chaos] ReliableStream property test, extra seed $seed ==="
+      GRYPHON_CHAOS_SEED="$seed" "$dir/tests/unit_tests" \
+        --gtest_filter='*ReliableStreamProperty*'
     done
     return
   fi
@@ -362,10 +366,12 @@ PY
     # The kernel differentials must be in the suite these legs run: the
     # compiled dispatch at every stored row width (8/16/32/64-bit planes
     # and multi-word rows), the CRN's annotations without a local-slice
-    # table, and the AttributeTest layout round trips.
+    # table, and the AttributeTest layout round trips. So must the
+    # ReliableStream property test and the broker ack-range tests.
     local pattern listed
     for pattern in 'PlaneWidths/CompiledDispatchWidth.*links(8|9|16|17|32|33)_' \
-                   'CompiledAnnotationsHoldNoLocalSliceTable' 'AttributeTestLayout'; do
+                   'CompiledAnnotationsHoldNoLocalSliceTable' 'AttributeTestLayout' \
+                   'ReliableStreamProperty' 'AckRange'; do
       listed="$(ctest --test-dir "$dir" -N -R "$pattern")"
       if ! grep -q 'Test *#' <<<"$listed"; then
         echo "ci.sh: [$leg] no test matches '$pattern'" >&2
