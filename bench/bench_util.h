@@ -10,6 +10,10 @@
 
 #include "sim/simulation.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace gryphon::bench {
 
 /// Wall-clock stopwatch in seconds.
@@ -52,6 +56,15 @@ inline double current_rss_mb() {
   if (read != 2) return 0.0;
   return static_cast<double>(resident) * static_cast<double>(sysconf(_SC_PAGESIZE)) /
          (1024.0 * 1024.0);
+}
+
+/// Hands the heap that frees left with malloc back to the OS (glibc's
+/// malloc_trim over every arena; a no-op elsewhere), so a following
+/// current_rss_mb() reads what is live rather than what malloc retained.
+inline void release_free_heap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 /// Peak resident set size of this process so far, in MiB.

@@ -404,8 +404,9 @@ int run(int argc, char** argv) {
                "  \"schema\": \"k0:int(1024) + 7x int(4), key always equality\",\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"churn_pairs\": %zu,\n"
+               "  \"peak_rss_mb\": %.1f,\n"
                "  \"sizes\": [\n",
-               hw, churn_pairs);
+               hw, churn_pairs, peak_rss_mb());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const SizePoint& p = points[i];
     const std::size_t total = p.delta.frontier + p.delta.covered;

@@ -13,9 +13,10 @@
 // parallel thread count, and each row reports its build time, the RSS
 // after it, and what the built instance accounts for of that RSS, by
 // component (Simulation::memory: subscriptions, trees, kernels,
-// annotations). The gap between the two is everything else the process
-// holds: the events and schedule, channels, the previous protocol's freed
-// heap that malloc keeps, and allocator overhead.
+// annotations). The heap freed by earlier builds is returned to the OS
+// before each build, so the gap between the two is what else the
+// instance holds: the events and schedule, channels, and allocator
+// overhead.
 //
 // Honesty gate: the parallel speedup is only asserted meaningful when the
 // host has >= 4 hardware threads; on smaller hosts the JSON carries
@@ -82,6 +83,9 @@ SweepPoint run_point(const std::string& name, SimSpec spec, std::size_t parallel
     SimSpec run_spec = spec;
     run_spec.protocol = protocol;
     run_spec.workload.scripted = std::move(workload);
+    // The previous build's instance is gone; without this its freed heap
+    // would stay resident and count in this build's RSS.
+    bench::release_free_heap();
     bench::Stopwatch build_watch;
     Simulation sim(std::move(run_spec));
     row.build_seconds = build_watch.seconds();
@@ -119,11 +123,11 @@ SweepPoint run_point(const std::string& name, SimSpec spec, std::size_t parallel
       return static_cast<double>(bytes) / (1024.0 * 1024.0);
     };
     std::printf(
-        "  %-14s %-14s rss %7.1f MB  accounted %7.1f MB: subscriptions %.1f  trees %.1f  "
-        "kernels %.1f  annotations %.1f\n",
+        "  %-14s %-14s rss %7.1f MB  accounted %7.1f MB: subscriptions %.1f (floor %.1f)  "
+        "trees %.1f  kernels %.1f  annotations %.1f\n",
         name.c_str(), to_string(protocol), row.build_rss_mb, mb(row.memory.total()),
-        mb(row.memory.subscriptions), mb(row.memory.trees), mb(row.memory.kernels),
-        mb(row.memory.annotations));
+        mb(row.memory.subscriptions), mb(row.memory.subscriptions_floor),
+        mb(row.memory.trees), mb(row.memory.kernels), mb(row.memory.annotations));
     workload = std::move(sim).release_workload();
     point.rows.push_back(std::move(row));
   }
@@ -200,9 +204,11 @@ void write_json(const char* path, const std::vector<SweepPoint>& points, bool ci
       std::fprintf(f, "          \"build_rss_mb\": %.1f,\n", row.build_rss_mb);
       const SimMemory& m = row.memory;
       std::fprintf(f,
-                   "          \"memory_bytes\": {\"subscriptions\": %zu, \"trees\": %zu, "
-                   "\"kernels\": %zu, \"annotations\": %zu, \"total\": %zu},\n",
-                   m.subscriptions, m.trees, m.kernels, m.annotations, m.total());
+                   "          \"memory_bytes\": {\"subscriptions\": %zu, "
+                   "\"subscriptions_floor\": %zu, \"trees\": %zu, \"kernels\": %zu, "
+                   "\"annotations\": %zu, \"total\": %zu},\n",
+                   m.subscriptions, m.subscriptions_floor, m.trees, m.kernels, m.annotations,
+                   m.total());
       std::fprintf(f, "          \"rss_unaccounted_mb\": %.1f,\n",
                    row.build_rss_mb - static_cast<double>(m.total()) / (1024.0 * 1024.0));
       std::fprintf(f, "          \"serial_wall_seconds\": %.4f,\n", row.serial_wall);

@@ -344,7 +344,8 @@ void Broker::handle_subscribe(ConnId conn, const wire::SubscribeReq& req) {
   const std::size_t count_before = core_.subscription_count(req.space);
   // Deferred: the snapshot is published at the next process_event barrier,
   // before any event this broker handles after the SubscribeAck below.
-  core_.add_subscription(req.space, id, subscription, core_.self(), SnapshotPolicy::kDefer);
+  core_.add_subscription(req.space, id, std::move(subscription), core_.self(),
+                         SnapshotPolicy::kDefer);
   track_local_sub(it->second.client_name, id, req.space);
   ++stats_.subscriptions_active;
   transport_->send(conn, wire::encode(wire::SubscribeAck{req.token, id}));
@@ -418,10 +419,10 @@ void Broker::handle_sub_propagate(ConnId conn, const wire::SubPropagate& prop) {
   }
   if (core_.has_subscription(prop.id)) return;  // flooding deduplication
   if (!core_.has_space(prop.space)) return;
-  const Subscription subscription =
-      decode_subscription(core_.schema(prop.space), prop.subscription);
+  Subscription subscription = decode_subscription(core_.schema(prop.space), prop.subscription);
   const std::size_t count_before = core_.subscription_count(prop.space);
-  core_.add_subscription(prop.space, prop.id, subscription, prop.owner, SnapshotPolicy::kDefer);
+  core_.add_subscription(prop.space, prop.id, std::move(subscription), prop.owner,
+                         SnapshotPolicy::kDefer);
   ++stats_.subscriptions_active;
   replicate({.kind = replication::UpdateKind::kSubAdd,
              .id = prop.id,

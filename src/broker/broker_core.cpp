@@ -181,34 +181,27 @@ void BrokerCore::maybe_grow_segments(SpaceId space) {
   for (const auto& [id, reg] : registry_) {
     if (static_cast<std::size_t>(reg.space.value) != i) continue;
     if (sp.covering != nullptr && sp.covering->is_parked(id)) continue;
-    const Subscription* subscription = nullptr;
-    std::shared_ptr<const Subscription> held;
-    if (sp.covering != nullptr) {
-      held = sp.covering->find(id);
-      subscription = held.get();
-    } else {
-      subscription = sp.segments[segment_of(id, sp.segments.size())]->find_subscription(id);
-    }
-    next[segment_of(id, next_count)]->add(id, *subscription);
+    next[segment_of(id, next_count)]->add(id, reg.subscription);
   }
   sp.segments = std::move(next);
 }
 
 void BrokerCore::add_subscription(SpaceId space, SubscriptionId id,
-                                  const Subscription& subscription, BrokerId owner,
+                                  SubscriptionRef subscription, BrokerId owner,
                                   SnapshotPolicy policy) {
   const Space& checked = space_at(space);
   Space& sp = spaces_[static_cast<std::size_t>(space.value)];
+  if (subscription == nullptr) throw std::invalid_argument("BrokerCore: null subscription");
   if (registry_.contains(id)) throw std::invalid_argument("BrokerCore: duplicate subscription");
   if (!owner.valid() || static_cast<std::size_t>(owner.value) >= topology_->broker_count()) {
     throw std::invalid_argument("BrokerCore: bad owner broker");
   }
   // Replicate the matcher's shape check up front: a parked subscription
   // never reaches a matcher, and covering on/off must reject identically.
-  if (subscription.schema()->attribute_count() != checked.schema->attribute_count()) {
+  if (subscription->schema()->attribute_count() != checked.schema->attribute_count()) {
     throw std::invalid_argument("BrokerCore: schema arity mismatch");
   }
-  registry_.emplace(id, Registered{space, owner});
+  registry_.emplace(id, Registered{space, owner, subscription});
   bool covering_only = false;
   try {
     if (sp.covering != nullptr) {
@@ -221,10 +214,10 @@ void BrokerCore::add_subscription(SpaceId space, SubscriptionId id,
         for (const SubscriptionId demoted : result.demoted) {
           sp.segments[segment_of(demoted, sp.segments.size())]->remove(demoted);
         }
-        sp.segments[segment_of(id, sp.segments.size())]->add(id, subscription);
+        sp.segments[segment_of(id, sp.segments.size())]->add(id, std::move(subscription));
       }
     } else {
-      sp.segments[segment_of(id, sp.segments.size())]->add(id, subscription);
+      sp.segments[segment_of(id, sp.segments.size())]->add(id, std::move(subscription));
     }
   } catch (...) {
     registry_.erase(id);
@@ -255,8 +248,8 @@ bool BrokerCore::remove_subscription(SubscriptionId id, SnapshotPolicy policy) {
       // Uncovering: children that no remaining frontier entry covers go
       // back into the compiled plane.
       for (const CoveringIndex::Promoted& promoted : result.promoted) {
-        sp.segments[segment_of(promoted.id, sp.segments.size())]->add(
-            promoted.id, *promoted.subscription);
+        sp.segments[segment_of(promoted.id, sp.segments.size())]->add(promoted.id,
+                                                                      promoted.subscription);
       }
     }
   } else {

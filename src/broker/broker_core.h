@@ -156,9 +156,19 @@ class BrokerCore {
   /// Registers a subscription replica. `owner` is the broker whose client
   /// created it. Throws on duplicate id / bad space / schema mismatch.
   /// Publishes a new snapshot before returning unless `policy` defers it.
-  void add_subscription(SpaceId space, SubscriptionId id, const Subscription& subscription,
+  /// The core keeps `subscription` itself: its registry, the covering
+  /// index and the delta segment all reference this one object.
+  void add_subscription(SpaceId space, SubscriptionId id, SubscriptionRef subscription,
                         BrokerId owner, SnapshotPolicy policy = SnapshotPolicy::kPublish)
       REQUIRES(control_plane_);
+  /// As above for a caller holding a value: moves (or copies) it once
+  /// into the object every holder then references.
+  void add_subscription(SpaceId space, SubscriptionId id, Subscription subscription,
+                        BrokerId owner, SnapshotPolicy policy = SnapshotPolicy::kPublish)
+      REQUIRES(control_plane_) {
+    add_subscription(space, id, std::make_shared<const Subscription>(std::move(subscription)),
+                     owner, policy);
+  }
   /// Removes a replica; false when unknown. Publishes a new snapshot
   /// unless `policy` defers it.
   bool remove_subscription(SubscriptionId id,
@@ -236,23 +246,32 @@ class BrokerCore {
 
   /// Iterates every registered subscription replica:
   /// fn(space, id, owner, subscription). Used for state synchronization
-  /// when a broker link is (re-)established. Parked subscriptions are
-  /// included — covering is a local compilation strategy, not protocol
-  /// state, so peers see the full replica set.
+  /// when a broker link is (re-)established and for the replication
+  /// snapshot. Parked subscriptions are included — covering is a local
+  /// compilation strategy, not protocol state, so peers see the full
+  /// replica set.
   template <typename Fn>
   void for_each_subscription(Fn&& fn) const REQUIRES(control_plane_) {
-    for (const auto& [id, reg] : registry_) {
-      const Space& sp = spaces_[static_cast<std::size_t>(reg.space.value)];
-      if (sp.covering != nullptr) {
-        if (const auto subscription = sp.covering->find(id)) {
-          fn(reg.space, id, reg.owner, *subscription);
-        }
-        continue;
-      }
-      const Subscription* subscription =
-          sp.segments[segment_of(id, sp.segments.size())]->find_subscription(id);
-      if (subscription != nullptr) fn(reg.space, id, reg.owner, *subscription);
-    }
+    for (const auto& [id, reg] : registry_) fn(reg.space, id, reg.owner, *reg.subscription);
+  }
+
+  /// The registered subscription object; null when unknown.
+  [[nodiscard]] const Subscription* find_subscription(SubscriptionId id) const
+      REQUIRES(control_plane_) {
+    const auto it = registry_.find(id);
+    return it == registry_.end() ? nullptr : it->second.subscription.get();
+  }
+  /// The space's covering index; null when covering is off.
+  [[nodiscard]] const CoveringIndex* covering_index(SpaceId space) const
+      REQUIRES(control_plane_) {
+    return space_at(space).covering.get();
+  }
+  /// The delta segment (frontier slice) that holds `id` when it is on the
+  /// frontier.
+  [[nodiscard]] const PstMatcher& segment_for(SpaceId space, SubscriptionId id) const
+      REQUIRES(control_plane_) {
+    const Space& sp = space_at(space);
+    return *sp.segments[segment_of(id, sp.segments.size())];
   }
 
  private:
@@ -268,9 +287,12 @@ class BrokerCore {
     bool trees_dirty{false};
     bool covering_dirty{false};
   };
+  /// The owner of record of a subscription's one object: the covering
+  /// index and the segments hold further references to it.
   struct Registered {
     SpaceId space;
     BrokerId owner;
+    SubscriptionRef subscription;
   };
 
   /// The frontier slice a subscription id lives in — a pure function, so

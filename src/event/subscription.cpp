@@ -172,6 +172,10 @@ Subscription::Subscription(SchemaPtr schema, std::vector<AttributeTest> tests)
                                 "'");
   }
   for (std::size_t i = 0; i < tests_.size(); ++i) validate_test(*schema_, i, tests_[i]);
+  // Immutable from here on, and held for the subscription's lifetime: a
+  // builder's spare capacity (e.g. a vector grown by resize) would be
+  // resident for as long.
+  tests_.shrink_to_fit();
 }
 
 Subscription Subscription::match_all(SchemaPtr schema) {

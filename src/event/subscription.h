@@ -30,15 +30,14 @@ enum class TestKind : std::uint8_t {
 
 /// One per-attribute test. For kRange, missing bounds are open (unbounded).
 ///
-/// Layout: a subscription holds one test per schema attribute, and the
-/// simulator keeps several copies of every subscription (the instance's
-/// script, the shared matcher's registry, the per-broker matchers'
-/// registries), so the size of this struct multiplies into most of a large
-/// instance's resident memory. The paper's workloads (Section 4.1) use only
-/// equality and don't-care tests, so the layout is sized for them: the one
-/// operand an equality or not-equals test needs is inline, and the two
-/// optional range bounds live out of line in a shared immutable block that
-/// only range tests allocate (copies share it). Equality, not-equals and
+/// Layout: a subscription holds one test per schema attribute, so the
+/// size of this struct times the schema's arity times the subscription
+/// count is most of a large simulator instance's resident memory (each
+/// subscription is held once, see SubscriptionRef). The paper's workloads
+/// (Section 4.1) use only equality and don't-care tests, so the layout is
+/// sized for them: the one operand an equality or not-equals test needs is
+/// inline, and the two optional range bounds live out of line in a shared
+/// immutable block that only range tests allocate (copies share it). Equality, not-equals and
 /// don't-care tests therefore cost sizeof(AttributeTest) bytes and no heap
 /// block; the static_assert below keeps that at one cache line.
 class AttributeTest {
@@ -141,5 +140,12 @@ class Subscription {
   SchemaPtr schema_;
   std::vector<AttributeTest> tests_;
 };
+
+/// A subscription held once and shared by reference. The broker core and
+/// the simulator create one immutable object per subscription when it
+/// arrives, and every structure that keeps it (matcher registries, the
+/// covering index, the simulator's store) holds this reference instead of
+/// a copy.
+using SubscriptionRef = std::shared_ptr<const Subscription>;
 
 }  // namespace gryphon

@@ -160,12 +160,13 @@ void CoveringIndex::publish_children(SubscriptionId coverer) {
   snapshot_ = std::move(next);
 }
 
-CoveringIndex::AddResult CoveringIndex::add(SubscriptionId id,
-                                            const Subscription& subscription, BrokerId owner) {
+CoveringIndex::AddResult CoveringIndex::add(SubscriptionId id, SubscriptionRef shared,
+                                            BrokerId owner) {
+  if (shared == nullptr) throw std::invalid_argument("CoveringIndex: null subscription");
   if (frontier_.contains(id) || parked_.contains(id)) {
     throw std::invalid_argument("CoveringIndex: duplicate subscription");
   }
-  auto shared = std::make_shared<const Subscription>(subscription);
+  const Subscription& subscription = *shared;
 
   // Locally-owned subscriptions stay compiled (see the header): frontier
   // membership without candidate indexing, so they neither park nor cover.
@@ -178,7 +179,7 @@ CoveringIndex::AddResult CoveringIndex::add(SubscriptionId id,
 
   const SubscriptionId coverer = find_coverer(subscription, owner);
   if (coverer.valid()) {
-    parked_.emplace(id, Parked{shared, owner, coverer});
+    parked_.emplace(id, Parked{std::move(shared), owner, coverer});
     frontier_.at(coverer).children.push_back(id);
     publish_children(coverer);
     AddResult result;
@@ -193,7 +194,8 @@ CoveringIndex::AddResult CoveringIndex::add(SubscriptionId id,
   // same value are the only anchored entries it can cover. Demoted entries
   // hand their children straight to the new coverer (parking stays flat).
   AddResult result;
-  Frontier entry{shared, owner, subscription.specific_test_count(), anchor_of(subscription), {}};
+  Frontier entry{std::move(shared), owner, subscription.specific_test_count(),
+                 anchor_of(subscription), {}};
   const auto consider = [&](const SubscriptionId candidate) {
     if (std::find(result.demoted.begin(), result.demoted.end(), candidate) !=
         result.demoted.end()) {
@@ -301,7 +303,7 @@ CoveringIndex::RemoveResult CoveringIndex::remove(SubscriptionId id) {
   return result;
 }
 
-std::shared_ptr<const Subscription> CoveringIndex::find(SubscriptionId id) const {
+SubscriptionRef CoveringIndex::find(SubscriptionId id) const {
   if (const auto it = frontier_.find(id); it != frontier_.end()) return it->second.subscription;
   if (const auto it = parked_.find(id); it != parked_.end()) return it->second.subscription;
   return nullptr;

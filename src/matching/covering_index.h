@@ -74,11 +74,13 @@ class CoveringIndex {
     SubscriptionId coverer;
     std::vector<SubscriptionId> demoted;
   };
-  AddResult add(SubscriptionId id, const Subscription& subscription, BrokerId owner);
+  /// Keeps a reference to `subscription` (frontier or parked), never a
+  /// copy.
+  AddResult add(SubscriptionId id, SubscriptionRef subscription, BrokerId owner);
 
   struct Promoted {
     SubscriptionId id;
-    std::shared_ptr<const Subscription> subscription;
+    SubscriptionRef subscription;
   };
   struct RemoveResult {
     bool known{false};
@@ -93,7 +95,7 @@ class CoveringIndex {
   [[nodiscard]] std::size_t frontier_count() const { return frontier_.size(); }
   [[nodiscard]] std::size_t parked_count() const { return parked_.size(); }
   /// Looks up any live subscription, frontier or parked.
-  [[nodiscard]] std::shared_ptr<const Subscription> find(SubscriptionId id) const;
+  [[nodiscard]] SubscriptionRef find(SubscriptionId id) const;
   [[nodiscard]] bool is_parked(SubscriptionId id) const { return parked_.contains(id); }
 
   /// The current persistent coverer -> children view for the data plane.
@@ -102,7 +104,7 @@ class CoveringIndex {
 
  private:
   struct Frontier {
-    std::shared_ptr<const Subscription> subscription;
+    SubscriptionRef subscription;
     BrokerId owner;
     std::size_t specific_tests{0};
     /// First attribute with an equality test, if any — the candidate-index
@@ -111,7 +113,7 @@ class CoveringIndex {
     std::vector<SubscriptionId> children;  // parked directly under this
   };
   struct Parked {
-    std::shared_ptr<const Subscription> subscription;
+    SubscriptionRef subscription;
     BrokerId owner;
     SubscriptionId coverer;
   };

@@ -49,7 +49,7 @@ class CoveringSnapshot {
   /// plane's covering index; both sides treat it as immutable.
   struct Child {
     SubscriptionId id;
-    std::shared_ptr<const Subscription> subscription;
+    SubscriptionRef subscription;
   };
   using ChildList = std::vector<Child>;
   using Slice = std::unordered_map<SubscriptionId, std::shared_ptr<const ChildList>>;

@@ -18,7 +18,9 @@ class NaiveMatcher : public Matcher {
   [[nodiscard]] std::size_t subscription_count() const override { return entries_.size(); }
 
  private:
-  // Insertion-ordered storage keeps match output deterministic.
+  // Insertion-ordered storage keeps match output deterministic. Copies,
+  // not shared references, on purpose: the brute-force oracle shares no
+  // state with the matchers it checks.
   std::vector<std::pair<SubscriptionId, Subscription>> entries_;
   std::unordered_map<SubscriptionId, std::size_t> index_;
 };

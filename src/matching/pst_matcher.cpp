@@ -94,12 +94,14 @@ PstMatcher::Tree PstMatcher::make_tree() const {
 
 const Subscription* PstMatcher::find_subscription(SubscriptionId id) const {
   const auto it = registry_.find(id);
-  return it == registry_.end() ? nullptr : &it->second;
+  return it == registry_.end() ? nullptr : it->second.get();
 }
 
 PstMatcher::TouchedTrees PstMatcher::add_with_result(SubscriptionId id,
-                                                     const Subscription& subscription) {
+                                                     SubscriptionRef ref) {
+  if (ref == nullptr) throw std::invalid_argument("PstMatcher::add: null subscription");
   if (registry_.contains(id)) throw std::invalid_argument("PstMatcher::add: duplicate id");
+  const Subscription& subscription = *ref;
   if (subscription.schema()->attribute_count() != schema_->attribute_count()) {
     throw std::invalid_argument("PstMatcher::add: schema arity mismatch");
   }
@@ -119,14 +121,14 @@ PstMatcher::TouchedTrees PstMatcher::add_with_result(SubscriptionId id,
       it->second.kernel.reset();
     }
   }
-  registry_.emplace(id, subscription);
+  registry_.emplace(id, std::move(ref));
   return touched;
 }
 
 PstMatcher::TouchedTrees PstMatcher::remove_with_result(SubscriptionId id) {
   const auto it = registry_.find(id);
   if (it == registry_.end()) return {};
-  const Subscription& subscription = it->second;
+  const Subscription& subscription = *it->second;
   TouchedTrees touched;
   if (single_.pst) {
     if (auto mutation = single_.pst->remove(id, subscription)) {
@@ -150,7 +152,11 @@ PstMatcher::TouchedTrees PstMatcher::remove_with_result(SubscriptionId id) {
 }
 
 void PstMatcher::add(SubscriptionId id, const Subscription& subscription) {
-  add_with_result(id, subscription);
+  add_with_result(id, std::make_shared<const Subscription>(subscription));
+}
+
+void PstMatcher::add(SubscriptionId id, SubscriptionRef subscription) {
+  add_with_result(id, std::move(subscription));
 }
 
 bool PstMatcher::remove(SubscriptionId id) {
@@ -217,12 +223,16 @@ MatchResult PstMatcher::match(const Event& event) const {
   return result;
 }
 
+std::size_t PstMatcher::reference_bytes() const {
+  // One hash node per entry (next pointer + key + reference) and the
+  // bucket array.
+  return registry_.bucket_count() * sizeof(void*) +
+         registry_.size() * (sizeof(void*) + sizeof(SubscriptionId) + sizeof(SubscriptionRef));
+}
+
 std::size_t PstMatcher::registry_bytes() const {
-  // One hash node per entry (next pointer + value) and the bucket array.
-  std::size_t total = registry_.bucket_count() * sizeof(void*);
-  for (const auto& [id, subscription] : registry_) {
-    total += sizeof(void*) + sizeof(id) + subscription.memory_bytes();
-  }
+  std::size_t total = reference_bytes();
+  for (const auto& [id, subscription] : registry_) total += subscription->memory_bytes();
   return total;
 }
 

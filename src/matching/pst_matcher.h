@@ -70,7 +70,11 @@ class PstMatcher : public Matcher {
  public:
   explicit PstMatcher(SchemaPtr schema, PstMatcherOptions options = PstMatcherOptions());
 
+  /// Copies `subscription` once into a new shared object and registers
+  /// that (the convenience form for callers that hold no reference).
   void add(SubscriptionId id, const Subscription& subscription) override;
+  /// Registers a reference: the matcher keeps `subscription`, not a copy.
+  void add(SubscriptionId id, SubscriptionRef subscription);
   bool remove(SubscriptionId id) override;
   [[nodiscard]] MatchResult match(const Event& event) const override;
   /// Allocation-free variant: appends matches to `out`. The overload with a
@@ -107,7 +111,7 @@ class PstMatcher : public Matcher {
 
   /// As add()/remove(), additionally reporting every touched tree so callers
   /// maintaining per-tree state (trit annotations) can update incrementally.
-  TouchedTrees add_with_result(SubscriptionId id, const Subscription& subscription);
+  TouchedTrees add_with_result(SubscriptionId id, SubscriptionRef subscription);
   TouchedTrees remove_with_result(SubscriptionId id);
 
   /// The tree an event would be matched against (nullptr when the event's
@@ -134,11 +138,22 @@ class PstMatcher : public Matcher {
     for (const auto& [key, tree] : buckets_) fn(&key, *tree.pst, tree.kernel);
   }
 
+  /// Invokes `fn(SubscriptionId, const SubscriptionRef&)` for every
+  /// registered subscription, in no particular order.
+  template <typename Fn>
+  void for_each_subscription(Fn&& fn) const {
+    for (const auto& [id, subscription] : registry_) fn(id, subscription);
+  }
+
   // --- memory accounting (bytes, from the structures' own sizes; the
   // allocator's per-block overhead is not included) ---
 
-  /// The subscription registry: hash-table nodes and buckets, and every
-  /// registered Subscription's test array.
+  /// The registry's own structure: hash-table nodes (each holding a
+  /// reference) and buckets, without the subscriptions referenced.
+  [[nodiscard]] std::size_t reference_bytes() const;
+  /// reference_bytes() plus every registered Subscription in full. A
+  /// subscription other holders share is counted here too: a caller
+  /// summing several holders dedupes through for_each_subscription().
   [[nodiscard]] std::size_t registry_bytes() const;
   /// Every live tree (Pst::memory_bytes).
   [[nodiscard]] std::size_t tree_bytes() const;
@@ -171,7 +186,7 @@ class PstMatcher : public Matcher {
   std::unique_ptr<FactoringIndex> factoring_;  // null when factoring off
   Tree single_;                                // pst set only when factoring off
   std::unordered_map<FactoringIndex::Key, Tree, FactoringIndex::KeyHash> buckets_;
-  std::unordered_map<SubscriptionId, Subscription> registry_;
+  std::unordered_map<SubscriptionId, SubscriptionRef> registry_;
 };
 
 }  // namespace gryphon

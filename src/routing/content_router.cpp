@@ -108,7 +108,7 @@ void ContentRoutingNetwork::apply_touched(const PstMatcher::TouchedTrees& touche
   }
 }
 
-void ContentRoutingNetwork::subscribe(SubscriptionId id, const Subscription& subscription,
+void ContentRoutingNetwork::subscribe(SubscriptionId id, SubscriptionRef subscription,
                                       ClientId subscriber) {
   if (!subscriber.valid() ||
       static_cast<std::size_t>(subscriber.value) >= network_->client_count()) {
@@ -120,7 +120,7 @@ void ContentRoutingNetwork::subscribe(SubscriptionId id, const Subscription& sub
   destinations_.emplace(id, subscriber);
   PstMatcher::TouchedTrees touched;
   try {
-    touched = matcher_->add_with_result(id, subscription);
+    touched = matcher_->add_with_result(id, std::move(subscription));
   } catch (...) {
     destinations_.erase(id);
     throw;

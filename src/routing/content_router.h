@@ -90,7 +90,14 @@ class ContentRoutingNetwork {
   /// is extended; a tree already read by route() switches to (or stays on)
   /// incrementally maintained annotations, any other is compiled at its
   /// next read.
-  void subscribe(SubscriptionId id, const Subscription& subscription, ClientId subscriber);
+  /// The network keeps `subscription` itself (its matcher's registry
+  /// references it), not a copy.
+  void subscribe(SubscriptionId id, SubscriptionRef subscription, ClientId subscriber);
+  /// As above for a caller holding a value: moves (or copies) it once
+  /// into the object the matcher references.
+  void subscribe(SubscriptionId id, Subscription subscription, ClientId subscriber) {
+    subscribe(id, std::make_shared<const Subscription>(std::move(subscription)), subscriber);
+  }
 
   /// Removes a subscription network-wide; false when the id is unknown.
   bool unsubscribe(SubscriptionId id);

@@ -19,8 +19,9 @@
 
 namespace gryphon {
 
-/// One scripted churn operation. Unsubscribes carry the full subscription so
-/// the post-run rollback can restore it.
+/// One scripted churn operation. Unsubscribes carry a reference to the
+/// subscription they remove so the post-run rollback can restore it;
+/// subscribes hold the only reference to theirs until applied.
 struct ChurnOp {
   Ticks time{0};
   bool subscribe{true};
@@ -32,6 +33,8 @@ struct SimInstance {
   SchemaPtr schema;
   GeneratedTopology topo;
   std::vector<BrokerId> publishers;
+  /// The subscription store: each subscription once. The control plane's
+  /// matchers and the churn script reference these objects.
   std::vector<SimSubscription> subscriptions;
   std::vector<Event> events;
   std::vector<PublishRecord> base_schedule;
@@ -94,6 +97,12 @@ struct SimInstance {
   [[nodiscard]] ClientId destination_of(SubscriptionId id) const {
     return crn ? crn->destination_of(id) : destinations.at(id);
   }
+
+  /// Registers (removes) one subscription in every live control-plane
+  /// structure: the CRN or the shared matcher, and its home broker's local
+  /// matcher. The structures reference `sub`'s subscription.
+  void add_to_control_plane(const SimSubscription& sub);
+  void remove_from_control_plane(const SimSubscription& sub);
 
   /// Applies one churn operation to every live control-plane structure and
   /// records its inverse for rollback_churn().

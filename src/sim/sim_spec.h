@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/ids.h"
@@ -29,10 +30,32 @@ enum class Protocol : std::uint8_t { kLinkMatching = 0, kFlooding = 1, kMatchFir
 
 const char* to_string(Protocol protocol) noexcept;
 
+/// A subscription held by reference that reads as a `const Subscription&`.
+/// Built from a Subscription value, it moves (or copies) that value once
+/// into a new shared object; copies of the handle share the object. So a
+/// scripted workload holds each subscription once, and every instance
+/// built from it, and every matcher in that instance, references the same
+/// object.
+class SharedSubscription {
+ public:
+  // Implicit both ways, so code that scripts and reads subscriptions as
+  // values keeps compiling unchanged.
+  SharedSubscription(Subscription subscription)
+      : ref_(std::make_shared<const Subscription>(std::move(subscription))) {}
+  explicit SharedSubscription(SubscriptionRef ref) : ref_(std::move(ref)) {}
+
+  operator const Subscription&() const { return *ref_; }
+  const Subscription* operator->() const { return ref_.get(); }
+  [[nodiscard]] const SubscriptionRef& ref() const { return ref_; }
+
+ private:
+  SubscriptionRef ref_;
+};
+
 /// One subscription in a simulation setup.
 struct SimSubscription {
   SubscriptionId id;
-  Subscription subscription;
+  SharedSubscription subscription;
   ClientId subscriber;
 };
 

@@ -4,6 +4,7 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "common/parallel_for.h"
@@ -272,12 +273,12 @@ void build_control_plane(SimInstance& inst) {
     if (item == 0) {
       if (inst.crn) {
         for (const SimSubscription& sub : inst.subscriptions) {
-          inst.crn->subscribe(sub.id, sub.subscription, sub.subscriber);
+          inst.crn->subscribe(sub.id, sub.subscription.ref(), sub.subscriber);
         }
         return;
       }
       for (const SimSubscription& sub : inst.subscriptions) {
-        inst.shared_matcher->add(sub.id, sub.subscription);
+        inst.shared_matcher->add(sub.id, sub.subscription.ref());
         inst.destinations[sub.id] = sub.subscriber;
       }
       if (freeze) inst.shared_matcher->freeze();
@@ -285,7 +286,7 @@ void build_control_plane(SimInstance& inst) {
     }
     auto matcher = std::make_unique<PstMatcher>(inst.schema, spec.matcher);
     for (const std::uint32_t i : local_subs[item - 1]) {
-      matcher->add(inst.subscriptions[i].id, inst.subscriptions[i].subscription);
+      matcher->add(inst.subscriptions[i].id, inst.subscriptions[i].subscription.ref());
     }
     if (freeze) matcher->freeze();
     inst.local_matchers[item - 1] = std::move(matcher);
@@ -349,7 +350,8 @@ void build_churn(SimInstance& inst, const std::vector<std::vector<std::uint32_t>
   SubscriptionGenerator generator(inst.schema, w.subscription_config);
 
   // Script the operations against a simulated live set so every unsubscribe
-  // names a subscription that is actually registered when it fires.
+  // names a subscription that is actually registered when it fires. The
+  // set and the operations reference the store's subscriptions.
   std::vector<SimSubscription> live = inst.subscriptions;
   std::int64_t next_id = 0;
   for (const SimSubscription& sub : inst.subscriptions) {
@@ -514,50 +516,47 @@ std::unique_ptr<SimInstance> build_instance(SimSpec spec) {
 
 }  // namespace
 
-void SimInstance::apply_churn_op(const ChurnOp& op) {
-  const auto home =
-      static_cast<std::size_t>(topo.network.client_home(op.sub.subscriber).value);
-  if (op.subscribe) {
-    if (crn) {
-      crn->subscribe(op.sub.id, op.sub.subscription, op.sub.subscriber);
-    } else {
-      shared_matcher->add(op.sub.id, op.sub.subscription);
-      destinations[op.sub.id] = op.sub.subscriber;
-    }
-    if (!local_matchers.empty()) local_matchers[home]->add(op.sub.id, op.sub.subscription);
+void SimInstance::add_to_control_plane(const SimSubscription& sub) {
+  if (crn) {
+    crn->subscribe(sub.id, sub.subscription.ref(), sub.subscriber);
   } else {
-    if (crn) {
-      crn->unsubscribe(op.sub.id);
-    } else {
-      shared_matcher->remove(op.sub.id);
-      destinations.erase(op.sub.id);
-    }
-    if (!local_matchers.empty()) local_matchers[home]->remove(op.sub.id);
+    shared_matcher->add(sub.id, sub.subscription.ref());
+    destinations[sub.id] = sub.subscriber;
+  }
+  if (!local_matchers.empty()) {
+    const auto home = static_cast<std::size_t>(topo.network.client_home(sub.subscriber).value);
+    local_matchers[home]->add(sub.id, sub.subscription.ref());
+  }
+}
+
+void SimInstance::remove_from_control_plane(const SimSubscription& sub) {
+  if (crn) {
+    crn->unsubscribe(sub.id);
+  } else {
+    shared_matcher->remove(sub.id);
+    destinations.erase(sub.id);
+  }
+  if (!local_matchers.empty()) {
+    const auto home = static_cast<std::size_t>(topo.network.client_home(sub.subscriber).value);
+    local_matchers[home]->remove(sub.id);
+  }
+}
+
+void SimInstance::apply_churn_op(const ChurnOp& op) {
+  if (op.subscribe) {
+    add_to_control_plane(op.sub);
+  } else {
+    remove_from_control_plane(op.sub);
   }
   rollback_log.push_back(op);
 }
 
 void SimInstance::rollback_churn() {
   for (auto it = rollback_log.rbegin(); it != rollback_log.rend(); ++it) {
-    const ChurnOp& op = *it;
-    const auto home =
-        static_cast<std::size_t>(topo.network.client_home(op.sub.subscriber).value);
-    if (op.subscribe) {
-      if (crn) {
-        crn->unsubscribe(op.sub.id);
-      } else {
-        shared_matcher->remove(op.sub.id);
-        destinations.erase(op.sub.id);
-      }
-      if (!local_matchers.empty()) local_matchers[home]->remove(op.sub.id);
+    if (it->subscribe) {
+      remove_from_control_plane(it->sub);
     } else {
-      if (crn) {
-        crn->subscribe(op.sub.id, op.sub.subscription, op.sub.subscriber);
-      } else {
-        shared_matcher->add(op.sub.id, op.sub.subscription);
-        destinations[op.sub.id] = op.sub.subscriber;
-      }
-      if (!local_matchers.empty()) local_matchers[home]->add(op.sub.id, op.sub.subscription);
+      add_to_control_plane(it->sub);
     }
   }
   rollback_log.clear();
@@ -631,17 +630,30 @@ std::size_t Simulation::subscription_count() const { return inst_->subscriptions
 
 SimMemory Simulation::memory() const {
   SimMemory memory;
-  memory.subscriptions = inst_->subscriptions.capacity() * sizeof(SimSubscription);
+  // One copy: the store's objects, each once.
+  std::unordered_set<const Subscription*> counted;
+  counted.reserve(inst_->subscriptions.size());
+  std::size_t references = inst_->subscriptions.capacity() * sizeof(SimSubscription);
+  std::size_t one_copy = 0;
   for (const SimSubscription& sub : inst_->subscriptions) {
-    memory.subscriptions += sub.subscription.memory_bytes() - sizeof(Subscription);
+    if (counted.insert(sub.subscription.ref().get()).second) {
+      one_copy += sub.subscription->memory_bytes();
+    }
   }
+  // Objects a matcher holds beyond the store's are copies.
+  std::size_t copies = 0;
   const auto add_matcher = [&](const PstMatcher& matcher) {
-    memory.subscriptions += matcher.registry_bytes();
+    references += matcher.reference_bytes();
+    matcher.for_each_subscription([&](SubscriptionId, const SubscriptionRef& subscription) {
+      if (counted.insert(subscription.get()).second) copies += subscription->memory_bytes();
+    });
     memory.trees += matcher.tree_bytes();
     memory.kernels += matcher.kernel_bytes();
   };
   add_matcher(inst_->matcher());
   for (const auto& local : inst_->local_matchers) add_matcher(*local);
+  memory.subscriptions_floor = one_copy + references;
+  memory.subscriptions = memory.subscriptions_floor + copies;
   if (inst_->crn) memory.annotations = inst_->crn->annotation_bytes();
   return memory;
 }

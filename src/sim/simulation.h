@@ -115,9 +115,14 @@ bool same_outcome(const SimResult& a, const SimResult& b);
 /// values); the allocator's per-block overhead and heap it keeps after a
 /// free are not, so total() reads below the process's resident set.
 struct SimMemory {
-  /// Every copy of every subscription: the instance's list and each
-  /// matcher's registry (shared and per-broker).
+  /// Subscriptions: every distinct Subscription object the instance's
+  /// store and matchers reference, each counted once, plus the holders'
+  /// references (the store's entries and every matcher registry's nodes).
   std::size_t subscriptions{0};
+  /// What `subscriptions` reads when every holder references the store:
+  /// one copy of the store's subscriptions plus the same references. A
+  /// holder keeping its own copy lifts `subscriptions` above it.
+  std::size_t subscriptions_floor{0};
   /// Mutable PSTs: the shared matcher's and the per-broker matchers'.
   std::size_t trees{0};
   /// Compiled kernels (CompiledPst) those matchers' freeze() left.

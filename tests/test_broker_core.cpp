@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <set>
 
 #include "common/rng.h"
@@ -206,6 +208,74 @@ TEST_F(BrokerCoreTest, OwnerLookupAndValidation) {
   EXPECT_THROW(core.add_subscription(kSpace0, SubscriptionId{2},
                                      sub_eq(schema_, {-1, -1, -1, -1}), BrokerId{77}),
                std::invalid_argument);  // bad owner
+}
+
+// Each subscription is one object: the core's registry, its covering
+// index, the delta segment holding it and for_each_subscription all hand
+// out the same address, with covering on and off, after the frontier
+// outgrows its segment and the segments double, and after a coverer's
+// removal promotes its parked children back into the segments.
+TEST_F(BrokerCoreTest, HoldersShareOneSubscriptionObject) {
+  for (const bool covering : {true, false}) {
+    SCOPED_TRACE(covering ? "covering on" : "covering off");
+    ControlPlaneOptions control;
+    control.covering = covering;
+    control.delta_segment_target = 4;
+    control.max_delta_segments = 8;
+    BrokerCore core(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), 1, control);
+    core.control_plane().assert_serialized();
+    std::map<SubscriptionId, const Subscription*> created;
+    const auto check = [&] {
+      core.control_plane().assert_serialized();
+      std::size_t visited = 0;
+      core.for_each_subscription(
+          [&](SpaceId space, SubscriptionId id, BrokerId, const Subscription& subscription) {
+            ++visited;
+            EXPECT_EQ(&subscription, created.at(id));
+            EXPECT_EQ(core.find_subscription(id), &subscription);
+            const CoveringIndex* index = core.covering_index(space);
+            EXPECT_EQ(index != nullptr, covering);
+            if (index != nullptr) {
+              EXPECT_EQ(index->find(id).get(), &subscription);
+              if (index->is_parked(id)) return;  // parked: in no segment
+            }
+            EXPECT_EQ(core.segment_for(space, id).find_subscription(id), &subscription);
+          });
+      EXPECT_EQ(visited, created.size());
+    };
+
+    // A catch-all from broker 0 covers every later broker-0 subscription.
+    const auto catch_all = std::make_shared<const Subscription>(Subscription::match_all(schema_));
+    created[SubscriptionId{100}] = catch_all.get();
+    core.add_subscription(kSpace0, SubscriptionId{100}, catch_all, BrokerId{0});
+    Rng rng(5);
+    SubscriptionGenerator gen(schema_, SubscriptionWorkloadConfig{0.9, 0.8, 1.0});
+    const auto add = [&](std::int64_t i) {
+      const SubscriptionId id{i};
+      const BrokerId owner{static_cast<BrokerId::rep_type>(i % 3)};
+      if (i % 2 == 0) {  // by reference: the core keeps this object
+        const auto subscription = std::make_shared<const Subscription>(gen.generate(rng));
+        created[id] = subscription.get();
+        core.add_subscription(kSpace0, id, subscription, owner);
+      } else {  // by value: the core creates the one object
+        core.add_subscription(kSpace0, id, gen.generate(rng), owner);
+        created[id] = core.find_subscription(id);
+      }
+    };
+    for (std::int64_t i = 0; i < 3; ++i) add(i);
+    EXPECT_EQ(core.segment_count(kSpace0), 1u);
+    check();
+    for (std::int64_t i = 3; i < 60; ++i) add(i);
+    EXPECT_GT(core.segment_count(kSpace0), 2u);
+    if (covering) {
+      EXPECT_GT(core.covered_count(kSpace0), 0u);
+    }
+    check();
+
+    ASSERT_TRUE(core.remove_subscription(SubscriptionId{100}));
+    created.erase(SubscriptionId{100});
+    check();
+  }
 }
 
 TEST(BrokerCoreWide, DeltaSegmentUnionAcrossTwoWordPlanes) {

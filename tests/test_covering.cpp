@@ -164,10 +164,12 @@ TEST(TestCovers, SubscriptionCoversImpliesMatchContainment) {
 TEST(CoveringIndexMechanics, ParkDemoteAndPromote) {
   const SchemaPtr schema = make_synthetic_schema(3, 5);
   CoveringIndex index(schema);
-  const Subscription broad(schema, {T::equals(iv(0)), T::dont_care(), T::dont_care()});
-  const Subscription tight(schema, {T::equals(iv(0)), T::equals(iv(1)), T::dont_care()});
-  const Subscription tighter(schema,
-                             {T::equals(iv(0)), T::equals(iv(1)), T::equals(iv(2))});
+  const auto broad = std::make_shared<const Subscription>(
+      Subscription(schema, {T::equals(iv(0)), T::dont_care(), T::dont_care()}));
+  const auto tight = std::make_shared<const Subscription>(
+      Subscription(schema, {T::equals(iv(0)), T::equals(iv(1)), T::dont_care()}));
+  const auto tighter = std::make_shared<const Subscription>(
+      Subscription(schema, {T::equals(iv(0)), T::equals(iv(1)), T::equals(iv(2))}));
 
   // Frontier entry, then a covered child parks under it.
   const auto r1 = index.add(SubscriptionId{1}, broad, BrokerId{0});
@@ -230,8 +232,10 @@ TEST(CoveringIndexMechanics, LocalOwnerBypassesCovering) {
   // Remote owners aggregate as usual.
   const SchemaPtr schema = make_synthetic_schema(3, 5);
   CoveringIndex index(schema, BrokerId{1});
-  const Subscription broad(schema, {T::equals(iv(0)), T::dont_care(), T::dont_care()});
-  const Subscription tight(schema, {T::equals(iv(0)), T::equals(iv(1)), T::dont_care()});
+  const auto broad = std::make_shared<const Subscription>(
+      Subscription(schema, {T::equals(iv(0)), T::dont_care(), T::dont_care()}));
+  const auto tight = std::make_shared<const Subscription>(
+      Subscription(schema, {T::equals(iv(0)), T::equals(iv(1)), T::dont_care()}));
 
   EXPECT_FALSE(index.add(SubscriptionId{1}, broad, BrokerId{1}).parked);
   const auto local_tight = index.add(SubscriptionId{2}, tight, BrokerId{1});

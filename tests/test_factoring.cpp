@@ -94,13 +94,15 @@ TEST(PstMatcherFactoring, BucketTreesReportedOnAdd) {
 
   std::vector<AttributeTest> pinned(3);
   pinned[0] = AttributeTest::equals(Value(0));
-  auto touched = matcher.add_with_result(SubscriptionId{1}, Subscription(schema, pinned));
+  auto touched = matcher.add_with_result(
+      SubscriptionId{1}, std::make_shared<const Subscription>(Subscription(schema, pinned)));
   ASSERT_EQ(touched.size(), 1u);
   EXPECT_TRUE(touched[0].tree_created);
   EXPECT_EQ(matcher.tree_count(), 1u);
 
   // A don't-care subscription reuses bucket 0 and creates bucket 1.
-  auto touched2 = matcher.add_with_result(SubscriptionId{2}, Subscription::match_all(schema));
+  auto touched2 = matcher.add_with_result(
+      SubscriptionId{2}, std::make_shared<const Subscription>(Subscription::match_all(schema)));
   ASSERT_EQ(touched2.size(), 2u);
   EXPECT_EQ(matcher.tree_count(), 2u);
   const int created = static_cast<int>(touched2[0].tree_created) +

@@ -179,14 +179,16 @@ TEST(SimDetails, PartialScheduleVerifiesOnlyPublishedEvents) {
 }
 
 // Memory accounting by component: link matching on the exact plane holds
-// the instance's list and the routing network's matcher (two copies of the
-// subscriptions), its trees and kernels, and per-broker annotation rows;
-// flooding adds per-broker matchers (a third copy) and no annotations.
+// the instance's subscription store (one copy) and the routing network's
+// matcher (references into it), its trees and kernels, and per-broker
+// annotation rows; flooding adds per-broker matchers (more references) and
+// no annotations.
 TEST(SimDetails, MemoryAccountsEveryComponent) {
   SimSpec lm = small_spec(100.0);
   lm.protocol = Protocol::kLinkMatching;
   const SimMemory link_matching = Simulation(lm).memory();
-  EXPECT_GE(link_matching.subscriptions, 2 * 30 * 4 * sizeof(AttributeTest));
+  EXPECT_GE(link_matching.subscriptions, 30 * 4 * sizeof(AttributeTest));
+  EXPECT_EQ(link_matching.subscriptions, link_matching.subscriptions_floor);
   EXPECT_GT(link_matching.trees, 0u);
   EXPECT_GT(link_matching.kernels, 0u);
   EXPECT_GT(link_matching.annotations, 0u);
@@ -198,7 +200,39 @@ TEST(SimDetails, MemoryAccountsEveryComponent) {
   const SimMemory flood = Simulation(flooding).memory();
   EXPECT_EQ(flood.annotations, 0u);
   EXPECT_GT(flood.subscriptions, link_matching.subscriptions);
+  EXPECT_EQ(flood.subscriptions, flood.subscriptions_floor);
   EXPECT_GT(flood.trees, link_matching.trees);
+}
+
+// Each subscription is held once: on the paper's Figure 6 network the
+// accounted subscription bytes are one copy of the workload's
+// subscriptions (summed here from the objects the instance hands back)
+// plus the holders' references, which stay far below a second copy. Both
+// the exact plane (the routing network's matcher) and flooding (per-broker
+// matchers besides) reference the same objects.
+TEST(SimDetails, Figure6HoldsOneCopyOfEverySubscription) {
+  for (const Protocol protocol : {Protocol::kLinkMatching, Protocol::kFlooding}) {
+    SimSpec spec;
+    spec.seed = 21;
+    spec.attributes = 10;
+    spec.values_per_attribute = 5;
+    spec.topology.kind = TopologyKind::kFigure6;
+    spec.workload.subscriptions = 400;
+    spec.workload.events = 20;
+    spec.protocol = protocol;
+    spec.engine.control_plane = ControlPlaneMode::kExact;
+    Simulation sim(spec);
+    const SimMemory memory = sim.memory();
+    const ScriptedWorkload workload = std::move(sim).release_workload();
+    ASSERT_EQ(workload.subscriptions.size(), 400u);
+    std::size_t one_copy = 0;
+    for (const SimSubscription& sub : workload.subscriptions) {
+      one_copy += sub.subscription->memory_bytes();
+    }
+    EXPECT_EQ(memory.subscriptions, memory.subscriptions_floor) << to_string(protocol);
+    EXPECT_GT(memory.subscriptions, one_copy) << to_string(protocol);
+    EXPECT_LT(memory.subscriptions, one_copy + one_copy / 4) << to_string(protocol);
+  }
 }
 
 }  // namespace

@@ -334,15 +334,27 @@ if bad_eq or bad_oracle:
 print(f"[sim-scale] {len(rows)} (point, protocol) runs: serial/parallel identical, "
       f"oracle clean")
 # Memory after each build: the resident set, and what the instance
-# accounts for of it by component (informational; no bound).
+# accounts for of it by component. Subscriptions are held once and
+# referenced everywhere else, so their accounted bytes must stay within
+# 25% of one copy plus references (subscriptions_floor): a holder that
+# keeps its own copy again fails here.
 mib = 1024.0 * 1024.0
+bad_subs = []
 for n, r in rows:
     m = r["memory_bytes"]
     print(f"[sim-scale] {n}/{r['protocol']}: rss {r['build_rss_mb']:.1f} MB, accounted "
           f"{m['total'] / mib:.1f} MB (subscriptions {m['subscriptions'] / mib:.1f}, "
+          f"one copy + references {m['subscriptions_floor'] / mib:.1f}, "
           f"trees {m['trees'] / mib:.1f}, kernels {m['kernels'] / mib:.1f}, "
           f"annotations {m['annotations'] / mib:.1f}), unaccounted "
           f"{r['rss_unaccounted_mb']:.1f} MB")
+    if m["subscriptions"] > 1.25 * m["subscriptions_floor"]:
+        bad_subs.append((n, r["protocol"], m["subscriptions"], m["subscriptions_floor"]))
+for n, proto, subs, floor in bad_subs:
+    print(f"[sim-scale] FAIL: {n}/{proto} accounts {subs} B of subscriptions, more than "
+          f"1.25 x one copy plus references ({floor} B)", file=sys.stderr)
+if bad_subs:
+    sys.exit(1)
 if not data["scaling_valid"]:
     print(f"[sim-scale] speedup claim skipped: {data['scaling_reason']}")
     sys.exit(0)
