@@ -247,6 +247,23 @@ void CompiledPst::match(const Event& event, std::vector<SubscriptionId>& out,
   }
 }
 
+void CompiledPst::reach(const Event& event, EventReach& out, MatchScratch& scratch) const {
+  out.entries.clear();
+  if (subscription_count_ == 0 || root_ == kNoNode) return;
+  resolve(event, scratch.value_keys());
+  const std::uint64_t* keys = scratch.value_keys().data();
+  // Recursion depth is bounded by the level count.
+  const auto visit = [&](const auto& self, NodeId n) -> void {
+    const std::size_t at = out.entries.size();
+    out.entries.push_back({n, 0});
+    if (!is_leaf(n)) {
+      for_each_reached_child(n, event, keys, [&](NodeId child) { self(self, child); });
+    }
+    out.entries[at].end = static_cast<std::uint32_t>(out.entries.size());
+  };
+  visit(visit, root_);
+}
+
 std::size_t CompiledPst::memory_bytes() const {
   std::size_t total = sizeof(*this);
   total += nodes_.capacity() * sizeof(Node);

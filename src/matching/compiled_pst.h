@@ -51,6 +51,20 @@
 
 namespace gryphon {
 
+/// The kernel nodes one event reaches (CompiledPst::reach), in pre-order:
+/// entry i is a reached node, and entries [i + 1, end) are its reached
+/// descendants. A node's reached children follow it in the order the
+/// dispatch search visits them (CompiledPst::for_each_reached_child), so
+/// walking the list visits exactly what a kernel walk would, without
+/// testing the event again.
+struct EventReach {
+  struct Entry {
+    std::int32_t node;  // CompiledPst::NodeId
+    std::uint32_t end;  // one past this entry's last reached descendant
+  };
+  std::vector<Entry> entries;
+};
+
 class CompiledPst {
  public:
   using NodeId = std::int32_t;
@@ -76,6 +90,19 @@ class CompiledPst {
   /// immutable state.
   void match(const Event& event, std::vector<SubscriptionId>& out, MatchScratch& scratch,
              MatchStats* stats = nullptr) const;
+
+  /// Lists the nodes `event` reaches into `out`: the nodes match() would
+  /// visit, in pre-order with children in for_each_reached_child order.
+  /// Resolves the event's keys into `scratch`. Empty for an empty kernel.
+  void reach(const Event& event, EventReach& out, MatchScratch& scratch) const;
+
+  /// Calls `visit(child)` for each child of interior node `n` that an
+  /// event with resolved `keys` reaches, in the dispatch search's order:
+  /// the `*` child unless the star is delayed, the accepting general
+  /// tests, the selected equality child, then the delayed `*` child.
+  template <class Visit>
+  void for_each_reached_child(NodeId n, const Event& event, const std::uint64_t* keys,
+                              Visit&& visit) const;
 
   // --- structural introspection (annotation layer, tests) ---
 
@@ -181,5 +208,21 @@ class CompiledPst {
   std::vector<NodeId> bottom_up_;            // children-before-parents order
   std::unordered_map<std::string, std::uint64_t> pool_;  // string interning
 };
+
+template <class Visit>
+void CompiledPst::for_each_reached_child(NodeId n, const Event& event,
+                                         const std::uint64_t* keys, Visit&& visit) const {
+  const Node& node = nodes_[static_cast<std::size_t>(n)];
+  if (!delayed_star_ && node.star != kNoNode) visit(node.star);
+  if (node.other_count != 0) {
+    const Value& v = event.value(order_[node.level]);
+    for (std::uint32_t i = node.other_begin; i < node.other_begin + node.other_count; ++i) {
+      if (other_tests_[i].accepts(v)) visit(other_targets_[i]);
+    }
+  }
+  const NodeId eq = eq_child(node, keys[node.level]);
+  if (eq != kNoNode) visit(eq);
+  if (delayed_star_ && node.star != kNoNode) visit(node.star);
+}
 
 }  // namespace gryphon

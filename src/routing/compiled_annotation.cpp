@@ -145,6 +145,48 @@ struct SlotMask {
   [[nodiscard]] TritWord* data() const { return planes; }
 };
 
+// Where the search takes a node's children from. A position names one
+// node the search may visit.
+//
+// KernelWalk walks the kernel and tests the event at every node it
+// visits: one kernel walk per search. BrokerCore::dispatch uses it, with
+// local enumeration.
+struct KernelWalk {
+  using Pos = CompiledPst::NodeId;
+  static constexpr bool kLocal = true;  // local enumeration possible
+  const CompiledPst& kernel;
+  const Event& event;
+  const std::uint64_t* keys;  // the event's resolved equality keys
+
+  [[nodiscard]] Pos root() const { return kernel.root(); }
+  [[nodiscard]] CompiledPst::NodeId node(Pos pos) const { return pos; }
+  [[nodiscard]] bool is_leaf(Pos pos) const { return kernel.is_leaf(pos); }
+  template <class Visit>
+  void for_each_child(Pos pos, Visit&& visit) const {
+    kernel.for_each_reached_child(pos, event, keys, visit);
+  }
+};
+
+// ReachWalk replays an EventReach: the event was tested against the kernel
+// once, when the list was made, and every search over the list only
+// refines rows. A position is a list index. An entry without reached
+// children ends its subsearch exactly as a leaf does (the mask's Maybes
+// become No), so is_leaf need not read the kernel; the walk carries no
+// local enumeration, which is the one place a leaf differs.
+struct ReachWalk {
+  using Pos = std::uint32_t;
+  static constexpr bool kLocal = false;
+  const EventReach::Entry* entries;
+
+  [[nodiscard]] Pos root() const { return 0; }
+  [[nodiscard]] CompiledPst::NodeId node(Pos pos) const { return entries[pos].node; }
+  [[nodiscard]] bool is_leaf(Pos pos) const { return entries[pos].end == pos + 1; }
+  template <class Visit>
+  void for_each_child(Pos pos, Visit&& visit) const {
+    for (Pos child = pos + 1; child < entries[pos].end; child = entries[child].end) visit(child);
+  }
+};
+
 // The Section 3.3 search over the compiled kernel. Without local
 // enumeration, control flow mirrors link_match's Search exactly (the
 // differential tests depend on bit-identical masks and step counts); the
@@ -153,30 +195,29 @@ struct SlotMask {
 // annotation rows / branch tables come from flat arenas, and masks are bit
 // planes. kWords fixes the plane width at compile time; 0 reads it from
 // the annotation. Plane is the stored row word (CompiledAnnotation's "Row
-// width"); a narrow row is widened into TritWords as it is read.
+// width"); a narrow row is widened into TritWords as it is read. Walk
+// supplies each node's children (KernelWalk or ReachWalk): both list them
+// in the same order, so both give the same masks and step counts.
 //
 // The kernel is a tree, so the search reaches each node at most once and
 // local matches need no "already collected" marks: a node's local
 // subscribers are collected by the one call that visits it.
-template <std::size_t kWords, class Plane>
+template <std::size_t kWords, class Plane, class Walk>
 class CompiledDispatchSearch {
  public:
   using Mask = std::conditional_t<kWords == 0, SlotMask, FixedMask<kWords>>;
+  using Pos = typename Walk::Pos;
   static_assert(std::is_same_v<Plane, TritWord> || kWords == 1,
                 "narrow planes hold one-word rows only");
 
-  CompiledDispatchSearch(const CompiledAnnotation& annotated, std::size_t group,
-                         const Event& event, const std::uint64_t* keys, MatchScratch& scratch,
-                         std::vector<SubscriptionId>* local_out)
+  CompiledDispatchSearch(const CompiledAnnotation& annotated, std::size_t group, Walk walk,
+                         MatchScratch& scratch, std::vector<SubscriptionId>* local_out)
       : annotated_(annotated),
-        kernel_(annotated.kernel()),
+        walk_(walk),
         rows_(annotated.planes<Plane>() + annotated.row_offset(group, 0)),
-        event_(event),
-        keys_(keys),
         scratch_(scratch),
         local_out_(local_out),
-        words_(annotated.words()),
-        delayed_star_(kernel_.delayed_star()) {
+        words_(annotated.words()) {
     const LinkIndex local = annotated.local_link();
     if (local_out != nullptr && local.valid()) {
       const auto l = static_cast<std::size_t>(local.value);
@@ -190,23 +231,24 @@ class CompiledDispatchSearch {
     if constexpr (kWords != 0) {
       Mask root;
       std::copy_n(mask.data(), root.planes.size(), root.data());
-      const Mask refined = run(kernel_.root(), root, 0);
+      const Mask refined = run(walk_.root(), root, 0);
       std::copy_n(refined.data(), root.planes.size(), mask.data());
     } else {
-      run(kernel_.root(), Mask{mask.data()}, 0);
+      run(walk_.root(), Mask{mask.data()}, 0);
     }
     return steps_;
   }
 
  private:
-  /// Refines `mask` below `node` and returns it. Each subsearch gets its
+  /// Refines `mask` below `pos` and returns it. Each subsearch gets its
   /// own copy of the current mask — by value at a fixed width, in the
   /// level's scratch word slot otherwise — so the search performs no
   /// per-event heap allocation (slot spans survive deeper claims; see
   /// dispatch_mask_slot).
-  Mask run(CompiledPst::NodeId node, Mask mask, std::size_t depth) {
+  Mask run(Pos pos, Mask mask, std::size_t depth) {
     ++steps_;
     const std::size_t words = width();
+    const CompiledPst::NodeId node = walk_.node(pos);
     // Step 2: refinement against this node's annotation.
     if constexpr (std::is_same_v<Plane, TritWord>) {
       packed::refine_with(mask.data(), row(node), words);
@@ -217,7 +259,7 @@ class CompiledDispatchSearch {
     // Local matches at or below this node are collected by this call.
     const bool local_here = wants_local(node);
 
-    if (kernel_.is_leaf(node)) {
+    if (walk_.is_leaf(pos)) {
       if (local_here) {
         const auto subs = annotated_.local_subscribers(node);
         // gryphon-analyze: allow(alloc): local-match staging reuses the
@@ -233,26 +275,14 @@ class CompiledDispatchSearch {
 
     // Step 3: perform the test, subsearch each selected child that can
     // still contribute — a Maybe to resolve, or local matches to collect.
-    const auto subsearch = [&](CompiledPst::NodeId child) {
-      if (!packed::has_maybe(mask.data(), words) && !(local_here && wants_local(child))) return;
+    walk_.for_each_child(pos, [&](Pos child) {
+      if (!packed::has_maybe(mask.data(), words) &&
+          !(local_here && wants_local(walk_.node(child)))) {
+        return;
+      }
       const Mask result = run(child, child_copy(mask, depth), depth + 1);
       packed::promote_yes_from(mask.data(), result.data(), words);
-    };
-
-    const CompiledPst::NodeId star = kernel_.star_child(node);
-    if (!delayed_star_ && star != CompiledPst::kNoNode) subsearch(star);
-    const auto other_tests = kernel_.other_tests(node);
-    if (!other_tests.empty()) {
-      const Value& v = event_.value(kernel_.order()[static_cast<std::size_t>(kernel_.level(node))]);
-      const auto other_targets = kernel_.other_targets(node);
-      for (std::size_t i = 0; i < other_tests.size(); ++i) {
-        if (other_tests[i].accepts(v)) subsearch(other_targets[i]);
-      }
-    }
-    const CompiledPst::NodeId eq =
-        kernel_.eq_child(node, keys_[static_cast<std::size_t>(kernel_.level(node))]);
-    if (eq != CompiledPst::kNoNode) subsearch(eq);
-    if (delayed_star_ && star != CompiledPst::kNoNode) subsearch(star);
+    });
 
     packed::maybes_to_no(mask.data(), words);
     return mask;
@@ -278,33 +308,75 @@ class CompiledDispatchSearch {
   }
 
   /// One bit test: the node's local-link trit is not No. Always false
-  /// without local enumeration (local_bit_ stays 0).
+  /// without local enumeration (local_bit_ stays 0, and a reach walk has
+  /// none).
   [[nodiscard]] bool wants_local(CompiledPst::NodeId node) const {
+    if constexpr (!Walk::kLocal) return false;
     const Plane* const r = row(node);
     return ((TritWord{r[local_word_]} | TritWord{r[width() + local_word_]}) & local_bit_) != 0;
   }
 
   const CompiledAnnotation& annotated_;
-  const CompiledPst& kernel_;
+  Walk walk_;
   const Plane* rows_;  // the group's rows, indexed by node
-  const Event& event_;
-  const std::uint64_t* keys_;
   MatchScratch& scratch_;
   std::vector<SubscriptionId>* local_out_;
   std::size_t words_;
   std::size_t local_word_{0};
   TritWord local_bit_{0};
-  bool delayed_star_;
   std::uint64_t steps_{0};
 };
 
-template <std::size_t kWords, class Plane>
-std::uint64_t run_search(const CompiledAnnotation& annotated, std::size_t group,
-                         const Event& event, const std::uint64_t* keys, MatchScratch& scratch,
-                         std::vector<SubscriptionId>* local_out, MutablePackedTritSpan out_mask) {
-  CompiledDispatchSearch<kWords, Plane> search(annotated, group, event, keys, scratch,
-                                               local_out);
-  return search.refine_from_root(out_mask);
+// Runs the search at the instantiation the annotation's stored row width
+// picks: one per narrow plane word, and rows wider than 64 links take the
+// run-time-width search.
+template <class Walk>
+std::uint64_t run_search(const CompiledAnnotation& annotated, std::size_t group, Walk walk,
+                         MatchScratch& scratch, std::vector<SubscriptionId>* local_out,
+                         MutablePackedTritSpan out_mask) {
+  const auto search = [&]<std::size_t kWords, class Plane>() {
+    CompiledDispatchSearch<kWords, Plane, Walk> s(annotated, group, walk, scratch, local_out);
+    return s.refine_from_root(out_mask);
+  };
+  switch (annotated.plane_bytes()) {
+    case 1:
+      return search.template operator()<1, std::uint8_t>();
+    case 2:
+      return search.template operator()<1, std::uint16_t>();
+    case 4:
+      return search.template operator()<1, std::uint32_t>();
+    default:
+      break;
+  }
+  if (annotated.words() == 1) return search.template operator()<1, TritWord>();
+  return search.template operator()<0, TritWord>();
+}
+
+// Checks a packed initialization mask and group against the annotation
+// and starts the refined mask as a copy of it. Returns false when the
+// mask is final already: the kernel is empty (every Maybe becomes No) or
+// no Maybe is left, and no local enumeration is wanted.
+bool start_dispatch(const CompiledAnnotation& annotated, std::size_t group,
+                    PackedTritSpan initialization_mask, bool want_local,
+                    MutablePackedTritSpan out_mask) {
+  const std::size_t words = annotated.words();
+  // Bits at or past link_count would name links the annotation lacks.
+  const std::size_t tail = annotated.link_count() % kTritWordBits;
+  const TritWord past_width = tail == 0 ? 0 : ~TritWord{0} << tail;
+  if (initialization_mask.size() != 2 * words || out_mask.size() != 2 * words ||
+      ((initialization_mask[words - 1] | initialization_mask[2 * words - 1]) & past_width) != 0) {
+    throw std::invalid_argument("compiled_dispatch: mask width != link count");
+  }
+  if (group >= annotated.group_count()) {
+    throw std::invalid_argument("compiled_dispatch: bad group index");
+  }
+  const CompiledPst& kernel = annotated.kernel();
+  std::copy(initialization_mask.begin(), initialization_mask.end(), out_mask.begin());
+  if (kernel.subscription_count() == 0 || kernel.root() < 0) {
+    packed::maybes_to_no(out_mask.data(), words);  // nothing downstream can match
+    return false;
+  }
+  return packed::has_maybe(out_mask.data(), words) || want_local;
 }
 
 }  // namespace
@@ -323,64 +395,64 @@ std::uint64_t compiled_dispatch_into(const CompiledAnnotation& annotated, std::s
                                      MatchScratch& scratch,
                                      std::vector<SubscriptionId>* local_out,
                                      MutablePackedTritSpan out_mask) {
-  const std::size_t words = annotated.words();
-  // Bits at or past link_count would name links the annotation lacks.
-  const std::size_t tail = annotated.link_count() % kTritWordBits;
-  const TritWord past_width = tail == 0 ? 0 : ~TritWord{0} << tail;
-  if (initialization_mask.size() != 2 * words || out_mask.size() != 2 * words ||
-      ((initialization_mask[words - 1] | initialization_mask[2 * words - 1]) & past_width) != 0) {
-    throw std::invalid_argument("compiled_dispatch: mask width != link count");
-  }
-  if (group >= annotated.group_count()) {
-    throw std::invalid_argument("compiled_dispatch: bad group index");
-  }
-  const CompiledPst& kernel = annotated.kernel();
-  std::copy(initialization_mask.begin(), initialization_mask.end(), out_mask.begin());
-  if (kernel.subscription_count() == 0 || kernel.root() < 0) {
-    packed::maybes_to_no(out_mask.data(), words);  // nothing downstream can match
-    return 0;
-  }
   const bool want_local = local_out != nullptr && annotated.local_link().valid();
-  if (!packed::has_maybe(out_mask.data(), words) && !want_local) {
-    return 0;  // already final, and no local work
-  }
+  if (!start_dispatch(annotated, group, initialization_mask, want_local, out_mask)) return 0;
+  const CompiledPst& kernel = annotated.kernel();
   kernel.resolve(event, scratch.value_keys());
-  const std::uint64_t* keys = scratch.value_keys().data();
-  // One instantiation per stored row width; rows wider than 64 links take
-  // the run-time-width search.
-  switch (annotated.plane_bytes()) {
-    case 1:
-      return run_search<1, std::uint8_t>(annotated, group, event, keys, scratch, local_out,
-                                         out_mask);
-    case 2:
-      return run_search<1, std::uint16_t>(annotated, group, event, keys, scratch, local_out,
-                                          out_mask);
-    case 4:
-      return run_search<1, std::uint32_t>(annotated, group, event, keys, scratch, local_out,
-                                          out_mask);
-    default:
-      break;
-  }
-  if (words == 1) {
-    return run_search<1, TritWord>(annotated, group, event, keys, scratch, local_out, out_mask);
-  }
-  return run_search<0, TritWord>(annotated, group, event, keys, scratch, local_out, out_mask);
+  return run_search(annotated, group, KernelWalk{kernel, event, scratch.value_keys().data()},
+                    scratch, local_out, out_mask);
 }
 
-CompiledDispatchResult compiled_dispatch(const CompiledAnnotation& annotated, std::size_t group,
-                                         const Event& event,
+std::uint64_t compiled_dispatch_into(const CompiledAnnotation& annotated, std::size_t group,
+                                     const EventReach& reach,
+                                     PackedTritSpan initialization_mask, MatchScratch& scratch,
+                                     MutablePackedTritSpan out_mask) {
+  if (!start_dispatch(annotated, group, initialization_mask, false, out_mask)) return 0;
+  if (reach.entries.empty() || reach.entries.front().node != annotated.kernel().root()) {
+    throw std::invalid_argument("compiled_dispatch: reach list is not of this kernel");
+  }
+  return run_search(annotated, group, ReachWalk{reach.entries.data()}, scratch, nullptr,
+                    out_mask);
+}
+
+namespace {
+
+// The byte-form wrapper: packs the initialization mask, runs `dispatch`
+// into a packed output and unpacks the refined mask.
+template <class Dispatch>
+CompiledDispatchResult dispatch_unpacked(const CompiledAnnotation& annotated,
                                          const TritVector& initialization_mask,
-                                         MatchScratch& scratch,
-                                         std::vector<SubscriptionId>* local_out) {
+                                         Dispatch&& dispatch) {
   if (initialization_mask.size() != annotated.link_count()) {
     throw std::invalid_argument("compiled_dispatch: mask width != link count");
   }
   const std::vector<TritWord> init = packed::pack(initialization_mask.span());
   std::vector<TritWord> out(init.size());
   CompiledDispatchResult result;
-  result.steps = compiled_dispatch_into(annotated, group, event, init, scratch, local_out, out);
+  result.steps = dispatch(PackedTritSpan(init), MutablePackedTritSpan(out));
   result.mask = packed::unpack(out, annotated.link_count());
   return result;
+}
+
+}  // namespace
+
+CompiledDispatchResult compiled_dispatch(const CompiledAnnotation& annotated, std::size_t group,
+                                         const Event& event,
+                                         const TritVector& initialization_mask,
+                                         MatchScratch& scratch,
+                                         std::vector<SubscriptionId>* local_out) {
+  return dispatch_unpacked(annotated, initialization_mask, [&](auto init, auto out) {
+    return compiled_dispatch_into(annotated, group, event, init, scratch, local_out, out);
+  });
+}
+
+CompiledDispatchResult compiled_dispatch(const CompiledAnnotation& annotated, std::size_t group,
+                                         const EventReach& reach,
+                                         const TritVector& initialization_mask,
+                                         MatchScratch& scratch) {
+  return dispatch_unpacked(annotated, initialization_mask, [&](auto init, auto out) {
+    return compiled_dispatch_into(annotated, group, reach, init, scratch, out);
+  });
 }
 
 }  // namespace gryphon

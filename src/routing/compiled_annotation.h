@@ -1,7 +1,12 @@
 // Frozen trit annotations over the compiled PST kernel, plus the compiled
 // dispatch search — the data-plane form of the Section 3.3 link matching,
 // shared by the broker (BrokerCore::dispatch) and the simulator's
-// ContentRoutingNetwork.
+// ContentRoutingNetwork. The search takes a node's children from one of
+// two sources: a walk of the kernel that tests the event at each node
+// (the broker: one hop per event, with local enumeration), or an
+// EventReach the event was resolved into once (CompiledPst::reach; the
+// network: every hop of the event's spanning tree reuses it). One search
+// body serves both, so both give the same masks and step counts.
 //
 // AnnotatedPst (annotated_pst.h) annotates the mutable Pst incrementally;
 // it routes churning trees and is the differential-test reference. This
@@ -180,13 +185,29 @@ std::uint64_t compiled_dispatch_into(const CompiledAnnotation& annotated, std::s
                                      std::vector<SubscriptionId>* local_out,
                                      MutablePackedTritSpan out_mask);
 
-/// Convenience wrapper over compiled_dispatch_into taking and returning
-/// byte-form masks — the differential-test and oracle entry point; the
-/// dispatch hot path calls the _into form to stay allocation-free.
+/// The same search over a reach list instead of the kernel walk: `reach`
+/// is CompiledPst::reach of the event over annotated.kernel(), so the
+/// event's equality keys, branch lookups and general tests were done once
+/// when the list was made, and this search only refines rows along it.
+/// One reach list serves every broker's annotation over the same kernel.
+/// No local enumeration. The refined mask and the step count are
+/// bit-identical to the event form's with `local_out` null.
+std::uint64_t compiled_dispatch_into(const CompiledAnnotation& annotated, std::size_t group,
+                                     const EventReach& reach,
+                                     PackedTritSpan initialization_mask, MatchScratch& scratch,
+                                     MutablePackedTritSpan out_mask);
+
+/// Convenience wrappers over compiled_dispatch_into taking and returning
+/// byte-form masks — the differential-test and oracle entry points; the
+/// dispatch hot path calls the _into forms to stay allocation-free.
 CompiledDispatchResult compiled_dispatch(const CompiledAnnotation& annotated, std::size_t group,
                                          const Event& event,
                                          const TritVector& initialization_mask,
                                          MatchScratch& scratch,
                                          std::vector<SubscriptionId>* local_out);
+CompiledDispatchResult compiled_dispatch(const CompiledAnnotation& annotated, std::size_t group,
+                                         const EventReach& reach,
+                                         const TritVector& initialization_mask,
+                                         MatchScratch& scratch);
 
 }  // namespace gryphon

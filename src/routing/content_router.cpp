@@ -24,6 +24,11 @@ ContentRoutingNetwork::ContentRoutingNetwork(const BrokerNetwork& network, Schem
   }
 
   const std::size_t n = network.broker_count();
+  root_index_.assign(n, -1);
+  std::int32_t next_root = 0;
+  for (const auto& entry : trees_) {
+    root_index_.at(static_cast<std::size_t>(entry.first.value)) = next_root++;
+  }
   broker_states_.resize(n);
   for (std::size_t b = 0; b < n; ++b) {
     const BrokerId broker{static_cast<BrokerId::rep_type>(b)};
@@ -31,6 +36,7 @@ ContentRoutingNetwork::ContentRoutingNetwork(const BrokerNetwork& network, Schem
     state.link_count = network.ports(broker).size();
     // Group spanning trees by their destination->link map at this broker.
     std::map<std::vector<LinkIndex::rep_type>, std::size_t> by_signature;  // -> group index
+    state.roots.resize(trees_.size());
     for (const auto& [root, tree] : trees_) {
       std::vector<LinkIndex::rep_type> signature;
       signature.reserve(n);
@@ -49,7 +55,8 @@ ContentRoutingNetwork::ContentRoutingNetwork(const BrokerNetwork& network, Schem
         };
         state.groups.push_back(std::move(group));
       }
-      RootView& view = state.roots[root];
+      RootView& view = state.roots[static_cast<std::size_t>(
+          root_index_[static_cast<std::size_t>(root.value)])];
       view.group = group_it->second;
 
       // Initialization mask: Maybe on links with descendant destinations.
@@ -152,18 +159,41 @@ ContentRoutingNetwork::RouteResult ContentRoutingNetwork::route(BrokerId broker,
   return result;
 }
 
+const ContentRoutingNetwork::RootView& ContentRoutingNetwork::root_view(
+    BrokerId broker, BrokerId tree_root) const {
+  const BrokerState& state = broker_states_.at(static_cast<std::size_t>(broker.value));
+  const auto r = static_cast<std::size_t>(tree_root.value);
+  if (!tree_root.valid() || r >= root_index_.size() || root_index_[r] < 0) {
+    throw std::invalid_argument("ContentRoutingNetwork::route: unknown tree root");
+  }
+  return state.roots[static_cast<std::size_t>(root_index_[r])];
+}
+
+const ContentRoutingNetwork::CompiledTree& ContentRoutingNetwork::compiled_for_read(
+    const Pst& tree, const TreeState& state) const {
+  const CompiledTree* compiled = state.compiled.load(std::memory_order_acquire);
+  if (compiled == nullptr) compiled = &compile(tree, state, nullptr, 1);
+  if (compiled->epoch != tree.epoch()) {
+    throw std::logic_error("ContentRoutingNetwork::route: compiled tree is stale");
+  }
+  return *compiled;
+}
+
+void ContentRoutingNetwork::append_yes_links(PackedTritSpan mask,
+                                             std::vector<LinkIndex>& links) {
+  packed::for_each_yes(mask, [&](std::size_t i) {
+    links.push_back(LinkIndex{static_cast<LinkIndex::rep_type>(i)});
+  });
+}
+
 std::uint64_t ContentRoutingNetwork::route_into(BrokerId broker, const Event& event,
                                                 BrokerId tree_root,
                                                 std::vector<LinkIndex>& links) const {
   links.clear();
   MatchScratch& scratch = thread_match_scratch();
   const auto b = static_cast<std::size_t>(broker.value);
-  const BrokerState& state = broker_states_.at(b);
-  const auto view_it = state.roots.find(tree_root);
-  if (view_it == state.roots.end()) {
-    throw std::invalid_argument("ContentRoutingNetwork::route: unknown tree root");
-  }
-  const RootView& view = view_it->second;
+  const RootView& view = root_view(broker, tree_root);
+  const BrokerState& state = broker_states_[b];
   std::uint64_t steps = 0;
   const Pst* tree = matcher_->tree_for_event(event, scratch.factoring_key());
   if (matcher_->options().factoring_levels > 0) ++steps;  // bucket index probe
@@ -183,17 +213,55 @@ std::uint64_t ContentRoutingNetwork::route_into(BrokerId broker, const Event& ev
     return steps + lm.steps;
   }
 
-  const CompiledTree* compiled = tree_state.compiled.load(std::memory_order_acquire);
-  if (compiled == nullptr) compiled = &compile(*tree, tree_state, nullptr, 1);
-  if (compiled->epoch != tree->epoch()) {
-    throw std::logic_error("ContentRoutingNetwork::route: compiled tree is stale");
-  }
+  const CompiledTree& compiled = compiled_for_read(*tree, tree_state);
   const MutablePackedTritSpan mask = dispatch_mask_slot(scratch, 0, state.link_count);
-  steps += compiled_dispatch_into(compiled->annotations[b], view.group, event,
+  steps += compiled_dispatch_into(compiled.annotations[b], view.group, event,
                                   view.packed_init_mask, scratch, nullptr, mask);
-  packed::for_each_yes(mask, [&](std::size_t i) {
-    links.push_back(LinkIndex{static_cast<LinkIndex::rep_type>(i)});
-  });
+  append_yes_links(mask, links);
+  return steps;
+}
+
+EventRoute ContentRoutingNetwork::prepare(const Event& event) const {
+  EventRoute route;
+  route.event_ = &event;
+  MatchScratch& scratch = thread_match_scratch();
+  const Pst* tree = matcher_->tree_for_event(event, scratch.factoring_key());
+  if (tree == nullptr || tree->subscription_count() == 0) return route;
+  route.tree_ = tree;
+  route.epoch_ = tree->epoch();
+  const TreeState& tree_state = tree_states_.at(tree);
+  if (tree_state.incremental) return route;
+  const CompiledTree& compiled = compiled_for_read(*tree, tree_state);
+  route.annotations_ = &compiled.annotations;
+  // Walk into a reused buffer, then keep an exact-size copy: one
+  // allocation per route, and no capacity beyond the entries.
+  thread_local EventReach walked;
+  compiled.kernel->reach(event, walked, scratch);
+  route.reach_.entries.assign(walked.entries.begin(), walked.entries.end());
+  return route;
+}
+
+std::uint64_t ContentRoutingNetwork::route_into(BrokerId broker, const EventRoute& route,
+                                                BrokerId tree_root,
+                                                std::vector<LinkIndex>& links) const {
+  links.clear();
+  const RootView& view = root_view(broker, tree_root);
+  std::uint64_t steps = matcher_->options().factoring_levels > 0 ? 1 : 0;  // bucket probe
+  if (route.tree_ == nullptr) return steps;
+  if (route.tree_->epoch() != route.epoch_) {
+    throw std::logic_error("ContentRoutingNetwork::route: event route is stale");
+  }
+  if (route.annotations_ == nullptr) {
+    // An incremental tree: no compiled rows to refine, search from the event.
+    return route_into(broker, *route.event_, tree_root, links);
+  }
+  const auto b = static_cast<std::size_t>(broker.value);
+  MatchScratch& scratch = thread_match_scratch();
+  const MutablePackedTritSpan mask =
+      dispatch_mask_slot(scratch, 0, broker_states_[b].link_count);
+  steps += compiled_dispatch_into((*route.annotations_)[b], view.group, route.reach_,
+                                  view.packed_init_mask, scratch, mask);
+  append_yes_links(mask, links);
   return steps;
 }
 
@@ -308,7 +376,7 @@ std::vector<SubscriptionId> ContentRoutingNetwork::match(const Event& event,
 
 const TritVector& ContentRoutingNetwork::initialization_mask(BrokerId broker,
                                                              BrokerId tree_root) const {
-  return broker_states_.at(static_cast<std::size_t>(broker.value)).roots.at(tree_root).init_mask;
+  return root_view(broker, tree_root).init_mask;
 }
 
 std::size_t ContentRoutingNetwork::annotation_group_count(BrokerId broker) const {

@@ -17,6 +17,14 @@
 // the event must be forwarded on; route_into() writes them into a
 // caller-owned buffer instead, so a per-hop caller allocates nothing.
 //
+// Every broker on an event's spanning tree searches the same kernel with
+// the same event; only its annotation rows differ. prepare(event) does
+// the event-only part once — the factoring bucket probe, the compiled
+// tree, and the kernel nodes the event reaches (an EventRoute) — and
+// route_into(broker, route, tree_root, links) then only refines that
+// broker's rows along the reached nodes. The result, steps included, is
+// the same as route()'s.
+//
 // Each PST (the single tree, or one per factoring bucket) is routed by one
 // of two kernels, chosen from how the tree is used:
 //   * compiled on first read: a tree is compiled the first time route()
@@ -67,6 +75,32 @@
 #include "topology/spanning_tree.h"
 
 namespace gryphon {
+
+class ContentRoutingNetwork;
+
+/// One event's routing state, computed once by
+/// ContentRoutingNetwork::prepare() and read by every hop: the bucket tree
+/// the event falls in and, when that tree is compiled, its annotations and
+/// the kernel nodes the event reaches (CompiledPst::reach).
+///
+/// A route is valid only while its tree is unmutated: a subscribe or
+/// unsubscribe that touches the tree frees the compiled form the route
+/// points into. route_into() checks the tree's mutation epoch and throws
+/// std::logic_error on a stale route. A run whose subscriptions churn
+/// therefore routes every hop from the event instead. The route also
+/// refers to prepare()'s event, which must outlive it.
+class EventRoute {
+ private:
+  friend class ContentRoutingNetwork;
+  EventRoute() = default;
+  const Event* event_{nullptr};
+  const Pst* tree_{nullptr};  // null: no subscription can match
+  std::uint64_t epoch_{0};    // tree_'s epoch when prepared
+  /// The compiled tree's annotations, by broker; null when the tree is
+  /// routed incrementally (the route then carries no reach list).
+  const std::vector<CompiledAnnotation>* annotations_{nullptr};
+  EventReach reach_;
+};
 
 class ContentRoutingNetwork {
  public:
@@ -122,6 +156,18 @@ class ContentRoutingNetwork {
   /// ports in increasing order and returns the matching steps. On compiled
   /// trees a warm buffer makes the hop allocation-free.
   std::uint64_t route_into(BrokerId broker, const Event& event, BrokerId tree_root,
+                           std::vector<LinkIndex>& links) const;
+
+  /// The event-only part of every hop's route(): the bucket probe, the
+  /// tree's compiled form (compiling it on its first read, as route()
+  /// does) and the kernel nodes the event reaches. See EventRoute for how
+  /// long the result stays valid.
+  [[nodiscard]] EventRoute prepare(const Event& event) const;
+
+  /// route_into() for a prepared event: refines `broker`'s annotation rows
+  /// along the route's reach list, with no kernel walk. Same links and
+  /// steps as route_into(broker, event, tree_root, links).
+  std::uint64_t route_into(BrokerId broker, const EventRoute& route, BrokerId tree_root,
                            std::vector<LinkIndex>& links) const;
 
   /// Freezes the shared matcher and compiles every tree that is neither
@@ -189,7 +235,7 @@ class ContentRoutingNetwork {
   struct BrokerState {
     std::size_t link_count{0};
     std::vector<std::unique_ptr<Group>> groups;
-    std::unordered_map<BrokerId, RootView> roots;
+    std::vector<RootView> roots;  // by root_index_
     /// [group][client]: the link toward each client under each group, for
     /// the compiled annotation. Empty until the broker's first compile,
     /// which fills it under compile_mutex_ (each broker's slot from one
@@ -213,6 +259,14 @@ class ContentRoutingNetwork {
   };
 
   void apply_touched(const PstMatcher::TouchedTrees& touched);
+  /// `broker`'s view of the spanning tree rooted at `tree_root`; throws
+  /// std::invalid_argument for a broker or root the network lacks.
+  const RootView& root_view(BrokerId broker, BrokerId tree_root) const;
+  /// The compiled form route() searches `tree` with, compiled here on the
+  /// tree's first read.
+  const CompiledTree& compiled_for_read(const Pst& tree, const TreeState& state) const;
+  /// Appends the Yes links of a packed refined mask to `links`.
+  static void append_yes_links(PackedTritSpan mask, std::vector<LinkIndex>& links);
   /// Publishes `tree`'s compiled form around `kernel` (null: compile here),
   /// building the brokers' annotations on up to `threads` threads.
   const CompiledTree& compile(const Pst& tree, const TreeState& state,
@@ -226,6 +280,9 @@ class ContentRoutingNetwork {
   SchemaPtr schema_;
   RoutingTable routing_;
   std::map<BrokerId, std::unique_ptr<SpanningTree>> trees_;
+  /// By broker id: the root's index into BrokerState::roots (its rank in
+  /// trees_), or -1 for a broker that roots no tree.
+  std::vector<std::int32_t> root_index_;
   std::unique_ptr<PstMatcher> matcher_;
   std::unordered_map<SubscriptionId, ClientId> destinations_;
   std::vector<BrokerState> broker_states_;

@@ -5,6 +5,7 @@
 #include <exception>
 #include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <unordered_set>
@@ -29,7 +30,7 @@ struct PartitionStats {
   std::uint64_t deliveries{0};
   Ticks latency_ticks{0};
   Ticks end_time{0};
-  std::map<int, HopStats> per_hop;
+  std::vector<HopStats> per_hop;  // by hop count
   std::vector<std::pair<std::uint32_t, ClientId>> delivered;  // oracle-selected only
   std::unordered_set<std::uint64_t> link_copies;
   std::uint64_t duplicate_link_copies{0};
@@ -133,18 +134,18 @@ void EngineRun::setup_partitions() {
 }
 
 void EngineRun::inject_schedule() {
+  std::vector<std::vector<ScheduledPublication>> by_partition(partitions_.size());
   for (std::size_t i = 0; i < schedule_.size(); ++i) {
     const PublishRecord& record = schedule_[i];
     if (record.event_index >= inst_.events.size()) {
       throw std::invalid_argument("simulation: bad event index in schedule");
     }
-    SimMessage msg;
-    msg.event_index = static_cast<std::uint32_t>(record.event_index);
-    msg.tree_root = record.broker;
-    msg.publish_time = record.time;
-    Arrival arrival{EventKey{record.time, 0, i}, record.broker, std::move(msg)};
-    partitions_[layout_->part_of[static_cast<std::size_t>(record.broker.value)]]->queue.push(
-        std::move(arrival));
+    by_partition[layout_->part_of[static_cast<std::size_t>(record.broker.value)]].push_back(
+        {EventKey{record.time, 0, i}, record.broker,
+         static_cast<std::uint32_t>(record.event_index)});
+  }
+  for (std::size_t p = 0; p < partitions_.size(); ++p) {
+    partitions_[p]->queue.set_publications(std::move(by_partition[p]));
   }
 }
 
@@ -191,21 +192,21 @@ void EngineRun::drain_and_report(Partition& part) {
     for (Arrival& arrival : part.inbox) part.queue.push(std::move(arrival));
     part.inbox.clear();
   }
-  part.local_min = part.queue.empty() ? kNoPending : part.queue.top().key.time;
+  part.local_min = part.queue.empty() ? kNoPending : part.queue.top_key().time;
 }
 
 void EngineRun::process_round(Partition& part) {
   if (part.error) {
-    while (!part.queue.empty()) part.queue.pop();
+    part.queue.clear();
     return;
   }
   try {
-    while (!part.queue.empty() && part.queue.top().key.time <= plan_.horizon) {
+    while (!part.queue.empty() && part.queue.top_key().time <= plan_.horizon) {
       process(part, part.queue.pop());
     }
   } catch (...) {
     if (!part.error) part.error = std::current_exception();
-    while (!part.queue.empty()) part.queue.pop();  // fail fast, keep the barrier protocol
+    part.queue.clear();  // fail fast, keep the barrier protocol
   }
 }
 
@@ -250,7 +251,16 @@ void EngineRun::decide(Partition& part, BrokerId broker, SimMessage& msg, Decisi
   switch (inst_.spec.protocol) {
     case Protocol::kLinkMatching: {
       if (!inst_.aggregate) {
-        d.steps = inst_.crn->route_into(broker, event, msg.tree_root, part.route_links);
+        // Without churn the trees never change mid-run, so the publisher's
+        // broker resolves the event against the kernel once and every hop
+        // refines its rows along that route (the same rule event_homes and
+        // event_dests follow).
+        if (msg.hops == 1 && !inst_.churn_enabled) {
+          msg.route = std::make_shared<const EventRoute>(inst_.crn->prepare(event));
+        }
+        d.steps = msg.route != nullptr
+                      ? inst_.crn->route_into(broker, *msg.route, msg.tree_root, part.route_links)
+                      : inst_.crn->route_into(broker, event, msg.tree_root, part.route_links);
         const auto& ports = inst_.topo.network.ports(broker);
         for (const LinkIndex link : part.route_links) {
           const auto& port = ports[static_cast<std::size_t>(link.value)];
@@ -304,12 +314,15 @@ void EngineRun::decide(Partition& part, BrokerId broker, SimMessage& msg, Decisi
       break;
     }
     case Protocol::kMatchFirst: {
+      // The destination list this hop splits: the one the message carries,
+      // or at the publisher's broker the event's full list.
+      const std::vector<ClientId>* dests = &msg.dests;
       if (msg.hops == 1) {
         // The publisher's broker computes and carries the full destination
         // list; it pays the centralized matching cost.
         if (!inst_.churn_enabled) {
           d.steps = inst_.event_match_steps[msg.event_index];
-          msg.dests = inst_.event_dests[msg.event_index];
+          dests = &inst_.event_dests[msg.event_index];
         } else {
           MatchStats stats;
           std::vector<SubscriptionId> subs;
@@ -329,16 +342,19 @@ void EngineRun::decide(Partition& part, BrokerId broker, SimMessage& msg, Decisi
       // emission order is part of the deterministic event order).
       std::map<LinkIndex::rep_type, std::vector<ClientId>> split;
       const RoutingTable& routing = inst_.routing_table();
-      for (const ClientId dest : msg.dests) {
+      for (const ClientId dest : *dests) {
         if (inst_.topo.network.client_home(dest) == broker) {
           d.local.push_back(dest);
         } else {
           split[routing.next_hop_to_client(broker, dest).value].push_back(dest);
         }
       }
-      for (auto& [link_value, dests] : split) {
+      // Each forward carries its own part of the list only: drop the
+      // carried list so copying the message header copies no destinations.
+      msg.dests.clear();
+      for (auto& [link_value, link_dests] : split) {
         SimMessage fwd = msg;
-        fwd.dests = std::move(dests);
+        fwd.dests = std::move(link_dests);
         d.forwards.emplace_back(LinkIndex{link_value}, std::move(fwd));
       }
       break;
@@ -401,7 +417,10 @@ void EngineRun::process(Partition& part, Arrival arrival) {
     part.stats.deliveries += 1;
     const Ticks at = done + inst_.topo.network.client_delay(client);
     part.stats.latency_ticks += at - msg.publish_time;
-    HopStats& hop = part.stats.per_hop[msg.hops];
+    const auto h = static_cast<std::size_t>(msg.hops);
+    // Grows to the longest path once.
+    if (h >= part.stats.per_hop.size()) part.stats.per_hop.resize(h + 1);
+    HopStats& hop = part.stats.per_hop[h];
     ++hop.deliveries;
     hop.cumulative_steps += msg.steps_acc;
     if (track) part.stats.delivered.emplace_back(msg.event_index, client);
@@ -410,30 +429,35 @@ void EngineRun::process(Partition& part, Arrival arrival) {
 
 void EngineRun::verify(SimResult& result) {
   if (!inst_.spec.verify.verify_deliveries || inst_.oracle_fraction <= 0.0) return;
-  std::vector<std::pair<std::uint32_t, ClientId>> delivered;
+  // Bucket the sampled deliveries by event (a counting sort: the events
+  // are dense indices), so each event's clients sit in one slice.
+  const std::size_t events = inst_.events.size();
+  std::vector<std::uint32_t> begin(events + 1, 0);
   for (const auto& part : partitions_) {
-    delivered.insert(delivered.end(), part->stats.delivered.begin(),
-                     part->stats.delivered.end());
+    for (const auto& [event, client] : part->stats.delivered) ++begin[event + 1];
   }
-  std::sort(delivered.begin(), delivered.end());
+  for (std::size_t e = 0; e < events; ++e) begin[e + 1] += begin[e];
+  std::vector<ClientId> delivered(begin.back());
+  {
+    std::vector<std::uint32_t> next(begin.begin(), begin.end() - 1);
+    for (const auto& part : partitions_) {
+      for (const auto& [event, client] : part->stats.delivered) delivered[next[event]++] = client;
+    }
+  }
 
-  std::vector<char> published(inst_.events.size(), 0);
+  std::vector<char> published(events, 0);
   for (const PublishRecord& record : schedule_) published[record.event_index] = 1;
 
-  std::size_t i = 0;
-  for (std::size_t e = 0; e < inst_.events.size(); ++e) {
+  for (std::size_t e = 0; e < events; ++e) {
     if (published[e] == 0 || inst_.oracle_selected[e] == 0) continue;
-    // Collect this event's delivered clients from the sorted sample list.
-    while (i < delivered.size() && delivered[i].first < e) ++i;
-    std::vector<ClientId> got;
-    while (i < delivered.size() && delivered[i].first == e) {
-      got.push_back(delivered[i].second);
-      ++i;
+    const auto first = delivered.begin() + begin[e];
+    auto last = delivered.begin() + begin[e + 1];
+    std::sort(first, last);
+    for (auto g = first; g != last && g + 1 != last; ++g) {
+      if (*g == *(g + 1)) ++result.duplicate_deliveries;
     }
-    for (std::size_t g = 1; g < got.size(); ++g) {
-      if (got[g] == got[g - 1]) ++result.duplicate_deliveries;
-    }
-    got.erase(std::unique(got.begin(), got.end()), got.end());
+    last = std::unique(first, last);
+    const std::span<const ClientId> got(first, last);
     const std::vector<ClientId>& want = inst_.event_dests[e];
     std::size_t gi = 0, wi = 0;
     while (gi < got.size() || wi < want.size()) {
@@ -473,8 +497,10 @@ void EngineRun::finalize(SimResult& result) {
     result.latency_ticks += s.latency_ticks;
     result.end_time = std::max(result.end_time, s.end_time);
     result.duplicate_link_copies += s.duplicate_link_copies;
-    for (const auto& [hops, stats] : s.per_hop) {
-      HopStats& hop = result.per_hop[hops];
+    for (std::size_t hops = 0; hops < s.per_hop.size(); ++hops) {
+      const HopStats& stats = s.per_hop[hops];
+      if (stats.deliveries == 0) continue;  // no delivery took this many hops
+      HopStats& hop = result.per_hop[static_cast<int>(hops)];
       hop.deliveries += stats.deliveries;
       hop.cumulative_steps += stats.cumulative_steps;
     }

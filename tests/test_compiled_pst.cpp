@@ -7,7 +7,10 @@
 // the step count when no local enumeration is asked for) and a naive
 // matcher filtered to the local link (the local-match set), at 4 links
 // under churn and at link counts on both sides of each 64-link plane-word
-// boundary. Plus direct coverage of the representational edges: string
+// boundary; and the reach-list dispatch (CompiledPst::reach plus
+// compiled_dispatch over the list) holds to the kernel walk and link_match
+// at those widths, under both star orders. Plus direct coverage of the
+// representational edges: string
 // interning, the -0.0/+0.0 double key, and the precompiled
 // eq_children_cover_domain flag; and, in the FrozenPsg suite, the
 // snapshot's structural contract: star-chain collapse, match sets equal to
@@ -337,6 +340,122 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return "links" + std::to_string(std::get<0>(info.param)) +
              (std::get<1>(info.param) ? "_local" : "_no_local");
+    });
+
+// The reach-list dispatch: CompiledPst::reach lists the nodes an event
+// reaches once, and compiled_dispatch over that list refines rows without
+// walking the kernel. On random trees with general tests, at every stored
+// row width (rows wider than 64 links included) and both star orders, its
+// masks and step counts must equal the kernel walk's and link_match's,
+// under random, all-No and all-Maybe initialization masks; the list must
+// hold exactly the nodes match() visits, in pre-order; and an empty kernel
+// reaches nothing and leaves every Maybe No.
+class ReachDispatch : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
+
+TEST_P(ReachDispatch, MasksAndStepsIdenticalToKernelWalkAndLinkMatch) {
+  const std::size_t links = std::get<0>(GetParam());
+  const bool delayed = std::get<1>(GetParam());
+  const SchemaPtr schema = mixed_schema();
+  Pst tree(schema, {0, 1, 2, 3},
+           Pst::Options{.trivial_test_elimination = true, .delayed_star = delayed});
+  std::map<SubscriptionId, Subscription> live;
+  Rng rng(7301 + 2 * links + (delayed ? 1 : 0));
+  MatchScratch scratch;
+  const auto owner_link = [links](SubscriptionId id) {
+    return LinkIndex{static_cast<LinkIndex::rep_type>((id.value * 37) % links)};
+  };
+  const std::vector<SubscriptionLinkFn> group_fns{
+      owner_link, [links, &owner_link](SubscriptionId id) {
+        return LinkIndex{static_cast<LinkIndex::rep_type>((owner_link(id).value + 1) % links)};
+      }};
+  const auto masks = [&] {
+    std::vector<TritVector> out{TritVector(links, Trit::No), TritVector(links, Trit::Maybe)};
+    TritVector mixed(links, Trit::No);
+    for (std::size_t l = 0; l < links; ++l) mixed.set(l, static_cast<Trit>(rng.below(3)));
+    out.push_back(std::move(mixed));
+    return out;
+  };
+
+  {
+    // The empty kernel (an empty bucket): nothing is reached, and both
+    // searches only turn the Maybes No.
+    const CompiledPst empty(tree);
+    const CompiledAnnotation annotated = annotate(empty, links, group_fns, LinkIndex{});
+    const Event e = random_event(schema, rng);
+    EventReach reach;
+    empty.reach(e, reach, scratch);
+    ASSERT_TRUE(reach.entries.empty());
+    for (const TritVector& init : masks()) {
+      const CompiledDispatchResult walked =
+          compiled_dispatch(annotated, 0, e, init, scratch, nullptr);
+      const CompiledDispatchResult reached = compiled_dispatch(annotated, 0, reach, init, scratch);
+      ASSERT_EQ(reached.mask, walked.mask);
+      ASSERT_EQ(reached.steps, walked.steps);
+      ASSERT_FALSE(reached.mask.has_maybe());
+    }
+  }
+
+  std::int64_t next_id = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (std::uint64_t i = 0, n = 10 + rng.below(30); i < n; ++i) {
+      const SubscriptionId id{next_id++};
+      live.emplace(id, random_subscription(schema, rng));
+      tree.add(id, live.at(id));
+    }
+    while (live.size() > 1 && rng.below(4) != 0) {
+      auto it = live.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.below(live.size())));
+      ASSERT_TRUE(tree.remove(it->first, it->second).has_value());
+      live.erase(it);
+    }
+    std::vector<AnnotatedPst> reference;
+    for (const auto& fn : group_fns) reference.emplace_back(tree, links, fn);
+    const CompiledPst compiled(tree);
+    const CompiledAnnotation annotated = annotate(compiled, links, group_fns, LinkIndex{});
+
+    EventReach reach;
+    for (int probe = 0; probe < 20; ++probe) {
+      const Event e = random_event(schema, rng);
+      compiled.reach(e, reach, scratch);
+      // Exactly match()'s nodes, the root first, each subtree within its
+      // parent's.
+      MatchStats stats;
+      std::vector<SubscriptionId> matched;
+      compiled.match(e, matched, scratch, &stats);
+      ASSERT_EQ(reach.entries.size(), stats.nodes_visited);
+      ASSERT_EQ(reach.entries.front().node, compiled.root());
+      ASSERT_EQ(reach.entries.front().end, reach.entries.size());
+      for (std::size_t i = 0; i < reach.entries.size(); ++i) {
+        ASSERT_GT(reach.entries[i].end, i);
+        ASSERT_LE(reach.entries[i].end, reach.entries.size());
+      }
+      for (const TritVector& init : masks()) {
+        for (std::size_t g = 0; g < group_fns.size(); ++g) {
+          const LinkMatchResult expected = link_match(reference[g], e, init);
+          const CompiledDispatchResult walked =
+              compiled_dispatch(annotated, g, e, init, scratch, nullptr);
+          const CompiledDispatchResult reached =
+              compiled_dispatch(annotated, g, reach, init, scratch);
+          ASSERT_EQ(reached.mask, walked.mask)
+              << reached.mask.to_string() << " != " << walked.mask.to_string();
+          ASSERT_EQ(reached.steps, walked.steps);
+          ASSERT_EQ(reached.mask, expected.mask)
+              << reached.mask.to_string() << " != " << expected.mask.to_string();
+          ASSERT_EQ(reached.steps, expected.steps);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PlaneWidths, ReachDispatch,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 8, 9, 16, 17, 32, 33, 63, 64, 65,
+                                                      128, 130),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return "links" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_delayed_star" : "_eager_star");
     });
 
 TEST(CompiledDispatch, PackedEntryRejectsBadWidthAndGroup) {

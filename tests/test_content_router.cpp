@@ -143,6 +143,31 @@ TEST_F(ContentRouterLineTest, UnknownRootThrows) {
                std::invalid_argument);
 }
 
+TEST_F(ContentRouterLineTest, PreparedRouteIsCheckedForStalenessAndRoots) {
+  const ClientId far_client = net_.clients_of(BrokerId{2})[1];
+  crn_.subscribe(SubscriptionId{1}, sub_eq(schema_, {0, -1, -1, -1}), far_client);
+  const Event event = ev(schema_, {0, 0, 0, 0});
+  const EventRoute route = crn_.prepare(event);  // compiles the tree on first read
+  std::vector<LinkIndex> links;
+  for (const BrokerId at : {BrokerId{0}, BrokerId{1}, BrokerId{2}}) {
+    const std::uint64_t steps = crn_.route_into(at, route, BrokerId{0}, links);
+    const auto want = crn_.route(at, event, BrokerId{0});
+    EXPECT_EQ(links, want.links);
+    EXPECT_EQ(steps, want.steps);
+  }
+  EXPECT_THROW(crn_.route_into(BrokerId{0}, route, BrokerId{1}, links), std::invalid_argument);
+  // A subscription into the route's tree frees the compiled form the route
+  // points into: the route is refused, not read.
+  crn_.subscribe(SubscriptionId{2}, sub_eq(schema_, {0, 0, -1, -1}), far_client);
+  EXPECT_THROW(crn_.route_into(BrokerId{0}, route, BrokerId{0}, links), std::logic_error);
+  // A route prepared now serves the churning tree from the event.
+  const EventRoute fresh = crn_.prepare(event);
+  const std::uint64_t steps = crn_.route_into(BrokerId{0}, fresh, BrokerId{0}, links);
+  const auto want = crn_.route(BrokerId{0}, event, BrokerId{0});
+  EXPECT_EQ(links, want.links);
+  EXPECT_EQ(steps, want.steps);
+}
+
 TEST_F(ContentRouterLineTest, AcyclicNetworkSharesOneAnnotationGroup) {
   for (std::size_t b = 0; b < net_.broker_count(); ++b) {
     EXPECT_EQ(crn_.annotation_group_count(BrokerId{static_cast<BrokerId::rep_type>(b)}), 1u);

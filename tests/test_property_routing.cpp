@@ -1,7 +1,8 @@
 // Property-based sweep: for random topologies, subscription sets, and
 // events, the link-matching protocol delivers exactly the centrally-matched
 // destination set, with at most one copy per link (TEST_P over seeds); and
-// every route() decision — whichever kernel serves the tree — equals
+// every route() decision — whichever kernel serves the tree, and whether
+// routed from the event or from its prepared EventRoute — equals
 // link_match over an AnnotatedPst built from scratch, links and steps.
 #include <gtest/gtest.h>
 
@@ -119,13 +120,16 @@ ContentRoutingNetwork::RouteResult reference_route(const ContentRoutingNetwork& 
 }
 
 // Routes `count` events at every broker along every spanning tree and holds
-// each decision to the reference.
+// each decision to the reference, both from the event (route) and from the
+// event's prepared route (prepare + route_into), which every hop shares.
 void expect_routes_match_reference(const ContentRoutingNetwork& crn,
                                    const std::vector<BrokerId>& roots, Rng& rng,
                                    int count, const char* phase) {
   EventGenerator events(crn.schema());
+  std::vector<LinkIndex> prepared_links;
   for (int trial = 0; trial < count; ++trial) {
     const Event e = events.generate(rng);
+    const EventRoute prepared = crn.prepare(e);
     for (const BrokerId root : roots) {
       for (std::size_t b = 0; b < crn.network().broker_count(); ++b) {
         const BrokerId at{static_cast<BrokerId::rep_type>(b)};
@@ -135,6 +139,11 @@ void expect_routes_match_reference(const ContentRoutingNetwork& crn,
             << phase << ": broker " << at << " root " << root << " event " << e.to_text();
         ASSERT_EQ(got.steps, want.steps)
             << phase << ": broker " << at << " root " << root << " event " << e.to_text();
+        const std::uint64_t steps = crn.route_into(at, prepared, root, prepared_links);
+        ASSERT_EQ(prepared_links, want.links) << phase << " (prepared): broker " << at
+                                              << " root " << root << " event " << e.to_text();
+        ASSERT_EQ(steps, want.steps) << phase << " (prepared): broker " << at << " root "
+                                     << root << " event " << e.to_text();
       }
     }
   }

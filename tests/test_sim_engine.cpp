@@ -4,6 +4,9 @@
 // control plane) must keep their contracts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/simulation.h"
 
 namespace gryphon {
@@ -54,6 +57,55 @@ TEST(EngineDifferential, RepeatedRunsAreBitIdentical) {
   const SimResult first = sim.run();
   const SimResult second = sim.run();
   EXPECT_TRUE(same_outcome(first, second));
+}
+
+TEST(EngineQueue, UnsortedScheduleRunsAsItsSortedForm) {
+  // Publications skip the engine heap: each partition pops them from a
+  // cursor sorted by (time, schedule index). A schedule given out of time
+  // order, with several publications at one tick at one broker, must run
+  // exactly as the same records sorted by time, ties kept in schedule
+  // order, at every thread count.
+  SimSpec sorted = figure6_spec(6);
+  const std::vector<BrokerId> publishers = Simulation(sorted).publishers();
+  ASSERT_FALSE(publishers.empty());
+  std::vector<std::vector<PublishRecord>> ticks;  // one group per tick, in time order
+  std::size_t event = 0;
+  for (std::size_t g = 0; event < sorted.workload.events; ++g) {
+    std::vector<PublishRecord>& group = ticks.emplace_back();
+    const Ticks time = ticks_from_seconds(0.02 * static_cast<double>(g + 1));
+    // 1 to 4 publications at this tick; consecutive pairs share a broker.
+    for (std::size_t k = 0; k < 1 + g % 4 && event < sorted.workload.events; ++k) {
+      group.push_back(PublishRecord{time, publishers[(g + k / 2) % publishers.size()], event++});
+    }
+  }
+  const auto concat = [](const std::vector<std::vector<PublishRecord>>& groups) {
+    std::vector<PublishRecord> out;
+    for (const auto& group : groups) out.insert(out.end(), group.begin(), group.end());
+    return out;
+  };
+  sorted.workload.scripted.schedule = concat(ticks);
+  // Reorder whole ticks: the schedule is out of time order, while records
+  // sharing a tick keep their relative order, so sorting it by time gives
+  // the sorted schedule back.
+  std::vector<std::vector<PublishRecord>> shuffled = ticks;
+  std::reverse(shuffled.begin(), shuffled.end());
+  std::rotate(shuffled.begin(), shuffled.begin() + static_cast<std::ptrdiff_t>(shuffled.size() / 3),
+              shuffled.end());
+  const std::vector<PublishRecord> unsorted = concat(shuffled);
+  ASSERT_FALSE(std::is_sorted(unsorted.begin(), unsorted.end(),
+                              [](const PublishRecord& a, const PublishRecord& b) {
+                                return a.time < b.time;
+                              }));
+
+  const SimResult want = simulate(sorted);
+  ASSERT_EQ(want.events_published, sorted.workload.events);
+  ASSERT_EQ(want.missing_deliveries, 0u);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SimSpec spec = sorted;
+    spec.workload.scripted.schedule = unsorted;
+    spec.engine.threads = threads;
+    EXPECT_TRUE(same_outcome(want, simulate(spec))) << threads << " engine threads";
+  }
 }
 
 TEST(EngineDynamics, ChurnAppliesOpsAndRunsStayRepeatable) {

@@ -377,11 +377,13 @@ PY
   if [[ "$leg" == asan || "$leg" == ubsan ]]; then
     # The kernel differentials must be in the suite these legs run: the
     # compiled dispatch at every stored row width (8/16/32/64-bit planes
-    # and multi-word rows), the CRN's annotations without a local-slice
-    # table, and the AttributeTest layout round trips. So must the
-    # ReliableStream property test and the broker ack-range tests.
+    # and multi-word rows), the reach-list dispatch against the kernel walk
+    # and link_match at those widths, the CRN's annotations without a
+    # local-slice table, and the AttributeTest layout round trips. So must
+    # the ReliableStream property test and the broker ack-range tests.
     local pattern listed
     for pattern in 'PlaneWidths/CompiledDispatchWidth.*links(8|9|16|17|32|33)_' \
+                   'PlaneWidths/ReachDispatch.*links(8|9|16|17|32|33|65|130)_' \
                    'CompiledAnnotationsHoldNoLocalSliceTable' 'AttributeTestLayout' \
                    'ReliableStreamProperty' 'AckRange'; do
       listed="$(ctest --test-dir "$dir" -N -R "$pattern")"
