@@ -41,26 +41,22 @@ BrokerCore::BrokerCore(BrokerId self, const BrokerNetwork& topology,
     trees_.emplace(root, std::make_unique<SpanningTree>(topology, routing_, root));
   }
 
-  // Deduplicate spanning trees by their owner-broker -> link map at self;
-  // each distinct map is one group's link table for the snapshot builder.
-  std::map<std::vector<LinkIndex::rep_type>, std::size_t> by_signature;
+  // Spanning trees with one owner-broker -> link map at self share a group;
+  // each group's map (the pseudo-local link at self) is its link table for
+  // the snapshot builder.
+  std::vector<const SpanningTree*> trees;
+  trees.reserve(trees_.size());
+  for (const auto& entry : trees_) trees.push_back(entry.second.get());
+  const std::vector<std::size_t> group_of = group_by_link_map(self_, trees);
   std::vector<std::vector<LinkIndex>> group_links;
-  const std::size_t n = topology.broker_count();
-  for (const auto& [root, tree] : trees_) {
-    std::vector<LinkIndex::rep_type> signature;
-    signature.reserve(n);
-    for (std::size_t d = 0; d < n; ++d) {
-      const BrokerId dest{static_cast<BrokerId::rep_type>(d)};
-      signature.push_back(dest == self_ ? local_link_.value
-                                        : tree->tree_next_hop(self_, dest).value);
+  for (std::size_t t = 0; t < trees.size(); ++t) {
+    const SpanningTree* tree = trees[t];
+    if (group_of[t] == group_links.size()) {
+      const auto map = tree->next_hops(self_);
+      std::vector<LinkIndex>& links = group_links.emplace_back(map.begin(), map.end());
+      links[static_cast<std::size_t>(self_.value)] = local_link_;
     }
-    const auto [it, inserted] = by_signature.emplace(signature, group_links.size());
-    if (inserted) {
-      std::vector<LinkIndex>& links = group_links.emplace_back();
-      links.reserve(n);
-      for (const LinkIndex::rep_type link : signature) links.push_back(LinkIndex{link});
-    }
-    group_index_of_root_.emplace(root, it->second);
+    group_index_of_root_.emplace(tree->root(), group_of[t]);
 
     // Initialization mask: Maybe toward tree children (any broker may have
     // subscribers) and on the pseudo-local link; No elsewhere.
@@ -70,7 +66,7 @@ BrokerCore::BrokerCore(BrokerId self, const BrokerNetwork& topology,
       if (tree->parent(peer) == self_) mask.set(pi, Trit::Maybe);
     }
     mask.set(local_link_, Trit::Maybe);
-    init_masks_.emplace(root, packed::pack(mask.span()));
+    init_masks_.emplace(tree->root(), packed::pack(mask.span()));
   }
 
   spaces_.reserve(spaces.size());

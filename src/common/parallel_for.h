@@ -1,7 +1,7 @@
 // parallel_for: runs fn(i) for every i in [0, count) on up to `threads`
 // threads — the caller plus threads - 1 helpers, started for this call and
 // joined before it returns. Indices are handed out one at a time from a
-// shared counter, so one long item (the aggregate plane's shared matcher)
+// shared counter, so one long item (the simulator's shared control plane)
 // overlaps the short ones instead of stalling a fixed block.
 //
 // Meant for construction work whose items write disjoint slots: results

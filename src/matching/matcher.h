@@ -1,12 +1,10 @@
 // The matcher interface: given an event, return the satisfied subscriptions.
 //
-// Three implementations are provided:
-//  * PstMatcher    — the paper's parallel search tree (Section 2), with the
-//                    factoring / trivial-test-elimination / delayed-branching
-//                    optimizations of Section 2.1;
-//  * NaiveMatcher  — brute-force linear scan (the obvious baseline);
-//  * GatingMatcher — the predicate-indexing algorithm of Hanson et al. [9],
-//                    discussed in the paper's related-work section.
+// Two implementations are provided:
+//  * PstMatcher   — the paper's parallel search tree (Section 2), with the
+//                   factoring / trivial-test-elimination / delayed-branching
+//                   optimizations of Section 2.1;
+//  * NaiveMatcher — brute-force linear scan (the obvious baseline).
 //
 // match() returns a MatchResult value (ids + cost counters). Implementations
 // additionally expose a non-virtual match_into() that appends into a

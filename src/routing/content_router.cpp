@@ -25,51 +25,39 @@ ContentRoutingNetwork::ContentRoutingNetwork(const BrokerNetwork& network, Schem
 
   const std::size_t n = network.broker_count();
   root_index_.assign(n, -1);
-  std::int32_t next_root = 0;
+  std::vector<const SpanningTree*> trees;
+  trees.reserve(trees_.size());
   for (const auto& entry : trees_) {
-    root_index_.at(static_cast<std::size_t>(entry.first.value)) = next_root++;
+    root_index_.at(static_cast<std::size_t>(entry.first.value)) =
+        static_cast<std::int32_t>(trees.size());
+    trees.push_back(entry.second.get());
   }
   broker_states_.resize(n);
+  std::size_t groups = 0;
   for (std::size_t b = 0; b < n; ++b) {
     const BrokerId broker{static_cast<BrokerId::rep_type>(b)};
     BrokerState& state = broker_states_[b];
-    state.link_count = network.ports(broker).size();
-    // Group spanning trees by their destination->link map at this broker.
-    std::map<std::vector<LinkIndex::rep_type>, std::size_t> by_signature;  // -> group index
-    state.roots.resize(trees_.size());
-    for (const auto& [root, tree] : trees_) {
-      std::vector<LinkIndex::rep_type> signature;
-      signature.reserve(n);
-      for (std::size_t d = 0; d < n; ++d) {
-        signature.push_back(
-            tree->tree_next_hop(broker, BrokerId{static_cast<BrokerId::rep_type>(d)}).value);
-      }
-      const auto [group_it, created] =
-          by_signature.try_emplace(std::move(signature), state.groups.size());
-      if (created) {
-        auto group = std::make_unique<Group>();
-        const SpanningTree* rep = tree.get();
-        group->representative = rep;
-        group->link_of = [this, rep, broker](SubscriptionId id) {
-          return rep->tree_next_hop_to_client(broker, destinations_.at(id));
-        };
-        state.groups.push_back(std::move(group));
-      }
-      RootView& view = state.roots[static_cast<std::size_t>(
-          root_index_[static_cast<std::size_t>(root.value)])];
-      view.group = group_it->second;
-
+    const auto& ports = network.ports(broker);
+    state.link_count = ports.size();
+    state.first_group = groups;
+    const std::vector<std::size_t> group_of = group_by_link_map(broker, trees);
+    state.roots.resize(trees.size());
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+      const SpanningTree& tree = *trees[t];
+      if (group_of[t] == state.groups.size()) state.groups.push_back(&tree);
+      RootView& view = state.roots[t];
+      view.group = group_of[t];
       // Initialization mask: Maybe on links with descendant destinations.
-      const auto& ports = network.ports(broker);
       view.init_mask = TritVector(ports.size(), Trit::No);
       for (std::size_t pi = 0; pi < ports.size(); ++pi) {
-        if (tree->downstream_client_count(broker, LinkIndex{static_cast<LinkIndex::rep_type>(
-                                                      pi)}) > 0) {
+        if (tree.downstream_client_count(broker, LinkIndex{static_cast<LinkIndex::rep_type>(
+                                                     pi)}) > 0) {
           view.init_mask.set(pi, Trit::Maybe);
         }
       }
       view.packed_init_mask = packed::pack(view.init_mask.span());
     }
+    groups += state.groups.size();
   }
 }
 
@@ -86,32 +74,20 @@ void ContentRoutingNetwork::apply_touched(const PstMatcher::TouchedTrees& touche
   // step counts equal link_match's only under trivial-test elimination.
   const bool compilable = matcher_->options().tree.trivial_test_elimination;
   for (const auto& t : touched) {
-    TreeState& state = tree_states_[t.tree];
-    if (state.incremental) {
-      for (BrokerState& broker : broker_states_) {
-        for (const auto& group : broker.groups) group->annotations.at(t.tree)->apply(t.mutation);
-      }
+    const auto [it, created] = tree_states_.try_emplace(t.tree);
+    TreeState& state = it->second;
+    if (created) state.incremental = !compilable;
+    if (state.owned_annotated != nullptr) {
+      for (AnnotatedPst& annotated : *state.owned_annotated) annotated.apply(t.mutation);
       continue;
     }
-    // Never read since it last changed: compile lazily at the next read.
-    if (state.owned == nullptr && compilable) continue;
-    // Mutated after a read: this tree churns. Switch it to incremental
-    // annotations for good, built from the tree (which already reflects
-    // the mutation).
+    // Not read since it last changed: its form is built at the next read.
+    if (state.owned == nullptr) continue;
+    // Mutated after a read: this tree churns. Route it incrementally for
+    // good, from annotations built at its next read.
     state.compiled.store(nullptr, std::memory_order_relaxed);
     state.owned.reset();
     state.incremental = true;
-    std::vector<AnnotatedPst::LinkMap> maps;
-    for (const BrokerState& broker : broker_states_) {
-      for (const auto& group : broker.groups) maps.push_back({broker.link_count, group->link_of});
-    }
-    std::vector<AnnotatedPst> built = AnnotatedPst::build_all(*t.tree, maps);
-    auto next = built.begin();
-    for (BrokerState& broker : broker_states_) {
-      for (const auto& group : broker.groups) {
-        group->annotations[t.tree] = std::make_unique<AnnotatedPst>(std::move(*next++));
-      }
-    }
   }
 }
 
@@ -161,12 +137,15 @@ ContentRoutingNetwork::RouteResult ContentRoutingNetwork::route(BrokerId broker,
 
 const ContentRoutingNetwork::RootView& ContentRoutingNetwork::root_view(
     BrokerId broker, BrokerId tree_root) const {
-  const BrokerState& state = broker_states_.at(static_cast<std::size_t>(broker.value));
+  const auto b = static_cast<std::size_t>(broker.value);
+  if (!broker.valid() || b >= broker_states_.size()) {
+    throw std::invalid_argument("ContentRoutingNetwork::route: unknown broker");
+  }
   const auto r = static_cast<std::size_t>(tree_root.value);
   if (!tree_root.valid() || r >= root_index_.size() || root_index_[r] < 0) {
     throw std::invalid_argument("ContentRoutingNetwork::route: unknown tree root");
   }
-  return state.roots[static_cast<std::size_t>(root_index_[r])];
+  return broker_states_[b].roots[static_cast<std::size_t>(root_index_[r])];
 }
 
 const ContentRoutingNetwork::CompiledTree& ContentRoutingNetwork::compiled_for_read(
@@ -177,6 +156,26 @@ const ContentRoutingNetwork::CompiledTree& ContentRoutingNetwork::compiled_for_r
     throw std::logic_error("ContentRoutingNetwork::route: compiled tree is stale");
   }
   return *compiled;
+}
+
+const ContentRoutingNetwork::AnnotatedTree& ContentRoutingNetwork::annotated_for_read(
+    const Pst& tree, const TreeState& state) const {
+  if (const AnnotatedTree* built = state.annotated.load(std::memory_order_acquire)) return *built;
+  MutexLock lock(compile_mutex_);
+  // Another thread may have built it while this one waited.
+  if (const AnnotatedTree* built = state.annotated.load(std::memory_order_acquire)) return *built;
+  std::vector<AnnotatedPst::LinkMap> maps;
+  for (std::size_t b = 0; b < broker_states_.size(); ++b) {
+    const BrokerId broker{static_cast<BrokerId::rep_type>(b)};
+    for (const SpanningTree* group : broker_states_[b].groups) {
+      maps.push_back({broker_states_[b].link_count, [this, group, broker](SubscriptionId id) {
+                        return group->tree_next_hop_to_client(broker, destinations_.at(id));
+                      }});
+    }
+  }
+  state.owned_annotated = std::make_unique<AnnotatedTree>(AnnotatedPst::build_all(tree, maps));
+  state.annotated.store(state.owned_annotated.get(), std::memory_order_release);
+  return *state.owned_annotated;
 }
 
 void ContentRoutingNetwork::append_yes_links(PackedTritSpan mask,
@@ -203,12 +202,9 @@ std::uint64_t ContentRoutingNetwork::route_into(BrokerId broker, const Event& ev
 
   const TreeState& tree_state = tree_states_.at(tree);
   if (tree_state.incremental) {
-    const auto& annotations = state.groups[view.group]->annotations;
-    const auto ann_it = annotations.find(tree);
-    if (ann_it == annotations.end()) {
-      throw std::logic_error("ContentRoutingNetwork::route: missing annotation for tree");
-    }
-    const LinkMatchResult lm = link_match(*ann_it->second, event, view.init_mask);
+    const AnnotatedTree& annotated = annotated_for_read(*tree, tree_state);
+    const LinkMatchResult lm =
+        link_match(annotated[state.first_group + view.group], event, view.init_mask);
     links = lm.mask.yes_links();
     return steps + lm.steps;
   }
@@ -276,7 +272,7 @@ const std::vector<std::vector<LinkIndex>>& ContentRoutingNetwork::client_links(
       std::vector<LinkIndex>& links = state.client_links[g];
       links.reserve(clients);
       for (std::size_t c = 0; c < clients; ++c) {
-        links.push_back(state.groups[g]->representative->tree_next_hop_to_client(
+        links.push_back(state.groups[g]->tree_next_hop_to_client(
             broker, ClientId{static_cast<ClientId::rep_type>(c)}));
       }
     }
@@ -344,6 +340,10 @@ ContentRoutingNetwork::KernelCounts ContentRoutingNetwork::kernel_counts() const
   KernelCounts counts;
   for (const auto& entry : tree_states_) {
     const TreeState& state = entry.second;
+    if (state.compiled.load(std::memory_order_acquire) != nullptr ||
+        state.annotated.load(std::memory_order_acquire) != nullptr) {
+      ++counts.annotated;
+    }
     if (state.incremental) {
       ++counts.incremental;
     } else if (state.compiled.load(std::memory_order_acquire) != nullptr) {
@@ -384,15 +384,10 @@ std::size_t ContentRoutingNetwork::annotation_group_count(BrokerId broker) const
 }
 
 void ContentRoutingNetwork::check_consistency() const {
-  for (const BrokerState& state : broker_states_) {
-    for (const auto& group : state.groups) {
-      for (const auto& [tree, annotated] : group->annotations) {
-        (void)tree;
-        annotated->check_consistency();
-      }
-    }
-  }
   for (const auto& [tree, state] : tree_states_) {
+    if (state.owned_annotated != nullptr) {
+      for (const AnnotatedPst& annotated : *state.owned_annotated) annotated.check_consistency();
+    }
     const CompiledTree* compiled = state.compiled.load(std::memory_order_acquire);
     if (compiled != nullptr && compiled->epoch != tree->epoch()) {
       throw std::logic_error("ContentRoutingNetwork: compiled tree is stale (epoch " +

@@ -26,27 +26,32 @@
 // the same as route()'s.
 //
 // Each PST (the single tree, or one per factoring bucket) is routed by one
-// of two kernels, chosen from how the tree is used:
-//   * compiled on first read: a tree is compiled the first time route()
-//     reads it after it changed — one CompiledPst shared by every broker,
-//     plus one CompiledAnnotation per broker holding that broker's
-//     spanning-tree groups — and searched with compiled_dispatch_into, the
-//     broker's allocation-free kernel. subscribe() only marks the tree;
-//     a burst of subscriptions costs one compile (compile_all() pays it
-//     up front, sharing the matcher's frozen kernel and building the
-//     brokers' annotations on several threads). A compile resolves each
-//     kernel subscriber's destination client once; every broker's rows
-//     then read dense client -> link tables, one per group;
-//   * incremental once churning: a tree mutated after it has been read
-//     switches, for good, to per-group AnnotatedPsts maintained spine by
-//     spine on every subscribe/unsubscribe and searched with link_match.
+// of two kernels, chosen from how the tree is used. Each is built at the
+// tree's first read by route(), or by compile_all(), never before: a
+// network that is never routed (the simulator's aggregate model) holds no
+// annotations.
+//   * compiled: one CompiledPst shared by every broker, plus one
+//     CompiledAnnotation per broker holding that broker's spanning-tree
+//     groups, searched with compiled_dispatch_into, the broker's
+//     allocation-free kernel. subscribe() only marks the tree; a burst of
+//     subscriptions costs one compile (compile_all() pays it up front,
+//     sharing the matcher's frozen kernel and building the brokers'
+//     annotations on several threads). A compile resolves each kernel
+//     subscriber's destination client once; every broker's rows then read
+//     dense client -> link tables, one per group;
+//   * incremental: per-group AnnotatedPsts, maintained spine by spine on
+//     every subscribe/unsubscribe once built and searched with link_match.
+//     A tree mutated after it has been read switches to it for good.
 //     Recompiling per change would cost a full compile of the tree and of
-//     every broker's annotation rows per operation (36-50 ms per op on the
-//     Figure 6 churn workload vs <= 0.2 ms for a spine update; see
-//     EXPERIMENTS.md).
+//     every broker's annotation rows per operation (compile_all of a
+//     4,000-subscription Figure 6 tree: 8-12 ms on 1 thread, 3-4 ms on 4)
+//     where a spine update costs 53-60 us per subscribe over 39 brokers;
+//     a per-hop route costs 0.6-0.7 us compiled and 4.8-5.4 us incremental
+//     (see EXPERIMENTS.md).
 // Both kernels produce the same links and the same step counts. The
 // compiled kernel is used only when the trees apply trivial-test
-// elimination, which CompiledPst always does structurally.
+// elimination, which CompiledPst always does structurally; without it
+// every tree is routed incrementally.
 //
 // Concurrency: any number of threads may call route() concurrently (each
 // searches with its own thread-local MatchScratch); subscribe() and
@@ -122,8 +127,8 @@ class ContentRoutingNetwork {
 
   /// Registers a subscription for `subscriber` network-wide: the shared PST
   /// is extended; a tree already read by route() switches to (or stays on)
-  /// incrementally maintained annotations, any other is compiled at its
-  /// next read.
+  /// incrementally maintained annotations, any other builds its form at
+  /// its next read.
   /// The network keeps `subscription` itself (its matcher's registry
   /// references it), not a copy.
   void subscribe(SubscriptionId id, SubscriptionRef subscription, ClientId subscriber);
@@ -179,12 +184,18 @@ class ContentRoutingNetwork {
   /// route().
   void compile_all(std::size_t threads = 1);
 
+  /// Freezes the shared matcher, so match() searches compiled kernels,
+  /// without building any routing annotation. Like subscribe(), must not
+  /// overlap route().
+  void freeze_matcher() { matcher_->freeze(); }
+
   /// How many trees each kernel currently serves (observability and test
   /// hook).
   struct KernelCounts {
     std::size_t compiled{0};     ///< compiled, current
-    std::size_t incremental{0};  ///< churning: AnnotatedPst + link_match
-    std::size_t pending{0};      ///< changed since created, not yet read
+    std::size_t incremental{0};  ///< AnnotatedPst + link_match (built or not)
+    std::size_t pending{0};      ///< compilable, not read since it changed
+    std::size_t annotated{0};    ///< holding annotations of either form
   };
   [[nodiscard]] KernelCounts kernel_counts() const;
 
@@ -219,22 +230,20 @@ class ContentRoutingNetwork {
   void check_consistency() const;
 
  private:
-  struct Group {
-    /// The spanning tree whose destination -> link map the group shares.
-    const SpanningTree* representative{nullptr};
-    SubscriptionLinkFn link_of;
-    /// Incremental annotations, for churning trees only.
-    std::unordered_map<const Pst*, std::unique_ptr<AnnotatedPst>> annotations;
-  };
   /// A broker's view of one spanning tree.
   struct RootView {
     std::size_t group{0};  // index into BrokerState::groups
-    TritVector init_mask;  // byte form, for link_match on churning trees
+    TritVector init_mask;  // byte form, for link_match on incremental trees
     std::vector<TritWord> packed_init_mask;  // the same mask, for the compiled kernel
   };
   struct BrokerState {
     std::size_t link_count{0};
-    std::vector<std::unique_ptr<Group>> groups;
+    /// One spanning tree per group (group_by_link_map): its destination ->
+    /// link map is the group's.
+    std::vector<const SpanningTree*> groups;
+    /// The broker's first group's index in a tree's incremental
+    /// annotations, which hold every broker's groups in broker order.
+    std::size_t first_group{0};
     std::vector<RootView> roots;  // by root_index_
     /// [group][client]: the link toward each client under each group, for
     /// the compiled annotation. Empty until the broker's first compile,
@@ -249,13 +258,21 @@ class ContentRoutingNetwork {
     std::shared_ptr<const CompiledPst> kernel;
     std::vector<CompiledAnnotation> annotations;  // by broker
   };
+  /// A tree's incremental form: one AnnotatedPst per (broker, group), at
+  /// BrokerState::first_group + group.
+  using AnnotatedTree = std::vector<AnnotatedPst>;
   struct TreeState {
-    /// Churning: routed by the per-group AnnotatedPsts, for good.
+    /// Routed by the incremental form, for good: the tree churned after a
+    /// read, or the trees skip trivial-test elimination.
     bool incremental{false};
-    /// The published compiled form; null until the first read. Written
-    /// under compile_mutex_ by route(), reset by subscribe/unsubscribe.
+    /// The published form of each kind; null until the tree's first read
+    /// (of its kind). Written under compile_mutex_ by route(); subscribe()
+    /// and unsubscribe() reset the compiled form and update the incremental
+    /// one.
     mutable std::atomic<const CompiledTree*> compiled{nullptr};
     mutable std::unique_ptr<const CompiledTree> owned;
+    mutable std::atomic<const AnnotatedTree*> annotated{nullptr};
+    mutable std::unique_ptr<AnnotatedTree> owned_annotated;
   };
 
   void apply_touched(const PstMatcher::TouchedTrees& touched);
@@ -265,6 +282,9 @@ class ContentRoutingNetwork {
   /// The compiled form route() searches `tree` with, compiled here on the
   /// tree's first read.
   const CompiledTree& compiled_for_read(const Pst& tree, const TreeState& state) const;
+  /// The incremental form route() searches `tree` with, built here on the
+  /// tree's first read as incremental.
+  const AnnotatedTree& annotated_for_read(const Pst& tree, const TreeState& state) const;
   /// Appends the Yes links of a packed refined mask to `links`.
   static void append_yes_links(PackedTritSpan mask, std::vector<LinkIndex>& links);
   /// Publishes `tree`'s compiled form around `kernel` (null: compile here),

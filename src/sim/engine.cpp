@@ -21,6 +21,10 @@ namespace gryphon {
 namespace {
 
 constexpr Ticks kNoPending = std::numeric_limits<Ticks>::max();
+/// Aggregate link matching: the modeled matching steps charged per port
+/// probed (each tree child plus the local clients) at every visited broker,
+/// in place of the exact mask-refinement count.
+constexpr std::uint64_t kAggregateProbeSteps = 1;
 
 struct PartitionStats {
   std::uint64_t broker_messages{0};
@@ -228,15 +232,13 @@ std::shared_ptr<const std::vector<std::uint32_t>> EngineRun::homes_for(
   // against the control-plane state of the current round.
   MatchStats stats;
   std::vector<SubscriptionId> subs;
-  inst_.matcher().match_into(inst_.events[event_index], subs, &stats);
+  inst_.crn->matcher().match_into(inst_.events[event_index], subs, &stats);
   *live_steps += stats.nodes_visited;
-  const SimInstance::TreeAux& aux = inst_.tree_aux.at(tree_root);
+  const SpanningTree& tree = inst_.crn->spanning_tree(tree_root);
   auto homes = std::make_shared<std::vector<std::uint32_t>>();
   homes->reserve(subs.size());
   for (const SubscriptionId id : subs) {
-    const ClientId dest = inst_.destination_of(id);
-    const BrokerId home = inst_.topo.network.client_home(dest);
-    homes->push_back(aux.pre[static_cast<std::size_t>(home.value)]);
+    homes->push_back(tree.pre(inst_.topo.network.client_home(inst_.crn->destination_of(id))));
   }
   std::sort(homes->begin(), homes->end());
   homes->erase(std::unique(homes->begin(), homes->end()), homes->end());
@@ -277,24 +279,24 @@ void EngineRun::decide(Partition& part, BrokerId broker, SimMessage& msg, Decisi
         if (!inst_.churn_enabled) d.steps += inst_.event_match_steps[msg.event_index];
         msg.homes = homes_for(msg.event_index, msg.tree_root, &d.steps);
       }
-      const SimInstance::TreeAux& aux = inst_.tree_aux.at(msg.tree_root);
+      const SpanningTree& tree = inst_.crn->spanning_tree(msg.tree_root);
       const std::vector<std::uint32_t>& homes = *msg.homes;
-      const auto& children = aux.children_ports[b];
-      d.steps += static_cast<std::uint64_t>(
-          costs.aggregate_probe_steps * static_cast<double>(children.size() + 1) + 0.5);
-      if (std::binary_search(homes.begin(), homes.end(), aux.pre[b])) {
+      const auto& children = tree.children(broker);
+      d.steps += kAggregateProbeSteps * (children.size() + 1);
+      if (std::binary_search(homes.begin(), homes.end(), tree.pre(broker))) {
         MatchStats stats;
         std::vector<SubscriptionId> matched;
         inst_.local_matchers[b]->match_into(event, matched, &stats);
         d.steps += stats.nodes_visited;
-        for (const SubscriptionId id : matched) d.local.push_back(inst_.destination_of(id));
+        for (const SubscriptionId id : matched) d.local.push_back(inst_.crn->destination_of(id));
         std::sort(d.local.begin(), d.local.end());
         d.local.erase(std::unique(d.local.begin(), d.local.end()), d.local.end());
       }
-      for (const auto& [child, port] : children) {
-        const auto c = static_cast<std::size_t>(child.value);
-        const auto it = std::lower_bound(homes.begin(), homes.end(), aux.pre[c]);
-        if (it != homes.end() && *it < aux.post[c]) d.forwards.emplace_back(port, msg);
+      for (const SpanningTree::Child& child : children) {
+        const auto it = std::lower_bound(homes.begin(), homes.end(), tree.pre(child.broker));
+        if (it != homes.end() && *it < tree.post(child.broker)) {
+          d.forwards.emplace_back(child.port, msg);
+        }
       }
       break;
     }
@@ -303,13 +305,12 @@ void EngineRun::decide(Partition& part, BrokerId broker, SimMessage& msg, Decisi
       std::vector<SubscriptionId> matched;
       inst_.local_matchers[b]->match_into(event, matched, &stats);
       d.steps = stats.nodes_visited;
-      for (const SubscriptionId id : matched) d.local.push_back(inst_.destination_of(id));
+      for (const SubscriptionId id : matched) d.local.push_back(inst_.crn->destination_of(id));
       std::sort(d.local.begin(), d.local.end());
       d.local.erase(std::unique(d.local.begin(), d.local.end()), d.local.end());
-      const SimInstance::TreeAux& aux = inst_.tree_aux.at(msg.tree_root);
-      for (const auto& [child, port] : aux.children_ports[b]) {
-        (void)child;
-        d.forwards.emplace_back(port, msg);
+      for (const SpanningTree::Child& child :
+           inst_.crn->spanning_tree(msg.tree_root).children(broker)) {
+        d.forwards.emplace_back(child.port, msg);
       }
       break;
     }
@@ -326,11 +327,13 @@ void EngineRun::decide(Partition& part, BrokerId broker, SimMessage& msg, Decisi
         } else {
           MatchStats stats;
           std::vector<SubscriptionId> subs;
-          inst_.matcher().match_into(event, subs, &stats);
+          inst_.crn->matcher().match_into(event, subs, &stats);
           d.steps = stats.nodes_visited;
           msg.dests.clear();
           msg.dests.reserve(subs.size());
-          for (const SubscriptionId id : subs) msg.dests.push_back(inst_.destination_of(id));
+          for (const SubscriptionId id : subs) {
+            msg.dests.push_back(inst_.crn->destination_of(id));
+          }
           std::sort(msg.dests.begin(), msg.dests.end());
           msg.dests.erase(std::unique(msg.dests.begin(), msg.dests.end()), msg.dests.end());
         }
@@ -341,7 +344,7 @@ void EngineRun::decide(Partition& part, BrokerId broker, SimMessage& msg, Decisi
       // Split the destination list by next hop (ordered map: the forward
       // emission order is part of the deterministic event order).
       std::map<LinkIndex::rep_type, std::vector<ClientId>> split;
-      const RoutingTable& routing = inst_.routing_table();
+      const RoutingTable& routing = inst_.crn->routing();
       for (const ClientId dest : *dests) {
         if (inst_.topo.network.client_home(dest) == broker) {
           d.local.push_back(dest);

@@ -5,7 +5,6 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "matching/pst_matcher.h"
@@ -14,8 +13,6 @@
 #include "sim/partitioning.h"
 #include "sim/sim_spec.h"
 #include "sim/simulation.h"
-#include "topology/routing_table.h"
-#include "topology/spanning_tree.h"
 
 namespace gryphon {
 
@@ -39,37 +36,29 @@ struct SimInstance {
   std::vector<Event> events;
   std::vector<PublishRecord> base_schedule;
   std::size_t event_payload_bytes{0};
-  /// True when the aggregate (scale) control plane is active.
+  /// True when link matching runs on the aggregate model: forwarding from
+  /// spanning-tree subtree membership of each event's matched home
+  /// brokers instead of per-broker annotation rows.
   bool aggregate{false};
 
-  // Exact control plane (nullptr under aggregate).
+  /// The control plane in every mode and protocol: routing table, one
+  /// spanning tree per publishing broker (`tree_roots`), the shared
+  /// matcher and the destination map. Under the aggregate model its
+  /// route() is never called, so it builds no annotations.
   std::unique_ptr<ContentRoutingNetwork> crn;
-  // Aggregate control plane (nullptr under exact; the exact plane exposes
-  // the same pieces through the CRN).
-  std::unique_ptr<RoutingTable> routing;
-  std::map<BrokerId, std::unique_ptr<SpanningTree>> trees;
-  std::unique_ptr<PstMatcher> shared_matcher;
-  std::unordered_map<SubscriptionId, ClientId> destinations;
+  std::vector<BrokerId> tree_roots;
 
   /// Per-broker matchers over local clients' subscriptions (flooding in
   /// both modes; link matching under aggregate). Empty otherwise.
   std::vector<std::unique_ptr<PstMatcher>> local_matchers;
 
-  /// Per-spanning-tree acceleration: resolved child ports, and (aggregate
-  /// only) DFS entry/exit indices for O(log n) subtree membership tests on
-  /// the matched-home lists.
-  struct TreeAux {
-    std::vector<std::vector<std::pair<BrokerId, LinkIndex>>> children_ports;
-    std::vector<std::uint32_t> pre, post;
-  };
-  std::map<BrokerId, TreeAux> tree_aux;
-
   // Per-event precompute. Empty when churn is enabled (the control plane
   // mutates mid-run, so publishers match live instead).
   std::vector<std::uint64_t> event_match_steps;       // central match steps per event
   std::vector<std::vector<ClientId>> event_dests;     // sorted unique destinations
-  /// Aggregate link matching: matched home brokers as sorted DFS indices of
-  /// the event's spanning tree, keyed (event, tree root).
+  /// Aggregate link matching: matched home brokers as sorted preorder
+  /// indices (SpanningTree::pre) of the event's spanning tree, keyed
+  /// (event, tree root).
   std::map<std::pair<std::uint32_t, BrokerId::rep_type>,
            std::shared_ptr<const std::vector<std::uint32_t>>>
       event_homes;
@@ -85,22 +74,9 @@ struct SimInstance {
   std::vector<std::vector<LinkChannel>> channels;  // [broker][port]
   std::uint64_t link_outages{0};
 
-  [[nodiscard]] const RoutingTable& routing_table() const {
-    return crn ? crn->routing() : *routing;
-  }
-  [[nodiscard]] const SpanningTree& tree(BrokerId root) const {
-    return crn ? crn->spanning_tree(root) : *trees.at(root);
-  }
-  [[nodiscard]] const PstMatcher& matcher() const {
-    return crn ? crn->matcher() : *shared_matcher;
-  }
-  [[nodiscard]] ClientId destination_of(SubscriptionId id) const {
-    return crn ? crn->destination_of(id) : destinations.at(id);
-  }
-
   /// Registers (removes) one subscription in every live control-plane
-  /// structure: the CRN or the shared matcher, and its home broker's local
-  /// matcher. The structures reference `sub`'s subscription.
+  /// structure: the CRN, and its home broker's local matcher. The
+  /// structures reference `sub`'s subscription.
   void add_to_control_plane(const SimSubscription& sub);
   void remove_from_control_plane(const SimSubscription& sub);
 

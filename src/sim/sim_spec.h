@@ -167,9 +167,6 @@ struct CostSpec {
   double base_cost_ticks{6.0};
   /// Match-first only: per-destination list handling cost at relays.
   double per_destination_cost_ticks{0.25};
-  /// Aggregate control plane only: modeled per-port probe steps charged at
-  /// each visited broker in place of the exact mask-refinement count.
-  double aggregate_probe_steps{1.0};
   /// Background load (Section 4.1): each broker additionally receives
   /// untracked messages at this Poisson rate (events/second), each burning
   /// `background_cost_ticks` of CPU and nothing else.
@@ -198,18 +195,26 @@ struct VerifySpec {
   double oracle_sample{0.0};
 };
 
+/// How link matching routes a hop. Every mode holds the same control
+/// plane (one ContentRoutingNetwork); the mode picks the link-matching
+/// model only, and both stay because each answers what the other cannot.
+/// Exact gives the paper's per-hop step counts but its annotation rows
+/// grow with brokers x kernel nodes x groups: 95 MiB at fattree-180
+/// (50,000 subscriptions), 1.8 GiB at waxman-500 with 50,000 of its
+/// 200,000, 340 MiB at wan-1000 with 40,000 of its 1,000,000. Aggregate
+/// builds no rows and reproduces the traffic (DESIGN.md, section 5).
 enum class ControlPlaneMode : std::uint8_t {
   /// kExact below its thresholds, kAggregate beyond them.
   kAuto = 0,
-  /// The full ContentRoutingNetwork: every broker holds annotated PSTs and
-  /// runs the paper's mask-refinement search per hop. Exact step counts;
-  /// memory and subscribe cost scale with brokers x subscriptions.
+  /// Every broker holds annotation rows for each tree an event reaches
+  /// and runs the paper's mask-refinement search per hop. Exact step
+  /// counts; memory and compile cost scale with brokers x subscriptions.
   kExact,
   /// Scale mode: the per-event match set is computed once (shared matcher)
   /// and link-matching forwarding is derived from spanning-tree subtree
   /// membership of the matched home brokers. Deliveries, messages, and
-  /// bytes are exact; per-hop matching steps are modeled
-  /// (SimResult::steps_exact == false).
+  /// bytes equal the exact model's on static subscriptions; per-hop
+  /// matching steps are modeled (SimResult::steps_exact == false).
   kAggregate,
 };
 

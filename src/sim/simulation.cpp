@@ -235,24 +235,13 @@ void build_control_plane(SimInstance& inst) {
   }
 
   // One spanning tree per broker that publishes (Section 3.2).
-  std::vector<BrokerId> roots = inst.publishers;
+  std::vector<BrokerId>& roots = inst.tree_roots;
+  roots = inst.publishers;
   for (const PublishRecord& record : inst.base_schedule) roots.push_back(record.broker);
   std::sort(roots.begin(), roots.end());
   roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
   if (roots.empty() && net.broker_count() > 0) roots.push_back(BrokerId{0});
-
-  // Static runs match the aggregate and per-broker matchers on frozen
-  // kernels; churn would stale every kernel they read.
-  const bool freeze = !inst.churn_enabled;
-  if (!inst.aggregate) {
-    inst.crn = std::make_unique<ContentRoutingNetwork>(net, inst.schema, roots, spec.matcher);
-  } else {
-    inst.routing = std::make_unique<RoutingTable>(net);
-    for (const BrokerId root : roots) {
-      inst.trees.emplace(root, std::make_unique<SpanningTree>(net, *inst.routing, root));
-    }
-    inst.shared_matcher = std::make_unique<PstMatcher>(inst.schema, spec.matcher);
-  }
+  inst.crn = std::make_unique<ContentRoutingNetwork>(net, inst.schema, roots, spec.matcher);
 
   const bool need_local = spec.protocol == Protocol::kFlooding ||
                           (spec.protocol == Protocol::kLinkMatching && inst.aggregate);
@@ -267,21 +256,18 @@ void build_control_plane(SimInstance& inst) {
     inst.local_matchers.resize(net.broker_count());
   }
 
+  // Static runs match the per-broker matchers, and under the aggregate
+  // model the shared one, on frozen kernels; churn would stale every kernel
+  // they read.
+  const bool freeze = !inst.churn_enabled;
   // Item 0 builds the shared control plane; item 1 + b builds broker b's
   // local matcher. Every item writes its own structures only.
   parallel_for(spec.engine.threads, 1 + local_subs.size(), [&](std::size_t item) {
     if (item == 0) {
-      if (inst.crn) {
-        for (const SimSubscription& sub : inst.subscriptions) {
-          inst.crn->subscribe(sub.id, sub.subscription.ref(), sub.subscriber);
-        }
-        return;
-      }
       for (const SimSubscription& sub : inst.subscriptions) {
-        inst.shared_matcher->add(sub.id, sub.subscription.ref());
-        inst.destinations[sub.id] = sub.subscriber;
+        inst.crn->subscribe(sub.id, sub.subscription.ref(), sub.subscriber);
       }
-      if (freeze) inst.shared_matcher->freeze();
+      if (freeze && inst.aggregate) inst.crn->freeze_matcher();
       return;
     }
     auto matcher = std::make_unique<PstMatcher>(inst.schema, spec.matcher);
@@ -291,46 +277,12 @@ void build_control_plane(SimInstance& inst) {
     if (freeze) matcher->freeze();
     inst.local_matchers[item - 1] = std::move(matcher);
   });
-  // Only link matching routes through the CRN: compile every tree now, so
-  // the cost lands in construction, not in the first run. The CRN's
-  // matcher is otherwise matched only in the oracle precompute, where
-  // walking beats compiling.
-  if (inst.crn && spec.protocol == Protocol::kLinkMatching) {
+  // Exact link matching routes through the CRN: compile every tree now, so
+  // the cost lands in construction, not in the first run. On the exact
+  // model the CRN's matcher is otherwise matched only in the oracle
+  // precompute, where walking beats compiling.
+  if (!inst.aggregate && spec.protocol == Protocol::kLinkMatching) {
     inst.crn->compile_all(spec.engine.threads);
-  }
-
-  // Per-tree acceleration: child ports for every broker, plus DFS pre/post
-  // indices (subtree membership tests for the aggregate link matcher).
-  for (const BrokerId root : roots) {
-    const SpanningTree& tree = inst.tree(root);
-    SimInstance::TreeAux aux;
-    const std::size_t n = net.broker_count();
-    aux.children_ports.resize(n);
-    for (std::size_t b = 0; b < n; ++b) {
-      const BrokerId broker{static_cast<std::int32_t>(b)};
-      for (const BrokerId child : tree.children(broker)) {
-        aux.children_ports[b].emplace_back(child, net.port_to_broker(broker, child));
-      }
-    }
-    aux.pre.assign(n, 0);
-    aux.post.assign(n, 0);
-    std::uint32_t counter = 0;
-    std::vector<std::pair<BrokerId, std::size_t>> stack{{root, 0}};
-    aux.pre[static_cast<std::size_t>(root.value)] = counter++;
-    while (!stack.empty()) {
-      auto& [broker, next] = stack.back();
-      const auto b = static_cast<std::size_t>(broker.value);
-      if (next < aux.children_ports[b].size()) {
-        const BrokerId child = aux.children_ports[b][next].first;
-        ++next;
-        aux.pre[static_cast<std::size_t>(child.value)] = counter++;
-        stack.emplace_back(child, 0);
-      } else {
-        aux.post[b] = counter;
-        stack.pop_back();
-      }
-    }
-    inst.tree_aux.emplace(root, std::move(aux));
   }
 }
 
@@ -425,7 +377,7 @@ void build_oracle_and_precompute(SimInstance& inst) {
   inst.event_match_steps.assign(count, 0);
   inst.event_dests.resize(count);
   // Aggregate link matching: per event, the matched homes of each tree in
-  // tree_aux order.
+  // tree_roots order.
   using Homes = std::shared_ptr<const std::vector<std::uint32_t>>;
   std::vector<std::vector<Homes>> event_homes(lm_aggregate ? count : 0);
 
@@ -435,23 +387,23 @@ void build_oracle_and_precompute(SimInstance& inst) {
     if (!need_all && !selected) return;
     std::vector<SubscriptionId> matched;
     MatchStats stats;
-    inst.matcher().match_into(inst.events[e], matched, &stats);
+    inst.crn->matcher().match_into(inst.events[e], matched, &stats);
     inst.event_match_steps[e] = stats.nodes_visited;
 
     std::vector<ClientId>& dests = inst.event_dests[e];
     dests.reserve(matched.size());
-    for (const SubscriptionId id : matched) dests.push_back(inst.destination_of(id));
+    for (const SubscriptionId id : matched) dests.push_back(inst.crn->destination_of(id));
     std::sort(dests.begin(), dests.end());
     dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
 
     if (lm_aggregate) {
-      event_homes[e].reserve(inst.tree_aux.size());
-      for (const auto& [root, aux] : inst.tree_aux) {
+      event_homes[e].reserve(inst.tree_roots.size());
+      for (const BrokerId root : inst.tree_roots) {
+        const SpanningTree& tree = inst.crn->spanning_tree(root);
         auto homes = std::make_shared<std::vector<std::uint32_t>>();
         homes->reserve(dests.size());
         for (const ClientId dest : dests) {
-          const BrokerId home = inst.topo.network.client_home(dest);
-          homes->push_back(aux.pre[static_cast<std::size_t>(home.value)]);
+          homes->push_back(tree.pre(inst.topo.network.client_home(dest)));
         }
         std::sort(homes->begin(), homes->end());
         homes->erase(std::unique(homes->begin(), homes->end()), homes->end());
@@ -466,9 +418,9 @@ void build_oracle_and_precompute(SimInstance& inst) {
     }
     if (event_homes.empty() || event_homes[e].empty()) continue;
     auto homes = event_homes[e].begin();
-    for (const auto& entry : inst.tree_aux) {
-      inst.event_homes.emplace(
-          std::make_pair(static_cast<std::uint32_t>(e), entry.first.value), std::move(*homes++));
+    for (const BrokerId root : inst.tree_roots) {
+      inst.event_homes.emplace(std::make_pair(static_cast<std::uint32_t>(e), root.value),
+                               std::move(*homes++));
     }
   }
 }
@@ -517,12 +469,7 @@ std::unique_ptr<SimInstance> build_instance(SimSpec spec) {
 }  // namespace
 
 void SimInstance::add_to_control_plane(const SimSubscription& sub) {
-  if (crn) {
-    crn->subscribe(sub.id, sub.subscription.ref(), sub.subscriber);
-  } else {
-    shared_matcher->add(sub.id, sub.subscription.ref());
-    destinations[sub.id] = sub.subscriber;
-  }
+  crn->subscribe(sub.id, sub.subscription.ref(), sub.subscriber);
   if (!local_matchers.empty()) {
     const auto home = static_cast<std::size_t>(topo.network.client_home(sub.subscriber).value);
     local_matchers[home]->add(sub.id, sub.subscription.ref());
@@ -530,12 +477,7 @@ void SimInstance::add_to_control_plane(const SimSubscription& sub) {
 }
 
 void SimInstance::remove_from_control_plane(const SimSubscription& sub) {
-  if (crn) {
-    crn->unsubscribe(sub.id);
-  } else {
-    shared_matcher->remove(sub.id);
-    destinations.erase(sub.id);
-  }
+  crn->unsubscribe(sub.id);
   if (!local_matchers.empty()) {
     const auto home = static_cast<std::size_t>(topo.network.client_home(sub.subscriber).value);
     local_matchers[home]->remove(sub.id);
@@ -650,11 +592,11 @@ SimMemory Simulation::memory() const {
     memory.trees += matcher.tree_bytes();
     memory.kernels += matcher.kernel_bytes();
   };
-  add_matcher(inst_->matcher());
+  add_matcher(inst_->crn->matcher());
   for (const auto& local : inst_->local_matchers) add_matcher(*local);
   memory.subscriptions_floor = one_copy + references;
   memory.subscriptions = memory.subscriptions_floor + copies;
-  if (inst_->crn) memory.annotations = inst_->crn->annotation_bytes();
+  memory.annotations = inst_->crn->annotation_bytes();
   return memory;
 }
 

@@ -1,5 +1,7 @@
 #include "topology/spanning_tree.h"
 
+#include <limits>
+#include <map>
 #include <stdexcept>
 
 namespace gryphon {
@@ -12,13 +14,10 @@ SpanningTree::SpanningTree(const BrokerNetwork& network, const RoutingTable& rou
   }
   parent_.assign(n_, BrokerId{});
   children_.assign(n_, {});
-  depth_.assign(n_, -1);
-  next_hop_.assign(n_ * n_, LinkIndex{});
 
   // Parent of b = predecessor of b on the shortest path root -> b, found by
   // walking next hops from the root. Deterministic tie-breaking in the
   // routing table makes every walk consistent.
-  depth_[static_cast<std::size_t>(root.value)] = 0;
   for (std::size_t i = 0; i < n_; ++i) {
     const BrokerId b{static_cast<BrokerId::rep_type>(i)};
     if (b == root || !routing.reachable(root, b)) continue;
@@ -35,93 +34,96 @@ SpanningTree::SpanningTree(const BrokerNetwork& network, const RoutingTable& rou
       }
     }
     parent_[i] = prev;
-    children_[static_cast<std::size_t>(prev.value)].push_back(b);
+    children_[static_cast<std::size_t>(prev.value)].push_back(
+        Child{b, network.port_to_broker(prev, b)});
   }
 
-  // Depths (parents form a DAG toward the root, so iterate until fixed).
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (depth_[i] >= 0 || !parent_[i].valid()) continue;
-      const int pd = depth_[static_cast<std::size_t>(parent_[i].value)];
-      if (pd >= 0) {
-        depth_[i] = pd + 1;
-        progress = true;
+  // One depth-first walk from the root: preorder on entry (depth from the
+  // parent), subtree end and subtree client count on exit. Unreachable
+  // brokers keep depth -1 and an empty subtree interval that no preorder
+  // index falls in.
+  depth_.assign(n_, -1);
+  pre_.assign(n_, std::numeric_limits<std::uint32_t>::max());
+  post_.assign(n_, 0);
+  std::vector<BrokerId> by_pre;  // preorder index -> broker
+  by_pre.reserve(n_);
+  std::vector<std::size_t> subtree_clients(n_, 0);
+  std::vector<std::pair<BrokerId, std::size_t>> stack{{root, 0}};  // broker, next child
+  depth_[static_cast<std::size_t>(root.value)] = 0;
+  pre_[static_cast<std::size_t>(root.value)] = 0;
+  by_pre.push_back(root);
+  while (!stack.empty()) {
+    auto& [broker, next] = stack.back();
+    const auto b = static_cast<std::size_t>(broker.value);
+    if (next < children_[b].size()) {
+      const auto c = static_cast<std::size_t>(children_[b][next++].broker.value);
+      depth_[c] = depth_[b] + 1;
+      pre_[c] = static_cast<std::uint32_t>(by_pre.size());
+      by_pre.push_back(BrokerId{static_cast<BrokerId::rep_type>(c)});
+      stack.emplace_back(by_pre.back(), 0);
+      continue;
+    }
+    post_[b] = static_cast<std::uint32_t>(by_pre.size());
+    subtree_clients[b] += network.clients_of(broker).size();
+    if (parent_[b].valid()) {
+      subtree_clients[static_cast<std::size_t>(parent_[b].value)] += subtree_clients[b];
+    }
+    stack.pop_back();
+  }
+
+  // Tree next hops: the parent port by default (invalid at the root and at
+  // unreachable brokers), the port toward the child whose subtree holds the
+  // destination otherwise; unreachable destinations stay invalid.
+  next_hop_.assign(n_ * n_, LinkIndex{});
+  for (std::size_t x = 0; x < n_; ++x) {
+    const BrokerId from{static_cast<BrokerId::rep_type>(x)};
+    LinkIndex* row = next_hop_.data() + x * n_;
+    if (parent_[x].valid()) {
+      const LinkIndex up = network.port_to_broker(from, parent_[x]);
+      for (const BrokerId dest : by_pre) row[static_cast<std::size_t>(dest.value)] = up;
+    }
+    for (const Child& child : children_[x]) {
+      const auto c = static_cast<std::size_t>(child.broker.value);
+      for (std::uint32_t i = pre_[c]; i < post_[c]; ++i) {
+        row[static_cast<std::size_t>(by_pre[i].value)] = child.port;
       }
     }
-  }
-
-  // Tree next hops: default to the parent port; overwrite along each
-  // root-to-destination chain with the downward port.
-  std::vector<LinkIndex> parent_port(n_, LinkIndex{});
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (parent_[i].valid()) {
-      parent_port[i] = network.port_to_broker(BrokerId{static_cast<BrokerId::rep_type>(i)},
-                                              parent_[i]);
-    }
-  }
-  for (std::size_t d = 0; d < n_; ++d) {
-    const BrokerId dest{static_cast<BrokerId::rep_type>(d)};
-    if (depth_[d] < 0) continue;  // unreachable: leave invalid
-    for (std::size_t x = 0; x < n_; ++x) {
-      if (x != d) next_hop_[x * n_ + d] = parent_port[x];
-    }
-    BrokerId below = dest;
-    BrokerId above = parent_[d];
-    while (above.valid()) {
-      next_hop_[static_cast<std::size_t>(above.value) * n_ + d] =
-          network.port_to_broker(above, below);
-      below = above;
-      above = parent_[static_cast<std::size_t>(above.value)];
-    }
+    row[x] = LinkIndex{};
   }
 
   // Downstream client counts per port.
-  std::vector<std::size_t> subtree_clients(n_, 0);
-  // Accumulate each broker's local clients up its ancestor chain.
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (depth_[i] < 0) continue;
-    const std::size_t local = network.clients_of(BrokerId{static_cast<BrokerId::rep_type>(i)})
-                                  .size();
-    BrokerId walk{static_cast<BrokerId::rep_type>(i)};
-    while (walk.valid()) {
-      subtree_clients[static_cast<std::size_t>(walk.value)] += local;
-      walk = parent_[static_cast<std::size_t>(walk.value)];
-    }
-  }
   downstream_clients_.assign(n_, {});
   for (std::size_t i = 0; i < n_; ++i) {
-    const BrokerId b{static_cast<BrokerId::rep_type>(i)};
-    const auto& ports = network.ports(b);
+    const auto& ports = network.ports(BrokerId{static_cast<BrokerId::rep_type>(i)});
     downstream_clients_[i].assign(ports.size(), 0);
     for (std::size_t pi = 0; pi < ports.size(); ++pi) {
-      const auto& port = ports[pi];
-      if (port.kind == BrokerNetwork::PortKind::kClient) {
-        downstream_clients_[i][pi] = 1;
-      } else {
-        const BrokerId peer = port.peer_broker;
-        if (parent_[static_cast<std::size_t>(peer.value)] == b) {
-          downstream_clients_[i][pi] = subtree_clients[static_cast<std::size_t>(peer.value)];
-        }
-      }
+      if (ports[pi].kind == BrokerNetwork::PortKind::kClient) downstream_clients_[i][pi] = 1;
+    }
+    for (const Child& child : children_[i]) {
+      downstream_clients_[i][static_cast<std::size_t>(child.port.value)] =
+          subtree_clients[static_cast<std::size_t>(child.broker.value)];
     }
   }
-}
-
-bool SpanningTree::is_descendant(BrokerId descendant, BrokerId ancestor) const {
-  BrokerId walk = descendant;
-  while (walk.valid()) {
-    if (walk == ancestor) return true;
-    walk = parent_[static_cast<std::size_t>(walk.value)];
-  }
-  return false;
 }
 
 LinkIndex SpanningTree::tree_next_hop_to_client(BrokerId from, ClientId client) const {
   const BrokerId home = network_->client_home(client);
   if (home == from) return network_->client_port(client);
   return tree_next_hop(from, home);
+}
+
+std::vector<std::size_t> group_by_link_map(BrokerId broker,
+                                           std::span<const SpanningTree* const> trees) {
+  std::vector<std::size_t> group_of;
+  group_of.reserve(trees.size());
+  std::map<std::vector<LinkIndex::rep_type>, std::size_t> by_map;
+  std::vector<LinkIndex::rep_type> map;
+  for (const SpanningTree* tree : trees) {
+    map.clear();
+    for (const LinkIndex link : tree->next_hops(broker)) map.push_back(link.value);
+    group_of.push_back(by_map.try_emplace(map, by_map.size()).first->second);
+  }
+  return group_of;
 }
 
 }  // namespace gryphon

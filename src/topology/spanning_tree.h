@@ -6,6 +6,8 @@
 // which coincides with "events always follow the shortest path".
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -16,6 +18,12 @@ namespace gryphon {
 
 class SpanningTree {
  public:
+  /// A tree child of a broker and the broker's port toward it.
+  struct Child {
+    BrokerId broker;
+    LinkIndex port;
+  };
+
   /// Builds the shortest-path tree of `routing` rooted at `root`.
   SpanningTree(const BrokerNetwork& network, const RoutingTable& routing, BrokerId root);
 
@@ -26,13 +34,30 @@ class SpanningTree {
     return parent_[static_cast<std::size_t>(broker.value)];
   }
 
-  [[nodiscard]] const std::vector<BrokerId>& children(BrokerId broker) const {
+  /// Tree children in increasing broker id, with the ports toward them.
+  [[nodiscard]] const std::vector<Child>& children(BrokerId broker) const {
     return children_[static_cast<std::size_t>(broker.value)];
+  }
+
+  /// Depth-first preorder index of a reachable broker (the root is 0;
+  /// children are visited in children() order; UINT32_MAX when
+  /// unreachable). A broker's subtree holds exactly the brokers whose
+  /// preorder index lies in [pre, post).
+  [[nodiscard]] std::uint32_t pre(BrokerId broker) const {
+    return pre_[static_cast<std::size_t>(broker.value)];
+  }
+  /// One past the largest preorder index in the broker's subtree (0 for an
+  /// unreachable broker, whose subtree interval is empty).
+  [[nodiscard]] std::uint32_t post(BrokerId broker) const {
+    return post_[static_cast<std::size_t>(broker.value)];
   }
 
   /// True when `descendant` lies in the subtree rooted at `ancestor`
   /// (a broker is its own descendant).
-  [[nodiscard]] bool is_descendant(BrokerId descendant, BrokerId ancestor) const;
+  [[nodiscard]] bool is_descendant(BrokerId descendant, BrokerId ancestor) const {
+    const std::uint32_t at = pre(descendant);
+    return descendant == ancestor || (pre(ancestor) <= at && at < post(ancestor));
+  }
 
   /// The port on `from` that is the first hop of the tree path from `from`
   /// to `dest`. This is the per-tree destination-to-link map used both to
@@ -42,6 +67,12 @@ class SpanningTree {
   [[nodiscard]] LinkIndex tree_next_hop(BrokerId from, BrokerId dest) const {
     return next_hop_[static_cast<std::size_t>(from.value) * n_ +
                      static_cast<std::size_t>(dest.value)];
+  }
+
+  /// tree_next_hop(from, d) for every broker d, indexed by d: the tree's
+  /// destination -> link map at `from`.
+  [[nodiscard]] std::span<const LinkIndex> next_hops(BrokerId from) const {
+    return {next_hop_.data() + static_cast<std::size_t>(from.value) * n_, n_};
   }
 
   /// As tree_next_hop but for a client destination (client port when local).
@@ -66,10 +97,18 @@ class SpanningTree {
   BrokerId root_;
   std::size_t n_{0};
   std::vector<BrokerId> parent_;
-  std::vector<std::vector<BrokerId>> children_;
+  std::vector<std::vector<Child>> children_;
   std::vector<int> depth_;
+  std::vector<std::uint32_t> pre_, post_;
   std::vector<LinkIndex> next_hop_;  // n x n first tree hop
   std::vector<std::vector<std::size_t>> downstream_clients_;  // per broker, per port
 };
+
+/// The "virtual links" of the paper's footnote 1: at `broker`, spanning
+/// trees that send every destination broker through the same link can
+/// share one annotation. Returns each tree's group index, numbered in
+/// order of first appearance, so a group's first tree represents it.
+[[nodiscard]] std::vector<std::size_t> group_by_link_map(
+    BrokerId broker, std::span<const SpanningTree* const> trees);
 
 }  // namespace gryphon

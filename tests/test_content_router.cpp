@@ -143,6 +143,17 @@ TEST_F(ContentRouterLineTest, UnknownRootThrows) {
                std::invalid_argument);
 }
 
+TEST_F(ContentRouterLineTest, UnknownBrokerThrows) {
+  const Event event = ev(schema_, {0, 0, 0, 0});
+  std::vector<LinkIndex> links;
+  for (const BrokerId broker : {BrokerId{3}, BrokerId{-1}}) {
+    EXPECT_THROW(crn_.route(broker, event, BrokerId{0}), std::invalid_argument);
+    EXPECT_THROW(crn_.route_into(broker, event, BrokerId{0}, links), std::invalid_argument);
+    const EventRoute route = crn_.prepare(event);
+    EXPECT_THROW(crn_.route_into(broker, route, BrokerId{0}, links), std::invalid_argument);
+  }
+}
+
 TEST_F(ContentRouterLineTest, PreparedRouteIsCheckedForStalenessAndRoots) {
   const ClientId far_client = net_.clients_of(BrokerId{2})[1];
   crn_.subscribe(SubscriptionId{1}, sub_eq(schema_, {0, -1, -1, -1}), far_client);

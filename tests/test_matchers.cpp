@@ -1,4 +1,4 @@
-// Cross-checks the three matcher implementations against each other and
+// Cross-checks the matcher implementations against each other and
 // against brute-force predicate evaluation on randomized workloads.
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "common/rng.h"
-#include "matching/gating_matcher.h"
 #include "matching/naive_matcher.h"
 #include "matching/pst_matcher.h"
 #include "workload/generators.h"
@@ -14,12 +13,12 @@
 namespace gryphon {
 namespace {
 
-enum class Kind { kNaive, kGating, kPst, kPstFactored };
+// Explicit values: the parameterized test names print them.
+enum class Kind { kNaive = 0, kPst = 2, kPstFactored = 3 };
 
 std::unique_ptr<Matcher> make_matcher(Kind kind, const SchemaPtr& schema) {
   switch (kind) {
     case Kind::kNaive: return std::make_unique<NaiveMatcher>();
-    case Kind::kGating: return std::make_unique<GatingMatcher>(schema);
     case Kind::kPst: return std::make_unique<PstMatcher>(schema);
     case Kind::kPstFactored: {
       PstMatcherOptions options;
@@ -96,12 +95,10 @@ TEST_P(MatcherParity, RangeSubscriptionsSupported) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMatchers, MatcherParity,
-                         ::testing::Values(Kind::kNaive, Kind::kGating, Kind::kPst,
-                                           Kind::kPstFactored),
+                         ::testing::Values(Kind::kNaive, Kind::kPst, Kind::kPstFactored),
                          [](const auto& info) {
                            switch (info.param) {
                              case Kind::kNaive: return "Naive";
-                             case Kind::kGating: return "Gating";
                              case Kind::kPst: return "Pst";
                              case Kind::kPstFactored: return "PstFactored";
                            }
@@ -131,48 +128,6 @@ TEST(PstVsNaiveCost, TreeBeatsScanOnSelectiveWorkloads) {
   }
   // The PST visits far fewer nodes than the scan visits subscriptions.
   EXPECT_LT(pst_stats.nodes_visited * 2, naive_stats.nodes_visited);
-}
-
-TEST(GatingMatcher, UsesEqualityIndexWhenAvailable) {
-  const auto schema = make_synthetic_schema(4, 4);
-  GatingMatcher matcher(schema);
-  // 100 subscriptions pinned to a1 values; events probe one value.
-  for (std::int64_t i = 0; i < 100; ++i) {
-    std::vector<AttributeTest> tests(4);
-    tests[0] = AttributeTest::equals(Value(static_cast<int>(i % 4)));
-    matcher.add(SubscriptionId{i}, Subscription(schema, tests));
-  }
-  MatchStats stats;
-  std::vector<SubscriptionId> out;
-  matcher.match_into(Event(schema, {Value(0), Value(0), Value(0), Value(0)}), out, &stats);
-  EXPECT_EQ(out.size(), 25u);
-  // Only the 25 gated candidates had residuals evaluated.
-  EXPECT_EQ(stats.nodes_visited, 25u);
-}
-
-TEST(GatingMatcher, MatchAllSubscriptionsAlwaysEvaluated) {
-  const auto schema = make_synthetic_schema(3, 3);
-  GatingMatcher matcher(schema);
-  matcher.add(SubscriptionId{1}, Subscription::match_all(schema));
-  std::vector<SubscriptionId> out;
-  matcher.match_into(Event(schema, {Value(0), Value(1), Value(2)}), out);
-  EXPECT_EQ(out, (std::vector<SubscriptionId>{SubscriptionId{1}}));
-}
-
-TEST(GatingMatcher, RangeGateFallsBackToScanList) {
-  const auto schema = make_synthetic_schema(3, 4);
-  GatingMatcher matcher(schema);
-  std::vector<AttributeTest> tests(3);
-  tests[1] = AttributeTest::greater_than(Value(1));
-  matcher.add(SubscriptionId{9}, Subscription(schema, tests));
-  std::vector<SubscriptionId> out;
-  matcher.match_into(Event(schema, {Value(0), Value(2), Value(0)}), out);
-  EXPECT_EQ(out, (std::vector<SubscriptionId>{SubscriptionId{9}}));
-  out.clear();
-  matcher.match_into(Event(schema, {Value(0), Value(1), Value(0)}), out);
-  EXPECT_TRUE(out.empty());
-  EXPECT_TRUE(matcher.remove(SubscriptionId{9}));
-  EXPECT_EQ(matcher.subscription_count(), 0u);
 }
 
 // Memory accounting: the registry counts at least each subscription's

@@ -57,7 +57,7 @@ TEST(ParallelEngine, BucketTreesCreatedMidRunCompileOnEngineThreads) {
 }
 
 TEST(ParallelEngine, SharedAggregatePlaneIsReadOnlyAcrossWorkers) {
-  // The aggregate control plane shares one matcher and destination map
+  // The aggregate model shares the routing network's matcher and destination map
   // across partitions; tsan must see only reads after construction.
   SimSpec spec;
   spec.seed = 32;

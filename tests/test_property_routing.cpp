@@ -169,6 +169,7 @@ TEST_P(RoutingProperty, RoutesMatchLinkMatchInEveryTreeState) {
   }
   EXPECT_EQ(crn.kernel_counts().compiled, 0u);
   EXPECT_EQ(crn.kernel_counts().incremental, 0u);
+  EXPECT_EQ(crn.kernel_counts().annotated, 0u);
 
   // A twin compiled up front, as the simulator builds it: compile_all()
   // routes every tree on the very kernel its freeze() left in the shared
@@ -222,7 +223,8 @@ TEST_P(RoutingProperty, RoutesMatchLinkMatchInEveryTreeState) {
 TEST(RoutingKernels, WithoutTrivialTestEliminationEveryTreeStaysIncremental) {
   // The compiled kernel always collapses star chains, which changes the
   // step count when trivial-test elimination is off: such trees must be
-  // routed by link_match from their first subscription on.
+  // routed by link_match from their first subscription on, from
+  // annotations built at their first read and not before.
   const Params params{3, false, 0};
   Rng rng(params.seed);
   const RandomNetwork network = make_network(params, rng);
@@ -235,9 +237,12 @@ TEST(RoutingKernels, WithoutTrivialTestEliminationEveryTreeStaysIncremental) {
                   ClientId{static_cast<ClientId::rep_type>(rng.below(network.net.client_count()))});
   }
   crn.compile_all();
+  EXPECT_EQ(crn.kernel_counts().incremental, 1u);
+  EXPECT_EQ(crn.kernel_counts().annotated, 0u);
   expect_routes_match_reference(crn, network.roots, rng, 10, "no trivial-test elimination");
   EXPECT_EQ(crn.kernel_counts().compiled, 0u);
   EXPECT_EQ(crn.kernel_counts().incremental, 1u);
+  EXPECT_EQ(crn.kernel_counts().annotated, 1u);
   crn.check_consistency();
 }
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "routing/content_router.h"
 #include "sim/simulation.h"
 
 namespace gryphon {
@@ -170,6 +171,109 @@ TEST(EngineControlPlane, AggregateMatchesExactTrafficOnLinkMatching) {
   EXPECT_EQ(a.duplicate_link_copies, 0u);
   EXPECT_TRUE(e.steps_exact);
   EXPECT_FALSE(a.steps_exact);
+}
+
+// Flooding and match-first route without link matching, so the control
+// plane's mode must not change a single outcome field.
+TEST(EngineControlPlane, AggregateEqualsExactOnFloodingAndMatchFirst) {
+  for (const Protocol protocol : {Protocol::kFlooding, Protocol::kMatchFirst}) {
+    for (const bool dynamics : {false, true}) {
+      SimSpec exact = figure6_spec(8);
+      exact.protocol = protocol;
+      if (dynamics) {
+        exact.workload.churn_rate_eps = 100.0;
+        exact.workload.link_mtbf_seconds = 0.5;
+        exact.workload.link_mttr_seconds = 0.2;
+      }
+      exact.engine.control_plane = ControlPlaneMode::kExact;
+      SimSpec aggregate = exact;
+      aggregate.engine.control_plane = ControlPlaneMode::kAggregate;
+      const SimResult e = simulate(exact);
+      const SimResult a = simulate(aggregate);
+      EXPECT_STREQ(a.control_plane, "aggregate");
+      EXPECT_TRUE(a.steps_exact);
+      EXPECT_TRUE(same_outcome(e, a)) << to_string(protocol) << (dynamics ? " dynamics" : "");
+      EXPECT_GT(e.deliveries, 0u);
+    }
+  }
+}
+
+/// Link matching under both control planes: identical traffic, no oracle
+/// misses on either.
+void expect_same_link_matching_traffic(const SimSpec& spec) {
+  SimSpec exact = spec;
+  exact.protocol = Protocol::kLinkMatching;
+  exact.engine.control_plane = ControlPlaneMode::kExact;
+  SimSpec aggregate = exact;
+  aggregate.engine.control_plane = ControlPlaneMode::kAggregate;
+  const SimResult e = simulate(exact);
+  const SimResult a = simulate(aggregate);
+  EXPECT_GT(e.deliveries, 0u);
+  EXPECT_EQ(a.deliveries, e.deliveries);
+  EXPECT_EQ(a.broker_messages, e.broker_messages);
+  EXPECT_EQ(a.client_messages, e.client_messages);
+  EXPECT_EQ(a.bytes_on_wire, e.bytes_on_wire);
+  EXPECT_EQ(a.churn_subscribes, e.churn_subscribes);
+  EXPECT_EQ(a.link_outages, e.link_outages);
+  for (const SimResult* r : {&e, &a}) {
+    EXPECT_EQ(r->missing_deliveries, 0u) << r->control_plane;
+    EXPECT_EQ(r->spurious_deliveries, 0u) << r->control_plane;
+    EXPECT_EQ(r->duplicate_deliveries, 0u) << r->control_plane;
+    EXPECT_EQ(r->duplicate_link_copies, 0u) << r->control_plane;
+  }
+}
+
+TEST(EngineControlPlane, AggregateMatchesExactTrafficUnderLinkFaults) {
+  SimSpec spec = figure6_spec(11);
+  spec.workload.link_mtbf_seconds = 0.5;
+  spec.workload.link_mttr_seconds = 0.2;
+  spec.limits.drain_limit = ticks_from_seconds(120);
+  expect_same_link_matching_traffic(spec);
+  EXPECT_GT(simulate(spec).link_outages, 0u);
+}
+
+// Under churn the aggregate plane fixes an event's matched homes when it is
+// published, while the exact plane routes every hop against the live
+// subscriptions, so their traffic may differ. Each must still reproduce
+// itself across runs (churn is rolled back) and thread counts.
+TEST(EngineControlPlane, AggregatePlaneUnderChurnIsRepeatable) {
+  SimSpec spec = figure6_spec(11);
+  spec.workload.churn_rate_eps = 100.0;
+  spec.workload.link_mtbf_seconds = 0.5;
+  spec.workload.link_mttr_seconds = 0.2;
+  spec.limits.drain_limit = ticks_from_seconds(120);
+  spec.engine.control_plane = ControlPlaneMode::kAggregate;
+  Simulation sim(spec);
+  const SimResult first = sim.run();
+  EXPECT_GT(first.churn_subscribes + first.churn_unsubscribes, 0u);
+  EXPECT_GT(first.link_outages, 0u);
+  EXPECT_TRUE(same_outcome(first, sim.run()));
+  spec.engine.threads = 3;
+  EXPECT_TRUE(same_outcome(first, simulate(spec)));
+}
+
+TEST(EngineControlPlane, AggregateMatchesExactTrafficWhenBrokersHoldSeveralGroups) {
+  // Lateral links give the publishers' spanning trees different
+  // destination -> link maps at some brokers (several annotation groups).
+  SimSpec spec = figure6_spec(12);
+  spec.topology.kind = TopologyKind::kRandomTree;
+  spec.topology.brokers = 16;
+  spec.topology.clients_per_broker = 3;
+  spec.topology.min_delay_ms = 2.0;
+  spec.topology.max_delay_ms = 20.0;
+  spec.topology.extra_links = 6;
+  spec.workload.publishers = 4;
+  const Simulation sim(spec);
+  const ContentRoutingNetwork crn(sim.network(), make_synthetic_schema(spec.attributes,
+                                                                       spec.values_per_attribute),
+                                  sim.publishers());
+  std::size_t most_groups = 0;
+  for (std::size_t b = 0; b < sim.network().broker_count(); ++b) {
+    most_groups = std::max(most_groups,
+                           crn.annotation_group_count(BrokerId{static_cast<BrokerId::rep_type>(b)}));
+  }
+  EXPECT_GT(most_groups, 1u);
+  expect_same_link_matching_traffic(spec);
 }
 
 TEST(EngineControlPlane, AutoSwitchesOnThresholds) {

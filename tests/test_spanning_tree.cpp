@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "sim/sim_spec.h"
 #include "topology/builders.h"
 
 namespace gryphon {
@@ -19,7 +20,9 @@ TEST(SpanningTree, LineRootedAtEnd) {
   EXPECT_EQ(tree.parent(BrokerId{3}), BrokerId{2});
   EXPECT_EQ(tree.depth(BrokerId{0}), 0);
   EXPECT_EQ(tree.depth(BrokerId{3}), 3);
-  EXPECT_EQ(tree.children(BrokerId{1}), (std::vector<BrokerId>{BrokerId{2}}));
+  ASSERT_EQ(tree.children(BrokerId{1}).size(), 1u);
+  EXPECT_EQ(tree.children(BrokerId{1})[0].broker, BrokerId{2});
+  EXPECT_EQ(tree.children(BrokerId{1})[0].port, net.port_to_broker(BrokerId{1}, BrokerId{2}));
   EXPECT_TRUE(tree.children(BrokerId{3}).empty());
 }
 
@@ -126,6 +129,52 @@ TEST(SpanningTree, RandomTreeParentsFollowUniquePaths) {
     const auto hop = routing.next_hop(broker, BrokerId{5});
     const auto& port = net.ports(broker)[static_cast<std::size_t>(hop.value)];
     EXPECT_EQ(tree.parent(broker), port.peer_broker);
+  }
+}
+
+// is_descendant against the definition (a walk up the parent chain), for
+// every (descendant, ancestor) pair under several roots of a small network
+// from each generated topology family.
+TEST(SpanningTree, DescendantQueriesEqualParentWalksOnEveryFamily) {
+  const auto walk_reaches = [](const SpanningTree& tree, BrokerId from, BrokerId ancestor) {
+    for (BrokerId at = from; at.valid(); at = tree.parent(at)) {
+      if (at == ancestor) return true;
+    }
+    return false;
+  };
+  std::vector<TopologySpec> specs;
+  for (const TopologyKind kind :
+       {TopologyKind::kFigure6, TopologyKind::kLine, TopologyKind::kStar,
+        TopologyKind::kRandomTree, TopologyKind::kFatTree, TopologyKind::kWaxman,
+        TopologyKind::kWan}) {
+    TopologySpec spec;
+    spec.kind = kind;
+    spec.brokers = 12;
+    spec.clients_per_broker = 1;
+    spec.max_delay_ms = 20.0;
+    spec.waxman.brokers = 30;
+    spec.wan.regions = 3;
+    spec.wan.brokers_per_region = 6;
+    specs.push_back(spec);
+  }
+  specs[3].extra_links = 5;  // lateral links: trees differ by root
+  for (const TopologySpec& spec : specs) {
+    const GeneratedTopology topo = build_topology(spec, 77);
+    const BrokerNetwork& net = topo.network;
+    const std::size_t n = net.broker_count();
+    RoutingTable routing(net);
+    for (std::size_t r = 0; r < n; r += std::max<std::size_t>(1, n / 5)) {
+      const SpanningTree tree(net, routing, BrokerId{static_cast<BrokerId::rep_type>(r)});
+      for (std::size_t d = 0; d < n; ++d) {
+        const BrokerId descendant{static_cast<BrokerId::rep_type>(d)};
+        for (std::size_t a = 0; a < n; ++a) {
+          const BrokerId ancestor{static_cast<BrokerId::rep_type>(a)};
+          EXPECT_EQ(tree.is_descendant(descendant, ancestor),
+                    walk_reaches(tree, descendant, ancestor))
+              << to_string(spec.kind) << " root " << r << ": " << d << " under " << a;
+        }
+      }
+    }
   }
 }
 

@@ -313,6 +313,10 @@ PY
     # >= 2x parallel speedup claim is asserted only where it is honest —
     # scaling_valid:true, which the bench grants only on hosts with >= 4
     # hardware threads; elsewhere the JSON records the reason instead.
+    # A change that must not move any simulated outcome is checked on the
+    # full sweep: regenerate it and run
+    #   tools/sim_outcome_diff.py BENCH_sim_scale.json NEW.json
+    # which exits 1 on any outcome, control_plane or steps_exact difference.
     echo "=== [sim-scale] sim_scale_bench reduced sweep ==="
     # The reduced sweep goes next to the build, not over the committed
     # full-campaign BENCH_sim_scale.json.
