@@ -138,7 +138,7 @@ ModeResult run_mode(const SchemaPtr& schema, const BrokerNetwork& topo, std::siz
                     std::size_t churn_pairs, const ControlPlaneOptions& control,
                     std::size_t min_compile_samples = 0, std::size_t max_pairs = 0) {
   if (max_pairs < churn_pairs) max_pairs = churn_pairs;
-  BrokerCore core(BrokerId{1}, topo, {schema}, PstMatcherOptions(), 1, control);
+  BrokerCore core(BrokerId{1}, topo, {schema}, PstMatcherOptions(), control);
   core.control_plane().assert_serialized();
   Rng rng(kSeed);
 
@@ -217,7 +217,7 @@ ConcurrentResult run_concurrent(const SchemaPtr& schema, const BrokerNetwork& to
         "not concurrency";
   }
 
-  BrokerCore core(BrokerId{1}, topo, {schema}, PstMatcherOptions(), 1, control);
+  BrokerCore core(BrokerId{1}, topo, {schema}, PstMatcherOptions(), control);
   core.control_plane().assert_serialized();
   Rng rng(kSeed + 1);
   for (std::size_t i = 0; i < n_subs; ++i) {

@@ -1,15 +1,20 @@
 // Multithreaded matching throughput: N threads dispatching event batches
-// against one sharded BrokerCore snapshot concurrently, sweeping
-// threads = shards.
+// against one BrokerCore snapshot concurrently, sweeping the thread count.
 //
 // The dispatch path shares no mutable state — each batch pins an immutable
-// snapshot (one pointer copy under a tiny lock) whose per-shard buckets
-// hold the compiled flat kernel (matching/compiled_pst.h), and every
+// snapshot (one pointer copy under a tiny lock) whose bucket table holds
+// the compiled flat kernel (matching/compiled_pst.h), and every
 // DispatchBatch owns its MatchScratch — so throughput should scale
 // linearly until the machine runs out of cores. The schema is factored
-// (factoring_levels = 2) so the compiled state actually partitions into
-// shards; each point rebuilds the core with shards = threads and reports
-// how many events landed in each shard (Decision::shard).
+// (factoring_levels = 2), as a production broker's would be. One core is
+// built once and every point runs against it, so the thread count is the
+// only thing that varies across the sweep.
+//
+// Each thread count is measured over kWindows windows, visiting the thread
+// counts in alternating order (ascending, then descending, ...) so slow
+// drift on a shared host does not land on one end of the curve. Each point
+// reports the median window and the min/max spread; speedups are ratios
+// of medians.
 //
 // Honesty contract: scaling numbers are only claims about parallel
 // hardware. When hardware_concurrency < threads the point is
@@ -21,7 +26,8 @@
 //
 // Writes BENCH_mt_throughput.json to the working directory.
 //
-// Usage: mt_throughput [subscriptions] [duration_ms_per_point] [max_threads]
+// Usage: mt_throughput [subscriptions] [duration_ms_per_window] [max_threads]
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -38,27 +44,32 @@ namespace gryphon {
 namespace {
 
 constexpr std::size_t kBatchSize = 32;
+constexpr int kWindows = 5;  // per thread count
 
 struct Point {
   std::size_t threads;
-  std::size_t shards;
-  std::uint64_t events;
-  double seconds;
-  std::vector<std::uint64_t> per_shard_events;
-  [[nodiscard]] double events_per_sec() const {
-    return static_cast<double>(events) / seconds;
+  std::uint64_t events{0};
+  std::vector<double> windows;  // events/sec of each window
+
+  [[nodiscard]] double median() const {
+    std::vector<double> sorted = windows;
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t n = sorted.size();
+    return n % 2 == 1 ? sorted[n / 2] : (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0;
   }
+  [[nodiscard]] double min() const { return *std::min_element(windows.begin(), windows.end()); }
+  [[nodiscard]] double max() const { return *std::max_element(windows.begin(), windows.end()); }
 };
 
-/// Builds a core whose factored space is partitioned into `shards`
-/// data-plane shards, loaded with the same deterministic subscription set
-/// at every point of the sweep.
+/// Builds the factored core every point dispatches against, loaded with a
+/// deterministic subscription set.
 std::unique_ptr<BrokerCore> make_core(const SchemaPtr& schema, const BrokerNetwork& topo,
-                                      std::size_t n_subs, std::size_t shards) {
+                                      std::size_t n_subs) {
   PstMatcherOptions matcher;
-  matcher.factoring_levels = 2;  // shard_of() partitions by factoring key
+  matcher.factoring_levels = 2;
   auto core = std::make_unique<BrokerCore>(BrokerId{1}, topo,
-                                           std::vector<SchemaPtr>{schema}, matcher, shards);
+                                           std::vector<SchemaPtr>{schema}, matcher);
+  core->control_plane().assert_serialized();  // single-threaded load
   Rng rng(4242);
   SubscriptionGenerator gen(schema, SubscriptionWorkloadConfig{0.95, 0.85, 1.0});
   for (std::size_t i = 0; i < n_subs; ++i) {
@@ -69,22 +80,18 @@ std::unique_ptr<BrokerCore> make_core(const SchemaPtr& schema, const BrokerNetwo
   return core;
 }
 
-Point run_point(const SchemaPtr& schema, const BrokerNetwork& topo,
-                const std::vector<Event>& pool, std::size_t n_subs,
-                std::size_t n_threads, int duration_ms) {
-  const auto core = make_core(schema, topo, n_subs, n_threads);
-  const std::size_t shard_count = core->shard_count(SpaceId{0});
+/// One measurement window: `n_threads` threads drain batches for
+/// `duration_ms`; adds the window's rate and event count to `point`.
+void run_window(const BrokerCore& core, const std::vector<Event>& pool, std::size_t n_threads,
+                int duration_ms, Point& point) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> total{0};
-  std::vector<std::vector<std::uint64_t>> shard_counts(
-      n_threads, std::vector<std::uint64_t>(shard_count, 0));
   std::vector<std::thread> threads;
   threads.reserve(n_threads);
   bench::Stopwatch watch;
   for (std::size_t t = 0; t < n_threads; ++t) {
     threads.emplace_back([&, t] {
       DispatchBatch batch;  // owns the per-thread memoization arena
-      std::vector<std::uint64_t>& my_shards = shard_counts[t];
       std::uint64_t local = 0;
       std::size_t i = t * 7919;  // decorrelate the event streams
       while (!stop.load(std::memory_order_relaxed)) {
@@ -92,10 +99,9 @@ Point run_point(const SchemaPtr& schema, const BrokerNetwork& topo,
         for (std::size_t b = 0; b < kBatchSize; ++b) {
           batch.add(SpaceId{0}, pool[i++ % pool.size()], BrokerId{0});
         }
-        const std::span<const Decision> decisions = core->dispatch(batch);
+        const std::span<const Decision> decisions = core.dispatch(batch);
         for (const Decision& d : decisions) {
           if (d.steps == 0 && !d.forward.empty()) std::abort();  // keep `d` live
-          ++my_shards[d.shard];
         }
         local += decisions.size();
       }
@@ -105,12 +111,9 @@ Point run_point(const SchemaPtr& schema, const BrokerNetwork& topo,
   std::this_thread::sleep_for(std::chrono::milliseconds(duration_ms));
   stop.store(true, std::memory_order_relaxed);
   for (auto& th : threads) th.join();
-  Point p{n_threads, shard_count, total.load(), watch.seconds(), {}};
-  p.per_shard_events.assign(shard_count, 0);
-  for (const auto& counts : shard_counts) {
-    for (std::size_t s = 0; s < shard_count; ++s) p.per_shard_events[s] += counts[s];
-  }
-  return p;
+  const double seconds = watch.seconds();
+  point.events += total.load();
+  point.windows.push_back(static_cast<double>(total.load()) / seconds);
 }
 
 }  // namespace
@@ -142,38 +145,39 @@ int main(int argc, char** argv) {
   const char* invalid_reason =
       hw == 0 ? "hardware_concurrency unknown (reported 0): parallelism unmeasurable"
               : "single hardware thread: multi-thread points are timeslicing, not scaling";
-  bench::print_header("Multithreaded sharded batch dispatch throughput");
+  bench::print_header("Multithreaded batch dispatch throughput");
   std::printf(
-      "subscriptions=%zu  hardware_concurrency=%u  per-point duration=%dms  "
-      "batch=%zu  shards=threads\n",
-      n_subs, hw, duration_ms, kBatchSize);
-  if (!scaling_valid) {
-    std::printf("%s (scaling_valid=false)\n", invalid_reason);
-    std::printf("%8s %8s %16s %14s\n", "threads", "shards", "events", "events/sec");
-  } else {
-    std::printf("%8s %8s %16s %14s %10s\n", "threads", "shards", "events", "events/sec",
-                "speedup");
+      "subscriptions=%zu  hardware_concurrency=%u  window=%dms  windows/point=%d  "
+      "batch=%zu\n",
+      n_subs, hw, duration_ms, kWindows, kBatchSize);
+
+  const auto core = make_core(schema, topo, n_subs);
+  std::vector<Point> points;
+  for (const std::size_t t : {1u, 2u, 4u, 8u, 16u}) {
+    if (t <= max_threads) points.push_back(Point{t});
+  }
+  for (int w = 0; w < kWindows; ++w) {
+    // Alternate the visiting order so drift averages out across points.
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      Point& p = points[w % 2 == 0 ? k : points.size() - 1 - k];
+      run_window(*core, pool, p.threads, duration_ms, p);
+    }
   }
 
-  std::vector<Point> points;
-  double base = 0.0;
-  for (const std::size_t t : {1u, 2u, 4u, 8u, 16u}) {
-    if (t > max_threads) continue;
-    const Point p = run_point(schema, topo, pool, n_subs, t, duration_ms);
-    if (t == 1) base = p.events_per_sec();
-    points.push_back(p);
-    if (!scaling_valid) {
-      std::printf("%8zu %8zu %16llu %14.0f\n", p.threads, p.shards,
-                  static_cast<unsigned long long>(p.events), p.events_per_sec());
-    } else if (p.threads <= hw) {
-      std::printf("%8zu %8zu %16llu %14.0f %9.2fx\n", p.threads, p.shards,
-                  static_cast<unsigned long long>(p.events), p.events_per_sec(),
-                  p.events_per_sec() / base);
-    } else {
-      std::printf("%8zu %8zu %16llu %14.0f %10s\n", p.threads, p.shards,
-                  static_cast<unsigned long long>(p.events), p.events_per_sec(),
-                  "oversub");
+  if (!scaling_valid) std::printf("%s (scaling_valid=false)\n", invalid_reason);
+  std::printf("%8s %16s %14s %14s %14s %10s\n", "threads", "events", "median ev/s",
+              "min ev/s", "max ev/s", "speedup");
+  const double base = points.empty() ? 0.0 : points.front().median();
+  for (const Point& p : points) {
+    char speedup[32] = "-";
+    if (scaling_valid && p.threads <= hw) {
+      std::snprintf(speedup, sizeof speedup, "%.2fx", p.median() / base);
+    } else if (scaling_valid) {
+      std::snprintf(speedup, sizeof speedup, "oversub");
     }
+    std::printf("%8zu %16llu %14.0f %14.0f %14.0f %10s\n", p.threads,
+                static_cast<unsigned long long>(p.events), p.median(), p.min(), p.max(),
+                speedup);
   }
 
   std::FILE* out = std::fopen("BENCH_mt_throughput.json", "w");
@@ -184,7 +188,7 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "{\n  \"bench\": \"mt_throughput\",\n"
                "  \"kernel\": \"compiled\",\n"
-               "  \"dispatch\": \"sharded_batch\",\n"
+               "  \"dispatch\": \"batch\",\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"scaling_valid\": %s,\n",
                hw, scaling_valid ? "true" : "false");
@@ -193,28 +197,24 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out,
                "  \"subscriptions\": %zu,\n"
-               "  \"duration_ms_per_point\": %d,\n"
+               "  \"duration_ms_per_window\": %d,\n"
+               "  \"windows_per_point\": %d,\n"
                "  \"batch_size\": %zu,\n"
                "  \"results\": [\n",
-               n_subs, duration_ms, kBatchSize);
+               n_subs, duration_ms, kWindows, kBatchSize);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
     std::fprintf(out,
-                 "    {\"threads\": %zu, \"shards\": %zu, \"events\": %llu, "
-                 "\"seconds\": %.4f, \"events_per_sec\": %.1f",
-                 p.threads, p.shards, static_cast<unsigned long long>(p.events), p.seconds,
-                 p.events_per_sec());
+                 "    {\"threads\": %zu, \"events\": %llu, \"events_per_sec_median\": %.1f, "
+                 "\"events_per_sec_min\": %.1f, \"events_per_sec_max\": %.1f",
+                 p.threads, static_cast<unsigned long long>(p.events), p.median(), p.min(),
+                 p.max());
     // A speedup is a parallel-hardware claim: emitted only when this host
     // can actually run the point's threads simultaneously.
     if (scaling_valid && p.threads <= hw) {
-      std::fprintf(out, ", \"speedup_vs_1\": %.3f", p.events_per_sec() / base);
+      std::fprintf(out, ", \"speedup_vs_1\": %.3f", p.median() / base);
     }
-    std::fprintf(out, ", \"per_shard_events\": [");
-    for (std::size_t s = 0; s < p.per_shard_events.size(); ++s) {
-      std::fprintf(out, "%s%llu", s == 0 ? "" : ", ",
-                   static_cast<unsigned long long>(p.per_shard_events[s]));
-    }
-    std::fprintf(out, "]}%s\n", i + 1 < points.size() ? "," : "");
+    std::fprintf(out, "}%s\n", i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

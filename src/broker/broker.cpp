@@ -33,8 +33,7 @@ std::uint64_t derive_session_epoch(BrokerId self) {
 
 Broker::Broker(BrokerId self, const BrokerNetwork& topology, std::vector<SchemaPtr> spaces,
                Transport& transport, Options options)
-    : core_(self, topology, std::move(spaces), options.matcher, options.shards,
-            options.control),
+    : core_(self, topology, std::move(spaces), options.matcher, options.control),
       transport_(&transport),
       options_(std::move(options)),
       session_epoch_(options_.session_epoch != 0 ? options_.session_epoch
@@ -600,7 +599,7 @@ void Broker::worker_loop() {
       batch.add(items[i].space, events.back(), items[i].tree_root);
       staged.push_back(i);
     }
-    // One snapshot pin and one shard-grouped match pass for the batch...
+    // One snapshot pin and one match pass for the batch...
     const std::span<const BrokerCore::Decision> decisions = core_.dispatch(batch);
     {
       // ...then one mutex hold applying every decision, with the resulting

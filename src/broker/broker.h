@@ -34,12 +34,12 @@
 // dispatch API the workers use. With N > 0, a pool of N match workers
 // drains events in batches (up to Options::match_batch_max per wakeup):
 // each batch is decoded outside all locks, dispatched against one pinned
-// core snapshot (events grouped by serving shard), and applied under a
-// single broker-mutex hold whose frames coalesce into one send_batch flush
-// per neighbor and per local client. The in-order forwards a link received
-// since the last flush are answered by one cumulative BrokerAck in that
-// flush, so a peer's ack waits at most one batch. Matching — the expensive
-// part — then runs in parallel with frame handling and with other matches.
+// core snapshot, and applied under a single broker-mutex hold whose frames
+// coalesce into one send_batch flush per neighbor and per local client.
+// The in-order forwards a link received since the last flush are answered
+// by one cumulative BrokerAck in that flush, so a peer's ack waits at most
+// one batch. Matching — the expensive part — then runs in parallel with
+// frame handling and with other matches.
 // Events may be applied out of arrival order across publishers; per-client
 // delivery sequence numbers remain monotonic. flush() quiesces the pipeline.
 #pragma once
@@ -75,11 +75,6 @@ class Broker : public TransportHandler {
     Ticks log_retention{ticks_from_seconds(3600)};
     /// Match workers. 0 = synchronous matching inside the frame handler.
     std::size_t match_threads{0};
-    /// Data-plane shards per factored space (clamped to >= 1): the core's
-    /// compiled buckets are partitioned so concurrent match workers tend to
-    /// touch disjoint shard tables. Meaningless without factoring
-    /// (Options::matcher.factoring_levels > 0).
-    std::size_t shards{1};
     /// Covering aggregation and delta-compilation behaviour of the core's
     /// control plane (both on by default; see broker_core.h).
     ControlPlaneOptions control{};

@@ -4,13 +4,12 @@
 #include <bit>
 #include <chrono>
 #include <stdexcept>
-#include <tuple>
 
 namespace gryphon {
 
 BrokerCore::BrokerCore(BrokerId self, const BrokerNetwork& topology,
                        std::vector<SchemaPtr> spaces, PstMatcherOptions matcher_options,
-                       std::size_t data_plane_shards, ControlPlaneOptions control)
+                       ControlPlaneOptions control)
     : self_(self), topology_(&topology), routing_(topology) {
   // Construction is single-threaded by the language; state that once for
   // the whole body so guarded members can be initialized.
@@ -91,7 +90,7 @@ BrokerCore::BrokerCore(BrokerId self, const BrokerNetwork& topology,
         control_plane_.assert_serialized();
         return static_cast<std::uint32_t>(owner_of(id).value);
       },
-      std::move(group_links), data_plane_shards);
+      std::move(group_links));
 
   // Publish the initial (all-empty) snapshot.
   std::vector<SnapshotBuilder::SpaceSources> sources;
@@ -318,10 +317,7 @@ void BrokerCore::dispatch_pinned(const CoreSnapshot& snapshot, SpaceId space, co
   out.reset();
   const FrozenSpace& fs = *snapshot.spaces[static_cast<std::size_t>(space.value)];
   if (fs.factored()) ++out.steps;  // the bucket index probe
-  const std::size_t shard = fs.shard_of(event, scratch.factoring_key());
-  out.shard = static_cast<std::uint32_t>(shard);
-  // shard_of left the event's factoring key in the scratch buffer.
-  const FrozenBucket* bucket = fs.bucket_in_shard(shard, scratch.factoring_key());
+  const FrozenBucket* bucket = fs.bucket_for(event, scratch.factoring_key());
   // No bucket: nothing can match anywhere in the network.
   if (bucket == nullptr) return;
 
@@ -381,32 +377,7 @@ std::span<const BrokerCore::Decision> BrokerCore::dispatch(DispatchBatch& batch)
   // only immutable state, so concurrent subscription churn can swap in new
   // snapshots freely while we drain.
   const auto snapshot = snapshot_.load();
-  // Visit events grouped by (space, serving shard) so each shard's
-  // compiled tables stay hot across consecutive matches. The grouping key
-  // is precomputed here; decisions are still written at each event's
-  // staging index, so the result span is in add() order.
-  // gryphon-analyze: allow(alloc): visit-order buffer grows with the
-  // largest batch, then every later dispatch reuses it.
-  batch.order_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    batch.order_[i] = static_cast<std::uint32_t>(i);
-    const DispatchBatch::Item& item = batch.items_[i];
-    const FrozenSpace& fs = *snapshot->spaces[static_cast<std::size_t>(item.space.value)];
-    batch.decisions_[i].shard =
-        static_cast<std::uint32_t>(fs.shard_of(*item.event, batch.scratch_.factoring_key()));
-  }
-  // The staging index breaks (space, shard) ties, so the in-place std::sort
-  // visits events in exactly the order the stable sort used to — without
-  // stable_sort's per-call temporary buffer.
-  std::sort(batch.order_.begin(), batch.order_.end(),
-            [&batch](std::uint32_t a, std::uint32_t b) {
-              const auto key = [&batch](std::uint32_t i) {
-                return std::make_tuple(batch.items_[i].space.value, batch.decisions_[i].shard,
-                                       i);
-              };
-              return key(a) < key(b);
-            });
-  for (const std::uint32_t i : batch.order_) {
     const DispatchBatch::Item& item = batch.items_[i];
     dispatch_pinned(*snapshot, item.space, *item.event, item.tree_root, batch.scratch_,
                     batch.decisions_[i]);
@@ -426,14 +397,6 @@ BrokerCore::Decision BrokerCore::dispatch(SpaceId space, const Event& event, Bro
   const auto snapshot = snapshot_.load();
   dispatch_pinned(*snapshot, space, event, tree_root, scratch, decision);
   return decision;
-}
-
-std::size_t BrokerCore::shard_count(SpaceId space) const {
-  if (!space.valid() || static_cast<std::size_t>(space.value) >= spaces_.size()) {
-    throw std::invalid_argument("BrokerCore: bad space index");
-  }
-  const auto snapshot = snapshot_.load();
-  return snapshot->spaces[static_cast<std::size_t>(space.value)]->shard_count();
 }
 
 std::vector<SubscriptionId> BrokerCore::match_all(SpaceId space, const Event& event) const {

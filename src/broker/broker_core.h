@@ -120,13 +120,11 @@ class BrokerCore {
   /// attach dynamically through the Broker layer and are not part of the
   /// static routing topology). Every broker is a potential spanning-tree
   /// root (any broker may host publishers).
-  /// `data_plane_shards` partitions each factored space's compiled buckets
-  /// into that many independently matchable shards (clamped to >= 1);
-  /// unfactored spaces always have one effective shard. `control` selects
-  /// covering/delta-compilation behaviour (both on by default).
+  /// `control` selects covering/delta-compilation behaviour (both on by
+  /// default).
   BrokerCore(BrokerId self, const BrokerNetwork& topology, std::vector<SchemaPtr> spaces,
              PstMatcherOptions matcher_options = PstMatcherOptions(),
-             std::size_t data_plane_shards = 1, ControlPlaneOptions control = {});
+             ControlPlaneOptions control = {});
 
   [[nodiscard]] BrokerId self() const { return self_; }
   [[nodiscard]] std::size_t space_count() const { return spaces_.size(); }
@@ -208,10 +206,10 @@ class BrokerCore {
   /// the forwarding decision *and* the locally-owned matches for each
   /// event, published via its spanning tree, in one pruned search per
   /// event. This is the native call shape of the data plane — the snapshot
-  /// is pinned once for the whole batch and events are matched grouped by
-  /// (space, serving shard) so each shard's compiled tables stay hot. The
-  /// returned span lives in `batch`, one Decision per staged event in
-  /// add() order, valid until the batch is cleared or re-dispatched.
+  /// is pinned once for the whole batch and events are matched in add()
+  /// order. The returned span lives in `batch`, one Decision per staged
+  /// event in add() order, valid until the batch is cleared or
+  /// re-dispatched.
   std::span<const Decision> dispatch(DispatchBatch& batch) const;
 
   /// Scalar shim over the batch path for call sites that genuinely handle
@@ -220,10 +218,6 @@ class BrokerCore {
   /// overload — batch contexts own scratch now (see DispatchBatch).
   [[nodiscard]] Decision dispatch(SpaceId space, const Event& event, BrokerId tree_root,
                                   MatchScratch& scratch) const;
-
-  /// Shards serving one space in the published snapshot (1 unless the
-  /// space is factored and the core was built with data_plane_shards > 1).
-  [[nodiscard]] std::size_t shard_count(SpaceId space) const;
 
   /// All subscriptions (network-wide replica set) matching the event.
   [[nodiscard]] std::vector<SubscriptionId> match_all(SpaceId space, const Event& event) const;

@@ -26,10 +26,8 @@ std::shared_ptr<const FrozenSpace> SnapshotBuilder::freeze(const SpaceSources& s
   auto space = std::make_shared<FrozenSpace>();
   const std::size_t seg_count = sources.segments.size();
   space->factoring_ = sources.segments.front()->factoring();
-  space->router_ = router_;
   space->covering_ = sources.covering;
   auto table = std::make_shared<FrozenSpace::Table>();
-  if (space->factoring_ != nullptr) table->shards.resize(router_.shard_count());
   for (const PstMatcher* segment : sources.segments) {
     table->subscription_count += segment->subscription_count();
   }
@@ -108,18 +106,13 @@ std::shared_ptr<const FrozenSpace> SnapshotBuilder::freeze(const SpaceSources& s
     }
   } else {
     for (const auto& [key, contributions] : by_key) {
-      // Shard placement is deterministic in the key, so both the reuse
-      // probe into `previous` and the emplace below land in the same shard.
-      const std::size_t shard = router_.shard_of_key(key);
       std::shared_ptr<const FrozenBucket> old;
-      if (previous != nullptr && shard < previous->table_->shards.size()) {
-        const auto& old_buckets = previous->table_->shards[shard].buckets;
+      if (previous != nullptr) {
+        const auto& old_buckets = previous->table_->buckets;
         const auto it = old_buckets.find(key);
         if (it != old_buckets.end()) old = it->second;
       }
-      auto bucket = build_bucket(contributions, old);
-      table->shards[shard].subscription_count += bucket->subscriptions;
-      table->shards[shard].buckets.emplace(key, std::move(bucket));
+      table->buckets.emplace(key, build_bucket(contributions, old));
     }
   }
   space->table_ = std::move(table);
@@ -156,7 +149,6 @@ std::shared_ptr<const CoreSnapshot> SnapshotBuilder::next_snapshot_covering_only
   const FrozenSpace& old = *current.spaces[touched];
   auto space = std::make_shared<FrozenSpace>();
   space->factoring_ = old.factoring_;
-  space->router_ = old.router_;
   space->table_ = old.table_;  // the whole compiled plane, shared
   space->covering_ = std::move(covering);
   next->spaces[touched] = std::move(space);

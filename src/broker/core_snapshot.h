@@ -7,9 +7,8 @@
 // the derived read-side state after every control-plane change:
 //
 //   CoreSnapshot -> FrozenSpace (per information space)
-//                -> Table       (the bucket tables; shared across
+//                -> Table       (the bucket table; shared across
 //                                covering-only publishes)
-//                -> shard       (per factoring-key hash slice)
 //                -> FrozenBucket (per factoring bucket)
 //                -> CompiledSegment (per delta segment)
 //                -> CompiledPst + CompiledAnnotation (all groups).
@@ -20,12 +19,10 @@
 // builder shares and annotates with the flat per-group trit rows of
 // CompiledAnnotation. Readers only ever touch the compiled form.
 //
-// Sharding: a factored space's buckets are partitioned into `shard_count`
-// independently matchable shards by hashing the factoring key
-// (matching/shard_router.h). Placement is a pure function of the key, so
-// the builder (distributing buckets below) and batch dispatch (grouping
-// events by serving shard) agree without coordination. An unfactored space
-// has one bucket and one effective shard.
+// Buckets: a factored space keeps one hash map from factoring key to
+// bucket (the paper's factoring index, Section 2.1), so finding the
+// subtree that serves an event is one probe. An unfactored space has one
+// bucket, held directly.
 //
 // Delta segmentation: the control plane slices each space's frontier into
 // `segments` independent PstMatchers by hashing the subscription id
@@ -62,7 +59,6 @@
 #include "matching/compiled_pst.h"
 #include "matching/covering_snapshot.h"
 #include "matching/pst_matcher.h"
-#include "matching/shard_router.h"
 #include "routing/compiled_annotation.h"
 
 namespace gryphon {
@@ -87,49 +83,18 @@ struct FrozenBucket {
   std::vector<std::shared_ptr<const CompiledSegment>> segments;
 };
 
-/// One information space, frozen and sharded.
+/// One information space, frozen.
 class FrozenSpace {
  public:
-  /// Shards of this space: 1 for unfactored spaces, the builder's
-  /// configured count otherwise.
-  [[nodiscard]] std::size_t shard_count() const {
-    return factoring_ == nullptr ? 1 : table_->shards.size();
-  }
-
-  /// The shard that would serve `event`. Computes the factoring key into
-  /// the reused scratch buffer; 0 for unfactored spaces.
-  [[nodiscard]] std::size_t shard_of(const Event& event,
-                                     FactoringIndex::Key& scratch_key) const {
-    if (factoring_ == nullptr) return 0;
-    factoring_->event_key_into(event, scratch_key);
-    return router_.shard_of_key(scratch_key);
-  }
-
-  /// The bucket an event would be matched against, or nullptr. The
-  /// overload taking a scratch key (MatchScratch::factoring_key()) is the
-  /// hot path: it assigns into the reused buffer instead of allocating a
-  /// fresh vector of Value copies per event.
-  [[nodiscard]] const FrozenBucket* bucket_for(const Event& event) const {
-    if (factoring_ == nullptr) return table_->single.get();
-    FactoringIndex::Key key = factoring_->event_key(event);
-    return find_bucket(key);
-  }
+  /// The bucket an event would be matched against, or nullptr. Computes
+  /// the factoring key into the reused scratch buffer
+  /// (MatchScratch::factoring_key()), so a warm lookup allocates nothing.
   [[nodiscard]] const FrozenBucket* bucket_for(const Event& event,
                                                FactoringIndex::Key& scratch_key) const {
     if (factoring_ == nullptr) return table_->single.get();
     factoring_->event_key_into(event, scratch_key);
-    return find_bucket(scratch_key);
-  }
-
-  /// As bucket_for, when the caller already computed the serving shard
-  /// (batch dispatch resolves shard_of first to group events by shard).
-  /// `scratch_key` must still hold the event's factoring key.
-  [[nodiscard]] const FrozenBucket* bucket_in_shard(
-      std::size_t shard, const FactoringIndex::Key& scratch_key) const {
-    if (factoring_ == nullptr) return table_->single.get();
-    const auto& buckets = table_->shards[shard].buckets;
-    const auto it = buckets.find(scratch_key);
-    return it == buckets.end() ? nullptr : it->second.get();
+    const auto it = table_->buckets.find(scratch_key);
+    return it == table_->buckets.end() ? nullptr : it->second.get();
   }
 
   /// The parked-subscription sidecar for dispatch-time enumeration, or
@@ -144,50 +109,23 @@ class FrozenSpace {
   /// Frontier subscription replicas in the compiled tables (parked
   /// subscriptions are counted by covered_count()).
   [[nodiscard]] std::size_t subscription_count() const { return table_->subscription_count; }
-  /// Subscription replicas living in one shard's buckets (replicated
-  /// subscriptions count once per bucket they occupy).
-  [[nodiscard]] std::size_t shard_subscription_count(std::size_t shard) const {
-    if (factoring_ == nullptr) {
-      return table_->single != nullptr ? table_->single->subscriptions : 0;
-    }
-    return table_->shards[shard].subscription_count;
-  }
-  [[nodiscard]] std::size_t bucket_count() const {
-    if (factoring_ == nullptr) return table_->single != nullptr ? 1 : 0;
-    std::size_t n = 0;
-    for (const Shard& shard : table_->shards) n += shard.buckets.size();
-    return n;
-  }
 
  private:
   friend class SnapshotBuilder;
 
-  /// One shard's slice of the bucket table. Deeply immutable once the
-  /// builder publishes the owning snapshot.
-  struct Shard {
-    std::unordered_map<FactoringIndex::Key, std::shared_ptr<const FrozenBucket>,
-                       FactoringIndex::KeyHash>
-        buckets;
-    std::size_t subscription_count{0};
-  };
-
-  /// The compiled bucket tables, split out behind a shared_ptr so a
-  /// covering-only publish can share them wholesale instead of re-walking
-  /// every bucket.
+  /// The compiled bucket table, split out behind a shared_ptr so a
+  /// covering-only publish can share it wholesale instead of re-walking
+  /// every bucket. Deeply immutable once the builder publishes the owning
+  /// snapshot.
   struct Table {
     std::shared_ptr<const FrozenBucket> single;  // unfactored spaces only
-    std::vector<Shard> shards;                   // factored spaces only
+    std::unordered_map<FactoringIndex::Key, std::shared_ptr<const FrozenBucket>,
+                       FactoringIndex::KeyHash>
+        buckets;  // factored spaces only
     std::size_t subscription_count{0};
   };
 
-  [[nodiscard]] const FrozenBucket* find_bucket(const FactoringIndex::Key& key) const {
-    const auto& buckets = table_->shards[router_.shard_of_key(key)].buckets;
-    const auto it = buckets.find(key);
-    return it == buckets.end() ? nullptr : it->second.get();
-  }
-
   const FactoringIndex* factoring_{nullptr};  // owned by the core's matcher
-  ShardRouter router_{1};
   std::shared_ptr<const Table> table_;
   std::shared_ptr<const CoveringSnapshot> covering_;  // null when covering off
 };
@@ -243,14 +181,11 @@ class SnapshotBuilder {
   /// `group_links[g][owner]` is the link an owner's subscriptions take
   /// under spanning-tree group g (CompiledAnnotation's flat tables).
   SnapshotBuilder(std::size_t link_count, LinkIndex local_link, OwnerFn owner_of,
-                  std::vector<std::vector<LinkIndex>> group_links, std::size_t shard_count = 1)
+                  std::vector<std::vector<LinkIndex>> group_links)
       : link_count_(link_count),
         local_link_(local_link),
         owner_of_(std::move(owner_of)),
-        group_links_(std::move(group_links)),
-        router_(shard_count) {}
-
-  [[nodiscard]] std::size_t shard_count() const { return router_.shard_count(); }
+        group_links_(std::move(group_links)) {}
 
   /// The mutable sources of one space at freeze time.
   struct SpaceSources {
@@ -297,7 +232,6 @@ class SnapshotBuilder {
   LinkIndex local_link_;
   OwnerFn owner_of_;
   std::vector<std::vector<LinkIndex>> group_links_;
-  ShardRouter router_;
 };
 
 }  // namespace gryphon

@@ -2,12 +2,10 @@
 //
 // Dispatch is batch-first: callers stage a group of events (add), hand the
 // whole batch to BrokerCore::dispatch, and read back one Decision per event
-// in staging order. Batching is what makes the sharded data plane pay off —
-// the core pins the published CoreSnapshot once per batch instead of once
-// per event, groups the staged events by (space, serving shard) so each
-// shard's compiled tables stay hot across consecutive matches, and the
-// broker's egress path can coalesce the resulting link frames into one
-// flush per neighbor.
+// in staging order. Batching is what makes the data plane pay off — the
+// core pins the published CoreSnapshot once per batch instead of once per
+// event, and the broker's egress path can coalesce the resulting link
+// frames into one flush per neighbor.
 //
 // The batch owns the MatchScratch, so "who provides scratch?" has exactly
 // one answer: the batch context. One DispatchBatch per thread; neither it
@@ -33,15 +31,12 @@ namespace gryphon {
 
 /// What the broker must do with one published event: which neighbor links
 /// to forward it on, which local subscriptions matched, and the work spent
-/// deciding. `shard` records which data-plane shard served the match (0
-/// for unfactored spaces and misses) so callers can attribute throughput
-/// per shard.
+/// deciding.
 struct Decision {
   std::vector<BrokerId> forward;
   std::vector<SubscriptionId> local_matches;
   bool deliver_locally{false};
   std::uint64_t steps{0};
-  std::uint32_t shard{0};
 
   /// Field-wise reset that keeps vector capacity, so a reused batch stops
   /// allocating once warm.
@@ -50,7 +45,6 @@ struct Decision {
     local_matches.clear();
     deliver_locally = false;
     steps = 0;
-    shard = 0;
   }
 };
 
@@ -83,7 +77,7 @@ class DispatchBatch {
   [[nodiscard]] MatchScratch& scratch() { return scratch_; }
 
  private:
-  friend class BrokerCore;  // fills decisions_ / order_ during dispatch
+  friend class BrokerCore;  // fills decisions_ during dispatch
 
   struct Item {
     SpaceId space;
@@ -92,8 +86,7 @@ class DispatchBatch {
   };
 
   std::vector<Item> items_;
-  std::vector<Decision> decisions_;   // parallel to items_ after dispatch
-  std::vector<std::uint32_t> order_;  // shard-sorted visit order, reused
+  std::vector<Decision> decisions_;  // parallel to items_ after dispatch
   MatchScratch scratch_;
 };
 

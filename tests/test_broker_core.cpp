@@ -222,7 +222,7 @@ TEST_F(BrokerCoreTest, HoldersShareOneSubscriptionObject) {
     control.covering = covering;
     control.delta_segment_target = 4;
     control.max_delta_segments = 8;
-    BrokerCore core(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), 1, control);
+    BrokerCore core(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), control);
     core.control_plane().assert_serialized();
     std::map<SubscriptionId, const Subscription*> created;
     const auto check = [&] {
@@ -292,7 +292,7 @@ TEST(BrokerCoreWide, DeltaSegmentUnionAcrossTwoWordPlanes) {
   control.covering = false;
   control.delta_segment_target = 16;
   control.max_delta_segments = 8;
-  BrokerCore hub(BrokerId{0}, star, {schema}, PstMatcherOptions(), 1, control);
+  BrokerCore hub(BrokerId{0}, star, {schema}, PstMatcherOptions(), control);
 
   Rng rng(64);
   SubscriptionGenerator gen(schema, SubscriptionWorkloadConfig{0.9, 0.85, 1.0});

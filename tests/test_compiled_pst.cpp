@@ -12,9 +12,9 @@
 // at those widths, under both star orders. Plus direct coverage of the
 // representational edges: string
 // interning, the -0.0/+0.0 double key, and the precompiled
-// eq_children_cover_domain flag; and, in the FrozenPsg suite, the
-// snapshot's structural contract: star-chain collapse, match sets equal to
-// the live tree's, and equal steps under trivial-test elimination.
+// eq_children_cover_domain flag; and, in the CompiledPstStructure suite,
+// the kernel's structural contract: star-chain collapse, match sets equal
+// to the live tree's, and equal steps under trivial-test elimination.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -751,9 +751,8 @@ TEST(CompiledPst, BottomUpOrderVisitsChildrenFirst) {
   EXPECT_TRUE(seen[static_cast<std::size_t>(compiled.root())]);
 }
 
-// The frozen snapshot's structural contract, on CompiledPst compiled
-// straight from a Pst. The suite is named for the frozen parallel-search
-// snapshot, which keeps its test ids stable.
+// The kernel's structural contract, on CompiledPst compiled straight from
+// a Pst.
 
 Subscription sub_eq(const SchemaPtr& schema, std::vector<int> values) {
   std::vector<AttributeTest> tests;
@@ -776,7 +775,7 @@ std::vector<SubscriptionId> sorted_match(const CompiledPst& kernel, const Event&
   return sorted(std::move(out));
 }
 
-TEST(FrozenPsg, EmptyTreeMatchesNothing) {
+TEST(CompiledPstStructure, EmptyTreeMatchesNothing) {
   const auto schema = make_synthetic_schema(3, 3);
   Pst tree(schema, identity_order(schema));
   const CompiledPst kernel(tree);
@@ -784,7 +783,7 @@ TEST(FrozenPsg, EmptyTreeMatchesNothing) {
   EXPECT_EQ(kernel.subscription_count(), 0u);
 }
 
-TEST(FrozenPsg, StarChainsCollapse) {
+TEST(CompiledPstStructure, StarChainsCollapse) {
   // Two subscriptions differing only at the first attribute, each ending
   // in a chain of don't-cares: the chains vanish from the kernel.
   const auto schema = make_synthetic_schema(4, 3);
@@ -796,7 +795,7 @@ TEST(FrozenPsg, StarChainsCollapse) {
   EXPECT_LT(kernel.node_count(), tree.live_node_count());
 }
 
-TEST(FrozenPsg, IdenticalLeavesNeverCarryDifferentIds) {
+TEST(CompiledPstStructure, IdenticalLeavesNeverCarryDifferentIds) {
   // Every id lives at exactly one tree leaf, so no match can report
   // duplicates.
   const auto schema = make_synthetic_schema(3, 3);
@@ -809,7 +808,7 @@ TEST(FrozenPsg, IdenticalLeavesNeverCarryDifferentIds) {
   EXPECT_EQ(got, (std::vector<SubscriptionId>{SubscriptionId{2}}));
 }
 
-TEST(FrozenPsg, EquivalentToTreeOnRandomWorkloads) {
+TEST(CompiledPstStructure, EquivalentToTreeOnRandomWorkloads) {
   const auto schema = make_synthetic_schema(8, 4);
   Rng rng(2027);
   SubscriptionGenerator gen(schema, SubscriptionWorkloadConfig{0.9, 0.8, 1.0});
@@ -840,7 +839,7 @@ TEST(FrozenPsg, EquivalentToTreeOnRandomWorkloads) {
   }
 }
 
-TEST(FrozenPsg, StepsEqualTreeUnderTrivialTestElimination) {
+TEST(CompiledPstStructure, StepsEqualTreeUnderTrivialTestElimination) {
   const auto schema = make_synthetic_schema(10, 3);
   Rng rng(11);
   SubscriptionGenerator gen(schema, SubscriptionWorkloadConfig{0.95, 0.85, 1.0});
@@ -862,7 +861,7 @@ TEST(FrozenPsg, StepsEqualTreeUnderTrivialTestElimination) {
   EXPECT_LT(kernel.node_count(), tree.live_node_count());
 }
 
-TEST(FrozenPsg, RangeBranchesSupported) {
+TEST(CompiledPstStructure, RangeBranchesSupported) {
   const auto schema = make_synthetic_schema(3, 4);
   Pst tree(schema, identity_order(schema));
   std::vector<AttributeTest> tests(3);
@@ -874,7 +873,7 @@ TEST(FrozenPsg, RangeBranchesSupported) {
   EXPECT_TRUE(sorted_match(kernel, ev(schema, {3, 0, 0})).empty());
 }
 
-TEST(FrozenPsg, SnapshotIsImmutableUnderSourceMutation) {
+TEST(CompiledPstStructure, SnapshotIsImmutableUnderSourceMutation) {
   const auto schema = make_synthetic_schema(3, 3);
   Pst tree(schema, identity_order(schema));
   tree.add(SubscriptionId{1}, sub_eq(schema, {0, -1, -1}));
@@ -886,7 +885,7 @@ TEST(FrozenPsg, SnapshotIsImmutableUnderSourceMutation) {
             (std::vector<SubscriptionId>{SubscriptionId{1}}));
 }
 
-TEST(FrozenPsg, ManyMatchesExerciseStampReuse) {
+TEST(CompiledPstStructure, ManyMatchesExerciseStampReuse) {
   const auto schema = make_synthetic_schema(4, 2);
   Pst tree(schema, identity_order(schema));
   tree.add(SubscriptionId{1}, sub_eq(schema, {-1, -1, -1, -1}));

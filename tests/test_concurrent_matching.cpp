@@ -125,19 +125,17 @@ TEST(ConcurrentMatching, DispatchSeesConsistentSnapshotsUnderChurn) {
   for (auto& r : readers) r.join();
 }
 
-// Sharded batch dispatch under churn: readers drain whole DispatchBatches
-// against a factored, sharded core while the writer churns subscriptions.
-// Each batch pins one snapshot, so every decision in a batch must be
-// consistent with a single subscription state; shard ids must stay inside
-// the published shard layout. This is the TSan target for the sharded
-// data plane (the batch context reuses its scratch across items).
-TEST(ConcurrentMatching, ShardedBatchDispatchUnderChurn) {
+// Batch dispatch under churn: readers drain whole DispatchBatches against a
+// factored core while the writer churns subscriptions. Each batch pins one
+// snapshot, so every decision in a batch must be consistent with a single
+// subscription state. This is the TSan target for the batched data plane
+// (the batch context reuses its scratch across items).
+TEST(ConcurrentMatching, BatchDispatchUnderChurn) {
   const auto schema = make_synthetic_schema(4, 3);
   const BrokerNetwork topo = make_line(3, 10, 0, 1);
   PstMatcherOptions matcher;
   matcher.factoring_levels = 2;
-  BrokerCore core(BrokerId{1}, topo, {schema}, matcher, 4);
-  ASSERT_EQ(core.shard_count(kSpace0), 4u);
+  BrokerCore core(BrokerId{1}, topo, {schema}, matcher);
 
   Rng rng(8088);
   SubscriptionGenerator gen(schema, SubscriptionWorkloadConfig{0.85, 0.8, 1.0});
@@ -190,7 +188,6 @@ TEST(ConcurrentMatching, ShardedBatchDispatchUnderChurn) {
       ASSERT_EQ(decisions.size(), pool.size());
       for (std::size_t i = 0; i < pool.size(); ++i) {
         const Decision& d = decisions[i];
-        EXPECT_LT(d.shard, 4u);
         EXPECT_EQ(d.deliver_locally, !d.local_matches.empty());
         std::set<SubscriptionId> seen;
         for (const SubscriptionId id : d.local_matches) {
@@ -199,8 +196,8 @@ TEST(ConcurrentMatching, ShardedBatchDispatchUnderChurn) {
           EXPECT_EQ(owner.at(id), BrokerId{1}) << "non-local id " << id.value;
           EXPECT_TRUE(oracle.at(id).matches(pool[i])) << "false positive " << id.value;
         }
-        // Stable completeness survives sharding: a matching stable local
-        // subscription must be reported from whichever shard holds it.
+        // Stable completeness survives churn: a matching stable local
+        // subscription is always reported.
         for (std::int64_t s = 0; s < kStableCount; ++s) {
           const SubscriptionId id{s};
           if (owner.at(id) == BrokerId{1} && oracle.at(id).matches(pool[i])) {
@@ -230,7 +227,7 @@ TEST(ConcurrentMatching, CoveringChurnKeepsSnapshotsConsistent) {
   ControlPlaneOptions control;
   control.delta_segment_target = 16;  // force multi-segment + growth early
   control.max_delta_segments = 8;
-  BrokerCore core(BrokerId{1}, topo, {schema}, PstMatcherOptions(), 1, control);
+  BrokerCore core(BrokerId{1}, topo, {schema}, PstMatcherOptions(), control);
 
   Rng rng(60321);
   SubscriptionGenerator gen(schema, SubscriptionWorkloadConfig{0.85, 0.6, 1.0});

@@ -298,8 +298,8 @@ class CoveringDifferentialTest : public ::testing::Test {
 };
 
 TEST_F(CoveringDifferentialTest, EqualityWorkloadAcrossRandomizedChurn) {
-  BrokerCore with(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), 1, {});
-  BrokerCore without(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), 1, covering_off());
+  BrokerCore with(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), {});
+  BrokerCore without(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), covering_off());
 
   Rng rng(90210);
   // A heavy-star workload so covering actually bites: most subscriptions
@@ -345,8 +345,8 @@ TEST_F(CoveringDifferentialTest, EqualityWorkloadAcrossRandomizedChurn) {
 }
 
 TEST_F(CoveringDifferentialTest, RangeAndNotEqualsWorkload) {
-  BrokerCore with(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), 1, {});
-  BrokerCore without(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), 1, covering_off());
+  BrokerCore with(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), {});
+  BrokerCore without(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), covering_off());
 
   Rng rng(5150);
   EventGenerator events(schema_);
@@ -380,16 +380,16 @@ TEST_F(CoveringDifferentialTest, RangeAndNotEqualsWorkload) {
   EXPECT_GT(with.covered_count(kSpace0), 0u);
 }
 
-TEST_F(CoveringDifferentialTest, FactoredShardedDeltaSegmentsAgree) {
-  // The full stack at once: factoring + shards + covering + multiple delta
-  // segments (tiny target forces slice growth) against the plain core.
+TEST_F(CoveringDifferentialTest, FactoredDeltaSegmentsAgree) {
+  // The full stack at once: factoring + covering + multiple delta segments
+  // (tiny target forces slice growth) against the plain core.
   PstMatcherOptions factored;
   factored.factoring_levels = 2;
   ControlPlaneOptions delta;
   delta.delta_segment_target = 16;
   delta.max_delta_segments = 8;
-  BrokerCore with(BrokerId{1}, topo_, {schema_}, factored, 4, delta);
-  BrokerCore without(BrokerId{1}, topo_, {schema_}, factored, 1, covering_off());
+  BrokerCore with(BrokerId{1}, topo_, {schema_}, factored, delta);
+  BrokerCore without(BrokerId{1}, topo_, {schema_}, factored, covering_off());
 
   Rng rng(777);
   SubscriptionGenerator gen(schema_, SubscriptionWorkloadConfig{0.9, 0.7, 1.0});
@@ -430,8 +430,8 @@ TEST_F(CoveringDifferentialTest, FactoredShardedDeltaSegmentsAgree) {
 }
 
 TEST_F(CoveringDifferentialTest, DeferredPublicationIsInvisibleUntilPublishSpace) {
-  BrokerCore deferred(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), 1, {});
-  BrokerCore eager(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), 1, {});
+  BrokerCore deferred(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), {});
+  BrokerCore eager(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), {});
 
   Rng rng(31);
   SubscriptionGenerator gen(schema_, SubscriptionWorkloadConfig{0.9, 0.7, 1.0});
@@ -466,7 +466,7 @@ TEST_F(CoveringDifferentialTest, DeferredParkedOnlyBurstPublishesCoveringOnly) {
   // or unparks subscriptions touches no compiled tree, so publish_space
   // shares the compiled tables instead of compiling. One tree mutation in
   // the burst makes it compile.
-  BrokerCore core(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), 1, {});
+  BrokerCore core(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), {});
   core.control_plane().assert_serialized();
   const BrokerId remote{0};
   const Subscription everything(schema_, std::vector<T>(4, T::dont_care()));
@@ -528,7 +528,7 @@ TEST_F(CoveringDifferentialTest, SelfOwnedSubscriptionsNeverPark) {
   // of the compiled kernels, with no parked-child expansion. An all-local
   // population therefore compiles fully — zero covered, zero covering-only
   // publishes — even under a workload dense with containment.
-  BrokerCore core(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), 1, {});
+  BrokerCore core(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), {});
   Rng rng(2468);
   SubscriptionGenerator gen(schema_, SubscriptionWorkloadConfig{0.9, 0.55, 1.0});
   for (std::int64_t i = 0; i < 200; ++i) {
@@ -540,7 +540,7 @@ TEST_F(CoveringDifferentialTest, SelfOwnedSubscriptionsNeverPark) {
 
   // The same workload under a remote owner does aggregate, which pins the
   // blame for the zero above on the owner, not the workload.
-  BrokerCore remote(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), 1, {});
+  BrokerCore remote(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), {});
   Rng rng2(2468);
   for (std::int64_t i = 0; i < 200; ++i) {
     remote.add_subscription(kSpace0, SubscriptionId{i}, gen.generate(rng2), BrokerId{0});
@@ -552,8 +552,8 @@ TEST_F(CoveringDifferentialTest, CoveringOnOffRejectIdentically) {
   // Exception parity: a schema-arity mismatch must throw the same way
   // whether the subscription would have parked or entered a matcher, and
   // must leave no partial state behind in either config.
-  BrokerCore with(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), 1, {});
-  BrokerCore without(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), 1, covering_off());
+  BrokerCore with(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), {});
+  BrokerCore without(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), covering_off());
   const SchemaPtr other = make_synthetic_schema(2, 3);
   const Subscription wrong = Subscription::match_all(other);
   const Subscription broad = Subscription::match_all(schema_);

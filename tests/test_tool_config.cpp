@@ -104,7 +104,6 @@ TEST(BrokerConfigSpec, MinimalDefaults) {
   ASSERT_EQ(config.schemas.size(), 1u);
   EXPECT_EQ(config.schemas[0]->name(), "t");
   EXPECT_EQ(config.match_threads, 0u);
-  EXPECT_EQ(config.shards, 1u);
   EXPECT_EQ(config.batch_max, 32u);
   EXPECT_TRUE(config.covering);
   EXPECT_EQ(config.delta_segment_target, 16384u);
@@ -128,7 +127,7 @@ TEST(BrokerConfigSpec, AllFlagFamiliesParse) {
   auto args = minimal_args();
   for (const char* extra :
        {"--dial", "1=127.0.0.1:7001", "--schema", "u b:double", "--match-threads", "auto",
-        "--shards", "4", "--batch-max", "64", "--gc-seconds", "60", "--verbose",
+        "--batch-max", "64", "--gc-seconds", "60", "--verbose",
         "--no-covering", "--delta-segment-target", "4096", "--max-delta-segments", "8",
         "--link-rto-ms", "25", "--link-heartbeat-ms", "100", "--link-idle-timeout-ms", "400",
         "--redial-backoff-ms", "10", "--redial-backoff-max-ms", "1000",
@@ -140,7 +139,6 @@ TEST(BrokerConfigSpec, AllFlagFamiliesParse) {
   EXPECT_EQ(config.dials[0].peer, BrokerId{1});
   EXPECT_EQ(config.schemas.size(), 2u);
   EXPECT_GE(config.match_threads, 1u);  // "auto" resolves to >= 1
-  EXPECT_EQ(config.shards, 4u);
   EXPECT_EQ(config.batch_max, 64u);
   EXPECT_FALSE(config.covering);
   EXPECT_EQ(config.delta_segment_target, 4096u);
@@ -176,12 +174,26 @@ TEST(BrokerConfigSpec, RequiredFlagsEnforced) {
 
 TEST(BrokerConfigSpec, ErrorMessagesNameTheFlag) {
   auto args = minimal_args();
-  args.insert(args.end(), {"--shards", "0"});
+  args.insert(args.end(), {"--batch-max", "0"});
   try {
     parse_broker_config(args);
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("--shards"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("--batch-max"), std::string::npos) << e.what();
+  }
+}
+
+TEST(BrokerConfigSpec, ShardsFlagIsUnknown) {
+  // The data plane has one bucket table per space; --shards is gone and
+  // must fail like any other unknown flag rather than be silently ignored.
+  auto args = minimal_args();
+  args.insert(args.end(), {"--shards", "4"});
+  try {
+    parse_broker_config(args);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown argument --shards"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -191,7 +203,6 @@ TEST(BrokerConfigSpec, RejectsInvalidValues) {
     for (const char* a : extra) args.emplace_back(a);
     return args;
   };
-  EXPECT_THROW(parse_broker_config(with({"--shards", "0"})), std::invalid_argument);
   EXPECT_THROW(parse_broker_config(with({"--batch-max", "0"})), std::invalid_argument);
   EXPECT_THROW(parse_broker_config(with({"--batch-max", "-3"})), std::invalid_argument);
   EXPECT_THROW(parse_broker_config(with({"--delta-segment-target", "0"})),
@@ -213,7 +224,7 @@ TEST(BrokerConfigSpec, RejectsInvalidValues) {
                std::invalid_argument);
   // Unknown flags and missing values are named.
   EXPECT_THROW(parse_broker_config(with({"--bogus"})), std::invalid_argument);
-  EXPECT_THROW(parse_broker_config(with({"--shards"})), std::invalid_argument);
+  EXPECT_THROW(parse_broker_config(with({"--batch-max"})), std::invalid_argument);
 }
 
 TEST(BrokerConfigSpec, ReplicationFlagsParse) {

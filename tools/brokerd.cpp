@@ -6,7 +6,7 @@
 //           --schema "trades issue:string price:double volume:int" ...
 //           [--schema "alarms severity:int"]... ...
 //           [--gc-seconds 3600] [--match-threads N|auto] [--verbose]
-//           [--shards N] [--batch-max N]
+//           [--batch-max N]
 //           [--link-rto-ms 50] [--link-heartbeat-ms 500]
 //           [--link-idle-timeout-ms 2000] [--redial-backoff-ms 20]
 //           [--redial-backoff-max-ms 5000] [--redial-budget 0]
@@ -35,9 +35,8 @@
 // failures (0 = never) the link is declared dead and forwards to it are
 // dropped with a counter instead of queueing forever.
 //
-// --shards partitions each factored space's compiled matching state into
-// independently matchable shards; --batch-max bounds how many events one
-// match worker drains into a single DispatchBatch (docs/concurrency.md).
+// --batch-max bounds how many events one match worker drains into a single
+// DispatchBatch (docs/concurrency.md).
 //
 // Example three-node line on one machine:
 //   brokerd --id 0 --brokers 3 --links 0-1,1-2 --listen 7000 --schema "t a:int" &
@@ -88,7 +87,7 @@ struct Relay : TransportHandler {
                "usage: %s --id N --brokers N --links \"0-1:10,...\" --listen PORT\n"
                "          [--dial ID=HOST:PORT]... --schema \"NAME attr:type ...\" ...\n"
                "          [--gc-seconds N] [--match-threads N|auto] [--verbose]\n"
-               "          [--shards N] [--batch-max N]\n"
+               "          [--batch-max N]\n"
                "          [--no-covering] [--delta-segment-target N] [--max-delta-segments N]\n"
                "          [--link-rto-ms N] [--link-heartbeat-ms N]\n"
                "          [--link-idle-timeout-ms N] [--redial-backoff-ms N]\n"
@@ -116,7 +115,6 @@ int main(int argc, char** argv) {
     Broker::Options options;
     options.log_retention = ticks_from_seconds(config.gc_seconds);
     options.match_threads = config.match_threads;
-    options.shards = config.shards;
     options.match_batch_max = config.batch_max;
     options.control.covering = config.covering;
     options.control.delta_segment_target = config.delta_segment_target;
@@ -134,9 +132,9 @@ int main(int argc, char** argv) {
         transport.listen(static_cast<std::uint16_t>(config.listen_port));
     std::printf(
         "brokerd: broker %d listening on 127.0.0.1:%u (%zu spaces, %zu brokers, "
-        "%zu match threads, %zu shards, batch %zu)%s\n",
+        "%zu match threads, batch %zu)%s\n",
         config.id, port, config.schemas.size(), config.brokers, config.match_threads,
-        config.shards, config.batch_max, config.standby() ? " [standby]" : "");
+        config.batch_max, config.standby() ? " [standby]" : "");
     if (config.replica_listen_port >= 0) {
       const std::uint16_t replica_port =
           transport.listen(static_cast<std::uint16_t>(config.replica_listen_port));

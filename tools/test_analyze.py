@@ -44,7 +44,6 @@ def _have_cindex() -> bool:
 CLEAN_TREE = {
     "src/matching/compiled_pst.h": "struct CompiledPst { int match; };\n",
     "src/matching/compiled_pst.cpp": "int compiled_match() { return 1; }\n",
-    "src/matching/shard_router.h": "struct ShardRouter { int shard_of_key; };\n",
     "src/matching/covering_snapshot.h": "struct CoveringSnapshot { int expand; };\n",
     "src/routing/compiled_annotation.h": "struct CompiledAnnotation {};\n",
     "src/routing/compiled_annotation.cpp": "int annotate() { return 2; }\n",
@@ -83,7 +82,6 @@ BASE_CONFIG = {
         "data_plane_files": [
             "src/matching/compiled_pst.h",
             "src/matching/compiled_pst.cpp",
-            "src/matching/shard_router.h",
             "src/matching/covering_snapshot.h",
             "src/routing/compiled_annotation.h",
             "src/routing/compiled_annotation.cpp",

@@ -180,8 +180,6 @@ BrokerConfig parse_broker_config(const std::vector<std::string>& args) {
       config.gc_seconds = next_positive("gc seconds");
     } else if (arg == "--match-threads") {
       config.match_threads = parse_thread_count(next());
-    } else if (arg == "--shards") {
-      config.shards = static_cast<std::size_t>(next_positive("shard count"));
     } else if (arg == "--batch-max") {
       config.batch_max = static_cast<std::size_t>(next_positive("batch size"));
     } else if (arg == "--no-covering") {
