@@ -5,7 +5,7 @@
 //
 //   * publish hot-path delta — per-publish latency (client publish -> every
 //     in-proc frame drained, delivery included) with replication OFF vs ON
-//     (update log armed + hot standby attached and streaming), p50/p99 over
+//     (hot standby attached and streaming), p50/p99 over
 //     the same publish count. The delta is the price of mirroring the
 //     delivery and link logs through the update stream.
 //   * failover — seed a primary with dormant subscriptions and unacked
@@ -80,7 +80,6 @@ struct FailoverBed {
   explicit FailoverBed(bool replicate) {
     Broker::Options popts = base_options();
     popts.session_epoch = kPrimaryEpoch;
-    popts.replicate = replicate;
     primary = make_broker("primary0", BrokerId{0}, popts);
     if (replicate) {
       Broker::Options sopts = base_options();

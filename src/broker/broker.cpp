@@ -16,6 +16,11 @@ using Cursor = ReliableStream::Receiver::Cursor;
 // re-flood from resurrecting a removed subscription.
 constexpr std::size_t kUnsubTombstoneCap = 4096;
 
+// Events a match worker drains per wakeup into one DispatchBatch. The batch
+// amortizes snapshot pinning, codec work, and the apply-side mutex over up
+// to this many events.
+constexpr std::size_t kMatchBatchMax = 32;
+
 // A fresh epoch per process: a restarted broker must never be confused with
 // its previous incarnation, or peers would misapply old sequence state to
 // the new session. Wall-clock nanoseconds mixed with the broker id is
@@ -39,7 +44,6 @@ Broker::Broker(BrokerId self, const BrokerNetwork& topology, std::vector<SchemaP
       session_epoch_(options_.session_epoch != 0 ? options_.session_epoch
                                                  : derive_session_epoch(self)) {
   standby_ = options_.standby;
-  repl_enabled_ = options_.replicate && !options_.standby;
   workers_.reserve(options_.match_threads);
   for (std::size_t i = 0; i < options_.match_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -555,7 +559,6 @@ void Broker::worker_loop() {
   // Per-worker batch context (it owns the memoization arena); the dispatch
   // itself runs against the core's immutable snapshot, entirely outside
   // the broker mutex.
-  const std::size_t batch_max = std::max<std::size_t>(1, options_.match_batch_max);
   DispatchBatch batch;
   std::vector<PendingEvent> items;
   std::vector<Event> events;
@@ -566,7 +569,7 @@ void Broker::worker_loop() {
       MutexUniqueLock qlock(queue_mutex_);
       while (!stop_ && queue_.empty()) queue_cv_.wait(qlock.native());
       if (queue_.empty()) return;  // stopping and drained
-      const std::size_t take = std::min(queue_.size(), batch_max);
+      const std::size_t take = std::min(queue_.size(), kMatchBatchMax);
       for (std::size_t i = 0; i < take; ++i) {
         items.push_back(std::move(queue_.front()));
         queue_.pop_front();
@@ -899,14 +902,15 @@ void Broker::handle_repl_hello(ConnId conn, const wire::ReplHello& hello) {
   }
   conns_[conn] = ConnState{ConnKind::kReplica, {}, BrokerId{}};
   replica_conn_ = conn;
-  // The update log only covers history since replication was enabled; a log
-  // armed just now (Options::replicate unset) misses everything before this
-  // hello, so the resume path is only sound once the first snapshot (which
-  // carries the full state) has been sent. A standby that has never applied
-  // anything (applied_seq == 0) always gets a snapshot regardless: the
-  // session epoch and subscription-id counter travel only in snapshots, and
-  // promotion is identity takeover — the standby cannot come up on an epoch
-  // of its own.
+  // The update log starts at this incarnation's first hello, so it covers
+  // the broker's history only once that hello's snapshot (which carries the
+  // full state) has been sent. The first hello therefore always snapshots,
+  // whatever sequence the standby reports: a standby of a previous
+  // incarnation holds state this log never saw, and ReplHello carries no
+  // epoch to tell it apart. A standby that has never applied anything
+  // (applied_seq == 0) always gets a snapshot too: the session epoch and
+  // subscription-id counter travel only in snapshots, and promotion is
+  // identity takeover — the standby cannot come up on an epoch of its own.
   const bool log_covers_history = repl_enabled_;
   repl_enabled_ = true;
   const std::uint64_t resume_floor =

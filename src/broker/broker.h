@@ -32,7 +32,7 @@
 // and applied synchronously inside the frame handler (deterministic — the
 // historical behavior), one-event batches through the same batch-first
 // dispatch API the workers use. With N > 0, a pool of N match workers
-// drains events in batches (up to Options::match_batch_max per wakeup):
+// drains events in batches (up to 32, kMatchBatchMax, per wakeup):
 // each batch is decoded outside all locks, dispatched against one pinned
 // core snapshot, and applied under a single broker-mutex hold whose frames
 // coalesce into one send_batch flush per neighbor and per local client.
@@ -78,10 +78,6 @@ class Broker : public TransportHandler {
     /// Covering aggregation and delta-compilation behaviour of the core's
     /// control plane (both on by default; see broker_core.h).
     ControlPlaneOptions control{};
-    /// Events a match worker drains per wakeup into one DispatchBatch
-    /// (clamped to >= 1). The batch amortizes snapshot pinning, codec work,
-    /// and the apply-side mutex over up to this many events.
-    std::size_t match_batch_max{32};
     /// Link-session epoch; 0 derives one from the wall clock at
     /// construction. Restarted brokers must come up with a fresh epoch so
     /// peers never misapply old sequence state; tests pin it for
@@ -98,11 +94,6 @@ class Broker : public TransportHandler {
     /// after promote(). The broker must be constructed with the primary's
     /// BrokerId — promotion is identity takeover.
     bool standby{false};
-    /// Primary side: append every durable mutation to the replication
-    /// update log from construction on (a standby attaching later resumes
-    /// without a snapshot). Off by default — a ReplHello enables streaming
-    /// dynamically either way; this flag only pre-arms the log.
-    bool replicate{false};
     /// Primary side: retained updates in the replication log. This is the
     /// snapshot cadence: a standby reattaching from further back than this
     /// window gets a full StateSnapshot instead of an update replay, and
@@ -400,7 +391,7 @@ class Broker : public TransportHandler {
   // is non-const only because a standby adopts the primary's epoch from the
   // snapshot (identity takeover includes the epoch).
   bool standby_ GUARDED_BY(mutex_){false};
-  bool repl_enabled_ GUARDED_BY(mutex_){false};    // primary: log mutations
+  bool repl_enabled_ GUARDED_BY(mutex_){false};    // primary: logging since the first hello
   /// Primary -> standby update stream (each entry's event bytes hold one
   /// encoded replication::Update), and the standby's connection to it.
   ReliableStream::Sender replica_ GUARDED_BY(mutex_);

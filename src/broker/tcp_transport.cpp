@@ -21,6 +21,11 @@ namespace {
 // many bytes.
 constexpr std::size_t kGatherBytes = 64u * 1024;
 
+constexpr std::size_t kSenderThreads = 2;
+
+// A size prefix above this is protocol corruption: the connection drops.
+constexpr std::uint32_t kMaxFrameBytes = 16u * 1024 * 1024;
+
 std::uint32_t read_u32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
          (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
@@ -51,9 +56,8 @@ std::vector<std::uint8_t> frame_packet(const std::vector<std::uint8_t>& frame) {
 
 }  // namespace
 
-TcpTransport::TcpTransport(TransportHandler& handler, Options options)
-    : handler_(&handler), options_(options) {
-  for (std::size_t i = 0; i < options_.sender_threads; ++i) {
+TcpTransport::TcpTransport(TransportHandler& handler) : handler_(&handler) {
+  for (std::size_t i = 0; i < kSenderThreads; ++i) {
     senders_.emplace_back([this] { sender_loop(); });
   }
 }
@@ -156,7 +160,7 @@ void TcpTransport::reader_loop(ConnId id, Conn& conn) {
     bool bad = false;
     while (end - begin >= 4 && !conn.closed) {
       size = read_u32(buffer.get() + begin);
-      if (size == 0 || size > options_.max_frame_bytes) {
+      if (size == 0 || size > kMaxFrameBytes) {
         GRYPHON_WARN("tcp") << "conn " << id << ": bad frame size " << size;
         bad = true;
         break;

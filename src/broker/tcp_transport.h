@@ -3,7 +3,7 @@
 // Frames are length-prefixed (u32 little-endian, then the frame bytes).
 // Sending is asynchronous, exactly as the paper describes (Section 4.2):
 // send() enqueues the frame on the connection's outgoing queue and returns;
-// a pool of sending threads monitors the queues and drains them to the
+// a pool of two sending threads monitors the queues and drains them to the
 // sockets. A sender is woken only when a connection becomes dirty (its
 // queue goes from idle to non-empty); frames queued while a sender already
 // owns the connection are picked up by that sender, which re-checks the
@@ -15,8 +15,9 @@
 // buffer, every complete frame in it is handed to on_frame as a span into
 // that buffer, and a partial tail waits for the next read. A frame larger
 // than the buffer grows it while the frame is assembled; the buffer goes
-// back to the default size afterwards. An acceptor thread serves the
-// listening socket.
+// back to the default size afterwards. A size prefix of 0 or above 16 MiB
+// is protocol corruption and drops the connection. An acceptor thread
+// serves the listening socket.
 #pragma once
 
 #include <atomic>
@@ -36,18 +37,11 @@ namespace gryphon {
 
 class TcpTransport final : public Transport {
  public:
-  struct Options {
-    std::size_t sender_threads{2};
-    /// Frames larger than this are treated as protocol corruption.
-    std::uint32_t max_frame_bytes{16u * 1024 * 1024};
-  };
-
   /// Default size of each connection's receive buffer: the most one recv()
   /// asks for unless a larger frame is being assembled.
   static constexpr std::size_t kReadBufferBytes = 64u * 1024;
 
-  explicit TcpTransport(TransportHandler& handler, Options options);
-  explicit TcpTransport(TransportHandler& handler) : TcpTransport(handler, Options()) {}
+  explicit TcpTransport(TransportHandler& handler);
   ~TcpTransport() override;
 
   /// Starts listening on 127.0.0.1:`port` (0 picks an ephemeral port).
@@ -102,7 +96,6 @@ class TcpTransport final : public Transport {
   void close_locked(ConnId id) REQUIRES(mutex_);
 
   TransportHandler* handler_;
-  Options options_;
 
   mutable Mutex mutex_;
   std::condition_variable send_cv_;

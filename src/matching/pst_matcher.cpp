@@ -23,12 +23,6 @@ FactoringIndex::FactoringIndex(SchemaPtr schema, std::vector<std::size_t> factor
   }
 }
 
-FactoringIndex::Key FactoringIndex::event_key(const Event& event) const {
-  Key key;
-  event_key_into(event, key);
-  return key;
-}
-
 void FactoringIndex::event_key_into(const Event& event, Key& out) const {
   // gryphon-analyze: allow(alloc): the scratch key grows once per factoring
   // shape; element-wise assignment below reuses its capacity after that.

@@ -37,14 +37,10 @@ class FactoringIndex {
   /// Throws std::invalid_argument if any lacks a finite domain.
   FactoringIndex(SchemaPtr schema, std::vector<std::size_t> factored);
 
-  [[nodiscard]] const std::vector<std::size_t>& factored_attributes() const { return factored_; }
-
-  /// The single bucket an event belongs to.
-  [[nodiscard]] Key event_key(const Event& event) const;
-
-  /// As event_key, into a caller-owned buffer: values are assigned
-  /// element-wise so a reused key (MatchScratch::factoring_key()) performs
-  /// no heap allocation on the hot dispatch path.
+  /// The single bucket an event belongs to, into a caller-owned buffer:
+  /// values are assigned element-wise so a reused key
+  /// (MatchScratch::factoring_key()) performs no heap allocation on the hot
+  /// dispatch path.
   void event_key_into(const Event& event, Key& out) const;
 
   /// Every bucket a subscription must live in: the cartesian product of the

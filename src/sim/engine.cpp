@@ -26,6 +26,21 @@ constexpr Ticks kNoPending = std::numeric_limits<Ticks>::max();
 /// in place of the exact mask-refinement count.
 constexpr std::uint64_t kAggregateProbeSteps = 1;
 
+// The paper's cost model (Section 4.1), in ticks of CPU per message.
+/// One matching step (node visitation). The paper estimates "a few
+/// microseconds" per step; 0.25 ticks = 3 us.
+constexpr double kStepCostTicks = 0.25;
+/// Pushing one outgoing copy through the transport.
+constexpr double kSendCostTicks = 4.0;
+/// Fixed per-message receive/parse cost. Calibrated so transport costs
+/// outweigh matching (Section 4.2: a 200 MHz broker tops out near 14,000
+/// events/sec, ~70 us per message; 6 ticks = 72 us).
+constexpr double kBaseCostTicks = 6.0;
+/// Match-first only: per-destination list handling cost at relays.
+constexpr double kPerDestinationCostTicks = 0.25;
+/// One untracked background message (CostSpec::background_rate_per_broker).
+constexpr Ticks kBackgroundCostTicks = 8;
+
 struct PartitionStats {
   std::uint64_t broker_messages{0};
   std::uint64_t client_messages{0};
@@ -117,8 +132,6 @@ void EngineRun::setup_partitions() {
   const double ticks_per_second = 1e6 / kMicrosPerTick;
   const double bg_rate_per_tick =
       inst_.spec.costs.background_rate_per_broker / ticks_per_second;
-  const Ticks bg_cost = std::max<Ticks>(
-      1, static_cast<Ticks>(inst_.spec.costs.background_cost_ticks + 0.5));
   const std::uint64_t bg_seed = sim_stream_seed(inst_.spec.seed, SimStream::kBackground);
   for (const std::vector<std::uint32_t>& members : layout_->members) {
     auto part = std::make_unique<Partition>();
@@ -129,7 +142,7 @@ void EngineRun::setup_partitions() {
       server.set_overload_threshold(inst_.spec.limits.overload_backlog_threshold);
       if (inst_.spec.costs.background_rate_per_broker > 0) {
         std::uint64_t mix = bg_seed ^ (0x9e3779b97f4a7c15ULL * (b + 1));
-        server.configure_background(splitmix64(mix), bg_rate_per_tick, bg_cost,
+        server.configure_background(splitmix64(mix), bg_rate_per_tick, kBackgroundCostTicks,
                                     last_publish_);
       }
     }
@@ -248,7 +261,6 @@ std::shared_ptr<const std::vector<std::uint32_t>> EngineRun::homes_for(
 void EngineRun::decide(Partition& part, BrokerId broker, SimMessage& msg, Decision& d) {
   const Event& event = inst_.events[msg.event_index];
   const auto b = static_cast<std::size_t>(broker.value);
-  const CostSpec& costs = inst_.spec.costs;
 
   switch (inst_.spec.protocol) {
     case Protocol::kLinkMatching: {
@@ -338,8 +350,7 @@ void EngineRun::decide(Partition& part, BrokerId broker, SimMessage& msg, Decisi
           msg.dests.erase(std::unique(msg.dests.begin(), msg.dests.end()), msg.dests.end());
         }
       } else {
-        d.extra_cost +=
-            costs.per_destination_cost_ticks * static_cast<double>(msg.dests.size());
+        d.extra_cost += kPerDestinationCostTicks * static_cast<double>(msg.dests.size());
       }
       // Split the destination list by next hop (ordered map: the forward
       // emission order is part of the deterministic event order).
@@ -379,11 +390,8 @@ void EngineRun::process(Partition& part, Arrival arrival) {
   d.clear();
   decide(part, arrival.broker, msg, d);
 
-  const CostSpec& costs = inst_.spec.costs;
-  const double cost = costs.base_cost_ticks +
-                      costs.step_cost_ticks * static_cast<double>(d.steps) +
-                      costs.send_cost_ticks *
-                          static_cast<double>(d.forwards.size() + d.local.size()) +
+  const double cost = kBaseCostTicks + kStepCostTicks * static_cast<double>(d.steps) +
+                      kSendCostTicks * static_cast<double>(d.forwards.size() + d.local.size()) +
                       d.extra_cost;
   const Ticks done = server.serve(now, cost);
   part.stats.end_time = std::max(part.stats.end_time, done);

@@ -103,11 +103,6 @@ struct TopologySpec {
 /// inspect a topology without paying for a control plane.
 GeneratedTopology build_topology(const TopologySpec& topology, std::uint64_t seed);
 
-enum class PublisherAssignment : std::uint8_t {
-  kRoundRobin = 0,  // event i publishes from publishers[i % P] (the paper's shape)
-  kRandom,          // uniform choice from the schedule sub-stream
-};
-
 struct ArrivalSpec {
   enum class Kind : std::uint8_t { kPoisson = 0, kBursty } kind{Kind::kPoisson};
   /// kBursty: exponentially distributed ON/OFF period means. The ON rate is
@@ -132,19 +127,18 @@ struct WorkloadSpec {
   double rate_eps{40.0};
   /// Tracked publishers: spread evenly over the topology's client-hosting
   /// brokers (kFigure6 uses its canonical P1..P3 brokers when this is 3).
+  /// Event i publishes from publishers[i % P], the paper's shape.
   std::size_t publishers{3};
-  PublisherAssignment assignment{PublisherAssignment::kRoundRobin};
   ArrivalSpec arrivals{};
+  /// Synthetic subscriptions and events take per-region zipf rank
+  /// permutations ("locality of interest") on multi-region topologies, and
+  /// events draw values with zipf skew 1.
   SubscriptionWorkloadConfig subscription_config{};
-  /// Per-region zipf rank permutations ("locality of interest").
-  bool locality{true};
-  double event_zipf_skew{1.0};
   /// Subscription churn during the run: subscribe/unsubscribe operations at
-  /// this aggregate Poisson rate (0 = static subscription set). Delivery
-  /// verification is skipped under churn — the publish-time oracle cannot
-  /// account for in-flight events.
+  /// this aggregate Poisson rate (0 = static subscription set), half of
+  /// them unsubscribes. Delivery verification is skipped under churn — the
+  /// publish-time oracle cannot account for in-flight events.
   double churn_rate_eps{0.0};
-  double churn_unsubscribe_fraction{0.5};
   /// Link down/up dynamics: each inter-broker link fails with this mean
   /// time between failures (0 = no faults) and heals after an
   /// exponentially distributed repair time. A downed link holds frames and
@@ -155,23 +149,13 @@ struct WorkloadSpec {
   ScriptedWorkload scripted{};
 };
 
+/// The per-message CPU costs are fixed (the paper's one cost model; see
+/// engine.cpp); only the background load varies.
 struct CostSpec {
-  /// CPU cost, in ticks, of one matching step (node visitation). The paper
-  /// estimates "a few microseconds" per step; 0.25 ticks = 3 us.
-  double step_cost_ticks{0.25};
-  /// CPU cost of pushing one outgoing copy through the transport.
-  double send_cost_ticks{4.0};
-  /// Fixed per-message receive/parse cost. Calibrated so transport costs
-  /// outweigh matching (Section 4.2: a 200 MHz broker tops out near 14,000
-  /// events/sec, ~70 us per message; 6 ticks = 72 us).
-  double base_cost_ticks{6.0};
-  /// Match-first only: per-destination list handling cost at relays.
-  double per_destination_cost_ticks{0.25};
   /// Background load (Section 4.1): each broker additionally receives
   /// untracked messages at this Poisson rate (events/second), each burning
-  /// `background_cost_ticks` of CPU and nothing else.
+  /// a fixed CPU cost and nothing else.
   double background_rate_per_broker{0.0};
-  double background_cost_ticks{8.0};
 };
 
 struct LimitSpec {
@@ -204,7 +188,8 @@ struct VerifySpec {
 /// 200,000, 340 MiB at wan-1000 with 40,000 of its 1,000,000. Aggregate
 /// builds no rows and reproduces the traffic (DESIGN.md, section 5).
 enum class ControlPlaneMode : std::uint8_t {
-  /// kExact below its thresholds, kAggregate beyond them.
+  /// kExact up to 64 brokers and 20,000 subscriptions, kAggregate beyond
+  /// either.
   kAuto = 0,
   /// Every broker holds annotation rows for each tree an event reaches
   /// and runs the paper's mask-refinement search per hop. Exact step
@@ -227,9 +212,6 @@ struct EngineSpec {
   /// changes.
   std::size_t threads{1};
   ControlPlaneMode control_plane{ControlPlaneMode::kAuto};
-  /// kAuto switches to kAggregate beyond either threshold.
-  std::size_t exact_max_brokers{64};
-  std::size_t exact_max_subscriptions{20000};
 };
 
 struct SimSpec {

@@ -28,11 +28,11 @@ double unit_double(std::uint64_t bits) {
 }
 
 /// Per-region zipf rank permutations, or empty when locality does not apply
-/// (off, custom schema, or a single region).
+/// (custom schema, or a single region).
 std::vector<std::vector<std::uint32_t>> region_permutations(const SimSpec& spec,
                                                             std::size_t region_count) {
   std::vector<std::vector<std::uint32_t>> perms;
-  if (!spec.workload.locality || spec.schema != nullptr || region_count <= 1) return perms;
+  if (spec.schema != nullptr || region_count <= 1) return perms;
   perms.reserve(region_count);
   for (std::size_t r = 0; r < region_count; ++r) {
     perms.push_back(
@@ -80,10 +80,7 @@ std::vector<PublishRecord> make_schedule(const SimInstance& inst, double rate_ep
   const std::size_t pubs = inst.publishers.size();
   for (std::size_t i = 0; i < count; ++i) {
     t += std::max<Ticks>(1, process->next_gap(rng));
-    const BrokerId broker = w.assignment == PublisherAssignment::kRoundRobin
-                                ? inst.publishers[i % pubs]
-                                : inst.publishers[rng.below(pubs)];
-    schedule.push_back(PublishRecord{t, broker, i});
+    schedule.push_back(PublishRecord{t, inst.publishers[i % pubs], i});
   }
   return schedule;
 }
@@ -205,7 +202,7 @@ void build_events(SimInstance& inst, const std::vector<std::vector<std::uint32_t
     return;
   }
   if (w.events == 0) return;
-  EventGenerator generator(inst.schema, w.event_zipf_skew);
+  EventGenerator generator(inst.schema);
   Rng rng(sim_stream_seed(inst.spec.seed, SimStream::kEvents));
   inst.events.reserve(w.events);
   const std::size_t pubs = std::max<std::size_t>(1, inst.publishers.size());
@@ -216,6 +213,10 @@ void build_events(SimInstance& inst, const std::vector<std::vector<std::uint32_t
     inst.events.push_back(generator.generate(rng, perm));
   }
 }
+
+/// ControlPlaneMode::kAuto runs the exact model up to these sizes.
+constexpr std::size_t kExactMaxBrokers = 64;
+constexpr std::size_t kExactMaxSubscriptions = 20000;
 
 void build_control_plane(SimInstance& inst) {
   const SimSpec& spec = inst.spec;
@@ -229,8 +230,8 @@ void build_control_plane(SimInstance& inst) {
       inst.aggregate = true;
       break;
     case ControlPlaneMode::kAuto:
-      inst.aggregate = net.broker_count() > spec.engine.exact_max_brokers ||
-                       inst.subscriptions.size() > spec.engine.exact_max_subscriptions;
+      inst.aggregate = net.broker_count() > kExactMaxBrokers ||
+                       inst.subscriptions.size() > kExactMaxSubscriptions;
       break;
   }
 
@@ -286,6 +287,10 @@ void build_control_plane(SimInstance& inst) {
   }
 }
 
+/// Churn operations are unsubscribes with this probability (while any
+/// subscription is live).
+constexpr double kChurnUnsubscribeFraction = 0.5;
+
 void build_churn(SimInstance& inst, const std::vector<std::vector<std::uint32_t>>& perms) {
   const WorkloadSpec& w = inst.spec.workload;
   inst.churn_enabled = w.churn_rate_eps > 0.0 && !inst.base_schedule.empty();
@@ -314,7 +319,7 @@ void build_churn(SimInstance& inst, const std::vector<std::vector<std::uint32_t>
   while (true) {
     t += std::max<Ticks>(1, static_cast<Ticks>(rng.exponential(rate_per_tick)));
     if (t > window) break;
-    const bool unsubscribe = rng.chance(w.churn_unsubscribe_fraction) && !live.empty();
+    const bool unsubscribe = rng.chance(kChurnUnsubscribeFraction) && !live.empty();
     if (unsubscribe) {
       const std::size_t pick = rng.below(live.size());
       ChurnOp op{t, false, live[pick]};

@@ -15,7 +15,12 @@ TEST(FactoringIndex, EventKeyPicksFactoredValues) {
   const auto schema = make_synthetic_schema(4, 3);
   FactoringIndex index(schema, {0, 1});
   const Event e(schema, {Value(2), Value(1), Value(0), Value(0)});
-  EXPECT_EQ(index.event_key(e), (FactoringIndex::Key{Value(2), Value(1)}));
+  FactoringIndex::Key key;
+  index.event_key_into(e, key);
+  EXPECT_EQ(key, (FactoringIndex::Key{Value(2), Value(1)}));
+  // A reused buffer is overwritten, not appended to.
+  index.event_key_into(Event(schema, {Value(0), Value(2), Value(1), Value(1)}), key);
+  EXPECT_EQ(key, (FactoringIndex::Key{Value(0), Value(2)}));
 }
 
 TEST(FactoringIndex, PinnedSubscriptionHasOneKey) {

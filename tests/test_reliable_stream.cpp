@@ -551,11 +551,10 @@ struct AckBed {
   RawPeer raw;
   InProcEndpoint* raw_endpoint{nullptr};
 
-  explicit AckBed(bool replicate = false) {
+  AckBed() {
     auto* endpoint = net.create_endpoint("broker0");
     Broker::Options opts;
     opts.session_epoch = 100;
-    opts.replicate = replicate;
     opts.clock = [this] { return clock; };
     broker = std::make_unique<Broker>(BrokerId{0}, topo, std::vector<SchemaPtr>{schema},
                                       *endpoint, opts);
@@ -639,18 +638,21 @@ TEST(AckRange, BrokerAckAboveLastForwardIsRejectedAndReplayIsWhole) {
 }
 
 TEST(AckRange, ReplAckAboveLastUpdateIsRejectedAndResumeNeedsNoSnapshot) {
-  AckBed bed(/*replicate=*/true);
+  AckBed bed;
   auto* sub_endpoint = bed.net.create_endpoint("sub");
   Client sub("sub", *sub_endpoint, {bed.schema});
   sub_endpoint->set_handler(&sub);
   sub.bind(bed.net.connect("sub", "broker0"));
   bed.net.pump();
-  sub.subscribe(0, "volume > 0");  // something in the update log before the attach
-  bed.net.pump();
+  // The update log starts at the first hello, which snapshots; the
+  // subscription after it is the log's first update.
   const ConnId conn = bed.dial({wire::encode(wire::ReplHello{BrokerId{0}, 0})});
-  const auto snapshots = bed.raw.take(wire::FrameType::kStateSnapshot);
-  ASSERT_EQ(snapshots.size(), 1u);
-  const std::uint64_t through = wire::decode_state_snapshot(snapshots[0]).through_seq;
+  ASSERT_EQ(bed.raw.take(wire::FrameType::kStateSnapshot).size(), 1u);
+  sub.subscribe(0, "volume > 0");
+  bed.net.pump();
+  const auto updates = bed.raw.take(wire::FrameType::kStateUpdate);
+  ASSERT_FALSE(updates.empty());
+  const std::uint64_t through = wire::decode_state_update(updates.back()).seq;
   ASSERT_GT(through, 0u);
 
   bed.raw_endpoint->send(conn, wire::encode(wire::ReplAck{through}));

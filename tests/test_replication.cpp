@@ -219,11 +219,9 @@ struct ReplicationBed {
   ConnId link_conn{kInvalidConn};  // primary side of the 0 -> 1 link
   ConnId repl_conn{kInvalidConn};  // standby side of the replication link
 
-  explicit ReplicationBed(bool arm_primary_log = true,
-                          std::size_t repl_window = 4096) {
+  explicit ReplicationBed(std::size_t repl_window = 4096) {
     Broker::Options popts = base_options();
     popts.session_epoch = kPrimaryEpoch;
-    popts.replicate = arm_primary_log;
     popts.repl_log_window = repl_window;
     primary = make_broker("primary0", BrokerId{0}, popts);
 
@@ -265,10 +263,11 @@ struct ReplicationBed {
     net.pump();
   }
 
-  Client& add_client(const std::string& name, const std::string& broker_endpoint) {
+  Client& add_client(const std::string& name, const std::string& broker_endpoint,
+                     const Client::Options& copts = {}) {
     auto* endpoint = net.create_endpoint(name);
     clients.push_back(
-        std::make_unique<Client>(name, *endpoint, std::vector<SchemaPtr>{schema}));
+        std::make_unique<Client>(name, *endpoint, std::vector<SchemaPtr>{schema}, copts));
     endpoint->set_handler(clients.back().get());
     clients.back()->bind(net.connect(name, broker_endpoint));
     net.pump();
@@ -281,11 +280,11 @@ struct ReplicationBed {
 };
 
 TEST(ReplicationTest, FirstAttachAlwaysSnapshots) {
-  // Even with the update log armed from construction, a standby that has
-  // never applied anything needs the snapshot: the session epoch and
-  // subscription-id counter travel only in snapshots, and promotion must
-  // continue the primary's link sessions under the primary's epoch.
-  ReplicationBed bed(/*arm_primary_log=*/true);
+  // A standby that has never applied anything needs the snapshot: the
+  // session epoch and subscription-id counter travel only in snapshots, and
+  // promotion must continue the primary's link sessions under the
+  // primary's epoch.
+  ReplicationBed bed;
   bed.attach_standby();
   EXPECT_EQ(bed.standby->role(), Broker::Role::kStandby);
   EXPECT_EQ(bed.primary->stats().repl_snapshots_sent, 1u);
@@ -294,9 +293,9 @@ TEST(ReplicationTest, FirstAttachAlwaysSnapshots) {
 }
 
 TEST(ReplicationTest, SnapshotCarriesPreAttachState) {
-  // Log unarmed: everything mutated before the attach reaches the standby
-  // only through the full state image.
-  ReplicationBed bed(/*arm_primary_log=*/false);
+  // The update log starts at the first hello: everything mutated before
+  // the attach reaches the standby only through the full state image.
+  ReplicationBed bed;
   Client& sub = bed.add_client("sub", "primary0");
   sub.subscribe(0, "volume > 0");
   Client& pub = bed.add_client("pub", "primary0");
@@ -361,7 +360,7 @@ TEST(ReplicationTest, ReattachResumesFromAppliedCursor) {
 TEST(ReplicationTest, LaggedReattachFallsBackToSnapshot) {
   // Window of 4: the detached standby falls further behind than the primary
   // retains, so the reattach must re-baseline instead of replaying.
-  ReplicationBed bed(/*arm_primary_log=*/true, /*repl_window=*/4);
+  ReplicationBed bed(/*repl_window=*/4);
   bed.attach_standby();
   Client& sub = bed.add_client("sub", "primary0");
   sub.subscribe(0, "volume > 0");
@@ -378,6 +377,57 @@ TEST(ReplicationTest, LaggedReattachFallsBackToSnapshot) {
   bed.attach_standby();
   EXPECT_EQ(bed.primary->stats().repl_snapshots_sent, 2u);
   EXPECT_EQ(bed.standby->subscription_count(), bed.primary->subscription_count());
+}
+
+TEST(ReplicationTest, RestartedPrimaryResnapshotsStandbyOfPreviousIncarnation) {
+  // A standby applies N updates from one primary incarnation. The primary
+  // is rebuilt under the same id with a fresh session epoch, and its new
+  // incarnation makes more than N durable mutations. ReplHello carries no
+  // epoch, so a resume by sequence alone would apply the new incarnation's
+  // updates from N + 1 on top of the old state. The new incarnation's log
+  // starts at its first hello, so that hello must snapshot.
+  ReplicationBed bed;
+  bed.attach_standby();
+  Client::Options no_ack;
+  no_ack.auto_ack = false;  // its deliveries stay in the replicated log
+  Client& old_sub = bed.add_client("old_sub", "primary0", no_ack);
+  for (int i = 0; i < 3; ++i) old_sub.subscribe(0, "volume > " + std::to_string(i));
+  Client& old_pub = bed.add_client("old_pub", "primary0");
+  old_pub.publish(0, bed.make_event(10));
+  bed.net.pump();
+  const std::uint64_t applied = bed.standby->replication_applied_seq();
+  ASSERT_GT(applied, 0u);
+  ASSERT_EQ(bed.standby->subscription_count(), 3u);
+  ASSERT_GT(bed.standby->client_log_size("old_sub"), 0u);
+
+  // The old incarnation dies; a new one comes up under the same id.
+  bed.net.drop("standby0", bed.repl_conn);
+  bed.net.pump();
+  Broker::Options opts = bed.base_options();
+  opts.session_epoch = kPrimaryEpoch + 1;
+  std::unique_ptr<Broker> restarted = bed.make_broker("primary0b", BrokerId{0}, opts);
+  Client& new_sub = bed.add_client("new_sub", "primary0b");
+  new_sub.subscribe(0, "volume > 100");
+  Client& pub = bed.add_client("pub", "primary0b");
+  for (std::uint64_t i = 0; i <= applied; ++i) {
+    pub.publish(0, bed.make_event(static_cast<int>(200 + i)));
+  }
+  bed.net.pump();
+  ASSERT_EQ(new_sub.take_deliveries().size(), applied + 1);
+
+  // The standby reattaches to the new incarnation.
+  bed.repl_conn = bed.net.connect("standby0", "primary0b");
+  bed.standby->attach_replication_link(bed.repl_conn);
+  bed.net.pump();
+
+  EXPECT_EQ(restarted->stats().repl_snapshots_sent, 1u);
+  EXPECT_EQ(bed.standby->stats().repl_snapshots_applied, 2u);
+  // Exactly the new incarnation's state: its one subscription and its
+  // delivery log, nothing of the old client.
+  EXPECT_EQ(bed.standby->subscription_count(), 1u);
+  EXPECT_EQ(bed.standby->subscription_count(), restarted->subscription_count());
+  EXPECT_EQ(bed.standby->client_log_size("new_sub"), restarted->client_log_size("new_sub"));
+  EXPECT_EQ(bed.standby->client_log_size("old_sub"), 0u);
 }
 
 TEST(ReplicationTest, StandbyRefusesClientTraffic) {
@@ -474,7 +524,7 @@ TEST(ReplicationTest, StandbyDefersCompilesUntilPromotion) {
   // A standby dispatches nothing, so every replicated subscription change —
   // snapshot restore and streamed kSubAdd/kSubRemove alike — is deferred
   // and compiled once, at promotion.
-  ReplicationBed bed(/*arm_primary_log=*/false);
+  ReplicationBed bed;
   Client& early = bed.add_client("early", "primary0");
   early.subscribe(0, "volume > 0");  // reaches the standby in the snapshot
   bed.net.pump();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "routing/content_router.h"
@@ -277,13 +278,26 @@ TEST(EngineControlPlane, AggregateMatchesExactTrafficWhenBrokersHoldSeveralGroup
 }
 
 TEST(EngineControlPlane, AutoSwitchesOnThresholds) {
-  SimSpec spec = figure6_spec(9);
-  spec.engine.exact_max_brokers = 16;  // 39 brokers exceeds this
-  const SimResult a = simulate(spec);
-  EXPECT_STREQ(a.control_plane, "aggregate");
-  spec.engine.exact_max_brokers = 64;
-  const SimResult e = simulate(spec);
-  EXPECT_STREQ(e.control_plane, "exact");
+  // kAuto runs the exact model up to 64 brokers and 20,000 subscriptions
+  // and the aggregate model beyond either.
+  const auto control_plane = [](std::size_t brokers, std::size_t subscriptions) {
+    SimSpec spec;
+    spec.seed = 9;
+    spec.topology.kind = TopologyKind::kLine;
+    spec.topology.brokers = brokers;
+    spec.topology.clients_per_broker = 1;
+    spec.workload.subscriptions = subscriptions;
+    spec.workload.events = 4;
+    spec.workload.publishers = 1;
+    const SimResult result = simulate(spec);
+    EXPECT_EQ(result.missing_deliveries, 0u);
+    EXPECT_EQ(result.spurious_deliveries, 0u);
+    return std::string(result.control_plane);
+  };
+  EXPECT_EQ(control_plane(64, 100), "exact");
+  EXPECT_EQ(control_plane(65, 100), "aggregate");
+  EXPECT_EQ(control_plane(2, 20000), "exact");
+  EXPECT_EQ(control_plane(2, 20001), "aggregate");
 }
 
 TEST(EngineOracle, SamplingVerifiesAFractionAndReportsIt) {

@@ -2,6 +2,9 @@
 // accounting, and monotonicity of overload in the publish rate.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "sim/simulation.h"
 #include "topology/builders.h"
 
@@ -163,6 +166,57 @@ TEST(SimDetails, BackgroundLoadLowersSaturation) {
   }
   EXPECT_TRUE(quiet_ok && noisy_died)
       << "background load should reduce the sustainable tracked rate";
+}
+
+/// Coefficient of variation (standard deviation / mean) of a schedule's
+/// inter-publication gaps.
+double gap_cv(const std::vector<PublishRecord>& schedule) {
+  std::vector<double> gaps;
+  for (std::size_t i = 1; i < schedule.size(); ++i) {
+    gaps.push_back(static_cast<double>(schedule[i].time - schedule[i - 1].time));
+  }
+  double mean = 0;
+  for (const double g : gaps) mean += g;
+  mean /= static_cast<double>(gaps.size());
+  double var = 0;
+  for (const double g : gaps) var += (g - mean) * (g - mean);
+  var /= static_cast<double>(gaps.size());
+  return std::sqrt(var) / mean;
+}
+
+TEST(SimDetails, BurstySchedule) {
+  // ON/OFF arrivals with a 20% duty cycle (4 ms ON, 16 ms OFF): the ON
+  // rate is scaled to rate * (on + off) / on = 5x the configured rate, so
+  // the long-run rate is the configured one. 10,000 events span ~500
+  // cycles, which puts the long-run rate within a few percent of it;
+  // 15% leaves room for that spread and for whole-tick gap rounding.
+  constexpr double kRate = 1000.0;
+  SimSpec spec = small_spec(kRate);
+  spec.workload.events = 10000;
+  spec.workload.arrivals = ArrivalSpec{ArrivalSpec::Kind::kBursty, 0.004, 0.016};
+  const Simulation bursty(spec);
+  const std::vector<PublishRecord>& schedule = bursty.schedule();
+  ASSERT_EQ(schedule.size(), 10000u);
+  const double span_seconds = ticks_to_micros(schedule.back().time) / 1e6;
+  EXPECT_NEAR(static_cast<double>(schedule.size()) / span_seconds, kRate, 0.15 * kRate);
+
+  // Bursts then silences: far more variable gaps than Poisson arrivals at
+  // the same rate, whose gap CV is about 1.
+  SimSpec poisson_spec = spec;
+  poisson_spec.workload.arrivals = ArrivalSpec{};
+  const Simulation poisson(poisson_spec);
+  const double poisson_cv = gap_cv(poisson.schedule());
+  EXPECT_NEAR(poisson_cv, 1.0, 0.1);
+  EXPECT_GT(gap_cv(schedule), 2.0 * poisson_cv);
+
+  // The parallel engine keeps its serial/parallel contract under bursts.
+  spec.engine.threads = 1;
+  const SimResult serial = simulate(spec);
+  spec.engine.threads = 2;
+  const SimResult parallel = simulate(spec);
+  EXPECT_EQ(serial.events_published, 10000u);
+  EXPECT_EQ(serial.missing_deliveries, 0u);
+  EXPECT_TRUE(same_outcome(serial, parallel));
 }
 
 TEST(SimDetails, PartialScheduleVerifiesOnlyPublishedEvents) {

@@ -104,7 +104,6 @@ TEST(BrokerConfigSpec, MinimalDefaults) {
   ASSERT_EQ(config.schemas.size(), 1u);
   EXPECT_EQ(config.schemas[0]->name(), "t");
   EXPECT_EQ(config.match_threads, 0u);
-  EXPECT_EQ(config.batch_max, 32u);
   EXPECT_TRUE(config.covering);
   EXPECT_EQ(config.delta_segment_target, 16384u);
   EXPECT_EQ(config.max_delta_segments, 64u);
@@ -127,7 +126,7 @@ TEST(BrokerConfigSpec, AllFlagFamiliesParse) {
   auto args = minimal_args();
   for (const char* extra :
        {"--dial", "1=127.0.0.1:7001", "--schema", "u b:double", "--match-threads", "auto",
-        "--batch-max", "64", "--gc-seconds", "60", "--verbose",
+        "--gc-seconds", "60", "--verbose",
         "--no-covering", "--delta-segment-target", "4096", "--max-delta-segments", "8",
         "--link-rto-ms", "25", "--link-heartbeat-ms", "100", "--link-idle-timeout-ms", "400",
         "--redial-backoff-ms", "10", "--redial-backoff-max-ms", "1000",
@@ -139,7 +138,6 @@ TEST(BrokerConfigSpec, AllFlagFamiliesParse) {
   EXPECT_EQ(config.dials[0].peer, BrokerId{1});
   EXPECT_EQ(config.schemas.size(), 2u);
   EXPECT_GE(config.match_threads, 1u);  // "auto" resolves to >= 1
-  EXPECT_EQ(config.batch_max, 64u);
   EXPECT_FALSE(config.covering);
   EXPECT_EQ(config.delta_segment_target, 4096u);
   EXPECT_EQ(config.max_delta_segments, 8u);
@@ -174,12 +172,12 @@ TEST(BrokerConfigSpec, RequiredFlagsEnforced) {
 
 TEST(BrokerConfigSpec, ErrorMessagesNameTheFlag) {
   auto args = minimal_args();
-  args.insert(args.end(), {"--batch-max", "0"});
+  args.insert(args.end(), {"--gc-seconds", "0"});
   try {
     parse_broker_config(args);
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("--batch-max"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("--gc-seconds"), std::string::npos) << e.what();
   }
 }
 
@@ -197,14 +195,58 @@ TEST(BrokerConfigSpec, ShardsFlagIsUnknown) {
   }
 }
 
+TEST(BrokerConfigSpec, BatchMaxAndCoveringFlagsAreUnknown) {
+  // The match batch bound is a constant and covering is on unless
+  // --no-covering turns it off: --batch-max and --covering are gone and
+  // fail like any other unknown flag.
+  for (const std::vector<std::string>& extra :
+       {std::vector<std::string>{"--batch-max", "64"}, std::vector<std::string>{"--covering"}}) {
+    auto args = minimal_args();
+    args.insert(args.end(), extra.begin(), extra.end());
+    try {
+      parse_broker_config(args);
+      FAIL() << "expected invalid_argument for " << extra[0];
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown argument " + extra[0]), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(BrokerConfigSpec, IdleTimeoutMustExceedHeartbeat) {
+  // A link idle timeout at or below the heartbeat interval would drop an
+  // idle, healthy link between heartbeats and redial it over and over.
+  const auto with = [](std::initializer_list<const char*> extra) {
+    auto args = minimal_args();
+    for (const char* a : extra) args.emplace_back(a);
+    return args;
+  };
+  for (const char* idle : {"500", "400"}) {
+    try {
+      parse_broker_config(with({"--link-heartbeat-ms", "500", "--link-idle-timeout-ms", idle}));
+      FAIL() << "expected invalid_argument for idle timeout " << idle;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--link-idle-timeout-ms"), std::string::npos) << what;
+      EXPECT_NE(what.find("--link-heartbeat-ms"), std::string::npos) << what;
+    }
+  }
+  // The default idle timeout (2000 ms) against a heartbeat at or above it.
+  EXPECT_THROW(parse_broker_config(with({"--link-heartbeat-ms", "2000"})),
+               std::invalid_argument);
+  const BrokerConfig ok =
+      parse_broker_config(with({"--link-heartbeat-ms", "500", "--link-idle-timeout-ms", "501"}));
+  EXPECT_EQ(ok.link_idle_timeout_ms, 501);
+}
+
 TEST(BrokerConfigSpec, RejectsInvalidValues) {
   const auto with = [](std::initializer_list<const char*> extra) {
     auto args = minimal_args();
     for (const char* a : extra) args.emplace_back(a);
     return args;
   };
-  EXPECT_THROW(parse_broker_config(with({"--batch-max", "0"})), std::invalid_argument);
-  EXPECT_THROW(parse_broker_config(with({"--batch-max", "-3"})), std::invalid_argument);
+  EXPECT_THROW(parse_broker_config(with({"--gc-seconds", "0"})), std::invalid_argument);
+  EXPECT_THROW(parse_broker_config(with({"--gc-seconds", "-3"})), std::invalid_argument);
   EXPECT_THROW(parse_broker_config(with({"--delta-segment-target", "0"})),
                std::invalid_argument);
   EXPECT_THROW(parse_broker_config(with({"--max-delta-segments", "0"})),
@@ -224,7 +266,7 @@ TEST(BrokerConfigSpec, RejectsInvalidValues) {
                std::invalid_argument);
   // Unknown flags and missing values are named.
   EXPECT_THROW(parse_broker_config(with({"--bogus"})), std::invalid_argument);
-  EXPECT_THROW(parse_broker_config(with({"--batch-max"})), std::invalid_argument);
+  EXPECT_THROW(parse_broker_config(with({"--gc-seconds"})), std::invalid_argument);
 }
 
 TEST(BrokerConfigSpec, ReplicationFlagsParse) {

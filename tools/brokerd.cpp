@@ -6,7 +6,8 @@
 //           --schema "trades issue:string price:double volume:int" ...
 //           [--schema "alarms severity:int"]... ...
 //           [--gc-seconds 3600] [--match-threads N|auto] [--verbose]
-//           [--batch-max N]
+//           [--no-covering] [--delta-segment-target 16384]
+//           [--max-delta-segments 64]
 //           [--link-rto-ms 50] [--link-heartbeat-ms 500]
 //           [--link-idle-timeout-ms 2000] [--redial-backoff-ms 20]
 //           [--redial-backoff-max-ms 5000] [--redial-budget 0]
@@ -33,10 +34,8 @@
 // them alive, a link idle past --link-idle-timeout-ms is dropped and
 // redialed with exponential backoff, and after --redial-budget consecutive
 // failures (0 = never) the link is declared dead and forwards to it are
-// dropped with a counter instead of queueing forever.
-//
-// --batch-max bounds how many events one match worker drains into a single
-// DispatchBatch (docs/concurrency.md).
+// dropped with a counter instead of queueing forever. The idle timeout must
+// exceed the heartbeat interval.
 //
 // Example three-node line on one machine:
 //   brokerd --id 0 --brokers 3 --links 0-1,1-2 --listen 7000 --schema "t a:int" &
@@ -87,7 +86,6 @@ struct Relay : TransportHandler {
                "usage: %s --id N --brokers N --links \"0-1:10,...\" --listen PORT\n"
                "          [--dial ID=HOST:PORT]... --schema \"NAME attr:type ...\" ...\n"
                "          [--gc-seconds N] [--match-threads N|auto] [--verbose]\n"
-               "          [--batch-max N]\n"
                "          [--no-covering] [--delta-segment-target N] [--max-delta-segments N]\n"
                "          [--link-rto-ms N] [--link-heartbeat-ms N]\n"
                "          [--link-idle-timeout-ms N] [--redial-backoff-ms N]\n"
@@ -115,14 +113,12 @@ int main(int argc, char** argv) {
     Broker::Options options;
     options.log_retention = ticks_from_seconds(config.gc_seconds);
     options.match_threads = config.match_threads;
-    options.match_batch_max = config.batch_max;
     options.control.covering = config.covering;
     options.control.delta_segment_target = config.delta_segment_target;
     options.control.max_delta_segments = config.max_delta_segments;
     options.link_retransmit_timeout = ticks_from_millis(config.link_rto_ms);
     options.link_heartbeat_interval = ticks_from_millis(config.link_heartbeat_ms);
     options.standby = config.standby();
-    options.replicate = config.replica_listen_port >= 0;
     options.repl_log_window = config.repl_window;
     Relay relay;
     TcpTransport transport(relay);
@@ -132,9 +128,9 @@ int main(int argc, char** argv) {
         transport.listen(static_cast<std::uint16_t>(config.listen_port));
     std::printf(
         "brokerd: broker %d listening on 127.0.0.1:%u (%zu spaces, %zu brokers, "
-        "%zu match threads, batch %zu)%s\n",
+        "%zu match threads)%s\n",
         config.id, port, config.schemas.size(), config.brokers, config.match_threads,
-        config.batch_max, config.standby() ? " [standby]" : "");
+        config.standby() ? " [standby]" : "");
     if (config.replica_listen_port >= 0) {
       const std::uint16_t replica_port =
           transport.listen(static_cast<std::uint16_t>(config.replica_listen_port));
@@ -171,8 +167,8 @@ int main(int argc, char** argv) {
         },
         sup_options);
     for (const auto& [peer, target] : dial_targets) supervisor.supervise(peer);
-    supervisor.start(std::chrono::milliseconds(std::max(
-        1, std::min(config.link_heartbeat_ms, config.link_idle_timeout_ms) / 4)));
+    // The idle timeout exceeds the heartbeat interval (parse_broker_config).
+    supervisor.start(std::chrono::milliseconds(std::max(1, config.link_heartbeat_ms / 4)));
 
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);

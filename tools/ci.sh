@@ -23,8 +23,10 @@
 # and release legs run everything. The perf leg reuses the release build to
 # run micro_bench on the compiled-vs-mutable matching pair and the
 # compiled-vs-reference link-matching pair, plus the
-# standalone compiled_pst_bench, leaving BENCH_micro_kernels.json and
-# BENCH_compiled_pst.json at the repo root as uploadable artifacts. The
+# standalone compiled_pst_bench. The bench legs (failover, perf, scaling,
+# churn, sim-scale) run their benches inside the leg's build directory, so
+# the smoke BENCH_*.json files land there as uploadable artifacts and the
+# committed reference files at the repo root stay untouched. The
 # analyze leg runs tools/analyze (plane purity, lock order, hot-path
 # allocations, protocol exhaustiveness) with its dependency-free fallback
 # frontend as the gate, repeats the run on the libclang frontend when
@@ -157,10 +159,10 @@ run_leg() {
     echo "=== [failover] failover_bench: hot-path delta + promote cost ==="
     # Trimmed point; the bench exits non-zero itself when a trial's
     # redelivered multiset diverges from the retained-delivery oracle.
-    "$dir/bench/failover_bench" 300 10
-    python3 - <<'PY'
+    (cd "$dir" && ./bench/failover_bench 300 10)
+    python3 - "$dir/BENCH_failover.json" <<'PY'
 import json, sys
-data = json.load(open("BENCH_failover.json"))
+data = json.load(open(sys.argv[1]))
 fo = data["failover"]
 if not fo["valid"]:
     print(f"[failover] FAIL: {fo['invalid_reason']}", file=sys.stderr)
@@ -170,22 +172,22 @@ print(f"[failover] {fo['trials']} trials: promote p50 "
       f"{fo['first_redelivery_p50_us']:.1f} us; publish-path p50 overhead "
       f"{data['publish_path']['p50_overhead_ratio']:.2f}x")
 PY
-    echo "failover artifact: BENCH_failover.json"
+    echo "failover artifact: $dir/BENCH_failover.json"
     return
   fi
 
   if [[ "$leg" == perf ]]; then
     echo "=== [perf] kernel smoke: micro_bench compiled vs reference kernels ==="
-    "$dir/bench/micro_bench" \
+    (cd "$dir" && ./bench/micro_bench \
       --benchmark_filter='PstMatch(Compiled|Mutable)|Link(DispatchCompiled|MatchReference)' \
       --benchmark_min_time=0.2 \
       --benchmark_out=BENCH_micro_kernels.json \
-      --benchmark_out_format=json
+      --benchmark_out_format=json)
     echo "=== [perf] kernel smoke: compiled_pst_bench ==="
     # Trimmed point (2k subs, few passes) — the smoke guards against the
     # compiled path regressing below the mutable walk, not absolute numbers;
     # run the binary with no args for the full 10k acceptance measurement.
-    "$dir/bench/compiled_pst_bench" 2000 500 5
+    (cd "$dir" && ./bench/compiled_pst_bench 2000 500 5)
     echo "=== [perf] dispatch smoke: mt_throughput batch pipeline ==="
     # Trimmed sweep (2k subs, 5 windows of 200ms per point, threads capped
     # at nproc). The regression comparison — no point's speedup_vs_1, a
@@ -193,10 +195,10 @@ PY
     # hosts that can run the points in parallel, so it is skipped with a
     # notice whenever the bench reports scaling_valid:false (the JSON then
     # carries results_invalid_reason instead of speedups).
-    "$dir/bench/mt_throughput" 2000 200 "$(nproc)"
-    python3 - <<'PY'
+    (cd "$dir" && ./bench/mt_throughput 2000 200 "$(nproc)")
+    python3 - "$dir/BENCH_mt_throughput.json" <<'PY'
 import json, sys
-data = json.load(open("BENCH_mt_throughput.json"))
+data = json.load(open(sys.argv[1]))
 if not data["scaling_valid"]:
     print(f"[perf] scaling_valid=false, skipping regression comparison: "
           f"{data['results_invalid_reason']}")
@@ -207,7 +209,8 @@ for p in regressed:
           f"{p['speedup_vs_1']:.2f}x the single-thread median", file=sys.stderr)
 sys.exit(1 if regressed else 0)
 PY
-    echo "perf artifacts: BENCH_micro_kernels.json BENCH_compiled_pst.json BENCH_mt_throughput.json"
+    echo "perf artifacts: $dir/BENCH_micro_kernels.json $dir/BENCH_compiled_pst.json" \
+      "$dir/BENCH_mt_throughput.json"
     return
   fi
 
@@ -218,10 +221,10 @@ PY
     # smaller hosts the leg still runs the sweep (exercising the batch
     # pipeline) but reports why no scaling claim is checked.
     echo "=== [scaling] mt_throughput, threads capped at hardware concurrency ==="
-    "$dir/bench/mt_throughput" 5000 500 "$(nproc)"
-    python3 - <<'PY'
+    (cd "$dir" && ./bench/mt_throughput 5000 500 "$(nproc)")
+    python3 - "$dir/BENCH_mt_throughput.json" <<'PY'
 import json, sys
-data = json.load(open("BENCH_mt_throughput.json"))
+data = json.load(open(sys.argv[1]))
 hw = data["hardware_concurrency"]
 if not data["scaling_valid"]:
     print(f"[scaling] no claim checked: {data['results_invalid_reason']}")
@@ -265,10 +268,10 @@ PY
     # Trimmed sweep (10k + 100k points); run churn_bench with no
     # arguments for the full 1M acceptance measurement.
     echo "=== [churn] control-plane churn: covering + delta compilation ==="
-    "$dir/bench/churn_bench" 100000 60 1.0
-    python3 - <<'PY'
+    (cd "$dir" && ./bench/churn_bench 100000 60 1.0)
+    python3 - "$dir/BENCH_churn.json" <<'PY'
 import json, sys
-data = json.load(open("BENCH_churn.json"))
+data = json.load(open(sys.argv[1]))
 base = json.load(open("tools/churn_baseline.json"))
 point = next((s for s in data["sizes"]
               if s["subscriptions"] == base["subscriptions"]), None)
@@ -301,7 +304,7 @@ if full_p50 > limit:
 print(f"[churn] full-recompile p50 {full_p50:.0f} us within 20% of the "
       f"baseline {base['full_compile_p50_us']:.0f} us")
 PY
-    echo "churn artifact: BENCH_churn.json"
+    echo "churn artifact: $dir/BENCH_churn.json"
     return
   fi
 

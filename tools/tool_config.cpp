@@ -180,12 +180,8 @@ BrokerConfig parse_broker_config(const std::vector<std::string>& args) {
       config.gc_seconds = next_positive("gc seconds");
     } else if (arg == "--match-threads") {
       config.match_threads = parse_thread_count(next());
-    } else if (arg == "--batch-max") {
-      config.batch_max = static_cast<std::size_t>(next_positive("batch size"));
     } else if (arg == "--no-covering") {
       config.covering = false;
-    } else if (arg == "--covering") {
-      config.covering = true;
     } else if (arg == "--delta-segment-target") {
       config.delta_segment_target = static_cast<std::size_t>(next_positive("segment target"));
     } else if (arg == "--max-delta-segments") {
@@ -231,6 +227,15 @@ BrokerConfig parse_broker_config(const std::vector<std::string>& args) {
   if (config.listen_port < 0) throw std::invalid_argument("--listen is required");
   if (config.schemas.empty()) {
     throw std::invalid_argument("at least one --schema is required");
+  }
+  // An idle timeout at or below the heartbeat interval drops an idle but
+  // healthy link between two heartbeats, and the supervisor redials it
+  // over and over.
+  if (config.link_idle_timeout_ms <= config.link_heartbeat_ms) {
+    throw std::invalid_argument("--link-idle-timeout-ms (" +
+                                std::to_string(config.link_idle_timeout_ms) +
+                                ") must exceed --link-heartbeat-ms (" +
+                                std::to_string(config.link_heartbeat_ms) + ")");
   }
   if (config.redial_backoff_max_ms < config.redial_backoff_ms) {
     throw std::invalid_argument("--redial-backoff-max-ms must be >= --redial-backoff-ms");

@@ -40,7 +40,7 @@ std::size_t parse_thread_count(const std::string& spec);
 void parse_endpoint(const std::string& spec, std::string& host, std::uint16_t& port);
 
 /// The full validated configuration of one brokerd process: every flag
-/// family (identity/topology, schemas, match pipeline and batching,
+/// family (identity/topology, schemas, match pipeline, control plane,
 /// link-session timings, redial policy) behind a single parse + validate
 /// entry point, so the tool's main() does no flag plumbing of its own and
 /// every tool reusing brokers parses identically.
@@ -53,9 +53,8 @@ struct BrokerConfig {
   std::vector<DialTarget> dials;
   std::vector<SchemaPtr> schemas;  // positional information spaces
 
-  // Match pipeline and the batched data plane.
+  // Match pipeline.
   std::size_t match_threads{0};   // 0 = synchronous matching
-  std::size_t batch_max{32};      // events per worker DispatchBatch drain
 
   // Control plane: covering aggregation + delta compilation (broker_core.h).
   bool covering{true};                      // --no-covering disables parking
@@ -98,7 +97,8 @@ struct BrokerConfig {
 /// validated BrokerConfig. Throws std::invalid_argument naming the
 /// offending flag on: unknown flags, missing values, missing required
 /// flags (--id, --brokers, --listen, at least one --schema), non-positive
-/// --batch-max, and non-positive link timings.
+/// link timings, and an idle timeout that does not exceed the heartbeat
+/// interval.
 BrokerConfig parse_broker_config(const std::vector<std::string>& args);
 
 }  // namespace gryphon::tools
