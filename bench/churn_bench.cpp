@@ -297,7 +297,6 @@ void write_mode_json(std::FILE* out, const char* mode, const ModeResult& r) {
                "        \"compile_p99_us\": %.2f,\n"
                "        \"delta_publishes\": %llu,\n"
                "        \"full_publishes\": %llu,\n"
-               "        \"covering_only_publishes\": %llu,\n"
                "        \"segments_compiled\": %llu,\n"
                "        \"segments_reused\": %llu\n"
                "      }",
@@ -308,7 +307,6 @@ void write_mode_json(std::FILE* out, const char* mode, const ModeResult& r) {
                percentile_us(r.compile_ns, 0.50), percentile_us(r.compile_ns, 0.99),
                static_cast<unsigned long long>(r.stats.delta_publishes),
                static_cast<unsigned long long>(r.stats.full_publishes),
-               static_cast<unsigned long long>(r.stats.covering_only_publishes),
                static_cast<unsigned long long>(r.stats.segments_compiled),
                static_cast<unsigned long long>(r.stats.segments_reused));
 }

@@ -38,7 +38,7 @@ std::uint64_t derive_session_epoch(BrokerId self) {
 
 Broker::Broker(BrokerId self, const BrokerNetwork& topology, std::vector<SchemaPtr> spaces,
                Transport& transport, Options options)
-    : core_(self, topology, std::move(spaces), options.matcher, options.control),
+    : core_(self, topology, std::move(spaces), options.matcher),
       transport_(&transport),
       options_(std::move(options)),
       session_epoch_(options_.session_epoch != 0 ? options_.session_epoch

@@ -75,9 +75,6 @@ class Broker : public TransportHandler {
     Ticks log_retention{ticks_from_seconds(3600)};
     /// Match workers. 0 = synchronous matching inside the frame handler.
     std::size_t match_threads{0};
-    /// Covering aggregation and delta-compilation behaviour of the core's
-    /// control plane (both on by default; see broker_core.h).
-    ControlPlaneOptions control{};
     /// Link-session epoch; 0 derives one from the wall clock at
     /// construction. Restarted brokers must come up with a fresh epoch so
     /// peers never misapply old sequence state; tests pin it for
@@ -124,8 +121,8 @@ class Broker : public TransportHandler {
   /// Direct core access; safe only when no transport thread can be
   /// delivering frames (deterministic pumped transports, or quiesced TCP).
   /// Subscription changes reach the core's published snapshot only when
-  /// the broker next stages an event, so its data-plane reads
-  /// (match_all, dispatch) may lag the registry until then.
+  /// the broker next stages an event, so dispatch may lag the registry
+  /// until then; the control-plane match_all reads the registry's state.
   [[nodiscard]] const BrokerCore& core() const { return core_; }
   /// Thread-safe subscription count (for polling from other threads).
   [[nodiscard]] std::size_t subscription_count() const EXCLUDES(mutex_) {

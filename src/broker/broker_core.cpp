@@ -110,9 +110,8 @@ const SchemaPtr& BrokerCore::schema(SpaceId space) const { return space_at(space
 
 SnapshotBuilder::SpaceSources BrokerCore::sources_of(const Space& sp) const {
   SnapshotBuilder::SpaceSources sources;
-  sources.segments.reserve(sp.segments.size());
-  for (const auto& matcher : sp.segments) sources.segments.push_back(matcher.get());
-  if (sp.covering != nullptr) sources.covering = sp.covering->snapshot();
+  sources.reserve(sp.segments.size());
+  for (const auto& matcher : sp.segments) sources.push_back(matcher.get());
   return sources;
 }
 
@@ -129,8 +128,7 @@ void BrokerCore::publish_snapshot(SpaceId touched) {
                                                             t0)
           .count());
   snapshot_.store(std::move(next));
-  sp.trees_dirty = false;
-  sp.covering_dirty = false;  // sources_of carried the covering sidecar too
+  sp.dirty = false;
   stats_.segments_compiled += compile.segments_compiled;
   stats_.segments_reused += compile.segments_reused;
   if (compile.segments_reused > 0) {
@@ -145,15 +143,6 @@ void BrokerCore::publish_snapshot(SpaceId touched) {
                       : std::min<std::size_t>(std::bit_width(elapsed_us) - 1,
                                               ControlPlaneStats::kHistogramBuckets - 1);
   ++stats_.compile_us_histogram[bucket];
-}
-
-void BrokerCore::publish_covering_only(SpaceId touched) {
-  const auto i = static_cast<std::size_t>(touched.value);
-  Space& sp = spaces_[i];
-  const auto current = snapshot_.load();
-  snapshot_.store(builder_->next_snapshot_covering_only(*current, i, sp.covering->snapshot()));
-  sp.covering_dirty = false;
-  ++stats_.covering_only_publishes;
 }
 
 void BrokerCore::maybe_grow_segments(SpaceId space) {
@@ -197,12 +186,12 @@ void BrokerCore::add_subscription(SpaceId space, SubscriptionId id,
     throw std::invalid_argument("BrokerCore: schema arity mismatch");
   }
   registry_.emplace(id, Registered{space, owner, subscription});
-  bool covering_only = false;
+  bool parked = false;
   try {
     if (sp.covering != nullptr) {
       const CoveringIndex::AddResult result = sp.covering->add(id, subscription, owner);
       if (result.parked) {
-        covering_only = true;
+        parked = true;
       } else {
         // The new subscription covers `demoted`: pull them out of their
         // slices (they are parked under it now), then insert it.
@@ -219,10 +208,8 @@ void BrokerCore::add_subscription(SpaceId space, SubscriptionId id,
     throw;
   }
   ++space_counts_[static_cast<std::size_t>(space.value)];
-  if (covering_only) {
-    sp.covering_dirty = true;
-  } else {
-    sp.trees_dirty = true;
+  if (!parked) {
+    sp.dirty = true;
     maybe_grow_segments(space);
   }
   if (policy == SnapshotPolicy::kPublish) publish_space(space);
@@ -233,11 +220,11 @@ bool BrokerCore::remove_subscription(SubscriptionId id, SnapshotPolicy policy) {
   if (it == registry_.end()) return false;
   const Registered reg = it->second;
   Space& sp = spaces_[static_cast<std::size_t>(reg.space.value)];
-  bool covering_only = false;
+  bool parked = false;
   if (sp.covering != nullptr) {
     CoveringIndex::RemoveResult result = sp.covering->remove(id);
     if (result.was_parked) {
-      covering_only = true;
+      parked = true;
     } else {
       sp.segments[segment_of(id, sp.segments.size())]->remove(id);
       // Uncovering: children that no remaining frontier entry covers go
@@ -252,24 +239,13 @@ bool BrokerCore::remove_subscription(SubscriptionId id, SnapshotPolicy policy) {
   }
   registry_.erase(it);
   --space_counts_[static_cast<std::size_t>(reg.space.value)];
-  if (covering_only) {
-    sp.covering_dirty = true;
-  } else {
-    sp.trees_dirty = true;
-  }
+  if (!parked) sp.dirty = true;
   if (policy == SnapshotPolicy::kPublish) publish_space(reg.space);
   return true;
 }
 
 void BrokerCore::publish_space(SpaceId space) {
-  const Space& sp = space_at(space);
-  if (sp.trees_dirty) {
-    // Tree churn must not ride out behind a table-sharing publish: compile,
-    // which carries any pending covering change along.
-    publish_snapshot(space);
-  } else if (sp.covering_dirty) {
-    publish_covering_only(space);
-  }
+  if (space_at(space).dirty) publish_snapshot(space);
 }
 
 void BrokerCore::publish_all() {
@@ -400,25 +376,18 @@ BrokerCore::Decision BrokerCore::dispatch(SpaceId space, const Event& event, Bro
 }
 
 std::vector<SubscriptionId> BrokerCore::match_all(SpaceId space, const Event& event) const {
-  if (!space.valid() || static_cast<std::size_t>(space.value) >= spaces_.size()) {
-    throw std::invalid_argument("BrokerCore: bad space index");
-  }
+  const Space& sp = space_at(space);
   std::vector<SubscriptionId> out;
   MatchScratch& scratch = thread_match_scratch();
-  const auto snapshot = snapshot_.load();
-  const FrozenSpace& fs = *snapshot->spaces[static_cast<std::size_t>(space.value)];
-  const FrozenBucket* bucket = fs.bucket_for(event, scratch.factoring_key());
-  if (bucket == nullptr) return out;
-  for (const auto& segment : bucket->segments) {
-    if (segment != nullptr) segment->kernel->match(event, out, scratch);
-  }
-  // Parked subscriptions of matched coverers (any owner), re-tested
-  // against the event; the frontier prefix is what the kernels produced.
-  const CoveringSnapshot* covering = fs.covering();
-  if (covering != nullptr && !covering->empty()) {
+  for (const auto& segment : sp.segments) segment->match_into(event, out, scratch);
+  // Parked subscriptions of matched coverers, re-tested against the event
+  // (a coverer matching does not imply its tighter child does).
+  if (sp.covering != nullptr) {
     const std::size_t frontier_matches = out.size();
     for (std::size_t m = 0; m < frontier_matches; ++m) {
-      covering->expand(out[m], event, [&](SubscriptionId child) { out.push_back(child); });
+      for (const SubscriptionId child : sp.covering->children_of(out[m])) {
+        if (sp.covering->find(child)->matches(event)) out.push_back(child);
+      }
     }
   }
   return out;

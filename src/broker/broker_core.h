@@ -14,16 +14,16 @@
 // other brokers' annotations.
 //
 // Threading contract: the control plane (add_subscription /
-// remove_subscription, and the registry reads owner_of / space_of /
-// has_subscription / for_each_subscription) must be externally serialized —
-// the owning Broker's mutex does this. The data plane (dispatch, match_all)
-// never blocks beyond a pointer copy and is safe to call from any number of
-// threads concurrently with the control plane: control-plane changes are
-// compiled into a fresh immutable CoreSnapshot published through the
-// SnapshotSlot — per change, or once per burst when the caller defers with
-// SnapshotPolicy::kDefer and publishes before the next read — and a
-// dispatch pins one snapshot for the duration of the event (see
-// core_snapshot.h). Dispatch and match_all run on the compiled flat kernel
+// remove_subscription, the registry reads owner_of / space_of /
+// has_subscription / for_each_subscription, and the match_all query) must
+// be externally serialized — the owning Broker's mutex does this. The data
+// plane (dispatch) never blocks beyond a pointer copy and is safe to call
+// from any number of threads concurrently with the control plane:
+// control-plane changes are compiled into a fresh immutable CoreSnapshot
+// published through the SnapshotSlot — per change, or once per burst when
+// the caller defers with SnapshotPolicy::kDefer and publishes before the
+// next read — and a dispatch pins one snapshot for the duration of the
+// event (see core_snapshot.h). Dispatch runs on the compiled flat kernel
 // (matching/compiled_pst.h); the mutable trees are writer-only.
 //
 // The contract is machine-checked: control-plane methods carry
@@ -86,7 +86,6 @@ struct ControlPlaneStats {
   std::uint64_t covered_subscriptions{0};   // parked under coverers
   std::uint64_t delta_publishes{0};         // >= 1 compiled segment reused
   std::uint64_t full_publishes{0};          // nothing reusable
-  std::uint64_t covering_only_publishes{0};  // O(1) table-sharing publishes
   std::uint64_t segments_compiled{0};
   std::uint64_t segments_reused{0};
   std::uint64_t compile_publishes{0};   // publishes that froze trees
@@ -153,7 +152,8 @@ class BrokerCore {
 
   /// Registers a subscription replica. `owner` is the broker whose client
   /// created it. Throws on duplicate id / bad space / schema mismatch.
-  /// Publishes a new snapshot before returning unless `policy` defers it.
+  /// Publishes a new snapshot before returning unless `policy` defers it
+  /// or the subscription parked (which no snapshot can observe).
   /// The core keeps `subscription` itself: its registry, the covering
   /// index and the delta segment all reference this one object.
   void add_subscription(SpaceId space, SubscriptionId id, SubscriptionRef subscription,
@@ -168,14 +168,14 @@ class BrokerCore {
                      owner, policy);
   }
   /// Removes a replica; false when unknown. Publishes a new snapshot
-  /// unless `policy` defers it.
+  /// unless `policy` defers it or the replica was parked.
   bool remove_subscription(SubscriptionId id,
                            SnapshotPolicy policy = SnapshotPolicy::kPublish)
       REQUIRES(control_plane_);
-  /// Publishes any churn deferred with SnapshotPolicy::kDefer for `space`:
-  /// an O(1) covering-only publish when the pending churn only parked or
-  /// unparked subscriptions, a (delta) compile otherwise. No-op when
-  /// nothing is pending, so callers may invoke it before every read.
+  /// Publishes any frontier churn deferred with SnapshotPolicy::kDefer for
+  /// `space` as one (delta) compile. No-op when nothing is pending (parks
+  /// and unparks leave nothing pending), so callers may invoke it before
+  /// every read.
   void publish_space(SpaceId space) REQUIRES(control_plane_);
   /// publish_space over every space.
   void publish_all() REQUIRES(control_plane_);
@@ -219,8 +219,12 @@ class BrokerCore {
   [[nodiscard]] Decision dispatch(SpaceId space, const Event& event, BrokerId tree_root,
                                   MatchScratch& scratch) const;
 
-  /// All subscriptions (network-wide replica set) matching the event.
-  [[nodiscard]] std::vector<SubscriptionId> match_all(SpaceId space, const Event& event) const;
+  /// All subscriptions (network-wide replica set) matching the event, as
+  /// the control plane holds them now, published or not: the live frontier
+  /// slices matched, then each match's parked children re-tested. A
+  /// control-plane query for oracles and tests; dispatch never needs it.
+  [[nodiscard]] std::vector<SubscriptionId> match_all(SpaceId space, const Event& event) const
+      REQUIRES(control_plane_);
 
   /// The currently published snapshot (monotonically increasing version).
   [[nodiscard]] std::uint64_t snapshot_version() const {
@@ -275,11 +279,9 @@ class BrokerCore {
     /// until growth (see ControlPlaneOptions::delta_segment_target).
     std::vector<std::unique_ptr<PstMatcher>> segments;
     std::unique_ptr<CoveringIndex> covering;  // null when covering off
-    // Unpublished churn. A burst that only parked or unparked covered
-    // subscriptions publishes in O(1) (the compiled tables are shared);
-    // anything that touched a frontier slice pays a delta compile.
-    bool trees_dirty{false};
-    bool covering_dirty{false};
+    // Unpublished frontier churn. Parking and unparking touch no slice and
+    // leave this clear: no snapshot can observe them.
+    bool dirty{false};
   };
   /// The owner of record of a subscription's one object: the covering
   /// index and the segments hold further references to it.
@@ -301,9 +303,6 @@ class BrokerCore {
   /// Recompiles the touched space's frozen state (reusing unchanged
   /// segments) and atomically publishes a new snapshot. Writer-side only.
   void publish_snapshot(SpaceId touched) REQUIRES(control_plane_);
-  /// O(1) publish for covering-only churn: shares the compiled tables,
-  /// swaps the covering sidecar.
-  void publish_covering_only(SpaceId touched) REQUIRES(control_plane_);
   /// Doubles the space's slice count when the frontier outgrows
   /// delta_segment_target per slice, redistributing every frontier
   /// subscription (the next publish compiles every slice from scratch).

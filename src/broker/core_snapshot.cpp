@@ -24,12 +24,10 @@ std::shared_ptr<const FrozenSpace> SnapshotBuilder::freeze(const SpaceSources& s
                                                            const FrozenSpace* previous,
                                                            CompileStats* stats) const {
   auto space = std::make_shared<FrozenSpace>();
-  const std::size_t seg_count = sources.segments.size();
-  space->factoring_ = sources.segments.front()->factoring();
-  space->covering_ = sources.covering;
-  auto table = std::make_shared<FrozenSpace::Table>();
-  for (const PstMatcher* segment : sources.segments) {
-    table->subscription_count += segment->subscription_count();
+  const std::size_t seg_count = sources.size();
+  space->factoring_ = sources.front()->factoring();
+  for (const PstMatcher* segment : sources) {
+    space->subscription_count_ += segment->subscription_count();
   }
 
   // Aggregate the live trees per factoring key across every frontier
@@ -46,8 +44,8 @@ std::shared_ptr<const FrozenSpace> SnapshotBuilder::freeze(const SpaceSources& s
       by_key;
   std::vector<Contribution> single;
   for (std::size_t j = 0; j < seg_count; ++j) {
-    sources.segments[j]->for_each_bucket([&](const FactoringIndex::Key* key, const Pst& tree,
-                                             std::shared_ptr<const CompiledPst> kernel) {
+    sources[j]->for_each_bucket([&](const FactoringIndex::Key* key, const Pst& tree,
+                                    std::shared_ptr<const CompiledPst> kernel) {
       if (tree.subscription_count() == 0) return;
       if (kernel == nullptr) throw std::logic_error("SnapshotBuilder: segment not frozen");
       auto& into = key == nullptr ? single : by_key[*key];
@@ -101,21 +99,19 @@ std::shared_ptr<const FrozenSpace> SnapshotBuilder::freeze(const SpaceSources& s
 
   if (space->factoring_ == nullptr) {
     if (!single.empty()) {
-      table->single =
-          build_bucket(single, previous != nullptr ? previous->table_->single : nullptr);
+      space->single_ = build_bucket(single, previous != nullptr ? previous->single_ : nullptr);
     }
   } else {
     for (const auto& [key, contributions] : by_key) {
       std::shared_ptr<const FrozenBucket> old;
       if (previous != nullptr) {
-        const auto& old_buckets = previous->table_->buckets;
+        const auto& old_buckets = previous->buckets_;
         const auto it = old_buckets.find(key);
         if (it != old_buckets.end()) old = it->second;
       }
-      table->buckets.emplace(key, build_bucket(contributions, old));
+      space->buckets_.emplace(key, build_bucket(contributions, old));
     }
   }
-  space->table_ = std::move(table);
   return space;
 }
 
@@ -137,21 +133,6 @@ std::shared_ptr<const CoreSnapshot> SnapshotBuilder::next_snapshot(
   next->version = current.version + 1;
   next->spaces = current.spaces;  // untouched spaces carry over wholesale
   next->spaces[touched] = freeze(sources, current.spaces[touched].get(), stats);
-  return next;
-}
-
-std::shared_ptr<const CoreSnapshot> SnapshotBuilder::next_snapshot_covering_only(
-    const CoreSnapshot& current, std::size_t touched,
-    std::shared_ptr<const CoveringSnapshot> covering) const {
-  auto next = std::make_shared<CoreSnapshot>();
-  next->version = current.version + 1;
-  next->spaces = current.spaces;
-  const FrozenSpace& old = *current.spaces[touched];
-  auto space = std::make_shared<FrozenSpace>();
-  space->factoring_ = old.factoring_;
-  space->table_ = old.table_;  // the whole compiled plane, shared
-  space->covering_ = std::move(covering);
-  next->spaces[touched] = std::move(space);
   return next;
 }
 

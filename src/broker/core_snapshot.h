@@ -7,8 +7,6 @@
 // the derived read-side state after every control-plane change:
 //
 //   CoreSnapshot -> FrozenSpace (per information space)
-//                -> Table       (the bucket table; shared across
-//                                covering-only publishes)
 //                -> FrozenBucket (per factoring bucket)
 //                -> CompiledSegment (per delta segment)
 //                -> CompiledPst + CompiledAnnotation (all groups).
@@ -36,12 +34,10 @@
 // over wholesale, and a bucket whose every segment is reusable keeps its
 // FrozenBucket object too.
 //
-// Covering: the frontier is what the kernels match; subscriptions parked
-// under a coverer (matching/covering_index.h) live in the CoveringSnapshot
-// each FrozenSpace carries for dispatch-time enumeration. Covering-only
-// churn — parking or unparking a subscription without touching any tree —
-// publishes in O(1): the new FrozenSpace shares the previous Table and
-// swaps the covering pointer (next_snapshot_covering_only).
+// Covering: the frontier is all a snapshot holds. Subscriptions parked
+// under a coverer (matching/covering_index.h) stay in the control plane;
+// they cannot change a forwarding or delivery decision, so churn that only
+// parks or unparks publishes nothing.
 //
 // The current snapshot hangs off a SnapshotSlot in BrokerCore; readers pin
 // it once per event batch and then touch only deeply-immutable objects, so
@@ -57,7 +53,6 @@
 
 #include "common/mutex.h"
 #include "matching/compiled_pst.h"
-#include "matching/covering_snapshot.h"
 #include "matching/pst_matcher.h"
 #include "routing/compiled_annotation.h"
 
@@ -91,43 +86,26 @@ class FrozenSpace {
   /// (MatchScratch::factoring_key()), so a warm lookup allocates nothing.
   [[nodiscard]] const FrozenBucket* bucket_for(const Event& event,
                                                FactoringIndex::Key& scratch_key) const {
-    if (factoring_ == nullptr) return table_->single.get();
+    if (factoring_ == nullptr) return single_.get();
     factoring_->event_key_into(event, scratch_key);
-    const auto it = table_->buckets.find(scratch_key);
-    return it == table_->buckets.end() ? nullptr : it->second.get();
-  }
-
-  /// The parked-subscription sidecar for dispatch-time enumeration, or
-  /// nullptr when covering is off for this core.
-  [[nodiscard]] const CoveringSnapshot* covering() const { return covering_.get(); }
-  /// Subscriptions parked under frontier coverers (not in any kernel).
-  [[nodiscard]] std::size_t covered_count() const {
-    return covering_ == nullptr ? 0 : covering_->parked_count();
+    const auto it = buckets_.find(scratch_key);
+    return it == buckets_.end() ? nullptr : it->second.get();
   }
 
   [[nodiscard]] bool factored() const { return factoring_ != nullptr; }
   /// Frontier subscription replicas in the compiled tables (parked
-  /// subscriptions are counted by covered_count()).
-  [[nodiscard]] std::size_t subscription_count() const { return table_->subscription_count; }
+  /// subscriptions are in none).
+  [[nodiscard]] std::size_t subscription_count() const { return subscription_count_; }
 
  private:
   friend class SnapshotBuilder;
 
-  /// The compiled bucket table, split out behind a shared_ptr so a
-  /// covering-only publish can share it wholesale instead of re-walking
-  /// every bucket. Deeply immutable once the builder publishes the owning
-  /// snapshot.
-  struct Table {
-    std::shared_ptr<const FrozenBucket> single;  // unfactored spaces only
-    std::unordered_map<FactoringIndex::Key, std::shared_ptr<const FrozenBucket>,
-                       FactoringIndex::KeyHash>
-        buckets;  // factored spaces only
-    std::size_t subscription_count{0};
-  };
-
   const FactoringIndex* factoring_{nullptr};  // owned by the core's matcher
-  std::shared_ptr<const Table> table_;
-  std::shared_ptr<const CoveringSnapshot> covering_;  // null when covering off
+  std::shared_ptr<const FrozenBucket> single_;  // unfactored spaces only
+  std::unordered_map<FactoringIndex::Key, std::shared_ptr<const FrozenBucket>,
+                     FactoringIndex::KeyHash>
+      buckets_;  // factored spaces only
+  std::size_t subscription_count_{0};
 };
 
 /// The read-side state of a whole BrokerCore at one control-plane version.
@@ -187,16 +165,11 @@ class SnapshotBuilder {
         owner_of_(std::move(owner_of)),
         group_links_(std::move(group_links)) {}
 
-  /// The mutable sources of one space at freeze time.
-  struct SpaceSources {
-    /// The frontier slices, indexed by segment id, each frozen; at least
-    /// one, all sharing one schema/options shape. Segment 0's factoring
-    /// index is the space's event-key authority.
-    std::vector<const PstMatcher*> segments;
-    /// The parked-subscription view to publish alongside; null when
-    /// covering is off.
-    std::shared_ptr<const CoveringSnapshot> covering;
-  };
+  /// The mutable sources of one space at freeze time: its frontier
+  /// slices, indexed by segment id, each frozen; at least one, all sharing
+  /// one schema/options shape. Segment 0's factoring index is the space's
+  /// event-key authority.
+  using SpaceSources = std::vector<const PstMatcher*>;
 
   /// Freezes the current state of `sources`, reusing compiled segments
   /// from `previous` (may be null) whose kernel the source tree still
@@ -215,14 +188,6 @@ class SnapshotBuilder {
   [[nodiscard]] std::shared_ptr<const CoreSnapshot> next_snapshot(
       const CoreSnapshot& current, std::size_t touched, const SpaceSources& sources,
       CompileStats* stats) const;
-
-  /// The successor of `current` when only space `touched`'s covering state
-  /// changed (a subscription parked or unparked, no tree mutated): the new
-  /// FrozenSpace shares the previous compiled Table outright and swaps the
-  /// covering pointer. O(1) regardless of bucket count.
-  [[nodiscard]] std::shared_ptr<const CoreSnapshot> next_snapshot_covering_only(
-      const CoreSnapshot& current, std::size_t touched,
-      std::shared_ptr<const CoveringSnapshot> covering) const;
 
  private:
   [[nodiscard]] std::shared_ptr<const CompiledSegment> annotate_segment(

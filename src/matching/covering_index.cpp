@@ -20,7 +20,6 @@ bool accepts_all(const AttributeTest& t) {
 CoveringIndex::CoveringIndex(SchemaPtr schema, BrokerId local)
     : schema_(std::move(schema)), local_(local) {
   if (!schema_) throw std::invalid_argument("CoveringIndex: null schema");
-  snapshot_ = std::make_shared<const CoveringSnapshot>();
 }
 
 bool CoveringIndex::test_covers(const AttributeTest& a, const AttributeTest& b) {
@@ -86,41 +85,66 @@ std::optional<std::pair<std::size_t, Value>> CoveringIndex::anchor_of(
   return std::nullopt;
 }
 
+CoveringIndex::Signature CoveringIndex::signature_of(const Subscription& subscription) {
+  Signature signature;
+  const auto& tests = subscription.tests();
+  for (std::size_t i = 0; i < tests.size(); ++i) {
+    const AttributeTest& t = tests[i];
+    if (accepts_all(t)) continue;
+    signature.specific |= std::uint64_t{1} << (i % 64);
+    if (t.kind() == TestKind::kEquals) {
+      signature.equal |= std::uint64_t{1} << (splitmix64(splitmix64(i) ^ t.operand().hash()) % 64);
+    } else if (t.kind() == TestKind::kRange && t.lo() != nullptr && t.hi() != nullptr &&
+               *t.lo() == *t.hi()) {
+      signature.pinned = ~std::uint64_t{0};  // `= v` covers a one-value range
+    }
+  }
+  signature.pinned |= signature.equal;
+  return signature;
+}
+
 SubscriptionId CoveringIndex::find_coverer(const Subscription& subscription,
-                                           BrokerId owner) const {
+                                           const Signature& signature, BrokerId owner) const {
   // A frontier entry anchored at (attribute, value) can only cover
   // subscriptions that pin that attribute to the same value, so probing the
   // anchor index at each of this subscription's equality tests enumerates
   // every anchored candidate. Unanchored frontier entries (no equality
   // test) are few in equality-heavy workloads and are scanned directly.
+  const auto first_coverer = [&](const std::vector<Candidate>& bucket) {
+    for (const Candidate& candidate : bucket) {
+      if (candidate.signature.may_cover(signature) &&
+          covers(*candidate.subscription, subscription)) {
+        return candidate.id;
+      }
+    }
+    return SubscriptionId{};
+  };
   const auto& tests = subscription.tests();
   for (std::size_t i = 0; i < tests.size(); ++i) {
     if (tests[i].kind() != TestKind::kEquals) continue;
     const auto it = anchored_.find(AnchorKey{owner, i, tests[i].operand()});
     if (it == anchored_.end()) continue;
-    for (const SubscriptionId candidate : it->second) {
-      if (covers(*frontier_.at(candidate).subscription, subscription)) return candidate;
+    if (const SubscriptionId coverer = first_coverer(it->second); coverer.valid()) {
+      return coverer;
     }
   }
   const auto it = unanchored_.find(owner);
-  if (it != unanchored_.end()) {
-    for (const SubscriptionId candidate : it->second) {
-      if (covers(*frontier_.at(candidate).subscription, subscription)) return candidate;
-    }
-  }
-  return SubscriptionId{};
+  return it == unanchored_.end() ? SubscriptionId{} : first_coverer(it->second);
 }
 
-void CoveringIndex::index_frontier(SubscriptionId id, const Frontier& entry) {
+void CoveringIndex::index_frontier(SubscriptionId id, const Frontier& entry,
+                                   const Signature& signature) {
+  const Candidate candidate{id, signature, entry.subscription.get()};
   if (entry.anchor.has_value()) {
-    anchored_[AnchorKey{entry.owner, entry.anchor->first, entry.anchor->second}].push_back(id);
+    anchored_[AnchorKey{entry.owner, entry.anchor->first, entry.anchor->second}].push_back(
+        candidate);
   } else {
-    unanchored_[entry.owner].push_back(id);
+    unanchored_[entry.owner].push_back(candidate);
   }
 }
 
 void CoveringIndex::unindex_frontier(SubscriptionId id, const Frontier& entry) {
-  std::vector<SubscriptionId>* bucket = nullptr;
+  std::vector<Candidate>* bucket = nullptr;
   if (entry.anchor.has_value()) {
     const AnchorKey key{entry.owner, entry.anchor->first, entry.anchor->second};
     bucket = &anchored_.at(key);
@@ -135,29 +159,8 @@ void CoveringIndex::unindex_frontier(SubscriptionId id, const Frontier& entry) {
       return;
     }
   }
-  bucket->erase(std::find(bucket->begin(), bucket->end(), id));
-}
-
-void CoveringIndex::publish_children(SubscriptionId coverer) {
-  const std::size_t si = CoveringSnapshot::slice_of(coverer);
-  auto next = std::make_shared<CoveringSnapshot>(*snapshot_);
-  auto slice = next->slices_[si] != nullptr
-                   ? std::make_shared<CoveringSnapshot::Slice>(*next->slices_[si])
-                   : std::make_shared<CoveringSnapshot::Slice>();
-  const auto it = frontier_.find(coverer);
-  if (it == frontier_.end() || it->second.children.empty()) {
-    slice->erase(coverer);
-  } else {
-    auto list = std::make_shared<CoveringSnapshot::ChildList>();
-    list->reserve(it->second.children.size());
-    for (const SubscriptionId child : it->second.children) {
-      list->push_back({child, parked_.at(child).subscription});
-    }
-    (*slice)[coverer] = std::move(list);
-  }
-  next->slices_[si] = std::move(slice);
-  next->parked_count_ = parked_.size();
-  snapshot_ = std::move(next);
+  bucket->erase(std::find_if(bucket->begin(), bucket->end(),
+                              [id](const Candidate& c) { return c.id == id; }));
 }
 
 CoveringIndex::AddResult CoveringIndex::add(SubscriptionId id, SubscriptionRef shared,
@@ -171,17 +174,15 @@ CoveringIndex::AddResult CoveringIndex::add(SubscriptionId id, SubscriptionRef s
   // Locally-owned subscriptions stay compiled (see the header): frontier
   // membership without candidate indexing, so they neither park nor cover.
   if (owner == local_) {
-    frontier_.emplace(
-        id, Frontier{std::move(shared), owner, subscription.specific_test_count(),
-                     std::nullopt, {}});
+    frontier_.emplace(id, Frontier{std::move(shared), owner, std::nullopt, {}});
     return AddResult{};
   }
 
-  const SubscriptionId coverer = find_coverer(subscription, owner);
+  const Signature signature = signature_of(subscription);
+  const SubscriptionId coverer = find_coverer(subscription, signature, owner);
   if (coverer.valid()) {
     parked_.emplace(id, Parked{std::move(shared), owner, coverer});
     frontier_.at(coverer).children.push_back(id);
-    publish_children(coverer);
     AddResult result;
     result.parked = true;
     result.coverer = coverer;
@@ -194,15 +195,15 @@ CoveringIndex::AddResult CoveringIndex::add(SubscriptionId id, SubscriptionRef s
   // same value are the only anchored entries it can cover. Demoted entries
   // hand their children straight to the new coverer (parking stays flat).
   AddResult result;
-  Frontier entry{std::move(shared), owner, subscription.specific_test_count(),
-                 anchor_of(subscription), {}};
-  const auto consider = [&](const SubscriptionId candidate) {
-    if (std::find(result.demoted.begin(), result.demoted.end(), candidate) !=
-        result.demoted.end()) {
+  Frontier entry{std::move(shared), owner, anchor_of(subscription), {}};
+  const auto consider = [&](const Candidate& candidate) {
+    if (!signature.may_cover(candidate.signature) ||
+        !covers(subscription, *candidate.subscription)) {
       return;
     }
-    if (covers(subscription, *frontier_.at(candidate).subscription)) {
-      result.demoted.push_back(candidate);
+    if (std::find(result.demoted.begin(), result.demoted.end(), candidate.id) ==
+        result.demoted.end()) {
+      result.demoted.push_back(candidate.id);
     }
   };
   const auto& tests = subscription.tests();
@@ -210,10 +211,10 @@ CoveringIndex::AddResult CoveringIndex::add(SubscriptionId id, SubscriptionRef s
     if (tests[i].kind() != TestKind::kEquals) continue;
     const auto it = anchored_.find(AnchorKey{owner, i, tests[i].operand()});
     if (it == anchored_.end()) continue;
-    for (const SubscriptionId candidate : it->second) consider(candidate);
+    for (const Candidate& candidate : it->second) consider(candidate);
   }
   if (const auto it = unanchored_.find(owner); it != unanchored_.end()) {
-    for (const SubscriptionId candidate : it->second) consider(candidate);
+    for (const Candidate& candidate : it->second) consider(candidate);
   }
 
   for (const SubscriptionId demoted : result.demoted) {
@@ -227,11 +228,8 @@ CoveringIndex::AddResult CoveringIndex::add(SubscriptionId id, SubscriptionRef s
     parked_.emplace(demoted, Parked{std::move(victim.subscription), owner, id});
     entry.children.push_back(demoted);
   }
-  const bool had_children = !entry.children.empty();
-  index_frontier(id, entry);
+  index_frontier(id, entry, signature);
   frontier_.emplace(id, std::move(entry));
-  for (const SubscriptionId demoted : result.demoted) publish_children(demoted);
-  if (had_children) publish_children(id);
   return result;
 }
 
@@ -242,7 +240,6 @@ CoveringIndex::RemoveResult CoveringIndex::remove(SubscriptionId id) {
     parked_.erase(it);
     auto& children = frontier_.at(coverer).children;
     children.erase(std::find(children.begin(), children.end(), id));
-    publish_children(coverer);
     result.known = true;
     result.was_parked = true;
     return result;
@@ -259,7 +256,6 @@ CoveringIndex::RemoveResult CoveringIndex::remove(SubscriptionId id) {
   }
   unindex_frontier(id, removed);
   frontier_.erase(it);
-  publish_children(id);  // erases the snapshot entry
 
   // Re-home the orphaned children broadest-first: a promoted broad child
   // immediately becomes a parking candidate for its tighter siblings, so
@@ -272,35 +268,29 @@ CoveringIndex::RemoveResult CoveringIndex::remove(SubscriptionId id) {
               };
               return key(a) < key(b);
             });
-  std::vector<SubscriptionId> reparked_under;
   for (const SubscriptionId child : removed.children) {
     Parked orphan = std::move(parked_.at(child));
     parked_.erase(child);
-    const SubscriptionId coverer = find_coverer(*orphan.subscription, orphan.owner);
+    const Signature signature = signature_of(*orphan.subscription);
+    const SubscriptionId coverer = find_coverer(*orphan.subscription, signature, orphan.owner);
     if (coverer.valid()) {
       frontier_.at(coverer).children.push_back(child);
       orphan.coverer = coverer;
       parked_.emplace(child, std::move(orphan));
-      reparked_under.push_back(coverer);
     } else {
-      Frontier promoted{orphan.subscription, orphan.owner,
-                        orphan.subscription->specific_test_count(),
-                        anchor_of(*orphan.subscription), {}};
-      index_frontier(child, promoted);
+      Frontier promoted{orphan.subscription, orphan.owner, anchor_of(*orphan.subscription), {}};
+      index_frontier(child, promoted, signature);
       frontier_.emplace(child, std::move(promoted));
       result.promoted.push_back({child, std::move(orphan.subscription)});
     }
   }
-  std::sort(reparked_under.begin(), reparked_under.end());
-  reparked_under.erase(std::unique(reparked_under.begin(), reparked_under.end()),
-                       reparked_under.end());
-  for (const SubscriptionId coverer : reparked_under) publish_children(coverer);
-  if (!reparked_under.empty() || !removed.children.empty()) {
-    // Even when every child promoted (no re-parks), parked_count changed;
-    // publish_children above only ran for re-park targets.
-    publish_children(id);
-  }
   return result;
+}
+
+std::span<const SubscriptionId> CoveringIndex::children_of(SubscriptionId coverer) const {
+  const auto it = frontier_.find(coverer);
+  if (it == frontier_.end()) return {};
+  return it->second.children;
 }
 
 SubscriptionRef CoveringIndex::find(SubscriptionId id) const {

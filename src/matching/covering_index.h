@@ -31,9 +31,13 @@
 // inherits their children), shrinking the tree.
 //
 // The index is control-plane state: callers serialize it exactly like the
-// mutable PSTs (BrokerCore does both under one capability). The data plane
-// never reads it — it reads the immutable CoveringSnapshot this index
-// maintains persistently (one slice cloned per change, O(1) to publish).
+// mutable PSTs (BrokerCore does both under one capability), and nothing
+// about it is published. The data plane has no use for it: dispatch
+// forwards on the frontier's trit rows, which a parked child's same-owner
+// coverer already decides, and delivers to local subscriptions, which
+// never park. Parking or unparking therefore changes no compiled tree and
+// no snapshot. Enumerating parked children is a control-plane query
+// (children_of; BrokerCore::match_all re-tests them against an event).
 //
 // Containment detection is exact but not complete: a test is only
 // recognized as covering when the containment is structural (e.g. a range
@@ -43,14 +47,15 @@
 // coveree simply stays in the frontier.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
 #include "event/subscription.h"
-#include "matching/covering_snapshot.h"
 
 namespace gryphon {
 
@@ -97,16 +102,15 @@ class CoveringIndex {
   /// Looks up any live subscription, frontier or parked.
   [[nodiscard]] SubscriptionRef find(SubscriptionId id) const;
   [[nodiscard]] bool is_parked(SubscriptionId id) const { return parked_.contains(id); }
-
-  /// The current persistent coverer -> children view for the data plane.
-  /// Deeply immutable; successive snapshots share unchanged slices.
-  [[nodiscard]] std::shared_ptr<const CoveringSnapshot> snapshot() const { return snapshot_; }
+  /// The subscriptions parked directly under `coverer`, in parked order;
+  /// empty unless `coverer` is on the frontier. Valid until the next
+  /// mutation.
+  [[nodiscard]] std::span<const SubscriptionId> children_of(SubscriptionId coverer) const;
 
  private:
   struct Frontier {
     SubscriptionRef subscription;
     BrokerId owner;
-    std::size_t specific_tests{0};
     /// First attribute with an equality test, if any — the candidate-index
     /// anchor: anything this entry covers must carry the same equality.
     std::optional<std::pair<std::size_t, Value>> anchor;
@@ -116,6 +120,26 @@ class CoveringIndex {
     SubscriptionRef subscription;
     BrokerId owner;
     SubscriptionId coverer;
+  };
+  /// Necessary conditions for covers(a, b), packed so a candidate scan
+  /// rejects most entries without touching their subscriptions: a can only
+  /// cover b when b restricts every attribute a restricts, and b pins every
+  /// equality a requires. Attributes and (attribute, value) pairs fold into
+  /// 64 bits each, which keeps both conditions necessary.
+  struct Signature {
+    std::uint64_t specific{0};  // tests that do not accept every value
+    std::uint64_t equal{0};     // equality tests
+    std::uint64_t pinned{0};    // `equal`, or all ones beside a one-value range
+    [[nodiscard]] bool may_cover(const Signature& b) const {
+      return (specific & ~b.specific) == 0 && (equal & ~b.pinned) == 0;
+    }
+  };
+  /// A frontier entry as the candidate scans read it, stored inline in the
+  /// anchor buckets so a scan walks one contiguous array.
+  struct Candidate {
+    SubscriptionId id;
+    Signature signature;
+    const Subscription* subscription;  // owned by the frontier entry
   };
   struct AnchorKey {
     BrokerId owner;
@@ -129,24 +153,21 @@ class CoveringIndex {
 
   [[nodiscard]] static std::optional<std::pair<std::size_t, Value>> anchor_of(
       const Subscription& subscription);
+  [[nodiscard]] static Signature signature_of(const Subscription& subscription);
   /// A frontier subscription with `owner` covering `subscription`, or an
   /// invalid id. Probes the anchor index at each of the subscription's
   /// equality attributes, then the owner's unanchored list.
   [[nodiscard]] SubscriptionId find_coverer(const Subscription& subscription,
-                                            BrokerId owner) const;
-  void index_frontier(SubscriptionId id, const Frontier& entry);
+                                            const Signature& signature, BrokerId owner) const;
+  void index_frontier(SubscriptionId id, const Frontier& entry, const Signature& signature);
   void unindex_frontier(SubscriptionId id, const Frontier& entry);
-  /// Re-syncs the published snapshot's child list for `coverer` from the
-  /// mutable model (clones exactly one slice).
-  void publish_children(SubscriptionId coverer);
 
   SchemaPtr schema_;
   BrokerId local_;
   std::unordered_map<SubscriptionId, Frontier> frontier_;
   std::unordered_map<SubscriptionId, Parked> parked_;
-  std::unordered_map<AnchorKey, std::vector<SubscriptionId>, AnchorKeyHash> anchored_;
-  std::unordered_map<BrokerId, std::vector<SubscriptionId>> unanchored_;
-  std::shared_ptr<const CoveringSnapshot> snapshot_;
+  std::unordered_map<AnchorKey, std::vector<Candidate>, AnchorKeyHash> anchored_;
+  std::unordered_map<BrokerId, std::vector<Candidate>> unanchored_;
 };
 
 }  // namespace gryphon

@@ -30,6 +30,46 @@ namespace {
 
 constexpr SpaceId kSpace0{0};
 
+using Oracle = std::map<SubscriptionId, Subscription>;
+using Owners = std::map<SubscriptionId, BrokerId>;
+
+/// Forwarding completeness at broker 1 of the 3-broker line: a matching
+/// stable subscription owned by neighbor o must put o in the forward set
+/// unless the event came from o's side (root == o). Covering must preserve
+/// exactly this — a parked child's same-owner coverer sits on the frontier
+/// behind the same link — whichever snapshot the dispatch pinned.
+void expect_stable_forwarding(const Decision& d, const Event& e, BrokerId root,
+                              const Oracle& oracle, const Owners& owner,
+                              std::int64_t stable_count) {
+  for (std::int64_t i = 0; i < stable_count; ++i) {
+    const SubscriptionId id{i};
+    const BrokerId o = owner.at(id);
+    if (o == BrokerId{1} || o == root || !oracle.at(id).matches(e)) continue;
+    EXPECT_NE(std::find(d.forward.begin(), d.forward.end(), o), d.forward.end())
+        << "stable id " << id.value << " not forwarded toward broker " << o.value;
+  }
+}
+
+/// match_all reports each id once, only matching ids, and every matching
+/// stable subscription. A control-plane query: call it from the writer.
+void expect_stable_match_all(const BrokerCore& core, const Event& e, const Oracle& oracle,
+                             std::int64_t stable_count) {
+  core.control_plane().assert_serialized();
+  const auto all = core.match_all(kSpace0, e);
+  const std::set<SubscriptionId> all_set(all.begin(), all.end());
+  EXPECT_EQ(all_set.size(), all.size()) << "duplicate in match_all";
+  for (const SubscriptionId id : all) {
+    ASSERT_TRUE(oracle.contains(id));
+    EXPECT_TRUE(oracle.at(id).matches(e)) << "false positive match_all id " << id.value;
+  }
+  for (std::int64_t i = 0; i < stable_count; ++i) {
+    const SubscriptionId id{i};
+    if (oracle.at(id).matches(e)) {
+      EXPECT_TRUE(all_set.contains(id)) << "lost stable match_all id " << id.value;
+    }
+  }
+}
+
 TEST(ConcurrentMatching, DispatchSeesConsistentSnapshotsUnderChurn) {
   const auto schema = make_synthetic_schema(4, 3);
   const BrokerNetwork topo = make_line(3, 10, 0, 1);
@@ -44,8 +84,8 @@ TEST(ConcurrentMatching, DispatchSeesConsistentSnapshotsUnderChurn) {
   constexpr std::int64_t kStableCount = 60;
   constexpr std::int64_t kChurnCount = 40;
   constexpr std::int64_t kChurnBase = 1000;
-  std::map<SubscriptionId, Subscription> oracle;
-  std::map<SubscriptionId, BrokerId> owner;
+  Oracle oracle;
+  Owners owner;
   for (std::int64_t i = 0; i < kStableCount; ++i) {
     const SubscriptionId id{i};
     const BrokerId o{static_cast<BrokerId::rep_type>(i % 3)};
@@ -61,6 +101,9 @@ TEST(ConcurrentMatching, DispatchSeesConsistentSnapshotsUnderChurn) {
 
   std::atomic<bool> done{false};
   std::thread writer([&] {
+    core.control_plane().assert_serialized();  // the only writer
+    Rng writer_rng(7042);
+    EventGenerator events(schema);
     for (int round = 0; round < 150; ++round) {
       for (std::int64_t k = 0; k < kChurnCount; ++k) {
         const SubscriptionId id{kChurnBase + k};
@@ -69,6 +112,7 @@ TEST(ConcurrentMatching, DispatchSeesConsistentSnapshotsUnderChurn) {
       for (std::int64_t k = 0; k < kChurnCount; ++k) {
         ASSERT_TRUE(core.remove_subscription(SubscriptionId{kChurnBase + k}));
       }
+      expect_stable_match_all(core, events.generate(writer_rng), oracle, kStableCount);
     }
     done.store(true, std::memory_order_release);
   });
@@ -94,28 +138,15 @@ TEST(ConcurrentMatching, DispatchSeesConsistentSnapshotsUnderChurn) {
         EXPECT_TRUE(next == BrokerId{0} || next == BrokerId{2});
       }
       // Stable completeness: a matching stable subscription owned here must
-      // be reported no matter which snapshot the dispatch pinned.
+      // be reported, and one owned by a neighbor forwarded, no matter which
+      // snapshot the dispatch pinned.
       for (std::int64_t i = 0; i < kStableCount; ++i) {
         const SubscriptionId id{i};
         if (owner.at(id) == BrokerId{1} && oracle.at(id).matches(e)) {
           EXPECT_TRUE(seen.contains(id)) << "lost stable match " << id.value;
         }
       }
-
-      // match_all: the network-wide stable set must survive churn too.
-      const auto all = core.match_all(kSpace0, e);
-      const std::set<SubscriptionId> all_set(all.begin(), all.end());
-      EXPECT_EQ(all_set.size(), all.size()) << "duplicate in match_all";
-      for (const SubscriptionId id : all) {
-        ASSERT_TRUE(oracle.contains(id));
-        EXPECT_TRUE(oracle.at(id).matches(e));
-      }
-      for (std::int64_t i = 0; i < kStableCount; ++i) {
-        const SubscriptionId id{i};
-        if (oracle.at(id).matches(e)) {
-          EXPECT_TRUE(all_set.contains(id)) << "lost stable match_all id " << id.value;
-        }
-      }
+      expect_stable_forwarding(d, e, root, oracle, owner, kStableCount);
     }
   };
 
@@ -142,8 +173,8 @@ TEST(ConcurrentMatching, BatchDispatchUnderChurn) {
   constexpr std::int64_t kStableCount = 50;
   constexpr std::int64_t kChurnCount = 30;
   constexpr std::int64_t kChurnBase = 2000;
-  std::map<SubscriptionId, Subscription> oracle;
-  std::map<SubscriptionId, BrokerId> owner;
+  Oracle oracle;
+  Owners owner;
   for (std::int64_t i = 0; i < kStableCount; ++i) {
     const SubscriptionId id{i};
     const BrokerId o{static_cast<BrokerId::rep_type>(i % 3)};
@@ -217,10 +248,10 @@ TEST(ConcurrentMatching, BatchDispatchUnderChurn) {
 // Covering + delta compilation under concurrent dispatch: the writer churns
 // a workload designed to park/promote constantly (broad coverers over a
 // stable covered set) against a core with aggressive slice growth, while
-// readers validate every reported id and the stable subscriptions' matches.
-// Covering-only publishes share the compiled tables between snapshots and
-// the expansion path reads the persistent CoveringSnapshot slices — this is
-// the TSan target for those structures.
+// readers validate every reported id and the stable subscriptions' local
+// matches and forwarding links, and the writer checks match_all between
+// rounds. Demotions and promotions republish the delta segments while
+// readers hold older snapshots — this is the TSan target for that reuse.
 TEST(ConcurrentMatching, CoveringChurnKeepsSnapshotsConsistent) {
   const auto schema = make_synthetic_schema(4, 3);
   const BrokerNetwork topo = make_line(3, 10, 0, 1);
@@ -234,8 +265,8 @@ TEST(ConcurrentMatching, CoveringChurnKeepsSnapshotsConsistent) {
   constexpr std::int64_t kStableCount = 60;
   constexpr std::int64_t kChurnCount = 30;
   constexpr std::int64_t kChurnBase = 5000;
-  std::map<SubscriptionId, Subscription> oracle;
-  std::map<SubscriptionId, BrokerId> owner;
+  Oracle oracle;
+  Owners owner;
   for (std::int64_t i = 0; i < kStableCount; ++i) {
     const SubscriptionId id{i};
     const BrokerId o{static_cast<BrokerId::rep_type>(i % 3)};
@@ -253,14 +284,20 @@ TEST(ConcurrentMatching, CoveringChurnKeepsSnapshotsConsistent) {
 
   std::atomic<bool> done{false};
   std::thread writer([&] {
+    core.control_plane().assert_serialized();  // the only writer
+    Rng writer_rng(60322);
+    EventGenerator events(schema);
     for (int round = 0; round < 120; ++round) {
       for (std::int64_t k = 0; k < kChurnCount; ++k) {
         const SubscriptionId id{kChurnBase + k};
         core.add_subscription(kSpace0, id, oracle.at(id), owner.at(id));
       }
+      // Mid-round too: the stable set is parked under the churn coverers.
+      expect_stable_match_all(core, events.generate(writer_rng), oracle, kStableCount);
       for (std::int64_t k = 0; k < kChurnCount; ++k) {
         ASSERT_TRUE(core.remove_subscription(SubscriptionId{kChurnBase + k}));
       }
+      expect_stable_match_all(core, events.generate(writer_rng), oracle, kStableCount);
     }
     done.store(true, std::memory_order_release);
   });
@@ -281,23 +318,16 @@ TEST(ConcurrentMatching, CoveringChurnKeepsSnapshotsConsistent) {
         EXPECT_EQ(owner.at(id), BrokerId{1}) << "non-local id " << id.value;
         EXPECT_TRUE(oracle.at(id).matches(e)) << "false positive id " << id.value;
       }
-      // A stable matching local subscription must be reported whether the
-      // pinned snapshot has it on the frontier or parked under a coverer.
+      // A stable matching local subscription must be reported (locals never
+      // park), and a stable remote one forwarded whether the pinned snapshot
+      // has it on the frontier or parked under a coverer.
       for (std::int64_t i = 0; i < kStableCount; ++i) {
         const SubscriptionId id{i};
         if (owner.at(id) == BrokerId{1} && oracle.at(id).matches(e)) {
           EXPECT_TRUE(seen.contains(id)) << "lost stable match " << id.value;
         }
       }
-      const auto all = core.match_all(kSpace0, e);
-      const std::set<SubscriptionId> all_set(all.begin(), all.end());
-      EXPECT_EQ(all_set.size(), all.size()) << "duplicate in match_all";
-      for (std::int64_t i = 0; i < kStableCount; ++i) {
-        const SubscriptionId id{i};
-        if (oracle.at(id).matches(e)) {
-          EXPECT_TRUE(all_set.contains(id)) << "lost stable match_all id " << id.value;
-        }
-      }
+      expect_stable_forwarding(d, e, root, oracle, owner, kStableCount);
     }
   };
 

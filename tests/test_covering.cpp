@@ -216,13 +216,44 @@ TEST(CoveringIndexMechanics, ParkDemoteAndPromote) {
   EXPECT_EQ(index.parked_count(), 1u);    // 5 re-parked under 2
   EXPECT_TRUE(index.is_parked(SubscriptionId{5}));
 
-  // The published snapshot mirrors the parked set.
-  const auto snapshot = index.snapshot();
-  EXPECT_EQ(snapshot->parked_count(), 1u);
-  const auto children = snapshot->children_of(SubscriptionId{2});
-  ASSERT_NE(children, nullptr);
-  ASSERT_EQ(children->size(), 1u);
-  EXPECT_EQ((*children)[0].id, SubscriptionId{5});
+  // The children accessor mirrors the parked set.
+  const auto children = index.children_of(SubscriptionId{2});
+  ASSERT_EQ(children.size(), 1u);
+  EXPECT_EQ(children[0], SubscriptionId{5});
+  EXPECT_TRUE(index.children_of(SubscriptionId{5}).empty());  // parked: no children
+  EXPECT_TRUE(index.children_of(SubscriptionId{1}).empty());  // removed
+}
+
+TEST(CoveringIndexMechanics, ParksWheneverTheAnchoredCandidateCovers) {
+  // find_coverer rejects candidates on packed signatures before it runs
+  // covers(); that filter must never reject a real coverer. A frontier
+  // entry is a candidate when it has no equality test or the newcomer
+  // pins its first equality attribute by an equality test (the anchor
+  // probe); the small domain makes one-value ranges [v, v] common, the
+  // case where an equality covers a non-equality test.
+  const SchemaPtr schema = make_synthetic_schema(3, 3);
+  Rng rng(4242);
+  int parked = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::vector<T> at;
+    std::vector<T> bt;
+    for (int i = 0; i < 3; ++i) at.push_back(random_test(rng, 3));
+    for (int i = 0; i < 3; ++i) bt.push_back(random_test(rng, 3));
+    const auto a = std::make_shared<const Subscription>(Subscription(schema, at));
+    const auto b = std::make_shared<const Subscription>(Subscription(schema, bt));
+    const auto anchor = std::find_if(at.begin(), at.end(), [](const T& t) {
+      return t.kind() == TestKind::kEquals;
+    });
+    const bool candidate =
+        anchor == at.end() ||
+        bt[static_cast<std::size_t>(anchor - at.begin())].kind() == TestKind::kEquals;
+    CoveringIndex index(schema);
+    ASSERT_FALSE(index.add(SubscriptionId{1}, a, BrokerId{0}).parked);
+    const auto result = index.add(SubscriptionId{2}, b, BrokerId{0});
+    EXPECT_EQ(result.parked, candidate && CoveringIndex::covers(*a, *b)) << "trial " << trial;
+    if (result.parked) ++parked;
+  }
+  EXPECT_GT(parked, 100);
 }
 
 TEST(CoveringIndexMechanics, LocalOwnerBypassesCovering) {
@@ -267,6 +298,8 @@ TEST(CoveringIndexMechanics, LocalOwnerBypassesCovering) {
 /// remote ids by expansion).
 void expect_equivalent(const BrokerCore& with, const BrokerCore& without,
                        const std::vector<Event>& pool, int roots) {
+  with.control_plane().assert_serialized();
+  without.control_plane().assert_serialized();
   MatchScratch scratch_a;
   MatchScratch scratch_b;
   for (int root = 0; root < roots; ++root) {
@@ -424,7 +457,8 @@ TEST_F(CoveringDifferentialTest, FactoredDeltaSegmentsAgree) {
   const ControlPlaneStats stats = with.control_plane_stats();
   EXPECT_GT(stats.delta_publishes, 0u);
   EXPECT_GT(stats.segments_reused, 0u);
-  EXPECT_GT(stats.covering_only_publishes, 0u);
+  // Every frontier mutation published once; parked churn published nothing.
+  EXPECT_LT(stats.compile_publishes, 4u * (80 + 40));
   EXPECT_EQ(stats.frontier_subscriptions + stats.covered_subscriptions,
             with.subscription_count());
 }
@@ -447,9 +481,21 @@ TEST_F(CoveringDifferentialTest, DeferredPublicationIsInvisibleUntilPublishSpace
                               SnapshotPolicy::kDefer);
     eager.add_subscription(kSpace0, SubscriptionId{i}, s, owner);
   }
-  // Nothing published: the data plane still sees the empty space.
+  // Nothing published: the data plane still sees the empty space, while
+  // the eager core already forwards or delivers on the same events.
   EXPECT_EQ(deferred.snapshot_version(), before);
-  for (const Event& e : pool) EXPECT_TRUE(deferred.match_all(kSpace0, e).empty());
+  MatchScratch scratch;
+  bool eager_acts = false;
+  for (int root = 0; root < 3; ++root) {
+    for (const Event& e : pool) {
+      const Decision d = deferred.dispatch(kSpace0, e, BrokerId{root}, scratch);
+      EXPECT_TRUE(d.forward.empty());
+      EXPECT_FALSE(d.deliver_locally);
+      const Decision ref = eager.dispatch(kSpace0, e, BrokerId{root}, scratch);
+      eager_acts = eager_acts || !ref.forward.empty() || ref.deliver_locally;
+    }
+  }
+  EXPECT_TRUE(eager_acts);
 
   deferred.control_plane().assert_serialized();
   deferred.publish_space(kSpace0);
@@ -461,64 +507,98 @@ TEST_F(CoveringDifferentialTest, DeferredPublicationIsInvisibleUntilPublishSpace
   EXPECT_EQ(deferred.snapshot_version(), published);
 }
 
-TEST_F(CoveringDifferentialTest, DeferredParkedOnlyBurstPublishesCoveringOnly) {
-  // Deferral keeps the O(1) covering-only publish: a burst that only parks
-  // or unparks subscriptions touches no compiled tree, so publish_space
-  // shares the compiled tables instead of compiling. One tree mutation in
-  // the burst makes it compile.
+TEST_F(CoveringDifferentialTest, ParkedOnlyChurnPublishesNothing) {
+  // Parking or unparking touches no compiled tree and no decision: a
+  // parked child's same-owner coverer already decides its links, and local
+  // subscriptions never park. So a burst of parked-only churn, published
+  // eagerly or deferred, leaves the snapshot as it was, while match_all (a
+  // control-plane query) still reports the parked ids. One tree mutation
+  // in a burst makes it compile.
   BrokerCore core(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), {});
   core.control_plane().assert_serialized();
   const BrokerId remote{0};
   const Subscription everything(schema_, std::vector<T>(4, T::dont_care()));
   core.add_subscription(kSpace0, SubscriptionId{0}, everything, remote);
-  const ControlPlaneStats before = core.control_plane_stats();
-
   Rng rng(8080);
   SubscriptionGenerator gen(schema_, SubscriptionWorkloadConfig{0.9, 0.7, 1.0});
   NaiveMatcher oracle;
   oracle.add(SubscriptionId{0}, everything);
+  // A local and a second remote frontier subscription, so the decisions
+  // below carry local matches and more than one forwarding link.
+  for (const auto& [id, owner] : {std::pair{200, BrokerId{1}}, std::pair{201, BrokerId{2}}}) {
+    const Subscription s = gen.generate(rng);
+    core.add_subscription(kSpace0, SubscriptionId{id}, s, owner);
+    oracle.add(SubscriptionId{id}, s);
+  }
+  ASSERT_EQ(core.covered_count(kSpace0), 0u);
+  const std::uint64_t version = core.snapshot_version();
+  const ControlPlaneStats before = core.control_plane_stats();
+
+  EventGenerator events(schema_);
+  std::vector<Event> pool;
+  for (int e = 0; e < 20; ++e) pool.push_back(events.generate(rng));
+  MatchScratch scratch;
+  const auto decide_all = [&] {
+    std::vector<Decision> out;
+    for (int root = 0; root < 3; ++root) {
+      for (const Event& e : pool) {
+        out.push_back(core.dispatch(kSpace0, e, BrokerId{root}, scratch));
+      }
+    }
+    return out;
+  };
+  const std::vector<Decision> pinned = decide_all();
+
+  // Parked-only burst: adds (every other one deferred), then removals.
   constexpr std::int64_t kBurst = 50;
   for (std::int64_t i = 1; i <= kBurst; ++i) {
     const Subscription s = gen.generate(rng);
-    core.add_subscription(kSpace0, SubscriptionId{i}, s, remote, SnapshotPolicy::kDefer);
+    core.add_subscription(kSpace0, SubscriptionId{i}, s, remote,
+                          i % 2 == 0 ? SnapshotPolicy::kDefer : SnapshotPolicy::kPublish);
     oracle.add(SubscriptionId{i}, s);
   }
   ASSERT_EQ(core.covered_count(kSpace0), static_cast<std::size_t>(kBurst));
+  for (std::int64_t i = 1; i <= 10; ++i) {
+    ASSERT_TRUE(core.remove_subscription(
+        SubscriptionId{i}, i % 2 == 0 ? SnapshotPolicy::kDefer : SnapshotPolicy::kPublish));
+    oracle.remove(SubscriptionId{i});
+  }
   core.publish_space(kSpace0);
-  ControlPlaneStats after = core.control_plane_stats();
-  EXPECT_EQ(after.compile_publishes, before.compile_publishes);
-  EXPECT_EQ(after.covering_only_publishes, before.covering_only_publishes + 1);
+  EXPECT_EQ(core.snapshot_version(), version);
+  EXPECT_EQ(core.control_plane_stats().compile_publishes, before.compile_publishes);
 
-  // The table-sharing publish still carries the whole burst.
-  EventGenerator events(schema_);
-  for (int e = 0; e < 20; ++e) {
-    const Event event = events.generate(rng);
+  const std::vector<Decision> after = decide_all();
+  ASSERT_EQ(after.size(), pinned.size());
+  for (std::size_t d = 0; d < after.size(); ++d) {
+    EXPECT_EQ(after[d].forward, pinned[d].forward) << "decision " << d;
+    EXPECT_EQ(after[d].local_matches, pinned[d].local_matches) << "decision " << d;
+    EXPECT_EQ(after[d].deliver_locally, pinned[d].deliver_locally) << "decision " << d;
+    EXPECT_EQ(after[d].steps, pinned[d].steps) << "decision " << d;
+  }
+
+  // match_all reports the parked ids, exactly as a flat matcher would.
+  bool saw_parked = false;
+  for (const Event& event : pool) {
     std::vector<SubscriptionId> got = core.match_all(kSpace0, event);
     std::vector<SubscriptionId> want = oracle.match(event).ids;
     std::sort(got.begin(), got.end());
     std::sort(want.begin(), want.end());
     EXPECT_EQ(got, want);
+    for (const SubscriptionId id : got) {
+      saw_parked = saw_parked || core.covering_index(kSpace0)->is_parked(id);
+    }
   }
+  EXPECT_TRUE(saw_parked);
 
-  // Parked removals defer the same way.
-  for (std::int64_t i = 1; i <= 10; ++i) {
-    ASSERT_TRUE(core.remove_subscription(SubscriptionId{i}, SnapshotPolicy::kDefer));
-  }
-  core.publish_space(kSpace0);
-  after = core.control_plane_stats();
-  EXPECT_EQ(after.compile_publishes, before.compile_publishes);
-  EXPECT_EQ(after.covering_only_publishes, before.covering_only_publishes + 2);
-
-  // A frontier add (another owner) beside a parked one: one compile, which
-  // also carries the parked change.
+  // A frontier add (another owner) beside a parked one: one compile.
   core.add_subscription(kSpace0, SubscriptionId{100}, everything, BrokerId{2},
                         SnapshotPolicy::kDefer);
   core.add_subscription(kSpace0, SubscriptionId{101}, gen.generate(rng), remote,
                         SnapshotPolicy::kDefer);
+  ASSERT_TRUE(core.covering_index(kSpace0)->is_parked(SubscriptionId{101}));
   core.publish_space(kSpace0);
-  after = core.control_plane_stats();
-  EXPECT_EQ(after.compile_publishes, before.compile_publishes + 1);
-  EXPECT_EQ(after.covering_only_publishes, before.covering_only_publishes + 2);
+  EXPECT_EQ(core.snapshot_version(), version + 1);
+  EXPECT_EQ(core.control_plane_stats().compile_publishes, before.compile_publishes + 1);
   const std::vector<SubscriptionId> matched = core.match_all(kSpace0, events.generate(rng));
   EXPECT_NE(std::find(matched.begin(), matched.end(), SubscriptionId{100}), matched.end());
 }
@@ -526,8 +606,8 @@ TEST_F(CoveringDifferentialTest, DeferredParkedOnlyBurstPublishesCoveringOnly) {
 TEST_F(CoveringDifferentialTest, SelfOwnedSubscriptionsNeverPark) {
   // The dispatch hot path relies on this: local fan-out comes straight out
   // of the compiled kernels, with no parked-child expansion. An all-local
-  // population therefore compiles fully — zero covered, zero covering-only
-  // publishes — even under a workload dense with containment.
+  // population therefore compiles fully — zero covered — even under a
+  // workload dense with containment.
   BrokerCore core(BrokerId{1}, topo_, {schema_}, PstMatcherOptions(), {});
   Rng rng(2468);
   SubscriptionGenerator gen(schema_, SubscriptionWorkloadConfig{0.9, 0.55, 1.0});
@@ -536,7 +616,7 @@ TEST_F(CoveringDifferentialTest, SelfOwnedSubscriptionsNeverPark) {
   }
   EXPECT_EQ(core.covered_count(kSpace0), 0u);
   EXPECT_EQ(core.frontier_count(kSpace0), 200u);
-  EXPECT_EQ(core.control_plane_stats().covering_only_publishes, 0u);
+  EXPECT_EQ(core.control_plane_stats().covered_subscriptions, 0u);
 
   // The same workload under a remote owner does aggregate, which pins the
   // blame for the zero above on the owner, not the workload.

@@ -104,9 +104,6 @@ TEST(BrokerConfigSpec, MinimalDefaults) {
   ASSERT_EQ(config.schemas.size(), 1u);
   EXPECT_EQ(config.schemas[0]->name(), "t");
   EXPECT_EQ(config.match_threads, 0u);
-  EXPECT_TRUE(config.covering);
-  EXPECT_EQ(config.delta_segment_target, 16384u);
-  EXPECT_EQ(config.max_delta_segments, 64u);
   EXPECT_EQ(config.gc_seconds, 3600);
   EXPECT_FALSE(config.verbose);
   EXPECT_EQ(config.link_rto_ms, 50);
@@ -127,7 +124,6 @@ TEST(BrokerConfigSpec, AllFlagFamiliesParse) {
   for (const char* extra :
        {"--dial", "1=127.0.0.1:7001", "--schema", "u b:double", "--match-threads", "auto",
         "--gc-seconds", "60", "--verbose",
-        "--no-covering", "--delta-segment-target", "4096", "--max-delta-segments", "8",
         "--link-rto-ms", "25", "--link-heartbeat-ms", "100", "--link-idle-timeout-ms", "400",
         "--redial-backoff-ms", "10", "--redial-backoff-max-ms", "1000",
         "--redial-budget", "3"}) {
@@ -138,9 +134,6 @@ TEST(BrokerConfigSpec, AllFlagFamiliesParse) {
   EXPECT_EQ(config.dials[0].peer, BrokerId{1});
   EXPECT_EQ(config.schemas.size(), 2u);
   EXPECT_GE(config.match_threads, 1u);  // "auto" resolves to >= 1
-  EXPECT_FALSE(config.covering);
-  EXPECT_EQ(config.delta_segment_target, 4096u);
-  EXPECT_EQ(config.max_delta_segments, 8u);
   EXPECT_EQ(config.gc_seconds, 60);
   EXPECT_TRUE(config.verbose);
   EXPECT_EQ(config.link_rto_ms, 25);
@@ -196,11 +189,14 @@ TEST(BrokerConfigSpec, ShardsFlagIsUnknown) {
 }
 
 TEST(BrokerConfigSpec, BatchMaxAndCoveringFlagsAreUnknown) {
-  // The match batch bound is a constant and covering is on unless
-  // --no-covering turns it off: --batch-max and --covering are gone and
-  // fail like any other unknown flag.
+  // The match batch bound is a constant, and the broker always runs the
+  // default control plane (covering on, default delta segments): the flags
+  // that once set them are gone and fail like any other unknown flag.
   for (const std::vector<std::string>& extra :
-       {std::vector<std::string>{"--batch-max", "64"}, std::vector<std::string>{"--covering"}}) {
+       {std::vector<std::string>{"--batch-max", "64"}, std::vector<std::string>{"--covering"},
+        std::vector<std::string>{"--no-covering"},
+        std::vector<std::string>{"--delta-segment-target", "4096"},
+        std::vector<std::string>{"--max-delta-segments", "8"}}) {
     auto args = minimal_args();
     args.insert(args.end(), extra.begin(), extra.end());
     try {
@@ -247,10 +243,6 @@ TEST(BrokerConfigSpec, RejectsInvalidValues) {
   };
   EXPECT_THROW(parse_broker_config(with({"--gc-seconds", "0"})), std::invalid_argument);
   EXPECT_THROW(parse_broker_config(with({"--gc-seconds", "-3"})), std::invalid_argument);
-  EXPECT_THROW(parse_broker_config(with({"--delta-segment-target", "0"})),
-               std::invalid_argument);
-  EXPECT_THROW(parse_broker_config(with({"--max-delta-segments", "0"})),
-               std::invalid_argument);
   EXPECT_THROW(parse_broker_config(with({"--link-rto-ms", "0"})), std::invalid_argument);
   EXPECT_THROW(parse_broker_config(with({"--listen", "70000"})), std::invalid_argument);
   EXPECT_THROW(parse_broker_config(with({"--redial-budget", "-1"})), std::invalid_argument);

@@ -6,8 +6,6 @@
 //           --schema "trades issue:string price:double volume:int" ...
 //           [--schema "alarms severity:int"]... ...
 //           [--gc-seconds 3600] [--match-threads N|auto] [--verbose]
-//           [--no-covering] [--delta-segment-target 16384]
-//           [--max-delta-segments 64]
 //           [--link-rto-ms 50] [--link-heartbeat-ms 500]
 //           [--link-idle-timeout-ms 2000] [--redial-backoff-ms 20]
 //           [--redial-backoff-max-ms 5000] [--redial-budget 0]
@@ -86,7 +84,6 @@ struct Relay : TransportHandler {
                "usage: %s --id N --brokers N --links \"0-1:10,...\" --listen PORT\n"
                "          [--dial ID=HOST:PORT]... --schema \"NAME attr:type ...\" ...\n"
                "          [--gc-seconds N] [--match-threads N|auto] [--verbose]\n"
-               "          [--no-covering] [--delta-segment-target N] [--max-delta-segments N]\n"
                "          [--link-rto-ms N] [--link-heartbeat-ms N]\n"
                "          [--link-idle-timeout-ms N] [--redial-backoff-ms N]\n"
                "          [--redial-backoff-max-ms N] [--redial-budget N]\n"
@@ -113,9 +110,6 @@ int main(int argc, char** argv) {
     Broker::Options options;
     options.log_retention = ticks_from_seconds(config.gc_seconds);
     options.match_threads = config.match_threads;
-    options.control.covering = config.covering;
-    options.control.delta_segment_target = config.delta_segment_target;
-    options.control.max_delta_segments = config.max_delta_segments;
     options.link_retransmit_timeout = ticks_from_millis(config.link_rto_ms);
     options.link_heartbeat_interval = ticks_from_millis(config.link_heartbeat_ms);
     options.standby = config.standby();
@@ -256,13 +250,12 @@ int main(int argc, char** argv) {
     const unsigned long long compiles = cp.compile_publishes;
     std::printf(
         "brokerd: control plane (frontier=%llu covered=%llu delta=%llu full=%llu "
-        "covering_only=%llu segments_compiled=%llu segments_reused=%llu "
+        "segments_compiled=%llu segments_reused=%llu "
         "avg_compile_us=%llu)\n",
         static_cast<unsigned long long>(cp.frontier_subscriptions),
         static_cast<unsigned long long>(cp.covered_subscriptions),
         static_cast<unsigned long long>(cp.delta_publishes),
         static_cast<unsigned long long>(cp.full_publishes),
-        static_cast<unsigned long long>(cp.covering_only_publishes),
         static_cast<unsigned long long>(cp.segments_compiled),
         static_cast<unsigned long long>(cp.segments_reused),
         compiles == 0 ? 0ULL

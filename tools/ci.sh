@@ -265,6 +265,12 @@ PY
     #      within like hardware, so this gate is skipped with a notice
     #      when the host's hardware_concurrency differs from the
     #      baseline's — the same honesty rule as the scaling leg.
+    #   3. Bulk load must scale near-linearly: load_seconds at 100k over
+    #      load_seconds at 10k must stay <= 20 in both modes. A ratio on
+    #      the same host, valid on any hardware. Linear is 10x; 13 runs
+    #      on a 4-thread host read 8.4-14.9x. A per-add cost that grows
+    #      with the table fails it: a covering index that cloned a
+    #      snapshot slice per parked add read 26-37x.
     # Trimmed sweep (10k + 100k points); run churn_bench with no
     # arguments for the full 1M acceptance measurement.
     echo "=== [churn] control-plane churn: covering + delta compilation ==="
@@ -289,6 +295,19 @@ if speedup < 5.0:
     print(f"[churn] FAIL: delta compile p50 must be >= 5x below the full "
           f"recompile, got {speedup:.1f}x", file=sys.stderr)
     sys.exit(1)
+small = next((s for s in data["sizes"] if s["subscriptions"] == 10000), None)
+if small is None:
+    print("[churn] no 10000-subscription point in the sweep", file=sys.stderr)
+    sys.exit(1)
+for mode in ("full", "delta"):
+    growth = point[mode]["load_seconds"] / small[mode]["load_seconds"]
+    print(f"[churn] {mode} load {small[mode]['load_seconds']:.3f} s at 10k, "
+          f"{point[mode]['load_seconds']:.3f} s at {base['subscriptions']} "
+          f"({growth:.1f}x)")
+    if growth > 20.0:
+        print(f"[churn] FAIL: {mode} load grew {growth:.1f}x for 10x the "
+              f"subscriptions (limit 20x)", file=sys.stderr)
+        sys.exit(1)
 hw = data["hardware_concurrency"]
 if hw != base["hardware_concurrency"]:
     print(f"[churn] absolute-latency regression gate skipped: host has {hw} "

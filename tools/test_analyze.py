@@ -44,7 +44,6 @@ def _have_cindex() -> bool:
 CLEAN_TREE = {
     "src/matching/compiled_pst.h": "struct CompiledPst { int match; };\n",
     "src/matching/compiled_pst.cpp": "int compiled_match() { return 1; }\n",
-    "src/matching/covering_snapshot.h": "struct CoveringSnapshot { int expand; };\n",
     "src/routing/compiled_annotation.h": "struct CompiledAnnotation {};\n",
     "src/routing/compiled_annotation.cpp": "int annotate() { return 2; }\n",
     "src/broker/dispatch_batch.h": "struct DispatchBatch { int items; };\n",
@@ -82,7 +81,6 @@ BASE_CONFIG = {
         "data_plane_files": [
             "src/matching/compiled_pst.h",
             "src/matching/compiled_pst.cpp",
-            "src/matching/covering_snapshot.h",
             "src/routing/compiled_annotation.h",
             "src/routing/compiled_annotation.cpp",
             "src/broker/dispatch_batch.h",
@@ -187,15 +185,15 @@ class PlanesTest(AnalyzeFixtureTest):
         self.assertIn("compiled_pst.cpp:1", result.stderr)
         self.assertIn("add_with_result", result.stderr)
 
-    def test_forbidden_token_in_covering_snapshot_rejected(self):
-        # The covering sidecar is read on every dispatch; it must never
-        # reach back into the control plane's registry.
+    def test_forbidden_token_in_data_plane_header_rejected(self):
+        # The batch context is read on every dispatch; it must never reach
+        # back into the control plane's registry.
         result = self.run_tree({
-            "src/matching/covering_snapshot.h":
-                "struct CoveringSnapshot { int n = registry_.size(); };\n",
+            "src/broker/dispatch_batch.h":
+                "struct DispatchBatch { int n = registry_.size(); };\n",
         })
         self.assertEqual(result.returncode, 1)
-        self.assertIn("covering_snapshot.h:1", result.stderr)
+        self.assertIn("dispatch_batch.h:1", result.stderr)
         self.assertIn("registry_", result.stderr)
 
     def test_forbidden_token_in_data_plane_function_body(self):

@@ -180,12 +180,6 @@ BrokerConfig parse_broker_config(const std::vector<std::string>& args) {
       config.gc_seconds = next_positive("gc seconds");
     } else if (arg == "--match-threads") {
       config.match_threads = parse_thread_count(next());
-    } else if (arg == "--no-covering") {
-      config.covering = false;
-    } else if (arg == "--delta-segment-target") {
-      config.delta_segment_target = static_cast<std::size_t>(next_positive("segment target"));
-    } else if (arg == "--max-delta-segments") {
-      config.max_delta_segments = static_cast<std::size_t>(next_positive("segment cap"));
     } else if (arg == "--verbose") {
       config.verbose = true;
     } else if (arg == "--link-rto-ms") {

@@ -40,7 +40,7 @@ std::size_t parse_thread_count(const std::string& spec);
 void parse_endpoint(const std::string& spec, std::string& host, std::uint16_t& port);
 
 /// The full validated configuration of one brokerd process: every flag
-/// family (identity/topology, schemas, match pipeline, control plane,
+/// family (identity/topology, schemas, match pipeline,
 /// link-session timings, redial policy) behind a single parse + validate
 /// entry point, so the tool's main() does no flag plumbing of its own and
 /// every tool reusing brokers parses identically.
@@ -55,11 +55,6 @@ struct BrokerConfig {
 
   // Match pipeline.
   std::size_t match_threads{0};   // 0 = synchronous matching
-
-  // Control plane: covering aggregation + delta compilation (broker_core.h).
-  bool covering{true};                      // --no-covering disables parking
-  std::size_t delta_segment_target{16384};  // frontier subs per delta segment
-  std::size_t max_delta_segments{64};       // slice-count growth cap
 
   // Maintenance.
   int gc_seconds{3600};
