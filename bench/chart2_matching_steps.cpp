@@ -30,9 +30,6 @@ void run() {
     spec.matcher.factoring_levels = 3;
     spec.protocol = Protocol::kLinkMatching;
     spec.workload.rate_eps = 200.0;
-    // Keep the exact control plane even at 10k subscriptions: Chart 2 is
-    // about measured per-hop step counts, which the aggregate plane models.
-    spec.engine.control_plane = ControlPlaneMode::kExact;
     const SimResult result = simulate(spec);
 
     std::printf("%14zu", subs);

@@ -280,8 +280,8 @@ int run(bool ci_mode, const char* out_path) {
   std::vector<SweepPoint> points;
 
   if (ci_mode) {
-    // Reduced sweep: the exact-plane Figure 6 differential plus one
-    // aggregate-plane WAN point of ~200 brokers.
+    // Reduced sweep: the Figure 6 differential plus one WAN point of ~200
+    // brokers.
     SimSpec fig6 = bench::paper_spec(10, 5, 0.85, 2000, 200, /*seed=*/501);
     fig6.workload.rate_eps = 100.0;
     points.push_back(run_point("fig6-39", fig6, parallel_threads, pairs));

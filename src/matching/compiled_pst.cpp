@@ -75,6 +75,7 @@ CompiledPst::CompiledPst(const Pst& tree)
   // contiguous in its arena. Recursion depth is bounded by the level count.
   nodes_.reserve(tree.live_node_count());
   bottom_up_.reserve(tree.live_node_count());
+  subtree_end_.reserve(tree.live_node_count());
   subs_.reserve(subscription_count_);
   std::vector<NodeId> pending;
   std::vector<std::pair<std::uint64_t, NodeId>> eq;
@@ -85,6 +86,7 @@ CompiledPst::CompiledPst(const Pst& tree)
     }
     const NodeId id = static_cast<NodeId>(nodes_.size());
     nodes_.emplace_back();
+    subtree_end_.emplace_back();
     nodes_[static_cast<std::size_t>(id)].level = static_cast<std::uint16_t>(tree.level(n));
 
     if (tree.is_leaf(n)) {
@@ -96,6 +98,7 @@ CompiledPst::CompiledPst(const Pst& tree)
       subs_.insert(subs_.end(), subs.begin(), subs.end());
       std::sort(subs_.begin() + node.subs_begin, subs_.end());
       bottom_up_.push_back(id);
+      subtree_end_[static_cast<std::size_t>(id)] = static_cast<NodeId>(nodes_.size());
       return id;
     }
 
@@ -142,11 +145,13 @@ CompiledPst::CompiledPst(const Pst& tree)
     }
     pending.resize(first_child);
     bottom_up_.push_back(id);
+    subtree_end_[static_cast<std::size_t>(id)] = static_cast<NodeId>(nodes_.size());
     return id;
   };
   root_ = convert(convert, tree.root());
   nodes_.shrink_to_fit();
   bottom_up_.shrink_to_fit();
+  subtree_end_.shrink_to_fit();
 }
 
 std::uint64_t CompiledPst::key_of(const Value& v) const {
@@ -274,6 +279,7 @@ std::size_t CompiledPst::memory_bytes() const {
   total += other_targets_.capacity() * sizeof(NodeId);
   total += subs_.capacity() * sizeof(SubscriptionId);
   total += bottom_up_.capacity() * sizeof(NodeId);
+  total += subtree_end_.capacity() * sizeof(NodeId);
   for (const auto& [str, id] : pool_) {
     total += sizeof(std::pair<const std::string, std::uint64_t>) + str.capacity();
   }

@@ -153,6 +153,12 @@ class CompiledPst {
     return eq_child(nodes_[static_cast<std::size_t>(n)], key);
   }
 
+  /// One past the last node id of `n`'s subtree: node ids are DFS
+  /// pre-order, so the subtree is the id range [n, subtree_end(n)).
+  [[nodiscard]] NodeId subtree_end(NodeId n) const {
+    return subtree_end_[static_cast<std::size_t>(n)];
+  }
+
   /// Node ids ordered children-before-parents (the post-order of the
   /// compiling DFS). One forward pass over this order computes any
   /// bottom-up node property — the annotation builder uses it.
@@ -206,6 +212,7 @@ class CompiledPst {
   std::vector<NodeId> other_targets_;        // parallel to other_tests_
   std::vector<SubscriptionId> subs_;         // leaf payload slices, sorted
   std::vector<NodeId> bottom_up_;            // children-before-parents order
+  std::vector<NodeId> subtree_end_;          // by node
   std::unordered_map<std::string, std::uint64_t> pool_;  // string interning
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
 
@@ -18,6 +20,7 @@ CompiledAnnotation::CompiledAnnotation(const CompiledPst& kernel, std::size_t li
       words_(trit_words(link_count)),
       group_count_(group_links.size()),
       node_count_(kernel.node_count()),
+      blocks_per_group_((node_count_ + 63) / 64),
       local_link_(local_link) {
   if (link_count_ == 0) throw std::invalid_argument("CompiledAnnotation: zero links");
   if (group_count_ == 0) throw std::invalid_argument("CompiledAnnotation: zero groups");
@@ -66,17 +69,28 @@ void CompiledAnnotation::build_rows(std::span<const std::uint32_t> owners,
                                     std::span<const std::vector<LinkIndex>> group_links) {
   constexpr std::size_t kPlaneBits = 8 * sizeof(Plane);
   const CompiledPst& kernel = *kernel_;
-  std::vector<Plane>& planes =
-      planes_.emplace<std::vector<Plane>>(group_count_ * node_count_ * 2 * words_, Plane{0});
-  const std::size_t row_words = 2 * words_;
+  std::vector<Plane>& arena = planes_.emplace<std::vector<Plane>>();
+  ranks_.assign(group_count_ * blocks_per_group_, RankBlock{0, {0, 0}});
+  // A narrow plane holds a one-word row: a constant width lets the row
+  // copies and combines below compile to a few word moves.
+  const std::size_t words = std::is_same_v<Plane, TritWord> ? words_ : 1;
+  const std::size_t row_words = 2 * words;
+  // Every node's row of the group being built, reused group to group (and
+  // annotation to annotation on this thread).
+  thread_local std::vector<Plane> scratch;
+  scratch.resize(node_count_ * row_words);
+  Plane* const rows = scratch.data();
   for (std::size_t g = 0; g < group_count_; ++g) {
     const LinkIndex* const links = group_links[g].data();
-    const auto row_of = [&](CompiledPst::NodeId n) { return planes.data() + row_offset(g, n); };
+    const auto row_of = [rows, row_words](CompiledPst::NodeId n) {
+      return rows + static_cast<std::size_t>(n) * row_words;
+    };
 
     // One forward pass over the bottom-up order computes every row in
-    // place, with its children's rows already final. Rows start all-No.
+    // place, with its children's rows already final.
     for (const CompiledPst::NodeId n : kernel.bottom_up_order()) {
       Plane* const out = row_of(n);
+      std::fill_n(out, row_words, Plane{0});  // all-No
       if (kernel.is_leaf(n)) {
         const std::size_t first = kernel.subscribers_begin(n);
         const std::size_t last = first + kernel.subscribers(n).size();
@@ -101,16 +115,64 @@ void CompiledAnnotation::build_rows(std::span<const std::uint32_t> owners,
           std::copy_n(child_row, row_words, out);
           first = false;
         } else {
-          packed::alternative_with(out, child_row, words_);
+          packed::alternative_with(out, child_row, words);
         }
       };
       for (const CompiledPst::NodeId child : kernel.eq_targets(n)) fold(child);
       for (const CompiledPst::NodeId child : kernel.other_targets(n)) fold(child);
       // No branches at all leaves the row all-No.
       const CompiledPst::NodeId star = kernel.star_child(n);
-      if (star != CompiledPst::kNoNode) packed::parallel_with(out, row_of(star), words_);
+      if (star != CompiledPst::kNoNode) packed::parallel_with(out, row_of(star), words);
     }
+    store_reachable(g, rows, words, arena);
   }
+  if (arena.size() / row_words > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("CompiledAnnotation: more stored rows than a rank block indexes");
+  }
+  arena.shrink_to_fit();
+}
+
+template <class Plane>
+void CompiledAnnotation::store_reachable(std::size_t group, Plane* rows, std::size_t words,
+                                         std::vector<Plane>& arena) {
+  const CompiledPst& kernel = *kernel_;
+  const std::size_t row_words = 2 * words;
+  RankBlock* const blocks = ranks_.data() + group * blocks_per_group_;
+  // The search reads a child's row below a row with a Maybe and, with
+  // local enumeration, below a local trit that is not No.
+  const bool local = local_link_.valid();
+  const std::size_t local_word = local ? static_cast<std::size_t>(local_link_.value) / 64 : 0;
+  const auto local_bit = static_cast<Plane>(local ? Plane{1} << (local_link_.value % 64) : 0);
+  const auto expands = [&](const Plane* row) {
+    for (std::size_t w = 0; w < words; ++w) {
+      if (row[words + w] != 0) return true;
+    }
+    return local && ((row[local_word] | row[words + local_word]) & local_bit) != 0;
+  };
+  // Pre-order with pruning: from a stored node, descend to its first child
+  // when its row expands, else skip its subtree. Either way the next node
+  // is a child of an expanding stored node, so it is stored too. Stored
+  // rows are compacted to the front of `rows` as they are found; a row
+  // only ever moves to a lower index, past rows already read.
+  std::size_t stored = 0;
+  const auto end = static_cast<CompiledPst::NodeId>(node_count_);
+  for (CompiledPst::NodeId n = kernel.root() == CompiledPst::kNoNode ? end : kernel.root();
+       n < end;) {
+    const auto i = static_cast<std::size_t>(n);
+    blocks[i / 64].bits[(i % 64) / 32] |= std::uint32_t{1} << (i % 32);
+    const Plane* const row = rows + i * row_words;
+    const bool descend = !kernel.is_leaf(n) && expands(row);
+    std::copy_n(row, row_words, rows + stored * row_words);
+    ++stored;
+    n = descend ? n + 1 : kernel.subtree_end(n);
+  }
+  std::size_t first_row = arena.size() / row_words;
+  for (std::size_t b = 0; b < blocks_per_group_; ++b) {
+    blocks[b].first_row = static_cast<std::uint32_t>(first_row);
+    first_row += static_cast<std::size_t>(std::popcount(blocks[b].bits[0]) +
+                                          std::popcount(blocks[b].bits[1]));
+  }
+  arena.insert(arena.end(), rows, rows + stored * row_words);
 }
 
 std::size_t CompiledAnnotation::plane_bytes() const {
@@ -119,14 +181,39 @@ std::size_t CompiledAnnotation::plane_bytes() const {
   return kBytes[planes_.index()];
 }
 
+std::size_t CompiledAnnotation::stored_rows(std::size_t group) const {
+  if (group >= group_count_) throw std::out_of_range("CompiledAnnotation: bad group index");
+  if (blocks_per_group_ == 0) return 0;
+  const std::size_t end =
+      group + 1 < group_count_ ? rank_blocks(group + 1)->first_row : stored_rows();
+  return end - rank_blocks(group)->first_row;
+}
+
+std::size_t CompiledAnnotation::stored_rows() const {
+  return std::visit([](const auto& planes) { return planes.size(); }, planes_) / (2 * words_);
+}
+
 std::size_t CompiledAnnotation::memory_bytes() const {
   const std::size_t row_bytes = std::visit(
       [](const auto& planes) { return planes.capacity() * sizeof(planes.front()); }, planes_);
-  return sizeof(*this) + row_bytes + local_subs_.capacity() * sizeof(SubscriptionId) +
+  return sizeof(*this) + row_bytes + ranks_.capacity() * sizeof(RankBlock) +
+         local_subs_.capacity() * sizeof(SubscriptionId) +
          local_slices_.capacity() * sizeof(local_slices_.front());
 }
 
 namespace {
+
+// The arena row of stored `node` in the group whose rank index is
+// `blocks`: its block's first row plus the stored nodes before it in the
+// block. On x86-64 this file is built with POPCNT (src/routing's
+// CMakeLists.txt), so the count is one instruction.
+std::size_t row_index(const CompiledAnnotation::RankBlock* blocks, CompiledPst::NodeId node) {
+  const auto n = static_cast<std::size_t>(node);
+  const CompiledAnnotation::RankBlock& block = blocks[n / 64];
+  const std::uint64_t bits = block.bits[0] | std::uint64_t{block.bits[1]} << 32;
+  const std::uint64_t before = bits & ((std::uint64_t{1} << (n % 64)) - 1);
+  return block.first_row + static_cast<std::size_t>(std::popcount(before));
+}
 
 // The search's mask at a fixed plane width: a value the recursion passes
 // and returns, so at W = 1 the two plane words travel in registers.
@@ -214,7 +301,8 @@ class CompiledDispatchSearch {
                          MatchScratch& scratch, std::vector<SubscriptionId>* local_out)
       : annotated_(annotated),
         walk_(walk),
-        rows_(annotated.planes<Plane>() + annotated.row_offset(group, 0)),
+        rows_(annotated.planes<Plane>()),
+        blocks_(annotated.rank_blocks(group)),
         scratch_(scratch),
         local_out_(local_out),
         words_(annotated.words()) {
@@ -249,15 +337,16 @@ class CompiledDispatchSearch {
     ++steps_;
     const std::size_t words = width();
     const CompiledPst::NodeId node = walk_.node(pos);
+    const Plane* const annotation = row(node);
     // Step 2: refinement against this node's annotation.
     if constexpr (std::is_same_v<Plane, TritWord>) {
-      packed::refine_with(mask.data(), row(node), words);
+      packed::refine_with(mask.data(), annotation, words);
     } else {
-      const std::array<TritWord, 2> wide{row(node)[0], row(node)[1]};
+      const std::array<TritWord, 2> wide{annotation[0], annotation[1]};
       packed::refine_with(mask.data(), wide.data(), 1);
     }
     // Local matches at or below this node are collected by this call.
-    const bool local_here = wants_local(node);
+    const bool local_here = wants_local(annotation);
 
     if (walk_.is_leaf(pos)) {
       if (local_here) {
@@ -277,7 +366,7 @@ class CompiledDispatchSearch {
     // still contribute — a Maybe to resolve, or local matches to collect.
     walk_.for_each_child(pos, [&](Pos child) {
       if (!packed::has_maybe(mask.data(), words) &&
-          !(local_here && wants_local(walk_.node(child)))) {
+          !(local_here && wants_local(row(walk_.node(child))))) {
         return;
       }
       const Mask result = run(child, child_copy(mask, depth), depth + 1);
@@ -290,9 +379,10 @@ class CompiledDispatchSearch {
 
   [[nodiscard]] std::size_t width() const { return kWords != 0 ? kWords : words_; }
 
-  /// The stored annotation row of `node` (2 * width() Plane words).
+  /// The stored annotation row of `node` (2 * width() Plane words). The
+  /// search only visits nodes whose row is stored (see "Stored rows").
   [[nodiscard]] const Plane* row(CompiledPst::NodeId node) const {
-    return rows_ + static_cast<std::size_t>(node) * 2 * width();
+    return rows_ + row_index(blocks_, node) * 2 * width();
   }
 
   /// The mask a subsearch of a node at `depth` starts from.
@@ -307,18 +397,18 @@ class CompiledDispatchSearch {
     }
   }
 
-  /// One bit test: the node's local-link trit is not No. Always false
-  /// without local enumeration (local_bit_ stays 0, and a reach walk has
-  /// none).
-  [[nodiscard]] bool wants_local(CompiledPst::NodeId node) const {
+  /// One bit test: the local-link trit of row `r` is not No. Always
+  /// false without local enumeration (local_bit_ stays 0, and a reach walk
+  /// has none).
+  [[nodiscard]] bool wants_local(const Plane* r) const {
     if constexpr (!Walk::kLocal) return false;
-    const Plane* const r = row(node);
     return ((TritWord{r[local_word_]} | TritWord{r[width() + local_word_]}) & local_bit_) != 0;
   }
 
   const CompiledAnnotation& annotated_;
   Walk walk_;
-  const Plane* rows_;  // the group's rows, indexed by node
+  const Plane* rows_;  // the stored rows
+  const CompiledAnnotation::RankBlock* blocks_;  // the group's rank index
   MatchScratch& scratch_;
   std::vector<SubscriptionId>* local_out_;
   std::size_t words_;

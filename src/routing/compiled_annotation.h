@@ -19,11 +19,10 @@
 //  * rows are right-sized (see "Row width" below): a broker with at most
 //    64 links stores each plane in the narrowest unsigned word that holds
 //    its link count;
-//  * all rows of all spanning-tree groups live in one flat word arena
-//    indexed [group][node][plane][word], so the mask-refinement search for
-//    one group walks a single contiguous region whose row offsets are the
-//    compiled node ids — the annotation of a node sits a multiply-add away
-//    from its branch tables;
+//  * rows are stored only where a search can reach (see "Stored rows"
+//    below): all stored rows of all spanning-tree groups live in one flat
+//    word arena, group by group and in node order within a group, and a
+//    rank index per group maps a compiled node id to its row;
 //  * the locally-owned subscriber ids of every leaf are precomputed into a
 //    contiguous arena (per-leaf slices), so local enumeration needs no
 //    per-subscriber link lookup at dispatch time. An annotation built
@@ -43,22 +42,41 @@
 // computed in one forward pass over CompiledPst::bottom_up_order().
 //
 // Row width. The annotation arena is the largest structure a compiled
-// tree carries besides the kernel itself: one row per (group, node), and
-// the simulator holds one annotation per broker. Real brokers have few
-// links — 5 to 14 on the paper's Figure 6 network — so a 64-bit plane word
-// would be mostly padding. When a row fits one word (link_count <= 64),
-// each plane is stored in the narrowest of u8, u16, u32 and u64 that holds
-// link_count bits; wider rows keep W 64-bit words per plane. The width
-// follows from the link count alone and is not an option. It changes
-// storage only: the search widens a stored row into its 64-bit mask
-// registers before refining, so masks, TritWord and the multi-word path
-// are unchanged, and so is every refined mask and step count.
+// tree carries besides the kernel itself, and the simulator holds one
+// annotation per broker. Real brokers have few links — 5 to 14 on the
+// paper's Figure 6 network — so a 64-bit plane word would be mostly
+// padding. When a row fits one word (link_count <= 64), each plane is
+// stored in the narrowest of u8, u16, u32 and u64 that holds link_count
+// bits; wider rows keep W 64-bit words per plane. The width follows from
+// the link count alone and is not an option. It changes storage only: the
+// search widens a stored row into its 64-bit mask registers before
+// refining, so masks, TritWord and the multi-word path are unchanged, and
+// so is every refined mask and step count.
+//
+// Stored rows. The search refines a mask with a node's row and descends
+// into the node's children only while the refined mask holds a Maybe,
+// which it can only where the row does — or, with local enumeration, while
+// the node's local-link trit is not No. So a (group, node) row is stored
+// when the node is the root, or its parent's row is stored and holds a
+// Maybe or (with a local link) a local trit other than No; below any other
+// row the search never reads. On the simulator's large networks a search
+// reaches 6.6-9.5% of the rows, on Figure 6 about three quarters. Rows are
+// computed for every node (a row folds its whole subtree), one group
+// at a time in a reused per-thread buffer; then one pre-order walk, which
+// skips the subtree below every row the search stops at
+// (CompiledPst::subtree_end), compacts the stored ones out.
+//
+// A group's rank index holds one bit per kernel node (stored or not) and
+// the arena row of each 64-node block's first stored node: a RankBlock of
+// 12 bytes per 64 nodes. The row of a stored node is its block's first
+// row plus the stored nodes before it in the block (one masked popcount).
 //
 // A CompiledAnnotation is deeply immutable after construction; any number
 // of threads may run compiled_dispatch() concurrently, each with its own
 // MatchScratch.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <variant>
@@ -95,16 +113,31 @@ class CompiledAnnotation {
   /// Bytes per stored plane word: 1, 2, 4 or 8 (see "Row width").
   [[nodiscard]] std::size_t plane_bytes() const;
 
+  /// One 64-node block of a group's rank index (see "Stored rows"): bit k
+  /// of `bits` (low half first) is set when node 64 * block + k has a
+  /// stored row, and `first_row` is the arena row of the block's first
+  /// stored node.
+  struct RankBlock {
+    std::uint32_t first_row;
+    std::array<std::uint32_t, 2> bits;
+  };
+
+  /// The rank index of `group`: one block per 64 kernel nodes.
+  [[nodiscard]] const RankBlock* rank_blocks(std::size_t group) const {
+    return ranks_.data() + group * blocks_per_group_;
+  }
+
   /// The stored rows when planes are `Plane` words (precondition:
-  /// sizeof(Plane) == plane_bytes()). The row of `node` under `group` is
-  /// the 2 * words() words at row_offset(group, node).
+  /// sizeof(Plane) == plane_bytes()). Arena row i is the 2 * words()
+  /// words at i * 2 * words().
   template <class Plane>
   [[nodiscard]] const Plane* planes() const {
     return std::get<std::vector<Plane>>(planes_).data();
   }
-  [[nodiscard]] std::size_t row_offset(std::size_t group, CompiledPst::NodeId node) const {
-    return (group * node_count_ + static_cast<std::size_t>(node)) * 2 * words_;
-  }
+
+  /// Rows stored for `group`, and for every group.
+  [[nodiscard]] std::size_t stored_rows(std::size_t group) const;
+  [[nodiscard]] std::size_t stored_rows() const;
 
   /// The subscriber ids at leaf `node` owned by the local link (empty for
   /// interior nodes and when no local link was configured).
@@ -115,25 +148,35 @@ class CompiledAnnotation {
     return {local_subs_.data() + slice.first, slice.second};
   }
 
-  /// Bytes this annotation occupies: the object, its row arena and its
-  /// local-subscriber tables (the kernel is shared and not counted).
+  /// Bytes this annotation occupies: the object, its stored rows, its rank
+  /// index and its local-subscriber tables (the kernel is shared and not
+  /// counted).
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
   template <class Plane>
   void build_rows(std::span<const std::uint32_t> owners,
                   std::span<const std::vector<LinkIndex>> group_links);
+  /// Appends the rows of `group` a search can reach to the arena and
+  /// fills the group's rank index. `rows` holds every node's row of
+  /// `words` words per plane, indexed by node; it is compacted in place.
+  template <class Plane>
+  void store_reachable(std::size_t group, Plane* rows, std::size_t words,
+                       std::vector<Plane>& arena);
 
   const CompiledPst* kernel_;
   std::size_t link_count_;
   std::size_t words_;
   std::size_t group_count_;
   std::size_t node_count_;
+  std::size_t blocks_per_group_;
   LinkIndex local_link_;
-  // [group][node][plane][word], in the plane type "Row width" picks.
+  // Stored rows, [row][plane][word], group by group and in node order
+  // within a group, in the plane type "Row width" picks.
   std::variant<std::vector<std::uint8_t>, std::vector<std::uint16_t>,
                std::vector<std::uint32_t>, std::vector<TritWord>>
       planes_;
+  std::vector<RankBlock> ranks_;  // [group][node / 64]
   std::vector<SubscriptionId> local_subs_;  // leaf slices
   // begin, count per node; empty without a local link.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> local_slices_;

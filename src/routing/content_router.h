@@ -28,11 +28,12 @@
 // Each PST (the single tree, or one per factoring bucket) is routed by one
 // of two kernels, chosen from how the tree is used. Each is built at the
 // tree's first read by route(), or by compile_all(), never before: a
-// network that is never routed (the simulator's aggregate model) holds no
-// annotations.
+// network that is never routed (the simulator's flooding and match-first
+// runs) holds no annotations.
 //   * compiled: one CompiledPst shared by every broker, plus one
 //     CompiledAnnotation per broker holding that broker's spanning-tree
-//     groups, searched with compiled_dispatch_into, the broker's
+//     groups (only the rows a search can reach; see compiled_annotation.h,
+//     "Stored rows"), searched with compiled_dispatch_into, the broker's
 //     allocation-free kernel. subscribe() only marks the tree; a burst of
 //     subscriptions costs one compile (compile_all() pays it up front,
 //     sharing the matcher's frozen kernel and building the brokers'

@@ -21,10 +21,6 @@ namespace gryphon {
 namespace {
 
 constexpr Ticks kNoPending = std::numeric_limits<Ticks>::max();
-/// Aggregate link matching: the modeled matching steps charged per port
-/// probed (each tree child plus the local clients) at every visited broker,
-/// in place of the exact mask-refinement count.
-constexpr std::uint64_t kAggregateProbeSteps = 1;
 
 // The paper's cost model (Section 4.1), in ticks of CPU per message.
 /// One matching step (node visitation). The paper estimates "a few
@@ -108,8 +104,6 @@ class EngineRun {
   void process(Partition& part, Arrival arrival);
   void decide(Partition& part, BrokerId broker, SimMessage& msg, Decision& d);
   void note_copy(Partition& part, std::uint32_t event_index, BrokerId broker, LinkIndex port);
-  [[nodiscard]] std::shared_ptr<const std::vector<std::uint32_t>> homes_for(
-      std::uint32_t event_index, BrokerId tree_root, std::uint64_t* live_steps);
   void finalize(SimResult& result);
   void verify(SimResult& result);
 
@@ -236,78 +230,29 @@ void EngineRun::note_copy(Partition& part, std::uint32_t event_index, BrokerId b
   if (!part.stats.link_copies.insert(key).second) ++part.stats.duplicate_link_copies;
 }
 
-std::shared_ptr<const std::vector<std::uint32_t>> EngineRun::homes_for(
-    std::uint32_t event_index, BrokerId tree_root, std::uint64_t* live_steps) {
-  if (!inst_.churn_enabled) {
-    return inst_.event_homes.at({event_index, tree_root.value});
-  }
-  // Under churn the match set is computed when the publication is processed,
-  // against the control-plane state of the current round.
-  MatchStats stats;
-  std::vector<SubscriptionId> subs;
-  inst_.crn->matcher().match_into(inst_.events[event_index], subs, &stats);
-  *live_steps += stats.nodes_visited;
-  const SpanningTree& tree = inst_.crn->spanning_tree(tree_root);
-  auto homes = std::make_shared<std::vector<std::uint32_t>>();
-  homes->reserve(subs.size());
-  for (const SubscriptionId id : subs) {
-    homes->push_back(tree.pre(inst_.topo.network.client_home(inst_.crn->destination_of(id))));
-  }
-  std::sort(homes->begin(), homes->end());
-  homes->erase(std::unique(homes->begin(), homes->end()), homes->end());
-  return homes;
-}
-
 void EngineRun::decide(Partition& part, BrokerId broker, SimMessage& msg, Decision& d) {
   const Event& event = inst_.events[msg.event_index];
   const auto b = static_cast<std::size_t>(broker.value);
 
   switch (inst_.spec.protocol) {
     case Protocol::kLinkMatching: {
-      if (!inst_.aggregate) {
-        // Without churn the trees never change mid-run, so the publisher's
-        // broker resolves the event against the kernel once and every hop
-        // refines its rows along that route (the same rule event_homes and
-        // event_dests follow).
-        if (msg.hops == 1 && !inst_.churn_enabled) {
-          msg.route = std::make_shared<const EventRoute>(inst_.crn->prepare(event));
-        }
-        d.steps = msg.route != nullptr
-                      ? inst_.crn->route_into(broker, *msg.route, msg.tree_root, part.route_links)
-                      : inst_.crn->route_into(broker, event, msg.tree_root, part.route_links);
-        const auto& ports = inst_.topo.network.ports(broker);
-        for (const LinkIndex link : part.route_links) {
-          const auto& port = ports[static_cast<std::size_t>(link.value)];
-          if (port.kind == BrokerNetwork::PortKind::kClient) {
-            d.local.push_back(port.peer_client);
-          } else {
-            d.forwards.emplace_back(link, msg);
-          }
-        }
-        break;
+      // Without churn the trees never change mid-run, so the publisher's
+      // broker resolves the event against the kernel once and every hop
+      // refines its rows along that route (the same rule event_dests
+      // follows).
+      if (msg.hops == 1 && !inst_.churn_enabled) {
+        msg.route = std::make_shared<const EventRoute>(inst_.crn->prepare(event));
       }
-      // Aggregate: forwarding from subtree membership of the matched homes.
-      if (msg.hops == 1) {
-        if (!inst_.churn_enabled) d.steps += inst_.event_match_steps[msg.event_index];
-        msg.homes = homes_for(msg.event_index, msg.tree_root, &d.steps);
-      }
-      const SpanningTree& tree = inst_.crn->spanning_tree(msg.tree_root);
-      const std::vector<std::uint32_t>& homes = *msg.homes;
-      const auto& children = tree.children(broker);
-      d.steps += kAggregateProbeSteps * (children.size() + 1);
-      if (std::binary_search(homes.begin(), homes.end(), tree.pre(broker))) {
-        MatchStats stats;
-        std::vector<SubscriptionId> matched;
-        inst_.local_matchers[b]->match_into(event, matched, &stats);
-        d.steps += stats.nodes_visited;
-        for (const SubscriptionId id : matched) d.local.push_back(inst_.crn->destination_of(id));
-        std::sort(d.local.begin(), d.local.end());
-        d.local.erase(std::unique(d.local.begin(), d.local.end()), d.local.end());
-      }
-      for (const SpanningTree::Child& child : children) {
-        const auto it = std::lower_bound(homes.begin(), homes.end(), tree.pre(child.broker));
-        if (it != homes.end() && *it < tree.post(child.broker)) {
-          d.forwards.emplace_back(child.port, msg);
+      d.steps = msg.route != nullptr
+                    ? inst_.crn->route_into(broker, *msg.route, msg.tree_root, part.route_links)
+                    : inst_.crn->route_into(broker, event, msg.tree_root, part.route_links);
+      const auto& ports = inst_.topo.network.ports(broker);
+      for (const LinkIndex link : part.route_links) {
+        const auto& port = ports[static_cast<std::size_t>(link.value)];
+        if (port.kind == BrokerNetwork::PortKind::kClient) {
+          d.local.push_back(port.peer_client);
+        } else {
+          d.forwards.emplace_back(link, msg);
         }
       }
       break;
@@ -560,8 +505,6 @@ SimResult EngineRun::run() {
   result.protocol = inst_.spec.protocol;
   result.events_published = schedule_.size();
   result.engine_threads = std::max<std::size_t>(1, inst_.spec.engine.threads);
-  result.control_plane = inst_.aggregate ? "aggregate" : "exact";
-  result.steps_exact = !(inst_.aggregate && inst_.spec.protocol == Protocol::kLinkMatching);
   result.subscriptions = inst_.subscriptions.size();
   result.broker_count = inst_.topo.network.broker_count();
   result.oracle_sampled_fraction = inst_.oracle_fraction;

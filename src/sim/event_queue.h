@@ -55,15 +55,11 @@ struct SimMessage {
   std::uint64_t steps_acc{0};   // matching steps accumulated upstream
   Ticks publish_time{0};
   std::vector<ClientId> dests;  // match-first only: the carried destination list
-  /// Aggregate link matching only: the event's matched home brokers as
-  /// sorted DFS indices of its spanning tree. A simulator-side accelerator
-  /// (the real protocol derives this from trit state hop by hop) — shared,
-  /// not copied, and never counted as wire bytes.
-  std::shared_ptr<const std::vector<std::uint32_t>> homes;
-  /// Exact link matching without churn: the event's prepared route
+  /// Link matching without churn: the event's prepared route
   /// (ContentRoutingNetwork::prepare), made at the publisher's broker and
-  /// read by every later hop. Shared like `homes`, and freed with the
-  /// event's last copy in flight.
+  /// read by every later hop. A simulator-side accelerator, shared rather
+  /// than copied, never counted as wire bytes, and freed with the event's
+  /// last copy in flight.
   std::shared_ptr<const EventRoute> route;
 };
 

@@ -36,32 +36,22 @@ struct SimInstance {
   std::vector<Event> events;
   std::vector<PublishRecord> base_schedule;
   std::size_t event_payload_bytes{0};
-  /// True when link matching runs on the aggregate model: forwarding from
-  /// spanning-tree subtree membership of each event's matched home
-  /// brokers instead of per-broker annotation rows.
-  bool aggregate{false};
 
-  /// The control plane in every mode and protocol: routing table, one
-  /// spanning tree per publishing broker (`tree_roots`), the shared
-  /// matcher and the destination map. Under the aggregate model its
-  /// route() is never called, so it builds no annotations.
+  /// The control plane in every protocol: routing table, one spanning tree
+  /// per publishing broker (`tree_roots`), the shared matcher and the
+  /// destination map. Only link matching routes through it, so only link
+  /// matching builds its annotation rows.
   std::unique_ptr<ContentRoutingNetwork> crn;
   std::vector<BrokerId> tree_roots;
 
-  /// Per-broker matchers over local clients' subscriptions (flooding in
-  /// both modes; link matching under aggregate). Empty otherwise.
+  /// Flooding only: per-broker matchers over local clients'
+  /// subscriptions. Empty otherwise.
   std::vector<std::unique_ptr<PstMatcher>> local_matchers;
 
   // Per-event precompute. Empty when churn is enabled (the control plane
   // mutates mid-run, so publishers match live instead).
   std::vector<std::uint64_t> event_match_steps;       // central match steps per event
   std::vector<std::vector<ClientId>> event_dests;     // sorted unique destinations
-  /// Aggregate link matching: matched home brokers as sorted preorder
-  /// indices (SpanningTree::pre) of the event's spanning tree, keyed
-  /// (event, tree root).
-  std::map<std::pair<std::uint32_t, BrokerId::rep_type>,
-           std::shared_ptr<const std::vector<std::uint32_t>>>
-      event_homes;
   std::vector<char> oracle_selected;
   double oracle_fraction{1.0};
   std::size_t oracle_events{0};

@@ -179,30 +179,6 @@ struct VerifySpec {
   double oracle_sample{0.0};
 };
 
-/// How link matching routes a hop. Every mode holds the same control
-/// plane (one ContentRoutingNetwork); the mode picks the link-matching
-/// model only, and both stay because each answers what the other cannot.
-/// Exact gives the paper's per-hop step counts but its annotation rows
-/// grow with brokers x kernel nodes x groups: 95 MiB at fattree-180
-/// (50,000 subscriptions), 1.8 GiB at waxman-500 with 50,000 of its
-/// 200,000, 340 MiB at wan-1000 with 40,000 of its 1,000,000. Aggregate
-/// builds no rows and reproduces the traffic (DESIGN.md, section 5).
-enum class ControlPlaneMode : std::uint8_t {
-  /// kExact up to 64 brokers and 20,000 subscriptions, kAggregate beyond
-  /// either.
-  kAuto = 0,
-  /// Every broker holds annotation rows for each tree an event reaches
-  /// and runs the paper's mask-refinement search per hop. Exact step
-  /// counts; memory and compile cost scale with brokers x subscriptions.
-  kExact,
-  /// Scale mode: the per-event match set is computed once (shared matcher)
-  /// and link-matching forwarding is derived from spanning-tree subtree
-  /// membership of the matched home brokers. Deliveries, messages, and
-  /// bytes equal the exact model's on static subscriptions; per-hop
-  /// matching steps are modeled (SimResult::steps_exact == false).
-  kAggregate,
-};
-
 struct EngineSpec {
   /// Worker threads for the event loop, and for the independent pieces of
   /// construction (per-broker annotations and matchers, the oracle's
@@ -211,7 +187,6 @@ struct EngineSpec {
   /// construction pieces writing disjoint slots); only wall_seconds
   /// changes.
   std::size_t threads{1};
-  ControlPlaneMode control_plane{ControlPlaneMode::kAuto};
 };
 
 struct SimSpec {

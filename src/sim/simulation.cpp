@@ -214,26 +214,9 @@ void build_events(SimInstance& inst, const std::vector<std::vector<std::uint32_t
   }
 }
 
-/// ControlPlaneMode::kAuto runs the exact model up to these sizes.
-constexpr std::size_t kExactMaxBrokers = 64;
-constexpr std::size_t kExactMaxSubscriptions = 20000;
-
 void build_control_plane(SimInstance& inst) {
   const SimSpec& spec = inst.spec;
   const BrokerNetwork& net = inst.topo.network;
-
-  switch (spec.engine.control_plane) {
-    case ControlPlaneMode::kExact:
-      inst.aggregate = false;
-      break;
-    case ControlPlaneMode::kAggregate:
-      inst.aggregate = true;
-      break;
-    case ControlPlaneMode::kAuto:
-      inst.aggregate = net.broker_count() > kExactMaxBrokers ||
-                       inst.subscriptions.size() > kExactMaxSubscriptions;
-      break;
-  }
 
   // One spanning tree per broker that publishes (Section 3.2).
   std::vector<BrokerId>& roots = inst.tree_roots;
@@ -244,11 +227,9 @@ void build_control_plane(SimInstance& inst) {
   if (roots.empty() && net.broker_count() > 0) roots.push_back(BrokerId{0});
   inst.crn = std::make_unique<ContentRoutingNetwork>(net, inst.schema, roots, spec.matcher);
 
-  const bool need_local = spec.protocol == Protocol::kFlooding ||
-                          (spec.protocol == Protocol::kLinkMatching && inst.aggregate);
   // Each local matcher's subscriptions, in subscription order.
   std::vector<std::vector<std::uint32_t>> local_subs;
-  if (need_local) {
+  if (spec.protocol == Protocol::kFlooding) {
     local_subs.resize(net.broker_count());
     for (std::size_t i = 0; i < inst.subscriptions.size(); ++i) {
       const BrokerId home = net.client_home(inst.subscriptions[i].subscriber);
@@ -257,9 +238,8 @@ void build_control_plane(SimInstance& inst) {
     inst.local_matchers.resize(net.broker_count());
   }
 
-  // Static runs match the per-broker matchers, and under the aggregate
-  // model the shared one, on frozen kernels; churn would stale every kernel
-  // they read.
+  // Static runs match every matcher on frozen kernels; churn would stale
+  // every kernel they read.
   const bool freeze = !inst.churn_enabled;
   // Item 0 builds the shared control plane; item 1 + b builds broker b's
   // local matcher. Every item writes its own structures only.
@@ -268,7 +248,7 @@ void build_control_plane(SimInstance& inst) {
       for (const SimSubscription& sub : inst.subscriptions) {
         inst.crn->subscribe(sub.id, sub.subscription.ref(), sub.subscriber);
       }
-      if (freeze && inst.aggregate) inst.crn->freeze_matcher();
+      if (freeze) inst.crn->freeze_matcher();
       return;
     }
     auto matcher = std::make_unique<PstMatcher>(inst.schema, spec.matcher);
@@ -278,13 +258,9 @@ void build_control_plane(SimInstance& inst) {
     if (freeze) matcher->freeze();
     inst.local_matchers[item - 1] = std::move(matcher);
   });
-  // Exact link matching routes through the CRN: compile every tree now, so
-  // the cost lands in construction, not in the first run. On the exact
-  // model the CRN's matcher is otherwise matched only in the oracle
-  // precompute, where walking beats compiling.
-  if (!inst.aggregate && spec.protocol == Protocol::kLinkMatching) {
-    inst.crn->compile_all(spec.engine.threads);
-  }
+  // Link matching routes through the CRN: compile every tree now, so the
+  // cost lands in construction, not in the first run.
+  if (spec.protocol == Protocol::kLinkMatching) inst.crn->compile_all(spec.engine.threads);
 }
 
 /// Churn operations are unsubscribes with this probability (while any
@@ -341,8 +317,7 @@ void build_churn(SimInstance& inst, const std::vector<std::vector<std::uint32_t>
 void build_oracle_and_precompute(SimInstance& inst) {
   const SimSpec& spec = inst.spec;
   const std::size_t count = inst.events.size();
-  const bool lm_aggregate = spec.protocol == Protocol::kLinkMatching && inst.aggregate;
-  const bool need_all = spec.protocol == Protocol::kMatchFirst || lm_aggregate;
+  const bool need_all = spec.protocol == Protocol::kMatchFirst;
 
   if (inst.churn_enabled) {
     // The publish-time oracle cannot account for in-flight events while the
@@ -381,10 +356,6 @@ void build_oracle_and_precompute(SimInstance& inst) {
   if (!need_all && fraction <= 0.0) return;
   inst.event_match_steps.assign(count, 0);
   inst.event_dests.resize(count);
-  // Aggregate link matching: per event, the matched homes of each tree in
-  // tree_roots order.
-  using Homes = std::shared_ptr<const std::vector<std::uint32_t>>;
-  std::vector<std::vector<Homes>> event_homes(lm_aggregate ? count : 0);
 
   // Events are independent; each writes its own slots.
   parallel_for(spec.engine.threads, count, [&](std::size_t e) {
@@ -400,32 +371,11 @@ void build_oracle_and_precompute(SimInstance& inst) {
     for (const SubscriptionId id : matched) dests.push_back(inst.crn->destination_of(id));
     std::sort(dests.begin(), dests.end());
     dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
-
-    if (lm_aggregate) {
-      event_homes[e].reserve(inst.tree_roots.size());
-      for (const BrokerId root : inst.tree_roots) {
-        const SpanningTree& tree = inst.crn->spanning_tree(root);
-        auto homes = std::make_shared<std::vector<std::uint32_t>>();
-        homes->reserve(dests.size());
-        for (const ClientId dest : dests) {
-          homes->push_back(tree.pre(inst.topo.network.client_home(dest)));
-        }
-        std::sort(homes->begin(), homes->end());
-        homes->erase(std::unique(homes->begin(), homes->end()), homes->end());
-        event_homes[e].push_back(std::move(homes));
-      }
-    }
   });
 
   for (std::size_t e = 0; e < count; ++e) {
     if (!inst.oracle_selected.empty() && inst.oracle_selected[e] != 0) {
       inst.centralized_steps += inst.event_match_steps[e];
-    }
-    if (event_homes.empty() || event_homes[e].empty()) continue;
-    auto homes = event_homes[e].begin();
-    for (const BrokerId root : inst.tree_roots) {
-      inst.event_homes.emplace(std::make_pair(static_cast<std::uint32_t>(e), root.value),
-                               std::move(*homes++));
     }
   }
 }

@@ -81,9 +81,9 @@ struct SimResult {
   // --- run provenance (excluded from same_outcome) ---
   double wall_seconds{0.0};             // engine loop wall clock
   std::size_t engine_threads{1};
-  const char* control_plane{"exact"};   // "exact" | "aggregate"
-  /// False when per-hop matching steps are modeled rather than measured
-  /// (link matching under the aggregate control plane).
+  /// Always "exact" and true: every run measures its matching steps. Kept
+  /// only because perfbench's sim workload still reads them.
+  const char* control_plane{"exact"};
   bool steps_exact{true};
   /// Fraction of events whose delivered set was checked against the oracle
   /// (1.0 = full verification, 0.0 = verification off).
@@ -127,7 +127,7 @@ struct SimMemory {
   std::size_t trees{0};
   /// Compiled kernels (CompiledPst) those matchers' freeze() left.
   std::size_t kernels{0};
-  /// The routing network's per-broker annotation rows (exact plane).
+  /// The routing network's per-broker annotation rows (link matching).
   std::size_t annotations{0};
 
   [[nodiscard]] std::size_t total() const {

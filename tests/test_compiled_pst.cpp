@@ -298,11 +298,14 @@ TEST_P(CompiledDispatchWidth, MaskStepsAndLocalsIdenticalToLinkMatch) {
     ASSERT_EQ(annotated.words(), (links + 63) / 64);
     const std::size_t plane_bytes = links <= 8 ? 1 : links <= 16 ? 2 : links <= 32 ? 4 : 8;
     ASSERT_EQ(annotated.plane_bytes(), plane_bytes);
-    // The row arena holds two planes of words() plane words per (group,
-    // node); without a local link there is nothing else (no local-slice
-    // table).
+    // Each stored row holds two planes of words() plane words, and the
+    // rank index one 12-byte block per 64 kernel nodes per group; without
+    // a local link there is nothing else (no local-slice table).
     const std::size_t row_bytes =
-        group_fns.size() * compiled.node_count() * 2 * annotated.words() * plane_bytes;
+        annotated.stored_rows() * 2 * annotated.words() * plane_bytes +
+        group_fns.size() * ((compiled.node_count() + 63) / 64) *
+            sizeof(CompiledAnnotation::RankBlock);
+    ASSERT_EQ(sizeof(CompiledAnnotation::RankBlock), 12U);
     if (with_local) {
       ASSERT_GT(annotated.memory_bytes(), sizeof(CompiledAnnotation) + row_bytes);
     } else {
@@ -457,6 +460,83 @@ INSTANTIATE_TEST_SUITE_P(
       return "links" + std::to_string(std::get<0>(info.param)) +
              (std::get<1>(info.param) ? "_delayed_star" : "_eager_star");
     });
+
+// The stored rows are exactly the rows a search can reach: the root's,
+// and every child's whose parent row is stored and holds a Maybe or, with
+// a local link, a local trit that is not No. The rule is recomputed here
+// from byte-form rows folded over the kernel (Section 3.1's combines), so
+// the kept set does not come from the code under test.
+TEST(CompiledAnnotationStorage, StoredRowsAreTheNodesASearchCanReach) {
+  const SchemaPtr schema = mixed_schema();
+  for (const std::size_t links : {3u, 9u, 70u}) {
+    for (const bool with_local : {false, true}) {
+      Pst tree(schema, {0, 1, 2, 3}, Pst::Options{.trivial_test_elimination = true});
+      Rng rng(8807 + links);
+      for (std::int64_t i = 0; i < 800; ++i) {
+        tree.add(SubscriptionId{i}, random_subscription(schema, rng));
+      }
+      const LinkIndex local =
+          with_local ? LinkIndex{static_cast<LinkIndex::rep_type>(links - 1)} : LinkIndex{};
+      const std::vector<SubscriptionLinkFn> group_fns{
+          [links](SubscriptionId id) {
+            return LinkIndex{static_cast<LinkIndex::rep_type>((id.value * 7) % links)};
+          },
+          [links](SubscriptionId id) {
+            return LinkIndex{static_cast<LinkIndex::rep_type>((id.value / 3) % links)};
+          }};
+      const CompiledPst kernel(tree);
+      const CompiledAnnotation annotated = annotate(kernel, links, group_fns, local);
+      std::size_t total = 0;
+      for (std::size_t g = 0; g < group_fns.size(); ++g) {
+        // Every node's row, children before parents.
+        std::vector<TritVector> rows(kernel.node_count(), TritVector(links, Trit::No));
+        for (const CompiledPst::NodeId n : kernel.bottom_up_order()) {
+          TritVector& row = rows[static_cast<std::size_t>(n)];
+          if (kernel.is_leaf(n)) {
+            for (const SubscriptionId id : kernel.subscribers(n)) {
+              row.set(static_cast<std::size_t>(group_fns[g](id).value), Trit::Yes);
+            }
+            continue;
+          }
+          bool first = kernel.covers_domain(n);
+          const auto fold = [&](CompiledPst::NodeId child) {
+            const TritVector& other = rows[static_cast<std::size_t>(child)];
+            if (first) {
+              row = other;
+            } else {
+              row.alternative_with(other);
+            }
+            first = false;
+          };
+          for (const CompiledPst::NodeId child : kernel.eq_targets(n)) fold(child);
+          for (const CompiledPst::NodeId child : kernel.other_targets(n)) fold(child);
+          if (kernel.star_child(n) != CompiledPst::kNoNode) {
+            row.parallel_with(rows[static_cast<std::size_t>(kernel.star_child(n))]);
+          }
+        }
+        // The kept set, top-down from the root.
+        std::vector<CompiledPst::NodeId> stack{kernel.root()};
+        std::size_t kept_count = 0;
+        while (!stack.empty()) {
+          const CompiledPst::NodeId n = stack.back();
+          stack.pop_back();
+          ++kept_count;
+          const TritVector& row = rows[static_cast<std::size_t>(n)];
+          const bool expands = row.has_maybe() || (local.valid() && row.at(local) != Trit::No);
+          if (kernel.is_leaf(n) || !expands) continue;
+          for (const CompiledPst::NodeId child : kernel.eq_targets(n)) stack.push_back(child);
+          for (const CompiledPst::NodeId child : kernel.other_targets(n)) stack.push_back(child);
+          if (kernel.star_child(n) != CompiledPst::kNoNode) stack.push_back(kernel.star_child(n));
+        }
+        ASSERT_EQ(annotated.stored_rows(g), kept_count) << links << " links, group " << g;
+        total += kept_count;
+      }
+      EXPECT_EQ(annotated.stored_rows(), total);
+      EXPECT_LT(total, group_fns.size() * kernel.node_count())
+          << links << " links: nothing trimmed, the case is too weak";
+    }
+  }
+}
 
 TEST(CompiledDispatch, PackedEntryRejectsBadWidthAndGroup) {
   const SchemaPtr schema = mixed_schema();

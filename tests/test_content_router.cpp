@@ -358,7 +358,8 @@ TEST(ContentRouterMixedTypes, RandomizedMixedPredicatesStayExact) {
 // Clients are ordinary links of the routing network, so its annotations
 // are built without a local link: no broker's rows carry a local-slice
 // table, local enumeration finds nothing, and the rows are stored in the
-// narrowest plane word that holds the broker's link count.
+// narrowest plane word that holds the broker's link count, beside their
+// rank index.
 TEST_F(ContentRouterLineTest, CompiledAnnotationsHoldNoLocalSliceTable) {
   Rng rng(7);
   SubscriptionGenerator gen(schema_, SubscriptionWorkloadConfig{0.9, 0.85, 1.0});
@@ -378,10 +379,14 @@ TEST_F(ContentRouterLineTest, CompiledAnnotationsHoldNoLocalSliceTable) {
       EXPECT_FALSE(annotation->local_link().valid());
       EXPECT_EQ(annotation->link_count(), net_.ports(broker).size());
       EXPECT_EQ(annotation->plane_bytes(), 1U);  // <= 8 links per broker
-      // The row arena (two one-byte planes per group and node) is all the
-      // annotation holds.
-      const std::size_t rows = annotation->group_count() * annotation->kernel().node_count();
-      EXPECT_EQ(annotation->memory_bytes(), sizeof(CompiledAnnotation) + rows * 2);
+      // The stored rows (two one-byte planes each) and the rank index (12
+      // bytes per 64 kernel nodes per group) are all the annotation holds.
+      const std::size_t blocks =
+          annotation->group_count() * ((annotation->kernel().node_count() + 63) / 64);
+      EXPECT_GT(annotation->stored_rows(), 0U);
+      EXPECT_EQ(annotation->memory_bytes(),
+                sizeof(CompiledAnnotation) + annotation->stored_rows() * 2 +
+                    blocks * sizeof(CompiledAnnotation::RankBlock));
       for (std::size_t n = 0; n < annotation->kernel().node_count(); ++n) {
         EXPECT_TRUE(annotation->local_subscribers(static_cast<CompiledPst::NodeId>(n)).empty());
       }

@@ -1,9 +1,10 @@
 // Thread-sanitizer target for the parallel simulation engine: a multi-worker
 // run over Figure 6 exercising the barrier protocol, cross-partition
-// inboxes, the shared aggregate control plane, and the exact plane's lazy
-// compile from engine threads — plus construction, which spreads its
-// independent pieces over the same thread count. Lives in the
-// concurrency-labeled binary so the tools/ci.sh tsan leg picks it up.
+// inboxes, link matching's shared compiled trees at a size above 64
+// brokers and 20,000 subscriptions, and the lazy compile from engine
+// threads — plus construction, which spreads its independent pieces over
+// the same thread count. Lives in the concurrency-labeled binary so the
+// tools/ci.sh tsan leg picks it up.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -56,22 +57,29 @@ TEST(ParallelEngine, BucketTreesCreatedMidRunCompileOnEngineThreads) {
   EXPECT_TRUE(same_outcome(serial, parallel));
 }
 
-TEST(ParallelEngine, SharedAggregatePlaneIsReadOnlyAcrossWorkers) {
-  // The aggregate model shares the routing network's matcher and destination map
-  // across partitions; tsan must see only reads after construction.
+TEST(ParallelEngine, WanLinkMatchingAbove64BrokersAnd20000SubscriptionsIsRaceFree) {
+  // Link matching runs exact at every size: 66 brokers and 20,001
+  // subscriptions build every broker's annotation rows on the construction
+  // threads, and the workers share the compiled trees read-only.
   SimSpec spec;
   spec.seed = 32;
   spec.topology.kind = TopologyKind::kWan;
   spec.topology.wan.regions = 3;
-  spec.topology.wan.brokers_per_region = 6;
-  spec.workload.subscriptions = 200;
+  spec.topology.wan.brokers_per_region = 22;
+  spec.workload.subscriptions = 20001;
   spec.workload.events = 30;
   spec.workload.rate_eps = 50.0;
-  spec.engine.control_plane = ControlPlaneMode::kAggregate;
+  spec.verify.verify_single_copy_per_link = true;
   spec.engine.threads = 3;
-  const SimResult result = simulate(spec);
-  EXPECT_EQ(result.missing_deliveries, 0u);
-  EXPECT_EQ(result.spurious_deliveries, 0u);
+  Simulation sim(spec);
+  ASSERT_GT(sim.network().broker_count(), 64u);
+  const SimResult parallel = sim.run();
+  EXPECT_STREQ(parallel.control_plane, "exact");
+  EXPECT_GT(parallel.deliveries, 0u);
+  EXPECT_EQ(parallel.missing_deliveries, 0u);
+  EXPECT_EQ(parallel.spurious_deliveries, 0u);
+  EXPECT_EQ(parallel.duplicate_link_copies, 0u);
+  EXPECT_TRUE(same_outcome(parallel, sim.run_with_threads(1)));
 }
 
 // Construction builds per-broker annotations, local matchers and the
@@ -90,17 +98,15 @@ TEST(ParallelConstruction, ThreadCountsBuildIdenticalInstances) {
   hub.topology.kind = TopologyKind::kStar;
   hub.topology.brokers = 70;
   hub.topology.clients_per_broker = 2;
-  hub.engine.control_plane = ControlPlaneMode::kExact;
   hub.workload.subscriptions = 300;
   hub.workload.events = 30;
   hub.workload.rate_eps = 60.0;
 
-  SimSpec wan;  // aggregate plane: shared and local matchers built together
+  SimSpec wan;  // flooding builds the shared and the local matchers together
   wan.seed = 36;
   wan.topology.kind = TopologyKind::kWan;
   wan.topology.wan.regions = 3;
   wan.topology.wan.brokers_per_region = 6;
-  wan.engine.control_plane = ControlPlaneMode::kAggregate;
   wan.workload.subscriptions = 300;
   wan.workload.events = 30;
   wan.workload.rate_eps = 50.0;

@@ -1,7 +1,7 @@
 // Parallel discrete-event engine differentials: the conservative-lookahead
 // parallel run must produce a SimResult bit-identical to the serial run, and
-// the in-sim dynamics (churn, link faults, oracle sampling, aggregate
-// control plane) must keep their contracts.
+// the in-sim dynamics (churn, link faults, oracle sampling) and link
+// matching at every size must keep their contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -152,108 +152,43 @@ TEST(EngineDynamics, LinkFaultsDelayButNeverLoseDeliveries) {
   EXPECT_TRUE(same_outcome(faulty, simulate(parallel)));
 }
 
-TEST(EngineControlPlane, AggregateMatchesExactTrafficOnLinkMatching) {
-  SimSpec exact = figure6_spec(7);
-  exact.engine.control_plane = ControlPlaneMode::kExact;
-  SimSpec aggregate = exact;
-  aggregate.engine.control_plane = ControlPlaneMode::kAggregate;
-  const SimResult e = simulate(exact);
-  const SimResult a = simulate(aggregate);
-  EXPECT_STREQ(e.control_plane, "exact");
-  EXPECT_STREQ(a.control_plane, "aggregate");
-  // Aggregate mode models matching steps but must reproduce the exact
-  // traffic: identical deliveries, copies, and bytes, with no oracle misses.
-  EXPECT_EQ(a.deliveries, e.deliveries);
-  EXPECT_EQ(a.broker_messages, e.broker_messages);
-  EXPECT_EQ(a.client_messages, e.client_messages);
-  EXPECT_EQ(a.bytes_on_wire, e.bytes_on_wire);
-  EXPECT_EQ(a.missing_deliveries, 0u);
-  EXPECT_EQ(a.spurious_deliveries, 0u);
-  EXPECT_EQ(a.duplicate_link_copies, 0u);
-  EXPECT_TRUE(e.steps_exact);
-  EXPECT_FALSE(a.steps_exact);
-}
-
-// Flooding and match-first route without link matching, so the control
-// plane's mode must not change a single outcome field.
-TEST(EngineControlPlane, AggregateEqualsExactOnFloodingAndMatchFirst) {
-  for (const Protocol protocol : {Protocol::kFlooding, Protocol::kMatchFirst}) {
-    for (const bool dynamics : {false, true}) {
-      SimSpec exact = figure6_spec(8);
-      exact.protocol = protocol;
-      if (dynamics) {
-        exact.workload.churn_rate_eps = 100.0;
-        exact.workload.link_mtbf_seconds = 0.5;
-        exact.workload.link_mttr_seconds = 0.2;
-      }
-      exact.engine.control_plane = ControlPlaneMode::kExact;
-      SimSpec aggregate = exact;
-      aggregate.engine.control_plane = ControlPlaneMode::kAggregate;
-      const SimResult e = simulate(exact);
-      const SimResult a = simulate(aggregate);
-      EXPECT_STREQ(a.control_plane, "aggregate");
-      EXPECT_TRUE(a.steps_exact);
-      EXPECT_TRUE(same_outcome(e, a)) << to_string(protocol) << (dynamics ? " dynamics" : "");
-      EXPECT_GT(e.deliveries, 0u);
-    }
+/// Link matching delivers exactly the oracle's set, at most one copy over
+/// each link, and exactly what match-first delivers.
+void expect_clean_link_matching(const SimSpec& spec) {
+  SimSpec link_matching = spec;
+  link_matching.protocol = Protocol::kLinkMatching;
+  SimSpec match_first = link_matching;
+  match_first.protocol = Protocol::kMatchFirst;
+  const SimResult lm = simulate(link_matching);
+  const SimResult mf = simulate(match_first);
+  EXPECT_STREQ(lm.control_plane, "exact");
+  EXPECT_TRUE(lm.steps_exact);
+  EXPECT_GT(lm.deliveries, 0u);
+  EXPECT_GT(lm.total_matching_steps, 0u);
+  EXPECT_EQ(lm.deliveries, mf.deliveries);
+  EXPECT_EQ(lm.client_messages, mf.client_messages);
+  for (const SimResult* r : {&lm, &mf}) {
+    EXPECT_EQ(r->missing_deliveries, 0u) << to_string(r->protocol);
+    EXPECT_EQ(r->spurious_deliveries, 0u) << to_string(r->protocol);
+    EXPECT_EQ(r->duplicate_deliveries, 0u) << to_string(r->protocol);
+    EXPECT_EQ(r->duplicate_link_copies, 0u) << to_string(r->protocol);
   }
 }
 
-/// Link matching under both control planes: identical traffic, no oracle
-/// misses on either.
-void expect_same_link_matching_traffic(const SimSpec& spec) {
-  SimSpec exact = spec;
-  exact.protocol = Protocol::kLinkMatching;
-  exact.engine.control_plane = ControlPlaneMode::kExact;
-  SimSpec aggregate = exact;
-  aggregate.engine.control_plane = ControlPlaneMode::kAggregate;
-  const SimResult e = simulate(exact);
-  const SimResult a = simulate(aggregate);
-  EXPECT_GT(e.deliveries, 0u);
-  EXPECT_EQ(a.deliveries, e.deliveries);
-  EXPECT_EQ(a.broker_messages, e.broker_messages);
-  EXPECT_EQ(a.client_messages, e.client_messages);
-  EXPECT_EQ(a.bytes_on_wire, e.bytes_on_wire);
-  EXPECT_EQ(a.churn_subscribes, e.churn_subscribes);
-  EXPECT_EQ(a.link_outages, e.link_outages);
-  for (const SimResult* r : {&e, &a}) {
-    EXPECT_EQ(r->missing_deliveries, 0u) << r->control_plane;
-    EXPECT_EQ(r->spurious_deliveries, 0u) << r->control_plane;
-    EXPECT_EQ(r->duplicate_deliveries, 0u) << r->control_plane;
-    EXPECT_EQ(r->duplicate_link_copies, 0u) << r->control_plane;
-  }
+TEST(EngineLinkMatching, DeliversTheOracleSetOnceOverEachLink) {
+  expect_clean_link_matching(figure6_spec(7));
 }
 
-TEST(EngineControlPlane, AggregateMatchesExactTrafficUnderLinkFaults) {
+TEST(EngineLinkMatching, CleanOracleUnderLinkFaults) {
   SimSpec spec = figure6_spec(11);
   spec.workload.link_mtbf_seconds = 0.5;
   spec.workload.link_mttr_seconds = 0.2;
   spec.limits.drain_limit = ticks_from_seconds(120);
-  expect_same_link_matching_traffic(spec);
+  expect_clean_link_matching(spec);
   EXPECT_GT(simulate(spec).link_outages, 0u);
 }
 
-// Under churn the aggregate plane fixes an event's matched homes when it is
-// published, while the exact plane routes every hop against the live
-// subscriptions, so their traffic may differ. Each must still reproduce
-// itself across runs (churn is rolled back) and thread counts.
-TEST(EngineControlPlane, AggregatePlaneUnderChurnIsRepeatable) {
-  SimSpec spec = figure6_spec(11);
-  spec.workload.churn_rate_eps = 100.0;
-  spec.workload.link_mtbf_seconds = 0.5;
-  spec.workload.link_mttr_seconds = 0.2;
-  spec.limits.drain_limit = ticks_from_seconds(120);
-  spec.engine.control_plane = ControlPlaneMode::kAggregate;
-  Simulation sim(spec);
-  const SimResult first = sim.run();
-  EXPECT_GT(first.churn_subscribes + first.churn_unsubscribes, 0u);
-  EXPECT_GT(first.link_outages, 0u);
-  EXPECT_TRUE(same_outcome(first, sim.run()));
-  spec.engine.threads = 3;
-  EXPECT_TRUE(same_outcome(first, simulate(spec)));
-}
-
-TEST(EngineControlPlane, AggregateMatchesExactTrafficWhenBrokersHoldSeveralGroups) {
+TEST(EngineLinkMatching, CleanOracleWhenBrokersHoldSeveralGroups) {
   // Lateral links give the publishers' spanning trees different
   // destination -> link maps at some brokers (several annotation groups).
   SimSpec spec = figure6_spec(12);
@@ -274,13 +209,51 @@ TEST(EngineControlPlane, AggregateMatchesExactTrafficWhenBrokersHoldSeveralGroup
                            crn.annotation_group_count(BrokerId{static_cast<BrokerId::rep_type>(b)}));
   }
   EXPECT_GT(most_groups, 1u);
-  expect_same_link_matching_traffic(spec);
+  expect_clean_link_matching(spec);
 }
 
-TEST(EngineControlPlane, AutoSwitchesOnThresholds) {
-  // kAuto runs the exact model up to 64 brokers and 20,000 subscriptions
-  // and the aggregate model beyond either.
-  const auto control_plane = [](std::size_t brokers, std::size_t subscriptions) {
+// Link matching routes every hop of a churning run against the live
+// subscriptions; with link outages on too, a run must reproduce itself
+// (churn is rolled back) and the serial run at other thread counts.
+TEST(EngineLinkMatching, RepeatableUnderChurnAndLinkFaults) {
+  SimSpec spec = figure6_spec(11);
+  spec.workload.churn_rate_eps = 100.0;
+  spec.workload.link_mtbf_seconds = 0.5;
+  spec.workload.link_mttr_seconds = 0.2;
+  spec.limits.drain_limit = ticks_from_seconds(120);
+  Simulation sim(spec);
+  const SimResult first = sim.run();
+  EXPECT_GT(first.churn_subscribes + first.churn_unsubscribes, 0u);
+  EXPECT_GT(first.link_outages, 0u);
+  EXPECT_TRUE(same_outcome(first, sim.run()));
+  spec.engine.threads = 3;
+  EXPECT_TRUE(same_outcome(first, simulate(spec)));
+}
+
+// Flooding and match-first keep their own repeatability contract with the
+// dynamics on: repeated runs and other thread counts reproduce the first.
+TEST(EngineDynamics, FloodingAndMatchFirstRepeatableUnderChurnAndFaults) {
+  for (const Protocol protocol : {Protocol::kFlooding, Protocol::kMatchFirst}) {
+    SimSpec spec = figure6_spec(8);
+    spec.protocol = protocol;
+    spec.workload.churn_rate_eps = 100.0;
+    spec.workload.link_mtbf_seconds = 0.5;
+    spec.workload.link_mttr_seconds = 0.2;
+    spec.limits.drain_limit = ticks_from_seconds(120);
+    Simulation sim(spec);
+    const SimResult first = sim.run();
+    EXPECT_GT(first.deliveries, 0u) << to_string(protocol);
+    EXPECT_GT(first.churn_subscribes + first.churn_unsubscribes, 0u) << to_string(protocol);
+    EXPECT_TRUE(same_outcome(first, sim.run())) << to_string(protocol);
+    spec.engine.threads = 3;
+    EXPECT_TRUE(same_outcome(first, simulate(spec))) << to_string(protocol);
+  }
+}
+
+TEST(EngineLinkMatching, ExactAbove64BrokersAnd20000Subscriptions) {
+  // One model at every size: more than 64 brokers, or more than 20,000
+  // subscriptions, still refines every hop's annotation rows.
+  const auto check = [](std::size_t brokers, std::size_t subscriptions) {
     SimSpec spec;
     spec.seed = 9;
     spec.topology.kind = TopologyKind::kLine;
@@ -289,15 +262,18 @@ TEST(EngineControlPlane, AutoSwitchesOnThresholds) {
     spec.workload.subscriptions = subscriptions;
     spec.workload.events = 4;
     spec.workload.publishers = 1;
-    const SimResult result = simulate(spec);
-    EXPECT_EQ(result.missing_deliveries, 0u);
-    EXPECT_EQ(result.spurious_deliveries, 0u);
-    return std::string(result.control_plane);
+    spec.verify.verify_single_copy_per_link = true;
+    Simulation sim(spec);
+    EXPECT_GT(sim.memory().annotations, 0u) << brokers << " brokers";
+    const SimResult result = sim.run();
+    EXPECT_STREQ(result.control_plane, "exact");
+    EXPECT_TRUE(result.steps_exact);
+    EXPECT_EQ(result.missing_deliveries, 0u) << brokers << " brokers";
+    EXPECT_EQ(result.spurious_deliveries, 0u) << brokers << " brokers";
+    EXPECT_EQ(result.duplicate_link_copies, 0u) << brokers << " brokers";
   };
-  EXPECT_EQ(control_plane(64, 100), "exact");
-  EXPECT_EQ(control_plane(65, 100), "aggregate");
-  EXPECT_EQ(control_plane(2, 20000), "exact");
-  EXPECT_EQ(control_plane(2, 20001), "aggregate");
+  check(65, 100);
+  check(2, 20001);
 }
 
 TEST(EngineOracle, SamplingVerifiesAFractionAndReportsIt) {

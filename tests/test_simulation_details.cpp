@@ -232,7 +232,7 @@ TEST(SimDetails, PartialScheduleVerifiesOnlyPublishedEvents) {
   EXPECT_EQ(result.spurious_deliveries, 0u);
 }
 
-// Memory accounting by component: link matching on the exact plane holds
+// Memory accounting by component: link matching holds
 // the instance's subscription store (one copy) and the routing network's
 // matcher (references into it), its trees and kernels, and per-broker
 // annotation rows; flooding adds per-broker matchers (more references) and
@@ -262,7 +262,7 @@ TEST(SimDetails, MemoryAccountsEveryComponent) {
 // accounted subscription bytes are one copy of the workload's
 // subscriptions (summed here from the objects the instance hands back)
 // plus the holders' references, which stay far below a second copy. Both
-// the exact plane (the routing network's matcher) and flooding (per-broker
+// link matching (the routing network's matcher) and flooding (per-broker
 // matchers besides) reference the same objects.
 TEST(SimDetails, Figure6HoldsOneCopyOfEverySubscription) {
   for (const Protocol protocol : {Protocol::kLinkMatching, Protocol::kFlooding}) {
@@ -274,7 +274,6 @@ TEST(SimDetails, Figure6HoldsOneCopyOfEverySubscription) {
     spec.workload.subscriptions = 400;
     spec.workload.events = 20;
     spec.protocol = protocol;
-    spec.engine.control_plane = ControlPlaneMode::kExact;
     Simulation sim(spec);
     const SimMemory memory = sim.memory();
     const ScriptedWorkload workload = std::move(sim).release_workload();

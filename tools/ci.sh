@@ -335,6 +335,8 @@ PY
     # >= 2x parallel speedup claim is asserted only where it is honest —
     # scaling_valid:true, which the bench grants only on hosts with >= 4
     # hardware threads; elsewhere the JSON records the reason instead.
+    # The wan-200 link-matching row's annotation bytes must stay within
+    # 1.25x of the figure recorded below (only reachable rows are stored).
     # A change that must not move any simulated outcome is checked on the
     # full sweep: regenerate it and run
     #   tools/sim_outcome_diff.py BENCH_sim_scale.json NEW.json
@@ -381,13 +383,27 @@ for n, proto, subs, floor in bad_subs:
           f"1.25 x one copy plus references ({floor} B)", file=sys.stderr)
 if bad_subs:
     sys.exit(1)
+# Link matching stores only the annotation rows a search can reach. The
+# reduced sweep's wan-200 link-matching row held 15,139,408 bytes of them
+# when the trimmed rows landed (one row per reachable (broker, group,
+# node), plus a 12-byte rank block per 64 kernel nodes per group); storing
+# every row again, or a wider rank index, fails here.
+WAN200_ANNOTATION_BYTES = 15139408
+wan = next(p for p in data["points"] if p["name"].startswith("wan"))
+lm = next(r for r in wan["protocols"] if r["protocol"] == "link-matching")
+annotations = lm["memory_bytes"]["annotations"]
+print(f"[sim-scale] {wan['name']} link-matching annotations: {annotations} B "
+      f"(recorded {WAN200_ANNOTATION_BYTES} B)")
+if annotations > 1.25 * WAN200_ANNOTATION_BYTES:
+    print(f"[sim-scale] FAIL: {wan['name']} link-matching holds {annotations} B of "
+          f"annotation rows, more than 1.25 x the recorded {WAN200_ANNOTATION_BYTES} B",
+          file=sys.stderr)
+    sys.exit(1)
 if not data["scaling_valid"]:
     print(f"[sim-scale] speedup claim skipped: {data['scaling_reason']}")
     sys.exit(0)
 # The gate reads the median over the row's serial/parallel run pairs on
 # one built instance (5 in --ci mode): a single 5-9 ms pair is noise-bound.
-wan = next(p for p in data["points"] if p["name"].startswith("wan"))
-lm = next(r for r in wan["protocols"] if r["protocol"] == "link-matching")
 print(f"[sim-scale] {wan['name']} link-matching: median {lm['speedup']:.2f}x over "
       f"{data['run_pairs']} pairs {lm['pair_speedups']} with "
       f"{data['parallel_threads']} threads")
