@@ -77,7 +77,10 @@ void tree_option_sweep(const Workload& workload) {
       }
       AnnotatedPst annotated(tree, 3,
                              [&](SubscriptionId id) { return workload.links.at(id); });
-      const TritVector init(3, Trit::Maybe);
+      // All three links Maybe: the Maybe plane's low three bits.
+      const std::vector<TritWord> init{0, 0b111};
+      std::vector<TritWord> refined(init.size());
+      MatchScratch scratch;
 
       std::vector<SubscriptionId> out;
       MatchStats stats;
@@ -85,7 +88,7 @@ void tree_option_sweep(const Workload& workload) {
       for (const Event& e : workload.probes) {
         out.clear();
         tree.match(e, out, &stats);
-        link_steps += link_match(annotated, e, init).steps;
+        link_steps += link_match(annotated, e, init, scratch, refined);
       }
       std::printf("%8s %14s %22.1f %22.1f\n", tte ? "on" : "off", delayed ? "on" : "off",
                   static_cast<double>(stats.nodes_visited) /

@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks for the hot paths: PST matching, link
-// matching, subscription insertion, the trit algebra, and the wire codec.
+// matching, subscription insertion, incremental annotation, and the event
+// codec.
 #include <benchmark/benchmark.h>
 
 #include <unordered_map>
@@ -115,11 +116,14 @@ void BM_LinkMatch(benchmark::State& state) {
     tree.add(SubscriptionId{static_cast<std::int64_t>(i)}, fixture.subs[i]);
   }
   AnnotatedPst annotated(tree, 4, [&](SubscriptionId id) { return fixture.links.at(id); });
-  const TritVector init(4, Trit::Maybe);
+  const std::vector<TritWord> init{0, 0b1111};  // all four links Maybe
+  std::vector<TritWord> mask(init.size());
+  MatchScratch scratch;
   std::size_t i = 0;
   for (auto _ : state) {
-    auto result = link_match(annotated, fixture.events[i++ % fixture.events.size()], init);
-    benchmark::DoNotOptimize(result);
+    benchmark::DoNotOptimize(
+        link_match(annotated, fixture.events[i++ % fixture.events.size()], init, scratch, mask));
+    benchmark::DoNotOptimize(mask.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -128,11 +132,12 @@ BENCHMARK(BM_LinkMatch)->Arg(1000)->Arg(10000);
 // One Figure 6 broker's link-matching work: region 0's root broker routing
 // the events of publisher P1 (a region-0 leaf) down P1's spanning tree,
 // with every subscription owned by a random subscribing client. The pair
-// below runs the same search on the same annotation — once on the compiled
-// bit-plane kernel the broker and the simulator use, once on the byte-form
-// AnnotatedPst reference — and reports steps_per_event over one pass of the
-// event set, which must be equal across the pair. The perf-smoke
-// CI leg (tools/ci.sh perf) runs both.
+// below runs the same search on the same annotation rows — once over the
+// compiled kernel the broker and the simulator use, once over the
+// maintained AnnotatedPst rows and a walk of the mutable Pst that routes a
+// churning tree — and reports steps_per_event over one pass of the event
+// set, which must be equal across the pair. The perf-smoke CI leg
+// (tools/ci.sh perf) runs both.
 struct Figure6BrokerFixture {
   Figure6Topology topo = make_figure6();
   RoutingTable routing{topo.network};
@@ -143,7 +148,7 @@ struct Figure6BrokerFixture {
   Pst pst{schema, identity_order(schema), Pst::Options{.trivial_test_elimination = true}};
   std::vector<ClientId> owner;
   std::vector<Event> events;
-  TritVector init{links, Trit::No};
+  std::vector<TritWord> init = std::vector<TritWord>(2 * trit_words(links));
   SubscriptionLinkFn link_of = [this](SubscriptionId id) {
     return tree.tree_next_hop_to_client(broker, owner[static_cast<std::size_t>(id.value)]);
   };
@@ -162,7 +167,7 @@ struct Figure6BrokerFixture {
     for (int i = 0; i < 512; ++i) events.push_back(ev_gen.generate(rng));
     for (std::size_t l = 0; l < links; ++l) {
       const LinkIndex link{static_cast<LinkIndex::rep_type>(l)};
-      if (tree.downstream_client_count(broker, link) > 0) init.set(link, Trit::Maybe);
+      if (tree.downstream_client_count(broker, link) > 0) packed::set(init, l, Trit::Maybe);
     }
     annotated = std::make_unique<AnnotatedPst>(pst, links, link_of);
     kernel = std::make_unique<CompiledPst>(pst);
@@ -184,11 +189,10 @@ struct Figure6BrokerFixture {
 
 void BM_LinkDispatchCompiled(benchmark::State& state) {
   const Figure6BrokerFixture f(static_cast<std::size_t>(state.range(0)));
-  const std::vector<TritWord> init = packed::pack(f.init.span());
-  std::vector<TritWord> mask(init.size());
+  std::vector<TritWord> mask(f.init.size());
   MatchScratch scratch;
   const auto route = [&](const Event& e) {
-    return compiled_dispatch_into(*f.compiled, 0, e, init, scratch, nullptr, mask);
+    return compiled_dispatch_into(*f.compiled, 0, e, f.init, scratch, nullptr, mask);
   };
   std::uint64_t steps = 0;
   for (const Event& e : f.events) steps += route(e);
@@ -205,21 +209,26 @@ void BM_LinkDispatchCompiled(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkDispatchCompiled)->Arg(10000);
 
-void BM_LinkMatchReference(benchmark::State& state) {
+void BM_LinkMatchMaintained(benchmark::State& state) {
   const Figure6BrokerFixture f(static_cast<std::size_t>(state.range(0)));
+  std::vector<TritWord> mask(f.init.size());
+  MatchScratch scratch;
+  const auto route = [&](const Event& e) {
+    return link_match(*f.annotated, e, f.init, scratch, mask);
+  };
   std::uint64_t steps = 0;
-  for (const Event& e : f.events) steps += link_match(*f.annotated, e, f.init).steps;
+  for (const Event& e : f.events) steps += route(e);
   std::size_t i = 0;
   for (auto _ : state) {
-    const LinkMatchResult result =
-        link_match(*f.annotated, f.events[i++ % f.events.size()], f.init);
-    benchmark::DoNotOptimize(result);
+    benchmark::DoNotOptimize(route(f.events[i++ % f.events.size()]));
+    benchmark::DoNotOptimize(mask.data());
   }
   state.counters["steps_per_event"] =
       static_cast<double>(steps) / static_cast<double>(f.events.size());
+  state.counters["annotation_bytes"] = static_cast<double>(f.annotated->memory_bytes());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_LinkMatchReference)->Arg(10000);
+BENCHMARK(BM_LinkMatchMaintained)->Arg(10000);
 
 void BM_Subscribe(benchmark::State& state) {
   Fixture fixture(4096);
@@ -258,18 +267,6 @@ void BM_IncrementalAnnotation(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_IncrementalAnnotation);
-
-void BM_TritVectorRefine(benchmark::State& state) {
-  TritVector mask(16, Trit::Maybe);
-  TritVector annotation(16, Trit::No);
-  for (std::size_t i = 0; i < 16; i += 3) annotation.set(i, Trit::Yes);
-  for (auto _ : state) {
-    TritVector m = mask;
-    m.refine_with(annotation);
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_TritVectorRefine);
 
 void BM_EventCodecRoundTrip(benchmark::State& state) {
   Fixture fixture(16);

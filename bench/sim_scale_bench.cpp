@@ -25,10 +25,11 @@
 //
 //   $ ./sim_scale_bench [--ci] [--out PATH]
 //
-// --ci runs the reduced sweep (~200 brokers) used by the tools/ci.sh
-// sim-scale leg, with five serial/parallel run pairs per row (the row's
-// walls and speedup are the pairs' medians); the full sweep is the
-// published campaign, one pair per row.
+// --ci runs the reduced sweep (Figure 6 static and churning, and ~200
+// brokers) used by the tools/ci.sh sim-scale leg, with five
+// serial/parallel run pairs per row (the row's walls and speedup are the
+// pairs' medians); the full sweep is the published campaign, one pair per
+// row.
 #include "bench_util.h"
 
 #include <algorithm>
@@ -280,11 +281,20 @@ int run(bool ci_mode, const char* out_path) {
   std::vector<SweepPoint> points;
 
   if (ci_mode) {
-    // Reduced sweep: the Figure 6 differential plus one WAN point of ~200
-    // brokers.
+    // Reduced sweep: the Figure 6 differential, the same point with the
+    // in-sim dynamics on (subscription churn plus link down/up, so the
+    // maintained-row route of churning trees runs), and one WAN point of
+    // ~200 brokers.
     SimSpec fig6 = bench::paper_spec(10, 5, 0.85, 2000, 200, /*seed=*/501);
     fig6.workload.rate_eps = 100.0;
     points.push_back(run_point("fig6-39", fig6, parallel_threads, pairs));
+
+    SimSpec dynamics = bench::paper_spec(10, 5, 0.85, 2000, 200, /*seed=*/503);
+    dynamics.workload.rate_eps = 100.0;
+    dynamics.workload.churn_rate_eps = 100.0;
+    dynamics.workload.link_mtbf_seconds = 3.0;
+    dynamics.workload.link_mttr_seconds = 0.5;
+    points.push_back(run_point("fig6-dynamics", dynamics, parallel_threads, pairs));
 
     SimSpec wan;
     wan.seed = 502;

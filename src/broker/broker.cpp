@@ -392,15 +392,11 @@ void Broker::handle_publish(ConnId conn, const wire::Publish& publish) {
     return;
   }
   ++stats_.events_published;
-  try {
-    process_event(publish.space, publish.event, core_.self());
-  } catch (const std::exception& e) {
-    // The frame itself was well-formed; the event payload just does not
-    // decode against the space's schema. That is a client-plane error,
-    // answered on the client protocol instead of dropping the connection.
-    ++stats_.frames_rejected;
-    send_error(conn, 0, e.what());
-  }
+  // The frame itself was well-formed; an event payload that does not
+  // decode against the space's schema is a client-plane error, answered on
+  // the client protocol instead of dropping the connection.
+  const std::string rejected = process_event(publish.space, publish.event, core_.self());
+  if (!rejected.empty()) send_error(conn, 0, rejected);
 }
 
 void Broker::handle_ack(ConnId conn, const wire::Ack& ack) {
@@ -527,8 +523,26 @@ void Broker::send_broker_ack(LinkSession& session) {
   session.out.sent(now());
 }
 
-void Broker::process_event(SpaceId space, const std::vector<std::uint8_t>& encoded,
-                           BrokerId tree_root) {
+std::optional<Event> Broker::dispatchable_event(SpaceId space,
+                                               const std::vector<std::uint8_t>& encoded,
+                                               BrokerId tree_root, std::string& why) const {
+  if (!core_.known_tree_root(tree_root)) {
+    why = "unknown tree root " + std::to_string(tree_root.value);
+    GRYPHON_WARN("broker") << "broker " << core_.self() << ": dropping event with " << why;
+    return std::nullopt;
+  }
+  try {
+    return decode_event(core_.schema(space), encoded);
+  } catch (const std::exception& e) {
+    why = e.what();
+    GRYPHON_WARN("broker") << "broker " << core_.self()
+                           << ": dropping undecodable event: " << why;
+    return std::nullopt;
+  }
+}
+
+std::string Broker::process_event(SpaceId space, const std::vector<std::uint8_t>& encoded,
+                                  BrokerId tree_root) {
   // The publish barrier: every control-plane mutation is deferred, and the
   // churn accumulated since the last event is compiled here, once, before
   // this event is staged. Under mutex_, so every change this broker has
@@ -539,13 +553,18 @@ void Broker::process_event(SpaceId space, const std::vector<std::uint8_t>& encod
   if (workers_.empty()) {
     // Deterministic mode: a one-event batch through the same batch-first
     // dispatch path the workers use, applied and flushed inline.
-    const Event event = decode_event(core_.schema(space), encoded);
-    sync_batch_.clear();
-    sync_batch_.add(space, event, tree_root);
-    const std::span<const BrokerCore::Decision> decisions = core_.dispatch(sync_batch_);
-    apply_decision(space, encoded, tree_root, decisions[0]);
+    std::string why;
+    const std::optional<Event> event = dispatchable_event(space, encoded, tree_root, why);
+    if (event.has_value()) {
+      sync_batch_.clear();
+      sync_batch_.add(space, *event, tree_root);
+      const std::span<const BrokerCore::Decision> decisions = core_.dispatch(sync_batch_);
+      apply_decision(space, encoded, tree_root, decisions[0]);
+    } else {
+      ++stats_.frames_rejected;
+    }
     flush_egress();
-    return;
+    return why;
   }
   {
     MutexLock qlock(queue_mutex_);
@@ -553,6 +572,7 @@ void Broker::process_event(SpaceId space, const std::vector<std::uint8_t>& encod
     ++unfinished_events_;
   }
   queue_cv_.notify_one();
+  return {};
 }
 
 void Broker::worker_loop() {
@@ -583,22 +603,15 @@ void Broker::worker_loop() {
     events.reserve(items.size());  // no reallocation: the batch borrows &events[i]
     staged.clear();
     batch.clear();
+    std::string why;
     for (std::size_t i = 0; i < items.size(); ++i) {
-      if (!core_.known_tree_root(items[i].tree_root)) {
-        GRYPHON_WARN("broker") << "broker " << core_.self()
-                               << ": dropping event with unknown tree root "
-                               << items[i].tree_root;
+      std::optional<Event> event =
+          dispatchable_event(items[i].space, items[i].encoded, items[i].tree_root, why);
+      if (!event.has_value()) {
         ++rejected;
         continue;
       }
-      try {
-        events.push_back(decode_event(core_.schema(items[i].space), items[i].encoded));
-      } catch (const std::exception& e) {
-        GRYPHON_WARN("broker") << "broker " << core_.self()
-                               << ": dropping undecodable event: " << e.what();
-        ++rejected;
-        continue;
-      }
+      events.push_back(std::move(*event));
       batch.add(items[i].space, events.back(), items[i].tree_root);
       staged.push_back(i);
     }

@@ -301,11 +301,19 @@ class Broker : public TransportHandler {
   void promote_locked() REQUIRES(mutex_);
 
   /// Shared by local publications and forwarded events. Synchronous mode:
-  /// decode + dispatch + apply inline (mutex_ held by the caller). Pipeline
-  /// mode: enqueue for the match workers. May throw (decode errors) only in
-  /// synchronous mode.
-  void process_event(SpaceId space, const std::vector<std::uint8_t>& encoded,
-                     BrokerId tree_root) REQUIRES(mutex_);
+  /// decode + dispatch + apply inline (mutex_ held by the caller); an event
+  /// dispatchable_event() refuses is dropped alone, as a match worker drops
+  /// it, counted in frames_rejected, and the reason is returned. Pipeline
+  /// mode: enqueue for the match workers. Returns an empty string when the
+  /// event was dispatched or queued.
+  std::string process_event(SpaceId space, const std::vector<std::uint8_t>& encoded,
+                            BrokerId tree_root) REQUIRES(mutex_);
+  /// The event a published or forwarded payload carries, or nullopt when it
+  /// cannot be dispatched: its tree root is unknown (off the wire), or the
+  /// payload does not decode against the space's schema. Logs the reason
+  /// and stores it in `why`.
+  std::optional<Event> dispatchable_event(SpaceId space, const std::vector<std::uint8_t>& encoded,
+                                          BrokerId tree_root, std::string& why) const;
   /// Applies a dispatch decision: forwards, delivers, accounts.
   void apply_decision(SpaceId space, const std::vector<std::uint8_t>& encoded,
                       BrokerId tree_root, const BrokerCore::Decision& decision)

@@ -59,13 +59,13 @@ BrokerCore::BrokerCore(BrokerId self, const BrokerNetwork& topology,
 
     // Initialization mask: Maybe toward tree children (any broker may have
     // subscribers) and on the pseudo-local link; No elsewhere.
-    TritVector mask(link_count_, Trit::No);
+    std::vector<TritWord> mask(2 * trit_words(link_count_), 0);
     for (std::size_t pi = 0; pi < ports.size(); ++pi) {
       const BrokerId peer = ports[pi].peer_broker;
-      if (tree->parent(peer) == self_) mask.set(pi, Trit::Maybe);
+      if (tree->parent(peer) == self_) packed::set(mask, pi, Trit::Maybe);
     }
-    mask.set(local_link_, Trit::Maybe);
-    init_masks_.emplace(tree->root(), packed::pack(mask.span()));
+    packed::set(mask, static_cast<std::size_t>(local_link_.value), Trit::Maybe);
+    init_masks_.emplace(tree->root(), std::move(mask));
   }
 
   spaces_.reserve(spaces.size());
@@ -307,12 +307,12 @@ void BrokerCore::dispatch_pinned(const CoreSnapshot& snapshot, SpaceId space, co
   // Per-segment masks accumulate in the scratch's caller word slots (see
   // kDispatchCallerSlots in routing/compiled_annotation.h) instead of
   // temporaries, so a warm dispatch allocates nothing.
-  const MutablePackedTritSpan acc = dispatch_mask_slot(scratch, 0, link_count_);
-  const MutablePackedTritSpan seg = dispatch_mask_slot(scratch, 1, link_count_);
+  const MutablePackedTrits acc = dispatch_mask_slot(scratch, 0, link_count_);
+  const MutablePackedTrits seg = dispatch_mask_slot(scratch, 1, link_count_);
   bool first = true;
   for (const auto& segment : bucket->segments) {
     if (segment == nullptr) continue;
-    const MutablePackedTritSpan dst = first ? acc : seg;
+    const MutablePackedTrits dst = first ? acc : seg;
     out.steps += compiled_dispatch_into(*segment->annotations, group, event, init_mask, scratch,
                                         &out.local_matches, dst);
     if (first) {
@@ -327,7 +327,6 @@ void BrokerCore::dispatch_pinned(const CoreSnapshot& snapshot, SpaceId space, co
   // park (CoveringIndex excludes the local broker), so local_matches is
   // already complete, and remote parked children cannot change the mask —
   // their same-owner coverer is live in the frontier behind the same links.
-  out.deliver_locally = !out.local_matches.empty();
   const auto local = static_cast<std::size_t>(local_link_.value);
   packed::for_each_yes(acc, [&](std::size_t l) {
     if (l == local) return;

@@ -35,7 +35,6 @@ namespace gryphon {
 struct Decision {
   std::vector<BrokerId> forward;
   std::vector<SubscriptionId> local_matches;
-  bool deliver_locally{false};
   std::uint64_t steps{0};
 
   /// Field-wise reset that keeps vector capacity, so a reused batch stops
@@ -43,7 +42,6 @@ struct Decision {
   void reset() {
     forward.clear();
     local_matches.clear();
-    deliver_locally = false;
     steps = 0;
   }
 };

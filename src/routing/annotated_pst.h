@@ -6,22 +6,20 @@
 // implicit all-No alternative representing event values for which no value
 // branch exists (unless the branches cover the attribute's entire declared
 // finite domain) — and the result merges with the `*` branch via Parallel
-// Combine.
-//
-// The paper defines annotation for trees with only equality tests and
-// don't-care branches, deferring the general case to a "parallel search
-// graph". This implementation additionally handles general branches (range
-// and not-equals tests) with the sound conservative generalization: they
-// participate in the Alternative combine and always force the implicit
-// all-No alternative, so they can contribute Maybe (search deeper) or No
-// (prune) but never an unsound Yes.
+// Combine. Rows are folded by the same helpers (packed::fold_leaf,
+// packed::fold_interior) as CompiledAnnotation's, which also state how
+// general branches (range and not-equals tests) are annotated.
 //
 // The annotation is maintained incrementally: after a subscribe/unsubscribe
 // touches a leaf, only the changed spine (leaf to root, stopping early when
-// a node's annotation is unchanged) is recomputed.
+// a node's annotation is unchanged) is recomputed. link_match
+// (link_matcher.h) searches it with the compiled search's refinement over
+// a walk of the Pst.
 //
-// Storage is a flat Trit array (one row of `link_count` trits per node id),
-// so a broker network holding one annotation set per broker stays compact.
+// Storage is one flat bit-plane row per node id (routing/trit.h,
+// "Bit-plane form"), in the plane word trit.h's "Row width" rule picks from
+// the link count, so a broker network holding one annotation set per
+// broker stays compact.
 #pragma once
 
 #include <functional>
@@ -52,18 +50,33 @@ class AnnotatedPst {
     std::size_t link_count{0};
     SubscriptionLinkFn link_of;
   };
-  /// Builds one annotation per link map over `tree` in a single forward
-  /// pass: the traversal and every node's structural reads are shared, so
-  /// annotating one tree for many brokers costs little more than the rows.
+  /// Builds one annotation per link map over `tree`, sharing one traversal
+  /// order of the tree, so annotating one tree for many brokers costs
+  /// little more than the rows.
   static std::vector<AnnotatedPst> build_all(const Pst& tree, std::span<const LinkMap> maps);
 
   [[nodiscard]] const Pst& tree() const { return *tree_; }
   [[nodiscard]] std::size_t link_count() const { return link_count_; }
+  /// 64-bit words per plane of a mask: a mask is 2 * words() TritWords.
+  [[nodiscard]] std::size_t words() const { return trit_words(link_count_); }
+  /// Bytes per stored plane word: 1, 2, 4 or 8 (trit.h, "Row width").
+  [[nodiscard]] std::size_t plane_bytes() const { return gryphon::plane_bytes(rows_); }
 
-  /// The annotation row of a node. Valid for live nodes only.
-  [[nodiscard]] TritSpan annotation(Pst::NodeId node) const {
-    return TritSpan(flat_.data() + static_cast<std::size_t>(node) * link_count_, link_count_);
+  /// The rows when planes are `Plane` words (precondition: sizeof(Plane)
+  /// == plane_bytes()). Node n's row is the 2 * row_plane_words<Plane>(
+  /// words()) words at n times that; rows of free node ids are all-No.
+  template <class Plane>
+  [[nodiscard]] const Plane* planes() const {
+    return std::get<std::vector<Plane>>(rows_).data();
   }
+
+  /// The annotation row of a live node, widened to a packed mask
+  /// (2 * words() TritWords). For tests and diagnostics.
+  [[nodiscard]] std::vector<TritWord> annotation(Pst::NodeId node) const;
+
+  /// Bytes this annotation occupies: the object and its rows (the tree is
+  /// shared and not counted).
+  [[nodiscard]] std::size_t memory_bytes() const;
 
   /// Recomputes everything from the current tree state in one forward pass
   /// (children before parents).
@@ -84,21 +97,21 @@ class AnnotatedPst {
   struct Deferred {};
   /// Validates the parameters without computing any row.
   AnnotatedPst(const Pst& tree, std::size_t link_count, SubscriptionLinkFn link_of, Deferred);
-  /// Recomputes every row of several annotations of one tree.
-  static void rebuild_all(const Pst& tree, std::span<AnnotatedPst> annotations);
+  /// Recomputes every row over `children_first`, an order of the tree's
+  /// live nodes with every node after its children.
+  void rebuild_rows(std::span<const Pst::NodeId> children_first);
 
-  [[nodiscard]] MutableTritSpan row(Pst::NodeId node);
   /// Writes the annotation of `node`, derived from its children's stored
-  /// rows, into `out` (which must not be a child's row). `covers_domain` is
-  /// the node's Pst::eq_children_cover_domain.
-  void compute_into(Pst::NodeId node, MutableTritSpan out, bool covers_domain) const;
-  void ensure_capacity();
-  void recompute_spine(Pst::NodeId from);
+  /// rows, into `out` (which must not be a child's row).
+  template <class Plane>
+  void compute_into(Pst::NodeId node, Plane* out) const;
+  template <class Plane>
+  void recompute_spine(std::vector<Plane>& rows, Pst::NodeId from);
 
   const Pst* tree_;
   std::size_t link_count_;
   SubscriptionLinkFn link_of_;
-  std::vector<Trit> flat_;  // node_slot_count rows of link_count trits
+  PlaneArena rows_;  // node_slot_count rows
   std::uint64_t epoch_{0};
 };
 

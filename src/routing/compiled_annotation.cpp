@@ -8,6 +8,7 @@
 #include <type_traits>
 
 #include "event/event.h"
+#include "routing/refinement_search.h"
 
 namespace gryphon {
 
@@ -53,27 +54,17 @@ CompiledAnnotation::CompiledAnnotation(const CompiledPst& kernel, std::size_t li
     }
   }
 
-  if (link_count_ <= 8) {
-    build_rows<std::uint8_t>(owners, group_links);
-  } else if (link_count_ <= 16) {
-    build_rows<std::uint16_t>(owners, group_links);
-  } else if (link_count_ <= 32) {
-    build_rows<std::uint32_t>(owners, group_links);
-  } else {
-    build_rows<TritWord>(owners, group_links);
-  }
+  planes_ = plane_arena(link_count_);
+  std::visit([&](auto& arena) { build_rows(arena, owners, group_links); }, planes_);
 }
 
 template <class Plane>
-void CompiledAnnotation::build_rows(std::span<const std::uint32_t> owners,
+void CompiledAnnotation::build_rows(std::vector<Plane>& arena,
+                                    std::span<const std::uint32_t> owners,
                                     std::span<const std::vector<LinkIndex>> group_links) {
-  constexpr std::size_t kPlaneBits = 8 * sizeof(Plane);
   const CompiledPst& kernel = *kernel_;
-  std::vector<Plane>& arena = planes_.emplace<std::vector<Plane>>();
   ranks_.assign(group_count_ * blocks_per_group_, RankBlock{0, {0, 0}});
-  // A narrow plane holds a one-word row: a constant width lets the row
-  // copies and combines below compile to a few word moves.
-  const std::size_t words = std::is_same_v<Plane, TritWord> ? words_ : 1;
+  const std::size_t words = row_plane_words<Plane>(words_);
   const std::size_t row_words = 2 * words;
   // Every node's row of the group being built, reused group to group (and
   // annotation to annotation on this thread).
@@ -90,39 +81,22 @@ void CompiledAnnotation::build_rows(std::span<const std::uint32_t> owners,
     // place, with its children's rows already final.
     for (const CompiledPst::NodeId n : kernel.bottom_up_order()) {
       Plane* const out = row_of(n);
-      std::fill_n(out, row_words, Plane{0});  // all-No
       if (kernel.is_leaf(n)) {
         const std::size_t first = kernel.subscribers_begin(n);
         const std::size_t last = first + kernel.subscribers(n).size();
-        for (std::size_t k = first; k < last; ++k) {
-          const LinkIndex link = links[owners[k]];
-          if (!link.valid() || static_cast<std::size_t>(link.value) >= link_count_) {
-            throw std::logic_error("CompiledAnnotation: subscription resolved to a bad link");
-          }
-          const auto l = static_cast<std::size_t>(link.value);
-          out[l / kPlaneBits] |= static_cast<Plane>(Plane{1} << (l % kPlaneBits));  // Yes plane
-        }
+        packed::fold_leaf(out, words, link_count_, [&](auto&& set) {
+          for (std::size_t k = first; k < last; ++k) set(links[owners[k]]);
+        });
         continue;
       }
-      // Alternative-combine the non-star branches, seeded with the implicit
-      // all-No alternative (the row as it starts) unless the equality
-      // branches cover the whole finite domain (flag precomputed at kernel
-      // compile time; same soundness argument as AnnotatedPst).
-      bool first = kernel.covers_domain(n);
-      const auto fold = [&](CompiledPst::NodeId child) {
-        const Plane* const child_row = row_of(child);
-        if (first) {
-          std::copy_n(child_row, row_words, out);
-          first = false;
-        } else {
-          packed::alternative_with(out, child_row, words);
-        }
-      };
-      for (const CompiledPst::NodeId child : kernel.eq_targets(n)) fold(child);
-      for (const CompiledPst::NodeId child : kernel.other_targets(n)) fold(child);
-      // No branches at all leaves the row all-No.
       const CompiledPst::NodeId star = kernel.star_child(n);
-      if (star != CompiledPst::kNoNode) packed::parallel_with(out, row_of(star), words);
+      packed::fold_interior(
+          out, words, kernel.covers_domain(n),
+          [&](auto&& fold) {
+            for (const CompiledPst::NodeId child : kernel.eq_targets(n)) fold(row_of(child));
+            for (const CompiledPst::NodeId child : kernel.other_targets(n)) fold(row_of(child));
+          },
+          star == CompiledPst::kNoNode ? nullptr : row_of(star));
     }
     store_reachable(g, rows, words, arena);
   }
@@ -175,12 +149,6 @@ void CompiledAnnotation::store_reachable(std::size_t group, Plane* rows, std::si
   arena.insert(arena.end(), rows, rows + stored * row_words);
 }
 
-std::size_t CompiledAnnotation::plane_bytes() const {
-  // Indexed like planes_'s alternatives.
-  static constexpr std::array<std::size_t, 4> kBytes{1, 2, 4, 8};
-  return kBytes[planes_.index()];
-}
-
 std::size_t CompiledAnnotation::stored_rows(std::size_t group) const {
   if (group >= group_count_) throw std::out_of_range("CompiledAnnotation: bad group index");
   if (blocks_per_group_ == 0) return 0;
@@ -215,39 +183,28 @@ std::size_t row_index(const CompiledAnnotation::RankBlock* blocks, CompiledPst::
   return block.first_row + static_cast<std::size_t>(std::popcount(before));
 }
 
-// The search's mask at a fixed plane width: a value the recursion passes
-// and returns, so at W = 1 the two plane words travel in registers.
-template <std::size_t kWords>
-struct FixedMask {
-  std::array<TritWord, 2 * kWords> planes;
-  [[nodiscard]] TritWord* data() { return planes.data(); }
-  [[nodiscard]] const TritWord* data() const { return planes.data(); }
-};
-
-// The search's mask at a run-time plane width: a handle to the mask's
-// storage — the caller's output for the root, a per-level scratch word
-// slot below it.
-struct SlotMask {
-  TritWord* planes;
-  [[nodiscard]] TritWord* data() const { return planes; }
-};
-
-// Where the search takes a node's children from. A position names one
-// node the search may visit.
+// The two walks over a CompiledAnnotation's stored rows
+// (refinement_search.h states what a walk supplies).
 //
 // KernelWalk walks the kernel and tests the event at every node it
-// visits: one kernel walk per search. BrokerCore::dispatch uses it, with
-// local enumeration.
+// visits: one kernel walk per search, over one group's stored rows of a
+// CompiledAnnotation. BrokerCore::dispatch uses it, with local
+// enumeration.
 struct KernelWalk {
   using Pos = CompiledPst::NodeId;
   static constexpr bool kLocal = true;  // local enumeration possible
+  const CompiledAnnotation& annotated;
   const CompiledPst& kernel;
+  const CompiledAnnotation::RankBlock* blocks;  // the group's rank index
   const Event& event;
   const std::uint64_t* keys;  // the event's resolved equality keys
 
   [[nodiscard]] Pos root() const { return kernel.root(); }
-  [[nodiscard]] CompiledPst::NodeId node(Pos pos) const { return pos; }
+  [[nodiscard]] std::size_t row(Pos pos) const { return row_index(blocks, pos); }
   [[nodiscard]] bool is_leaf(Pos pos) const { return kernel.is_leaf(pos); }
+  [[nodiscard]] std::span<const SubscriptionId> local_subscribers(Pos pos) const {
+    return annotated.local_subscribers(pos);
+  }
   template <class Visit>
   void for_each_child(Pos pos, Visit&& visit) const {
     kernel.for_each_reached_child(pos, event, keys, visit);
@@ -264,9 +221,10 @@ struct ReachWalk {
   using Pos = std::uint32_t;
   static constexpr bool kLocal = false;
   const EventReach::Entry* entries;
+  const CompiledAnnotation::RankBlock* blocks;  // the group's rank index
 
   [[nodiscard]] Pos root() const { return 0; }
-  [[nodiscard]] CompiledPst::NodeId node(Pos pos) const { return entries[pos].node; }
+  [[nodiscard]] std::size_t row(Pos pos) const { return row_index(blocks, entries[pos].node); }
   [[nodiscard]] bool is_leaf(Pos pos) const { return entries[pos].end == pos + 1; }
   template <class Visit>
   void for_each_child(Pos pos, Visit&& visit) const {
@@ -274,275 +232,62 @@ struct ReachWalk {
   }
 };
 
-// The Section 3.3 search over the compiled kernel. Without local
-// enumeration, control flow mirrors link_match's Search exactly (the
-// differential tests depend on bit-identical masks and step counts); the
-// differences are representational — star-only chains are already gone
-// from the kernel, equality tests consume the pre-resolved key vector,
-// annotation rows / branch tables come from flat arenas, and masks are bit
-// planes. kWords fixes the plane width at compile time; 0 reads it from
-// the annotation. Plane is the stored row word (CompiledAnnotation's "Row
-// width"); a narrow row is widened into TritWords as it is read. Walk
-// supplies each node's children (KernelWalk or ReachWalk): both list them
-// in the same order, so both give the same masks and step counts.
-//
-// The kernel is a tree, so the search reaches each node at most once and
-// local matches need no "already collected" marks: a node's local
-// subscribers are collected by the one call that visits it.
-template <std::size_t kWords, class Plane, class Walk>
-class CompiledDispatchSearch {
- public:
-  using Mask = std::conditional_t<kWords == 0, SlotMask, FixedMask<kWords>>;
-  using Pos = typename Walk::Pos;
-  static_assert(std::is_same_v<Plane, TritWord> || kWords == 1,
-                "narrow planes hold one-word rows only");
-
-  CompiledDispatchSearch(const CompiledAnnotation& annotated, std::size_t group, Walk walk,
-                         MatchScratch& scratch, std::vector<SubscriptionId>* local_out)
-      : annotated_(annotated),
-        walk_(walk),
-        rows_(annotated.planes<Plane>()),
-        blocks_(annotated.rank_blocks(group)),
-        scratch_(scratch),
-        local_out_(local_out),
-        words_(annotated.words()) {
-    const LinkIndex local = annotated.local_link();
-    if (local_out != nullptr && local.valid()) {
-      const auto l = static_cast<std::size_t>(local.value);
-      local_word_ = l / kTritWordBits;
-      local_bit_ = TritWord{1} << (l % kTritWordBits);
-    }
-  }
-
-  /// Refines `mask` in place from the kernel root; returns the step count.
-  std::uint64_t refine_from_root(MutablePackedTritSpan mask) {
-    if constexpr (kWords != 0) {
-      Mask root;
-      std::copy_n(mask.data(), root.planes.size(), root.data());
-      const Mask refined = run(walk_.root(), root, 0);
-      std::copy_n(refined.data(), root.planes.size(), mask.data());
-    } else {
-      run(walk_.root(), Mask{mask.data()}, 0);
-    }
-    return steps_;
-  }
-
- private:
-  /// Refines `mask` below `pos` and returns it. Each subsearch gets its
-  /// own copy of the current mask — by value at a fixed width, in the
-  /// level's scratch word slot otherwise — so the search performs no
-  /// per-event heap allocation (slot spans survive deeper claims; see
-  /// dispatch_mask_slot).
-  Mask run(Pos pos, Mask mask, std::size_t depth) {
-    ++steps_;
-    const std::size_t words = width();
-    const CompiledPst::NodeId node = walk_.node(pos);
-    const Plane* const annotation = row(node);
-    // Step 2: refinement against this node's annotation.
-    if constexpr (std::is_same_v<Plane, TritWord>) {
-      packed::refine_with(mask.data(), annotation, words);
-    } else {
-      const std::array<TritWord, 2> wide{annotation[0], annotation[1]};
-      packed::refine_with(mask.data(), wide.data(), 1);
-    }
-    // Local matches at or below this node are collected by this call.
-    const bool local_here = wants_local(annotation);
-
-    if (walk_.is_leaf(pos)) {
-      if (local_here) {
-        const auto subs = annotated_.local_subscribers(node);
-        // gryphon-analyze: allow(alloc): local-match staging reuses the
-        // Decision's capacity once the batch is warm.
-        local_out_->insert(local_out_->end(), subs.begin(), subs.end());
-      }
-      packed::maybes_to_no(mask.data(), words);
-      return mask;
-    }
-    if (!packed::has_maybe(mask.data(), words) && !local_here) {
-      return mask;  // nothing left to decide below
-    }
-
-    // Step 3: perform the test, subsearch each selected child that can
-    // still contribute — a Maybe to resolve, or local matches to collect.
-    walk_.for_each_child(pos, [&](Pos child) {
-      if (!packed::has_maybe(mask.data(), words) &&
-          !(local_here && wants_local(row(walk_.node(child))))) {
-        return;
-      }
-      const Mask result = run(child, child_copy(mask, depth), depth + 1);
-      packed::promote_yes_from(mask.data(), result.data(), words);
-    });
-
-    packed::maybes_to_no(mask.data(), words);
-    return mask;
-  }
-
-  [[nodiscard]] std::size_t width() const { return kWords != 0 ? kWords : words_; }
-
-  /// The stored annotation row of `node` (2 * width() Plane words). The
-  /// search only visits nodes whose row is stored (see "Stored rows").
-  [[nodiscard]] const Plane* row(CompiledPst::NodeId node) const {
-    return rows_ + row_index(blocks_, node) * 2 * width();
-  }
-
-  /// The mask a subsearch of a node at `depth` starts from.
-  Mask child_copy(const Mask& mask, std::size_t depth) {
-    if constexpr (kWords != 0) {
-      return mask;
-    } else {
-      const MutablePackedTritSpan slot =
-          dispatch_mask_slot(scratch_, kDispatchCallerSlots + depth, annotated_.link_count());
-      std::copy_n(mask.data(), slot.size(), slot.data());
-      return SlotMask{slot.data()};
-    }
-  }
-
-  /// One bit test: the local-link trit of row `r` is not No. Always
-  /// false without local enumeration (local_bit_ stays 0, and a reach walk
-  /// has none).
-  [[nodiscard]] bool wants_local(const Plane* r) const {
-    if constexpr (!Walk::kLocal) return false;
-    return ((TritWord{r[local_word_]} | TritWord{r[width() + local_word_]}) & local_bit_) != 0;
-  }
-
-  const CompiledAnnotation& annotated_;
-  Walk walk_;
-  const Plane* rows_;  // the stored rows
-  const CompiledAnnotation::RankBlock* blocks_;  // the group's rank index
-  MatchScratch& scratch_;
-  std::vector<SubscriptionId>* local_out_;
-  std::size_t words_;
-  std::size_t local_word_{0};
-  TritWord local_bit_{0};
-  std::uint64_t steps_{0};
-};
-
-// Runs the search at the instantiation the annotation's stored row width
-// picks: one per narrow plane word, and rows wider than 64 links take the
-// run-time-width search.
-template <class Walk>
-std::uint64_t run_search(const CompiledAnnotation& annotated, std::size_t group, Walk walk,
-                         MatchScratch& scratch, std::vector<SubscriptionId>* local_out,
-                         MutablePackedTritSpan out_mask) {
-  const auto search = [&]<std::size_t kWords, class Plane>() {
-    CompiledDispatchSearch<kWords, Plane, Walk> s(annotated, group, walk, scratch, local_out);
-    return s.refine_from_root(out_mask);
-  };
-  switch (annotated.plane_bytes()) {
-    case 1:
-      return search.template operator()<1, std::uint8_t>();
-    case 2:
-      return search.template operator()<1, std::uint16_t>();
-    case 4:
-      return search.template operator()<1, std::uint32_t>();
-    default:
-      break;
-  }
-  if (annotated.words() == 1) return search.template operator()<1, TritWord>();
-  return search.template operator()<0, TritWord>();
-}
-
 // Checks a packed initialization mask and group against the annotation
 // and starts the refined mask as a copy of it. Returns false when the
 // mask is final already: the kernel is empty (every Maybe becomes No) or
 // no Maybe is left, and no local enumeration is wanted.
 bool start_dispatch(const CompiledAnnotation& annotated, std::size_t group,
-                    PackedTritSpan initialization_mask, bool want_local,
-                    MutablePackedTritSpan out_mask) {
-  const std::size_t words = annotated.words();
-  // Bits at or past link_count would name links the annotation lacks.
-  const std::size_t tail = annotated.link_count() % kTritWordBits;
-  const TritWord past_width = tail == 0 ? 0 : ~TritWord{0} << tail;
-  if (initialization_mask.size() != 2 * words || out_mask.size() != 2 * words ||
-      ((initialization_mask[words - 1] | initialization_mask[2 * words - 1]) & past_width) != 0) {
-    throw std::invalid_argument("compiled_dispatch: mask width != link count");
-  }
+                    PackedTrits initialization_mask, bool want_local,
+                    MutablePackedTrits out_mask) {
+  detail::start_masks("compiled_dispatch", annotated.link_count(), initialization_mask, out_mask);
   if (group >= annotated.group_count()) {
     throw std::invalid_argument("compiled_dispatch: bad group index");
   }
   const CompiledPst& kernel = annotated.kernel();
-  std::copy(initialization_mask.begin(), initialization_mask.end(), out_mask.begin());
   if (kernel.subscription_count() == 0 || kernel.root() < 0) {
-    packed::maybes_to_no(out_mask.data(), words);  // nothing downstream can match
+    packed::maybes_to_no(out_mask.data(), annotated.words());  // nothing downstream can match
     return false;
   }
-  return packed::has_maybe(out_mask.data(), words) || want_local;
+  return packed::has_maybe(out_mask.data(), annotated.words()) || want_local;
 }
 
 }  // namespace
 
-MutablePackedTritSpan dispatch_mask_slot(MatchScratch& scratch, std::size_t slot,
+MutablePackedTrits dispatch_mask_slot(MatchScratch& scratch, std::size_t slot,
                                          std::size_t width) {
   std::vector<std::uint64_t>& raw = scratch.word_slot(slot);
   // gryphon-analyze: allow(alloc): cold-path slot growth; the resize is a
   // no-op once the slot has seen this mask width.
   raw.resize(2 * trit_words(width));
-  return MutablePackedTritSpan(raw.data(), raw.size());
+  return MutablePackedTrits(raw.data(), raw.size());
 }
 
 std::uint64_t compiled_dispatch_into(const CompiledAnnotation& annotated, std::size_t group,
-                                     const Event& event, PackedTritSpan initialization_mask,
+                                     const Event& event, PackedTrits initialization_mask,
                                      MatchScratch& scratch,
                                      std::vector<SubscriptionId>* local_out,
-                                     MutablePackedTritSpan out_mask) {
+                                     MutablePackedTrits out_mask) {
   const bool want_local = local_out != nullptr && annotated.local_link().valid();
   if (!start_dispatch(annotated, group, initialization_mask, want_local, out_mask)) return 0;
   const CompiledPst& kernel = annotated.kernel();
   kernel.resolve(event, scratch.value_keys());
-  return run_search(annotated, group, KernelWalk{kernel, event, scratch.value_keys().data()},
-                    scratch, local_out, out_mask);
+  return detail::run_search(annotated,
+                            KernelWalk{annotated, kernel, annotated.rank_blocks(group), event,
+                                       scratch.value_keys().data()},
+                            annotated.local_link(), scratch, local_out, out_mask);
 }
 
 std::uint64_t compiled_dispatch_into(const CompiledAnnotation& annotated, std::size_t group,
                                      const EventReach& reach,
-                                     PackedTritSpan initialization_mask, MatchScratch& scratch,
-                                     MutablePackedTritSpan out_mask) {
+                                     PackedTrits initialization_mask, MatchScratch& scratch,
+                                     MutablePackedTrits out_mask) {
   if (!start_dispatch(annotated, group, initialization_mask, false, out_mask)) return 0;
   if (reach.entries.empty() || reach.entries.front().node != annotated.kernel().root()) {
     throw std::invalid_argument("compiled_dispatch: reach list is not of this kernel");
   }
-  return run_search(annotated, group, ReachWalk{reach.entries.data()}, scratch, nullptr,
-                    out_mask);
-}
-
-namespace {
-
-// The byte-form wrapper: packs the initialization mask, runs `dispatch`
-// into a packed output and unpacks the refined mask.
-template <class Dispatch>
-CompiledDispatchResult dispatch_unpacked(const CompiledAnnotation& annotated,
-                                         const TritVector& initialization_mask,
-                                         Dispatch&& dispatch) {
-  if (initialization_mask.size() != annotated.link_count()) {
-    throw std::invalid_argument("compiled_dispatch: mask width != link count");
-  }
-  const std::vector<TritWord> init = packed::pack(initialization_mask.span());
-  std::vector<TritWord> out(init.size());
-  CompiledDispatchResult result;
-  result.steps = dispatch(PackedTritSpan(init), MutablePackedTritSpan(out));
-  result.mask = packed::unpack(out, annotated.link_count());
-  return result;
-}
-
-}  // namespace
-
-CompiledDispatchResult compiled_dispatch(const CompiledAnnotation& annotated, std::size_t group,
-                                         const Event& event,
-                                         const TritVector& initialization_mask,
-                                         MatchScratch& scratch,
-                                         std::vector<SubscriptionId>* local_out) {
-  return dispatch_unpacked(annotated, initialization_mask, [&](auto init, auto out) {
-    return compiled_dispatch_into(annotated, group, event, init, scratch, local_out, out);
-  });
-}
-
-CompiledDispatchResult compiled_dispatch(const CompiledAnnotation& annotated, std::size_t group,
-                                         const EventReach& reach,
-                                         const TritVector& initialization_mask,
-                                         MatchScratch& scratch) {
-  return dispatch_unpacked(annotated, initialization_mask, [&](auto init, auto out) {
-    return compiled_dispatch_into(annotated, group, reach, init, scratch, out);
-  });
+  return detail::run_search(annotated,
+                            ReachWalk{reach.entries.data(), annotated.rank_blocks(group)},
+                            LinkIndex{}, scratch, nullptr, out_mask);
 }
 
 }  // namespace gryphon

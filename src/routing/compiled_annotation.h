@@ -1,24 +1,23 @@
 // Frozen trit annotations over the compiled PST kernel, plus the compiled
 // dispatch search — the data-plane form of the Section 3.3 link matching,
-// shared by the broker (BrokerCore::dispatch) and the simulator's
-// ContentRoutingNetwork. The search takes a node's children from one of
-// two sources: a walk of the kernel that tests the event at each node
-// (the broker: one hop per event, with local enumeration), or an
-// EventReach the event was resolved into once (CompiledPst::reach; the
-// network: every hop of the event's spanning tree reuses it). One search
-// body serves both, so both give the same masks and step counts.
+// shared by the broker (BrokerCore::dispatch), the simulator's
+// ContentRoutingNetwork and link_match. The search takes a node's children
+// and its row from one of three walks: a walk of the kernel that tests the
+// event at each node (the broker: one hop per event, with local
+// enumeration), an EventReach the event was resolved into once
+// (CompiledPst::reach; the network: every hop of the event's spanning tree
+// reuses it), or a walk of the mutable Pst over an AnnotatedPst's
+// maintained rows (link_match, link_matcher.h: trees whose subscriptions
+// churn). One search body serves all three, so all give the same masks and
+// step counts over the same tree.
 //
-// AnnotatedPst (annotated_pst.h) annotates the mutable Pst incrementally;
-// it routes churning trees and is the differential-test reference. This
-// layer produces the same annotation rows laid out for the dispatch walk:
+// AnnotatedPst (annotated_pst.h) annotates the mutable Pst incrementally.
+// This layer produces the same annotation rows laid out for the dispatch
+// walk:
 //
-//  * rows are bit planes (routing/trit.h, "Bit-plane form"): a row is W =
-//    trit_words(link_count) Yes words followed by W Maybe words, so the
-//    search's refine and promote steps are two word operations per 64
-//    links instead of one byte compare per link;
-//  * rows are right-sized (see "Row width" below): a broker with at most
-//    64 links stores each plane in the narrowest unsigned word that holds
-//    its link count;
+//  * rows are bit planes (routing/trit.h, "Bit-plane form"), in the plane
+//    word trit.h's "Row width" rule picks from the link count, as
+//    AnnotatedPst's are;
 //  * rows are stored only where a search can reach (see "Stored rows"
 //    below): all stored rows of all spanning-tree groups live in one flat
 //    word arena, group by group and in node order within a group, and a
@@ -34,24 +33,9 @@
 //    table, so a leaf row costs two array loads per (subscriber, group).
 //
 // Annotation semantics are identical to AnnotatedPst (paper Section 3.1):
-// leaves get Yes at the link of each subscriber, interiors fold value
-// branches with Alternative Combine — seeded with the implicit all-No
-// alternative unless the node's equality branches cover the attribute's
-// finite domain (a flag precomputed by CompiledPst) — and merge the `*`
-// branch with Parallel Combine (both in their packed word form). Rows are
-// computed in one forward pass over CompiledPst::bottom_up_order().
-//
-// Row width. The annotation arena is the largest structure a compiled
-// tree carries besides the kernel itself, and the simulator holds one
-// annotation per broker. Real brokers have few links — 5 to 14 on the
-// paper's Figure 6 network — so a 64-bit plane word would be mostly
-// padding. When a row fits one word (link_count <= 64), each plane is
-// stored in the narrowest of u8, u16, u32 and u64 that holds link_count
-// bits; wider rows keep W 64-bit words per plane. The width follows from
-// the link count alone and is not an option. It changes storage only: the
-// search widens a stored row into its 64-bit mask registers before
-// refining, so masks, TritWord and the multi-word path are unchanged, and
-// so is every refined mask and step count.
+// both fold a node's row with packed::fold_leaf and packed::fold_interior
+// (trit.h), here with the covers-domain flag CompiledPst precomputes. Rows
+// are computed in one forward pass over CompiledPst::bottom_up_order().
 //
 // Stored rows. The search refines a mask with a node's row and descends
 // into the node's children only while the refined mask holds a Maybe,
@@ -72,14 +56,13 @@
 // row plus the stored nodes before it in the block (one masked popcount).
 //
 // A CompiledAnnotation is deeply immutable after construction; any number
-// of threads may run compiled_dispatch() concurrently, each with its own
-// MatchScratch.
+// of threads may run compiled_dispatch_into() concurrently, each with its
+// own MatchScratch.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
-#include <variant>
 #include <vector>
 
 #include "common/ids.h"
@@ -110,8 +93,8 @@ class CompiledAnnotation {
   [[nodiscard]] std::size_t group_count() const { return group_count_; }
   [[nodiscard]] LinkIndex local_link() const { return local_link_; }
 
-  /// Bytes per stored plane word: 1, 2, 4 or 8 (see "Row width").
-  [[nodiscard]] std::size_t plane_bytes() const;
+  /// Bytes per stored plane word: 1, 2, 4 or 8 (trit.h, "Row width").
+  [[nodiscard]] std::size_t plane_bytes() const { return gryphon::plane_bytes(planes_); }
 
   /// One 64-node block of a group's rank index (see "Stored rows"): bit k
   /// of `bits` (low half first) is set when node 64 * block + k has a
@@ -155,7 +138,7 @@ class CompiledAnnotation {
 
  private:
   template <class Plane>
-  void build_rows(std::span<const std::uint32_t> owners,
+  void build_rows(std::vector<Plane>& arena, std::span<const std::uint32_t> owners,
                   std::span<const std::vector<LinkIndex>> group_links);
   /// Appends the rows of `group` a search can reach to the arena and
   /// fills the group's rank index. `rows` holds every node's row of
@@ -171,23 +154,12 @@ class CompiledAnnotation {
   std::size_t node_count_;
   std::size_t blocks_per_group_;
   LinkIndex local_link_;
-  // Stored rows, [row][plane][word], group by group and in node order
-  // within a group, in the plane type "Row width" picks.
-  std::variant<std::vector<std::uint8_t>, std::vector<std::uint16_t>,
-               std::vector<std::uint32_t>, std::vector<TritWord>>
-      planes_;
+  // Stored rows, group by group and in node order within a group.
+  PlaneArena planes_;
   std::vector<RankBlock> ranks_;  // [group][node / 64]
   std::vector<SubscriptionId> local_subs_;  // leaf slices
   // begin, count per node; empty without a local link.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> local_slices_;
-};
-
-/// The outcome of one compiled dispatch search.
-struct CompiledDispatchResult {
-  /// Fully refined mask: Yes marks every link to forward the event on.
-  TritVector mask;
-  /// Matching steps — node visitations, the paper's Chart 2 unit.
-  std::uint64_t steps{0};
 };
 
 /// Scratch word-slot layout for the allocation-free dispatch path
@@ -202,7 +174,7 @@ inline constexpr std::size_t kDispatchCallerSlots = 2;
 /// trits (2 * trit_words(width) words; contents unspecified). The returned
 /// span stays valid across later slot claims: growing the slot table moves
 /// the inner buffers' handles, never their heap blocks.
-[[nodiscard]] MutablePackedTritSpan dispatch_mask_slot(MatchScratch& scratch, std::size_t slot,
+[[nodiscard]] MutablePackedTrits dispatch_mask_slot(MatchScratch& scratch, std::size_t slot,
                                                        std::size_t width);
 
 /// The link-matching search of Section 3.3 over the compiled kernel,
@@ -210,23 +182,24 @@ inline constexpr std::size_t kDispatchCallerSlots = 2;
 /// The refined mask is bit-identical to link_match() over the equivalent
 /// AnnotatedPst, and so is the step count when `local_out` is null (local
 /// enumeration searches below fully refined masks); the local-match set is
-/// every matching subscription on the local link. The differential churn
-/// test in tests/test_compiled_pst.cpp holds the kernel to those references.
+/// every matching subscription on the local link. tests/test_compiled_pst.cpp
+/// holds the kernel to link_match, to a naive matcher and to a byte-form
+/// reference search that shares no code with this layer.
 ///
 /// The event is resolved to interned equality keys once (into
 /// `scratch.value_keys()`), not per node. Thread-safe: concurrent calls
 /// with distinct scratches share only the immutable annotation.
 ///
-/// This form takes a packed initialization mask and writes the packed
-/// refined mask into `out_mask` (both 2 * annotated.words() words, with no
+/// Takes a packed initialization mask and writes the packed refined mask
+/// into `out_mask` (both 2 * annotated.words() words, with no
 /// bit set at or past link_count), and returns the step count. A warm
 /// scratch allocates nothing; a cold one grows the per-level mask arena
 /// once.
 std::uint64_t compiled_dispatch_into(const CompiledAnnotation& annotated, std::size_t group,
-                                     const Event& event, PackedTritSpan initialization_mask,
+                                     const Event& event, PackedTrits initialization_mask,
                                      MatchScratch& scratch,
                                      std::vector<SubscriptionId>* local_out,
-                                     MutablePackedTritSpan out_mask);
+                                     MutablePackedTrits out_mask);
 
 /// The same search over a reach list instead of the kernel walk: `reach`
 /// is CompiledPst::reach of the event over annotated.kernel(), so the
@@ -237,20 +210,7 @@ std::uint64_t compiled_dispatch_into(const CompiledAnnotation& annotated, std::s
 /// bit-identical to the event form's with `local_out` null.
 std::uint64_t compiled_dispatch_into(const CompiledAnnotation& annotated, std::size_t group,
                                      const EventReach& reach,
-                                     PackedTritSpan initialization_mask, MatchScratch& scratch,
-                                     MutablePackedTritSpan out_mask);
-
-/// Convenience wrappers over compiled_dispatch_into taking and returning
-/// byte-form masks — the differential-test and oracle entry points; the
-/// dispatch hot path calls the _into forms to stay allocation-free.
-CompiledDispatchResult compiled_dispatch(const CompiledAnnotation& annotated, std::size_t group,
-                                         const Event& event,
-                                         const TritVector& initialization_mask,
-                                         MatchScratch& scratch,
-                                         std::vector<SubscriptionId>* local_out);
-CompiledDispatchResult compiled_dispatch(const CompiledAnnotation& annotated, std::size_t group,
-                                         const EventReach& reach,
-                                         const TritVector& initialization_mask,
-                                         MatchScratch& scratch);
+                                     PackedTrits initialization_mask, MatchScratch& scratch,
+                                     MutablePackedTrits out_mask);
 
 }  // namespace gryphon

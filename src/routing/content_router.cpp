@@ -48,14 +48,13 @@ ContentRoutingNetwork::ContentRoutingNetwork(const BrokerNetwork& network, Schem
       RootView& view = state.roots[t];
       view.group = group_of[t];
       // Initialization mask: Maybe on links with descendant destinations.
-      view.init_mask = TritVector(ports.size(), Trit::No);
+      view.init_mask.assign(2 * trit_words(ports.size()), 0);
       for (std::size_t pi = 0; pi < ports.size(); ++pi) {
         if (tree.downstream_client_count(broker, LinkIndex{static_cast<LinkIndex::rep_type>(
                                                      pi)}) > 0) {
-          view.init_mask.set(pi, Trit::Maybe);
+          packed::set(view.init_mask, pi, Trit::Maybe);
         }
       }
-      view.packed_init_mask = packed::pack(view.init_mask.span());
     }
     groups += state.groups.size();
   }
@@ -178,7 +177,7 @@ const ContentRoutingNetwork::AnnotatedTree& ContentRoutingNetwork::annotated_for
   return *state.owned_annotated;
 }
 
-void ContentRoutingNetwork::append_yes_links(PackedTritSpan mask,
+void ContentRoutingNetwork::append_yes_links(PackedTrits mask,
                                              std::vector<LinkIndex>& links) {
   packed::for_each_yes(mask, [&](std::size_t i) {
     links.push_back(LinkIndex{static_cast<LinkIndex::rep_type>(i)});
@@ -201,18 +200,16 @@ std::uint64_t ContentRoutingNetwork::route_into(BrokerId broker, const Event& ev
   if (tree == nullptr || tree->subscription_count() == 0) return steps;
 
   const TreeState& tree_state = tree_states_.at(tree);
+  const MutablePackedTrits mask = dispatch_mask_slot(scratch, 0, state.link_count);
   if (tree_state.incremental) {
     const AnnotatedTree& annotated = annotated_for_read(*tree, tree_state);
-    const LinkMatchResult lm =
-        link_match(annotated[state.first_group + view.group], event, view.init_mask);
-    links = lm.mask.yes_links();
-    return steps + lm.steps;
+    steps += link_match(annotated[state.first_group + view.group], event, view.init_mask,
+                        scratch, mask);
+  } else {
+    const CompiledTree& compiled = compiled_for_read(*tree, tree_state);
+    steps += compiled_dispatch_into(compiled.annotations[b], view.group, event, view.init_mask,
+                                    scratch, nullptr, mask);
   }
-
-  const CompiledTree& compiled = compiled_for_read(*tree, tree_state);
-  const MutablePackedTritSpan mask = dispatch_mask_slot(scratch, 0, state.link_count);
-  steps += compiled_dispatch_into(compiled.annotations[b], view.group, event,
-                                  view.packed_init_mask, scratch, nullptr, mask);
   append_yes_links(mask, links);
   return steps;
 }
@@ -253,10 +250,10 @@ std::uint64_t ContentRoutingNetwork::route_into(BrokerId broker, const EventRout
   }
   const auto b = static_cast<std::size_t>(broker.value);
   MatchScratch& scratch = thread_match_scratch();
-  const MutablePackedTritSpan mask =
+  const MutablePackedTrits mask =
       dispatch_mask_slot(scratch, 0, broker_states_[b].link_count);
   steps += compiled_dispatch_into((*route.annotations_)[b], view.group, route.reach_,
-                                  view.packed_init_mask, scratch, mask);
+                                  view.init_mask, scratch, mask);
   append_yes_links(mask, links);
   return steps;
 }
@@ -358,10 +355,13 @@ ContentRoutingNetwork::KernelCounts ContentRoutingNetwork::kernel_counts() const
 std::size_t ContentRoutingNetwork::annotation_bytes() const {
   std::size_t total = 0;
   for (const auto& entry : tree_states_) {
-    const CompiledTree* compiled = entry.second.compiled.load(std::memory_order_acquire);
-    if (compiled == nullptr) continue;
-    for (const CompiledAnnotation& annotation : compiled->annotations) {
-      total += annotation.memory_bytes();
+    if (const CompiledTree* compiled = entry.second.compiled.load(std::memory_order_acquire)) {
+      for (const CompiledAnnotation& annotation : compiled->annotations) {
+        total += annotation.memory_bytes();
+      }
+    }
+    if (const AnnotatedTree* maintained = entry.second.annotated.load(std::memory_order_acquire)) {
+      for (const AnnotatedPst& annotation : *maintained) total += annotation.memory_bytes();
     }
   }
   return total;
@@ -374,8 +374,8 @@ std::vector<SubscriptionId> ContentRoutingNetwork::match(const Event& event,
   return out;
 }
 
-const TritVector& ContentRoutingNetwork::initialization_mask(BrokerId broker,
-                                                             BrokerId tree_root) const {
+PackedTrits ContentRoutingNetwork::initialization_mask(BrokerId broker,
+                                                         BrokerId tree_root) const {
   return root_view(broker, tree_root).init_mask;
 }
 

@@ -40,16 +40,18 @@
 //     annotations on several threads). A compile resolves each kernel
 //     subscriber's destination client once; every broker's rows then read
 //     dense client -> link tables, one per group;
-//   * incremental: per-group AnnotatedPsts, maintained spine by spine on
-//     every subscribe/unsubscribe once built and searched with link_match.
-//     A tree mutated after it has been read switches to it for good.
-//     Recompiling per change would cost a full compile of the tree and of
-//     every broker's annotation rows per operation (compile_all of a
-//     4,000-subscription Figure 6 tree: 8-12 ms on 1 thread, 3-4 ms on 4)
-//     where a spine update costs 53-60 us per subscribe over 39 brokers;
-//     a per-hop route costs 0.6-0.7 us compiled and 4.8-5.4 us incremental
-//     (see EXPERIMENTS.md).
-// Both kernels produce the same links and the same step counts. The
+//   * incremental: per-group AnnotatedPsts, bit-plane rows maintained spine
+//     by spine on every subscribe/unsubscribe once built, and searched with
+//     link_match: the same search over a walk of the Pst. A tree mutated
+//     after it has been read switches to it for good. Recompiling per
+//     change would cost a full compile of the tree and of every broker's
+//     annotation rows per operation (compile_all of a 4,000-subscription
+//     Figure 6 tree: 6.6 ms on 1 thread) where the maintained update cost
+//     19-28 us per churn operation on fig6-dynamics; one broker's search of
+//     a 10,000-subscription Figure 6 tree costs 1.1-1.2 us over compiled
+//     rows and 1.4-2.0 us over maintained ones (see EXPERIMENTS.md).
+// Both kernels produce the same links and the same step counts, and both
+// route every hop allocation-free through the scratch mask slot. The
 // compiled kernel is used only when the trees apply trivial-test
 // elimination, which CompiledPst always does structurally; without it
 // every tree is routed incrementally.
@@ -159,8 +161,8 @@ class ContentRoutingNetwork {
                                   BrokerId tree_root) const;
 
   /// route() into a caller-owned buffer: clears `links`, appends the Yes
-  /// ports in increasing order and returns the matching steps. On compiled
-  /// trees a warm buffer makes the hop allocation-free.
+  /// ports in increasing order and returns the matching steps. A warm
+  /// buffer makes the hop allocation-free.
   std::uint64_t route_into(BrokerId broker, const Event& event, BrokerId tree_root,
                            std::vector<LinkIndex>& links) const;
 
@@ -200,9 +202,11 @@ class ContentRoutingNetwork {
   };
   [[nodiscard]] KernelCounts kernel_counts() const;
 
-  /// Bytes of every published compiled tree's annotations
-  /// (CompiledAnnotation::memory_bytes, all brokers). The kernels are the
-  /// matcher's (PstMatcher::kernel_bytes) and not counted here.
+  /// Bytes of every tree's annotations, all brokers: the published
+  /// compiled ones (CompiledAnnotation::memory_bytes) and the maintained
+  /// rows of incremental trees (AnnotatedPst::memory_bytes). The kernels are
+  /// the matcher's (PstMatcher::kernel_bytes) and the Psts the matcher's
+  /// too; neither is counted here.
   [[nodiscard]] std::size_t annotation_bytes() const;
 
   /// Test hook: the kernel route() searches `tree` with (null if none).
@@ -217,9 +221,9 @@ class ContentRoutingNetwork {
   [[nodiscard]] std::vector<SubscriptionId> match(const Event& event,
                                                   MatchStats* stats = nullptr) const;
 
-  /// The initialization mask of `broker` for the given spanning tree.
-  [[nodiscard]] const TritVector& initialization_mask(BrokerId broker,
-                                                      BrokerId tree_root) const;
+  /// The initialization mask of `broker` for the given spanning tree, packed
+  /// (one trit per port of the broker).
+  [[nodiscard]] PackedTrits initialization_mask(BrokerId broker, BrokerId tree_root) const;
 
   /// Distinct annotation sets held by a broker (1 on acyclic networks).
   [[nodiscard]] std::size_t annotation_group_count(BrokerId broker) const;
@@ -234,8 +238,7 @@ class ContentRoutingNetwork {
   /// A broker's view of one spanning tree.
   struct RootView {
     std::size_t group{0};  // index into BrokerState::groups
-    TritVector init_mask;  // byte form, for link_match on incremental trees
-    std::vector<TritWord> packed_init_mask;  // the same mask, for the compiled kernel
+    std::vector<TritWord> init_mask;  // packed
   };
   struct BrokerState {
     std::size_t link_count{0};
@@ -287,7 +290,7 @@ class ContentRoutingNetwork {
   /// tree's first read as incremental.
   const AnnotatedTree& annotated_for_read(const Pst& tree, const TreeState& state) const;
   /// Appends the Yes links of a packed refined mask to `links`.
-  static void append_yes_links(PackedTritSpan mask, std::vector<LinkIndex>& links);
+  static void append_yes_links(PackedTrits mask, std::vector<LinkIndex>& links);
   /// Publishes `tree`'s compiled form around `kernel` (null: compile here),
   /// building the brokers' annotations on up to `threads` threads.
   const CompiledTree& compile(const Pst& tree, const TreeState& state,

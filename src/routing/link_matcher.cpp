@@ -2,118 +2,73 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
+
+#include "routing/refinement_search.h"
 
 namespace gryphon {
 
 namespace {
 
-class Search {
- public:
-  Search(const AnnotatedPst& annotated, const Event& event)
-      : annotated_(annotated),
-        tree_(annotated.tree()),
-        event_(event),
-        tte_(tree_.options().trivial_test_elimination),
-        delayed_star_(tree_.options().delayed_star),
-        width_(annotated.link_count()),
-        level_masks_((tree_.level_count() + 1) * width_) {}
+// PstWalk walks the mutable Pst and tests the event at every node it
+// visits, reading an AnnotatedPst's rows, which are indexed by node id
+// (link_match). Under trivial-test elimination no position is a star-only
+// node: the walk steps down each star-only chain to the first node that
+// tests something, as the compiled kernel, which holds no such chains,
+// does. It lists children in the kernel's order.
+struct PstWalk {
+  using Pos = Pst::NodeId;
+  static constexpr bool kLocal = false;
+  const Pst& tree;
+  const Event& event;
+  bool skip_star_chains;  // trivial-test elimination
+  bool delayed_star;
 
-  /// Refines `mask` in place. A subsearch from recursion depth d works on
-  /// the d-th row of one per-search buffer, so a search allocates once,
-  /// not once per subsearch.
-  void run(Pst::NodeId node, MutableTritSpan mask, std::size_t depth) {
-    // Trivial-test elimination: a star-only node's annotation equals its
-    // star child's, so the chain refines nothing and performs no test.
-    if (tte_) {
-      while (!tree_.is_leaf(node) && is_star_only(node)) node = tree_.star_child(node);
+  [[nodiscard]] Pos root() const { return skip(tree.root()); }
+  [[nodiscard]] std::size_t row(Pos pos) const { return static_cast<std::size_t>(pos); }
+  [[nodiscard]] bool is_leaf(Pos pos) const { return tree.is_leaf(pos); }
+  template <class Visit>
+  void for_each_child(Pos pos, Visit&& visit) const {
+    const Value& v = event.value(tree.order()[static_cast<std::size_t>(tree.level(pos))]);
+    const Pos star = tree.star_child(pos);
+    if (!delayed_star && star != Pst::kNoNode) visit(skip(star));
+    for (const auto& [test, child] : tree.other_children(pos)) {
+      if (test.accepts(v)) visit(skip(child));
     }
-    ++steps_;
-
-    // Step 2: refinement against this node's annotation.
-    refine_with(mask, annotated_.annotation(node));
-    if (!has_maybe(mask)) return;
-
-    if (tree_.is_leaf(node)) {
-      // A leaf annotation holds only Yes/No, so refinement above cannot
-      // leave a Maybe; defensive for robustness.
-      maybes_to_no(mask);
-      return;
-    }
-
-    // Step 3: perform the test, subsearch each selected child.
-    const std::size_t attr = tree_.order()[static_cast<std::size_t>(tree_.level(node))];
-    const Value& v = event_.value(attr);
-
-    const auto subsearch = [&](Pst::NodeId child) {
-      const MutableTritSpan child_mask(level_masks_.data() + depth * width_, width_);
-      std::copy(mask.begin(), mask.end(), child_mask.begin());
-      run(child, child_mask, depth + 1);
-      promote_yes_from(mask, child_mask);
-    };
-
-    const Pst::NodeId star = tree_.star_child(node);
-    if (!delayed_star_ && star != Pst::kNoNode) subsearch(star);
-
-    if (has_maybe(mask)) {
-      for (const auto& [test, child] : tree_.other_children(node)) {
-        if (test.accepts(v)) {
-          subsearch(child);
-          if (!has_maybe(mask)) break;
-        }
-      }
-    }
-    if (has_maybe(mask)) {
-      const auto eq = tree_.eq_children(node);
-      const auto it = std::lower_bound(
-          eq.begin(), eq.end(), v,
-          [](const auto& entry, const Value& key) { return entry.first < key; });
-      if (it != eq.end() && it->first == v) subsearch(it->second);
-    }
-    if (delayed_star_ && star != Pst::kNoNode && has_maybe(mask)) subsearch(star);
-
-    maybes_to_no(mask);
+    const auto eq = tree.eq_children(pos);
+    const auto it = std::lower_bound(
+        eq.begin(), eq.end(), v,
+        [](const auto& entry, const Value& key) { return entry.first < key; });
+    if (it != eq.end() && it->first == v) visit(skip(it->second));
+    if (delayed_star && star != Pst::kNoNode) visit(skip(star));
   }
-
-  [[nodiscard]] std::uint64_t steps() const { return steps_; }
-
- private:
-  [[nodiscard]] bool is_star_only(Pst::NodeId node) const {
-    return tree_.eq_children(node).empty() && tree_.other_children(node).empty() &&
-           tree_.star_child(node) != Pst::kNoNode;
+  // A star-only node's row equals its star child's, so the chain refines
+  // nothing and performs no test.
+  [[nodiscard]] Pos skip(Pos node) const {
+    if (!skip_star_chains) return node;
+    while (!tree.is_leaf(node) && tree.eq_children(node).empty() &&
+           tree.other_children(node).empty() && tree.star_child(node) != Pst::kNoNode) {
+      node = tree.star_child(node);
+    }
+    return node;
   }
-
-  const AnnotatedPst& annotated_;
-  const Pst& tree_;
-  const Event& event_;
-  bool tte_;
-  bool delayed_star_;
-  std::size_t width_;
-  std::vector<Trit> level_masks_;  // one row per recursion depth
-  std::uint64_t steps_{0};
 };
 
 }  // namespace
 
-LinkMatchResult link_match(const AnnotatedPst& annotated, const Event& event,
-                           const TritVector& initialization_mask) {
-  if (initialization_mask.size() != annotated.link_count()) {
-    throw std::invalid_argument("link_match: mask width != link count");
-  }
+std::uint64_t link_match(const AnnotatedPst& annotated, const Event& event,
+                         PackedTrits initialization_mask, MatchScratch& scratch,
+                         MutablePackedTrits out_mask) {
+  detail::start_masks("link_match", annotated.link_count(), initialization_mask, out_mask);
   if (!annotated.in_sync()) {
     throw std::logic_error("link_match: annotation is stale (missed tree mutation)");
   }
-  LinkMatchResult result;
-  if (!initialization_mask.has_maybe()) {
-    // Nothing downstream could ever match; the mask is already final.
-    result.mask = initialization_mask;
-    return result;
-  }
-  Search search(annotated, event);
-  result.mask = initialization_mask;
-  search.run(annotated.tree().root(), result.mask.mutable_span(), 0);
-  result.steps = search.steps();
-  return result;
+  // No Maybe: nothing downstream could ever match; the mask is already final.
+  if (!packed::has_maybe(out_mask.data(), annotated.words())) return 0;
+  const Pst& tree = annotated.tree();
+  return detail::run_search(
+      annotated,
+      PstWalk{tree, event, tree.options().trivial_test_elimination, tree.options().delayed_star},
+      LinkIndex{}, scratch, nullptr, out_mask);
 }
 
 }  // namespace gryphon

@@ -13,19 +13,21 @@
 //     (both searched in parallel): the most liberal result wins, i.e.
 //     P = max under the order No < Maybe < Yes.
 //
-// Two representations. TritVector (and AnnotatedPst / link_match, which
-// route churning trees and serve as the differential reference) stores one
-// byte per link. The compiled dispatch search (routing/compiled_annotation.h)
-// stores bit planes: a packed vector of width n is W = trit_words(n) Yes
-// words followed by W Maybe words, so every mask operation is a few word
-// operations per 64 links (the `packed` namespace below).
+// One representation. Every trit vector — a search mask, and every
+// annotation row of AnnotatedPst and CompiledAnnotation — is stored as bit
+// planes: a vector of width n is W = trit_words(n) Yes words followed by W
+// Maybe words, so every mask operation is a few word operations per 64
+// links (the `packed` namespace below). The scalar Trit and its combines
+// define what the word operations compute.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
-#include <string>
+#include <stdexcept>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/ids.h"
@@ -34,100 +36,11 @@ namespace gryphon {
 
 enum class Trit : std::uint8_t { No = 0, Maybe = 1, Yes = 2 };
 
-/// Read-only view over a stored byte-form trit vector (AnnotatedPst rows).
-using TritSpan = std::span<const Trit>;
-
-/// Mutable view over a byte-form trit row owned elsewhere — link_match's
-/// per-level masks (routing/link_matcher.cpp).
-using MutableTritSpan = std::span<Trit>;
-
 constexpr Trit alternative_combine(Trit a, Trit b) noexcept {
   return a == b ? a : Trit::Maybe;
 }
 
 constexpr Trit parallel_combine(Trit a, Trit b) noexcept { return a > b ? a : b; }
-
-constexpr char to_char(Trit t) noexcept {
-  return t == Trit::Yes ? 'Y' : (t == Trit::No ? 'N' : 'M');
-}
-
-/// Span forms of the byte-form mask operations, shared by TritVector and
-/// link_match, which keeps its per-level masks in one reusable buffer
-/// instead of TritVector temporaries. Size mismatches throw
-/// std::invalid_argument, matching the TritVector methods.
-void alternative_with(MutableTritSpan mask, TritSpan other);
-void parallel_with(MutableTritSpan mask, TritSpan other);
-/// Mask refinement (Section 3.3, step 2): every Maybe in `mask` is replaced
-/// by the corresponding annotation trit.
-void refine_with(MutableTritSpan mask, TritSpan annotation);
-/// Subsearch merge (step 3): every Maybe in `mask` with a Yes in the
-/// subsearch result becomes Yes.
-void promote_yes_from(MutableTritSpan mask, TritSpan subsearch_result);
-/// Step 3 epilogue: remaining Maybes become No.
-void maybes_to_no(MutableTritSpan mask);
-[[nodiscard]] bool has_maybe(TritSpan mask);
-
-/// A fixed-width vector of trits, one per outgoing link of a broker.
-class TritVector {
- public:
-  TritVector() = default;
-  explicit TritVector(std::size_t size, Trit fill = Trit::No) : trits_(size, fill) {}
-
-  /// Parse from a string like "YMN" (test convenience).
-  static TritVector from_string(std::string_view text);
-
-  [[nodiscard]] std::size_t size() const { return trits_.size(); }
-  [[nodiscard]] Trit at(std::size_t i) const { return trits_[i]; }
-  void set(std::size_t i, Trit t) { trits_[i] = t; }
-  [[nodiscard]] Trit at(LinkIndex link) const {
-    return trits_[static_cast<std::size_t>(link.value)];
-  }
-  void set(LinkIndex link, Trit t) { trits_[static_cast<std::size_t>(link.value)] = t; }
-
-  void fill(Trit t) { std::fill(trits_.begin(), trits_.end(), t); }
-
-  [[nodiscard]] TritSpan span() const { return TritSpan(trits_); }
-  [[nodiscard]] MutableTritSpan mutable_span() { return MutableTritSpan(trits_); }
-  operator TritSpan() const { return span(); }
-
-  /// this[i] = Alternative(this[i], other[i]).
-  void alternative_with(TritSpan other);
-  /// this[i] = Parallel(this[i], other[i]).
-  void parallel_with(TritSpan other);
-
-  /// Mask refinement (Section 3.3, step 2): every Maybe in this mask is
-  /// replaced by the corresponding annotation trit.
-  void refine_with(TritSpan annotation);
-
-  /// Subsearch merge (step 3): every Maybe in this mask with a Yes in the
-  /// returned subsearch mask becomes Yes.
-  void promote_yes_from(const TritVector& subsearch_result);
-
-  /// Step 3 epilogue: remaining Maybes become No.
-  void maybes_to_no();
-
-  [[nodiscard]] bool has_maybe() const;
-  [[nodiscard]] bool any_yes() const;
-  [[nodiscard]] std::size_t count(Trit t) const;
-
-  /// Indices of Yes positions — the links to forward the event on.
-  [[nodiscard]] std::vector<LinkIndex> yes_links() const;
-
-  [[nodiscard]] std::string to_string() const;
-
-  [[nodiscard]] bool equals(TritSpan other) const {
-    return trits_.size() == other.size() &&
-           std::equal(trits_.begin(), trits_.end(), other.begin());
-  }
-
-  friend bool operator==(const TritVector& a, const TritVector& b) {
-    return a.trits_ == b.trits_;
-  }
-  friend bool operator!=(const TritVector& a, const TritVector& b) { return !(a == b); }
-
- private:
-  std::vector<Trit> trits_;
-};
 
 // ---------------------------------------------------------------------------
 // Bit-plane form.
@@ -154,14 +67,52 @@ inline constexpr std::size_t kTritWordBits = 64;
 }
 
 /// A packed mask (2W words: Yes plane, then Maybe plane).
-using PackedTritSpan = std::span<const TritWord>;
-using MutablePackedTritSpan = std::span<TritWord>;
+using PackedTrits = std::span<const TritWord>;
+using MutablePackedTrits = std::span<TritWord>;
+
+// ---------------------------------------------------------------------------
+// Row width.
+//
+// Annotation rows are the largest structure a routed tree carries besides
+// the tree itself, and the simulator holds one set per broker. Real brokers
+// have few links — 5 to 14 on the paper's Figure 6 network — so a 64-bit
+// plane word would be mostly padding. When a row fits one word
+// (link_count <= 64), each plane is stored in the narrowest of u8, u16, u32
+// and u64 that holds link_count bits; wider rows keep W 64-bit words per
+// plane. The width follows from the link count alone and is not an option.
+// It changes storage only: the search widens a stored row into its 64-bit
+// mask registers before refining, so masks and every refined mask and step
+// count are the same at every width.
+
+/// Stored rows, [row][plane][word], in the plane word the link count picks.
+using PlaneArena = std::variant<std::vector<std::uint8_t>, std::vector<std::uint16_t>,
+                                std::vector<std::uint32_t>, std::vector<TritWord>>;
+
+/// An empty arena of the plane word "Row width" picks for `link_count`.
+[[nodiscard]] inline PlaneArena plane_arena(std::size_t link_count) {
+  if (link_count <= 8) return std::vector<std::uint8_t>{};
+  if (link_count <= 16) return std::vector<std::uint16_t>{};
+  if (link_count <= 32) return std::vector<std::uint32_t>{};
+  return std::vector<TritWord>{};
+}
+
+/// Bytes per stored plane word of `arena`: 1, 2, 4 or 8.
+[[nodiscard]] inline std::size_t plane_bytes(const PlaneArena& arena) {
+  return std::visit([](const auto& planes) { return sizeof(planes.front()); }, arena);
+}
+
+/// Plane words per stored row: a narrow plane holds a one-word row, so a
+/// constant width lets row copies and combines compile to a few word moves.
+template <class Plane>
+[[nodiscard]] constexpr std::size_t row_plane_words(std::size_t words) noexcept {
+  return std::is_same_v<Plane, TritWord> ? words : 1;
+}
 
 namespace packed {
 
 /// mask = Alternative(mask, other), trit by trit. The two combines take
-/// any unsigned word type: masks are TritWord, and CompiledAnnotation also
-/// folds its narrow stored rows (8-, 16- and 32-bit planes) with them.
+/// any unsigned word type: masks are TritWord, and stored rows may be
+/// narrower (see "Row width").
 template <class Word>
 inline void alternative_with(Word* mask, const Word* other, std::size_t words) noexcept {
   for (std::size_t w = 0; w < words; ++w) {
@@ -211,9 +162,19 @@ inline void maybes_to_no(TritWord* mask, std::size_t words) noexcept {
   return false;
 }
 
+/// Sets trit `i` of `mask` to `t`.
+inline void set(MutablePackedTrits mask, std::size_t i, Trit t) noexcept {
+  const std::size_t words = mask.size() / 2;
+  const TritWord bit = TritWord{1} << (i % kTritWordBits);
+  TritWord& yes = mask[i / kTritWordBits];
+  TritWord& maybe = mask[words + i / kTritWordBits];
+  yes = t == Trit::Yes ? yes | bit : yes & ~bit;
+  maybe = t == Trit::Maybe ? maybe | bit : maybe & ~bit;
+}
+
 /// Calls `fn(i)` for every Yes position i of `mask`, in increasing order.
 template <class Fn>
-void for_each_yes(PackedTritSpan mask, Fn&& fn) {
+void for_each_yes(PackedTrits mask, Fn&& fn) {
   const std::size_t words = mask.size() / 2;
   for (std::size_t w = 0; w < words; ++w) {
     for (TritWord bits = mask[w]; bits != 0; bits &= bits - 1) {
@@ -222,10 +183,54 @@ void for_each_yes(PackedTritSpan mask, Fn&& fn) {
   }
 }
 
-/// The packed form of a byte-form vector (2 * trit_words(size) words).
-[[nodiscard]] std::vector<TritWord> pack(TritSpan trits);
-/// The first `width` trits of a packed mask, in byte form.
-[[nodiscard]] TritVector unpack(PackedTritSpan mask, std::size_t width);
+/// Section 3.1's row of a leaf into `out` (2 * words Plane words): Yes at
+/// the link of each of its subscribers, No elsewhere. `for_each_link(set)`
+/// calls set(link) once per subscriber. Throws std::logic_error for a link
+/// outside [0, link_count).
+template <class Plane, class ForEachLink>
+void fold_leaf(Plane* out, std::size_t words, std::size_t link_count,
+               ForEachLink&& for_each_link) {
+  constexpr std::size_t kPlaneBits = 8 * sizeof(Plane);
+  std::fill_n(out, 2 * words, Plane{0});
+  for_each_link([&](LinkIndex link) {
+    if (!link.valid() || static_cast<std::size_t>(link.value) >= link_count) {
+      throw std::logic_error("annotation: subscription resolved to a bad link");
+    }
+    const auto l = static_cast<std::size_t>(link.value);
+    out[l / kPlaneBits] |= static_cast<Plane>(Plane{1} << (l % kPlaneBits));  // Yes plane
+  });
+}
+
+/// Section 3.1's row of an interior node into `out` (2 * words Plane
+/// words): the rows of its non-star branches Alternative-combined, seeded
+/// with the implicit all-No alternative (event values with no branch)
+/// unless the equality branches cover the attribute's whole finite domain,
+/// then Parallel-combined with the `*` branch's row (`star`; null when the
+/// node has none). `for_each_branch(fold)` calls fold(row) once per
+/// non-star branch. A node with no branches at all gets an all-No row.
+///
+/// General branches (range and not-equals tests) join the Alternative
+/// combine like equality branches; a node holding one never covers its
+/// domain, so the implicit all-No alternative is always folded in with
+/// them. That is the sound conservative generalization of the paper's
+/// equality-only annotation: such a branch can make a row Maybe (search
+/// deeper) or No (prune), never an unsound Yes — a Yes can then only come
+/// from the `*` branch's Parallel combine.
+template <class Plane, class ForEachBranch>
+void fold_interior(Plane* out, std::size_t words, bool covers_domain,
+                   ForEachBranch&& for_each_branch, const Plane* star) {
+  std::fill_n(out, 2 * words, Plane{0});  // the implicit all-No alternative
+  bool first = covers_domain;
+  for_each_branch([&](const Plane* branch) {
+    if (first) {
+      std::copy_n(branch, 2 * words, out);
+      first = false;
+    } else {
+      alternative_with(out, branch, words);
+    }
+  });
+  if (star != nullptr) parallel_with(out, star, words);
+}
 
 }  // namespace packed
 

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "matching/attribute_order.h"
+#include "trit_reference.h"
 #include "workload/generators.h"
 
 namespace gryphon {
@@ -36,9 +37,7 @@ class AnnotatedPstTest : public ::testing::Test {
 
   std::string root_annotation(const Pst& tree) {
     AnnotatedPst ann(tree, 3, link_fn());
-    std::string s;
-    for (const Trit t : ann.annotation(tree.root())) s.push_back(to_char(t));
-    return s;
+    return reference::unpack(ann.annotation(tree.root()), 3);
   }
 };
 
@@ -51,9 +50,7 @@ TEST_F(AnnotatedPstTest, LeafAnnotation) {
   const auto l1 = tree.eq_children(tree.root())[0].second;
   const auto leaf = tree.eq_children(l1)[0].second;
   ASSERT_TRUE(tree.is_leaf(leaf));
-  std::string s;
-  for (const Trit t : ann.annotation(leaf)) s.push_back(to_char(t));
-  EXPECT_EQ(s, "YNY");
+  EXPECT_EQ(reference::unpack(ann.annotation(leaf), 3), "YNY");
 }
 
 TEST_F(AnnotatedPstTest, UncoveredValuesForceMaybe) {
@@ -98,8 +95,7 @@ TEST_F(AnnotatedPstTest, StarOnlyChainIsAnnotationTransparent) {
   AnnotatedPst ann(tree, 3, link_fn());
   const auto star = tree.star_child(tree.root());
   ASSERT_NE(star, Pst::kNoNode);
-  EXPECT_TRUE(std::equal(ann.annotation(tree.root()).begin(), ann.annotation(tree.root()).end(),
-                         ann.annotation(star).begin(), ann.annotation(star).end()));
+  EXPECT_EQ(ann.annotation(tree.root()), ann.annotation(star));
 }
 
 TEST_F(AnnotatedPstTest, PaperFigure5Composition) {
@@ -125,11 +121,7 @@ TEST_F(AnnotatedPstTest, PaperFigure5Composition) {
   const auto a0 = tree.eq_children(tree.root())[0].second;
   const auto a1 = tree.eq_children(tree.root())[1].second;
   const auto star = tree.star_child(tree.root());
-  const auto text = [&](Pst::NodeId n) {
-    std::string s;
-    for (const Trit t : ann.annotation(n)) s.push_back(to_char(t));
-    return s;
-  };
+  const auto text = [&](Pst::NodeId n) { return reference::unpack(ann.annotation(n), 3); };
   EXPECT_EQ(text(a0), "MYY");
   EXPECT_EQ(text(a1), "NYN");
   EXPECT_EQ(text(star), "YYN");
@@ -154,9 +146,7 @@ TEST_F(AnnotatedPstTest, RangeBranchesAnnotateConservatively) {
   links_[SubscriptionId{2}] = LinkIndex{1};
   AnnotatedPst ann(tree, 3, link_fn());
   ann.apply(tree.add(SubscriptionId{2}, sub_eq(schema_, {-1, -1})));
-  std::string s;
-  for (const Trit t : ann.annotation(tree.root())) s.push_back(to_char(t));
-  EXPECT_EQ(s, "MYN");
+  EXPECT_EQ(reference::unpack(ann.annotation(tree.root()), 3), "MYN");
   ann.check_consistency();
 }
 

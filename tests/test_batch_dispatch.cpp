@@ -1,7 +1,7 @@
 // Differential proof for the batched data plane: draining events through
 // DispatchBatch must decide exactly what the scalar shim decides. Every
 // decision a batch produces — forward set, local matches (in order),
-// deliver_locally, steps — must be identical to the scalar path on the
+// steps — must be identical to the scalar path on the
 // same core, in add() order, across control-plane churn and across
 // batches that interleave information spaces.
 #include <gtest/gtest.h>
@@ -30,7 +30,6 @@ PstMatcherOptions factored_options() {
 void expect_same_decision(const Decision& a, const Decision& b, const char* context) {
   EXPECT_EQ(a.forward, b.forward) << context;
   EXPECT_EQ(a.local_matches, b.local_matches) << context;  // order included
-  EXPECT_EQ(a.deliver_locally, b.deliver_locally) << context;
   EXPECT_EQ(a.steps, b.steps) << context;
 }
 
@@ -187,7 +186,7 @@ TEST_F(BatchDispatchTest, InterleavedSpacesComeBackInAddOrder) {
     for (const SubscriptionId id : decisions[i].local_matches) {
       EXPECT_EQ(id.value >= 1000, spaces[i] == kSpace1) << "match from the other space";
     }
-    if (decisions[i].deliver_locally) ++local_hits[spaces[i].value];
+    if (!decisions[i].local_matches.empty()) ++local_hits[spaces[i].value];
   }
   // Both spaces must contribute matches, or the interleaving proves nothing.
   EXPECT_GT(local_hits[0], 0u);

@@ -64,12 +64,11 @@ TEST_F(BrokerCoreTest, RoutesTowardRemoteOwner) {
 
   const auto hit = dispatch1(core, kSpace0, ev(schema_, {1, 0, 0, 0}), BrokerId{0});
   EXPECT_EQ(hit.forward, (std::vector<BrokerId>{BrokerId{1}}));
-  EXPECT_FALSE(hit.deliver_locally);
   EXPECT_TRUE(hit.local_matches.empty());
 
   const auto miss = dispatch1(core, kSpace0, ev(schema_, {2, 0, 0, 0}), BrokerId{0});
   EXPECT_TRUE(miss.forward.empty());
-  EXPECT_FALSE(miss.deliver_locally);
+  EXPECT_TRUE(miss.local_matches.empty());
 }
 
 TEST_F(BrokerCoreTest, DispatchYieldsLocalMatches) {
@@ -79,7 +78,7 @@ TEST_F(BrokerCoreTest, DispatchYieldsLocalMatches) {
   core.add_subscription(kSpace0, SubscriptionId{3}, sub_eq(schema_, {1, -1, -1, -1}), BrokerId{0});
 
   auto decision = dispatch1(core, kSpace0, ev(schema_, {1, 2, 0, 0}), BrokerId{1});
-  EXPECT_TRUE(decision.deliver_locally);
+  EXPECT_FALSE(decision.local_matches.empty());
   EXPECT_EQ(decision.forward, (std::vector<BrokerId>{BrokerId{0}}));
 
   std::sort(decision.local_matches.begin(), decision.local_matches.end());
@@ -105,7 +104,6 @@ TEST_F(BrokerCoreTest, DispatchLocalMatchesAgreeWithMatchAll) {
   std::sort(from_dispatch.begin(), from_dispatch.end());
   std::sort(expected_local.begin(), expected_local.end());
   EXPECT_EQ(from_dispatch, expected_local);
-  EXPECT_EQ(decision.deliver_locally, !expected_local.empty());
 }
 
 TEST_F(BrokerCoreTest, NoUpstreamForwarding) {
@@ -116,7 +114,7 @@ TEST_F(BrokerCoreTest, NoUpstreamForwarding) {
                         BrokerId{0});
   const auto decision = dispatch1(core, kSpace0, ev(schema_, {0, 0, 0, 0}), BrokerId{0});
   EXPECT_TRUE(decision.forward.empty());
-  EXPECT_FALSE(decision.deliver_locally);
+  EXPECT_TRUE(decision.local_matches.empty());
 }
 
 TEST_F(BrokerCoreTest, HopByHopDeliveryMatchesCentralMatch) {
@@ -149,7 +147,6 @@ TEST_F(BrokerCoreTest, HopByHopDeliveryMatchesCentralMatch) {
         const auto d =
             dispatch1(*cores[static_cast<std::size_t>(at.value)], kSpace0, e, BrokerId{root});
         for (const BrokerId next : d.forward) frontier.push_back(next);
-        EXPECT_EQ(d.deliver_locally, !d.local_matches.empty());
         for (const SubscriptionId id : d.local_matches) delivered.insert(id.value);
       }
       std::set<std::int64_t> expected;
@@ -165,9 +162,9 @@ TEST_F(BrokerCoreTest, MultipleInformationSpaces) {
   EXPECT_EQ(core.space_count(), 2u);
   EXPECT_EQ(core.schema(SpaceId{1})->name(), "other");
   core.add_subscription(SpaceId{1}, SubscriptionId{1}, sub_eq(other, {1, -1}), BrokerId{0});
-  EXPECT_TRUE(dispatch1(core, SpaceId{1}, ev(other, {1, 0}), BrokerId{0}).deliver_locally);
-  EXPECT_FALSE(
-      dispatch1(core, kSpace0, ev(schema_, {1, 0, 0, 0}), BrokerId{0}).deliver_locally);
+  EXPECT_FALSE(dispatch1(core, SpaceId{1}, ev(other, {1, 0}), BrokerId{0}).local_matches.empty());
+  EXPECT_TRUE(
+      dispatch1(core, kSpace0, ev(schema_, {1, 0, 0, 0}), BrokerId{0}).local_matches.empty());
   EXPECT_THROW((void)core.schema(SpaceId{2}), std::invalid_argument);
   EXPECT_THROW(
       core.add_subscription(SpaceId{5}, SubscriptionId{2}, sub_eq(other, {1, -1}), BrokerId{0}),
@@ -327,7 +324,6 @@ TEST(BrokerCoreWide, DeltaSegmentUnionAcrossTwoWordPlanes) {
       EXPECT_EQ(d.forward.size(), want_forward.size()) << "a spoke forwarded twice";
       EXPECT_EQ(std::set<SubscriptionId>(d.local_matches.begin(), d.local_matches.end()),
                 want_local);
-      EXPECT_EQ(d.deliver_locally, !want_local.empty());
     }
   }
 }

@@ -33,6 +33,7 @@
 #include "routing/annotated_pst.h"
 #include "routing/compiled_annotation.h"
 #include "routing/link_matcher.h"
+#include "trit_reference.h"
 #include "workload/generators.h"
 
 namespace gryphon {
@@ -118,6 +119,39 @@ CompiledAnnotation annotate(const CompiledPst& kernel, std::size_t links,
     for (std::uint32_t i = 0; i < bound; ++i) table.push_back(fn(SubscriptionId{i}));
   }
   return CompiledAnnotation(kernel, links, owners, tables, local);
+}
+
+// A search's refined mask, as a string of Y, M and N, and its step count.
+struct Searched {
+  std::string mask;
+  std::uint64_t steps{0};
+};
+
+// compiled_dispatch_into over the kernel walk.
+Searched kernel_walk(const CompiledAnnotation& annotated, std::size_t group, const Event& e,
+                     const std::string& init, MatchScratch& scratch,
+                     std::vector<SubscriptionId>* local_out) {
+  std::vector<TritWord> out(2 * annotated.words());
+  const std::uint64_t steps = compiled_dispatch_into(annotated, group, e, reference::pack(init),
+                                                     scratch, local_out, out);
+  return {reference::unpack(out, annotated.link_count()), steps};
+}
+
+// compiled_dispatch_into over the reach walk.
+Searched reach_walk(const CompiledAnnotation& annotated, std::size_t group,
+                    const EventReach& reach, const std::string& init, MatchScratch& scratch) {
+  std::vector<TritWord> out(2 * annotated.words());
+  const std::uint64_t steps =
+      compiled_dispatch_into(annotated, group, reach, reference::pack(init), scratch, out);
+  return {reference::unpack(out, annotated.link_count()), steps};
+}
+
+// link_match: the Pst walk over maintained rows.
+Searched pst_walk(const AnnotatedPst& annotated, const Event& e, const std::string& init,
+                  MatchScratch& scratch) {
+  std::vector<TritWord> out(2 * annotated.words());
+  const std::uint64_t steps = link_match(annotated, e, reference::pack(init), scratch, out);
+  return {reference::unpack(out, annotated.link_count()), steps};
 }
 
 class CompiledPstChurn : public ::testing::TestWithParam<bool> {};
@@ -212,26 +246,19 @@ TEST_P(CompiledPstChurn, DispatchDecisionsIdenticalToLinkMatch) {
 
     for (int probe = 0; probe < 30; ++probe) {
       const Event e = random_event(schema, rng);
-      TritVector init(kLinks, Trit::No);
-      for (std::size_t l = 0; l < kLinks; ++l) {
-        init.set(l, static_cast<Trit>(rng.below(3)));
-      }
+      const std::string init = reference::random_trits(rng, kLinks);
       std::vector<SubscriptionId> want_local;
       local_oracle.match_into(e, want_local);
       for (std::size_t g = 0; g < group_fns.size(); ++g) {
-        const LinkMatchResult expected = link_match(reference_ann[g], e, init);
-        const CompiledDispatchResult routed =
-            compiled_dispatch(compiled_ann, g, e, init, compiled_scratch, nullptr);
-        ASSERT_TRUE(routed.mask.equals(expected.mask.span()))
-            << "mask " << routed.mask.to_string() << " != " << expected.mask.to_string();
+        const Searched expected = pst_walk(reference_ann[g], e, init, compiled_scratch);
+        const Searched routed = kernel_walk(compiled_ann, g, e, init, compiled_scratch, nullptr);
+        ASSERT_EQ(routed.mask, expected.mask);
         ASSERT_EQ(routed.steps, expected.steps);
         // Local enumeration searches further, so only the mask and the
         // local set are comparable.
         std::vector<SubscriptionId> got_local;
-        const CompiledDispatchResult got =
-            compiled_dispatch(compiled_ann, g, e, init, compiled_scratch, &got_local);
-        ASSERT_TRUE(got.mask.equals(expected.mask.span()))
-            << "mask " << got.mask.to_string() << " != " << expected.mask.to_string();
+        const Searched got = kernel_walk(compiled_ann, g, e, init, compiled_scratch, &got_local);
+        ASSERT_EQ(got.mask, expected.mask);
         ASSERT_EQ(sorted(got_local), sorted(want_local));
       }
     }
@@ -314,20 +341,16 @@ TEST_P(CompiledDispatchWidth, MaskStepsAndLocalsIdenticalToLinkMatch) {
 
     for (int probe = 0; probe < 25; ++probe) {
       const Event e = random_event(schema, rng);
-      TritVector init(links, Trit::No);
-      for (std::size_t l = 0; l < links; ++l) init.set(l, static_cast<Trit>(rng.below(3)));
+      const std::string init = reference::random_trits(rng, links);
       std::vector<SubscriptionId> want_local;
       local_oracle.match_into(e, want_local);
       for (std::size_t g = 0; g < group_fns.size(); ++g) {
-        const LinkMatchResult expected = link_match(reference[g], e, init);
-        const CompiledDispatchResult routed =
-            compiled_dispatch(annotated, g, e, init, scratch, nullptr);
-        ASSERT_EQ(routed.mask, expected.mask)
-            << routed.mask.to_string() << " != " << expected.mask.to_string();
+        const Searched expected = pst_walk(reference[g], e, init, scratch);
+        const Searched routed = kernel_walk(annotated, g, e, init, scratch, nullptr);
+        ASSERT_EQ(routed.mask, expected.mask);
         ASSERT_EQ(routed.steps, expected.steps);
         std::vector<SubscriptionId> got_local;
-        const CompiledDispatchResult with_locals =
-            compiled_dispatch(annotated, g, e, init, scratch, &got_local);
+        const Searched with_locals = kernel_walk(annotated, g, e, init, scratch, &got_local);
         ASSERT_EQ(with_locals.mask, expected.mask);
         ASSERT_EQ(sorted(got_local), sorted(want_local));
       }
@@ -372,11 +395,8 @@ TEST_P(ReachDispatch, MasksAndStepsIdenticalToKernelWalkAndLinkMatch) {
         return LinkIndex{static_cast<LinkIndex::rep_type>((owner_link(id).value + 1) % links)};
       }};
   const auto masks = [&] {
-    std::vector<TritVector> out{TritVector(links, Trit::No), TritVector(links, Trit::Maybe)};
-    TritVector mixed(links, Trit::No);
-    for (std::size_t l = 0; l < links; ++l) mixed.set(l, static_cast<Trit>(rng.below(3)));
-    out.push_back(std::move(mixed));
-    return out;
+    return std::vector<std::string>{std::string(links, 'N'), std::string(links, 'M'),
+                                    reference::random_trits(rng, links)};
   };
 
   {
@@ -388,13 +408,12 @@ TEST_P(ReachDispatch, MasksAndStepsIdenticalToKernelWalkAndLinkMatch) {
     EventReach reach;
     empty.reach(e, reach, scratch);
     ASSERT_TRUE(reach.entries.empty());
-    for (const TritVector& init : masks()) {
-      const CompiledDispatchResult walked =
-          compiled_dispatch(annotated, 0, e, init, scratch, nullptr);
-      const CompiledDispatchResult reached = compiled_dispatch(annotated, 0, reach, init, scratch);
+    for (const std::string& init : masks()) {
+      const Searched walked = kernel_walk(annotated, 0, e, init, scratch, nullptr);
+      const Searched reached = reach_walk(annotated, 0, reach, init, scratch);
       ASSERT_EQ(reached.mask, walked.mask);
       ASSERT_EQ(reached.steps, walked.steps);
-      ASSERT_FALSE(reached.mask.has_maybe());
+      ASSERT_EQ(reached.mask.find('M'), std::string::npos);
     }
   }
 
@@ -432,18 +451,14 @@ TEST_P(ReachDispatch, MasksAndStepsIdenticalToKernelWalkAndLinkMatch) {
         ASSERT_GT(reach.entries[i].end, i);
         ASSERT_LE(reach.entries[i].end, reach.entries.size());
       }
-      for (const TritVector& init : masks()) {
+      for (const std::string& init : masks()) {
         for (std::size_t g = 0; g < group_fns.size(); ++g) {
-          const LinkMatchResult expected = link_match(reference[g], e, init);
-          const CompiledDispatchResult walked =
-              compiled_dispatch(annotated, g, e, init, scratch, nullptr);
-          const CompiledDispatchResult reached =
-              compiled_dispatch(annotated, g, reach, init, scratch);
-          ASSERT_EQ(reached.mask, walked.mask)
-              << reached.mask.to_string() << " != " << walked.mask.to_string();
+          const Searched expected = pst_walk(reference[g], e, init, scratch);
+          const Searched walked = kernel_walk(annotated, g, e, init, scratch, nullptr);
+          const Searched reached = reach_walk(annotated, g, reach, init, scratch);
+          ASSERT_EQ(reached.mask, walked.mask);
           ASSERT_EQ(reached.steps, walked.steps);
-          ASSERT_EQ(reached.mask, expected.mask)
-              << reached.mask.to_string() << " != " << expected.mask.to_string();
+          ASSERT_EQ(reached.mask, expected.mask);
           ASSERT_EQ(reached.steps, expected.steps);
         }
       }
@@ -489,29 +504,28 @@ TEST(CompiledAnnotationStorage, StoredRowsAreTheNodesASearchCanReach) {
       std::size_t total = 0;
       for (std::size_t g = 0; g < group_fns.size(); ++g) {
         // Every node's row, children before parents.
-        std::vector<TritVector> rows(kernel.node_count(), TritVector(links, Trit::No));
+        std::vector<std::string> rows(kernel.node_count(), std::string(links, 'N'));
         for (const CompiledPst::NodeId n : kernel.bottom_up_order()) {
-          TritVector& row = rows[static_cast<std::size_t>(n)];
+          std::string& row = rows[static_cast<std::size_t>(n)];
           if (kernel.is_leaf(n)) {
             for (const SubscriptionId id : kernel.subscribers(n)) {
-              row.set(static_cast<std::size_t>(group_fns[g](id).value), Trit::Yes);
+              row[static_cast<std::size_t>(group_fns[g](id).value)] = 'Y';
             }
             continue;
           }
           bool first = kernel.covers_domain(n);
           const auto fold = [&](CompiledPst::NodeId child) {
-            const TritVector& other = rows[static_cast<std::size_t>(child)];
-            if (first) {
-              row = other;
-            } else {
-              row.alternative_with(other);
+            const std::string& other = rows[static_cast<std::size_t>(child)];
+            for (std::size_t l = 0; l < links; ++l) {
+              row[l] = first ? other[l] : reference::alternative(row[l], other[l]);
             }
             first = false;
           };
           for (const CompiledPst::NodeId child : kernel.eq_targets(n)) fold(child);
           for (const CompiledPst::NodeId child : kernel.other_targets(n)) fold(child);
           if (kernel.star_child(n) != CompiledPst::kNoNode) {
-            row.parallel_with(rows[static_cast<std::size_t>(kernel.star_child(n))]);
+            const std::string& star = rows[static_cast<std::size_t>(kernel.star_child(n))];
+            for (std::size_t l = 0; l < links; ++l) row[l] = reference::parallel(row[l], star[l]);
           }
         }
         // The kept set, top-down from the root.
@@ -521,8 +535,10 @@ TEST(CompiledAnnotationStorage, StoredRowsAreTheNodesASearchCanReach) {
           const CompiledPst::NodeId n = stack.back();
           stack.pop_back();
           ++kept_count;
-          const TritVector& row = rows[static_cast<std::size_t>(n)];
-          const bool expands = row.has_maybe() || (local.valid() && row.at(local) != Trit::No);
+          const std::string& row = rows[static_cast<std::size_t>(n)];
+          const bool expands =
+              row.find('M') != std::string::npos ||
+              (local.valid() && row[static_cast<std::size_t>(local.value)] != 'N');
           if (kernel.is_leaf(n) || !expands) continue;
           for (const CompiledPst::NodeId child : kernel.eq_targets(n)) stack.push_back(child);
           for (const CompiledPst::NodeId child : kernel.other_targets(n)) stack.push_back(child);
@@ -560,9 +576,105 @@ TEST(CompiledDispatch, PackedEntryRejectsBadWidthAndGroup) {
   EXPECT_THROW(compiled_dispatch_into(annotated, 1, e, std::vector<TritWord>{0, 0b111}, scratch,
                                       nullptr, out),
                std::invalid_argument);
-  EXPECT_THROW(compiled_dispatch(annotated, 0, e, TritVector(4, Trit::Maybe), scratch, nullptr),
+  // An output mask of two words per plane.
+  std::vector<TritWord> wide_out(4);
+  EXPECT_THROW(compiled_dispatch_into(annotated, 0, e, std::vector<TritWord>{0, 0b111}, scratch,
+                                      nullptr, wide_out),
                std::invalid_argument);
 }
+
+// The independent reference (trit_reference.h: byte-form rows recomputed
+// recursively from the Pst, and the Section 3.3 recursion over them, with
+// no code shared with src/routing) against all three walks of the one
+// search: link_match over maintained rows, updated after every add and
+// remove as they interleave, and compiled_dispatch_into's kernel and reach
+// walks over a kernel compiled from each tree state. Under all four
+// (trivial-test elimination, delayed star) settings, at a narrow and a
+// multi-word link count, every maintained row equals the reference's, and
+// every refined mask and step count equals the reference search's — the
+// compiled walks' steps only under trivial-test elimination, which a
+// compiled kernel applies structurally.
+class ReferenceDifferential : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(ReferenceDifferential, AllWalksMatchByteFormReference) {
+  const bool tte = std::get<0>(GetParam());
+  const bool delayed = std::get<1>(GetParam());
+  const SchemaPtr schema = mixed_schema();
+  for (const std::size_t links : {5u, 70u}) {
+    Pst tree(schema, {0, 1, 2, 3},
+             Pst::Options{.trivial_test_elimination = tte, .delayed_star = delayed});
+    Rng rng(9103 + links + (tte ? 2 : 0) + (delayed ? 1 : 0));
+    MatchScratch scratch;
+    const std::vector<SubscriptionLinkFn> group_fns{
+        [links](SubscriptionId id) {
+          return LinkIndex{static_cast<LinkIndex::rep_type>((id.value * 11) % links)};
+        },
+        [links](SubscriptionId id) {
+          return LinkIndex{static_cast<LinkIndex::rep_type>((id.value / 2) % links)};
+        }};
+    std::vector<AnnotatedPst> maintained;
+    for (const auto& fn : group_fns) maintained.emplace_back(tree, links, fn);
+    std::map<SubscriptionId, Subscription> live;
+    std::int64_t next_id = 0;
+    for (int round = 0; round < 12; ++round) {
+      // Adds and removes interleave; the maintained rows follow each one.
+      for (int op = 0, n = 6 + static_cast<int>(rng.below(20)); op < n; ++op) {
+        if (live.empty() || rng.below(3) != 0) {
+          const SubscriptionId id{next_id++};
+          live.emplace(id, random_subscription(schema, rng));
+          const Pst::Mutation mutation = tree.add(id, live.at(id));
+          for (AnnotatedPst& a : maintained) a.apply(mutation);
+        } else {
+          auto it = live.begin();
+          std::advance(it, static_cast<std::ptrdiff_t>(rng.below(live.size())));
+          const auto mutation = tree.remove(it->first, it->second);
+          ASSERT_TRUE(mutation.has_value());
+          for (AnnotatedPst& a : maintained) a.apply(*mutation);
+          live.erase(it);
+        }
+      }
+      const CompiledPst compiled(tree);
+      const CompiledAnnotation annotated = annotate(compiled, links, group_fns, LinkIndex{});
+      std::vector<reference::Annotation> expected_rows;
+      for (const auto& fn : group_fns) expected_rows.emplace_back(tree, links, fn);
+      for (std::size_t g = 0; g < group_fns.size(); ++g) {
+        for (const auto& [node, row] : expected_rows[g].rows()) {
+          ASSERT_EQ(reference::unpack(maintained[g].annotation(node), links), row)
+              << "group " << g << " node " << node;
+        }
+      }
+      EventReach reach;
+      for (int probe = 0; probe < 15; ++probe) {
+        const Event e = random_event(schema, rng);
+        compiled.reach(e, reach, scratch);
+        const std::string init = reference::random_trits(rng, links);
+        for (std::size_t g = 0; g < group_fns.size(); ++g) {
+          const reference::SearchResult want =
+              reference::link_match(tree, expected_rows[g], e, init);
+          const Searched pst = pst_walk(maintained[g], e, init, scratch);
+          ASSERT_EQ(pst.mask, want.mask) << "init " << init;
+          ASSERT_EQ(pst.steps, want.steps) << "init " << init;
+          const Searched walked = kernel_walk(annotated, g, e, init, scratch, nullptr);
+          ASSERT_EQ(walked.mask, want.mask) << "init " << init;
+          if (tte) {
+            ASSERT_EQ(walked.steps, want.steps) << "init " << init;
+          }
+          if (tree.subscription_count() == 0) continue;  // an empty kernel reaches nothing
+          const Searched reached = reach_walk(annotated, g, reach, init, scratch);
+          ASSERT_EQ(reached.mask, want.mask) << "init " << init;
+          ASSERT_EQ(reached.steps, walked.steps) << "init " << init;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SearchOptions, ReferenceDifferential,
+                         ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+                         [](const auto& info) {
+                           return std::string(std::get<0>(info.param) ? "tte" : "no_tte") +
+                                  (std::get<1>(info.param) ? "_delayed_star" : "_eager_star");
+                         });
 
 // Every bucket's frozen kernel and the epoch of its tree, keyed by tree.
 struct BucketKernel {

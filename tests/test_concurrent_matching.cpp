@@ -126,7 +126,6 @@ TEST(ConcurrentMatching, DispatchSeesConsistentSnapshotsUnderChurn) {
       const BrokerId root{static_cast<BrokerId::rep_type>(thread_rng.below(3))};
       const auto d = core.dispatch(kSpace0, e, root, scratch);
 
-      EXPECT_EQ(d.deliver_locally, !d.local_matches.empty());
       std::set<SubscriptionId> seen;
       for (const SubscriptionId id : d.local_matches) {
         EXPECT_TRUE(seen.insert(id).second) << "duplicate local match " << id.value;
@@ -219,7 +218,6 @@ TEST(ConcurrentMatching, BatchDispatchUnderChurn) {
       ASSERT_EQ(decisions.size(), pool.size());
       for (std::size_t i = 0; i < pool.size(); ++i) {
         const Decision& d = decisions[i];
-        EXPECT_EQ(d.deliver_locally, !d.local_matches.empty());
         std::set<SubscriptionId> seen;
         for (const SubscriptionId id : d.local_matches) {
           EXPECT_TRUE(seen.insert(id).second) << "duplicate local match " << id.value;
@@ -310,7 +308,6 @@ TEST(ConcurrentMatching, CoveringChurnKeepsSnapshotsConsistent) {
       const Event e = events.generate(thread_rng);
       const BrokerId root{static_cast<BrokerId::rep_type>(thread_rng.below(3))};
       const auto d = core.dispatch(kSpace0, e, root, scratch);
-      EXPECT_EQ(d.deliver_locally, !d.local_matches.empty());
       std::set<SubscriptionId> seen;
       for (const SubscriptionId id : d.local_matches) {
         EXPECT_TRUE(seen.insert(id).second) << "duplicate local match " << id.value;
@@ -556,6 +553,79 @@ TEST(ConcurrentMatching, BrokerCoalescesAcksAndDeliveriesPerBatch) {
   EXPECT_EQ(stats.duplicates_dropped, 1u);
   EXPECT_EQ(stats.link_acks_sent, peer.acks.size());
 }
+
+// A forward the broker cannot dispatch — a tree root it does not know, or
+// a payload that does not decode — is dropped alone in both event modes,
+// synchronous (0 match threads) and pipelined: counted in frames_rejected
+// and acked, with the link kept and the next forward on it delivered.
+class BadForward : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(BadForward, DroppedAloneAndTheLinkKept) {
+  const SchemaPtr schema =
+      make_schema("trades", {Attribute{"issue", AttributeType::kString, {}},
+                             Attribute{"price", AttributeType::kDouble, {}},
+                             Attribute{"volume", AttributeType::kInt, {}}});
+  const BrokerNetwork topo = make_line(2, 10, 0, 1);
+  InProcNetwork net;
+  Broker::Options options;
+  options.match_threads = GetParam();
+  options.session_epoch = 100;
+  auto* endpoint = net.create_endpoint("broker0");
+  Broker broker(BrokerId{0}, topo, {schema}, *endpoint, options);
+  endpoint->set_handler(&broker);
+
+  struct Peer : TransportHandler {
+    std::vector<std::uint64_t> acks;
+    int disconnects = 0;
+    void on_connect(ConnId) override {}
+    void on_frame(ConnId, std::span<const std::uint8_t> frame) override {
+      if (wire::peek_type(frame) == wire::FrameType::kBrokerAck) {
+        acks.push_back(wire::decode_broker_ack(frame).seq);
+      }
+    }
+    void on_disconnect(ConnId) override { ++disconnects; }
+  };
+  Peer peer;
+  auto* peer_endpoint = net.create_endpoint("broker1");
+  peer_endpoint->set_handler(&peer);
+  auto* sub_endpoint = net.create_endpoint("sub");
+  Client sub("sub", *sub_endpoint, {schema});
+  sub_endpoint->set_handler(&sub);
+  sub.bind(net.connect("sub", "broker0"));
+  net.pump();
+  sub.subscribe(0, "volume >= 0");
+  net.pump();
+  broker.flush();
+
+  constexpr std::uint64_t kEpoch = 7;
+  const ConnId link = net.connect("broker1", "broker0");
+  peer_endpoint->send(link, wire::encode(wire::HelloBroker{BrokerId{1}, kEpoch, 0, 0}));
+  net.pump();
+  const std::vector<std::uint8_t> good =
+      encode_event(Event(schema, {Value("IBM"), Value(1.0), Value(5)}));
+  const auto forward = [&](BrokerId root, std::vector<std::uint8_t> payload, std::uint64_t seq) {
+    peer_endpoint->send(link, wire::encode(wire::EventForward{root, SpaceId{0}, std::move(payload),
+                                                              kEpoch, seq}));
+    net.pump();
+    broker.flush();
+    net.pump();
+  };
+  forward(BrokerId{7}, good, 1);          // a root the topology lacks
+  forward(BrokerId{1}, {0x01, 0x02}, 2);  // a payload that is no event
+  EXPECT_EQ(broker.stats().frames_rejected, 2u);
+  EXPECT_EQ(peer.disconnects, 0);
+  forward(BrokerId{1}, good, 3);
+  EXPECT_EQ(sub.take_deliveries().size(), 1u);
+  EXPECT_EQ(peer.disconnects, 0);
+  ASSERT_FALSE(peer.acks.empty());
+  EXPECT_EQ(peer.acks.back(), 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(EventModes, BadForward, ::testing::Values<std::size_t>(0, 1),
+                         [](const auto& info) {
+                           return info.param == 0 ? std::string("synchronous")
+                                                  : std::string("pipelined");
+                         });
 
 // A frozen PstMatcher is shared by reader threads with no lock: four
 // threads match the same factored matcher (each on its own scratch, and

@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "topology/builders.h"
+#include "trit_reference.h"
 #include "event/parser.h"
 #include "workload/generators.h"
 
@@ -111,13 +112,14 @@ TEST_F(ContentRouterLineTest, EventsNeverFlowUpstream) {
 TEST_F(ContentRouterLineTest, InitializationMasksMatchTopology) {
   // At broker 1 on the tree rooted at 0: upstream port (to 0) is No, the
   // downstream port (to 2) and client ports are Maybe.
-  const auto& mask = crn_.initialization_mask(BrokerId{1}, BrokerId{0});
+  const std::string mask = reference::unpack(crn_.initialization_mask(BrokerId{1}, BrokerId{0}),
+                                             net_.ports(BrokerId{1}).size());
   const auto up = net_.port_to_broker(BrokerId{1}, BrokerId{0});
   const auto down = net_.port_to_broker(BrokerId{1}, BrokerId{2});
-  EXPECT_EQ(mask.at(up), Trit::No);
-  EXPECT_EQ(mask.at(down), Trit::Maybe);
+  EXPECT_EQ(mask.at(static_cast<std::size_t>(up.value)), 'N');
+  EXPECT_EQ(mask.at(static_cast<std::size_t>(down.value)), 'M');
   for (const ClientId c : net_.clients_of(BrokerId{1})) {
-    EXPECT_EQ(mask.at(net_.client_port(c)), Trit::Maybe);
+    EXPECT_EQ(mask.at(static_cast<std::size_t>(net_.client_port(c).value)), 'M');
   }
 }
 

@@ -307,7 +307,6 @@ void expect_equivalent(const BrokerCore& with, const BrokerCore& without,
       const Decision a = with.dispatch(kSpace0, e, BrokerId{root}, scratch_a);
       const Decision b = without.dispatch(kSpace0, e, BrokerId{root}, scratch_b);
       EXPECT_EQ(a.forward, b.forward) << "forwarding differs under covering";
-      EXPECT_EQ(a.deliver_locally, b.deliver_locally);
       std::vector<SubscriptionId> la = a.local_matches;
       std::vector<SubscriptionId> lb = b.local_matches;
       std::sort(la.begin(), la.end());
@@ -490,9 +489,9 @@ TEST_F(CoveringDifferentialTest, DeferredPublicationIsInvisibleUntilPublishSpace
     for (const Event& e : pool) {
       const Decision d = deferred.dispatch(kSpace0, e, BrokerId{root}, scratch);
       EXPECT_TRUE(d.forward.empty());
-      EXPECT_FALSE(d.deliver_locally);
+      EXPECT_TRUE(d.local_matches.empty());
       const Decision ref = eager.dispatch(kSpace0, e, BrokerId{root}, scratch);
-      eager_acts = eager_acts || !ref.forward.empty() || ref.deliver_locally;
+      eager_acts = eager_acts || !ref.forward.empty() || !ref.local_matches.empty();
     }
   }
   EXPECT_TRUE(eager_acts);
@@ -572,7 +571,6 @@ TEST_F(CoveringDifferentialTest, ParkedOnlyChurnPublishesNothing) {
   for (std::size_t d = 0; d < after.size(); ++d) {
     EXPECT_EQ(after[d].forward, pinned[d].forward) << "decision " << d;
     EXPECT_EQ(after[d].local_matches, pinned[d].local_matches) << "decision " << d;
-    EXPECT_EQ(after[d].deliver_locally, pinned[d].deliver_locally) << "decision " << d;
     EXPECT_EQ(after[d].steps, pinned[d].steps) << "decision " << d;
   }
 

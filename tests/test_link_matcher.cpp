@@ -9,10 +9,24 @@
 
 #include "common/rng.h"
 #include "matching/attribute_order.h"
+#include "trit_reference.h"
 #include "workload/generators.h"
 
 namespace gryphon {
 namespace {
+
+// link_match with masks written as strings of Y, M and N.
+struct Routed {
+  std::string mask;
+  std::uint64_t steps{0};
+};
+Routed route(const AnnotatedPst& ann, const Event& e, const std::string& init) {
+  MatchScratch scratch;
+  const std::vector<TritWord> packed_init = reference::pack(init);
+  std::vector<TritWord> out(2 * ann.words());
+  const std::uint64_t steps = link_match(ann, e, packed_init, scratch, out);
+  return {reference::unpack(out, ann.link_count()), steps};
+}
 
 Subscription sub_eq(const SchemaPtr& schema, std::vector<int> values) {
   std::vector<AttributeTest> tests;
@@ -58,9 +72,11 @@ class LinkMatchTest : public ::testing::Test {
     return out;
   }
 
-  std::set<int> yes_set(const TritVector& mask) {
+  std::set<int> yes_set(const std::string& mask) {
     std::set<int> out;
-    for (const LinkIndex l : mask.yes_links()) out.insert(l.value);
+    for (std::size_t l = 0; l < mask.size(); ++l) {
+      if (mask[l] == 'Y') out.insert(static_cast<int>(l));
+    }
     return out;
   }
 };
@@ -70,16 +86,16 @@ TEST_F(LinkMatchTest, ForwardsExactlyToMatchingLinks) {
   add({1, -1, -1, -1}, 1);
   add({0, 1, -1, -1}, 2);
   AnnotatedPst ann(tree_, kLinks, link_fn());
-  const TritVector init(kLinks, Trit::Maybe);
+  const std::string init(kLinks, 'M');
 
-  const auto r1 = link_match(ann, ev(schema_, {0, 1, 0, 0}), init);
+  const auto r1 = route(ann, ev(schema_, {0, 1, 0, 0}), init);
   EXPECT_EQ(yes_set(r1.mask), (std::set<int>{0, 2}));
-  EXPECT_FALSE(r1.mask.has_maybe());
+  EXPECT_EQ(r1.mask.find('M'), std::string::npos);
 
-  const auto r2 = link_match(ann, ev(schema_, {1, 0, 0, 0}), init);
+  const auto r2 = route(ann, ev(schema_, {1, 0, 0, 0}), init);
   EXPECT_EQ(yes_set(r2.mask), (std::set<int>{1}));
 
-  const auto r3 = link_match(ann, ev(schema_, {2, 0, 0, 0}), init);
+  const auto r3 = route(ann, ev(schema_, {2, 0, 0, 0}), init);
   EXPECT_TRUE(yes_set(r3.mask).empty());
 }
 
@@ -89,16 +105,16 @@ TEST_F(LinkMatchTest, InitializationMaskBlocksNonDescendantLinks) {
   add({0, -1, -1, -1}, 0);
   add({0, -1, -1, -1}, 1);
   AnnotatedPst ann(tree_, kLinks, link_fn());
-  auto init = TritVector::from_string("MNMM");
-  const auto r = link_match(ann, ev(schema_, {0, 0, 0, 0}), init);
+  const std::string init = "MNMM";
+  const auto r = route(ann, ev(schema_, {0, 0, 0, 0}), init);
   EXPECT_EQ(yes_set(r.mask), (std::set<int>{0}));
-  EXPECT_EQ(r.mask.at(1), Trit::No);
+  EXPECT_EQ(r.mask[1], 'N');
 }
 
 TEST_F(LinkMatchTest, AllNoMaskShortCircuits) {
   add({-1, -1, -1, -1}, 0);
   AnnotatedPst ann(tree_, kLinks, link_fn());
-  const auto r = link_match(ann, ev(schema_, {0, 0, 0, 0}), TritVector(kLinks, Trit::No));
+  const auto r = route(ann, ev(schema_, {0, 0, 0, 0}), std::string(kLinks, 'N'));
   EXPECT_EQ(r.steps, 0u);
   EXPECT_TRUE(yes_set(r.mask).empty());
 }
@@ -108,7 +124,7 @@ TEST_F(LinkMatchTest, RootRefinementCanEndTheSearch) {
   // so the search terminates after one visit (step 2 of the algorithm).
   for (int l = 0; l < static_cast<int>(kLinks); ++l) add({-1, -1, -1, -1}, l);
   AnnotatedPst ann(tree_, kLinks, link_fn());
-  const auto r = link_match(ann, ev(schema_, {0, 0, 0, 0}), TritVector(kLinks, Trit::Maybe));
+  const auto r = route(ann, ev(schema_, {0, 0, 0, 0}), std::string(kLinks, 'M'));
   EXPECT_EQ(yes_set(r.mask), (std::set<int>{0, 1, 2, 3}));
   EXPECT_EQ(r.steps, 1u);
 }
@@ -116,7 +132,12 @@ TEST_F(LinkMatchTest, RootRefinementCanEndTheSearch) {
 TEST_F(LinkMatchTest, MaskWidthMismatchThrows) {
   add({0, -1, -1, -1}, 0);
   AnnotatedPst ann(tree_, kLinks, link_fn());
-  EXPECT_THROW(link_match(ann, ev(schema_, {0, 0, 0, 0}), TritVector(2, Trit::Maybe)),
+  // Packed, a mask names its width by its word count and by the bits it
+  // sets: two words per plane, or a Maybe on a fifth link, is not a
+  // 4-link mask.
+  EXPECT_THROW(route(ann, ev(schema_, {0, 0, 0, 0}), std::string(65, 'M')),
+               std::invalid_argument);
+  EXPECT_THROW(route(ann, ev(schema_, {0, 0, 0, 0}), std::string(5, 'M')),
                std::invalid_argument);
 }
 
@@ -124,7 +145,7 @@ TEST_F(LinkMatchTest, StaleAnnotationThrows) {
   add({0, -1, -1, -1}, 0);
   AnnotatedPst ann(tree_, kLinks, link_fn());
   add({1, -1, -1, -1}, 1);  // tree mutated, annotation not updated
-  EXPECT_THROW(link_match(ann, ev(schema_, {0, 0, 0, 0}), TritVector(kLinks, Trit::Maybe)),
+  EXPECT_THROW(route(ann, ev(schema_, {0, 0, 0, 0}), std::string(kLinks, 'M')),
                std::logic_error);
 }
 
@@ -149,7 +170,7 @@ TEST_F(LinkMatchTest, PartialMatchingCostsLessThanFullMatch) {
   std::vector<SubscriptionId> scratch;
   for (int i = 0; i < 100; ++i) {
     const Event e = events.generate(rng);
-    link_steps += link_match(ann, e, TritVector(3, Trit::Maybe)).steps;
+    link_steps += route(ann, e, std::string(3, 'M')).steps;
     scratch.clear();
     tree.match(e, scratch, &full_stats);
   }
@@ -184,8 +205,8 @@ TEST_F(LinkMatchTest, DelayedBranchingSavesSteps) {
   std::uint64_t steps_delayed = 0, steps_eager = 0;
   for (int i = 0; i < 200; ++i) {
     const Event e = events.generate(rng);
-    const auto rd = link_match(ann_delayed, e, TritVector(2, Trit::Maybe));
-    const auto re = link_match(ann_eager, e, TritVector(2, Trit::Maybe));
+    const auto rd = route(ann_delayed, e, std::string(2, 'M'));
+    const auto re = route(ann_eager, e, std::string(2, 'M'));
     EXPECT_EQ(rd.mask, re.mask);  // same decision either way
     steps_delayed += rd.steps;
     steps_eager += re.steps;
@@ -206,11 +227,11 @@ TEST_F(LinkMatchTest, PropertyYesLinksEqualMatchingSubscriberLinks) {
   }
   AnnotatedPst ann(tree_, kLinks, link_fn());
   EventGenerator events(schema_);
-  const TritVector init(kLinks, Trit::Maybe);
+  const std::string init(kLinks, 'M');
   for (int i = 0; i < 300; ++i) {
     const Event e = events.generate(rng);
-    const auto r = link_match(ann, e, init);
-    EXPECT_FALSE(r.mask.has_maybe());
+    const auto r = route(ann, e, init);
+    EXPECT_EQ(r.mask.find('M'), std::string::npos);
     EXPECT_EQ(yes_set(r.mask), expected_links(e)) << "event " << e.to_text();
   }
 }

@@ -113,9 +113,12 @@ ContentRoutingNetwork::RouteResult reference_route(const ContentRoutingNetwork& 
   const AnnotatedPst fresh(*tree, crn.network().ports(at).size(), [&](SubscriptionId id) {
     return spanning.tree_next_hop_to_client(at, crn.destination_of(id));
   });
-  const LinkMatchResult lm = link_match(fresh, e, crn.initialization_mask(at, root));
-  want.links = lm.mask.yes_links();
-  want.steps += lm.steps;
+  MatchScratch scratch;
+  std::vector<TritWord> mask(2 * fresh.words());
+  want.steps += link_match(fresh, e, crn.initialization_mask(at, root), scratch, mask);
+  packed::for_each_yes(mask, [&](std::size_t l) {
+    want.links.push_back(LinkIndex{static_cast<LinkIndex::rep_type>(l)});
+  });
   return want;
 }
 

@@ -1,10 +1,14 @@
 // The trit algebra of paper Figure 4, verified cell by cell, and the
-// bit-plane form checked against the byte form on random vectors.
+// bit-plane trit vectors of src/routing checked against the scalar
+// combines, trit by trit, on random vectors. Vectors are written as
+// strings of Y, M and N and converted with the byte-form test reference
+// (trit_reference.h).
 #include "routing/trit.h"
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "trit_reference.h"
 
 namespace gryphon {
 namespace {
@@ -55,137 +59,157 @@ TEST(TritAlgebra, BothCommutativeAndAssociative) {
   }
 }
 
+using reference::pack;
+using reference::unpack;
+
+Trit to_trit(char c) { return c == 'Y' ? Y : (c == 'M' ? M : N); }
+char to_char(Trit t) { return t == Y ? 'Y' : (t == M ? 'M' : 'N'); }
+
+// `op` applied to packed `a` and `b`, back in string form.
+template <class Op>
+std::string packed_op(const std::string& a, const std::string& b, Op op) {
+  std::vector<TritWord> mask = pack(a);
+  const std::vector<TritWord> other = pack(b);
+  op(mask.data(), other.data(), trit_words(a.size()));
+  return unpack(mask, a.size());
+}
+
 TEST(TritVector, FromStringRoundTrip) {
-  const auto v = TritVector::from_string("YMN");
-  EXPECT_EQ(v.size(), 3u);
-  EXPECT_EQ(v.at(0), Y);
-  EXPECT_EQ(v.at(1), M);
-  EXPECT_EQ(v.at(2), N);
-  EXPECT_EQ(v.to_string(), "YMN");
-  EXPECT_THROW(TritVector::from_string("YXZ"), std::invalid_argument);
+  // The test codec every differential compares through.
+  const std::vector<TritWord> v = pack("YMN");
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v[0], 0b001u);  // Yes plane
+  EXPECT_EQ(v[1], 0b010u);  // Maybe plane
+  EXPECT_EQ(unpack(v, 3), "YMN");
+  EXPECT_THROW(pack("YXZ"), std::invalid_argument);
 }
 
 TEST(TritVector, PaperFigure5Example) {
   // MYY A NYN = MYM; MYM P YYN = YYM.
-  auto alt = TritVector::from_string("MYY");
-  alt.alternative_with(TritVector::from_string("NYN"));
-  EXPECT_EQ(alt.to_string(), "MYM");
-  alt.parallel_with(TritVector::from_string("YYN"));
-  EXPECT_EQ(alt.to_string(), "YYM");
+  const std::string alt = packed_op("MYY", "NYN", packed::alternative_with<TritWord>);
+  EXPECT_EQ(alt, "MYM");
+  EXPECT_EQ(packed_op(alt, "YYN", packed::parallel_with<TritWord>), "YYM");
 }
 
 TEST(TritVector, RefineReplacesOnlyMaybes) {
-  auto mask = TritVector::from_string("YMNM");
-  mask.refine_with(TritVector::from_string("NYNY"));
-  EXPECT_EQ(mask.to_string(), "YYNY");
+  EXPECT_EQ(packed_op("YMNM", "NYNY", packed::refine_with), "YYNY");
 }
 
 TEST(TritVector, PromoteYesFromSubsearch) {
-  auto mask = TritVector::from_string("MMNM");
-  mask.promote_yes_from(TritVector::from_string("YNNN"));
   // Only Maybes with a subsearch Yes flip; subsearch No leaves Maybe alone
   // (another sibling's subsearch may still produce a Yes).
-  EXPECT_EQ(mask.to_string(), "YMNM");
+  EXPECT_EQ(packed_op("MMNM", "YNNN", packed::promote_yes_from), "YMNM");
 }
 
 TEST(TritVector, MaybesToNo) {
-  auto mask = TritVector::from_string("YMNM");
-  mask.maybes_to_no();
-  EXPECT_EQ(mask.to_string(), "YNNN");
+  std::vector<TritWord> mask = pack("YMNM");
+  packed::maybes_to_no(mask.data(), 1);
+  EXPECT_EQ(unpack(mask, 4), "YNNN");
 }
 
 TEST(TritVector, Queries) {
-  const auto v = TritVector::from_string("YMNY");
-  EXPECT_TRUE(v.has_maybe());
-  EXPECT_TRUE(v.any_yes());
-  EXPECT_EQ(v.count(Trit::Yes), 2u);
-  EXPECT_EQ(v.count(Trit::Maybe), 1u);
-  EXPECT_EQ(v.count(Trit::No), 1u);
-  const auto yes = v.yes_links();
-  ASSERT_EQ(yes.size(), 2u);
-  EXPECT_EQ(yes[0].value, 0);
-  EXPECT_EQ(yes[1].value, 3);
-
-  const auto refined = TritVector::from_string("YNNN");
-  EXPECT_FALSE(refined.has_maybe());
-  EXPECT_FALSE(TritVector::from_string("NNN").any_yes());
+  const std::vector<TritWord> v = pack("YMNY");
+  EXPECT_TRUE(packed::has_maybe(v.data(), 1));
+  std::vector<std::size_t> yes;
+  packed::for_each_yes(v, [&](std::size_t i) { yes.push_back(i); });
+  EXPECT_EQ(yes, (std::vector<std::size_t>{0, 3}));
+  EXPECT_FALSE(packed::has_maybe(pack("YNNN").data(), 1));
 }
 
 TEST(TritVector, SizeMismatchThrows) {
-  auto v = TritVector::from_string("YM");
-  EXPECT_THROW(v.refine_with(TritVector::from_string("Y")), std::invalid_argument);
-  EXPECT_THROW(v.alternative_with(TritVector::from_string("YMN")), std::invalid_argument);
+  // The codec rejects a mask of another width, a link in both planes and a
+  // bit past the width, so a kernel that produced one fails its test.
+  EXPECT_THROW((void)unpack(pack("YM"), 65), std::invalid_argument);
+  EXPECT_THROW((void)unpack(std::vector<TritWord>{0b1, 0b1}, 2), std::invalid_argument);
+  EXPECT_THROW((void)unpack(std::vector<TritWord>{0b100, 0}, 2), std::invalid_argument);
 }
 
 TEST(TritVector, FillAndEquality) {
-  TritVector v(4, Trit::Maybe);
-  EXPECT_EQ(v.to_string(), "MMMM");
-  v.fill(Trit::No);
-  EXPECT_EQ(v, TritVector::from_string("NNNN"));
-  EXPECT_NE(v, TritVector::from_string("NNNY"));
-  EXPECT_TRUE(v.equals(TritVector::from_string("NNNN").span()));
+  std::vector<TritWord> v(2 * trit_words(70), 0);
+  for (std::size_t i = 0; i < 70; ++i) packed::set(v, i, M);
+  EXPECT_EQ(unpack(v, 70), std::string(70, 'M'));
+  packed::set(v, 0, Y);
+  packed::set(v, 69, N);
+  packed::set(v, 64, Y);
+  packed::set(v, 64, M);
+  EXPECT_EQ(unpack(v, 70), "Y" + std::string(68, 'M') + "N");
+  EXPECT_EQ(v, pack("Y" + std::string(68, 'M') + "N"));
 }
 
 TEST(PackedTrits, PackUnpackRoundTripAndLayout) {
-  const auto v = TritVector::from_string("YMNY");
-  const std::vector<TritWord> p = packed::pack(v.span());
+  const std::vector<TritWord> p = pack("YMNY");
   ASSERT_EQ(p.size(), 2u);
   EXPECT_EQ(p[0], 0b1001u);  // Yes plane
   EXPECT_EQ(p[1], 0b0010u);  // Maybe plane
-  EXPECT_EQ(packed::unpack(p, v.size()), v);
+  EXPECT_EQ(unpack(p, 4), "YMNY");
   EXPECT_EQ(trit_words(0), 0u);
   EXPECT_EQ(trit_words(64), 1u);
   EXPECT_EQ(trit_words(65), 2u);
-  EXPECT_THROW((void)packed::unpack(p, 65), std::invalid_argument);
+  const std::string wide = std::string(64, 'N') + "Y";
+  EXPECT_EQ(pack(wide), (std::vector<TritWord>{0, 1, 0, 0}));
 }
 
-// Seeded property test: every packed operation equals the per-trit
-// TritVector operation, at widths on both sides of each word boundary.
+// Seeded property test: every packed operation equals the scalar Figure 4
+// combines (and Section 3.3's refine and promote) applied trit by trit, at
+// widths on both sides of each word boundary, and the two combines agree on
+// the narrow plane words stored rows use.
 TEST(PackedTrits, OperationsEqualByteFormAtEveryWidth) {
   Rng rng(17);
-  const auto random_vector = [&](std::size_t width) {
-    TritVector v(width);
-    for (std::size_t i = 0; i < width; ++i) v.set(i, static_cast<Trit>(rng.below(3)));
-    return v;
+  const auto each_trit = [](const std::string& a, const std::string& b, auto scalar) {
+    std::string out = a;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      out[i] = to_char(scalar(to_trit(a[i]), to_trit(b[i])));
+    }
+    return out;
   };
-  for (const std::size_t width : {1, 2, 63, 64, 65, 128, 130}) {
+  const auto refine = [](Trit mask, Trit row) { return mask == M ? row : mask; };
+  const auto promote = [](Trit mask, Trit sub) { return mask == M && sub == Y ? Y : mask; };
+  for (const std::size_t width : {1, 2, 7, 8, 63, 64, 65, 128, 130}) {
     const std::size_t words = trit_words(width);
     for (int trial = 0; trial < 200; ++trial) {
-      const TritVector a = random_vector(width);
-      const TritVector b = random_vector(width);
-      const std::vector<TritWord> pb = packed::pack(b.span());
-      const auto check = [&](const char* op, void (TritVector::*byte_op)(TritSpan),
-                             void (*word_op)(TritWord*, const TritWord*, std::size_t)) {
-        TritVector want = a;
-        (want.*byte_op)(b.span());
-        std::vector<TritWord> got = packed::pack(a.span());
-        word_op(got.data(), pb.data(), words);
-        ASSERT_EQ(packed::unpack(got, width), want)
-            << op << " width " << width << ": " << a.to_string() << " with " << b.to_string();
-        ASSERT_EQ(got, packed::pack(want.span())) << op << ": padding bits or both planes set";
-      };
-      check("alternative", &TritVector::alternative_with, &packed::alternative_with);
-      check("parallel", &TritVector::parallel_with, &packed::parallel_with);
-      check("refine", &TritVector::refine_with, &packed::refine_with);
+      const std::string a = reference::random_trits(rng, width);
+      const std::string b = reference::random_trits(rng, width);
+      const auto context = [&] { return "width " + std::to_string(width) + ": " + a + ", " + b; };
+      ASSERT_EQ(packed_op(a, b, packed::alternative_with<TritWord>),
+                each_trit(a, b, alternative_combine))
+          << context();
+      ASSERT_EQ(packed_op(a, b, packed::parallel_with<TritWord>),
+                each_trit(a, b, parallel_combine))
+          << context();
+      ASSERT_EQ(packed_op(a, b, packed::refine_with), each_trit(a, b, refine)) << context();
+      ASSERT_EQ(packed_op(a, b, packed::promote_yes_from), each_trit(a, b, promote))
+          << context();
 
-      TritVector promoted = a;
-      promoted.promote_yes_from(b);
-      std::vector<TritWord> got = packed::pack(a.span());
-      packed::promote_yes_from(got.data(), pb.data(), words);
-      ASSERT_EQ(packed::unpack(got, width), promoted) << "promote width " << width;
-
-      TritVector no_maybes = a;
-      no_maybes.maybes_to_no();
-      got = packed::pack(a.span());
-      EXPECT_EQ(packed::has_maybe(got.data(), words), a.has_maybe());
+      std::vector<TritWord> got = pack(a);
+      EXPECT_EQ(packed::has_maybe(got.data(), words), a.find('M') != std::string::npos);
       packed::maybes_to_no(got.data(), words);
-      ASSERT_EQ(packed::unpack(got, width), no_maybes) << "maybes_to_no width " << width;
+      std::string no_maybes = a;
+      for (char& t : no_maybes) t = t == 'M' ? 'N' : t;
+      ASSERT_EQ(unpack(got, width), no_maybes) << context();
 
-      std::vector<LinkIndex> yes;
-      packed::for_each_yes(pb, [&](std::size_t i) {
-        yes.push_back(LinkIndex{static_cast<LinkIndex::rep_type>(i)});
-      });
-      ASSERT_EQ(yes, b.yes_links());
+      std::string yes(width, 'N');
+      packed::for_each_yes(pack(b), [&](std::size_t i) { yes.at(i) = 'Y'; });
+      std::string want_yes = b;
+      for (char& t : want_yes) t = t == 'Y' ? 'Y' : 'N';
+      ASSERT_EQ(yes, want_yes) << context();
+
+      if (width <= 8) {
+        // An 8-bit plane word holds the same row.
+        const std::vector<TritWord> pa = pack(a);
+        const std::vector<TritWord> pb = pack(b);
+        std::uint8_t narrow[2] = {static_cast<std::uint8_t>(pa[0]),
+                                  static_cast<std::uint8_t>(pa[1])};
+        const std::uint8_t other[2] = {static_cast<std::uint8_t>(pb[0]),
+                                       static_cast<std::uint8_t>(pb[1])};
+        packed::alternative_with(narrow, other, 1);
+        ASSERT_EQ(unpack(std::vector<TritWord>{narrow[0], narrow[1]}, width),
+                  each_trit(a, b, alternative_combine))
+            << context();
+        packed::parallel_with(narrow, other, 1);
+        std::string both = each_trit(each_trit(a, b, alternative_combine), b, parallel_combine);
+        ASSERT_EQ(unpack(std::vector<TritWord>{narrow[0], narrow[1]}, width), both)
+            << context();
+      }
     }
   }
 }

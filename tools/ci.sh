@@ -22,7 +22,7 @@
 # worker-pipeline races are what TSan is here to catch); the ASan, UBSan
 # and release legs run everything. The perf leg reuses the release build to
 # run micro_bench on the compiled-vs-mutable matching pair and the
-# compiled-vs-reference link-matching pair, plus the
+# compiled-vs-maintained link-matching pair, plus the
 # standalone compiled_pst_bench. The bench legs (failover, perf, scaling,
 # churn, sim-scale) run their benches inside the leg's build directory, so
 # the smoke BENCH_*.json files land there as uploadable artifacts and the
@@ -179,7 +179,7 @@ PY
   if [[ "$leg" == perf ]]; then
     echo "=== [perf] kernel smoke: micro_bench compiled vs reference kernels ==="
     (cd "$dir" && ./bench/micro_bench \
-      --benchmark_filter='PstMatch(Compiled|Mutable)|Link(DispatchCompiled|MatchReference)' \
+      --benchmark_filter='PstMatch(Compiled|Mutable)|Link(DispatchCompiled|MatchMaintained)' \
       --benchmark_min_time=0.2 \
       --benchmark_out=BENCH_micro_kernels.json \
       --benchmark_out_format=json)
@@ -337,14 +337,22 @@ PY
     # hardware threads; elsewhere the JSON records the reason instead.
     # The wan-200 link-matching row's annotation bytes must stay within
     # 1.25x of the figure recorded below (only reachable rows are stored).
-    # A change that must not move any simulated outcome is checked on the
-    # full sweep: regenerate it and run
+    # The reduced sweep's simulated outcomes (traffic, steps, latency,
+    # oracle verdicts, dynamics counts) must equal the committed
+    # tools/sim_scale_ci_outcomes.json: tools/sim_outcome_diff.py exits 1
+    # on any outcome, control_plane or steps_exact difference. Its
+    # fig6-dynamics point churns subscriptions and links, so the
+    # maintained-row route of churning trees is held to it too. A change
+    # that must not move any simulated outcome is also checked on the full
+    # sweep: regenerate it and run
     #   tools/sim_outcome_diff.py BENCH_sim_scale.json NEW.json
-    # which exits 1 on any outcome, control_plane or steps_exact difference.
     echo "=== [sim-scale] sim_scale_bench reduced sweep ==="
     # The reduced sweep goes next to the build, not over the committed
     # full-campaign BENCH_sim_scale.json.
     "$dir/bench/sim_scale_bench" --ci --out "$dir/BENCH_sim_scale_ci.json"
+    echo "=== [sim-scale] reduced-sweep outcomes against the committed reference ==="
+    python3 tools/sim_outcome_diff.py tools/sim_scale_ci_outcomes.json \
+      "$dir/BENCH_sim_scale_ci.json"
     python3 - "$dir/BENCH_sim_scale_ci.json" <<'PY'
 import json, sys
 data = json.load(open(sys.argv[1]))
@@ -420,12 +428,14 @@ PY
     # The kernel differentials must be in the suite these legs run: the
     # compiled dispatch at every stored row width (8/16/32/64-bit planes
     # and multi-word rows), the reach-list dispatch against the kernel walk
-    # and link_match at those widths, the CRN's annotations without a
-    # local-slice table, and the AttributeTest layout round trips. So must
-    # the ReliableStream property test and the broker ack-range tests.
+    # and link_match at those widths, all three walks against the byte-form
+    # reference, the CRN's annotations without a local-slice table, and the
+    # AttributeTest layout round trips. So must the ReliableStream property
+    # test and the broker ack-range tests.
     local pattern listed
     for pattern in 'PlaneWidths/CompiledDispatchWidth.*links(8|9|16|17|32|33)_' \
                    'PlaneWidths/ReachDispatch.*links(8|9|16|17|32|33|65|130)_' \
+                   'SearchOptions/ReferenceDifferential' \
                    'CompiledAnnotationsHoldNoLocalSliceTable' 'AttributeTestLayout' \
                    'ReliableStreamProperty' 'AckRange'; do
       listed="$(ctest --test-dir "$dir" -N -R "$pattern")"
